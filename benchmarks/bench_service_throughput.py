@@ -1,21 +1,16 @@
 """Perf trajectory for the multi-tenant service scheduler.
 
 Measures the service layer's *overhead* — scheduling rounds, admission
-checks, worker handoff — against running the same jobs serially
-through bare ``JobRunner``s, and records the scaling from 1 to N
-workers.  Writes ``BENCH_service.json`` so future scheduler changes
-have a recorded baseline.
+checks, per-round health work — against running the same jobs serially
+through bare ``JobRunner``s.  Writes ``BENCH_service.json`` so future
+scheduler changes have a recorded baseline.
 
 The assertable claims (``--check``):
 
 * dispatching through the service must cost < 100% over bare serial
-  runners at 1 worker (the scheduler is bookkeeping, not work);
-* with 2 workers the scheduler must grant 2 jobs inside a single
-  round (the pool genuinely overlaps dispatches) without inflating
-  wall time — the simulator is GIL-bound pure Python, so overlapped
-  threads buy scheduling concurrency, not wall-clock speedup;
-* results are bit-identical to serial execution, whatever the worker
-  count.
+  runners (the scheduler is bookkeeping, not work);
+* the scheduler grants exactly one job per round;
+* results are bit-identical to serial execution.
 
 Usage::
 
@@ -30,8 +25,7 @@ import sys
 import time
 from pathlib import Path
 
-MAX_OVERHEAD_FRACTION = 1.0  # service/serial - 1 at 1 worker, quick sizes
-MAX_CONCURRENCY_PENALTY = 1.5  # 2w wall may not exceed 1.5x the 1w wall
+MAX_OVERHEAD_FRACTION = 1.0  # service/serial - 1, quick sizes
 
 
 def build_jobs(tenants: int, per_tenant: int, genome_bp: int):
@@ -69,16 +63,15 @@ def bench_serial(jobs, k: int, tmp: Path) -> dict:
     return {"wall_s": time.perf_counter() - start, "results": results}
 
 
-def bench_service(jobs, k: int, workers: int, tmp: Path) -> dict:
+def bench_service(jobs, k: int, tmp: Path) -> dict:
     from repro.runtime.jobs import JobConfig
     from repro.service import AssemblyService, ServiceConfig, TenantQuota
 
     config = JobConfig(k=k)
     service = AssemblyService(
-        tmp / f"svc-{workers}",
+        tmp / "svc",
         ServiceConfig(
-            workers=workers,
-            default_quota=TenantQuota(max_queued=64, max_in_flight=workers),
+            default_quota=TenantQuota(max_queued=64),
             max_total_queued=256,
         ),
         sleep=lambda _s: None,
@@ -113,8 +106,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail on scheduler overhead, missing concurrency speedup, "
-        "or any divergence from serial results",
+        help="fail on scheduler overhead, more than one grant per "
+        "round, or any divergence from serial results",
     )
     parser.add_argument(
         "-o",
@@ -136,40 +129,29 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-service-") as tmp:
         tmp = Path(tmp)
         serial = bench_serial(jobs, k, tmp)
-        one = bench_service(jobs, k, workers=1, tmp=tmp)
-        two = bench_service(jobs, k, workers=2, tmp=tmp)
+        service = bench_service(jobs, k, tmp=tmp)
 
-    overhead = one["wall_s"] / serial["wall_s"] - 1.0
-    penalty = two["wall_s"] / one["wall_s"]
-    identical = (
-        serial["results"] == one["results"] == two["results"]
-    )
+    overhead = service["wall_s"] / serial["wall_s"] - 1.0
+    identical = serial["results"] == service["results"]
     record = {
         "benchmark": "service_throughput",
         "mode": "quick" if args.quick else "full",
         "jobs": len(jobs),
         "tenants": tenants,
         "serial_wall_s": serial["wall_s"],
-        "service_1w_wall_s": one["wall_s"],
-        "service_2w_wall_s": two["wall_s"],
+        "service_wall_s": service["wall_s"],
         "scheduler_overhead_fraction": overhead,
-        "two_worker_wall_ratio": penalty,
-        "rounds_1w": one["rounds"],
-        "rounds_2w": two["rounds"],
-        "peak_grants_per_round_1w": one["peak_grants_per_round"],
-        "peak_grants_per_round_2w": two["peak_grants_per_round"],
+        "rounds": service["rounds"],
+        "peak_grants_per_round": service["peak_grants_per_round"],
         "bit_identical_to_serial": identical,
         "max_overhead_floor": MAX_OVERHEAD_FRACTION,
-        "max_concurrency_penalty": MAX_CONCURRENCY_PENALTY,
     }
 
     print(
         f"{len(jobs)} jobs / {tenants} tenants: serial "
-        f"{serial['wall_s'] * 1e3:7.1f} ms | service(1w) "
-        f"{one['wall_s'] * 1e3:7.1f} ms (overhead {overhead:+.1%}, "
-        f"peak {one['peak_grants_per_round']}/round) | service(2w) "
-        f"{two['wall_s'] * 1e3:7.1f} ms "
-        f"(peak {two['peak_grants_per_round']}/round)"
+        f"{serial['wall_s'] * 1e3:7.1f} ms | service "
+        f"{service['wall_s'] * 1e3:7.1f} ms (overhead {overhead:+.1%}, "
+        f"peak {service['peak_grants_per_round']}/round)"
     )
     print(f"bit-identical to serial: {identical}")
 
@@ -186,26 +168,16 @@ def main(argv=None) -> int:
                 f"scheduler overhead {overhead:.1%} > "
                 f"{MAX_OVERHEAD_FRACTION:.0%}"
             )
-        if one["peak_grants_per_round"] != 1:
+        if service["peak_grants_per_round"] != 1:
             failures.append(
-                "1 worker granted more than one job in a round "
-                f"({one['peak_grants_per_round']})"
-            )
-        if two["peak_grants_per_round"] < 2:
-            failures.append(
-                "2 workers never overlapped dispatches in a round "
-                f"(peak {two['peak_grants_per_round']})"
-            )
-        if penalty > MAX_CONCURRENCY_PENALTY:
-            failures.append(
-                f"2-worker wall {penalty:.2f}x the 1-worker wall "
-                f"(> {MAX_CONCURRENCY_PENALTY:.1f}x)"
+                "the scheduler granted more than one job in a round "
+                f"({service['peak_grants_per_round']})"
             )
         if failures:
             print("FAIL: " + "; ".join(failures))
             return 1
         print(
-            "OK: overhead bounded, workers overlap, results identical"
+            "OK: overhead bounded, one grant per round, results identical"
         )
     return 0
 

@@ -38,7 +38,6 @@ SCENARIO = ChaosConfig(
     seed=2020,
     tenants=3,
     jobs_per_tenant=5,
-    workers=2,
     max_queued=3,
     degrade_engine_depth=4,
     weights={

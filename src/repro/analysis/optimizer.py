@@ -171,10 +171,6 @@ def _operands_valid(mnemonic: str, rows: Sequence[int]) -> bool:
     return True
 
 
-def _entry_key(entry: TraceEntry) -> tuple:
-    return (entry.mnemonic, entry.subarray, entry.rows, entry.payload)
-
-
 # --------------------------------------------------------------------------
 # rewrite passes (token stream -> token stream, order-preserving)
 # --------------------------------------------------------------------------

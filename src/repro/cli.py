@@ -37,6 +37,43 @@ import sys
 from pathlib import Path
 
 
+def _shared_flags() -> argparse.ArgumentParser:
+    """Flags ``assemble`` and ``serve`` share, defined once (each
+    subcommand's description says how it applies them)."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
+        "--ecc",
+        choices=("off", "secded"),
+        help="model retention bit rot in the k-mer store: 'secded' "
+        "protects it with SECDED(72,64) + scrubbing, 'off' leaves the "
+        "rot uncorrected",
+    )
+    shared.add_argument(
+        "--retention-interval-s",
+        type=float,
+        help="simulated refresh window (tREFW) in seconds for the "
+        "retention model (default 0.064; implies --ecc secded unless "
+        "--ecc off is given)",
+    )
+    shared.add_argument(
+        "--trace-out",
+        help="write the span timeline as Chrome/Perfetto trace-event "
+        "JSON (load in ui.perfetto.dev)",
+    )
+    shared.add_argument(
+        "--metrics-out",
+        help="write the metrics snapshot (counters, histograms, "
+        "sub-array heatmap) as JSON",
+    )
+    shared.add_argument(
+        "--telemetry-out",
+        help="write the metrics + power gauges as a Prometheus "
+        "text-format exposition (plus a .json snapshot next to it; "
+        "serve refreshes it every scheduler round)",
+    )
+    return shared
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -51,8 +88,15 @@ def _build_parser() -> argparse.ArgumentParser:
         version=f"%(prog)s {__version__}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = _shared_flags()
 
-    assemble = sub.add_parser("assemble", help="assemble reads into contigs")
+    assemble = sub.add_parser(
+        "assemble",
+        parents=[shared],
+        help="assemble reads into contigs",
+        description="--ecc, --retention-interval-s and the --*-out "
+        "exports require --engine pim",
+    )
     assemble.add_argument("reads", help="FASTA or FASTQ file of reads")
     assemble.add_argument("-o", "--output", required=True, help="contig FASTA")
     assemble.add_argument("-k", type=int, default=21, help="k-mer length")
@@ -75,20 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="PIM simulator execution engine: 'scalar' issues commands "
         "one at a time (golden model), 'bulk' batches them as "
         "bit-plane gangs (same results, much faster simulation)",
-    )
-    assemble.add_argument(
-        "--ecc",
-        choices=("off", "secded"),
-        help="model retention bit rot in the k-mer store: 'secded' "
-        "protects it with SECDED(72,64) + scrubbing, 'off' leaves the "
-        "rot uncorrected (--engine pim only)",
-    )
-    assemble.add_argument(
-        "--retention-interval-s",
-        type=float,
-        help="simulated refresh window (tREFW) in seconds for the "
-        "retention model (default 0.064; implies --ecc secded unless "
-        "--ecc off is given)",
     )
     assemble.add_argument(
         "--correct",
@@ -124,16 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="whole-job deadline budget in seconds (requires --job-dir)",
     )
     assemble.add_argument(
-        "--trace-out",
-        help="write the run's span timeline as Chrome/Perfetto "
-        "trace-event JSON (load in ui.perfetto.dev; --engine pim only)",
-    )
-    assemble.add_argument(
-        "--metrics-out",
-        help="write the run's metrics snapshot (counters, histograms, "
-        "sub-array heatmap) as JSON (--engine pim only)",
-    )
-    assemble.add_argument(
         "--aap-trace-out",
         help="record the run's AAP command stream as a verifiable trace "
         "document for `verify-trace` (--engine pim, no --job-dir)",
@@ -145,12 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "passes + gang merge), replay it on a fresh device and assert "
         "the final row state bit-identical (--engine pim, "
         "--exec-engine scalar, no --job-dir/--ecc)",
-    )
-    assemble.add_argument(
-        "--telemetry-out",
-        help="write the run's metrics + power gauges as a Prometheus "
-        "text-format exposition (plus a .json snapshot next to it; "
-        "--engine pim only)",
     )
 
     verify_trace = sub.add_parser(
@@ -201,48 +215,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        parents=[shared],
         help="run a batch of assembly jobs through the multi-tenant "
         "service (per-tenant quotas, fair scheduling, crash-resume, "
         "graceful degradation); exit 4 if admission shed submissions",
+        description="--ecc and --retention-interval-s set batch "
+        "defaults; a job's manifest 'ecc'/'retention_interval_s' keys "
+        "override them",
     )
     serve.add_argument(
         "manifest",
-        help="JSON batch manifest: {workers, tenants: {name: quota}, "
+        help="JSON batch manifest: {tenants: {name: quota}, "
         "jobs: [{tenant, name, reads, k, ...}]} — see docs/ARCHITECTURE.md",
     )
     serve.add_argument(
         "--job-root",
         help="directory for the per-job journals "
         "(default: <manifest>.jobs/ next to the manifest)",
-    )
-    serve.add_argument(
-        "--trace-out",
-        help="write the service's span timeline (service lane included) "
-        "as Chrome/Perfetto trace-event JSON",
-    )
-    serve.add_argument(
-        "--metrics-out",
-        help="write the service's metrics snapshot (queue depths, "
-        "per-tenant latency histograms, shed/trip counters) as JSON",
-    )
-    serve.add_argument(
-        "--ecc",
-        choices=("off", "secded"),
-        help="default data-at-rest protection for every job in the "
-        "batch (a job's manifest entry may override with its own "
-        "'ecc' key)",
-    )
-    serve.add_argument(
-        "--retention-interval-s",
-        type=float,
-        help="default simulated refresh window (tREFW) in seconds for "
-        "the batch (per-job 'retention_interval_s' overrides)",
-    )
-    serve.add_argument(
-        "--telemetry-out",
-        help="write (and refresh every scheduler round) a Prometheus "
-        "text-format exposition of the service metrics, SLO burn "
-        "rates and power gauges",
     )
 
     inspect_cmd = sub.add_parser(
@@ -371,6 +360,15 @@ def _load_reads(path: str, strict: bool = True):
     return reads, report
 
 
+def _require_positive_seconds(flag: str, value: "float | None") -> None:
+    from repro.errors import InputError
+
+    if value is not None and value <= 0:
+        raise InputError(
+            f"{flag} must be a positive number of seconds (got {value})"
+        )
+
+
 def _cmd_assemble(args: argparse.Namespace) -> int:
     from repro.assembly import assemble, assemble_with_pim
     from repro.assembly.bidirected import assemble_bidirected
@@ -383,15 +381,8 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         raise InputError(f"--min-count must be >= 1 (got {args.min_count})")
     if args.resume and not args.job_dir:
         raise InputError("--resume requires --job-dir")
-    for name, value in (
-        ("--stage-timeout", args.stage_timeout),
-        ("--job-timeout", args.job_timeout),
-        ("--retention-interval-s", args.retention_interval_s),
-    ):
-        if value is not None and value <= 0:
-            raise InputError(
-                f"{name} must be a positive number of seconds (got {value})"
-            )
+    _require_positive_seconds("--stage-timeout", args.stage_timeout)
+    _require_positive_seconds("--job-timeout", args.job_timeout)
     if (args.ecc or args.retention_interval_s) and args.engine != "pim":
         raise InputError("--ecc/--retention-interval-s require --engine pim")
     if (args.stage_timeout or args.job_timeout) and not args.job_dir:
@@ -757,6 +748,11 @@ def _parse_serve_manifest(path: str) -> dict:
         raise InputError(f"manifest {path} is not valid JSON: {exc}")
     if not isinstance(manifest, dict):
         raise InputError(f"manifest {path} must be a JSON object")
+    if "workers" in manifest:
+        raise InputError(
+            f"manifest {path}: 'workers' is not a manifest key (the "
+            "service runs one job per scheduling round)"
+        )
     jobs = manifest.get("jobs")
     if not isinstance(jobs, list) or not jobs:
         raise InputError(
@@ -797,11 +793,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.runtime.jobs import JobConfig
     from repro.service import AssemblyService, ServiceConfig, TenantQuota
 
-    if args.retention_interval_s is not None and args.retention_interval_s <= 0:
-        raise InputError(
-            "--retention-interval-s must be a positive number of seconds "
-            f"(got {args.retention_interval_s})"
-        )
     manifest_path = Path(args.manifest)
     manifest = _parse_serve_manifest(args.manifest)
     base = manifest_path.resolve().parent
@@ -816,7 +807,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             for tenant, entry in manifest.get("tenants", {}).items()
         }
         config = ServiceConfig(
-            workers=int(manifest.get("workers", 2)),
             max_total_queued=int(manifest.get("max_total_queued", 64)),
             max_dispatches=int(manifest.get("max_dispatches", 3)),
             degrade_engine_depth=manifest.get("degrade_engine_depth"),
@@ -1153,6 +1143,11 @@ def main(argv: list[str] | None = None) -> int:
         "experiments": _cmd_experiments,
     }
     try:
+        # shared by assemble and serve; checked before any input is read
+        _require_positive_seconds(
+            "--retention-interval-s",
+            getattr(args, "retention_interval_s", None),
+        )
         return handlers[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

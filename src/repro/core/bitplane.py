@@ -53,7 +53,6 @@ import numpy as np
 from repro.core.isa import RowAddress
 from repro.core.scheduler import BatchedAapScheduler, BatchReport
 from repro.core.storage import (
-    DEFAULT_CHUNK_BYTES,
     compare_many_packed,
     hamming_many_packed,
     pack_rows,
@@ -63,84 +62,14 @@ from repro.core.storage import (
 
 __all__ = [
     "BulkEngine",
-    "compare_many",
-    "hamming_many",
-    "match_first",
     "planes_to_words",
-    "popcount_rows",
     "words_to_planes",
-    "xnor_block",
 ]
 
 
 # --------------------------------------------------------------------------
 # Pure bit-plane kernels (no device, no charging)
 # --------------------------------------------------------------------------
-
-
-def xnor_block(query: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """XNOR of one query row against every row of a block: ``(n, w)``."""
-    q = np.asarray(query, dtype=np.uint8)
-    b = np.asarray(block, dtype=np.uint8)
-    return (1 - (b ^ q[None, :])).astype(np.uint8)
-
-
-def match_first(
-    query: np.ndarray, block: np.ndarray, width: int | None = None
-) -> int | None:
-    """First row of ``block`` equal to ``query`` on the valid columns."""
-    w = query.shape[-1] if width is None else width
-    matches = (block[:, :w] == query[:w]).all(axis=1)
-    return int(np.argmax(matches)) if matches.any() else None
-
-
-def compare_many(
-    queries: np.ndarray,
-    block: np.ndarray,
-    width: int | None = None,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> np.ndarray:
-    """Boolean match matrix ``(Q, n)`` of many queries against a block.
-
-    The ``(Q, n, w)`` broadcast is evaluated in query chunks of at most
-    ``chunk_bytes`` so paper-scale batches never materialise a multi-GB
-    intermediate; results are identical to the one-shot expression.
-    """
-    q = np.asarray(queries, dtype=np.uint8)
-    b = np.asarray(block, dtype=np.uint8)
-    w = q.shape[1] if width is None else width
-    bw = b[:, :w]
-    out = np.empty((q.shape[0], b.shape[0]), dtype=bool)
-    step = max(1, chunk_bytes // max(1, b.shape[0] * max(w, 1)))
-    for lo in range(0, q.shape[0], step):
-        qc = q[lo : lo + step, :w]
-        out[lo : lo + step] = (bw[None, :, :] == qc[:, None, :]).all(axis=2)
-    return out
-
-
-def hamming_many(
-    queries: np.ndarray,
-    block: np.ndarray,
-    width: int | None = None,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> np.ndarray:
-    """Hamming distances ``(Q, n)`` of many queries against a block,
-    evaluated in query chunks (see :func:`compare_many`)."""
-    q = np.asarray(queries, dtype=np.uint8)
-    b = np.asarray(block, dtype=np.uint8)
-    w = q.shape[1] if width is None else width
-    bw = b[:, :w]
-    out = np.empty((q.shape[0], b.shape[0]), dtype=np.int64)
-    step = max(1, chunk_bytes // max(1, b.shape[0] * max(w, 1)))
-    for lo in range(0, q.shape[0], step):
-        qc = q[lo : lo + step, :w]
-        out[lo : lo + step] = (bw[None, :, :] != qc[:, None, :]).sum(axis=2)
-    return out
-
-
-def popcount_rows(block: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a bit-plane block."""
-    return np.asarray(block, dtype=np.uint8).sum(axis=1).astype(np.int64)
 
 
 def planes_to_words(planes: np.ndarray) -> np.ndarray:

@@ -17,9 +17,8 @@ the loop:
 * **SECDED(72,64) codec** — a Hamming(71,64) code plus overall parity,
   one code byte per stored 64-bit word, vectorised with numpy XOR-folds
   over whole ``(slots, rows, words)`` planes.  Single-bit upsets are
-  corrected in place; double-bit upsets are detected and surface as
-  :class:`~repro.errors.UncorrectableFaultError` (strict decode) or as
-  escalations into the resilience quarantine path (scrub).
+  corrected in place; double-bit upsets are detected and escalate into
+  the resilience quarantine path (scrub).
 * **refresh/scrub scheduler** — :meth:`IntegrityEngine.sync`, called
   between pipeline stages and inside the read loop, charges the covered
   refresh stream (``REF`` at tREFI cadence) and every ECC check/encode/
@@ -45,7 +44,7 @@ from repro.core.stats import StatsLedger
 from repro.core.storage import BitPlaneStore, WORD_BITS, popcount_words
 from repro.core.timing import TimingParameters, command_cost_table
 from repro.dram.retention import RetentionModel
-from repro.errors import FaultConfigError, UncorrectableFaultError
+from repro.errors import FaultConfigError
 from repro.observability.metrics import inc
 from repro.observability.spans import event, span
 
@@ -53,7 +52,6 @@ __all__ = [
     "IntegrityConfig",
     "IntegrityCounts",
     "IntegrityEngine",
-    "decode_secded",
     "encode_secded",
     "scrub_planes",
 ]
@@ -193,27 +191,6 @@ def scrub_planes(
         where = np.nonzero(refresh)
         c[where] = encode_secded(w[where])
     return data_hit | code_hit, uncorrectable
-
-
-def decode_secded(
-    words: np.ndarray,
-    code: np.ndarray,
-    subarray_key: "tuple[int, int, int]" = (0, 0, 0),
-) -> np.ndarray:
-    """Strict decode: corrected copy of ``words``, or a typed raise.
-
-    Raises:
-        UncorrectableFaultError: any word carries a detected-but-
-            uncorrectable (double-bit or aliased) upset.
-    """
-    w = np.array(words, dtype=np.uint64, copy=True)
-    c = np.array(code, dtype=np.uint8, copy=True)
-    _, uncorrectable = scrub_planes(w, c)
-    if uncorrectable.any():
-        raise UncorrectableFaultError(
-            subarray_key, "retention", int(uncorrectable.sum())
-        )
-    return w
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,7 @@ class AdmissionError(ReproError):
         tenant: the submitting tenant id.
         reason: stable machine-readable reason code, e.g.
             ``"tenant-queue-full"`` / ``"service-queue-full"`` /
-            ``"input-too-large"`` / ``"tenant-inflight-cap"`` /
-            ``"breaker-open"``.
+            ``"input-too-large"`` / ``"breaker-open"``.
     """
 
     def __init__(self, tenant: str, reason: str, message: str) -> None:

@@ -105,22 +105,3 @@ def chips_needed(n_vertices: int, device: DeviceGeometry) -> int:
     sub = device.bank.mat.subarray
     per_chip = device.num_subarrays * vertices_per_subarray(sub)
     return max(1, math.ceil(n_vertices / per_chip))
-
-
-def host_footprint_bytes(
-    n_subarrays: int, geometry: SubArrayGeometry
-) -> int:
-    """Host bytes the packed store needs for ``n_subarrays`` slots.
-
-    The simulator mirrors sub-array bits 64 columns per uint64 word
-    (:mod:`repro.core.storage`), so an allocation of ``Ns`` sub-arrays
-    costs ``Ns * rows * ceil(cols / 64) * 8`` host bytes — 1/8 of the
-    retired uint8-per-bit representation for word-aligned rows.
-    Planners can use this to bound a job's working set before
-    instantiating anything.
-    """
-    from repro.core.storage import words_for
-
-    if n_subarrays < 0:
-        raise ValueError("n_subarrays must be non-negative")
-    return n_subarrays * geometry.rows * words_for(geometry.cols) * 8

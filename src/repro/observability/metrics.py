@@ -58,7 +58,7 @@ STORAGE_PACK_ROWS = "storage.pack_rows"
 STORAGE_UNPACK_ROWS = "storage.unpack_rows"
 
 #: per-thread slot for the currently active registry — like the span
-#: tracer, activation is thread-scoped so concurrent service workers
+#: tracer, activation is thread-scoped so jobs run on concurrent threads
 #: never interleave updates into one unsynchronized registry
 _TLS = threading.local()
 

@@ -33,10 +33,10 @@ energy, exactly* — is kept bit-exact, not approximately:
   ``--check`` gate of ``benchmarks/bench_power_timeline.py``).
 
 Lane attribution uses a thread-local :func:`lane_scope` (the service
-worker enters ``lane_scope(tenant)`` around each job) falling back to
-the ledger phase, so one timeline serves both the single-job and the
-multi-tenant views.  All mutation happens under one lock: service
-workers are real threads sharing one session.
+enters ``lane_scope(tenant)`` around each job) falling back to the
+ledger phase, so one timeline serves both the single-job and the
+multi-tenant views.  All mutation happens under one lock: jobs run on
+concurrent threads may share one session.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ _TLS = threading.local()
 def lane_scope(name: str) -> Iterator[None]:
     """Attribute this thread's command energy to lane ``name``.
 
-    The service worker wraps each dispatched job in
+    The service wraps each dispatched job in
     ``lane_scope(tenant)`` so per-tenant energy shares fall out of the
     timeline without the ledger or the pipeline knowing about tenants.
     """

@@ -24,10 +24,10 @@ no-op unless a session is active, so the default simulator keeps its
 zero-instrumentation cost and job resumes (which rebuild the platform
 mid-run) reconnect automatically.
 
-One lock serialises :meth:`on_command`: the multi-tenant service runs
-real worker threads against a single shared session, and the power
-timeline's conservation invariant (bit-exact against the ledger) does
-not survive lost updates.
+One lock serialises :meth:`on_command`: jobs run on concurrent threads
+may share a single session, and the power timeline's conservation
+invariant (bit-exact against the ledger) does not survive lost
+updates.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ manager, so the instrumented hot paths carry no measurable overhead
 (the contract benchmarked by ``benchmarks/bench_observability_overhead``).
 
 Activation is a context manager over a *thread-local* slot, mirroring
-the watchdog's design: each service worker thread traces (or doesn't)
+the watchdog's design: each thread running a job traces (or doesn't)
 independently, so one tracer's span stack can never be corrupted by a
 concurrent job's nesting::
 

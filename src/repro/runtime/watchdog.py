@@ -12,8 +12,8 @@ valid resume point when the error unwinds.
 The poll is designed to be cheap enough for per-k-mer call sites: every
 call bumps a counter, and only every ``stride``-th call reads the
 clock.  Activation is a context manager over a *thread-local* slot, so
-deep loops need no plumbing and each service worker thread enforces
-its own job's budgets without cross-talk::
+deep loops need no plumbing and jobs run on concurrent threads each
+enforce their own budgets without cross-talk::
 
     wd = Watchdog(stage_budget_s=30.0)
     with wd.active(), wd.stage("hashmap"):
@@ -36,8 +36,8 @@ from repro.observability.spans import event
 
 __all__ = ["Watchdog", "checkpoint", "active_watchdog"]
 
-#: per-thread slot for the currently active watchdog — each service
-#: worker thread cancels only its own job
+#: per-thread slot for the currently active watchdog — a job running on
+#: its own thread cancels only itself
 _TLS = threading.local()
 
 

@@ -9,8 +9,8 @@ The layers, bottom-up:
 * :mod:`repro.service.breaker` — per-tenant circuit breakers with
   round-based (deterministic) cooldowns;
 * :mod:`repro.service.service` — :class:`AssemblyService`: submission,
-  scheduling, deadline propagation, crash-resume retries and
-  pressure-driven graceful degradation over a worker pool;
+  one-job-per-round scheduling, deadline propagation, crash-resume
+  retries and pressure-driven graceful degradation;
 * :mod:`repro.service.chaos` — the chaos harness that injects kills,
   timeouts, corrupt inputs and fault storms, then audits the service's
   promises (nothing lost, nothing duplicated, survivors bit-identical,

@@ -16,11 +16,10 @@ breaker-open        the tenant's circuit breaker is open
                     (:class:`~repro.errors.CircuitOpenError`)
 ==================  =====================================================
 
-The quota model is three numbers per tenant (defaults apply when a
-tenant has no explicit quota): how many jobs it may have queued, how
-many it may have running at once, and how large one job's input may
-be.  The in-flight cap is enforced by the *scheduler* (an over-cap
-tenant's jobs wait, they are not shed); the other two shed at submit.
+The quota model is two numbers per tenant (defaults apply when a
+tenant has no explicit quota): how many jobs it may have queued and
+how large one job's input may be.  Both shed at submit; the scheduler
+runs one job at a time, so there is no in-flight cap.
 """
 
 from __future__ import annotations
@@ -38,20 +37,16 @@ class TenantQuota:
 
     Attributes:
         max_queued: jobs the tenant may hold in its FIFO.
-        max_in_flight: jobs the tenant may have running concurrently.
         max_input_bytes: largest admissible input payload (``None``
             disables the size check).
     """
 
     max_queued: int = 8
-    max_in_flight: int = 1
     max_input_bytes: "int | None" = None
 
     def __post_init__(self) -> None:
         if self.max_queued < 1:
             raise ValueError("max_queued must be >= 1")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         if self.max_input_bytes is not None and self.max_input_bytes < 1:
             raise ValueError("max_input_bytes must be >= 1 or None")
 

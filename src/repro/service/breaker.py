@@ -2,7 +2,7 @@
 
 A tenant whose jobs keep failing (corrupt archives, pathological
 parameters, a poisoned corpus) must not be allowed to monopolize the
-worker pool with doomed retries.  The breaker is the classic three
+scheduler with doomed retries.  The breaker is the classic three
 state machine, with one deliberate twist: its cooldown is measured in
 **scheduling rounds**, not wall-clock seconds, so the whole service —
 breakers included — replays deterministically in tests and in the

@@ -84,7 +84,6 @@ class ChaosConfig:
         tenants / jobs_per_tenant: workload shape; with
             ``max_queued < jobs_per_tenant`` the tail submissions are
             deliberately shed (typed overload is part of the scenario).
-        workers: service worker-pool size.
         weights: relative draw weights per injection kind, keyed by
             :data:`INJECTIONS` entries.
     """
@@ -92,7 +91,6 @@ class ChaosConfig:
     seed: int = 2020
     tenants: int = 3
     jobs_per_tenant: int = 4
-    workers: int = 2
     k: int = 11
     genome_bp: int = 300
     read_length: int = 40
@@ -482,7 +480,6 @@ def run_chaos(
     service = AssemblyService(
         root / "service",
         ServiceConfig(
-            workers=config.workers,
             default_quota=TenantQuota(max_queued=config.max_queued),
             max_dispatches=config.max_dispatches,
             degrade_engine_depth=config.degrade_engine_depth,

@@ -8,17 +8,19 @@ needs between "a job" and "heavy traffic":
   quotas shed overload as typed
   :class:`~repro.errors.AdmissionError`\\ s at submit time;
 * **fair scheduling** (:mod:`repro.service.queue`) — bounded
-  FIFO-per-tenant queues drained round-robin into a bounded worker
-  pool, with the documented fairness bound (no tenant with
-  dispatchable work waits more than ``T`` grants, ``T`` = tenants);
+  FIFO-per-tenant queues drained round-robin, one job per scheduling
+  round run inline on the calling thread, with the documented fairness
+  bound (no tenant with dispatchable work waits more than ``T``
+  grants, ``T`` = tenants);
 * **deadline propagation** — a submission's ``deadline_s`` becomes the
   watchdog's whole-job budget; a resumed dispatch gets only the
   *remaining* budget, and an exhausted budget is a typed terminal
   outcome, never a hang;
-* **crash containment** — a worker whose job dies (up to a simulated
-  or real ``SIGKILL``) re-queues the job for journal resume with a
-  capped, seeded backoff measured in scheduling rounds; attempts are
-  bounded, so every admitted job reaches a terminal state;
+* **crash containment** — a job that dies (a simulated ``SIGKILL``:
+  any ``BaseException`` short of ``KeyboardInterrupt``/``SystemExit``,
+  which abort the drain) re-queues for journal resume with a capped,
+  seeded backoff measured in scheduling rounds; attempts are bounded,
+  so every admitted job reaches a terminal state;
 * **circuit breaking** (:mod:`repro.service.breaker`) — tenants with
   repeated terminal failures are shed/held until a cooldown and a
   successful probe;
@@ -30,15 +32,17 @@ needs between "a job" and "heavy traffic":
 
 Everything the scheduler decides is observable: queue-depth gauges,
 per-tenant latency histograms, shed/trip/degrade counters and a
-``service`` lane of span events feed the PR 4 observability layer when
-a registry/tracer is active on the scheduling thread.  On top of that
-sits the health surface of PR 9: per-tenant **SLO objectives** with
-burn-rate tracking, an **alert-rule evaluator** run once per
-scheduling round, a JSONL **audit log** at ``<root>/audit.jsonl``
-(sheds, failures, breaker trips, alert firings, the drain summary), a
-periodic Prometheus **exposition** rewrite when a telemetry path is
-configured, per-tenant energy attribution via
-:func:`~repro.observability.power.lane_scope` around each worker, and
+``service`` lane of span events feed the observability layer when a
+registry/tracer is active; because jobs run on the scheduling thread,
+their stage spans and metrics land in the same session, nested under
+``service.drain``.  On top of that sits the health surface:
+per-tenant **SLO objectives** with burn-rate tracking, an
+**alert-rule evaluator** run once per scheduling round, a JSONL
+**audit log** at ``<root>/audit.jsonl`` (sheds, failures, breaker
+trips, alert firings, the drain summary), a per-round Prometheus
+**exposition** rewrite when a telemetry path is configured,
+per-tenant energy attribution via
+:func:`~repro.observability.power.lane_scope` around each job, and
 **flight-recorder dumps** into the job dir on failures and breaker
 trips.
 """
@@ -46,9 +50,7 @@ trips.
 from __future__ import annotations
 
 import json
-import queue as queue_mod
 import random
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -108,7 +110,6 @@ class ServiceConfig:
     """Scheduler-wide knobs (per-tenant quotas live in admission).
 
     Attributes:
-        workers: worker-pool size (concurrent jobs across all tenants).
         default_quota: quota applied to tenants without an explicit one.
         max_total_queued: service-wide queued-job bound (backpressure).
         max_dispatches: dispatch attempts per job — 1 fresh run plus
@@ -129,7 +130,6 @@ class ServiceConfig:
             whole-service runs replayable.
     """
 
-    workers: int = 2
     default_quota: TenantQuota = TenantQuota()
     max_total_queued: int = 64
     max_dispatches: int = 3
@@ -142,8 +142,6 @@ class ServiceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.max_dispatches < 1:
             raise ValueError("max_dispatches must be >= 1")
         if self.requeue_base_rounds < 0 or self.requeue_cap_rounds < 0:
@@ -194,7 +192,6 @@ class JobTicket:
     first_start_ts: "float | None" = None
     end_ts: "float | None" = None
     history: list = field(default_factory=list)
-    _result: "tuple | None" = None
 
     @property
     def tenant(self) -> str:
@@ -301,7 +298,7 @@ class ServiceReport:
             for tenant in self.tenant_slots:
                 if tenant == record.tenant or tenant not in eligible:
                     # granted, or the eligibility window broke (backoff,
-                    # in-flight cap, breaker): the bound restarts
+                    # breaker): the bound restarts
                     streak[tenant] = 0
                     continue
                 streak[tenant] = streak.get(tenant, 0) + 1
@@ -346,10 +343,10 @@ class AssemblyService:
         slos: per-tenant latency objectives (burn rates tracked, fed
             to ``burn_rate(...)`` alert rules).
         alert_rules: rules evaluated once per scheduling round when a
-            metrics registry is active on the scheduling thread.
+            metrics registry is active.
         telemetry_path: when set, the Prometheus exposition is
-            rewritten (atomically) here every ``telemetry_every_rounds``
-            rounds and once more when the drain finishes.
+            rewritten (atomically) here every scheduling round and once
+            more when the drain finishes.
     """
 
     def __init__(
@@ -362,7 +359,6 @@ class AssemblyService:
         slos: "list[SloObjective] | None" = None,
         alert_rules: "list[AlertRule] | None" = None,
         telemetry_path: "str | Path | None" = None,
-        telemetry_every_rounds: int = 1,
     ) -> None:
         self.root = Path(root)
         self.config = config or ServiceConfig()
@@ -377,12 +373,9 @@ class AssemblyService:
         self._queues: dict[str, BoundedFifo] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._names: dict[str, set] = {}
-        self._inflight: dict[str, int] = {}
         self._tickets: list[JobTicket] = []
         self._shed: list[ShedRecord] = []
         self._grants: list[GrantRecord] = []
-        self._running: dict[int, threading.Thread] = {}
-        self._done: "queue_mod.Queue[JobTicket]" = queue_mod.Queue()
         self._round = 0
         self._rng = random.Random(self.config.seed)
         self.slo = SloTracker(slos)
@@ -391,9 +384,6 @@ class AssemblyService:
         self.telemetry_path = (
             Path(telemetry_path) if telemetry_path is not None else None
         )
-        if telemetry_every_rounds < 1:
-            raise ValueError("telemetry_every_rounds must be >= 1")
-        self._telemetry_every = telemetry_every_rounds
         self.audit_path = self.root / "audit.jsonl"
 
     # ----- tenant state -----------------------------------------------------
@@ -408,7 +398,6 @@ class AssemblyService:
                 cooldown_rounds=self.config.breaker_cooldown_rounds,
             )
             self._names[tenant] = set()
-            self._inflight[tenant] = 0
             self.arbiter.register(tenant)
         return self._queues[tenant], self._breakers[tenant]
 
@@ -551,32 +540,26 @@ class AssemblyService:
     def drain(self) -> ServiceReport:
         """Run every queued job to a terminal state; return the report.
 
-        The loop is hang-free by construction: every iteration either
-        dispatches a job, consumes a completion, or advances the round
-        counter that unblocks breaker cooldowns and requeue backoffs —
-        and every job's dispatch count is bounded.
+        Each scheduling round grants at most one job and runs it to an
+        outcome on the calling thread, then does the round's health
+        work.  The loop is hang-free by construction: a round that
+        runs nothing still advances the round counter that unblocks
+        breaker cooldowns and requeue backoffs, and every job's
+        dispatch count is bounded.
+
+        Raises:
+            KeyboardInterrupt / SystemExit: raised inside a job; the
+                drain stops and the job's journal stays resumable.
         """
-        with span("service.drain", lane="service", workers=self.config.workers):
+        with span("service.drain", lane="service"):
             while self._has_work():
                 self._round += 1
-                dispatched = self._fill_workers()
-                if self._running:
-                    self._complete(self._done.get())
-                    while True:
-                        try:
-                            self._complete(self._done.get_nowait())
-                        except queue_mod.Empty:
-                            break
-                elif not dispatched:
-                    # nothing running, nothing dispatchable: the round
-                    # advance itself is the progress (cooldown/backoff)
-                    self._end_round()
-                    continue
+                self._run_next()
                 self._end_round()
         report = self.report()
         self._audit({"kind": "drain-summary", **report.summary(),
                      "slo": self.slo.snapshot()})
-        self._write_telemetry(force=True)
+        self._write_telemetry()
         return report
 
     def report(self) -> ServiceReport:
@@ -590,9 +573,7 @@ class AssemblyService:
         )
 
     def _has_work(self) -> bool:
-        return bool(self._running) or any(
-            not ticket.terminal for ticket in self._tickets
-        )
+        return any(not ticket.terminal for ticket in self._tickets)
 
     def _eligible_tenants(self) -> list:
         eligible = []
@@ -602,21 +583,20 @@ class AssemblyService:
                 continue
             if head.next_round > self._round:
                 continue
-            quota = self.admission.quota_for(tenant)
-            if self._inflight[tenant] >= quota.max_in_flight:
-                continue
             if not self._breakers[tenant].allows_dispatch(self._round):
                 continue
             eligible.append(tenant)
         return eligible
 
-    def _fill_workers(self) -> bool:
-        dispatched = False
-        while len(self._running) < self.config.workers:
+    def _run_next(self) -> None:
+        """Grant and run at most one job.  A grant whose deadline ran
+        out while it waited fails at dispatch, and the arbiter grants
+        again in the same round."""
+        while True:
             eligible = self._eligible_tenants()
             tenant = self.arbiter.grant(eligible)
             if tenant is None:
-                break
+                return
             ticket = self._queues[tenant].pop()
             self._grants.append(
                 GrantRecord(
@@ -626,14 +606,14 @@ class AssemblyService:
                     eligible=tuple(sorted(eligible)),
                 )
             )
-            self._dispatch(ticket)
-            dispatched = True
-        return dispatched
+            if self._dispatch(ticket):
+                return
 
-    def _dispatch(self, ticket: JobTicket) -> None:
+    def _dispatch(self, ticket: JobTicket) -> bool:
+        """Start one granted job and run it; ``False`` when its deadline
+        had already expired (the ticket fails without running)."""
         tenant = ticket.tenant
         self._breakers[tenant].on_dispatch()
-        self._inflight[tenant] += 1
         now = self._clock()
         if ticket.first_start_ts is None:
             ticket.first_start_ts = now
@@ -642,7 +622,6 @@ class AssemblyService:
         remaining = self._remaining_deadline(ticket, now)
         if remaining is not None and remaining <= 0:
             # the budget died while the job waited in queue/backoff
-            self._inflight[tenant] -= 1
             self._finish_failure(
                 ticket,
                 "deadline-exceeded",
@@ -650,7 +629,7 @@ class AssemblyService:
                     "<queued>", "job", ticket.request.deadline_s or 0.0, 0.0
                 ),
             )
-            return
+            return False
         resume = JobJournal(ticket.job_dir).exists
         watchdog = self._watchdog_for(ticket, remaining)
         ticket.state = RUNNING
@@ -675,20 +654,14 @@ class AssemblyService:
             dispatch=ticket.dispatches,
             resume=resume,
         )
-        thread = threading.Thread(
-            target=self._worker,
-            args=(ticket, watchdog, resume),
-            name=f"svc-{tenant}-{ticket.name}",
-            daemon=True,
-        )
-        self._running[id(ticket)] = thread
-        thread.start()
+        self._run(ticket, watchdog, resume)
+        return True
 
     def _degrade_for_pressure(self, ticket: JobTicket) -> JobConfig:
         """Step a job down the bulk→scalar→reduced-batch ladder when the
         backlog is deep — capacity-driven, not fault-driven."""
         config = ticket.request.config
-        depth = self._total_queued() + len(self._running)
+        depth = self._total_queued()
         engine_depth = self.config.degrade_engine_depth
         if (
             engine_depth is not None
@@ -785,10 +758,8 @@ class AssemblyService:
             )
         self._write_telemetry()
 
-    def _write_telemetry(self, force: bool = False) -> None:
+    def _write_telemetry(self) -> None:
         if self.telemetry_path is None:
-            return
-        if not force and self._round % self._telemetry_every:
             return
         session = active_session()
         if session is not None:
@@ -805,16 +776,19 @@ class AssemblyService:
         """Every alert fired so far (empty without rules/registry)."""
         return list(self._evaluator.fired) if self._evaluator else []
 
-    # ----- execution (worker threads) ---------------------------------------
+    # ----- execution --------------------------------------------------------
 
-    def _worker(
+    def _run(
         self, ticket: JobTicket, watchdog: "Watchdog | None", resume: bool
     ) -> None:
-        """Runs in a worker thread; communicates only via the ticket's
-        ``_result`` slot and the done queue (the scheduler thread owns
-        all shared state).  The tenant-named lane scope attributes every
-        ledger record the job charges to the tenant in the power
-        timeline."""
+        """Run one dispatched job inline and settle its outcome.
+
+        The tenant-named lane scope attributes every ledger record the
+        job charges to the tenant in the power timeline.  Any
+        ``BaseException`` other than ``KeyboardInterrupt``/``SystemExit``
+        counts as a process death and is contained; those two abort the
+        drain, as a real Ctrl-C would.
+        """
         try:
             with lane_scope(ticket.tenant):
                 runner = JobRunner(
@@ -825,47 +799,27 @@ class AssemblyService:
                     sleep=self._sleep,
                 )
                 outcome = runner.run(ticket.request.reads, resume=resume)
-            ticket._result = ("completed", outcome, None)
         except StageTimeoutError as exc:
-            ticket._result = ("timeout", None, exc)
+            self._retry_or_fail(ticket, "timeout", exc)
         except InputError as exc:
-            ticket._result = ("input-error", None, exc)
+            self._finish_failure(ticket, "input-error", exc)
         except ReproError as exc:
-            ticket._result = ("error", None, exc)
+            self._finish_failure(ticket, "error", exc)
+        except (KeyboardInterrupt, SystemExit):
+            raise
         except BaseException as exc:  # crash containment: kills included
-            ticket._result = ("crashed", None, exc)
-        finally:
-            self._done.put(ticket)
-
-    # ----- completion (scheduler thread) ------------------------------------
-
-    def _complete(self, ticket: JobTicket) -> None:
-        thread = self._running.pop(id(ticket))
-        thread.join()
-        self._inflight[ticket.tenant] -= 1
-        assert ticket._result is not None
-        kind, outcome, error = ticket._result
-        ticket._result = None
-        if kind in ("timeout", "crashed"):
-            # post-mortem for every watchdog kill / process death, even
-            # when the job later resumes successfully: the latest dump
-            # for a job dir wins
-            self._dump_flight(
-                ticket, f"{kind}: {type(error).__name__}: {error}"
-            )
-        if kind == "completed":
-            self._finish_success(ticket, outcome)
-        elif kind in ("timeout", "crashed"):
-            self._retry_or_fail(ticket, kind, error)
-        elif kind == "input-error":
-            self._finish_failure(ticket, "input-error", error)
+            self._retry_or_fail(ticket, "crashed", exc)
         else:
-            self._finish_failure(ticket, "error", error)
+            self._finish_success(ticket, outcome)
         self._publish_depth(ticket.tenant)
 
     def _retry_or_fail(
         self, ticket: JobTicket, kind: str, error: BaseException
     ) -> None:
+        # post-mortem for every watchdog kill / process death, even when
+        # the job later resumes successfully: the latest dump for a job
+        # dir wins
+        self._dump_flight(ticket, f"{kind}: {type(error).__name__}: {error}")
         remaining = self._remaining_deadline(ticket, self._clock())
         if remaining is not None and remaining <= 0:
             self._finish_failure(ticket, "deadline-exceeded", error)
@@ -1020,4 +974,3 @@ class AssemblyService:
             f"service.queue_depth.{tenant}", len(self._queues[tenant])
         )
         set_gauge("service.queue_depth.total", self._total_queued())
-        set_gauge("service.inflight.total", len(self._running))

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import PimAssembler
-from repro.core.bitplane import (
-    BulkEngine,
-    compare_many,
-    hamming_many,
-    match_first,
-    planes_to_words,
-    popcount_rows,
-    words_to_planes,
-    xnor_block,
-)
+from repro.core.bitplane import BulkEngine, planes_to_words, words_to_planes
 from repro.core.faults import FaultModel
 from repro.core.isa import RowAddress
 from repro.core.scheduler import BatchedAapScheduler
@@ -26,47 +17,6 @@ def random_block(rng, n, w):
 
 
 class TestKernels:
-    def test_xnor_block_matches_rowwise(self, rng):
-        block = random_block(rng, 6, 16)
-        q = block[2].copy()
-        out = xnor_block(q, block)
-        for i in range(6):
-            assert np.array_equal(out[i], 1 - (block[i] ^ q))
-        assert out[2].all()
-
-    def test_match_first_finds_first_duplicate(self, rng):
-        block = random_block(rng, 8, 12)
-        block[5] = block[1]
-        assert match_first(block[1], block) == 1
-        missing = 1 - block[0]
-        assert match_first(missing, block[:1]) is None
-
-    def test_match_first_respects_width(self):
-        block = np.array([[1, 0, 1, 1]], dtype=np.uint8)
-        q = np.array([1, 0, 0, 0], dtype=np.uint8)
-        assert match_first(q, block) is None
-        assert match_first(q, block, width=2) == 0
-
-    def test_compare_many_equals_loop(self, rng):
-        block = random_block(rng, 10, 20)
-        queries = np.vstack([block[3], 1 - block[0], block[7]])
-        matrix = compare_many(queries, block, width=20)
-        for qi, q in enumerate(queries):
-            for ri in range(10):
-                assert matrix[qi, ri] == np.array_equal(q, block[ri])
-
-    def test_hamming_many(self, rng):
-        block = random_block(rng, 5, 32)
-        q = block[0].copy()
-        d = hamming_many(q[None, :], block)
-        assert d[0, 0] == 0
-        for i in range(5):
-            assert d[0, i] == int((q != block[i]).sum())
-
-    def test_popcount_rows(self, rng):
-        block = random_block(rng, 7, 64)
-        assert np.array_equal(popcount_rows(block), block.sum(axis=1))
-
     def test_plane_word_roundtrip(self, rng):
         words = rng.integers(0, 255, 16).astype(np.int64)
         planes = words_to_planes(words, 8)

@@ -20,7 +20,6 @@ from repro.core.integrity import (
     IntegrityEngine,
     _correct_word,
     _encode_word,
-    decode_secded,
     encode_secded,
     scrub_planes,
 )
@@ -28,7 +27,7 @@ from repro.core.resilience import ResilienceEngine
 from repro.core.stats import StatsLedger
 from repro.core.storage import BitPlaneStore
 from repro.core.timing import TimingParameters
-from repro.errors import FaultConfigError, UncorrectableFaultError
+from repro.errors import FaultConfigError
 
 
 def _random_words(n: int, seed: int = 0) -> np.ndarray:
@@ -117,20 +116,6 @@ class TestCodec:
             assert (w, kind) == (base, "code")
         _, _, kind = _correct_word(base ^ 0b11, code)
         assert kind == "double"
-
-    def test_strict_decode_round_trips_and_raises(self):
-        words = _random_words(32, seed=7)
-        code = encode_secded(words)
-        assert np.array_equal(decode_secded(words, code), words)
-        # single-bit: corrected copy, input untouched
-        dirty = words.copy()
-        dirty[3] ^= np.uint64(1) << np.uint64(17)
-        assert np.array_equal(decode_secded(dirty, code), words)
-        assert dirty[3] != words[3]
-        # double-bit: typed raise
-        dirty[3] ^= np.uint64(1) << np.uint64(40)
-        with pytest.raises(UncorrectableFaultError):
-            decode_secded(dirty, code, subarray_key=(0, 0, 3))
 
 
 class TestConfig:

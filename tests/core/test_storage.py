@@ -134,19 +134,6 @@ class TestPackedKernels:
             hamming_many_packed(qw, bw, mask),
         )
 
-    def test_unpacked_kernels_chunk_identically(self):
-        from repro.core.bitplane import compare_many, hamming_many
-
-        queries, block, cols = self._case(17, q=101, n=13)
-        np.testing.assert_array_equal(
-            compare_many(queries, block, 111, chunk_bytes=64),
-            compare_many(queries, block, 111),
-        )
-        np.testing.assert_array_equal(
-            hamming_many(queries, block, 111, chunk_bytes=64),
-            hamming_many(queries, block, 111),
-        )
-
 
 class TestStoreBasics:
     def test_growth_preserves_contents(self):

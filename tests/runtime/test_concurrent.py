@@ -1,8 +1,9 @@
 """Concurrent `JobRunner` execution equals serial execution, bit for bit.
 
-The service layer runs many jobs in worker threads; this file pins the
-contract that makes that safe: N jobs on distinct job-dirs executed
-concurrently produce exactly the outputs of the same jobs run serially
+`JobRunner` is thread-safe as a library: a caller may run many jobs on
+their own threads.  This file pins the contract that makes that safe:
+N jobs on distinct job-dirs executed concurrently produce exactly the
+outputs of the same jobs run serially
 — on both execution engines, with per-thread watchdogs active (the
 deadline slots are thread-local, so one job's budget never cancels
 another's).

@@ -10,14 +10,12 @@ class TestTenantQuota:
     def test_defaults(self):
         quota = TenantQuota()
         assert quota.max_queued == 8
-        assert quota.max_in_flight == 1
         assert quota.max_input_bytes is None
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_queued": 0},
-            {"max_in_flight": 0},
             {"max_input_bytes": 0},
         ],
     )

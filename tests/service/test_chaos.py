@@ -87,7 +87,6 @@ class TestOverload:
             tenants=2,
             jobs_per_tenant=5,
             max_queued=2,
-            workers=1,
             degrade_engine_depth=2,
             weights={"none": 1},
         )

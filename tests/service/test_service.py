@@ -13,7 +13,7 @@ from .conftest import K, baseline_contigs, contigs_of, make_reads
 
 
 class ServiceKill(BaseException):
-    """Simulated SIGKILL inside a worker thread."""
+    """Simulated SIGKILL inside a running job."""
 
 
 def kill_first_dispatch(kill_tick: int = 40):
@@ -54,7 +54,7 @@ class TestHappyPath:
         self, tmp_path, no_sleep
     ):
         config = JobConfig(k=K, engine="bulk")
-        svc = service(tmp_path, no_sleep, workers=2)
+        svc = service(tmp_path, no_sleep)
         jobs = {}
         for t, tenant in enumerate(("acme", "beta", "crux")):
             for i in range(2):
@@ -72,13 +72,13 @@ class TestHappyPath:
             )
 
     def test_in_flight_cap_serializes_a_tenant(self, tmp_path, no_sleep):
-        svc = service(tmp_path, no_sleep, workers=2)
+        svc = service(tmp_path, no_sleep)
         config = JobConfig(k=K)
         svc.submit("solo", "j0", make_reads(seed=1), config)
         svc.submit("solo", "j1", make_reads(seed=2), config)
         report = svc.drain()
         assert len(report.completed) == 2
-        # max_in_flight=1 (default): the grants cannot share a round
+        # one job per round: the grants cannot share a round
         rounds = [g.round for g in report.grants]
         assert len(rounds) == 2 and rounds[0] < rounds[1]
 
@@ -178,6 +178,39 @@ class TestCrashContainment:
         assert ticket.state == COMPLETED
         assert ticket.resumed
 
+    def test_keyboard_interrupt_aborts_drain_and_job_resumes(
+        self, tmp_path, no_sleep
+    ):
+        """A real Ctrl-C is not a contained crash: it leaves drain(),
+        and the interrupted job's journal resumes on a fresh service."""
+        config = JobConfig(k=K, engine="bulk")
+        reads = make_reads(seed=8)
+
+        def interrupt(tick: int) -> None:
+            if tick >= 40:
+                raise KeyboardInterrupt
+
+        svc = service(tmp_path, no_sleep)
+        ticket = svc.submit(
+            "t",
+            "ctrl-c",
+            reads,
+            config,
+            watchdog_factory=lambda _d: Watchdog(on_tick=interrupt),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            svc.drain()
+        assert not ticket.terminal
+
+        fresh = service(tmp_path, no_sleep)
+        resumed = fresh.submit("t", "ctrl-c", reads, config)
+        fresh.drain()
+        assert resumed.state == COMPLETED
+        assert resumed.resumed and resumed.dispatches == 1
+        assert contigs_of(resumed.outcome) == baseline_contigs(
+            tmp_path, reads, config
+        )
+
     def test_unrecoverable_crash_fails_typed_after_capped_attempts(
         self, tmp_path, no_sleep
     ):
@@ -223,12 +256,51 @@ class TestDeadlines:
         assert ticket.state == COMPLETED
 
 
+    def test_deadline_expired_at_dispatch_grants_again_same_round(
+        self, tmp_path, no_sleep
+    ):
+        """A requeued job whose budget ran out in backoff fails at
+        dispatch, and the arbiter grants again in the same round."""
+        now = [0.0]
+
+        def age_clock(_dispatch: int):
+            def tick(_t: int) -> None:
+                now[0] = 10.0  # this job outlasts the other's budget
+
+            return Watchdog(on_tick=tick)
+
+        svc = AssemblyService(
+            tmp_path / "svc",
+            ServiceConfig(requeue_base_rounds=0),
+            clock=lambda: now[0],
+            sleep=no_sleep,
+        )
+        late = svc.submit(
+            "a", "late", make_reads(seed=1), JobConfig(k=K),
+            deadline_s=5.0, watchdog_factory=kill_first_dispatch(),
+        )
+        svc.submit("a", "next", make_reads(seed=2), JobConfig(k=K))
+        svc.submit(
+            "b", "slow", make_reads(seed=3), JobConfig(k=K),
+            watchdog_factory=age_clock,
+        )
+        report = svc.drain()
+        assert [(g.round, g.tenant, g.name) for g in report.grants] == [
+            (1, "a", "late"),
+            (2, "b", "slow"),
+            (3, "a", "late"),
+            (3, "a", "next"),
+        ]
+        assert late.state == FAILED
+        assert late.failure_kind == "deadline-exceeded"
+        assert late.dispatches == 1
+        assert len(report.completed) == 2
+
 class TestBreaker:
     def test_failing_tenant_trips_breaker_then_sheds(self, tmp_path, no_sleep):
         svc = service(
             tmp_path,
             no_sleep,
-            workers=1,
             max_dispatches=1,
             breaker_threshold=2,
             breaker_cooldown_rounds=50,
@@ -256,7 +328,6 @@ class TestBreaker:
         svc = service(
             tmp_path,
             no_sleep,
-            workers=1,
             max_dispatches=1,
             breaker_threshold=1,
             breaker_cooldown_rounds=3,
@@ -282,9 +353,7 @@ class TestDegradation:
         self, tmp_path, no_sleep
     ):
         config = JobConfig(k=K, engine="bulk")
-        svc = service(
-            tmp_path, no_sleep, workers=1, degrade_engine_depth=2
-        )
+        svc = service(tmp_path, no_sleep, degrade_engine_depth=2)
         reads = {i: make_reads(seed=20 + i) for i in range(3)}
         tickets = [
             svc.submit("t", f"j{i}", reads[i], config) for i in range(3)
@@ -304,9 +373,7 @@ class TestDegradation:
 
     def test_batch_reduction_under_pressure(self, tmp_path, no_sleep):
         config = JobConfig(k=K, batch_reads=8)
-        svc = service(
-            tmp_path, no_sleep, workers=1, degrade_batch_depth=2
-        )
+        svc = service(tmp_path, no_sleep, degrade_batch_depth=2)
         tickets = [
             svc.submit("t", f"j{i}", make_reads(seed=30 + i), config)
             for i in range(3)
@@ -320,9 +387,7 @@ class TestDegradation:
         assert all(t.state == COMPLETED for t in tickets)
 
     def test_no_pressure_no_degradation(self, tmp_path, no_sleep):
-        svc = service(
-            tmp_path, no_sleep, workers=2, degrade_engine_depth=10
-        )
+        svc = service(tmp_path, no_sleep, degrade_engine_depth=10)
         ticket = svc.submit(
             "t", "j", make_reads(), JobConfig(k=K, engine="bulk")
         )
@@ -352,10 +417,38 @@ class TestObservability:
         latency = registry.histogram("service.latency_ms.t")
         assert latency.count == 1
         lanes = {e.lane for e in session.tracer.events()}
-        assert lanes == {"service"}
+        # the job runs on the scheduling thread, so its journal events
+        # land in the same session
+        assert lanes == {"service", "job"}
         names = {e.name for e in session.tracer.events()}
         assert {"service.admit", "service.shed", "service.dispatch"} <= names
         assert session.tracer.spans("service.drain")
+
+    def test_job_stage_spans_nest_under_the_drain(self, tmp_path, no_sleep):
+        session = ObservabilitySession()
+        with session.activate():
+            svc = service(tmp_path, no_sleep)
+            config = JobConfig(k=K, engine="bulk")
+            svc.submit("t", "j0", make_reads(seed=1), config)
+            svc.submit("u", "j1", make_reads(seed=2), config)
+            svc.drain()
+        tracer = session.tracer
+        (drain,) = tracer.spans("service.drain")
+        parents = {s.span_id: s.parent_id for s in tracer.spans()}
+
+        def under_drain(span_id):
+            while span_id is not None:
+                if span_id == drain.span_id:
+                    return True
+                span_id = parents[span_id]
+            return False
+
+        for stage in ("hashmap", "debruijn", "traverse"):
+            spans = tracer.spans(f"stage.{stage}")
+            assert len(spans) == 2, stage
+            assert all(under_drain(s.parent_id) for s in spans)
+        # helper metrics from inside the job reach the session too
+        assert session.registry.counter("pim.batch.flushes").value > 0
 
     def test_lane_order_includes_service(self):
         from repro.observability.export import LANE_ORDER
@@ -367,9 +460,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"workers": 0},
             {"max_dispatches": 0},
             {"requeue_base_rounds": -1},
+            {"requeue_cap_rounds": -1},
             {"degrade_engine_depth": 0},
             {"degrade_batch_depth": 0},
         ],

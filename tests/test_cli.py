@@ -523,7 +523,6 @@ class TestServe:
         manifest = self.write_manifest(
             tmp_path,
             {
-                "workers": 2,
                 "jobs": [
                     {
                         "tenant": "acme",
@@ -600,6 +599,28 @@ class TestServe:
         rc = main(["serve", str(manifest)])
         err = capsys.readouterr().err
         assert rc == 2
+        assert needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "payload,needle",
+        [
+            ({"tenants": {"acme": {"max_in_flight": 2}}}, "max_in_flight"),
+            ({"workers": 2}, "workers"),
+        ],
+    )
+    def test_retired_manifest_keys_exit_2(
+        self, tmp_path, capsys, payload, needle
+    ):
+        reads = self.write_reads(tmp_path)
+        manifest = self.write_manifest(
+            tmp_path,
+            {**payload, "jobs": [{"tenant": "acme", "reads": reads.name}]},
+        )
+        rc = main(["serve", str(manifest)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: manifest ")
         assert needle in err
         assert "Traceback" not in err
 
@@ -855,7 +876,6 @@ class TestTelemetryCli:
         manifest = self.write_manifest(
             tmp_path,
             {
-                "workers": 2,
                 "slos": {"acme": {"latency_ms": 600000}},
                 "alerts": [
                     "service.completed >= 1",
@@ -922,7 +942,6 @@ class TestTelemetryCli:
         manifest = self.write_manifest(
             tmp_path,
             {
-                "workers": 2,
                 "slos": {"acme": {"latency_ms": 600000}},
                 "jobs": [
                     {"tenant": "acme", "name": "a", "reads": reads.name,
