@@ -74,7 +74,7 @@ class Finding:
             ``T001``, ``X001`` ...) — what tests and allowlists key on.
         message: human-readable description of the violation.
         source: the artefact the finding is about (a file path, a trace
-            document name, ``"<charge-log>"``).
+            document name, ``"<charges>"``).
         location: position inside the source — a line number for lint
             findings, a command index for trace findings; ``None`` when
             the finding is about the artefact as a whole.

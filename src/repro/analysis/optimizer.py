@@ -486,8 +486,9 @@ def gang_merge_pass(
 # --------------------------------------------------------------------------
 
 
-def _rebuild_trace(tokens: Iterable[Token]) -> CommandTrace:
-    trace = CommandTrace()
+def _rebuild_trace(tokens: Iterable[Token], source: CommandTrace) -> CommandTrace:
+    """The rewritten stream; the source's scheduler charges carry over."""
+    trace = source.charges_only()
     for kind, item in tokens:
         if kind == "mark":
             trace.mark(item)
@@ -693,7 +694,7 @@ class TraceOptimizer:
         gangs: list[tuple[int, int]],
         pass_stats: Sequence[PassStats],
     ) -> TraceDocument:
-        trace = _rebuild_trace(tokens)
+        trace = _rebuild_trace(tokens, doc.trace)
         meta = {
             k: v for k, v in doc.meta.items() if k not in ("aap_opt", "gangs")
         }
@@ -719,7 +720,6 @@ class TraceOptimizer:
         return TraceDocument(
             engine=doc.engine,
             trace=trace,
-            charge_log=doc.charge_log,
             geometry=dict(doc.geometry),
             layout=dict(doc.layout) if doc.layout is not None else None,
             timing=dict(doc.timing) if doc.timing is not None else None,

@@ -1,9 +1,10 @@
 """The on-disk AAP trace document and its recorder.
 
 A *trace document* is the self-contained artefact ``repro
-verify-trace`` consumes: the recorded command stream (with window
-marks), the batched scheduler's charge log, the run's per-mnemonic
-ledger totals, and enough platform context — sub-array geometry, the
+verify-trace`` consumes: one recorded
+:class:`~repro.core.trace.CommandTrace` carrying the command stream,
+its window marks, and the batched scheduler's charges and flushes;
+the run's per-mnemonic ledger totals; and enough platform context — sub-array geometry, the
 hash-table row layout, the timing constants — for the verifier to
 re-derive every row-designation and cost rule without the platform
 that produced it.
@@ -28,8 +29,8 @@ Format (JSON, ``"format": "repro-aap-trace/1"``)::
 
 ``complete`` is True for scalar runs (every command traced one by
 one); the bulk engine mutates bit planes directly and charges through
-the batched scheduler, so its documents carry a partial trace and the
-verifier leans on the charge log instead.
+the batched scheduler, so its documents carry a partial command stream
+and the verifier leans on the recorded charges instead.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.core.trace import ChargeLog, CommandTrace
+from repro.core.trace import CommandTrace
 from repro.errors import TraceFormatError
 
 __all__ = [
@@ -62,7 +63,6 @@ class TraceDocument:
 
     engine: str
     trace: CommandTrace
-    charge_log: ChargeLog
     geometry: dict[str, int]
     layout: dict[str, int] | None = None
     timing: dict[str, float] | None = None
@@ -72,8 +72,7 @@ class TraceDocument:
     meta: dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        trace_doc = self.trace.to_json()
-        doc: dict[str, Any] = {
+        return {
             "format": FORMAT,
             "engine": self.engine,
             "complete": self.complete,
@@ -81,13 +80,10 @@ class TraceDocument:
             "geometry": dict(self.geometry),
             "layout": dict(self.layout) if self.layout is not None else None,
             "timing": dict(self.timing) if self.timing is not None else None,
-            "commands": trace_doc["commands"],
-            "marks": trace_doc["marks"],
+            **self.trace.to_json(),
             "ledger": self.ledger,
             "meta": dict(self.meta),
         }
-        doc.update(self.charge_log.to_json())
-        return doc
 
     @classmethod
     def from_json(cls, doc: Any, source: str = "<trace>") -> "TraceDocument":
@@ -137,14 +133,12 @@ class TraceDocument:
             raise TraceFormatError(f"{source}: ledger must be an object")
         try:
             trace = CommandTrace.from_json(doc)
-            charge_log = ChargeLog.from_json(doc)
         except ValueError as exc:
             raise TraceFormatError(f"{source}: {exc}") from None
         meta = doc.get("meta")
         return cls(
             engine=engine,
             trace=trace,
-            charge_log=charge_log,
             geometry={k: int(v) for k, v in geometry.items()},
             layout=layout,
             timing=timing,
@@ -179,7 +173,7 @@ def load_document(path: "str | Path") -> TraceDocument:
 
 
 class TraceRecorder:
-    """Attach trace + charge-log capture to a platform for one run.
+    """Attach one trace (commands, marks, charges) to a platform for one run.
 
     Usage::
 
@@ -199,16 +193,13 @@ class TraceRecorder:
         self.pim = pim
         self.engine = engine
         self.trace = CommandTrace()
-        self.charge_log = ChargeLog()
 
     def __enter__(self) -> "TraceRecorder":
         self.pim.controller.attach_trace(self.trace)
-        self.pim.controller.attach_charge_log(self.charge_log)
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.pim.controller.attach_trace(None)
-        self.pim.controller.attach_charge_log(None)
 
     def document(self, **meta: Any) -> TraceDocument:
         from repro.mapping.kmer_layout import scaled_layout
@@ -220,7 +211,6 @@ class TraceRecorder:
         return TraceDocument(
             engine=self.engine,
             trace=self.trace,
-            charge_log=self.charge_log,
             geometry={
                 "rows": int(sub_geom.rows),
                 "cols": int(sub_geom.cols),

@@ -49,7 +49,7 @@ V009   trace/ledger command-count mismatch (``AAP1`` ledger count folds
        the ``ROW_INIT`` trace entries, which hardware issues as AAP1)
 =====  ===================================================================
 
-Charge-log rules (bulk documents):
+Charge rules (the scheduler charges a bulk trace records):
 
 =====  ===================================================================
 C001   charge with an unknown mnemonic
@@ -74,13 +74,13 @@ from repro.core.timing import (
     TimingParameters,
     command_latency_table,
 )
-from repro.core.trace import ChargeLog, TraceEntry
+from repro.core.trace import CommandTrace, TraceEntry
 from repro.errors import TraceHazardError
 
 __all__ = [
     "InlineChecker",
     "StreamVerifier",
-    "verify_charge_log",
+    "verify_charges",
     "verify_document",
 ]
 
@@ -442,18 +442,16 @@ def _doc_timing(doc: TraceDocument) -> TimingParameters:
     return TimingParameters(**fields)
 
 
-def verify_charge_log(
-    log: ChargeLog,
+def verify_charges(
+    trace: CommandTrace,
     timing: TimingParameters,
     report: FindingReport,
-    source: str = "<charge-log>",
+    source: str = "<charges>",
 ) -> None:
-    """Check a batched-scheduler charge log (rules C001-C005)."""
+    """Check a trace's batched-scheduler charges (rules C001-C005)."""
     latencies = command_latency_table(timing)
-    charges = log.charges
-    flushes = log.flushes
-    window_start = 0
-    flush_points = list(flushes)
+    charges = trace.charges
+    flush_points = trace.flushes
     fi = 0
     serial = 0.0
     commands = 0
@@ -464,7 +462,6 @@ def verify_charge_log(
                 flush_points[fi], serial, busy, commands, report, source
             )
             serial, commands, busy = 0.0, 0, {}
-            window_start = flush_points[fi][0]
             fi += 1
         if mnemonic not in latencies:
             report.add(
@@ -506,7 +503,6 @@ def verify_charge_log(
         _check_flush(flush_points[fi], serial, busy, commands, report, source)
         serial, commands, busy = 0.0, 0, {}
         fi += 1
-    del window_start
     if commands:
         report.add(
             "C005",
@@ -648,8 +644,8 @@ def verify_document(doc: TraceDocument, source: str = "<trace>") -> FindingRepor
         else:
             verifier.feed_entry(item)  # type: ignore[arg-type]
     verifier.finish()
-    verify_charge_log(
-        doc.charge_log, _doc_timing(doc), report, source=f"{source}#charges"
+    verify_charges(
+        doc.trace, _doc_timing(doc), report, source=f"{source}#charges"
     )
     if doc.complete:
         _verify_accounting(doc, report, source=source)

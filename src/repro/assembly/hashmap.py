@@ -242,18 +242,7 @@ class PimKmerCounter:
             self.add_sequence(sequence)
 
     def add_reads(self, reads: Iterable[Read]) -> None:
-        if self._bulk is not None:
-            arrays = [
-                packed_kmers_array(read.sequence, self.k) for read in reads
-            ]
-            arrays = [arr for arr in arrays if arr.size]
-            if arrays:
-                # one batch per round: per-partition arrival order is
-                # the global read order, exactly as the scalar loop
-                self._add_packed_bulk(np.concatenate(arrays))
-            return
-        for read in reads:
-            self.add_sequence(read.sequence)
+        self.add_sequences([read.sequence for read in reads])
 
     # ----- the bulk path ---------------------------------------------------------
 
@@ -279,6 +268,11 @@ class PimKmerCounter:
             self._idx_slot = np.empty(0, dtype=np.int64)
         self._index_dirty = False
 
+    def _replay_scalar(self, packed: np.ndarray) -> None:
+        """Run a round k-mer by k-mer through the scalar golden path."""
+        for value in packed.tolist():
+            self._add_packed_scalar(int(value))
+
     def _add_packed_bulk(self, packed: np.ndarray) -> None:
         """Batch-insert a round of packed k-mers across ALL sub-arrays.
 
@@ -303,8 +297,7 @@ class PimKmerCounter:
         ):
             # live scan/copy fault rates: the per-op RNG draw order is
             # part of the contract, so replay the exact scalar path
-            for value in packed.tolist():
-                self._add_packed_scalar(int(value))
+            self._replay_scalar(packed)
             return
         n_parts = self.partitions
         layout = self.layout
@@ -339,8 +332,7 @@ class PimKmerCounter:
             # through the scalar path and let the error fire at the
             # exact arrival — with the exact partial table state — the
             # golden model produces
-            for value in packed.tolist():
-                self._add_packed_scalar(int(value))
+            self._replay_scalar(packed)
             return
         order = np.lexsort((first_idx[new_u], uparts[new_u]))
         nu = new_u[order]  # partition-major, arrival-ordered
@@ -393,8 +385,7 @@ class PimKmerCounter:
             start_vals + hits_per_key > layout.counter_max
         ).any():
             # would raise OverflowError mid-stream: same scalar replay
-            for value in packed.tolist():
-                self._add_packed_scalar(int(value))
+            self._replay_scalar(packed)
             return
 
         # ---- functional end state -------------------------------------
@@ -443,11 +434,10 @@ class PimKmerCounter:
         if nu.size:
             self._index_dirty = True
 
-        # ---- charging (identical command counts, one gang batch,
-        # ascending partition order as the old per-partition walk) -----
+        # ---- charging: identical command counts, one vector charge
+        # per mnemonic over the touched partitions, one gang batch ----
         arr_p = np.bincount(kparts, minlength=n_parts)
         miss_p = np.bincount(kparts[is_miss], minlength=n_parts)
-        hits_p = arr_p - miss_p
         scan_p = np.bincount(
             kparts, weights=scanned.astype(np.float64), minlength=n_parts
         ).astype(np.int64)
@@ -456,20 +446,22 @@ class PimKmerCounter:
             weights=(final_vals - start_vals).astype(np.float64),
             minlength=n_parts,
         ).astype(np.int64)
-        sched = self._bulk.scheduler
-        verifying = ctrl._verifying() is not None
-        for p in touched:
-            key = self._tables[p].key
-            sched.charge(
-                "MEM_WR", key, int(arr_p[p] + miss_p[p] + inc_p[p])
-            )
-            sched.charge("MEM_RD", key, int(hits_p[p]))
-            sched.charge("AAP1", key, int(arr_p[p] + miss_p[p]))
-            sched.fused_compare(key, int(scan_p[p]))
-            sched.charge("DPU", key, int(inc_p[p]))
-            if verifying:
-                self._bulk.charge_verify(int(scan_p[p]))
-        self._bulk.flush()
+        keys = [self._tables[p].key for p in touched]
+        sched = ctrl.scheduler
+        # per arrival: temp insert + x1 staging; per miss: the insert
+        # RowClone and its counter write; per hit: a counter read; per
+        # increment: a DPU add and its write-back; per scanned row: AAP
+        # copy + XNOR on the sub-array, AND-reduce on the MAT's DPU
+        sched.charge("MEM_WR", keys, (arr_p + miss_p + inc_p)[touched])
+        sched.charge("MEM_RD", keys, (arr_p - miss_p)[touched])
+        sched.charge("AAP1", keys, (arr_p + miss_p + scan_p)[touched])
+        sched.charge("AAP2", keys, scan_p[touched])
+        sched.charge("DPU", keys, (scan_p + inc_p)[touched])
+        eng = ctrl._verifying()
+        total_scanned = int(scan_p.sum())
+        if eng is not None and total_scanned:
+            ctrl._charge_verify(eng, count=total_scanned)
+        sched.flush()
 
     # ----- table updates ---------------------------------------------------------------
 

@@ -506,7 +506,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
                         path = save_document(args.aap_trace_out, doc)
                         print(
                             f"aap trace: wrote {len(doc.trace)} commands / "
-                            f"{len(doc.charge_log)} charges -> {path}"
+                            f"{len(doc.trace.charges)} charges -> {path}"
                         )
                     if args.aap_opt:
                         _replay_aap_opt(doc, reads, args.k, pim)
@@ -579,7 +579,7 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
                     "path": path,
                     "engine": doc.engine,
                     "commands": len(doc.trace),
-                    "charges": len(doc.charge_log),
+                    "charges": len(doc.trace.charges),
                     **report.to_json(),
                 }
             )
@@ -595,7 +595,7 @@ def _cmd_verify_trace(args: argparse.Namespace) -> int:
         status = "clean" if report.ok else f"{len(report)} finding(s)"
         print(
             f"{path}: {doc.engine} trace, {len(doc.trace)} commands, "
-            f"{len(doc.charge_log)} charges — {status}"
+            f"{len(doc.trace.charges)} charges — {status}"
         )
     if args.json:
         print(

@@ -14,10 +14,10 @@ modeled DRAM cycles.  This module restores the proportionality:
   ``~(a ^ b)``, popcount is ``np.bitwise_count``), and a whole-bank
   slab (every sub-array, one row range) is a single basic-indexing
   view of the store tensor;
-* commands are charged through the
-  :class:`~repro.core.scheduler.BatchedAapScheduler`, which coalesces
-  independent per-sub-array streams into gang issues and fuses the
-  XNOR→AND→popcount and carry+sum sequences;
+* commands are charged through the controller's one
+  :class:`~repro.core.scheduler.BatchedAapScheduler`, one call per
+  mnemonic, which coalesces independent per-sub-array streams into
+  gang issues;
 * fault and verify sampling happen batch-wise under the stream
   equivalence rule of :mod:`repro.core.faults` — a fixed seed produces
   the exact per-op sampling sequence of the scalar path.
@@ -45,13 +45,12 @@ without a verifying engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.isa import RowAddress
-from repro.core.scheduler import BatchedAapScheduler, BatchReport
 from repro.core.storage import (
     compare_many_packed,
     hamming_many_packed,
@@ -99,47 +98,11 @@ class BulkEngine:
     fault and verify semantics while computing over packed word blocks
     of the device store.  The caller-visible results and side effects
     match the scalar path per the module-level equivalence contract.
+    Every kernel charges through the controller's scheduler and
+    flushes it before returning.
     """
 
     pim: "object"  # PimAssembler (typed loosely: platform imports core)
-    last_report: BatchReport | None = field(default=None, init=False)
-
-    def __post_init__(self) -> None:
-        ctrl = self.pim.controller
-        self.scheduler = BatchedAapScheduler(
-            ctrl.ledger,
-            timing=ctrl.timing,
-            energy=ctrl.energy,
-            log=getattr(ctrl, "charge_log", None),
-        )
-
-    # ----- gating ---------------------------------------------------------
-
-    def sampling_free(self, *mechanisms: str) -> bool:
-        """True when none of the mechanisms would draw from the RNG.
-
-        The scalar path skips sampling entirely for zero-rate
-        mechanisms, so a batch may only take the vectorised path when
-        every mechanism it covers is silent (faults equivalence rule).
-        """
-        faults = self.pim.controller.faults
-        if faults is None or not faults.enabled:
-            return True
-        return all(faults.rate_for(m) <= 0.0 for m in mechanisms)
-
-    def _verifying(self):
-        return self.pim.controller._verifying()
-
-    def charge_verify(self, count: int) -> None:
-        """Charge ``count`` parity checks exactly as the scalar path."""
-        if count > 0:
-            ctrl = self.pim.controller
-            ctrl._charge_verify(ctrl.resilience, count=count)
-
-    def flush(self) -> BatchReport:
-        """Flush the pending command batch; remembers the report."""
-        self.last_report = self.scheduler.flush()
-        return self.last_report
 
     # ----- compare scan -----------------------------------------------------
 
@@ -177,7 +140,7 @@ class BulkEngine:
             and faults.compute2_rate > 0.0
             and n_rows > 0
         )
-        eng = self._verifying()
+        eng = ctrl._verifying()
         if sampling and eng is not None:
             hits = np.empty(q.shape[0], dtype=np.int64)
             for i in range(q.shape[0]):
@@ -188,51 +151,52 @@ class BulkEngine:
 
         sub = self.pim.device.subarray_at(temp)
         store, slot = sub.store, sub.slot
-        key = temp.subarray_key
         width = q.shape[1] if valid_bits is None else valid_bits
         count = q.shape[0]
         q_words = pack_rows(q)
-        self.scheduler.charge("MEM_WR", key, count)  # temp inserts
-        self.scheduler.charge("AAP1", key, count)  # x1 staging
+        total_scanned = 0
+        last_row_words = None
         if n_rows == 0:
+            hits = np.full(count, -1, dtype=np.int64)
+        else:
+            block = store.block_words(slot, start_row, start_row + n_rows)
+            mask = width_mask(sub.cols, width)
+            matches = compare_many_packed(q_words, block, mask)
+            if sampling:
+                # one (Q, n) draw == Q consecutive per-scan draws
+                # (row-major stream equivalence); only taken when no
+                # engine interleaves retry draws between scans
+                rate = faults.compute2_rate
+                hamming = hamming_many_packed(q_words, block, mask)
+                p_err = np.where(
+                    matches,
+                    1.0 - (1.0 - rate) ** width,
+                    rate ** np.maximum(hamming, 1),
+                )
+                matches = matches ^ faults.decide((count, n_rows), p_err)
+            any_hit = matches.any(axis=1)
+            first = np.argmax(matches, axis=1)
+            hits = np.where(any_hit, first, -1).astype(np.int64)
+            scanned = np.where(any_hit, first + 1, n_rows)
+            total_scanned = int(scanned.sum())
             if count:
-                self._finish_scan(sub, temp.row, q_words[-1], None)
-            self.flush()
-            return np.full(count, -1, dtype=np.int64)
+                last_block_row = start_row + int(scanned[-1]) - 1
+                last_row_words = store.row_words(slot, last_block_row).copy()
 
-        block = store.block_words(slot, start_row, start_row + n_rows)
-        mask = width_mask(sub.cols, width)
-        matches = compare_many_packed(q_words, block, mask)
-        if sampling:
-            # one (Q, n) draw == Q consecutive per-scan draws (row-major
-            # stream equivalence); only taken when no engine interleaves
-            # retry draws between scans
-            rate = faults.compute2_rate
-            hamming = hamming_many_packed(q_words, block, mask)
-            p_err = np.where(
-                matches,
-                1.0 - (1.0 - rate) ** width,
-                rate ** np.maximum(hamming, 1),
-            )
-            matches = matches ^ faults.decide((count, n_rows), p_err)
-
-        any_hit = matches.any(axis=1)
-        first = np.argmax(matches, axis=1)
-        hits = np.where(any_hit, first, -1).astype(np.int64)
-        scanned = np.where(any_hit, first + 1, n_rows)
-        total_scanned = int(scanned.sum())
-        self.scheduler.fused_compare(key, total_scanned)
-        if eng is not None:
-            self.charge_verify(total_scanned)
+        # per query: the temp insert and its x1 staging; per scanned
+        # row: AAP copy + AAP XNOR on the sub-array, AND-reduce on the
+        # MAT's DPU (its own resource, so it overlaps the next row)
+        key = (temp.subarray_key,)
+        sched = ctrl.scheduler
+        sched.charge("MEM_WR", key, (count,))
+        sched.charge("AAP1", key, (count + total_scanned,))
+        sched.charge("AAP2", key, (total_scanned,))
+        sched.charge("DPU", key, (total_scanned,))
+        if eng is not None and total_scanned:
+            ctrl._charge_verify(eng, count=total_scanned)
         if count:
-            last_block_row = start_row + int(scanned[-1]) - 1
-            self._finish_scan(
-                sub,
-                temp.row,
-                q_words[-1],
-                store.row_words(slot, last_block_row).copy(),
-            )
-        self.flush()
+            self._finish_scan(sub, temp.row, q_words[-1], last_row_words)
+        sched.flush()
         return hits
 
     def _finish_scan(self, sub, temp_row, query_words, last_row_words) -> None:
@@ -270,12 +234,18 @@ class BulkEngine:
         The 2-cycles-per-bit carry+sum pairs are evaluated as a
         carry-propagate sweep directly on the packed plane words
         (``sum = a ^ b ^ c``, ``c' = (a & b) | (c & (a ^ b))`` per
-        plane — no unpacking) and charged as one fused SUM/TRA batch.
+        plane — no unpacking) and charged as one SUM/TRA batch.
         Falls back to the scalar controller when sum/TRA fault rates
         are live (per-op sampling order).
         """
         ctrl = self.pim.controller
-        if not self.sampling_free("sum", "tra"):
+        faults = ctrl.faults
+        if (
+            faults is not None
+            and faults.enabled
+            and (faults.sum_rate > 0.0 or faults.tra_rate > 0.0)
+        ):
+            # live sum/TRA fault rates: keep the per-op RNG draw order
             ctrl.ripple_add(a_rows, b_rows, sum_rows, carry_row)
             return
         if not (len(a_rows) == len(b_rows) == len(sum_rows)):
@@ -300,9 +270,13 @@ class BulkEngine:
         # the MSB TRA leaves its carry latched (SA state is unpacked)
         sub.sa.load_latch(unpack_rows(carry, sub.cols))
         # scalar equivalence: ripple_add charges one AAP for the
-        # carry-row zeroing (RowClone off the constant row)
-        self.scheduler.charge("AAP1", key, 1)
-        self.scheduler.fused_add(key, m)
-        if self._verifying() is not None:
-            self.charge_verify(2 * m)
-        self.flush()
+        # carry-row zeroing (RowClone off the constant row), then one
+        # SUM + TRA pair per bit plane
+        sched = ctrl.scheduler
+        sched.charge("AAP1", (key,), (1,))
+        sched.charge("SUM", (key,), (m,))
+        sched.charge("AAP3", (key,), (m,))
+        eng = ctrl._verifying()
+        if eng is not None:
+            ctrl._charge_verify(eng, count=2 * m)
+        sched.flush()

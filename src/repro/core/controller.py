@@ -76,6 +76,7 @@ from repro.core.resilience import (
     VERIFY_DPU_OPS,
     ResilienceEngine,
 )
+from repro.core.scheduler import BatchedAapScheduler
 from repro.core.stats import StatsLedger
 from repro.core.storage import popcount_words, width_mask
 from repro.core.timing import TimingParameters, DEFAULT_TIMING
@@ -98,7 +99,10 @@ class Controller:
 
     def __post_init__(self) -> None:
         self._trace = None
-        self.charge_log = None
+        #: the one gang scheduler every bulk kernel charges through
+        self.scheduler = BatchedAapScheduler(
+            self.ledger, timing=self.timing, energy=self.energy
+        )
 
     def _apply_faults(
         self, sub, des_row: int, result, mechanism: str
@@ -225,19 +229,13 @@ class Controller:
 
     def attach_trace(self, trace) -> None:
         """Record subsequent commands into a
-        :class:`repro.core.trace.CommandTrace` (None detaches)."""
-        self._trace = trace
+        :class:`repro.core.trace.CommandTrace` (None detaches).
 
-    def attach_charge_log(self, log) -> None:
-        """Feed batched-scheduler charges into a
-        :class:`repro.core.trace.ChargeLog` (None detaches).
-
-        The controller itself never writes the log; it only holds it so
-        every :class:`~repro.core.scheduler.BatchedAapScheduler` built
-        against this controller (the bulk engine's, the Wallace
-        reducer's) can pick it up.
+        The controller's :attr:`scheduler` records its bulk charges and
+        flushes into the same trace, when the sink has ``charge()``.
         """
-        self.charge_log = log
+        self._trace = trace
+        self.scheduler.trace = trace
 
     def mark(self, label: str) -> None:
         """Drop a window marker into the attached trace, if any.

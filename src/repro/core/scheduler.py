@@ -4,8 +4,9 @@ The ledger charges each command's latency as if the machine were a
 single queue; real DRAM overlaps commands to *different* sub-arrays and
 banks.  :class:`TraceScheduler` replays a
 :class:`~repro.core.trace.CommandTrace` against a resource model —
-every sub-array is busy for its command's duration, every MAT's GRB
-serialises host reads/writes, DPU ops ride their MAT — and reports the
+every sub-array is busy for its command's duration (DPU ops included:
+they are booked on the command's sub-array), every MAT's GRB
+serialises host reads/writes — and reports the
 *scheduled makespan*: the wall-clock a controller exploiting all
 sub-array parallelism would need.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.timing import (
     DEFAULT_TIMING,
@@ -71,8 +73,9 @@ class TraceScheduler:
     """Greedy list scheduler over per-sub-array and per-MAT resources.
 
     Commands issue in trace order (the controller is in-order), but a
-    command only waits for *its own* resources: the target sub-array,
-    plus the MAT's GRB for host I/O (``MEM_RD``/``MEM_WR``).  This
+    command only waits for *its own* resources: the target sub-array
+    (for every mnemonic, ``DPU`` included), plus the MAT's GRB for host
+    I/O (``MEM_RD``/``MEM_WR``).  This
     mirrors how independent sub-arrays proceed concurrently under one
     command stream with per-bank queues.
     """
@@ -163,28 +166,33 @@ class BatchedAapScheduler:
     * each sub-array serialises its own AAP/SUM/LATCH stream;
     * each MAT's GRB serialises host reads/writes (which also occupy
       the source/target sub-array);
-    * each MAT's DPU runs reduce ops — a *separate* resource, which is
-      what makes the XNOR→AND fusion free: the DPU reduce of row ``i``
-      overlaps the AAP of row ``i+1``.
+    * each MAT's DPU runs reduce ops — a *separate* resource, so the
+      DPU reduce of a scanned row overlaps the next row's activation.
 
-    Charging: at :meth:`flush` the batch's makespan is computed, and
-    each mnemonic is recorded with its full energy and command count
-    but with its serial time scaled by ``makespan / serial`` so the
-    phase totals add up to the gang-scheduled wall-clock (documented in
-    ``docs/CALIBRATION.md``).  Per-command costs come from the cached
+    Charging: one :meth:`charge` call is one mnemonic fanned out over a
+    vector of sub-arrays, the way one AAP command runs on every
+    sub-array at once.  At :meth:`flush` the batch's makespan is
+    computed, and each mnemonic is recorded with its full energy and
+    command count but with its serial time scaled by
+    ``makespan / serial`` so the phase totals add up to the
+    gang-scheduled wall-clock (documented in ``docs/CALIBRATION.md``).
+    Per-command costs come from the cached
     :func:`repro.core.timing.command_cost_table`.
+
+    ``trace`` is the controller's attached sink; when it has
+    ``charge()``/``flush()`` (a :class:`~repro.core.trace.CommandTrace`)
+    every charged (mnemonic, sub-array) share and every flush boundary
+    is recorded into it for audit.
     """
 
-    def __init__(self, ledger, timing=None, energy=None, log=None) -> None:
+    def __init__(self, ledger, timing=None, energy=None) -> None:
         from repro.core.energy import DEFAULT_ENERGY  # energy imports timing
 
         self.ledger = ledger
         self.timing = timing or DEFAULT_TIMING
         self.energy = energy or DEFAULT_ENERGY
         self.costs = command_cost_table(self.timing, self.energy)
-        #: optional :class:`repro.core.trace.ChargeLog` (duck-typed:
-        #: anything with ``charge()``/``flush()``) fed for audit.
-        self.log = log
+        self.trace = None
         self._busy: dict[tuple, float] = defaultdict(float)
         self._time_ns: Counter = Counter()
         self._energy_nj: Counter = Counter()
@@ -195,57 +203,40 @@ class BatchedAapScheduler:
     def charge(
         self,
         mnemonic: str,
-        subarray_key: tuple[int, int, int],
-        count: int = 1,
+        subarray_keys: Iterable[tuple[int, int, int]],
+        counts: Iterable[int],
     ) -> None:
-        """Queue ``count`` commands of one kind against one sub-array."""
-        if count <= 0:
-            return
+        """Queue ``counts[i]`` commands of one kind on ``subarray_keys[i]``.
+
+        Zero counts are skipped.
+        """
         try:
             time_ns, energy_nj = self.costs[mnemonic]
         except KeyError:
             raise ValueError(
                 f"no cost model for mnemonic {mnemonic!r}"
             ) from None
-        total_ns = count * time_ns
-        if self.log is not None:
-            self.log.charge(mnemonic, subarray_key, count, total_ns)
-        self._time_ns[mnemonic] += total_ns
-        self._energy_nj[mnemonic] += count * energy_nj
-        self._counts[mnemonic] += count
-        if mnemonic == "DPU":
-            self._busy[("dpu", *subarray_key[:2])] += total_ns
-        else:
-            self._busy[subarray_key] += total_ns
-            if mnemonic in ("MEM_RD", "MEM_WR"):
-                self._busy[("grb", *subarray_key[:2])] += total_ns
-
-    # ----- op-fusion pass --------------------------------------------------
-
-    def fused_compare(
-        self, subarray_key: tuple[int, int, int], scanned: int
-    ) -> None:
-        """One fused XNOR→AND(-reduce) kernel over ``scanned`` rows.
-
-        Issues the scan's AAP copy + AAP compute per candidate row on
-        the sub-array and its AND/popcount reduce on the MAT's DPU —
-        the DPU leg lands on its own resource, so the reduction is
-        hidden behind the next row's activations (fusion rule 1).
-        """
-        self.charge("AAP1", subarray_key, scanned)
-        self.charge("AAP2", subarray_key, scanned)
-        self.charge("DPU", subarray_key, scanned)
-
-    def fused_add(
-        self, subarray_key: tuple[int, int, int], bit_planes: int
-    ) -> None:
-        """Carry+sum pairs for ``bit_planes`` positions as one batch.
-
-        The 2-cycle-per-bit pair (SUM + TRA) of the ripple adder issues
-        back to back without per-op dispatch (fusion rule 2).
-        """
-        self.charge("SUM", subarray_key, bit_planes)
-        self.charge("AAP3", subarray_key, bit_planes)
+        record = getattr(self.trace, "charge", None)
+        busy = self._busy
+        total = 0
+        for key, count in zip(subarray_keys, counts):
+            count = int(count)
+            if count <= 0:
+                continue
+            total += count
+            key_ns = count * time_ns
+            if record is not None:
+                record(mnemonic, key, count, key_ns)
+            if mnemonic == "DPU":
+                busy[("dpu", *key[:2])] += key_ns
+            else:
+                busy[key] += key_ns
+                if mnemonic in ("MEM_RD", "MEM_WR"):
+                    busy[("grb", *key[:2])] += key_ns
+        if total:
+            self._time_ns[mnemonic] += total * time_ns
+            self._energy_nj[mnemonic] += total * energy_nj
+            self._counts[mnemonic] += total
 
     # ----- flushing ----------------------------------------------------------
 
@@ -258,8 +249,9 @@ class BatchedAapScheduler:
         serial = float(sum(self._time_ns.values()))
         makespan = max(self._busy.values(), default=0.0)
         commands = self.pending_commands
-        if self.log is not None and commands:
-            self.log.flush(serial, makespan, commands)
+        record = getattr(self.trace, "flush", None)
+        if record is not None and commands:
+            record(serial, makespan, commands)
         scale = (makespan / serial) if serial > 0 else 0.0
         for mnemonic, count in self._counts.items():
             self.ledger.record(
@@ -312,21 +304,23 @@ class _NullLedger:
         pass
 
 
-def charge_stream(trace, timing=None, energy=None, log=None) -> BatchReport:
+def charge_stream(trace, timing=None, energy=None) -> BatchReport:
     """Price a recorded stream through the batched gang scheduler.
 
-    Every command is queued against its (mnemonic, resource) pair and
-    the batch is flushed once — the returned :class:`BatchReport`
+    The stream's commands are counted per (mnemonic, sub-array), queued
+    as one vector charge per mnemonic, and the batch is flushed once —
+    the returned :class:`BatchReport`
     carries the serial time and the gang-coalesced makespan the bulk
     engine's resource model assigns the stream.  Nothing is charged to
     a real ledger; this is the reporting path ``optimize-trace`` and
     the benchmarks use to quote coalesced wall-clock.
     """
-    scheduler = BatchedAapScheduler(
-        _NullLedger(), timing=timing, energy=energy, log=log
-    )
+    per_mnemonic: dict[str, Counter] = defaultdict(Counter)
     for entry in trace:
-        scheduler.charge(entry.mnemonic, entry.subarray)
+        per_mnemonic[entry.mnemonic][entry.subarray] += 1
+    scheduler = BatchedAapScheduler(_NullLedger(), timing=timing, energy=energy)
+    for mnemonic, per_sub in per_mnemonic.items():
+        scheduler.charge(mnemonic, per_sub.keys(), per_sub.values())
     return scheduler.flush()
 
 

@@ -9,7 +9,14 @@ bench would consume.  Uses:
   the final state matches (`replay`), proving the trace is a complete
   description of the computation;
 * **analysis** — command-mix histograms, per-sub-array load, bank-level
-  conflict estimation (`TraceAnalysis`).
+  conflict estimation (`TraceAnalysis`);
+* **charge audit** — the bulk engine executes on raw bit planes and
+  charges the ledger through the controller's
+  :class:`~repro.core.scheduler.BatchedAapScheduler` instead of issuing
+  commands one by one, so the same trace also records every scheduler
+  ``charge()`` and ``flush()`` boundary: enough for the analysis layer
+  to re-derive the makespan math and cross-check it against the cost
+  tables.
 
 Recording is opt-in (`Controller.attach_trace`) so the default
 simulator carries no overhead.
@@ -17,6 +24,7 @@ simulator carries no overhead.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -55,14 +63,13 @@ class TraceEntry:
 
 
 class CommandTrace:
-    """An append-only record of issued commands."""
+    """An append-only record of issued commands and scheduler charges."""
 
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self) -> None:
         self._entries: list[TraceEntry] = []
         self._marks: list[tuple[int, str]] = []
-        self._capacity = capacity
+        self._charges: list[tuple[str, tuple[int, ...], int, float]] = []
+        self._flushes: list[tuple[int, float, float, int]] = []
 
     def record(
         self,
@@ -71,10 +78,6 @@ class CommandTrace:
         rows: tuple[int, ...],
         payload: np.ndarray | None = None,
     ) -> None:
-        if self._capacity is not None and len(self._entries) >= self._capacity:
-            raise OverflowError(
-                f"trace capacity ({self._capacity} commands) exceeded"
-            )
         self._entries.append(
             TraceEntry(
                 index=len(self._entries),
@@ -99,6 +102,39 @@ class CommandTrace:
         """(position, label) markers; position indexes into entries."""
         return list(self._marks)
 
+    def charge(
+        self,
+        mnemonic: str,
+        subarray_key: tuple[int, ...],
+        count: int,
+        time_ns: float,
+    ) -> None:
+        """Record one batched-scheduler charge (one sub-array's share)."""
+        self._charges.append((mnemonic, tuple(subarray_key), count, time_ns))
+
+    def flush(self, serial_ns: float, makespan_ns: float, commands: int) -> None:
+        """Record a scheduler flush boundary after the charges so far."""
+        self._flushes.append(
+            (len(self._charges), serial_ns, makespan_ns, commands)
+        )
+
+    @property
+    def charges(self) -> list[tuple[str, tuple[int, ...], int, float]]:
+        """(mnemonic, sub-array, count, time_ns) per recorded charge."""
+        return list(self._charges)
+
+    @property
+    def flushes(self) -> list[tuple[int, float, float, int]]:
+        """(charge-position, serial_ns, makespan_ns, commands) per flush."""
+        return list(self._flushes)
+
+    def charges_only(self) -> "CommandTrace":
+        """A new trace holding this one's charges and flushes, no commands."""
+        trace = CommandTrace()
+        trace._charges = list(self._charges)
+        trace._flushes = list(self._flushes)
+        return trace
+
     # ----- access ----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -118,6 +154,8 @@ class CommandTrace:
     def clear(self) -> None:
         self._entries.clear()
         self._marks.clear()
+        self._charges.clear()
+        self._flushes.clear()
 
     # ----- serialisation ------------------------------------------------------
 
@@ -140,6 +178,14 @@ class CommandTrace:
         return {
             "commands": commands,
             "marks": [[pos, label] for pos, label in self._marks],
+            "charges": [
+                {"op": m, "sub": list(k), "count": c, "time_ns": t}
+                for m, k, c, t in self._charges
+            ],
+            "flushes": [
+                {"at": at, "serial_ns": s, "makespan_ns": mk, "commands": n}
+                for at, s, mk, n in self._flushes
+            ],
         }
 
     @classmethod
@@ -182,87 +228,69 @@ class CommandTrace:
             if not isinstance(label, str):
                 raise ValueError(f"trace mark #{j}: label must be a string")
             trace._marks.append((int(pos), label))
+        for i, ch in enumerate(_section(doc, "charges")):
+            if not (
+                isinstance(ch, dict)
+                and isinstance(ch.get("op"), str)
+                and _is_subarray(ch.get("sub"))
+                and _is_int(ch.get("count"))
+                and _is_finite(ch.get("time_ns"))
+            ):
+                raise ValueError(
+                    f"trace charge #{i}: needs a string 'op', a 3-int 'sub', "
+                    "an int 'count' and a finite 'time_ns'"
+                )
+            trace.charge(
+                ch["op"], tuple(ch["sub"]), ch["count"], float(ch["time_ns"])
+            )
+        for i, fl in enumerate(_section(doc, "flushes")):
+            if not (
+                isinstance(fl, dict)
+                and _is_int(fl.get("at"))
+                and _is_finite(fl.get("serial_ns"))
+                and _is_finite(fl.get("makespan_ns"))
+                and _is_int(fl.get("commands"))
+            ):
+                raise ValueError(
+                    f"trace flush #{i}: needs int 'at'/'commands' and finite "
+                    "'serial_ns'/'makespan_ns'"
+                )
+            trace._flushes.append(
+                (
+                    fl["at"],
+                    float(fl["serial_ns"]),
+                    float(fl["makespan_ns"]),
+                    fl["commands"],
+                )
+            )
         return trace
 
 
-class ChargeLog:
-    """An append-only record of batched-scheduler charges and flushes.
+def _section(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"trace document: {key!r} is not a list")
+    return value
 
-    The bulk engine executes on raw bit planes and *charges* the ledger
-    through :class:`~repro.core.scheduler.BatchedAapScheduler` rather
-    than issuing per-command traces — so for bulk runs this log is the
-    auditable artefact: every ``charge()`` and every ``flush()``
-    boundary, enough for the analysis layer to re-derive the makespan
-    math and cross-check it against the cost tables.
-    """
 
-    def __init__(self) -> None:
-        self._charges: list[tuple[str, tuple[int, ...], int, float]] = []
-        self._flushes: list[tuple[int, float, float, int]] = []
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    def charge(
-        self,
-        mnemonic: str,
-        subarray_key: tuple[int, ...],
-        count: int,
-        time_ns: float,
-    ) -> None:
-        self._charges.append((mnemonic, tuple(subarray_key), count, time_ns))
 
-    def flush(self, serial_ns: float, makespan_ns: float, commands: int) -> None:
-        self._flushes.append(
-            (len(self._charges), serial_ns, makespan_ns, commands)
-        )
+def _is_finite(value: object) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
-    @property
-    def charges(self) -> list[tuple[str, tuple[int, ...], int, float]]:
-        return list(self._charges)
 
-    @property
-    def flushes(self) -> list[tuple[int, float, float, int]]:
-        """(charge-position, serial_ns, makespan_ns, commands) per flush."""
-        return list(self._flushes)
-
-    def __len__(self) -> int:
-        return len(self._charges)
-
-    def to_json(self) -> dict:
-        return {
-            "charges": [
-                {"op": m, "sub": list(k), "count": c, "time_ns": t}
-                for m, k, c, t in self._charges
-            ],
-            "flushes": [
-                {"at": at, "serial_ns": s, "makespan_ns": mk, "commands": n}
-                for at, s, mk, n in self._flushes
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ChargeLog":
-        log = cls()
-        try:
-            for ch in doc.get("charges", []):
-                log._charges.append(
-                    (
-                        str(ch["op"]),
-                        tuple(int(x) for x in ch["sub"]),
-                        int(ch["count"]),
-                        float(ch["time_ns"]),
-                    )
-                )
-            for fl in doc.get("flushes", []):
-                log._flushes.append(
-                    (
-                        int(fl["at"]),
-                        float(fl["serial_ns"]),
-                        float(fl["makespan_ns"]),
-                        int(fl["commands"]),
-                    )
-                )
-        except (KeyError, TypeError, ValueError):
-            raise ValueError("charge-log document: malformed entry") from None
-        return log
+def _is_subarray(value: object) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 3
+        and all(_is_int(x) for x in value)
+    )
 
 
 @dataclass(frozen=True)

@@ -186,8 +186,6 @@ def _wallace_column_sum_bulk(
     back); runs with live sum/TRA fault rates use the scalar path so
     the RNG stream stays per-op exact.
     """
-    from repro.core.bitplane import BulkEngine
-
     ctrl = pim.controller
     faults = ctrl.faults
     if (
@@ -210,18 +208,21 @@ def _wallace_column_sum_bulk(
     total = np.stack(staged).astype(np.int64).sum(axis=0)
 
     compressions, bits_needed, zero_planes = _wallace_schedule(len(staged))
-    engine = BulkEngine(pim)
-    sched = engine.scheduler
-    sched.charge("MEM_WR", subarray_key, len(staged) + zero_planes)
-    sched.charge("LATCH_LD", subarray_key, compressions)
+    pairs = compressions + bits_needed  # one SUM + TRA pair each
+    key = (subarray_key,)
+    sched = ctrl.scheduler
+    sched.charge("MEM_WR", key, (len(staged) + zero_planes,))
+    sched.charge("LATCH_LD", key, (compressions,))
     # scalar equivalence: the final ripple_add zeroes its carry row
     # with one charged AAP (RowClone off the constant row)
-    sched.charge("AAP1", subarray_key, 1)
-    sched.fused_add(subarray_key, compressions + bits_needed)
-    sched.charge("MEM_RD", subarray_key, bits_needed + 1)
-    if ctrl._verifying() is not None:
-        engine.charge_verify(2 * (compressions + bits_needed))
-    engine.flush()
+    sched.charge("AAP1", key, (1,))
+    sched.charge("SUM", key, (pairs,))
+    sched.charge("AAP3", key, (pairs,))
+    sched.charge("MEM_RD", key, (bits_needed + 1,))
+    eng = ctrl._verifying()
+    if eng is not None:
+        ctrl._charge_verify(eng, count=2 * pairs)
+    sched.flush()
     return total
 
 

@@ -84,6 +84,20 @@ def test_verify_trace_rejects_garbage_with_input_exit(tmp_path):
     assert main(["verify-trace", str(bad)]) == 2
 
 
+def test_verify_trace_malformed_charge_is_input_error(tmp_path, capsys):
+    doc = {
+        "format": "repro-aap-trace/1",
+        "engine": "bulk",
+        "geometry": {"rows": 64, "cols": 8, "compute_rows": 8, "data_rows": 56},
+        "commands": [],
+        "charges": [{"op": "AAP1", "sub": [0], "count": 1, "time_ns": 85.0}],
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify-trace", str(bad)]) == 2
+    assert "charge #0" in capsys.readouterr().err
+
+
 def test_verify_trace_missing_file_is_input_error(tmp_path):
     assert main(["verify-trace", str(tmp_path / "absent.json")]) == 2
 

@@ -11,7 +11,7 @@ from repro.analysis.equiv import (
 from repro.analysis.tracefile import TraceDocument
 from repro.core.energy import DEFAULT_ENERGY
 from repro.core.timing import DEFAULT_TIMING, command_cost_table
-from repro.core.trace import ChargeLog, CommandTrace
+from repro.core.trace import CommandTrace
 
 GEOMETRY = {"rows": 32, "cols": 64, "compute_rows": 8, "data_rows": 24}
 SUB = (0, 0, 0)
@@ -24,7 +24,6 @@ def make_doc(build, engine="scalar", complete=True, meta=None, geometry=None):
     return TraceDocument(
         engine=engine,
         trace=trace,
-        charge_log=ChargeLog(),
         geometry=dict(geometry or GEOMETRY),
         complete=complete,
         meta=dict(meta or {}),

@@ -16,7 +16,7 @@ from repro.analysis.optimizer import (
 from repro.analysis.tracefile import TraceDocument, TraceRecorder
 from repro.analysis.verifier import verify_document
 from repro.assembly.pipeline import _sized_device, assemble_with_pim
-from repro.core.trace import ChargeLog, CommandTrace
+from repro.core.trace import CommandTrace
 from repro.genome import ReadSimulator, synthetic_chromosome
 
 GEOMETRY = {"rows": 32, "cols": 64, "compute_rows": 8, "data_rows": 24}
@@ -29,7 +29,6 @@ def make_doc(build, engine="scalar", complete=True):
     return TraceDocument(
         engine=engine,
         trace=trace,
-        charge_log=ChargeLog(),
         geometry=dict(GEOMETRY),
         complete=complete,
     )

@@ -6,6 +6,8 @@ doubles as a false-positive guard), and recorded traces of the real
 pipeline under both execution engines must come back finding-free.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.analysis.tracefile import (
     save_document,
 )
 from repro.analysis.verifier import InlineChecker, verify_document
-from repro.core.trace import ChargeLog, CommandTrace
+from repro.core.trace import CommandTrace
 from repro.errors import TraceFormatError, TraceHazardError
 
 SUB = (0, 0, 0)
@@ -54,15 +56,13 @@ def make_doc(
         op, rows = item[0], item[1]
         payload = np.asarray(item[2], dtype=np.uint8) if len(item) > 2 else None
         trace.record(op, SUB, tuple(rows), payload)
-    log = ChargeLog()
     for op, sub, count, time_ns in charges:
-        log.charge(op, sub, count, time_ns)
+        trace.charge(op, sub, count, time_ns)
     for serial, makespan, commands in flushes:
-        log.flush(serial, makespan, commands)
+        trace.flush(serial, makespan, commands)
     return TraceDocument(
         engine=engine,
         trace=trace,
-        charge_log=log,
         geometry=dict(GEOMETRY),
         layout=dict(layout) if layout else None,
         timing=dict(TIMING),
@@ -383,7 +383,7 @@ def test_scalar_pipeline_trace_is_clean(scalar_doc):
 def test_bulk_pipeline_trace_is_clean(bulk_doc):
     report = verify_document(bulk_doc)
     assert report.render() == ""
-    assert len(bulk_doc.charge_log.charges) > 100  # gangs were logged
+    assert len(bulk_doc.trace.charges) > 100  # gangs were recorded
 
 
 def test_document_round_trips_through_json(tmp_path, bulk_doc):
@@ -394,10 +394,17 @@ def test_document_round_trips_through_json(tmp_path, bulk_doc):
     assert loaded.layout == bulk_doc.layout
     assert len(loaded.trace) == len(bulk_doc.trace)
     assert loaded.trace.marks == bulk_doc.trace.marks
-    assert loaded.charge_log.charges == bulk_doc.charge_log.charges
-    assert loaded.charge_log.flushes == bulk_doc.charge_log.flushes
+    assert loaded.trace.charges == bulk_doc.trace.charges
+    assert loaded.trace.flushes == bulk_doc.trace.flushes
     assert loaded.ledger == bulk_doc.ledger
     assert verify_document(loaded).render() == ""
+
+
+def test_bulk_document_keeps_charge_sections_and_format(tmp_path, bulk_doc):
+    raw = json.loads(save_document(tmp_path / "doc.json", bulk_doc).read_text())
+    assert raw["format"] == "repro-aap-trace/1"
+    assert len(raw["charges"]) == len(bulk_doc.trace.charges)
+    assert len(raw["flushes"]) == len(bulk_doc.trace.flushes) > 0
 
 
 def test_corpus_round_trips_and_stays_flagged(tmp_path):
@@ -445,6 +452,50 @@ def test_from_json_rejects_bad_geometry():
                 "geometry": {"rows": "many"},
             }
         )
+
+
+GOOD_CHARGE = {"op": "AAP1", "sub": [0, 0, 0], "count": 2, "time_ns": 170.0}
+GOOD_FLUSH = {"at": 1, "serial_ns": 170.0, "makespan_ns": 170.0, "commands": 2}
+
+
+@pytest.mark.parametrize(
+    "section, bad",
+    [
+        ("charges", {"sub": [0]}),
+        ("charges", {"sub": [0, 0, 0, 0]}),
+        ("charges", {"sub": [0, 0, 0.5]}),
+        ("charges", {"count": 2.0}),
+        ("charges", {"count": "2"}),
+        ("charges", {"time_ns": float("nan")}),
+        ("charges", {"time_ns": float("inf")}),
+        ("charges", {"time_ns": "170"}),
+        ("flushes", {"at": "1"}),
+        ("flushes", {"serial_ns": float("nan")}),
+        ("flushes", {"makespan_ns": None}),
+        ("flushes", {"commands": 2.5}),
+    ],
+)
+def test_load_rejects_malformed_charges_and_flushes(tmp_path, section, bad):
+    raw = make_doc().to_json()
+    raw["charges"] = [dict(GOOD_CHARGE)]
+    raw["flushes"] = [dict(GOOD_FLUSH)]
+    raw[section][0].update(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(TraceFormatError):
+        load_document(path)
+
+
+def test_load_accepts_well_formed_charges(tmp_path):
+    raw = make_doc().to_json()
+    raw["charges"] = [GOOD_CHARGE]
+    raw["flushes"] = [GOOD_FLUSH]
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(raw))
+    doc = load_document(path)
+    assert doc.trace.charges == [("AAP1", (0, 0, 0), 2, 170.0)]
+    assert doc.trace.flushes == [(1, 170.0, 170.0, 2)]
+    assert verify_document(doc).render() == ""
 
 
 # ----- the inline checker ----------------------------------------------------

@@ -38,22 +38,111 @@ class TestRecording:
         pim.store_row(rng.integers(0, 2, 32).astype(np.uint8))
         assert len(trace) == 1
 
-    def test_capacity_limit(self, rng):
-        pim = PimAssembler.small()
-        trace = CommandTrace(capacity=1)
-        pim.controller.attach_trace(trace)
-        pim.store_row(rng.integers(0, 2, 32).astype(np.uint8))
-        with pytest.raises(OverflowError):
-            pim.store_row(rng.integers(0, 2, 32).astype(np.uint8))
-
     def test_to_text(self, rng):
         pim, trace = traced_pim()
         pim.store_row(rng.integers(0, 2, 32).astype(np.uint8))
         assert "MEM_WR" in trace.to_text()
 
-    def test_rejects_bad_capacity(self):
+
+
+class TestCharges:
+    def make(self):
+        trace = CommandTrace()
+        trace.record("AAP1", (0, 0, 0), (1, 2))
+        trace.charge("AAP1", (0, 0, 1), 2, 170.0)
+        trace.charge("DPU", (0, 0, 1), 2, 2.0)
+        trace.flush(172.0, 170.0, 4)
+        trace.charge("MEM_WR", (0, 0, 2), 1, 5.0)
+        return trace
+
+    def test_charges_and_flushes_sit_beside_commands(self):
+        trace = self.make()
+        assert len(trace) == 1
+        assert trace.charges == [
+            ("AAP1", (0, 0, 1), 2, 170.0),
+            ("DPU", (0, 0, 1), 2, 2.0),
+            ("MEM_WR", (0, 0, 2), 1, 5.0),
+        ]
+        assert trace.flushes == [(2, 172.0, 170.0, 4)]
+
+    def test_json_round_trip(self):
+        trace = self.make()
+        loaded = CommandTrace.from_json(trace.to_json())
+        assert loaded.charges == trace.charges
+        assert loaded.flushes == trace.flushes
+        assert loaded.entries() == trace.entries()
+
+    def test_charges_only_drops_commands(self):
+        trace = self.make()
+        copy = trace.charges_only()
+        assert len(copy) == 0
+        assert copy.charges == trace.charges
+        assert copy.flushes == trace.flushes
+
+    def test_controller_scheduler_records_into_attached_trace(self):
+        pim, trace = traced_pim()
+        pim.controller.scheduler.charge("AAP1", [(0, 0, 0)], [3])
+        pim.controller.scheduler.flush()
+        assert [c[:3] for c in trace.charges] == [("AAP1", (0, 0, 0), 3)]
+        assert len(trace.flushes) == 1
+        pim.controller.attach_trace(None)
+        pim.controller.scheduler.charge("AAP1", [(0, 0, 0)], [3])
+        pim.controller.scheduler.flush()
+        assert len(trace.charges) == 1
+
+    def test_sink_without_charge_is_not_fed(self):
+        """A record/mark-only sink (the inline checker) keeps working."""
+
+        class Sink:
+            def __init__(self):
+                self.records = []
+
+            def record(self, *args):
+                self.records.append(args)
+
+        pim = PimAssembler.small()
+        sink = Sink()
+        pim.controller.attach_trace(sink)
+        pim.controller.scheduler.charge("AAP1", [(0, 0, 0)], [3])
+        pim.controller.scheduler.flush()
+        assert sink.records == []
+        assert pim.stats.command_count("AAP1") == 3
+
+    @pytest.mark.parametrize(
+        "charge",
+        [
+            {"op": "AAP1", "sub": [0], "count": 1, "time_ns": 85.0},
+            {"op": "AAP1", "sub": [0, 0, "x"], "count": 1, "time_ns": 85.0},
+            {"op": "AAP1", "sub": [0, 0, 0], "count": 1.5, "time_ns": 85.0},
+            {"op": "AAP1", "sub": [0, 0, 0], "count": "1", "time_ns": 85.0},
+            {"op": "AAP1", "sub": [0, 0, 0], "count": 1, "time_ns": "85"},
+            {"op": "AAP1", "sub": [0, 0, 0], "count": 1, "time_ns": float("nan")},
+            {"op": 7, "sub": [0, 0, 0], "count": 1, "time_ns": 85.0},
+            {"op": "AAP1", "sub": [0, 0, 0], "count": 1},
+            ["AAP1", [0, 0, 0], 1, 85.0],
+        ],
+    )
+    def test_from_json_rejects_malformed_charge(self, charge):
+        with pytest.raises(ValueError, match="charge #0"):
+            CommandTrace.from_json({"commands": [], "charges": [charge]})
+
+    @pytest.mark.parametrize(
+        "flush",
+        [
+            {"at": 0.5, "serial_ns": 1.0, "makespan_ns": 1.0, "commands": 1},
+            {"at": 0, "serial_ns": float("inf"), "makespan_ns": 1.0, "commands": 1},
+            {"at": 0, "serial_ns": 1.0, "makespan_ns": None, "commands": 1},
+            {"at": 0, "serial_ns": 1.0, "makespan_ns": 1.0, "commands": 1.0},
+            {"at": 0, "serial_ns": 1.0, "makespan_ns": 1.0},
+        ],
+    )
+    def test_from_json_rejects_malformed_flush(self, flush):
+        with pytest.raises(ValueError, match="flush #0"):
+            CommandTrace.from_json({"commands": [], "flushes": [flush]})
+
+    def test_from_json_rejects_non_list_sections(self):
         with pytest.raises(ValueError):
-            CommandTrace(capacity=0)
+            CommandTrace.from_json({"commands": [], "charges": 3})
 
 
 class TestAnalysis:
