@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.bitplane import BulkEngine
+from repro.core.bitplane import scan_end_rows
 from repro.core.isa import RowAddress
 from repro.core.platform import PimAssembler
 from repro.core.storage import pack_rows
@@ -75,7 +75,6 @@ class _SubarrayTable:
 
     key: tuple[int, int, int]
     layout: KmerLayout
-    occupied: int = 0
 
 
 class SoftwareKmerCounter:
@@ -141,7 +140,6 @@ class PimKmerCounter:
         self.k = k
         self.saturating = saturating
         self.engine = engine
-        self._bulk = BulkEngine(pim) if engine == "bulk" else None
         # default to the *usable* sub-arrays: partitions never land on
         # storage the resilience engine already quarantined
         keys = (
@@ -152,14 +150,22 @@ class PimKmerCounter:
         if not keys:
             raise ValueError("at least one sub-array is required")
         self._tables = [_SubarrayTable(key=key, layout=layout) for key in keys]
+        #: per-partition occupied k-mer slots
+        self._occupied = np.zeros(len(keys), dtype=np.int64)
+        #: per-partition store slot, cached on the bulk path's first
+        #: touch (-1: not yet resolved)
+        self._store_slot = np.full(len(keys), -1, dtype=np.int64)
+        #: compute rows x1..x3 (``SubArray.compute_row``)
+        self._x_rows = tuple(geometry.data_rows + i for i in range(3))
         #: per-partition slot -> packed k-mer (host shadow for readback
         #: ordering only; matching is done in-memory).
         self._slot_keys: list[list[int]] = [[] for _ in keys]
         self._valid_bits = 2 * k
         self._mask = np.zeros(geometry.cols, dtype=np.uint8)
         self._mask[: self._valid_bits] = 1
-        # global sorted key index over all partitions (bulk-path lookup);
-        # rebuilt lazily whenever _slot_keys changes
+        # global sorted key index over all partitions (bulk-path lookup):
+        # bulk rounds merge their new keys in; scalar inserts mark it
+        # dirty and the next bulk round rebuilds it from _slot_keys
         self._index_dirty = True
         self._idx_keys = np.empty(0, dtype=np.uint64)
         self._idx_slot = np.empty(0, dtype=np.int64)
@@ -192,7 +198,9 @@ class PimKmerCounter:
         checkpoint()  # per-k-mer cancellation point (hashmap inner loop)
         if kmer is None:
             kmer = unpack_kmer(packed, self.k)
-        table = self._tables[kmer_partition(packed, self.partitions)]
+        index = kmer_partition(packed, self.partitions)
+        table = self._tables[index]
+        occupied = int(self._occupied[index])
         ctrl = self.pim.controller
         layout = table.layout
 
@@ -206,18 +214,18 @@ class PimKmerCounter:
         # first match, as the DPU's outcome gates the next command.
         match_slot = ctrl.compare_scan(
             temp,
-            start_row=layout.kmer_row(0) if table.occupied else 0,
-            n_rows=table.occupied,
+            start_row=layout.kmer_row(0) if occupied else 0,
+            n_rows=occupied,
             valid_bits=self._valid_bits,
         )
 
         if match_slot is not None:
             self._increment(table, match_slot)
         else:
-            self._insert_new(table, temp, packed)
+            self._insert_new(index, temp, packed)
 
     def add_sequence(self, sequence: DnaSequence) -> None:
-        if self._bulk is not None:
+        if self.engine == "bulk":
             packed = packed_kmers_array(sequence, self.k)
             if packed.size:
                 self._add_packed_bulk(packed)
@@ -232,7 +240,7 @@ class PimKmerCounter:
         :meth:`add_sequence` per item — so tables, contigs and command
         counts match; only the bulk gang schedule (time) coarsens.
         """
-        if self._bulk is not None:
+        if self.engine == "bulk":
             arrays = [packed_kmers_array(seq, self.k) for seq in sequences]
             arrays = [arr for arr in arrays if arr.size]
             if arrays:
@@ -251,8 +259,9 @@ class PimKmerCounter:
 
         Partition identity is a pure function of the packed k-mer, so
         one device-wide sorted array resolves any key to its table slot
-        — the per-partition searches the old bulk planner looped over
-        in Python collapse into a single :func:`np.searchsorted`.
+        with a single :func:`np.searchsorted`.  Bulk rounds keep it
+        current with :meth:`_merge_index`; this full rebuild runs only
+        after scalar inserts (a replayed round, :meth:`from_state`).
         """
         keys = [k for part in self._slot_keys for k in part]
         slots = [
@@ -273,6 +282,12 @@ class PimKmerCounter:
         for value in packed.tolist():
             self._add_packed_scalar(int(value))
 
+    def _merge_index(self, keys: np.ndarray, slots: np.ndarray) -> None:
+        """Insert a round's new (sorted, absent) keys into the index."""
+        pos = np.searchsorted(self._idx_keys, keys)
+        self._idx_keys = np.insert(self._idx_keys, pos, keys)
+        self._idx_slot = np.insert(self._idx_slot, pos, slots)
+
     def _add_packed_bulk(self, packed: np.ndarray) -> None:
         """Batch-insert a round of packed k-mers across ALL sub-arrays.
 
@@ -282,10 +297,13 @@ class PimKmerCounter:
         the ledger receives the identical command counts — charged as
         one gang-scheduled batch per round instead of op by op.
 
-        Planning is device-global: one ``np.unique`` over the round,
+        A round is a fixed number of device-wide NumPy calls however
+        many partitions it touches: one ``np.unique`` over the round,
         one sorted-index lookup for known keys, one lexsort for
-        first-arrival slot assignment, and packed bit-field
-        gather/scatter for every counter — no per-key Python loops.
+        first-arrival slot assignment, packed bit-field gather/scatter
+        for every counter, one row-bits pack for every new key and
+        every partition's last query, one ``(slot, row)`` scatter for
+        the k-mer and compute rows, and one vector charge per mnemonic.
         """
         checkpoint()  # per-round cancellation point (bulk hashmap path)
         ctrl = self.pim.controller
@@ -322,9 +340,7 @@ class PimKmerCounter:
 
         # new keys claim slots in first-arrival order per partition
         new_u = np.flatnonzero(~known)
-        occ0 = np.asarray(
-            [t.occupied for t in self._tables], dtype=np.int64
-        )
+        occ0 = self._occupied
         new_per_part = np.bincount(uparts[new_u], minlength=n_parts)
         if (occ0 + new_per_part > layout.kmer_rows).any():
             # some partition would raise TableFullError mid-stream;
@@ -337,10 +353,7 @@ class PimKmerCounter:
         order = np.lexsort((first_idx[new_u], uparts[new_u]))
         nu = new_u[order]  # partition-major, arrival-ordered
         nu_parts = uparts[nu]
-        seg_starts = np.concatenate(
-            ([0], np.cumsum(np.bincount(nu_parts, minlength=n_parts))[:-1])
-        )
-        uniq_slot = uniq_slot.copy()
+        seg_starts = np.concatenate(([0], np.cumsum(new_per_part)[:-1]))
         uniq_slot[nu] = occ0[nu_parts] + (
             np.arange(nu.size, dtype=np.int64) - seg_starts[nu_parts]
         )
@@ -353,17 +366,15 @@ class PimKmerCounter:
         is_miss[first_idx[new_u]] = True
         scanned = np.where(is_miss, slots, slots + 1)
 
-        # instantiate every touched sub-array BEFORE taking any packed
-        # view: store growth reallocates the tensor
-        touched = np.flatnonzero(np.bincount(kparts, minlength=n_parts))
-        subs = {
-            int(p): self.pim.device.subarray_at(self._tables[p].key)
-            for p in touched
-        }
-        store = subs[int(touched[0])].store
-        sslot_of = np.zeros(n_parts, dtype=np.int64)
-        for p, sub in subs.items():
-            sslot_of[p] = sub.slot
+        # resolve each touched partition's store slot on first touch,
+        # BEFORE taking any packed view: store growth reallocates the
+        # tensor
+        arr_p = np.bincount(kparts, minlength=n_parts)
+        touched = np.flatnonzero(arr_p)
+        sslot = self._store_slot
+        for p in touched[sslot[touched] < 0].tolist():
+            sslot[p] = self.pim.device.subarray_at(self._tables[p].key).slot
+        store = self.pim.device.store
 
         # counter evolution: value(key) ends at min(start + hits, max),
         # incrementing (1 DPU add + 1 MEM_WR) only below saturation and
@@ -377,7 +388,7 @@ class PimKmerCounter:
         kn = np.flatnonzero(known)
         if kn.size:
             start_vals[kn] = store.read_fields(
-                sslot_of[uparts[kn]], vrows[kn], vbits[kn], cbits
+                sslot[uparts[kn]], vrows[kn], vbits[kn], cbits
             )
         hits_per_key = occurrences - (~known).astype(np.int64)
         final_vals = np.minimum(start_vals + hits_per_key, layout.counter_max)
@@ -389,54 +400,65 @@ class PimKmerCounter:
             return
 
         # ---- functional end state -------------------------------------
-        new_keys = uniq[nu]
-        for p in touched:
-            lo, hi = seg_starts[p], seg_starts[p] + new_per_part[p]
-            if hi > lo:
-                rows = packed_to_row_bits(
-                    new_keys[lo:hi], self.k, self.pim.row_bits
-                )
-                store.write_rows(
-                    int(sslot_of[p]), int(occ0[p]), np.asarray(rows)
-                )
         if uniq.size:
             store.write_fields(
-                sslot_of[uparts], vrows, vbits, cbits, final_vals
+                sslot[uparts], vrows, vbits, cbits, final_vals
             )
-        # leave each touched sub-array's compute rows as its last
-        # arriving k-mer's scan would (reads happen after the row
-        # writes above: the last scanned row may be a fresh insert)
-        last_pos = np.full(n_parts, -1, dtype=np.int64)
-        np.maximum.at(last_pos, kparts, np.arange(packed.size, dtype=np.int64))
-        for p in touched:
-            pos = int(last_pos[p])
-            q_words = pack_rows(
-                packed_to_row_bits(
-                    packed[pos : pos + 1], self.k, self.pim.row_bits
-                )[0]
+        # one scatter writes the new k-mer rows and leaves every
+        # touched sub-array's compute rows as its last arriving k-mer's
+        # scan would
+        last_arrival = np.full(n_parts, -1, dtype=np.int64)
+        np.maximum.at(
+            last_arrival, kparts, np.arange(packed.size, dtype=np.int64)
+        )
+        last_arrival = last_arrival[touched]
+        words = pack_rows(
+            packed_to_row_bits(
+                np.concatenate((uniq[nu], packed[last_arrival])),
+                self.k,
+                self.pim.row_bits,
             )
-            last_scanned = int(scanned[pos])
-            last_row_words = (
-                store.row_words(
-                    int(sslot_of[p]), layout.kmer_row(last_scanned - 1)
-                ).copy()
-                if last_scanned
-                else None
-            )
-            self._bulk._finish_scan(
-                subs[int(p)], layout.temp_row(0), q_words, last_row_words
-            )
-        for p in touched:
-            table = self._tables[p]
-            lo, hi = seg_starts[p], seg_starts[p] + new_per_part[p]
-            table.occupied = int(occ0[p] + new_per_part[p])
-            self._slot_keys[p].extend(int(v) for v in new_keys[lo:hi])
+        )
+        new_words, q_words = words[: nu.size], words[nu.size :]
+        last_scanned = scanned[last_arrival]
+        read_any = last_scanned > 0
+        read_parts = touched[read_any]
+        last_slot = last_scanned[read_any] - 1
+        last_words = store.tensor[
+            sslot[read_parts], layout.kmer_row(0) + last_slot
+        ]
+        # the last scanned row may be one this round inserts
+        fresh = np.flatnonzero(last_slot >= occ0[read_parts])
+        fresh_parts = read_parts[fresh]
+        last_words[fresh] = new_words[
+            seg_starts[fresh_parts] + last_slot[fresh] - occ0[fresh_parts]
+        ]
+        end_slots, end_rows, end_words = scan_end_rows(
+            sslot[touched],
+            layout.temp_row(0),
+            self._x_rows,
+            q_words,
+            read_any,
+            last_words,
+            store.col_mask_words,
+        )
+        store.scatter_rows(
+            np.concatenate((sslot[nu_parts], end_slots)),
+            np.concatenate((layout.kmer_row(0) + uniq_slot[nu], end_rows)),
+            np.concatenate((new_words, end_words)),
+        )
         if nu.size:
-            self._index_dirty = True
+            new_keys = uniq[nu]
+            for p in np.flatnonzero(new_per_part).tolist():
+                lo = seg_starts[p]
+                self._slot_keys[p].extend(
+                    new_keys[lo : lo + new_per_part[p]].tolist()
+                )
+            self._occupied += new_per_part
+            self._merge_index(uniq[new_u], uniq_slot[new_u])
 
         # ---- charging: identical command counts, one vector charge
         # per mnemonic over the touched partitions, one gang batch ----
-        arr_p = np.bincount(kparts, minlength=n_parts)
         miss_p = np.bincount(kparts[is_miss], minlength=n_parts)
         scan_p = np.bincount(
             kparts, weights=scanned.astype(np.float64), minlength=n_parts
@@ -446,7 +468,7 @@ class PimKmerCounter:
             weights=(final_vals - start_vals).astype(np.float64),
             minlength=n_parts,
         ).astype(np.int64)
-        keys = [self._tables[p].key for p in touched]
+        keys = [self._tables[p].key for p in touched.tolist()]
         sched = ctrl.scheduler
         # per arrival: temp insert + x1 staging; per miss: the insert
         # RowClone and its counter write; per hit: a counter read; per
@@ -465,22 +487,20 @@ class PimKmerCounter:
 
     # ----- table updates ---------------------------------------------------------------
 
-    def _insert_new(
-        self, table: _SubarrayTable, temp: RowAddress, packed: int
-    ) -> None:
-        """MEM_insert(k_mer, 1): claim the next free slot."""
+    def _insert_new(self, index: int, temp: RowAddress, packed: int) -> None:
+        """MEM_insert(k_mer, 1): claim partition ``index``'s next free slot."""
+        table = self._tables[index]
         layout = table.layout
-        if table.occupied >= layout.kmer_rows:
+        slot = int(self._occupied[index])
+        if slot >= layout.kmer_rows:
             raise TableFullError(
                 f"sub-array {table.key} k-mer region full "
                 f"({layout.kmer_rows} slots)"
             )
-        slot = table.occupied
         ctrl = self.pim.controller
         ctrl.copy(temp, self._addr(table, layout.kmer_row(slot)))
         self._write_counter(table, slot, 1)
-        table.occupied += 1
-        index = self._tables.index(table)
+        self._occupied[index] += 1
         self._slot_keys[index].append(packed)
         self._index_dirty = True
 
@@ -548,7 +568,7 @@ class PimKmerCounter:
         # table-region write rule for this window.
         ctrl.mark("scrub:begin")
         for index, table in enumerate(self._tables):
-            for slot in range(table.occupied):
+            for slot in range(int(self._occupied[index])):
                 row = table.layout.kmer_row(slot)
                 addr = self._addr(table, row)
                 expected = kmer_to_row_bits(
@@ -583,7 +603,7 @@ class PimKmerCounter:
         """Read the full table back as {packed k-mer: frequency}."""
         out: Counter = Counter()
         for index, table in enumerate(self._tables):
-            for slot in range(table.occupied):
+            for slot in range(int(self._occupied[index])):
                 out[self._slot_keys[index][slot]] = self._read_counter(table, slot)
         return out
 
@@ -596,11 +616,11 @@ class PimKmerCounter:
         return DnaSequence.from_bits(row[: self._valid_bits])
 
     def __len__(self) -> int:
-        return sum(t.occupied for t in self._tables)
+        return int(self._occupied.sum())
 
     @property
     def occupancy(self) -> list[int]:
-        return [t.occupied for t in self._tables]
+        return self._occupied.tolist()
 
     # ----- checkpointing ----------------------------------------------------------
 
@@ -618,7 +638,7 @@ class PimKmerCounter:
             "k": self.k,
             "saturating": self.saturating,
             "keys": [list(table.key) for table in self._tables],
-            "occupied": [table.occupied for table in self._tables],
+            "occupied": self._occupied.tolist(),
             "slot_keys": [list(keys) for keys in self._slot_keys],
         }
 
@@ -639,8 +659,7 @@ class PimKmerCounter:
             saturating=bool(state["saturating"]),
             engine=engine,
         )
-        for table, occupied in zip(counter._tables, state["occupied"]):
-            table.occupied = int(occupied)
+        counter._occupied[:] = [int(value) for value in state["occupied"]]
         counter._slot_keys = [
             [int(value) for value in keys] for keys in state["slot_keys"]
         ]

@@ -62,6 +62,7 @@ from repro.core.storage import (
 __all__ = [
     "BulkEngine",
     "planes_to_words",
+    "scan_end_rows",
     "words_to_planes",
 ]
 
@@ -83,6 +84,44 @@ def words_to_planes(words: np.ndarray, bits: int) -> np.ndarray:
     vals = np.asarray(words, dtype=np.int64)
     shifts = np.arange(bits, dtype=np.int64)
     return ((vals[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
+
+
+def scan_end_rows(
+    slots: np.ndarray,
+    temp_row: int,
+    x_rows: tuple[int, int, int],
+    q_words: np.ndarray,
+    read_any: np.ndarray,
+    last_words: np.ndarray,
+    col_mask: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compute rows a sequential compare scan leaves, for many sub-arrays.
+
+    In sub-array ``slots[i]`` temp and x1 hold its last query
+    ``q_words[i]``.  Where ``read_any[i]`` (that scan read at least one
+    candidate row), x2 holds the last scanned row (``last_words``, one
+    per such sub-array, in order) and x3 its XNOR against the query:
+    the trailing uncharged rowclone+compute2 of the scalar
+    ``compare_scan``.  The XNOR's complement is tail-masked per the
+    pack boundary rule.  Returns ``(slots, rows, words)`` for
+    :meth:`~repro.core.storage.BitPlaneStore.scatter_rows`.
+    """
+    x1, x2, x3 = x_rows
+    read = slots[read_any]
+    xnor = ~(q_words[read_any] ^ last_words) & col_mask
+    n, m = slots.size, read.size
+    return (
+        np.concatenate((slots, slots, read, read)),
+        np.concatenate(
+            (
+                np.full(n, temp_row),
+                np.full(n, x1),
+                np.full(m, x2),
+                np.full(m, x3),
+            )
+        ),
+        np.concatenate((q_words, q_words, last_words, xnor)),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -155,7 +194,7 @@ class BulkEngine:
         count = q.shape[0]
         q_words = pack_rows(q)
         total_scanned = 0
-        last_row_words = None
+        last_words = np.empty((0, store.words), dtype=np.uint64)
         if n_rows == 0:
             hits = np.full(count, -1, dtype=np.int64)
         else:
@@ -180,8 +219,8 @@ class BulkEngine:
             scanned = np.where(any_hit, first + 1, n_rows)
             total_scanned = int(scanned.sum())
             if count:
-                last_block_row = start_row + int(scanned[-1]) - 1
-                last_row_words = store.row_words(slot, last_block_row).copy()
+                last = start_row + int(scanned[-1]) - 1
+                last_words = store.block_words(slot, last, last + 1).copy()
 
         # per query: the temp insert and its x1 staging; per scanned
         # row: AAP copy + AAP XNOR on the sub-array, AND-reduce on the
@@ -195,30 +234,19 @@ class BulkEngine:
         if eng is not None and total_scanned:
             ctrl._charge_verify(eng, count=total_scanned)
         if count:
-            self._finish_scan(sub, temp.row, q_words[-1], last_row_words)
+            store.scatter_rows(
+                *scan_end_rows(
+                    np.array([slot]),
+                    temp.row,
+                    tuple(sub.compute_row(i) for i in (1, 2, 3)),
+                    q_words[-1:],
+                    np.array([last_words.shape[0] > 0]),
+                    last_words,
+                    store.col_mask_words,
+                )
+            )
         sched.flush()
         return hits
-
-    def _finish_scan(self, sub, temp_row, query_words, last_row_words) -> None:
-        """Leave the compute rows as the sequential scan would.
-
-        temp and x1 hold the last query; when at least one candidate
-        was scanned, x2 holds the last scanned row and x3 its XNOR
-        against the query (the trailing uncharged rowclone+compute2 of
-        the scalar ``compare_scan``).  All operands are packed words;
-        the XNOR's complement is tail-masked per the pack boundary
-        rule.
-        """
-        store, slot = sub.store, sub.slot
-        store.set_row_words(slot, temp_row, query_words)
-        x1 = sub.compute_row(1)
-        store.set_row_words(slot, x1, query_words)
-        if last_row_words is not None:
-            x2 = sub.compute_row(2)
-            x3 = sub.compute_row(3)
-            store.set_row_words(slot, x2, last_row_words)
-            xnor = ~(query_words ^ last_row_words) & store.col_mask_words
-            store.set_row_words(slot, x3, xnor)
 
     # ----- bulk addition -----------------------------------------------------
 

@@ -27,6 +27,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.timing import (
     DEFAULT_TIMING,
     TimingParameters,
@@ -193,12 +195,41 @@ class BatchedAapScheduler:
         self.energy = energy or DEFAULT_ENERGY
         self.costs = command_cost_table(self.timing, self.energy)
         self.trace = None
-        self._busy: dict[tuple, float] = defaultdict(float)
+        #: resource -> index into ``_busy``: sub-array keys, plus
+        #: ``("grb", bank, mat)`` and ``("dpu", bank, mat)``
+        self._resource_ids: dict[tuple, int] = {}
+        #: sub-array key -> (sub-array, MAT GRB, MAT DPU) resource ids
+        self._key_ids: dict[tuple, tuple[int, int, int]] = {}
+        #: the last charged key vector and its ``(n, 3)`` id array: the
+        #: charges of one kernel all share one key vector
+        self._last_keys: list = []
+        self._last_ids = np.zeros((0, 3), dtype=np.intp)
+        self._busy = np.zeros(0, dtype=np.float64)
         self._time_ns: Counter = Counter()
         self._energy_nj: Counter = Counter()
         self._counts: Counter = Counter()
 
     # ----- queueing -------------------------------------------------------
+
+    def _ids(self, keys: list) -> np.ndarray:
+        """``(len(keys), 3)`` sub-array, MAT GRB and MAT DPU ids."""
+        if keys != self._last_keys:
+            key_ids = self._key_ids
+            resources = self._resource_ids
+            for key in set(keys).difference(key_ids):
+                mat = key[:2]
+                key_ids[key] = tuple(
+                    resources.setdefault(resource, len(resources))
+                    for resource in (key, ("grb", *mat), ("dpu", *mat))
+                )
+            grow = len(resources) - self._busy.size
+            if grow > 0:
+                self._busy = np.concatenate((self._busy, np.zeros(grow)))
+            self._last_keys = keys
+            self._last_ids = np.array(
+                [key_ids[key] for key in keys], dtype=np.intp
+            ).reshape(-1, 3)
+        return self._last_ids
 
     def charge(
         self,
@@ -208,7 +239,10 @@ class BatchedAapScheduler:
     ) -> None:
         """Queue ``counts[i]`` commands of one kind on ``subarray_keys[i]``.
 
-        Zero counts are skipped.
+        Zero counts are skipped.  Busy time accumulates with one
+        ``np.add.at`` per resource kind over cached resource ids, in
+        key order (so repeated keys sum exactly as a per-key loop
+        would).
         """
         try:
             time_ns, energy_nj = self.costs[mnemonic]
@@ -216,27 +250,33 @@ class BatchedAapScheduler:
             raise ValueError(
                 f"no cost model for mnemonic {mnemonic!r}"
             ) from None
+        keys = list(subarray_keys)
+        if not isinstance(counts, np.ndarray):
+            counts = list(counts)
+        counts = np.asarray(counts).astype(np.int64)
+        if counts.size != len(keys):  # zip semantics: the shorter wins
+            n = min(counts.size, len(keys))
+            counts, keys = counts[:n], keys[:n]
+        ids = self._ids(keys)  # before reading self._busy: may grow it
+        live = counts > 0
+        if not live.all():
+            counts, ids = counts[live], ids[live]
+            keys = [key for key, on in zip(keys, live.tolist()) if on]
+        if not keys:
+            return
+        key_ns = counts * time_ns
+        np.add.at(self._busy, ids[:, 2 if mnemonic == "DPU" else 0], key_ns)
+        if mnemonic in ("MEM_RD", "MEM_WR"):
+            np.add.at(self._busy, ids[:, 1], key_ns)
+        counts = counts.tolist()
         record = getattr(self.trace, "charge", None)
-        busy = self._busy
-        total = 0
-        for key, count in zip(subarray_keys, counts):
-            count = int(count)
-            if count <= 0:
-                continue
-            total += count
-            key_ns = count * time_ns
-            if record is not None:
-                record(mnemonic, key, count, key_ns)
-            if mnemonic == "DPU":
-                busy[("dpu", *key[:2])] += key_ns
-            else:
-                busy[key] += key_ns
-                if mnemonic in ("MEM_RD", "MEM_WR"):
-                    busy[("grb", *key[:2])] += key_ns
-        if total:
-            self._time_ns[mnemonic] += total * time_ns
-            self._energy_nj[mnemonic] += total * energy_nj
-            self._counts[mnemonic] += total
+        if record is not None:
+            for key, count in zip(keys, counts):
+                record(mnemonic, key, count, count * time_ns)
+        total = sum(counts)
+        self._time_ns[mnemonic] += total * time_ns
+        self._energy_nj[mnemonic] += total * energy_nj
+        self._counts[mnemonic] += total
 
     # ----- flushing ----------------------------------------------------------
 
@@ -247,7 +287,7 @@ class BatchedAapScheduler:
     def flush(self) -> BatchReport:
         """Charge the queued batch to the ledger as one gang schedule."""
         serial = float(sum(self._time_ns.values()))
-        makespan = max(self._busy.values(), default=0.0)
+        makespan = float(self._busy.max()) if self._busy.size else 0.0
         commands = self.pending_commands
         record = getattr(self.trace, "flush", None)
         if record is not None and commands:
@@ -260,7 +300,7 @@ class BatchedAapScheduler:
                 energy_nj=self._energy_nj[mnemonic],
                 count=count,
             )
-        self._busy.clear()
+        self._busy.fill(0.0)
         self._time_ns.clear()
         self._energy_nj.clear()
         self._counts.clear()

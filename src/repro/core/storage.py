@@ -363,13 +363,6 @@ class BitPlaneStore:
             self._ecc[slot, row] = self._ecc_encoder(self._tensor[slot, row])
             self._ecc_rows_encoded += 1
 
-    def _reencode_rows(self, slot: int, start: int, stop: int) -> None:
-        if self._ecc is not None:
-            self._ecc[slot, start:stop] = self._ecc_encoder(
-                self._tensor[slot, start:stop]
-            )
-            self._ecc_rows_encoded += max(0, stop - start)
-
     # ----- packed word access (bulk kernels) ------------------------------
 
     def row_words(self, slot: int, row: int) -> np.ndarray:
@@ -384,6 +377,26 @@ class BitPlaneStore:
         """Store one row of packed words (caller upholds the tail rule)."""
         self._tensor[self._check_slot(slot), row] = words
         self._reencode_row(slot, row)
+
+    def scatter_rows(
+        self, slots: np.ndarray, rows: np.ndarray, words: np.ndarray
+    ) -> None:
+        """Store ``words[i]`` at ``(slots[i], rows[i])`` in one scatter.
+
+        The ``(slot, row)`` pairs must be distinct and the caller
+        upholds the tail rule.  The SECDED sidecar is re-encoded for
+        exactly the rows written, and each counts once towards
+        :meth:`drain_encoded_rows`, as :meth:`set_row_words` per row
+        would.
+        """
+        s = np.asarray(slots, dtype=np.intp)
+        r = np.asarray(rows, dtype=np.intp)
+        if s.size and not (0 <= s.min() and s.max() < self._n_slots):
+            raise IndexError(f"slots out of range 0..{self._n_slots - 1}")
+        self._tensor[s, r] = words
+        if self._ecc is not None:
+            self._ecc[s, r] = self._ecc_encoder(self._tensor[s, r])
+            self._ecc_rows_encoded += int(s.size)
 
     def copy_row(self, slot: int, src: int, des: int) -> None:
         """RowClone: pure word copy, no conversion."""
@@ -420,15 +433,6 @@ class BitPlaneStore:
         self._count("pack", slot, 1)
         self._tensor[self._check_slot(slot), row] = pack_rows(bits)
         self._reencode_row(slot, row)
-
-    def write_rows(self, slot: int, start: int, bits: np.ndarray) -> None:
-        """Pack a ``(n, cols)`` unpacked block into rows ``start..``."""
-        arr = np.asarray(bits, dtype=np.uint8)
-        self._count("pack", slot, arr.shape[0])
-        self._tensor[
-            self._check_slot(slot), start : start + arr.shape[0]
-        ] = pack_rows(arr)
-        self._reencode_rows(slot, start, start + arr.shape[0])
 
     def snapshot_slot(self, slot: int) -> np.ndarray:
         """Full unpacked ``(rows, cols)`` copy of one slot (debug/tests);

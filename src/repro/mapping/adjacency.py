@@ -226,6 +226,48 @@ def _wallace_column_sum_bulk(
     return total
 
 
+def _bucket_edges(
+    graph: DeBruijnGraph, nodes: Sequence[int], width: int
+) -> dict[str, list[tuple[dict[int, int], list[int], list[int]]]]:
+    """Bucket every edge by the width-``width`` chunk of ``nodes`` it hits.
+
+    One :meth:`DeBruijnGraph.edges` pass serves every chunk and both
+    directions — the paper's interval-block partitioning.  Per
+    direction and chunk the bucket holds ``(row_of, row_ids, cols)``:
+    the row index of each key vertex in first-seen edge order, and one
+    ``(row, column)`` hit per edge, so :func:`_dense_rows` rebuilds
+    exactly the rows a per-chunk scan would, in the same order.
+    """
+    place = {node: divmod(i, width) for i, node in enumerate(nodes)}
+    n_chunks = -(-len(nodes) // width)
+    buckets = {
+        direction: [({}, [], []) for _ in range(n_chunks)]
+        for direction in ("in", "out")
+    }
+    ins, outs = buckets["in"], buckets["out"]
+    for edge in graph.edges():
+        for chunks, key_node, chunk_node in (
+            (ins, edge.source, edge.target),
+            (outs, edge.target, edge.source),
+        ):
+            spot = place.get(chunk_node)
+            if spot is not None:
+                row_of, row_ids, cols = chunks[spot[0]]
+                row_ids.append(row_of.setdefault(key_node, len(row_of)))
+                cols.append(spot[1])
+    return buckets
+
+
+def _dense_rows(
+    bucket: tuple[dict[int, int], list[int], list[int]], width: int
+) -> list[np.ndarray]:
+    """One chunk's bucket as 0/1 adjacency rows of ``width`` columns."""
+    row_of, row_ids, cols = bucket
+    rows = np.zeros((len(row_of), width), dtype=np.uint8)
+    rows[row_ids, cols] = 1
+    return list(rows)
+
+
 def adjacency_rows_for_chunk(
     graph: DeBruijnGraph,
     chunk_nodes: Sequence[int],
@@ -241,22 +283,11 @@ def adjacency_rows_for_chunk(
     """
     if direction not in ("in", "out"):
         raise ValueError("direction must be 'in' or 'out'")
-    column = {node: i for i, node in enumerate(chunk_nodes)}
-    rows: dict[int, np.ndarray] = {}
+    if not chunk_nodes:
+        return []
     width = len(chunk_nodes)
-    for edge in graph.edges():
-        if direction == "in":
-            key_node, chunk_node = edge.source, edge.target
-        else:
-            key_node, chunk_node = edge.target, edge.source
-        if chunk_node not in column:
-            continue
-        row = rows.get(key_node)
-        if row is None:
-            row = np.zeros(width, dtype=np.uint8)
-            rows[key_node] = row
-        row[column[chunk_node]] = 1
-    return list(rows.values())
+    (bucket,) = _bucket_edges(graph, chunk_nodes, width)[direction]
+    return _dense_rows(bucket, width)
 
 
 def degree_vectors_pim(
@@ -267,10 +298,10 @@ def degree_vectors_pim(
 ) -> tuple[dict[int, int], dict[int, int]]:
     """In/out degrees of every vertex via in-memory column sums.
 
-    Chunks the vertex set by the row width (the ``n <= f`` rule) and
-    accumulates each chunk's degree vectors with
-    :func:`wallace_column_sum` (``engine="bulk"`` batches each
-    chunk's whole reduction).
+    Chunks the vertex set by the row width (the ``n <= f`` rule),
+    buckets the edges by chunk in one pass, and accumulates each
+    chunk's degree vectors with :func:`wallace_column_sum`
+    (``engine="bulk"`` batches each chunk's whole reduction).
 
     Warning:
         the scratch sub-array's data rows are freely overwritten — run
@@ -282,13 +313,14 @@ def degree_vectors_pim(
     """
     nodes = sorted(graph.nodes())
     width = pim.row_bits
+    buckets = _bucket_edges(graph, nodes, width)
     in_deg: dict[int, int] = {}
     out_deg: dict[int, int] = {}
-    for lo in range(0, len(nodes), width):
+    for index, lo in enumerate(range(0, len(nodes), width)):
         chunk = nodes[lo : lo + width]
         for direction, out in (("in", in_deg), ("out", out_deg)):
             checkpoint()  # per-chunk cancellation point
-            rows = adjacency_rows_for_chunk(graph, chunk, direction)
+            rows = _dense_rows(buckets[direction][index], len(chunk))
             if rows:
                 sums = wallace_column_sum(
                     pim, rows, subarray_key, engine=engine

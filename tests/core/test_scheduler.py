@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import CommandTrace, PimAssembler
-from repro.core.scheduler import TraceScheduler, audit_parallelism
+from repro.core.scheduler import (
+    BatchReport,
+    BatchedAapScheduler,
+    TraceScheduler,
+    audit_parallelism,
+)
 from repro.core.trace import CommandTrace as Trace
 
 
@@ -150,3 +155,127 @@ class TestAlgorithmAudit:
         wallace_column_sum(pim, rows)
         report = audit_parallelism(trace)
         assert report.parallel_speedup == pytest.approx(1.0)
+
+
+# ----- batched scheduler: vector charge vs a per-key reference loop -----
+
+
+class _RecordingLedger:
+    def __init__(self):
+        self.calls = []
+
+    def record(self, mnemonic, time_ns, energy_nj, count):
+        self.calls.append((mnemonic, time_ns, energy_nj, count))
+
+
+class _PerKeyScheduler(BatchedAapScheduler):
+    """Reference: busy time summed key by key into a dict."""
+
+    def __init__(self, ledger):
+        super().__init__(ledger)
+        self._ref_busy = {}
+
+    def charge(self, mnemonic, subarray_keys, counts):
+        time_ns, energy_nj = self.costs[mnemonic]
+        record = getattr(self.trace, "charge", None)
+        total = 0
+        for key, count in zip(subarray_keys, counts):
+            count = int(count)
+            if count <= 0:
+                continue
+            total += count
+            key_ns = count * time_ns
+            if record is not None:
+                record(mnemonic, key, count, key_ns)
+            if mnemonic == "DPU":
+                resources = [("dpu", *key[:2])]
+            elif mnemonic in ("MEM_RD", "MEM_WR"):
+                resources = [key, ("grb", *key[:2])]
+            else:
+                resources = [key]
+            for resource in resources:
+                self._ref_busy[resource] = (
+                    self._ref_busy.get(resource, 0.0) + key_ns
+                )
+        if total:
+            self._time_ns[mnemonic] += total * time_ns
+            self._energy_nj[mnemonic] += total * energy_nj
+            self._counts[mnemonic] += total
+
+    def flush(self):
+        serial = float(sum(self._time_ns.values()))
+        makespan = max(self._ref_busy.values(), default=0.0)
+        commands = self.pending_commands
+        if commands:
+            self.trace.flush(serial, makespan, commands)
+        scale = (makespan / serial) if serial > 0 else 0.0
+        for mnemonic, count in self._counts.items():
+            self.ledger.record(
+                mnemonic,
+                time_ns=self._time_ns[mnemonic] * scale,
+                energy_nj=self._energy_nj[mnemonic],
+                count=count,
+            )
+        self._ref_busy.clear()
+        self._time_ns.clear()
+        self._energy_nj.clear()
+        self._counts.clear()
+        return BatchReport(
+            serial_ns=serial, makespan_ns=makespan, commands=commands
+        )
+
+
+def _charge_script(sched):
+    """Batches with duplicate keys, zero counts, generators, dict_values."""
+    a, b, c, d = (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 3)
+    reports = []  # BatchReport is a frozen dataclass: compares by value
+    sched.charge("MEM_WR", [a, b, a, c, a], [3, 0, 7, 2, 5])
+    sched.charge("AAP1", (key for key in (b, b, d)), (n for n in (4, 9, 1)))
+    per_key = {a: 2, c: 0, d: 6}
+    sched.charge("DPU", per_key.keys(), per_key.values())
+    sched.charge("MEM_RD", [c, d, c], np.array([1, 11, 0]))
+    sched.charge("AAP2", [a, b], [0, 0])
+    reports.append(sched.flush())
+    sched.charge("AAP2", [d, d, d, a], np.array([5, 0, 5, 13]))
+    sched.charge("MEM_WR", iter([d, a]), {0: 2, 1: 8}.values())
+    sched.charge("AAP1", [], [])
+    shared = [a, b]  # one key list, mutated between two charges
+    sched.charge("AAP1", shared, [1, 2])
+    shared[1] = d
+    sched.charge("AAP1", shared, [3, 4])
+    sched.charge("MEM_RD", [a, b, c], [2, 1])  # zip: the shorter wins
+    reports.append(sched.flush())
+    reports.append(sched.flush())  # an empty batch
+    return reports
+
+
+class TestVectorCharge:
+    def run(self, cls):
+        ledger = _RecordingLedger()
+        sched = cls(ledger)
+        sched.trace = Trace()
+        reports = _charge_script(sched)
+        return reports, ledger.calls, sched.trace.charges, sched.trace.flushes
+
+    def test_bit_identical_to_per_key_loop(self):
+        reports, calls, charges, flushes = self.run(BatchedAapScheduler)
+        ref = self.run(_PerKeyScheduler)
+        # exact equality, not approx: same float sums in the same order
+        assert reports == ref[0]
+        assert calls == ref[1]
+        assert charges == ref[2]
+        assert flushes == ref[3]
+        assert reports[-1] == BatchReport(0.0, 0.0, 0)
+        assert all(count > 0 for _, _, count, _ in charges)
+        # duplicate keys keep one record per share, in key order
+        assert [c[1] for c in charges[:3]] == [(0, 0, 0), (0, 0, 0), (0, 1, 0)]
+
+    def test_state_resets_between_batches(self):
+        ledger = _RecordingLedger()
+        sched = BatchedAapScheduler(ledger)
+        sched.charge("AAP1", [(0, 0, 0)], [100])
+        big = sched.flush()
+        sched.charge("AAP1", [(0, 0, 1)], [1])
+        small = sched.flush()
+        assert small.makespan_ns == pytest.approx(big.makespan_ns / 100)
+        assert sched.pending_commands == 0

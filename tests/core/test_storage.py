@@ -167,6 +167,32 @@ class TestStoreBasics:
         with pytest.raises(IndexError):
             store.read_row(0, 0)
 
+    def test_scatter_rows_equals_per_row_writes_with_ecc(self):
+        from repro.core.integrity import encode_secded
+
+        rng = np.random.default_rng(3)
+        slots = np.array([0, 2, 1, 0])
+        rows = np.array([1, 5, 5, 6])
+        words = rng.integers(0, 2**64, size=(4, 2), dtype=np.uint64)
+        words &= col_mask(100)
+        stores = []
+        for _ in range(2):
+            store = BitPlaneStore(rows=8, cols=100)
+            for _ in range(3):
+                store.new_slot()
+            store.enable_ecc(encode_secded)
+            store.drain_encoded_rows()
+            stores.append(store)
+        scattered, per_row = stores
+        scattered.scatter_rows(slots, rows, words)
+        for slot, row, w in zip(slots, rows, words):
+            per_row.set_row_words(int(slot), int(row), w)
+        assert np.array_equal(scattered.tensor, per_row.tensor)
+        assert np.array_equal(scattered.ecc_plane, per_row.ecc_plane)
+        assert scattered.drain_encoded_rows() == per_row.drain_encoded_rows()
+        with pytest.raises(IndexError):
+            scattered.scatter_rows(np.array([3]), np.array([0]), words[:1])
+
 
 class TestBitFields:
     def test_gather_scatter_round_trip(self):
