@@ -1,22 +1,16 @@
 """Perf trajectory for the bulk execution engine (scalar vs bulk).
 
-Microbenchmarks the simulator's two hot paths under both execution
-engines and writes ``BENCH_hotpath.json`` so future changes have a
-recorded baseline:
+Microbenchmarks the simulator's hot path under both execution engines
+and writes ``BENCH_hotpath.json`` so future changes have a recorded
+baseline:
 
-* **compare_scan** — Q queries scanned against an n-row block
-  (the hash-table probe loop);
-* **ripple_add** — repeated m-bit-plane in-memory additions
-  (the Wallace degree reduction's final stage);
 * **hashmap** — end-to-end k-mer counting of a read set (the gang
   coalescing across sub-array partitions).
 
-Each entry records simulator *wall-clock* seconds and *modeled* device
-nanoseconds.  ``--check`` asserts the per-kernel wall-clock floors in
-:data:`MIN_SPEEDUP` (raised to 10x on compare_scan and hashmap by the
-columnar packed storage rewrite), plus the packed-footprint bound; with
-``--paper-scale`` it additionally requires >= 50x on at least one of
-compare_scan/hashmap.
+The entry records simulator *wall-clock* seconds and *modeled* device
+nanoseconds.  ``--check`` asserts the wall-clock floor in
+:data:`MIN_SPEEDUP` plus the packed-footprint bound; with
+``--paper-scale`` it additionally requires >= 50x on the hashmap.
 
 Usage::
 
@@ -35,29 +29,20 @@ from pathlib import Path
 import numpy as np
 
 #: per-kernel wall-clock speedup floors (asserted by ``--check``)
-MIN_SPEEDUP = {
-    "compare_scan": 10.0,
-    "hashmap": 10.0,
-    "ripple_add": 3.0,
-}
+MIN_SPEEDUP = {"hashmap": 10.0}
 
-#: --paper-scale must demonstrate this on compare_scan or hashmap
+#: --paper-scale must demonstrate this on the hashmap
 PAPER_SCALE_TARGET = 50.0
 
-#: benchmark sizes per mode
+#: hashmap sizes per mode: (reads, read_len, subarrays)
 SIZES = {
-    # (scan n_rows, scan queries), add rounds, (reads, read_len, subarrays)
-    "quick": {"scan": (40, 200), "add_rounds": 30, "hashmap": (10, 60, 128)},
-    "full": {"scan": (120, 2000), "add_rounds": 200, "hashmap": (60, 100, 512)},
-    # paper-scale: tens of thousands of probes / k-mers, where the
-    # scalar engine's per-op Python dispatch dominates end to end
-    # (~17.9k k-mers need the 1024-partition headroom: mostly-unique
-    # 9-mers average ~17 of each partition's 44 table slots)
-    "paper": {
-        "scan": (120, 20000),
-        "add_rounds": 400,
-        "hashmap": (160, 120, 1024),
-    },
+    "quick": (10, 60, 128),
+    "full": (60, 100, 512),
+    # paper-scale: ~17.9k k-mers, where the scalar engine's per-op
+    # Python dispatch dominates end to end (they need the
+    # 1024-partition headroom: mostly-unique 9-mers average ~17 of
+    # each partition's 44 table slots)
+    "paper": (160, 120, 1024),
 }
 
 
@@ -71,123 +56,13 @@ def _best_wall(fn, repeats: int) -> float:
     return best
 
 
-def bench_compare_scan(mode: str, repeats: int) -> dict:
-    from repro.core import PimAssembler
-    from repro.core.bitplane import BulkEngine
-    from repro.core.isa import RowAddress
-
-    n_rows, n_queries = SIZES[mode]["scan"]
-    width = 64
-    rng = np.random.default_rng(1)
-    block = rng.integers(0, 2, (n_rows, width)).astype(np.uint8)
-    queries = np.vstack(
-        [
-            block[rng.integers(0, n_rows)]
-            if rng.random() < 0.5
-            else rng.integers(0, 2, width).astype(np.uint8)
-            for _ in range(n_queries)
-        ]
-    )
-    start_row = 4
-
-    def setup():
-        pim = PimAssembler.small(subarrays=4, rows=256, cols=width)
-        sub = pim.device.subarray_at((0, 0, 0))
-        for i, row in enumerate(block):
-            sub.write_row(start_row + i, row)
-        return pim, RowAddress(bank=0, mat=0, subarray=0, row=0)
-
-    def scalar():
-        pim, temp = setup()
-        ctrl = pim.controller
-        for q in queries:
-            ctrl.write_row(temp, q)
-            ctrl.compare_scan(temp, start_row, n_rows, None)
-        return pim
-
-    def bulk():
-        pim, temp = setup()
-        BulkEngine(pim).compare_scan_batch(temp, queries, start_row, n_rows)
-        return pim
-
-    wall_scalar = _best_wall(scalar, repeats)
-    wall_bulk = _best_wall(bulk, repeats)
-    modeled_scalar = scalar().controller.ledger.totals().time_ns
-    modeled_bulk = bulk().controller.ledger.totals().time_ns
-    return {
-        "params": {"n_rows": n_rows, "n_queries": n_queries, "width": width},
-        "scalar": {"wall_s": wall_scalar, "modeled_ns": modeled_scalar},
-        "bulk": {"wall_s": wall_bulk, "modeled_ns": modeled_bulk},
-        "wall_speedup": wall_scalar / wall_bulk,
-        "queries_per_s": {
-            "scalar": n_queries / wall_scalar,
-            "bulk": n_queries / wall_bulk,
-        },
-    }
-
-
-def bench_ripple_add(mode: str, repeats: int) -> dict:
-    from repro.core import PimAssembler
-    from repro.core.bitplane import BulkEngine, words_to_planes
-    from repro.core.isa import RowAddress
-
-    bits = 8
-    rounds = SIZES[mode]["add_rounds"]
-    width = 64
-    rng = np.random.default_rng(2)
-    a_vals = rng.integers(0, 1 << bits, width).astype(np.int64) >> 1
-    b_vals = rng.integers(0, 1 << bits, width).astype(np.int64) >> 1
-
-    def setup():
-        pim = PimAssembler.small(subarrays=2, rows=256, cols=width)
-        sub = pim.device.subarray_at((0, 0, 0))
-        addr = lambda row: RowAddress(bank=0, mat=0, subarray=0, row=row)
-        for base, vals in ((4, a_vals), (4 + bits, b_vals)):
-            planes = words_to_planes(vals, bits)
-            for i in range(bits):
-                sub.write_row(base + i, planes[i])
-        a = [addr(4 + i) for i in range(bits)]
-        b = [addr(4 + bits + i) for i in range(bits)]
-        s = [addr(4 + 2 * bits + i) for i in range(bits)]
-        carry = addr(4 + 3 * bits)
-        return pim, a, b, s, carry
-
-    def scalar():
-        pim, a, b, s, carry = setup()
-        for _ in range(rounds):
-            pim.controller.ripple_add(a, b, s, carry)
-        return pim
-
-    def bulk():
-        pim, a, b, s, carry = setup()
-        engine = BulkEngine(pim)
-        for _ in range(rounds):
-            engine.ripple_add_block(a, b, s, carry)
-        return pim
-
-    wall_scalar = _best_wall(scalar, repeats)
-    wall_bulk = _best_wall(bulk, repeats)
-    modeled_scalar = scalar().controller.ledger.totals().time_ns
-    modeled_bulk = bulk().controller.ledger.totals().time_ns
-    return {
-        "params": {"bit_planes": bits, "rounds": rounds, "width": width},
-        "scalar": {"wall_s": wall_scalar, "modeled_ns": modeled_scalar},
-        "bulk": {"wall_s": wall_bulk, "modeled_ns": modeled_bulk},
-        "wall_speedup": wall_scalar / wall_bulk,
-        "adds_per_s": {
-            "scalar": rounds / wall_scalar,
-            "bulk": rounds / wall_bulk,
-        },
-    }
-
-
 def bench_hashmap(mode: str, repeats: int) -> dict:
     from repro.assembly.hashmap import PimKmerCounter
     from repro.core import PimAssembler
     from repro.genome.reads import Read
     from repro.genome.sequence import DnaSequence
 
-    n_reads, read_len, subarrays = SIZES[mode]["hashmap"]
+    n_reads, read_len, subarrays = SIZES[mode]
     rng = np.random.default_rng(3)
     reads = [
         Read(
@@ -260,14 +135,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--paper-scale",
         action="store_true",
-        help="tens of thousands of probes/k-mers per kernel; with "
-        f"--check, requires >= {PAPER_SCALE_TARGET}x on at least one "
-        "of compare_scan/hashmap",
+        help="tens of thousands of k-mers; with --check, requires "
+        f">= {PAPER_SCALE_TARGET}x on the hashmap",
     )
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail unless bulk holds the per-kernel wall-clock floors "
+        help="fail unless bulk holds the wall-clock floor "
         f"({MIN_SPEEDUP}) and the packed footprint bound",
     )
     parser.add_argument(
@@ -293,13 +167,11 @@ def main(argv: list[str] | None = None) -> int:
         "mode": {"paper": "paper-scale"}.get(mode, mode),
         "min_speedup_floor": MIN_SPEEDUP,
         "paper_scale_target": PAPER_SCALE_TARGET,
-        "compare_scan": bench_compare_scan(mode, repeats),
-        "ripple_add": bench_ripple_add(mode, repeats),
         "hashmap": bench_hashmap(mode, repeats),
         "footprint": measure_footprint(),
     }
 
-    for name in ("compare_scan", "ripple_add", "hashmap"):
+    for name in MIN_SPEEDUP:
         entry = results[name]
         print(
             f"{name:>14}: scalar {entry['scalar']['wall_s'] * 1e3:8.1f} ms"
@@ -328,20 +200,16 @@ def main(argv: list[str] | None = None) -> int:
                 f"footprint {fp['packed_bytes_per_subarray']} B exceeds "
                 f"bound {fp['bound_bytes']} B"
             )
-        if mode == "paper":
-            best = max(
-                results["compare_scan"]["wall_speedup"],
-                results["hashmap"]["wall_speedup"],
+        speedup = results["hashmap"]["wall_speedup"]
+        if mode == "paper" and speedup < PAPER_SCALE_TARGET:
+            failures.append(
+                f"paper-scale hashmap {speedup:.1f}x < {PAPER_SCALE_TARGET}x"
             )
-            if best < PAPER_SCALE_TARGET:
-                failures.append(
-                    f"paper-scale best {best:.1f}x < {PAPER_SCALE_TARGET}x"
-                )
         if failures:
             print("FAIL: " + "; ".join(failures))
             return 1
         print(
-            "OK: per-kernel floors "
+            "OK: the hashmap floor "
             + (
                 f"and the {PAPER_SCALE_TARGET}x paper-scale target hold"
                 if mode == "paper"

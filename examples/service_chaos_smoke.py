@@ -39,7 +39,6 @@ SCENARIO = ChaosConfig(
     tenants=3,
     jobs_per_tenant=5,
     max_queued=3,
-    degrade_engine_depth=4,
     weights={
         "none": 2,
         "kill": 3,

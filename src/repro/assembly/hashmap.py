@@ -648,9 +648,8 @@ class PimKmerCounter:
     ) -> "PimKmerCounter":
         """Re-attach a counter to a platform restored from a snapshot.
 
-        ``engine`` may differ from the snapshotting run's (the job
-        runtime's degradation ladder downgrades bulk → scalar); the
-        table protocol is engine-agnostic, so this is safe.
+        ``engine`` need not match the snapshotting run's: the table
+        protocol is engine-agnostic.
         """
         counter = cls(
             pim,

@@ -110,8 +110,7 @@ class PimPipeline:
             issues one round per read, the golden arrival granularity;
             larger rounds produce identical tables/contigs/command
             counts (the arrival order is unchanged) but a coarser gang
-            schedule.  The job runtime's degradation ladder shrinks
-            this under memory pressure.
+            schedule.
     """
 
     def __init__(
@@ -257,7 +256,11 @@ class PimPipeline:
                 # traversal — followed by the path walk.
                 with span("traverse.degrees"):
                     state.degrees = degree_vectors_pim(
-                        pim, state.graph, engine=self.engine
+                        pim,
+                        state.graph,
+                        # scratch space must avoid quarantined sub-arrays
+                        subarray_key=pim.usable_subarray_keys()[0],
+                        engine=self.engine,
                     )
                 with span("traverse.contigs"):
                     state.contigs = assemble_contigs(

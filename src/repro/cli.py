@@ -19,7 +19,7 @@ The subcommands cover the workflows a downstream user needs:
   directory (works on finished, crashed and timed-out jobs);
 * ``pim-assembler serve`` — drive a batch of jobs from a JSON manifest
   through the multi-tenant assembly service (admission control, fair
-  scheduling, crash-resume, graceful degradation); exit 4 when
+  scheduling, crash-resume); exit 4 when
   submissions were shed by admission control;
 * ``pim-assembler simulate`` — generate a synthetic reference and a
   read set (single- or paired-end) for experiments;
@@ -217,8 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         parents=[shared],
         help="run a batch of assembly jobs through the multi-tenant "
-        "service (per-tenant quotas, fair scheduling, crash-resume, "
-        "graceful degradation); exit 4 if admission shed submissions",
+        "service (per-tenant quotas, fair scheduling, crash-resume); "
+        "exit 4 if admission shed submissions",
         description="--ecc and --retention-interval-s set batch "
         "defaults; a job's manifest 'ecc'/'retention_interval_s' keys "
         "override them",
@@ -731,6 +731,15 @@ def _cmd_optimize_trace(args: argparse.Namespace) -> int:
     return EXIT_OK if result.report.ok else EXIT_FINDINGS
 
 
+#: serve-manifest keys whose knobs no longer exist; naming one is an
+#: input error rather than a silently ignored setting
+_RETIRED_MANIFEST_KEYS = (
+    "workers",
+    "degrade_engine_depth",
+    "degrade_batch_depth",
+)
+
+
 def _parse_serve_manifest(path: str) -> dict:
     """Load and structurally validate a ``serve`` batch manifest."""
     import json
@@ -748,11 +757,13 @@ def _parse_serve_manifest(path: str) -> dict:
         raise InputError(f"manifest {path} is not valid JSON: {exc}")
     if not isinstance(manifest, dict):
         raise InputError(f"manifest {path} must be a JSON object")
-    if "workers" in manifest:
-        raise InputError(
-            f"manifest {path}: 'workers' is not a manifest key (the "
-            "service runs one job per scheduling round)"
-        )
+    for key in _RETIRED_MANIFEST_KEYS:
+        if key in manifest:
+            raise InputError(
+                f"manifest {path}: {key!r} is not a manifest key (the "
+                "service runs one job per scheduling round, on the "
+                "engine and batch size its job config names)"
+            )
     jobs = manifest.get("jobs")
     if not isinstance(jobs, list) or not jobs:
         raise InputError(
@@ -809,8 +820,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = ServiceConfig(
             max_total_queued=int(manifest.get("max_total_queued", 64)),
             max_dispatches=int(manifest.get("max_dispatches", 3)),
-            degrade_engine_depth=manifest.get("degrade_engine_depth"),
-            degrade_batch_depth=manifest.get("degrade_batch_depth"),
             seed=int(manifest.get("seed", 0)),
         )
     except (TypeError, ValueError) as exc:

@@ -11,10 +11,10 @@ instantiated sub-array, packed 64 columns per machine word::
 
 :class:`BitPlaneStore` owns that tensor.  Sub-arrays become lightweight
 view handles (a slot index plus a store reference); whole-bank kernels
-(:mod:`repro.core.bitplane`, the hashmap bulk path) index the tensor
-directly and compute XNOR/popcount/compare over packed words — XNOR is
-``~(a ^ b)`` on uint64, popcount is ``np.bitwise_count`` (16-bit lookup
-table fallback) — across all sub-arrays in one NumPy expression.
+(the hashmap and adjacency bulk paths) index the tensor directly and
+compute XNOR/popcount/compare over packed words — XNOR is ``~(a ^ b)``
+on uint64, popcount is ``np.bitwise_count`` (16-bit lookup table
+fallback) — across all sub-arrays in one NumPy expression.
 
 Pack boundary rule
 ==================
@@ -61,8 +61,6 @@ __all__ = [
     "WORD_BITS",
     "BitPlaneStore",
     "col_mask",
-    "compare_many_packed",
-    "hamming_many_packed",
     "pack_rows",
     "popcount_words",
     "unpack_rows",
@@ -71,11 +69,6 @@ __all__ = [
 
 #: columns per packed machine word
 WORD_BITS = 64
-
-#: byte budget for the ``(Q, n, w)`` broadcast intermediates of the
-#: many-query kernels; chunking over queries keeps paper-scale batches
-#: (tens of thousands of queries) inside a fixed working set
-DEFAULT_CHUNK_BYTES = 1 << 26
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -177,57 +170,6 @@ def popcount_words(words: np.ndarray, axis: int | None = -1) -> np.ndarray:
     if axis is None:
         return counts
     return counts.sum(axis=axis)
-
-
-def compare_many_packed(
-    q_words: np.ndarray,
-    block: np.ndarray,
-    mask: np.ndarray | None = None,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> np.ndarray:
-    """Boolean match matrix ``(Q, n)`` over packed words.
-
-    A query matches a block row when their masked words are identical.
-    The ``(q, n, w)`` XOR intermediate is evaluated in query chunks of
-    at most ``chunk_bytes`` so paper-scale batches never materialise a
-    multi-GB broadcast.
-    """
-    q = np.asarray(q_words, dtype=np.uint64)
-    b = np.asarray(block, dtype=np.uint64)
-    if mask is not None:
-        b = b & mask
-    n, w = b.shape
-    out = np.empty((q.shape[0], n), dtype=bool)
-    step = max(1, chunk_bytes // max(1, n * w * 8))
-    for lo in range(0, q.shape[0], step):
-        qc = q[lo : lo + step]
-        if mask is not None:
-            qc = qc & mask
-        diff = qc[:, None, :] ^ b[None, :, :]
-        out[lo : lo + step] = ~diff.any(axis=2)
-    return out
-
-
-def hamming_many_packed(
-    q_words: np.ndarray,
-    block: np.ndarray,
-    mask: np.ndarray | None = None,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-) -> np.ndarray:
-    """Hamming distances ``(Q, n)`` over packed words, query-chunked."""
-    q = np.asarray(q_words, dtype=np.uint64)
-    b = np.asarray(block, dtype=np.uint64)
-    if mask is not None:
-        b = b & mask
-    n, w = b.shape
-    out = np.empty((q.shape[0], n), dtype=np.int64)
-    step = max(1, chunk_bytes // max(1, n * w * 8))
-    for lo in range(0, q.shape[0], step):
-        qc = q[lo : lo + step]
-        if mask is not None:
-            qc = qc & mask
-        out[lo : lo + step] = popcount_words(qc[:, None, :] ^ b[None, :, :])
-    return out
 
 
 class BitPlaneStore:

@@ -217,7 +217,7 @@ class CircuitOpenError(AdmissionError):
 
 
 class JobFailedError(ReproError):
-    """Every rung of the retry/degradation ladder was exhausted.
+    """Every rung of the retry ladder was exhausted.
 
     Attributes:
         stage: the stage that could not be completed.
@@ -233,7 +233,7 @@ class JobFailedError(ReproError):
         self.last_error = last_error
         super().__init__(
             f"stage {stage!r} failed after {attempts} attempts across the "
-            f"degradation ladder: {last_error}"
+            f"retry ladder: {last_error}"
         )
 
 

@@ -7,8 +7,8 @@ into resumable, deadline-bounded jobs:
   journal (`kill -9`-safe; resumes are bit-identical),
 * :mod:`repro.runtime.watchdog` — cooperative cancellation checkpoints
   with per-stage / whole-job deadline budgets,
-* :mod:`repro.runtime.jobs` — the :class:`JobRunner` retry ladder and
-  degradation chain.
+* :mod:`repro.runtime.jobs` — the :class:`JobRunner` retry ladder
+  (quarantine-or-retry over stage-entry rollbacks).
 
 The assembly modules import :func:`checkpoint` from here, and
 ``jobs`` imports the assembly pipeline — so the jobs symbols are

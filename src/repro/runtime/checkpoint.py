@@ -7,7 +7,7 @@ Layout of a job directory::
       MANIFEST            append-only index: "<seq> <stage> <file> <sha256>"
       MANIFEST.lock       advisory exclusive runner lock (flock)
       records/<file>      one JSON record per journaled stage boundary
-      decisions.jsonl     append-only retry/degradation decision log
+      decisions.jsonl     append-only retry decision log
 
 Every record file is named and indexed by the SHA-256 of its exact
 byte content, so a record that was being written when the process died
@@ -232,7 +232,7 @@ class JobJournal:
         return RecordRef(seq=seq, stage=stage, filename=filename, sha256=digest)
 
     def log_decision(self, decision: dict) -> None:
-        """Append one retry/degradation decision (informational log)."""
+        """Append one retry decision (informational log)."""
         with open(self.decisions_path, "a", encoding="ascii") as handle:
             handle.write(json.dumps(decision, sort_keys=True) + "\n")
 

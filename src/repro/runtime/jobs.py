@@ -17,12 +17,14 @@ one job:
   :class:`~repro.errors.StageTimeoutError` always leaves a resumable
   journal behind;
 * a retry ladder with capped, fingerprint-seeded jittered backoff
-  degrades the job the
-  same way :class:`~repro.core.resilience.ResiliencePolicy` degrades an
-  op — one level up: **bulk engine → scalar replay → reduced batch
-  size → quarantine-and-continue** — rolling the stage back to its
-  entry snapshot before every rung so retries replay deterministically.
-  Every decision is journaled and surfaces in the :class:`JobReport`.
+  quarantines the failing sub-array (when the error names one and a
+  resilience engine is attached) or plainly retries, rolling the stage
+  back to its entry snapshot before every attempt so retries replay
+  deterministically.  The job runs on the engine and batch size its
+  :class:`JobConfig` names from first dispatch to completion: the bulk
+  engine is bit-identical to the scalar one, so switching engines
+  could never change an outcome.  Every decision is journaled and
+  surfaces in the :class:`JobReport`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import hashlib
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -75,7 +77,7 @@ RESULT_STAGE = "result"
 
 #: errors the retry ladder re-attempts (fault-class failures the
 #: resilience layer could not absorb, plus capacity collapses a
-#: degraded re-plan may route around)
+#: quarantine re-plan may route around)
 RETRYABLE_ERRORS = (
     UncorrectableFaultError,
     VerificationError,
@@ -203,42 +205,13 @@ class JobConfig:
 
 @dataclass(frozen=True)
 class JobDecision:
-    """One recorded retry/degradation decision."""
+    """One recorded retry decision."""
 
     stage: str
     attempt: int
     action: str
     error: str
     backoff_s: float
-    engine: str
-    batch_reads: int | None
-
-    def state_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "attempt": self.attempt,
-            "action": self.action,
-            "error": self.error,
-            "backoff_s": self.backoff_s,
-            "engine": self.engine,
-            "batch_reads": self.batch_reads,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "JobDecision":
-        return cls(
-            stage=str(state["stage"]),
-            attempt=int(state["attempt"]),
-            action=str(state["action"]),
-            error=str(state["error"]),
-            backoff_s=float(state["backoff_s"]),
-            engine=str(state["engine"]),
-            batch_reads=(
-                None
-                if state.get("batch_reads") is None
-                else int(state["batch_reads"])
-            ),
-        )
 
 
 @dataclass
@@ -250,8 +223,6 @@ class JobReport:
     resumed_from: str | None = None
     stages_run: list[str] = field(default_factory=list)
     decisions: list[JobDecision] = field(default_factory=list)
-    final_engine: str = "scalar"
-    final_batch_reads: int | None = None
     completed: bool = False
 
     def __str__(self) -> str:
@@ -265,7 +236,7 @@ class JobReport:
         return (
             f"job={self.job_dir} from={source} "
             f"stages={'+'.join(self.stages_run) or '-'} "
-            f"engine={self.final_engine} decisions=[{actions}] "
+            f"decisions=[{actions}] "
             f"completed={self.completed}"
         )
 
@@ -276,28 +247,6 @@ class JobOutcome:
 
     result: AssemblyResult
     report: JobReport
-
-
-@dataclass
-class _RuntimeSettings:
-    """Mutable execution knobs the degradation ladder adjusts."""
-
-    engine: str
-    batch_reads: int | None
-
-    def state_dict(self) -> dict:
-        return {"engine": self.engine, "batch_reads": self.batch_reads}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "_RuntimeSettings":
-        return cls(
-            engine=state["engine"],
-            batch_reads=(
-                None
-                if state["batch_reads"] is None
-                else int(state["batch_reads"])
-            ),
-        )
 
 
 class JobRunner:
@@ -331,15 +280,8 @@ class JobRunner:
         self._pim: PimAssembler | None = None
         self._pipeline: PimPipeline | None = None
         self._state: PipelineState | None = None
-        self._runtime = _RuntimeSettings(
-            engine=config.engine, batch_reads=config.batch_reads
-        )
         self._backoff_rng: "random.Random | None" = None
-        self.report = JobReport(
-            job_dir=str(job_dir),
-            final_engine=config.engine,
-            final_batch_reads=config.batch_reads,
-        )
+        self.report = JobReport(job_dir=str(job_dir))
 
     # ----- public API -------------------------------------------------------
 
@@ -413,8 +355,6 @@ class JobRunner:
         result = self._pipeline.result(self._state)
         self.journal.append(RESULT_STAGE, self._payload(RESULT_STAGE))
         self.report.completed = True
-        self.report.final_engine = self._runtime.engine
-        self.report.final_batch_reads = self._runtime.batch_reads
         return JobOutcome(result, self.report)
 
     def resume(self, reads: Iterable) -> JobOutcome:
@@ -487,8 +427,8 @@ class JobRunner:
             min_contig_length=self.config.min_contig_length,
             simplify=self.config.simplify,
             resilience=None,  # the engine is attached/restored on pim
-            engine=self._runtime.engine,
-            batch_reads=self._runtime.batch_reads,
+            engine=self.config.engine,
+            batch_reads=self.config.batch_reads,
         )
 
     def _payload(self, stage: str) -> dict:
@@ -496,7 +436,6 @@ class JobRunner:
         state = self._state
         payload = {
             "stage": stage,
-            "runtime": self._runtime.state_dict(),
             "platform": self._pim.state_dict(),
             "counter": (
                 None if state.counter is None else state.counter.state_dict()
@@ -525,14 +464,18 @@ class JobRunner:
         return payload
 
     def _restore_payload(self, payload: dict) -> None:
+        """Rebuild the execution state from one journal record.
+
+        Records written before the engine was fixed per job also carry
+        a ``"runtime"`` key; it is ignored, the config names the engine.
+        """
         from repro.assembly.hashmap import PimKmerCounter
 
-        self._runtime = _RuntimeSettings.from_state(payload["runtime"])
         pim = PimAssembler.from_state(payload["platform"])
         state = PipelineState()
         if payload["counter"] is not None:
             state.counter = PimKmerCounter.from_state(
-                pim, payload["counter"], engine=self._runtime.engine
+                pim, payload["counter"], engine=self.config.engine
             )
         if payload["counts"] is not None:
             state.counts = Counter(
@@ -574,7 +517,7 @@ class JobRunner:
             ),
         )
 
-    # ----- the retry/degradation ladder -------------------------------------
+    # ----- the retry ladder -------------------------------------------------
 
     def _run_stage(self, stage: str, reads, watchdog: Watchdog | None) -> None:
         entry = self._payload(f"entry-{stage}")  # in-memory rollback point
@@ -586,8 +529,8 @@ class JobRunner:
                     f"job.attempt.{stage}",
                     lane="job",
                     attempt=attempt,
-                    engine=self._runtime.engine,
-                    batch_reads=self._runtime.batch_reads,
+                    engine=self.config.engine,
+                    batch_reads=self.config.batch_reads,
                 ):
                     self._execute_stage(stage, reads, watchdog)
                 with span(f"job.checkpoint.{stage}", lane="job"):
@@ -602,7 +545,7 @@ class JobRunner:
                     self._decide(stage, attempt, "give-up", exc, 0.0)
                     raise JobFailedError(stage, attempt, exc) from exc
                 backoff = self._backoff(attempt)
-                action = self._degrade(exc)
+                action = self._quarantine_or_retry(exc)
                 self._decide(stage, attempt, action, exc, backoff)
                 inc("job.retries")
                 if backoff > 0:
@@ -640,20 +583,10 @@ class JobRunner:
             backoff = min(self.config.backoff_cap_s, backoff)
         return backoff
 
-    def _degrade(self, error: BaseException) -> str:
-        """Pick the next ladder rung; mutate the runtime settings.
-
-        The chain mirrors the per-op resilience escalation one level
-        up: bulk engine → scalar replay → reduced batch size →
-        quarantine-and-continue → plain retry (re-staged by backoff).
-        """
-        runtime = self._runtime
-        if runtime.engine == "bulk":
-            runtime.engine = "scalar"
-            return "degrade-bulk-to-scalar"
-        if runtime.batch_reads is not None and runtime.batch_reads > 1:
-            runtime.batch_reads = max(1, runtime.batch_reads // 4)
-            return f"reduce-batch-to-{runtime.batch_reads}"
+    def _quarantine_or_retry(self, error: BaseException) -> str:
+        """Pick the next ladder rung: retire the sub-array the error
+        names (once, when a resilience engine is attached), otherwise
+        plainly retry (re-staged by backoff)."""
         key = getattr(error, "subarray_key", None)
         engine = self._pim.resilience
         if key is not None and engine is not None and not engine.is_quarantined(
@@ -664,14 +597,8 @@ class JobRunner:
         return "retry"
 
     def _rollback(self, entry: dict) -> None:
-        """Restore the stage-entry snapshot (keeping degraded settings)."""
-        runtime = self._runtime
+        """Restore the stage-entry snapshot (keeping quarantines)."""
         self._restore_payload(entry)
-        # _restore_payload resets the runtime from the snapshot; a
-        # ladder decision must survive the rollback
-        self._runtime = runtime
-        self._pipeline.engine = runtime.engine
-        self._pipeline.batch_reads = runtime.batch_reads
         # quarantine decisions must survive too: re-apply to the
         # restored engine (snapshot predates the decision)
         for decision in self.report.decisions:
@@ -697,13 +624,9 @@ class JobRunner:
             action=action,
             error=f"{type(error).__name__}: {error}",
             backoff_s=backoff_s,
-            engine=self._runtime.engine,
-            batch_reads=self._runtime.batch_reads,
         )
         self.report.decisions.append(decision)
-        self.report.final_engine = self._runtime.engine
-        self.report.final_batch_reads = self._runtime.batch_reads
-        self.journal.log_decision(decision.state_dict())
+        self.journal.log_decision(asdict(decision))
         inc(f"job.decisions.{action.split('-')[0]}")
         event(
             "job.decision",

@@ -23,15 +23,13 @@ needs between "a job" and "heavy traffic":
   so every admitted job reaches a terminal state;
 * **circuit breaking** (:mod:`repro.service.breaker`) — tenants with
   repeated terminal failures are shed/held until a cooldown and a
-  successful probe;
-* **graceful degradation** — under queue pressure, *newly dispatched*
-  jobs step down the same bulk → scalar → reduced-batch ladder the
-  retry path uses on faults, trading simulation speed for capacity
-  while keeping results bit-identical (engine equivalence is a tested
-  invariant).
+  successful probe.
+
+Every dispatch runs the submission's own :class:`JobConfig`: the queue
+depth never changes a job's engine or batch size.
 
 Everything the scheduler decides is observable: queue-depth gauges,
-per-tenant latency histograms, shed/trip/degrade counters and a
+per-tenant latency histograms, shed/trip/requeue counters and a
 ``service`` lane of span events feed the observability layer when a
 registry/tracer is active; because jobs run on the scheduling thread,
 their stage spans and metrics land in the same session, nested under
@@ -52,7 +50,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -120,12 +118,6 @@ class ServiceConfig:
         breaker_threshold / breaker_cooldown_rounds: per-tenant circuit
             breaker parameters (consecutive terminal failures to trip,
             rounds until half-open).
-        degrade_engine_depth: total queued jobs at which newly
-            dispatched ``bulk`` jobs are stepped down to ``scalar``
-            (``None`` disables).
-        degrade_batch_depth: total queued jobs at which newly
-            dispatched jobs also get their read batch quartered
-            (``None`` disables).
         seed: seed of the scheduler's own RNG (requeue jitter); keeps
             whole-service runs replayable.
     """
@@ -137,8 +129,6 @@ class ServiceConfig:
     requeue_cap_rounds: int = 8
     breaker_threshold: int = 3
     breaker_cooldown_rounds: int = 8
-    degrade_engine_depth: "int | None" = None
-    degrade_batch_depth: "int | None" = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -146,10 +136,6 @@ class ServiceConfig:
             raise ValueError("max_dispatches must be >= 1")
         if self.requeue_base_rounds < 0 or self.requeue_cap_rounds < 0:
             raise ValueError("requeue backoff rounds must be non-negative")
-        for name in ("degrade_engine_depth", "degrade_batch_depth"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1 or None")
 
 
 @dataclass
@@ -181,8 +167,6 @@ class JobTicket:
     error: "str | None" = None
     error_type: "str | None" = None
     outcome: "JobOutcome | None" = None
-    effective_config: "JobConfig | None" = None
-    degraded: list = field(default_factory=list)
     dispatches: int = 0
     resumed: bool = False
     submitted_round: int = 0
@@ -215,8 +199,6 @@ class JobTicket:
         tail = ""
         if self.state == FAILED:
             tail = f" [{self.failure_kind}: {self.error_type}]"
-        elif self.degraded:
-            tail = f" [degraded: {'+'.join(self.degraded)}]"
         return (
             f"{self.tenant}/{self.name}: {self.state} "
             f"after {self.dispatches} dispatch(es)"
@@ -312,7 +294,6 @@ class ServiceReport:
             "completed": len(self.completed),
             "failed": len(self.failed),
             "shed": len(self.shed),
-            "degraded": sum(1 for t in self.tickets if t.degraded),
             "resumed": sum(1 for t in self.tickets if t.resumed),
             "rounds": self.rounds,
             "breaker_trips": self.breaker_trips,
@@ -324,7 +305,7 @@ class ServiceReport:
         return (
             f"service: {s['completed']}/{s['jobs']} completed, "
             f"{s['failed']} failed, {s['shed']} shed, "
-            f"{s['degraded']} degraded, {s['resumed']} resumed, "
+            f"{s['resumed']} resumed, "
             f"{s['rounds']} rounds, {s['breaker_trips']} breaker trip(s)"
         )
 
@@ -617,8 +598,6 @@ class AssemblyService:
         now = self._clock()
         if ticket.first_start_ts is None:
             ticket.first_start_ts = now
-        if ticket.effective_config is None:
-            ticket.effective_config = self._degrade_for_pressure(ticket)
         remaining = self._remaining_deadline(ticket, now)
         if remaining is not None and remaining <= 0:
             # the budget died while the job waited in queue/backoff
@@ -641,7 +620,6 @@ class AssemblyService:
                 "round": self._round,
                 "dispatch": ticket.dispatches,
                 "resume": resume,
-                "engine": ticket.effective_config.engine,
             }
         )
         inc("service.dispatches")
@@ -656,49 +634,6 @@ class AssemblyService:
         )
         self._run(ticket, watchdog, resume)
         return True
-
-    def _degrade_for_pressure(self, ticket: JobTicket) -> JobConfig:
-        """Step a job down the bulk→scalar→reduced-batch ladder when the
-        backlog is deep — capacity-driven, not fault-driven."""
-        config = ticket.request.config
-        depth = self._total_queued()
-        engine_depth = self.config.degrade_engine_depth
-        if (
-            engine_depth is not None
-            and depth >= engine_depth
-            and config.engine == "bulk"
-        ):
-            config = replace(config, engine="scalar")
-            ticket.degraded.append("engine-scalar")
-            inc("service.degraded.engine")
-            event(
-                "service.degrade",
-                lane="service",
-                tenant=ticket.tenant,
-                job=ticket.name,
-                kind="engine-scalar",
-                depth=depth,
-            )
-        batch_depth = self.config.degrade_batch_depth
-        if (
-            batch_depth is not None
-            and depth >= batch_depth
-            and config.batch_reads is not None
-            and config.batch_reads > 1
-        ):
-            reduced = max(1, config.batch_reads // 4)
-            config = replace(config, batch_reads=reduced)
-            ticket.degraded.append(f"batch-{reduced}")
-            inc("service.degraded.batch")
-            event(
-                "service.degrade",
-                lane="service",
-                tenant=ticket.tenant,
-                job=ticket.name,
-                kind=f"batch-{reduced}",
-                depth=depth,
-            )
-        return config
 
     def _remaining_deadline(
         self, ticket: JobTicket, now: float
@@ -793,7 +728,7 @@ class AssemblyService:
             with lane_scope(ticket.tenant):
                 runner = JobRunner(
                     ticket.job_dir,
-                    ticket.effective_config,
+                    ticket.request.config,
                     pim_factory=ticket.request.pim_factory,
                     watchdog=watchdog,
                     sleep=self._sleep,

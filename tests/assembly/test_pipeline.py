@@ -174,3 +174,39 @@ class TestResilientPipeline:
         assert report.totals.verify_time_ns > 0
         hashmap = report.stages["hashmap"]
         assert hashmap.detected > 0 and hashmap.uncorrected == 0
+
+
+class TestTraverseScratch:
+    @pytest.mark.parametrize("engine", ["scalar", "bulk"])
+    def test_degrees_avoid_a_quarantined_subarray(self, small_case, engine):
+        """The degree scratch space skips retired sub-arrays: nothing in
+        the traverse stage touches (0, 0, 0), and the degrees match an
+        unquarantined run's."""
+        from repro.assembly.pipeline import PipelineState, _sized_device
+        from repro.core.trace import CommandTrace
+
+        _, reads = small_case
+        retired = (0, 0, 0)
+
+        def traverse(quarantine):
+            pim = _sized_device(reads, 13)
+            pim.protect("off")
+            if quarantine:
+                pim.resilience.quarantine(retired)
+            pipeline = PimPipeline(pim, k=13, engine=engine)
+            state = PipelineState()
+            pipeline.run_hashmap(reads, state)
+            pipeline.run_debruijn(state)
+            trace = CommandTrace()
+            pim.controller.attach_trace(trace)
+            pipeline.run_traverse(state)
+            touched = {entry.subarray for entry in trace} | {
+                tuple(key) for _, key, _, _ in trace.charges
+            }
+            return state.degrees, touched
+
+        degrees, touched = traverse(quarantine=True)
+        clean_degrees, clean_touched = traverse(quarantine=False)
+        assert retired in clean_touched
+        assert touched and retired not in touched
+        assert degrees == clean_degrees

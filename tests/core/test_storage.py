@@ -1,8 +1,7 @@
 """The columnar packed bit-plane store: pack boundary and field access.
 
 Property tests for the invariants everything else leans on: LSB-first
-round-tripping at ragged widths, the tail-bits-are-zero rule, chunked
-many-query kernels matching their one-shot results, bit-field
+round-tripping at ragged widths, the tail-bits-are-zero rule, bit-field
 gather/scatter, and snapshot restoration across the old-unpacked /
 new-packed journal format boundary.
 """
@@ -13,8 +12,6 @@ import pytest
 from repro.core.storage import (
     BitPlaneStore,
     col_mask,
-    compare_many_packed,
-    hamming_many_packed,
     pack_rows,
     popcount_words,
     unpack_rows,
@@ -84,55 +81,6 @@ class TestMasks:
         np.testing.assert_array_equal(width_mask(100, None), col_mask(100))
         np.testing.assert_array_equal(width_mask(100, 100), col_mask(100))
         np.testing.assert_array_equal(width_mask(100, 500), col_mask(100))
-
-
-class TestPackedKernels:
-    def _case(self, seed, q=37, n=23, cols=200):
-        rng = np.random.default_rng(seed)
-        queries = rng.integers(0, 2, size=(q, cols), dtype=np.uint8)
-        block = rng.integers(0, 2, size=(n, cols), dtype=np.uint8)
-        # plant exact matches so both branches are exercised
-        block[3] = queries[5]
-        block[7] = queries[5]
-        return queries, block, cols
-
-    @pytest.mark.parametrize("width", [None, 64, 100, 111])
-    def test_compare_matches_unpacked_reference(self, width):
-        queries, block, cols = self._case(7)
-        w = cols if width is None else width
-        expected = (
-            block[None, :, :w] == queries[:, None, :w]
-        ).all(axis=2)
-        got = compare_many_packed(
-            pack_rows(queries), pack_rows(block), width_mask(cols, width)
-        )
-        np.testing.assert_array_equal(got, expected)
-
-    @pytest.mark.parametrize("width", [None, 64, 100, 111])
-    def test_hamming_matches_unpacked_reference(self, width):
-        queries, block, cols = self._case(11)
-        w = cols if width is None else width
-        expected = (
-            block[None, :, :w] != queries[:, None, :w]
-        ).sum(axis=2)
-        got = hamming_many_packed(
-            pack_rows(queries), pack_rows(block), width_mask(cols, width)
-        )
-        np.testing.assert_array_equal(got, expected)
-
-    def test_chunked_equals_one_shot(self):
-        """Large-Q regression: a tiny chunk budget changes nothing."""
-        queries, block, cols = self._case(13, q=211, n=17)
-        qw, bw = pack_rows(queries), pack_rows(block)
-        mask = width_mask(cols, 111)
-        np.testing.assert_array_equal(
-            compare_many_packed(qw, bw, mask, chunk_bytes=256),
-            compare_many_packed(qw, bw, mask),
-        )
-        np.testing.assert_array_equal(
-            hamming_many_packed(qw, bw, mask, chunk_bytes=256),
-            hamming_many_packed(qw, bw, mask),
-        )
 
 
 class TestStoreBasics:

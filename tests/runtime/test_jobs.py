@@ -178,6 +178,39 @@ class TestKillAndResume:
             assert out.report.resumed_from == stage
             assert run_fingerprint(out.result) == golden_fp
 
+    def test_record_with_retired_runtime_key_resumes(
+        self, reads, tmp_path, monkeypatch
+    ):
+        """Records may carry the retired ``"runtime"`` key (the engine
+        and batch size a retry once switched to); a resume ignores it,
+        runs the config's engine and finishes bit-identically."""
+        config = JobConfig(k=K, engine="bulk", batch_reads=8)
+        golden = JobRunner(tmp_path / "golden", config).run(reads)
+        golden_fp = run_fingerprint(golden.result)
+        payload = JobRunner._payload
+
+        def with_runtime(runner, stage):
+            record = payload(runner, stage)
+            record["runtime"] = {"engine": "scalar", "batch_reads": 2}
+            return record
+
+        for keep, stage in ((1, "hashmap"), (2, "debruijn"), (3, "traverse")):
+            job_dir = tmp_path / f"cut{keep}"
+            with monkeypatch.context() as patch:
+                patch.setattr(JobRunner, "_payload", with_runtime)
+                source = JobRunner(job_dir, config)
+                source.run(reads)
+            manifest = source.journal.manifest_path
+            lines = manifest.read_text().splitlines(keepends=True)
+            manifest.write_text("".join(lines[:keep]))
+
+            revived = JobRunner(job_dir, config)
+            assert "runtime" in revived.journal.latest()[1]
+            out = revived.resume(reads)
+            assert out.report.resumed_from == stage
+            assert revived._pipeline.engine == "bulk"
+            assert run_fingerprint(out.result) == golden_fp
+
 
 class TestTimeouts:
     def _ticking_clock(self):
@@ -248,7 +281,7 @@ class TestRetryLadder:
 
         return runner, flaky
 
-    def test_degradation_chain_bulk_then_batch(
+    def test_engine_and_batch_stay_fixed_across_retries(
         self, reads, tmp_path, monkeypatch
     ):
         config = JobConfig(
@@ -264,11 +297,43 @@ class TestRetryLadder:
         out = runner.run(reads)
         assert out.report.completed
         actions = [d.action for d in out.report.decisions]
-        assert actions == ["degrade-bulk-to-scalar", "reduce-batch-to-2"]
-        assert out.report.final_engine == "scalar"
-        assert out.report.final_batch_reads == 2
+        assert actions == ["retry", "retry"]
+        assert runner._pipeline.engine == "bulk"
+        assert runner._pipeline.batch_reads == 8
         # capped exponential backoff between attempts
         assert self.slept == [0.05, 0.1]
+
+    def test_bulk_decisions_equal_scalar_decisions(self, reads, tmp_path):
+        """Under one seeded fault stream both engines fail identically,
+        so they take identical ladder decisions: quarantine first."""
+
+        def factory(job_reads):
+            pim = _sized_device(job_reads, K)
+            pim.controller.faults = FaultModel(
+                seed=FAULT_SEED, compute2_rate=2e-2, tra_rate=1e-2
+            )
+            pim.protect(
+                ResiliencePolicy.named("detect", raise_on_uncorrected=True)
+            )
+            return pim
+
+        def decisions(engine):
+            config = JobConfig(
+                k=K, engine=engine, batch_reads=8, backoff_base_s=0.0
+            )
+            runner = JobRunner(
+                tmp_path / engine, config, pim_factory=factory,
+                sleep=lambda s: None,
+            )
+            with pytest.raises(JobFailedError):
+                runner.run(reads)
+            return [
+                (d.stage, d.action, d.error) for d in runner.report.decisions
+            ]
+
+        bulk = decisions("bulk")
+        assert bulk == decisions("scalar")
+        assert bulk[0][1] == "quarantine-0,0,0"
 
     def test_backoff_is_capped(self, reads, tmp_path, monkeypatch):
         config = JobConfig(
@@ -296,10 +361,11 @@ class TestRetryLadder:
         assert info.value.attempts == 3
         assert runner.report.decisions[-1].action == "give-up"
 
-    def test_degraded_run_still_matches_golden_output(
+    def test_retried_run_still_matches_golden_output(
         self, reads, tmp_path, monkeypatch
     ):
-        """The ladder changes *how* a stage executes, never its output."""
+        """A retried stage replays from its entry snapshot: the output
+        equals an undisturbed run's."""
         golden = JobRunner(tmp_path / "golden", JobConfig(k=K)).run(reads)
         config = JobConfig(
             k=K, engine="bulk", batch_reads=8, backoff_base_s=0.0
@@ -365,7 +431,7 @@ class TestRetryLadder:
         monkeypatch.setattr(PimPipeline, "run_hashmap", flaky)
         runner.run(reads)
         logged = runner.journal.decisions()
-        assert [d["action"] for d in logged] == ["degrade-bulk-to-scalar"]
+        assert [d["action"] for d in logged] == ["retry"]
         assert logged[0]["stage"] == "hashmap"
 
 

@@ -8,6 +8,7 @@ from repro.service.chaos import (
     build_workload,
     run_chaos,
 )
+from repro.service.service import COMPLETED
 
 
 @pytest.fixture(scope="module")
@@ -77,17 +78,14 @@ class TestAudit:
 
 
 class TestOverload:
-    def test_floods_end_in_typed_sheds_and_degraded_completions(
-        self, tmp_path
-    ):
+    def test_floods_end_in_typed_sheds_and_completions(self, tmp_path):
         """Pure overload (no faults): more submissions than capacity must
-        end as typed sheds plus completed (possibly degraded) jobs."""
+        end as typed sheds plus completed jobs."""
         config = ChaosConfig(
             seed=7,
             tenants=2,
             jobs_per_tenant=5,
             max_queued=2,
-            degrade_engine_depth=2,
             weights={"none": 1},
         )
         report = run_chaos(tmp_path, config)
@@ -98,9 +96,6 @@ class TestOverload:
             s.reason == "tenant-queue-full" for s in service_report.shed
         )
         assert len(service_report.completed) == len(service_report.tickets)
-        assert any(t.degraded for t in service_report.tickets), (
-            "deep backlog never triggered degradation"
-        )
 
     def test_rerun_is_deterministic(self, tmp_path):
         config = ChaosConfig(seed=99, tenants=2, jobs_per_tenant=2)
@@ -122,6 +117,23 @@ class TestOverload:
             for t in r.service_report.completed
         }
         assert contigs(first) == contigs(second)
+
+
+class TestKills:
+    def test_every_kill_fires_and_the_job_resumes(self, tmp_path):
+        """Kill-only, no backlog: every first dispatch dies inside the
+        job, and every job completes by resuming its journal."""
+        config = ChaosConfig(
+            seed=5, tenants=3, jobs_per_tenant=1, weights={"kill": 1}
+        )
+        report = run_chaos(tmp_path, config)
+        assert report.violations() == []
+        tickets = report.service_report.tickets
+        assert len(tickets) == 3
+        for ticket in tickets:
+            assert ticket.state == COMPLETED
+            assert ticket.resumed
+            assert ticket.dispatches == 2
 
 
 class TestBitrotInjection:

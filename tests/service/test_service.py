@@ -1,10 +1,10 @@
-"""The AssemblyService: scheduling, retries, deadlines, degradation."""
+"""The AssemblyService: scheduling, retries, deadlines, fixed engines."""
 
 import pytest
 
 from repro.errors import AdmissionError, CircuitOpenError, StageTimeoutError
 from repro.observability.session import ObservabilitySession
-from repro.runtime.jobs import JobConfig
+from repro.runtime.jobs import JobConfig, JobRunner
 from repro.runtime.watchdog import Watchdog
 from repro.service import AssemblyService, ServiceConfig, TenantQuota
 from repro.service.service import COMPLETED, FAILED
@@ -348,52 +348,29 @@ class TestBreaker:
         assert bad.finished_round + 3 <= max(g.round for g in report.grants)
 
 
-class TestDegradation:
-    def test_pressure_steps_bulk_down_to_scalar_same_contigs(
-        self, tmp_path, no_sleep
-    ):
-        config = JobConfig(k=K, engine="bulk")
-        svc = service(tmp_path, no_sleep, degrade_engine_depth=2)
-        reads = {i: make_reads(seed=20 + i) for i in range(3)}
+class TestFixedEngine:
+    def test_backlog_keeps_the_submitted_engine(self, tmp_path, no_sleep):
+        """A deep queue never changes a job's engine or batch size: each
+        job charges exactly what a serial run of its own config does."""
+        configs = [
+            JobConfig(k=K, engine="bulk"),
+            JobConfig(k=K, engine="bulk", batch_reads=8),
+        ]
+        svc = service(tmp_path, no_sleep)
+        reads = {i: make_reads(seed=20 + i) for i in range(4)}
         tickets = [
-            svc.submit("t", f"j{i}", reads[i], config) for i in range(3)
+            svc.submit("t", f"j{i}", reads[i], configs[i % 2])
+            for i in range(4)
         ]
         svc.drain()
-        degraded = [t for t in tickets if "engine-scalar" in t.degraded]
-        assert degraded, "queue pressure never degraded any job"
-        for ticket in degraded:
-            assert ticket.effective_config.engine == "scalar"
+        for i, ticket in enumerate(tickets):
             assert ticket.state == COMPLETED
-            # bit-identical to the *bulk* baseline: degradation trades
-            # simulated speed, never results
-            i = int(ticket.name[1:])
-            assert contigs_of(ticket.outcome) == baseline_contigs(
-                tmp_path, reads[i], config
-            )
-
-    def test_batch_reduction_under_pressure(self, tmp_path, no_sleep):
-        config = JobConfig(k=K, batch_reads=8)
-        svc = service(tmp_path, no_sleep, degrade_batch_depth=2)
-        tickets = [
-            svc.submit("t", f"j{i}", make_reads(seed=30 + i), config)
-            for i in range(3)
-        ]
-        svc.drain()
-        reduced = [t for t in tickets if t.degraded]
-        assert reduced
-        assert all(
-            t.effective_config.batch_reads == 2 for t in reduced
-        )
-        assert all(t.state == COMPLETED for t in tickets)
-
-    def test_no_pressure_no_degradation(self, tmp_path, no_sleep):
-        svc = service(tmp_path, no_sleep, degrade_engine_depth=10)
-        ticket = svc.submit(
-            "t", "j", make_reads(), JobConfig(k=K, engine="bulk")
-        )
-        svc.drain()
-        assert not ticket.degraded
-        assert ticket.effective_config.engine == "bulk"
+            baseline = JobRunner(
+                tmp_path / "baseline" / ticket.name, configs[i % 2]
+            ).run(reads[i])
+            assert contigs_of(ticket.outcome) == contigs_of(baseline)
+            # modelled time is engine- and batch-specific
+            assert ticket.outcome.result.hashmap == baseline.result.hashmap
 
 
 class TestObservability:
@@ -463,8 +440,6 @@ class TestConfigValidation:
             {"max_dispatches": 0},
             {"requeue_base_rounds": -1},
             {"requeue_cap_rounds": -1},
-            {"degrade_engine_depth": 0},
-            {"degrade_batch_depth": 0},
         ],
     )
     def test_service_config_rejects_nonsense(self, kwargs):

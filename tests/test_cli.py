@@ -607,6 +607,8 @@ class TestServe:
         [
             ({"tenants": {"acme": {"max_in_flight": 2}}}, "max_in_flight"),
             ({"workers": 2}, "workers"),
+            ({"degrade_engine_depth": 4}, "degrade_engine_depth"),
+            ({"degrade_batch_depth": 4}, "degrade_batch_depth"),
         ],
     )
     def test_retired_manifest_keys_exit_2(
