@@ -30,7 +30,6 @@ import enum
 from dataclasses import dataclass, field
 
 __all__ = [
-    "EXIT_ADMISSION",
     "EXIT_FINDINGS",
     "EXIT_INPUT",
     "EXIT_OK",
@@ -44,9 +43,6 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
-#: the service shed the work (`repro.errors.AdmissionError`) — the
-#: submission was well-formed but the deployment refused to take it
-EXIT_ADMISSION = 4
 
 
 class Severity(enum.Enum):

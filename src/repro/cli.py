@@ -17,10 +17,6 @@ The subcommands cover the workflows a downstream user needs:
   before the optimised document is written;
 * ``pim-assembler inspect`` — post-hoc accounting of a journaled job
   directory (works on finished, crashed and timed-out jobs);
-* ``pim-assembler serve`` — drive a batch of jobs from a JSON manifest
-  through the multi-tenant assembly service (admission control, fair
-  scheduling, crash-resume); exit 4 when
-  submissions were shed by admission control;
 * ``pim-assembler simulate`` — generate a synthetic reference and a
   read set (single- or paired-end) for experiments;
 * ``pim-assembler experiments`` — regenerate the paper's tables and
@@ -33,45 +29,9 @@ as ``python -m repro.cli``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
-
-
-def _shared_flags() -> argparse.ArgumentParser:
-    """Flags ``assemble`` and ``serve`` share, defined once (each
-    subcommand's description says how it applies them)."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--ecc",
-        choices=("off", "secded"),
-        help="model retention bit rot in the k-mer store: 'secded' "
-        "protects it with SECDED(72,64) + scrubbing, 'off' leaves the "
-        "rot uncorrected",
-    )
-    shared.add_argument(
-        "--retention-interval-s",
-        type=float,
-        help="simulated refresh window (tREFW) in seconds for the "
-        "retention model (default 0.064; implies --ecc secded unless "
-        "--ecc off is given)",
-    )
-    shared.add_argument(
-        "--trace-out",
-        help="write the span timeline as Chrome/Perfetto trace-event "
-        "JSON (load in ui.perfetto.dev)",
-    )
-    shared.add_argument(
-        "--metrics-out",
-        help="write the metrics snapshot (counters, histograms, "
-        "sub-array heatmap) as JSON",
-    )
-    shared.add_argument(
-        "--telemetry-out",
-        help="write the metrics + power gauges as a Prometheus "
-        "text-format exposition (plus a .json snapshot next to it; "
-        "serve refreshes it every scheduler round)",
-    )
-    return shared
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,14 +48,41 @@ def _build_parser() -> argparse.ArgumentParser:
         version=f"%(prog)s {__version__}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    shared = _shared_flags()
 
     assemble = sub.add_parser(
         "assemble",
-        parents=[shared],
         help="assemble reads into contigs",
         description="--ecc, --retention-interval-s and the --*-out "
         "exports require --engine pim",
+    )
+    assemble.add_argument(
+        "--ecc",
+        choices=("off", "secded"),
+        help="model retention bit rot in the k-mer store: 'secded' "
+        "protects it with SECDED(72,64) + scrubbing, 'off' leaves the "
+        "rot uncorrected",
+    )
+    assemble.add_argument(
+        "--retention-interval-s",
+        type=float,
+        help="simulated refresh window (tREFW) in seconds for the "
+        "retention model (default 0.064; implies --ecc secded unless "
+        "--ecc off is given)",
+    )
+    assemble.add_argument(
+        "--trace-out",
+        help="write the span timeline as Chrome/Perfetto trace-event "
+        "JSON (load in ui.perfetto.dev)",
+    )
+    assemble.add_argument(
+        "--metrics-out",
+        help="write the metrics snapshot (counters, histograms, "
+        "sub-array heatmap) as JSON",
+    )
+    assemble.add_argument(
+        "--telemetry-out",
+        help="write the metrics + power gauges as a Prometheus "
+        "text-format exposition (plus a .json snapshot next to it)",
     )
     assemble.add_argument("reads", help="FASTA or FASTQ file of reads")
     assemble.add_argument("-o", "--output", required=True, help="contig FASTA")
@@ -213,37 +200,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "original command interleaving)",
     )
 
-    serve = sub.add_parser(
-        "serve",
-        parents=[shared],
-        help="run a batch of assembly jobs through the multi-tenant "
-        "service (per-tenant quotas, fair scheduling, crash-resume); "
-        "exit 4 if admission shed submissions",
-        description="--ecc and --retention-interval-s set batch "
-        "defaults; a job's manifest 'ecc'/'retention_interval_s' keys "
-        "override them",
-    )
-    serve.add_argument(
-        "manifest",
-        help="JSON batch manifest: {tenants: {name: quota}, "
-        "jobs: [{tenant, name, reads, k, ...}]} — see docs/ARCHITECTURE.md",
-    )
-    serve.add_argument(
-        "--job-root",
-        help="directory for the per-job journals "
-        "(default: <manifest>.jobs/ next to the manifest)",
-    )
-
     inspect_cmd = sub.add_parser(
         "inspect",
-        help="per-stage accounting of a journaled job directory, or a "
-        "per-tenant rollup of a whole service root "
+        help="per-stage accounting of a journaled job directory "
         "(works on crashed and timed-out jobs)",
     )
     inspect_cmd.add_argument(
         "job_dir",
-        help="job directory (from --job-dir) or service root "
-        "(from serve --job-root)",
+        help="job directory (from --job-dir)",
     )
     inspect_cmd.add_argument(
         "--top-k",
@@ -363,7 +327,7 @@ def _load_reads(path: str, strict: bool = True):
 def _require_positive_seconds(flag: str, value: "float | None") -> None:
     from repro.errors import InputError
 
-    if value is not None and value <= 0:
+    if value is not None and not (math.isfinite(value) and value > 0):
         raise InputError(
             f"{flag} must be a positive number of seconds (got {value})"
         )
@@ -374,15 +338,24 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     from repro.assembly.bidirected import assemble_bidirected
     from repro.errors import InputError
     from repro.genome.io_fasta import FastaRecord, write_fasta
+    from repro.genome.kmer import MAX_PACKED_K
 
     if args.k < 2:
         raise InputError(f"--k must be >= 2 (got {args.k})")
+    if args.k > MAX_PACKED_K:
+        raise InputError(
+            f"--k must be <= {MAX_PACKED_K}, the 64-bit k-mer packing "
+            f"limit (got {args.k})"
+        )
     if args.min_count < 1:
         raise InputError(f"--min-count must be >= 1 (got {args.min_count})")
     if args.resume and not args.job_dir:
         raise InputError("--resume requires --job-dir")
     _require_positive_seconds("--stage-timeout", args.stage_timeout)
     _require_positive_seconds("--job-timeout", args.job_timeout)
+    _require_positive_seconds(
+        "--retention-interval-s", args.retention_interval_s
+    )
     if (args.ecc or args.retention_interval_s) and args.engine != "pim":
         raise InputError("--ecc/--retention-interval-s require --engine pim")
     if (args.stage_timeout or args.job_timeout) and not args.job_dir:
@@ -519,9 +492,11 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
             ):
                 print(f"observability: wrote {path}")
         contigs = outcome.contigs
+        total_ns = outcome.total_time_ns
+        hashmap_share = outcome.hashmap.time_ns / total_ns if total_ns else 0.0
         print(
-            f"simulated PIM time: {outcome.total_time_ns / 1e6:.2f} ms "
-            f"({outcome.hashmap.time_ns / outcome.total_time_ns:.0%} hashmap)"
+            f"simulated PIM time: {total_ns / 1e6:.2f} ms "
+            f"({hashmap_share:.0%} hashmap)"
         )
         if outcome.integrity is not None:
             itg = outcome.integrity
@@ -731,219 +706,13 @@ def _cmd_optimize_trace(args: argparse.Namespace) -> int:
     return EXIT_OK if result.report.ok else EXIT_FINDINGS
 
 
-#: serve-manifest keys whose knobs no longer exist; naming one is an
-#: input error rather than a silently ignored setting
-_RETIRED_MANIFEST_KEYS = (
-    "workers",
-    "degrade_engine_depth",
-    "degrade_batch_depth",
-)
-
-
-def _parse_serve_manifest(path: str) -> dict:
-    """Load and structurally validate a ``serve`` batch manifest."""
-    import json
-
-    from repro.errors import InputError
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except FileNotFoundError:
-        raise InputError(f"manifest not found: {path}")
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}")
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise InputError(f"manifest {path} is not valid JSON: {exc}")
-    if not isinstance(manifest, dict):
-        raise InputError(f"manifest {path} must be a JSON object")
-    for key in _RETIRED_MANIFEST_KEYS:
-        if key in manifest:
-            raise InputError(
-                f"manifest {path}: {key!r} is not a manifest key (the "
-                "service runs one job per scheduling round, on the "
-                "engine and batch size its job config names)"
-            )
-    jobs = manifest.get("jobs")
-    if not isinstance(jobs, list) or not jobs:
-        raise InputError(
-            f"manifest {path} needs a non-empty 'jobs' list"
-        )
-    for i, job in enumerate(jobs):
-        if not isinstance(job, dict):
-            raise InputError(f"manifest job #{i} must be a JSON object")
-        for key in ("tenant", "reads"):
-            if not isinstance(job.get(key), str) or not job.get(key):
-                raise InputError(
-                    f"manifest job #{i} needs a non-empty string {key!r}"
-                )
-    tenants = manifest.get("tenants", {})
-    if not isinstance(tenants, dict):
-        raise InputError(
-            f"manifest {path}: 'tenants' must map tenant -> quota object"
-        )
-    slos = manifest.get("slos", {})
-    if not isinstance(slos, dict):
-        raise InputError(
-            f"manifest {path}: 'slos' must map tenant -> objective object"
-        )
-    alerts = manifest.get("alerts", [])
-    if not isinstance(alerts, list):
-        raise InputError(
-            f"manifest {path}: 'alerts' must be a list of rule "
-            "expressions or objects"
-        )
-    return manifest
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from contextlib import ExitStack
-
-    from repro.errors import AdmissionError, InputError
-    from repro.genome.io_fasta import FastaRecord, write_fasta
-    from repro.runtime.jobs import JobConfig
-    from repro.service import AssemblyService, ServiceConfig, TenantQuota
-
-    manifest_path = Path(args.manifest)
-    manifest = _parse_serve_manifest(args.manifest)
-    base = manifest_path.resolve().parent
-
-    def resolved(value: str) -> Path:
-        p = Path(value)
-        return p if p.is_absolute() else base / p
-
-    try:
-        quotas = {
-            tenant: TenantQuota(**entry)
-            for tenant, entry in manifest.get("tenants", {}).items()
-        }
-        config = ServiceConfig(
-            max_total_queued=int(manifest.get("max_total_queued", 64)),
-            max_dispatches=int(manifest.get("max_dispatches", 3)),
-            seed=int(manifest.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"manifest {args.manifest}: {exc}")
-
-    from repro.observability.slo import AlertRule, SloObjective
-
-    slos = [
-        SloObjective.from_manifest(tenant, spec)
-        for tenant, spec in manifest.get("slos", {}).items()
-    ]
-    alert_rules = [
-        AlertRule.from_manifest(spec) for spec in manifest.get("alerts", [])
-    ]
-
-    job_root = (
-        Path(args.job_root)
-        if args.job_root
-        else manifest_path.with_name(manifest_path.name + ".jobs")
-    )
-    session = None
-    if args.trace_out or args.metrics_out or args.telemetry_out:
-        from repro.observability.session import ObservabilitySession
-
-        session = ObservabilitySession()
-
-    service = AssemblyService(
-        job_root,
-        config,
-        quotas,
-        slos=slos,
-        alert_rules=alert_rules,
-        telemetry_path=args.telemetry_out,
-    )
-    entries: dict[str, dict] = {}
-    submit_errors = 0
-
-    with ExitStack() as stack:
-        if session is not None:
-            stack.enter_context(session.activate())
-        for i, job in enumerate(manifest["jobs"]):
-            tenant = job["tenant"]
-            name = str(job.get("name") or f"job-{i:03d}")
-            reads_path = resolved(job["reads"])
-            try:
-                ecc = job.get("ecc", args.ecc)
-                retention = job.get(
-                    "retention_interval_s", args.retention_interval_s
-                )
-                job_config = JobConfig(
-                    k=int(job.get("k", 21)),
-                    min_count=int(job.get("min_count", 1)),
-                    min_contig_length=int(job.get("min_contig", 0)),
-                    engine=str(job.get("engine", "scalar")),
-                    resilience=job.get("resilience"),
-                    ecc=None if ecc is None else str(ecc),
-                    retention_interval_s=(
-                        None if retention is None else float(retention)
-                    ),
-                )
-                try:
-                    input_bytes = reads_path.stat().st_size
-                except OSError:
-                    raise InputError(f"reads file not found: {reads_path}")
-                service.submit(
-                    tenant,
-                    name,
-                    lambda p=reads_path: _load_reads(str(p))[0],
-                    job_config,
-                    deadline_s=job.get("deadline_s"),
-                    stage_timeout_s=job.get("stage_timeout_s"),
-                    input_bytes=input_bytes,
-                )
-                entries[f"{tenant}/{name}"] = job
-            except AdmissionError as exc:
-                print(f"shed: {tenant}/{name}: [{exc.reason}] {exc}")
-            except (TypeError, ValueError) as exc:
-                submit_errors += 1
-                print(f"error: {tenant}/{name}: {exc}", file=sys.stderr)
-            except InputError as exc:
-                submit_errors += 1
-                print(f"error: {tenant}/{name}: {exc}", file=sys.stderr)
-        report = service.drain()
-
-    for ticket in report.tickets:
-        line = ticket.describe()
-        job = entries.get(f"{ticket.tenant}/{ticket.name}", {})
-        output = job.get("output")
-        if ticket.outcome is not None and output:
-            out_path = resolved(str(output))
-            contigs = ticket.outcome.result.contigs
-            write_fasta(
-                out_path,
-                [FastaRecord(c.name, str(c.sequence)) for c in contigs],
-            )
-            line += f" -> {out_path}"
-        print(line)
-    print(report)
-    for alert in service.alert_events:
-        print(
-            f"alert [{alert.severity}]: {alert.name} "
-            f"({alert.expression}; value={alert.value:g})"
-        )
-    if session is not None:
-        for path in session.export(
-            trace_path=args.trace_out,
-            metrics_path=args.metrics_out,
-            telemetry_path=args.telemetry_out,
-        ):
-            print(f"observability: wrote {path}")
-    if report.failed or submit_errors:
-        return EXIT_RUNTIME_ERROR
-    if report.shed:
-        return EXIT_ADMISSION
-    return 0
-
-
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.errors import InputError
-    from repro.observability.inspect import render_inspection
+    from repro.observability.inspect import render_job_inspection
 
     if args.top_k < 1:
         raise InputError(f"--top-k must be >= 1 (got {args.top_k})")
-    print(render_inspection(args.job_dir, top_k=args.top_k))
+    print(render_job_inspection(args.job_dir, top_k=args.top_k))
     return 0
 
 
@@ -1122,8 +891,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 #: exit codes of the typed error families (0 = success)
 EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
-#: admission control shed the work (matches findings.EXIT_ADMISSION)
-EXIT_ADMISSION = 4
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1132,38 +899,28 @@ def main(argv: list[str] | None = None) -> int:
     Typed library errors become one-line ``error: ...`` messages on
     stderr with a stable nonzero exit code — never a traceback:
     :class:`~repro.errors.InputError` exits ``2`` (unusable input),
-    :class:`~repro.errors.AdmissionError` exits ``4`` (the service shed
-    the work under load — retry later), and every other
+    and every other
     :class:`~repro.errors.ReproError` exits ``3`` (e.g. a
     :class:`~repro.errors.StageTimeoutError`, after which the job
     journal remains resumable).
     """
-    from repro.errors import AdmissionError, InputError, ReproError
+    from repro.errors import InputError, ReproError
 
     args = _build_parser().parse_args(argv)
     handlers = {
         "assemble": _cmd_assemble,
         "verify-trace": _cmd_verify_trace,
         "optimize-trace": _cmd_optimize_trace,
-        "serve": _cmd_serve,
         "inspect": _cmd_inspect,
         "simulate": _cmd_simulate,
         "scaffold": _cmd_scaffold,
         "experiments": _cmd_experiments,
     }
     try:
-        # shared by assemble and serve; checked before any input is read
-        _require_positive_seconds(
-            "--retention-interval-s",
-            getattr(args, "retention_interval_s", None),
-        )
         return handlers[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except AdmissionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ADMISSION
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR

@@ -207,7 +207,7 @@ class IntegrityConfig:
         model: analytic retention model supplying the per-cell upset
             probability per window.
         upset_probability: override of the model's per-bit-per-window
-            probability — the lever tests and chaos scenarios use for
+            probability — the lever tests and benchmarks use for
             accelerated aging without a silly-short window.
         weak_row_threshold: correctable upsets one row absorbs before
             the scrubber retires it as weak (remap policies only).

@@ -24,8 +24,6 @@ Hierarchy::
     ├── JournalError                      — job journal missing/corrupt/mismatched
     │   └── JournalLockedError            — journal held by another runner
     ├── JobFailedError                    — retry ladder exhausted
-    ├── AdmissionError                    — service refused to admit a job
-    │   └── CircuitOpenError              — tenant circuit breaker is open
     └── VerificationError
         └── UncorrectableFaultError       — retries exhausted, result corrupt
 """
@@ -170,49 +168,6 @@ class JournalLockedError(JournalError):
             message
             or f"job journal at {job_dir} is locked by another running "
             "job; wait for it to finish or choose a different --job-dir"
-        )
-
-
-class AdmissionError(ReproError):
-    """The assembly service refused to admit (or shed) a job.
-
-    Load-shedding is a *typed* outcome, not a crash: quota overruns,
-    oversized inputs and saturated queues all surface as this family so
-    callers (and the CLI, which maps it to its own exit code) can tell
-    "the service is protecting itself" from "the job is broken".
-
-    Attributes:
-        tenant: the submitting tenant id.
-        reason: stable machine-readable reason code, e.g.
-            ``"tenant-queue-full"`` / ``"service-queue-full"`` /
-            ``"input-too-large"`` / ``"breaker-open"``.
-    """
-
-    def __init__(self, tenant: str, reason: str, message: str) -> None:
-        self.tenant = tenant
-        self.reason = reason
-        super().__init__(message)
-
-
-class CircuitOpenError(AdmissionError):
-    """A tenant's circuit breaker is open after repeated job failures.
-
-    New submissions from the tenant are shed until the breaker's
-    cooldown (measured in scheduling rounds, not wall-clock) elapses
-    and a half-open probe job succeeds.
-
-    Attributes:
-        retry_after_rounds: scheduling rounds until a probe is allowed.
-    """
-
-    def __init__(self, tenant: str, retry_after_rounds: int) -> None:
-        self.retry_after_rounds = retry_after_rounds
-        super().__init__(
-            tenant,
-            "breaker-open",
-            f"tenant {tenant!r} circuit breaker is open after repeated "
-            f"failures; retry after {retry_after_rounds} scheduling "
-            "round(s)",
         )
 
 

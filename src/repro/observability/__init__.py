@@ -24,10 +24,8 @@ run on a single timeline:
   conservation invariant against the ledger totals;
 * :mod:`repro.observability.exposition` — zero-dependency Prometheus
   text-format v0.0.4 writer (the CLI's ``--telemetry-out``);
-* :mod:`repro.observability.slo` — per-tenant SLO objectives, burn
-  rates, and the alert-rule evaluator the serve loop runs each round;
 * :mod:`repro.observability.flightrec` — bounded ring of recent
-  commands/spans/events/alerts, dumped as ``flight.json`` on failure.
+  commands/spans/events, dumped as ``flight.json`` on failure.
 
 Everything is **off by default**: without an active session the
 instrumentation points reduce to one global ``None`` check each, a
@@ -48,14 +46,7 @@ from repro.observability.exposition import (
     write_exposition,
 )
 from repro.observability.flightrec import FlightRecorder
-from repro.observability.power import PowerTimeline, current_lane, lane_scope
-from repro.observability.slo import (
-    AlertEvaluator,
-    AlertEvent,
-    AlertRule,
-    SloObjective,
-    SloTracker,
-)
+from repro.observability.power import PowerTimeline
 from repro.observability.inspect import (
     format_stage_table,
     format_top_commands,
@@ -78,16 +69,11 @@ from repro.observability.session import (
 from repro.observability.spans import Span, Tracer, active_tracer, event, span
 
 __all__ = [
-    "AlertEvaluator",
-    "AlertEvent",
-    "AlertRule",
     "FlightRecorder",
     "MetricsRegistry",
     "ObservabilitySession",
     "PowerTimeline",
     "Recorder",
-    "SloObjective",
-    "SloTracker",
     "Span",
     "Tracer",
     "active_registry",
@@ -95,14 +81,12 @@ __all__ = [
     "active_tracer",
     "chrome_trace",
     "connect_ledger",
-    "current_lane",
     "event",
     "format_stage_table",
     "format_subarray_heatmap",
     "format_top_commands",
     "inc",
     "inspect_job",
-    "lane_scope",
     "observe",
     "render_job_inspection",
     "render_prometheus",

@@ -40,7 +40,6 @@ __all__ = [
 
 #: preferred lane ordering (sort index in the viewer); unknown lanes follow
 LANE_ORDER = (
-    "service",
     "job",
     "hashmap",
     "debruijn",

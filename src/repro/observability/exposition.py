@@ -13,12 +13,11 @@ JSON snapshot for programmatic consumers:
   ``_sum`` and ``_count``, and three extra ``_p50/_p95/_p99`` gauges
   from :meth:`~repro.observability.metrics.Histogram.quantile`;
 * files are written **atomically** (temp file in the target directory,
-  then ``os.replace``) because the serve loop rewrites the exposition
-  every scheduler round while a scraper may be mid-read.
+  then ``os.replace``) so a scraper never reads a half-written file.
 
-The CLI exposes this as ``--telemetry-out`` on both ``assemble`` (one
-write at the end) and ``serve`` (periodic, per round).  The format is
-validated in CI by ``repro.observability.validate``.
+The CLI exposes this as ``--telemetry-out`` on ``assemble`` (one write
+at the end).  The format is validated in CI by
+``repro.observability.validate``.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """Flight recorder: bounded ring of recent activity, dumped on failure.
 
 Post-mortems should not require shipping a full Perfetto trace of a
-week-long serve run.  The :class:`FlightRecorder` keeps *bounded*
-deques of the most recent ledger commands, closed spans, instant
-events and alert firings; when anything goes wrong — a
-:class:`~repro.errors.ReproError` escaping the job runner, a watchdog
-kill, a circuit-breaker trip — the rings are dumped as ``flight.json``
-into the job directory, where ``repro inspect`` renders them.
+long run.  The :class:`FlightRecorder` keeps *bounded* deques of the
+most recent ledger commands, closed spans and instant events; when a
+:class:`~repro.errors.ReproError` escapes the job runner the rings are
+dumped as ``flight.json`` into the job directory, where
+``repro inspect`` renders them.
 
 The recorder is fed passively: the observability session forwards its
 command stream, and the span tracer's listener hook reports span
@@ -25,27 +24,24 @@ __all__ = ["FLIGHT_FILENAME", "FlightRecorder"]
 
 FLIGHT_FILENAME = "flight.json"
 
-#: default ring depths: commands dominate volume, alerts are rare
+#: default ring depths: commands dominate volume
 DEFAULT_COMMAND_CAPACITY = 512
 DEFAULT_SPAN_CAPACITY = 128
 DEFAULT_EVENT_CAPACITY = 128
-DEFAULT_ALERT_CAPACITY = 64
 
 
 class FlightRecorder:
-    """Bounded rings of recent commands / spans / events / alerts."""
+    """Bounded rings of recent commands / spans / events."""
 
     def __init__(
         self,
         command_capacity: int = DEFAULT_COMMAND_CAPACITY,
         span_capacity: int = DEFAULT_SPAN_CAPACITY,
         event_capacity: int = DEFAULT_EVENT_CAPACITY,
-        alert_capacity: int = DEFAULT_ALERT_CAPACITY,
     ) -> None:
         self._commands: deque = deque(maxlen=command_capacity)
         self._spans: deque = deque(maxlen=span_capacity)
         self._events: deque = deque(maxlen=event_capacity)
-        self._alerts: deque = deque(maxlen=alert_capacity)
         self.dumps = 0
 
     # ----- feeding -----------------------------------------------------------
@@ -73,10 +69,6 @@ class FlightRecorder:
     def on_event(self, event) -> None:
         """Tracer listener: one instant event was recorded."""
         self._events.append(event)
-
-    def on_alert(self, alert) -> None:
-        """An :class:`~repro.observability.slo.AlertEvent` fired."""
-        self._alerts.append(alert)
 
     # ----- reading / dumping -------------------------------------------------
 
@@ -121,7 +113,6 @@ class FlightRecorder:
                 }
                 for e in self._events
             ],
-            "alerts": [a.to_dict() for a in self._alerts],
         }
 
     def dump(self, job_dir: "str | Path", reason: str) -> Path:

@@ -9,18 +9,10 @@ every retry-ladder decision.  Because the journal's torn-write-safe
 prefix validation yields the last *complete* record, this works on
 crashed and timed-out jobs exactly as on finished ones — the use case
 the tracing layer exists for: seeing where a dead job's time went.
-
-Pointing ``repro inspect`` at a *service* root (the directory a
-``serve`` run managed: per-tenant job dirs plus ``audit.jsonl``)
-renders the fleet view instead: a per-tenant rollup (grants, sheds,
-breaker trips, latency quantiles, energy share), the top-k energy
-mnemonics across every journaled job, and any flight-recorder dumps
-left behind by failures.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.core.stats import StatsLedger
@@ -29,8 +21,7 @@ from repro.observability.export import (
     format_subarray_heatmap,
     subarray_utilization,
 )
-from repro.observability.flightrec import FLIGHT_FILENAME, FlightRecorder
-from repro.observability.metrics import Histogram
+from repro.observability.flightrec import FlightRecorder
 
 __all__ = [
     "format_flight_section",
@@ -38,11 +29,7 @@ __all__ = [
     "format_stage_table",
     "format_top_commands",
     "inspect_job",
-    "inspect_service",
-    "is_service_root",
-    "render_inspection",
     "render_job_inspection",
-    "render_service_inspection",
 ]
 
 #: stage rows rendered first, in pipeline order (others follow sorted)
@@ -169,8 +156,7 @@ def format_flight_section(flight: dict) -> str:
         f"reason: {flight.get('reason', '<unknown>')}",
         f"captured: {len(flight.get('commands', []))} commands, "
         f"{len(flight.get('spans', []))} spans, "
-        f"{len(flight.get('events', []))} events, "
-        f"{len(flight.get('alerts', []))} alerts",
+        f"{len(flight.get('events', []))} events",
     ]
     spans = flight.get("spans", [])
     if spans:
@@ -180,12 +166,6 @@ def format_flight_section(flight: dict) -> str:
                 f"  {span.get('name')} lane={span.get('lane')} "
                 f"sim=[{span.get('sim_start_ns')}..{span.get('sim_end_ns')}] ns"
             )
-    alerts = flight.get("alerts", [])
-    for alert in alerts[-5:]:
-        lines.append(
-            f"  ALERT {alert.get('name')}: {alert.get('expression')} "
-            f"(value={alert.get('value')})"
-        )
     return "\n".join(lines)
 
 
@@ -325,196 +305,3 @@ def render_job_inspection(
             format_flight_section(info["flight"]),
         ]
     return "\n".join(lines)
-
-
-# ----- service-root inspection ---------------------------------------------
-
-
-def is_service_root(path: "str | Path") -> bool:
-    """True when ``path`` looks like a ``serve`` root, not one job.
-
-    A service root has no job journal of its own; it holds the audit
-    log and/or ``tenant/job`` journal directories one level down.
-    """
-    root = Path(path)
-    if (root / "job.json").is_file():
-        return False
-    if (root / "audit.jsonl").is_file():
-        return True
-    return any(root.glob("*/*/job.json"))
-
-
-def _audit_records(root: Path) -> list:
-    records = []
-    try:
-        text = (root / "audit.jsonl").read_text(encoding="utf-8")
-    except OSError:
-        return records
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            continue  # torn tail write — same stance as the journal
-    return records
-
-
-def inspect_service(root: "str | Path") -> dict:
-    """Roll a service root up into per-tenant and fleet aggregates.
-
-    Per tenant: admission grants/sheds, breaker trips, completions and
-    failures, latency quantiles (from the audit log's latency samples,
-    estimated through the same power-of-two :class:`Histogram` the live
-    exposition uses), journaled energy, and flight-dump count.  The
-    fleet view merges every job ledger for the top-energy mnemonics.
-
-    Raises:
-        InputError: the directory is neither a job dir nor a service
-            root.
-    """
-    root = Path(root)
-    if not is_service_root(root):
-        raise InputError(
-            f"{root} is neither a job directory nor a service root"
-        )
-    records = _audit_records(root)
-    tenants: dict[str, dict] = {}
-
-    def bucket(tenant: str) -> dict:
-        return tenants.setdefault(
-            tenant,
-            {
-                "grants": 0,
-                "sheds": 0,
-                "breaker_trips": 0,
-                "completed": 0,
-                "failed": 0,
-                "latency_ms": Histogram(f"latency_ms.{tenant}"),
-                "energy_nj": 0.0,
-                "time_ns": 0.0,
-                "flight_dumps": 0,
-                "jobs": 0,
-            },
-        )
-
-    for record in records:
-        tenant = record.get("tenant")
-        if not tenant:
-            continue
-        entry = bucket(tenant)
-        kind = record.get("kind")
-        if kind == "admit":
-            entry["grants"] += 1
-        elif kind == "shed":
-            entry["sheds"] += 1
-        elif kind == "breaker-trip":
-            entry["breaker_trips"] += 1
-        elif kind == "job-completed":
-            entry["completed"] += 1
-            entry["latency_ms"].observe(float(record.get("latency_ms", 0.0)))
-        elif kind == "job-failed":
-            entry["failed"] += 1
-            if "latency_ms" in record:
-                entry["latency_ms"].observe(float(record["latency_ms"]))
-    merged = StatsLedger()
-    energy_table: "dict | None" = None
-    alerts = [r for r in records if r.get("kind") == "alert"]
-    for job_json in sorted(root.glob("*/*/job.json")):
-        job_dir = job_json.parent
-        tenant = job_dir.parent.name
-        entry = bucket(tenant)
-        entry["jobs"] += 1
-        if (job_dir / FLIGHT_FILENAME).is_file():
-            entry["flight_dumps"] += 1
-        try:
-            info = inspect_job(job_dir)
-        except InputError:
-            continue
-        totals = info["ledger"].totals()
-        entry["energy_nj"] += totals.energy_nj
-        entry["time_ns"] += totals.time_ns
-        merged.merge(info["ledger"])
-        if energy_table is None and info.get("platform_state"):
-            energy_table = _energy_table(info["platform_state"])
-    summary = [r for r in records if r.get("kind") == "drain-summary"]
-    return {
-        "root": root,
-        "tenants": tenants,
-        "merged_ledger": merged,
-        "energy_table": energy_table,
-        "alerts": alerts,
-        "drain_summary": summary[-1] if summary else None,
-        "audit_records": len(records),
-    }
-
-
-def render_service_inspection(root: "str | Path", top_k: int = 8) -> str:
-    """The full ``repro inspect`` report for one service root."""
-    info = inspect_service(root)
-    tenants = info["tenants"]
-    total_energy = sum(t["energy_nj"] for t in tenants.values()) or 1.0
-    header = (
-        f"{'tenant':>12} {'grants':>6} {'done':>5} {'fail':>5} "
-        f"{'shed':>5} {'trips':>5} {'p50ms':>8} {'p95ms':>8} "
-        f"{'p99ms':>8} {'energy':>12} {'share':>6} {'flights':>7}"
-    )
-    lines = [
-        f"service root: {info['root']}",
-        f"audit records: {info['audit_records']} "
-        f"(alerts fired: {len(info['alerts'])})",
-        "",
-        "per-tenant rollup",
-        header,
-        "-" * len(header),
-    ]
-    for tenant in sorted(tenants):
-        entry = tenants[tenant]
-        hist = entry["latency_ms"]
-        lines.append(
-            f"{tenant:>12} {entry['grants']:>6d} {entry['completed']:>5d} "
-            f"{entry['failed']:>5d} {entry['sheds']:>5d} "
-            f"{entry['breaker_trips']:>5d} "
-            f"{hist.quantile(0.5):>8.2f} {hist.quantile(0.95):>8.2f} "
-            f"{hist.quantile(0.99):>8.2f} "
-            f"{entry['energy_nj']:>9.1f} nJ "
-            f"{entry['energy_nj'] / total_energy:>6.1%} "
-            f"{entry['flight_dumps']:>7d}"
-        )
-    lines += [
-        "",
-        "power (top energy mnemonics, all journaled jobs)",
-        format_power_section(
-            info["merged_ledger"],
-            energy_table=info["energy_table"],
-            top_k=top_k,
-        ),
-    ]
-    for alert in info["alerts"][-top_k:]:
-        lines.append(
-            f"alert: {alert.get('name')} {alert.get('expression')} "
-            f"(value={alert.get('value')}, round={alert.get('round')})"
-        )
-    summary = info["drain_summary"]
-    if summary:
-        slo = summary.get("slo") or {}
-        lines += ["", "last drain summary"]
-        lines.append(
-            f"  completed={summary.get('completed')} "
-            f"failed={summary.get('failed')} shed={summary.get('shed')} "
-            f"rounds={summary.get('rounds')}"
-        )
-        for tenant in sorted(slo):
-            snap = slo[tenant]
-            lines.append(
-                f"  slo[{tenant}]: burn_rate={snap.get('burn_rate'):.3f} "
-                f"violations={snap.get('violations')}/{snap.get('jobs')}"
-            )
-    return "\n".join(lines)
-
-
-def render_inspection(path: "str | Path", top_k: int = 8) -> str:
-    """Dispatch ``repro inspect`` to the job or service renderer."""
-    if is_service_root(path):
-        return render_service_inspection(path, top_k=top_k)
-    return render_job_inspection(path, top_k=top_k)

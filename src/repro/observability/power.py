@@ -5,9 +5,8 @@ but until now the simulator only reported energy as a single end-of-run
 scalar.  :class:`PowerTimeline` turns the same
 :class:`~repro.core.stats.StatsLedger` command stream the metrics
 registry already observes into a *timeline*: energy binned over
-simulated time, attributed per mnemonic and per **lane** (a pipeline
-stage for single jobs, a service tenant under the multi-tenant
-scheduler), and reported in watts with the exact formula
+simulated time, attributed per mnemonic and per **lane** (by default the
+pipeline stage), and reported in watts with the exact formula
 ``energy_nj / time_ns + p_background_w`` that
 :meth:`repro.core.energy.EnergyModel.power_w` uses (1 nJ / 1 ns = 1 W).
 
@@ -32,10 +31,8 @@ energy, exactly* — is kept bit-exact, not approximately:
   float reassociation (checked with ``math.fsum`` in tests and by the
   ``--check`` gate of ``benchmarks/bench_power_timeline.py``).
 
-Lane attribution uses a thread-local :func:`lane_scope` (the service
-enters ``lane_scope(tenant)`` around each job) falling back to the
-ledger phase, so one timeline serves both the single-job and the
-multi-tenant views.  All mutation happens under one lock: jobs run on
+Lane attribution defaults to the ledger phase, so pipeline stages form
+lanes by themselves.  All mutation happens under one lock: jobs run on
 concurrent threads may share one session.
 """
 
@@ -43,14 +40,10 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
-from typing import Iterator
 
 __all__ = [
     "DEFAULT_BIN_NS",
     "PowerTimeline",
-    "current_lane",
-    "lane_scope",
 ]
 
 #: default bin width, simulated nanoseconds (100 us — fine enough to
@@ -58,33 +51,8 @@ __all__ = [
 #: that a paper-scale run stays a few thousand bins)
 DEFAULT_BIN_NS = 100_000.0
 
-#: lane charged when neither a lane scope nor a ledger phase is active
+#: lane charged when neither an explicit lane nor a ledger phase is given
 DEFAULT_POWER_LANE = "job"
-
-#: per-thread slot for the current attribution lane
-_TLS = threading.local()
-
-
-@contextmanager
-def lane_scope(name: str) -> Iterator[None]:
-    """Attribute this thread's command energy to lane ``name``.
-
-    The service wraps each dispatched job in
-    ``lane_scope(tenant)`` so per-tenant energy shares fall out of the
-    timeline without the ledger or the pipeline knowing about tenants.
-    """
-    previous = getattr(_TLS, "lane", None)
-    _TLS.lane = name
-    try:
-        yield
-    finally:
-        _TLS.lane = previous
-
-
-def current_lane() -> "str | None":
-    """This thread's lane installed by :func:`lane_scope` (or ``None``)."""
-    return getattr(_TLS, "lane", None)
-
 
 class PowerTimeline:
     """Bins the command stream into per-lane / per-mnemonic energy.
@@ -148,14 +116,11 @@ class PowerTimeline:
     ) -> None:
         """Deposit one ledger record into the timeline.
 
-        ``lane`` defaults to the thread's :func:`lane_scope`, then the
-        ledger phase, then ``"job"`` — so pipeline stages form lanes by
-        themselves and the service overrides with the tenant name.
+        ``lane`` defaults to the ledger phase, then ``"job"`` — so
+        pipeline stages form lanes by themselves.
         """
         if lane is None:
-            lane = getattr(_TLS, "lane", None)
-            if lane is None:
-                lane = phase if phase is not None else DEFAULT_POWER_LANE
+            lane = phase if phase is not None else DEFAULT_POWER_LANE
         with self._lock:
             self.events += 1
             self.total_energy_nj += energy_nj

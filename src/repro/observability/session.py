@@ -44,7 +44,7 @@ from repro.observability.export import (
 from repro.observability.exposition import write_exposition
 from repro.observability.flightrec import FlightRecorder
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.power import PowerTimeline, current_lane
+from repro.observability.power import DEFAULT_POWER_LANE, PowerTimeline
 from repro.observability.spans import Tracer
 
 __all__ = ["ObservabilitySession", "active_session", "connect_ledger"]
@@ -93,14 +93,11 @@ class ObservabilitySession:
     ) -> None:
         """Advance the simulated clock and fan the event out.
 
-        Lane attribution happens here (thread-local
-        :func:`~repro.observability.power.lane_scope`, falling back to
-        the ledger phase) so the power timeline and the flight ring
-        agree on who burned the energy.
+        The lane is the ledger phase (``"job"`` outside any phase), so
+        the power timeline and the flight ring agree on who burned the
+        energy.
         """
-        lane = current_lane()
-        if lane is None:
-            lane = phase if phase is not None else "job"
+        lane = phase if phase is not None else DEFAULT_POWER_LANE
         with self._lock:
             self._sim_time_ns += time_ns
             self.registry.on_command(command, count, time_ns, energy_nj, phase)
@@ -198,17 +195,6 @@ class ObservabilitySession:
                 )
             )
         return written
-
-    def write_telemetry(self, telemetry_path) -> str:
-        """Periodic exposition write (the serve loop's per-round hook)."""
-        self.power.publish_gauges(self.registry)
-        return str(
-            write_exposition(
-                telemetry_path,
-                self.registry,
-                extra={"power": self.power.summary()},
-            )
-        )
 
 
 def active_session() -> "ObservabilitySession | None":

@@ -30,6 +30,7 @@ one job:
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import time
 from collections import Counter
@@ -149,20 +150,15 @@ class JobConfig:
         for name, value in (
             ("stage_timeout_s", self.stage_timeout_s),
             ("job_timeout_s", self.job_timeout_s),
+            ("retention_interval_s", self.retention_interval_s),
         ):
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive (got {value})")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite (got {value})"
+                )
         if self.ecc not in (None, "off", "secded"):
             raise ValueError(
                 f"ecc must be 'off' or 'secded' (got {self.ecc!r})"
-            )
-        if (
-            self.retention_interval_s is not None
-            and self.retention_interval_s <= 0
-        ):
-            raise ValueError(
-                "retention_interval_s must be positive "
-                f"(got {self.retention_interval_s})"
             )
         if self.resilience is not None and not isinstance(
             self.resilience, ResiliencePolicy

@@ -24,7 +24,6 @@ class TestRingBounds:
     def test_all_rings_bounded(self):
         flight = FlightRecorder(
             command_capacity=2, span_capacity=2, event_capacity=2,
-            alert_capacity=2,
         )
         tracer = Tracer(sim_clock=lambda: 0.0)
         tracer.listener = flight
@@ -45,11 +44,11 @@ class TestTracerListener:
         flight = FlightRecorder()
         tracer = Tracer(sim_clock=lambda: 7.0)
         tracer.listener = flight
-        with tracer.span("attempt", lane="svc", tenant="acme"):
+        with tracer.span("attempt", lane="job", stage="hashmap"):
             tracer.event("hiccup", code=3)
         snap = flight.snapshot("x")
         assert snap["spans"][0]["name"] == "attempt"
-        assert snap["spans"][0]["attributes"]["tenant"] == "acme"
+        assert snap["spans"][0]["attributes"]["stage"] == "hashmap"
         assert snap["events"][0]["name"] == "hiccup"
 
     def test_no_listener_is_fine(self):
@@ -63,7 +62,7 @@ class TestDumpLoad:
     def test_round_trip(self, tmp_path):
         flight = FlightRecorder()
         flight.on_command("MEM_WR", 2, 5.0, 1.5, "hashmap", sim_ns=10.0,
-                          lane="acme")
+                          lane="hashmap")
         path = flight.dump(tmp_path, reason="unit test")
         assert path.name == FLIGHT_FILENAME
         assert flight.dumps == 1
@@ -71,7 +70,7 @@ class TestDumpLoad:
         assert loaded["format"] == "repro-flight-v1"
         assert loaded["reason"] == "unit test"
         assert loaded["commands"][0]["command"] == "MEM_WR"
-        assert loaded["commands"][0]["lane"] == "acme"
+        assert loaded["commands"][0]["lane"] == "hashmap"
 
     def test_dump_never_raises_on_unwritable_dir(self, tmp_path):
         blocker = tmp_path / "not-a-dir"

@@ -12,8 +12,6 @@ from repro.genome.reference import synthetic_chromosome
 from repro.observability.power import (
     DEFAULT_POWER_LANE,
     PowerTimeline,
-    current_lane,
-    lane_scope,
 )
 from repro.observability.session import ObservabilitySession
 
@@ -102,24 +100,13 @@ class TestBinning:
 
 
 class TestLanes:
-    def test_lane_scope_attributes_energy(self):
+    def test_explicit_lane_then_phase_fallback(self):
         timeline = PowerTimeline(bin_ns=10.0, p_background_w=0.0)
-        with lane_scope("tenant-a"):
-            assert current_lane() == "tenant-a"
-            timeline.on_command("AAP1", 1, 10.0, 3.0, "hashmap",
-                                lane=current_lane())
+        timeline.on_command("AAP1", 1, 10.0, 3.0, "hashmap", lane="job")
         timeline.on_command("AAP1", 1, 10.0, 2.0, "hashmap", lane=None)
-        assert current_lane() is None
-        assert timeline.lane_energy_nj["tenant-a"] == 3.0
+        assert timeline.lane_energy_nj["job"] == 3.0
         # without a lane the ledger phase is the fallback
         assert timeline.lane_energy_nj["hashmap"] == 2.0
-
-    def test_lane_scopes_nest_and_restore(self):
-        with lane_scope("outer"):
-            with lane_scope("inner"):
-                assert current_lane() == "inner"
-            assert current_lane() == "outer"
-        assert current_lane() is None
 
     def test_lane_sums_conserve_total(self):
         timeline = PowerTimeline(bin_ns=10.0, p_background_w=0.0)
@@ -127,14 +114,14 @@ class TestLanes:
         for i in range(500):
             timeline.on_command(
                 "AAP2", 1, rng.random() * 40.0, rng.random() * 3.0,
-                None, lane=f"tenant-{i % 3}",
+                None, lane=f"lane-{i % 3}",
             )
         lane_sum = math.fsum(timeline.lane_energy_nj.values())
         assert lane_sum == pytest.approx(
             timeline.total_energy_nj, rel=1e-12
         )
         assert set(timeline.lanes()) == {
-            "tenant-0", "tenant-1", "tenant-2"
+            "lane-0", "lane-1", "lane-2"
         }
 
     def test_default_lane_when_nothing_known(self):

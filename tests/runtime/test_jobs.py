@@ -12,6 +12,7 @@ import pytest
 
 from repro.assembly.pipeline import PimPipeline, PipelineState, _sized_device
 from repro.core.faults import FaultModel
+from repro.core.integrity import IntegrityConfig
 from repro.core.platform import PimAssembler
 from repro.core.resilience import ResiliencePolicy
 from repro.errors import (
@@ -34,8 +35,16 @@ def make_reads(seed: int = 11, genome_bp: int = 400) -> list[DnaSequence]:
     return [DnaSequence(genome[i : i + 50]) for i in range(0, genome_bp - 50, 11)]
 
 
-def faulty_pim_factory(policy: ResiliencePolicy):
-    """Platform factory with a live fault stream + protection attached."""
+#: accelerated retention rot under SECDED: far beyond real DRAM, so a
+#: short job really exercises the codec and the scrubber
+ROT = IntegrityConfig(
+    ecc="secded", retention_interval_s=1e-4, upset_probability=1e-6
+)
+
+
+def faulty_pim_factory(policy: ResiliencePolicy, integrity=None):
+    """Platform factory with a live fault stream + protection attached
+    (and, given an ``integrity`` config, seeded retention rot)."""
 
     def make(reads):
         pim = _sized_device(reads, K)
@@ -43,9 +52,24 @@ def faulty_pim_factory(policy: ResiliencePolicy):
             seed=FAULT_SEED, compute2_rate=2e-4, tra_rate=1e-4
         )
         pim.protect(policy)
+        if integrity is not None:
+            pim.attach_integrity(integrity)
         return pim
 
     return make
+
+
+def rot_config(engine: str, policy: ResiliencePolicy, ecc) -> JobConfig:
+    """A job config matching :data:`ROT` when ``ecc`` is set."""
+    if ecc is None:
+        return JobConfig(k=K, engine=engine, resilience=policy)
+    return JobConfig(
+        k=K,
+        engine=engine,
+        resilience=policy,
+        ecc=ecc,
+        retention_interval_s=ROT.retention_interval_s,
+    )
 
 
 def run_fingerprint(result) -> tuple:
@@ -59,6 +83,7 @@ def run_fingerprint(result) -> tuple:
         None
         if r is None
         else (r.totals.detected, r.totals.corrected, r.totals.retries),
+        result.integrity,
     )
 
 
@@ -154,6 +179,47 @@ class TestKillAndResume:
 
             revived = JobRunner(job_dir, config, pim_factory=factory)
             out = revived.resume(reads)
+            assert out.report.resumed
+            assert run_fingerprint(out.result) == golden_fp, (
+                f"kill at tick {kill_at}/{total_ticks} diverged"
+            )
+
+    def test_every_kill_point_resumes_identically_under_ecc(self, tmp_path):
+        """Bulk engine, live faults and seeded rot under SECDED: a kill
+        at every 80th watchdog tick (and at the last one) must fire,
+        and each resume must match the undisturbed run, rot included."""
+        reads = make_reads(genome_bp=200)
+        policy = ResiliencePolicy.named("detect-retry-remap")
+        config = rot_config("bulk", policy, "secded")
+        factory = faulty_pim_factory(policy, integrity=ROT)
+
+        meter = Watchdog()
+        golden = JobRunner(
+            tmp_path / "golden", config, pim_factory=factory, watchdog=meter
+        ).run(reads)
+        golden_fp = run_fingerprint(golden.result)
+        assert golden.result.integrity.flips_injected > 0
+        total_ticks = meter.ticks
+        assert total_ticks == 951
+
+        kill_points = [*range(80, total_ticks, 80), total_ticks]
+        for kill_at in kill_points:
+
+            def bomb(ticks, kill_at=kill_at):
+                if ticks == kill_at:
+                    raise SimulatedKill()
+
+            job_dir = tmp_path / f"kill-{kill_at}"
+            victim = JobRunner(
+                job_dir,
+                config,
+                pim_factory=factory,
+                watchdog=Watchdog(on_tick=bomb),
+            )
+            with pytest.raises(SimulatedKill):
+                victim.run(reads)
+
+            out = JobRunner(job_dir, config, pim_factory=factory).resume(reads)
             assert out.report.resumed
             assert run_fingerprint(out.result) == golden_fp, (
                 f"kill at tick {kill_at}/{total_ticks} diverged"
@@ -377,6 +443,48 @@ class TestRetryLadder:
             (c.name, str(c.sequence)) for c in golden.result.contigs
         ]
 
+    @pytest.mark.parametrize("ecc", [None, "secded"])
+    @pytest.mark.parametrize("engine", ["scalar", "bulk"])
+    @pytest.mark.parametrize(
+        "stage", ["run_hashmap", "run_debruijn", "run_traverse"]
+    )
+    def test_rollback_restores_fault_and_rot_streams(
+        self, reads, tmp_path, monkeypatch, stage, engine, ecc
+    ):
+        """The stage runs for real once, consuming fault and rot draws,
+        then fails; the retry rolls the platform back to the stage's
+        entry snapshot, so the job ends exactly as an undisturbed one."""
+        policy = ResiliencePolicy.named("detect-retry-remap")
+        config = rot_config(engine, policy, ecc)
+        factory = faulty_pim_factory(
+            policy, integrity=None if ecc is None else ROT
+        )
+        golden = JobRunner(
+            tmp_path / "golden", config, pim_factory=factory
+        ).run(reads)
+
+        original = getattr(PimPipeline, stage)
+        state = {"left": 1}
+
+        def run_then_fail(pipeline, *args):
+            out = original(pipeline, *args)
+            if state["left"] > 0:
+                state["left"] -= 1
+                raise VerificationError("injected failure after the stage")
+            return out
+
+        monkeypatch.setattr(PimPipeline, stage, run_then_fail)
+        runner = JobRunner(
+            tmp_path / "job",
+            config,
+            pim_factory=factory,
+            sleep=lambda s: None,
+        )
+        out = runner.run(reads)
+        assert state["left"] == 0
+        assert [d.action for d in out.report.decisions] == ["retry"]
+        assert run_fingerprint(out.result) == run_fingerprint(golden.result)
+
     def test_jitter_spreads_but_replays_from_the_job_seed(
         self, reads, tmp_path, monkeypatch
     ):
@@ -424,6 +532,14 @@ class TestRetryLadder:
             JobConfig(k=K, stage_timeout_s=0.0)
         with pytest.raises(ValueError, match="job_timeout_s"):
             JobConfig(k=K, job_timeout_s=-5.0)
+
+    @pytest.mark.parametrize(
+        "field", ["stage_timeout_s", "job_timeout_s", "retention_interval_s"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_seconds_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            JobConfig(k=K, **{field: value})
 
     def test_decisions_are_journaled(self, reads, tmp_path, monkeypatch):
         config = JobConfig(k=K, engine="bulk", backoff_base_s=0.0)

@@ -131,6 +131,29 @@ class TestAssemble:
         err = capsys.readouterr().err
         assert "no reads found" in err
 
+    @pytest.mark.parametrize(
+        "engine_args",
+        [
+            ["--exec-engine", "scalar"],
+            ["--exec-engine", "bulk"],
+            ["--engine", "software"],
+        ],
+        ids=["scalar", "bulk", "software"],
+    )
+    def test_reads_shorter_than_k_assemble_nothing(
+        self, tmp_path, capsys, engine_args
+    ):
+        reads = tmp_path / "reads.fa"
+        reads.write_text(">r0\nACGTACGT\n>r1\nTTGACCA\n")
+        rc = main(
+            ["assemble", str(reads), "-o", str(tmp_path / "o.fa"), "-k", "15"]
+            + engine_args
+        )
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "Traceback" not in captured.err
+        assert "0 contigs / 0 bp" in captured.out
+
     def test_lenient_quarantines_and_reports(self, tmp_path, capsys):
         reads_fq = tmp_path / "reads.fq"
         reads_fq.write_text(
@@ -214,12 +237,27 @@ class TestFailurePaths:
     def test_bad_k(self, tmp_path, capsys):
         reads = tmp_path / "reads.fa"
         reads.write_text(">r0\nACGTACGTACGTACGT\n")
-        rc, err = self._run(
-            capsys,
-            ["assemble", str(reads), "-o", str(tmp_path / "o.fa"), "-k", "1"],
-        )
-        assert rc == 2
-        assert "--k" in err
+        cases = [("1", "pim", "2")] + [
+            # above the 64-bit packing limit, on every engine
+            ("40", engine, "32")
+            for engine in ("pim", "software", "bidirected")
+        ]
+        for k, engine, limit in cases:
+            rc, err = self._run(
+                capsys,
+                [
+                    "assemble",
+                    str(reads),
+                    "-o",
+                    str(tmp_path / "o.fa"),
+                    "-k",
+                    k,
+                    "--engine",
+                    engine,
+                ],
+            )
+            assert rc == 2
+            assert "--k" in err and limit in err
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -228,6 +266,9 @@ class TestFailurePaths:
             ("--stage-timeout", "-3"),
             ("--job-timeout", "0"),
             ("--job-timeout", "-0.5"),
+            ("--stage-timeout", "nan"),
+            ("--stage-timeout", "inf"),
+            ("--job-timeout", "nan"),
         ],
     )
     def test_nonpositive_deadline_budgets_exit_2(
@@ -326,6 +367,14 @@ class TestJobCli:
         assert [(r.name, r.sequence) for r in again] == [
             (r.name, r.sequence) for r in first
         ]
+
+
+class TestRetiredCommands:
+    def test_serve_is_an_unknown_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", str(tmp_path / "batch.json")])
+        assert info.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
 
 
 class TestVersion:
@@ -495,172 +544,6 @@ class TestScaffold:
         assert rc == 2
 
 
-class TestServe:
-    """The multi-tenant batch driver and its exit-code taxonomy."""
-
-    def write_reads(self, tmp_path, seed=11, name="reads.fa"):
-        import random
-
-        rng = random.Random(seed)
-        genome = "".join(rng.choice("ACGT") for _ in range(250))
-        records = [
-            f">r{i}\n{genome[i : i + 50]}"
-            for i in range(0, 200, 11)
-        ]
-        path = tmp_path / name
-        path.write_text("\n".join(records) + "\n")
-        return path
-
-    def write_manifest(self, tmp_path, payload, name="batch.json"):
-        import json
-
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return path
-
-    def test_batch_completes_exit_0_with_outputs(self, tmp_path, capsys):
-        reads = self.write_reads(tmp_path)
-        manifest = self.write_manifest(
-            tmp_path,
-            {
-                "jobs": [
-                    {
-                        "tenant": "acme",
-                        "name": "a",
-                        "reads": reads.name,
-                        "k": 11,
-                        "output": "a.fa",
-                    },
-                    {
-                        "tenant": "beta",
-                        "name": "b",
-                        "reads": reads.name,
-                        "k": 11,
-                        "engine": "bulk",
-                        "deadline_s": 600,
-                    },
-                ],
-            },
-        )
-        rc = main(["serve", str(manifest)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert (tmp_path / "a.fa").exists()
-        assert "2/2 completed" in out
-        assert (manifest.parent / "batch.json.jobs").is_dir()
-
-    def test_overload_sheds_typed_and_exits_4(self, tmp_path, capsys):
-        reads = self.write_reads(tmp_path)
-        jobs = [
-            {"tenant": "acme", "name": f"j{i}", "reads": reads.name, "k": 11}
-            for i in range(3)
-        ]
-        manifest = self.write_manifest(
-            tmp_path,
-            {"tenants": {"acme": {"max_queued": 2}}, "jobs": jobs},
-        )
-        rc = main(["serve", str(manifest)])
-        out = capsys.readouterr().out
-        assert rc == 4
-        assert "shed: acme/j2" in out
-        assert "[tenant-queue-full]" in out
-        assert "2/2 completed" in out
-
-    def test_job_failure_exits_3(self, tmp_path, capsys):
-        reads = self.write_reads(tmp_path)
-        manifest = self.write_manifest(
-            tmp_path,
-            {
-                "jobs": [
-                    {"tenant": "a", "reads": reads.name, "k": 11},
-                    {"tenant": "b", "reads": "missing.fq", "k": 11},
-                ]
-            },
-        )
-        rc = main(["serve", str(manifest)])
-        captured = capsys.readouterr()
-        assert rc == 3
-        assert "not found" in captured.err
-
-    @pytest.mark.parametrize(
-        "payload,needle",
-        [
-            ({}, "jobs"),
-            ({"jobs": []}, "jobs"),
-            ({"jobs": [{"tenant": "a"}]}, "reads"),
-            ({"jobs": [{"reads": "r.fa"}]}, "tenant"),
-            ({"jobs": "nope"}, "jobs"),
-        ],
-    )
-    def test_malformed_manifest_exits_2(
-        self, tmp_path, capsys, payload, needle
-    ):
-        manifest = self.write_manifest(tmp_path, payload)
-        rc = main(["serve", str(manifest)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert needle in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "payload,needle",
-        [
-            ({"tenants": {"acme": {"max_in_flight": 2}}}, "max_in_flight"),
-            ({"workers": 2}, "workers"),
-            ({"degrade_engine_depth": 4}, "degrade_engine_depth"),
-            ({"degrade_batch_depth": 4}, "degrade_batch_depth"),
-        ],
-    )
-    def test_retired_manifest_keys_exit_2(
-        self, tmp_path, capsys, payload, needle
-    ):
-        reads = self.write_reads(tmp_path)
-        manifest = self.write_manifest(
-            tmp_path,
-            {**payload, "jobs": [{"tenant": "acme", "reads": reads.name}]},
-        )
-        rc = main(["serve", str(manifest)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error: manifest ")
-        assert needle in err
-        assert "Traceback" not in err
-
-    def test_manifest_not_json_exits_2(self, tmp_path, capsys):
-        manifest = tmp_path / "bad.json"
-        manifest.write_text("{not json")
-        rc = main(["serve", str(manifest)])
-        assert rc == 2
-        assert "JSON" in capsys.readouterr().err
-
-    def test_observability_exports(self, tmp_path, capsys):
-        import json
-
-        reads = self.write_reads(tmp_path)
-        manifest = self.write_manifest(
-            tmp_path,
-            {"jobs": [{"tenant": "a", "reads": reads.name, "k": 11}]},
-        )
-        metrics = tmp_path / "metrics.json"
-        trace = tmp_path / "trace.json"
-        rc = main(
-            [
-                "serve",
-                str(manifest),
-                "--metrics-out",
-                str(metrics),
-                "--trace-out",
-                str(trace),
-            ]
-        )
-        assert rc == 0
-        snapshot = json.loads(metrics.read_text())["metrics"]
-        assert snapshot["service.admitted"]["value"] == 1
-        assert snapshot["service.completed"]["value"] == 1
-        assert snapshot["service.latency_ms.a"]["count"] == 1
-        assert "service" in trace.read_text()
-
-
 class TestExperiments:
     def test_single_experiment(self, capsys):
         rc = main(["experiments", "--only", "area"])
@@ -683,7 +566,7 @@ class TestExperiments:
 
 
 class TestIntegrityCli:
-    """The data-at-rest integrity flags on assemble and serve."""
+    """The data-at-rest integrity flags on assemble."""
 
     def _reads(self, tmp_path, seed=11):
         import random
@@ -706,7 +589,7 @@ class TestIntegrityCli:
         assert "Traceback" not in captured.err
         return captured.err
 
-    @pytest.mark.parametrize("value", ["0", "-0.064"])
+    @pytest.mark.parametrize("value", ["0", "-0.064", "nan", "inf"])
     def test_nonpositive_retention_on_assemble_exits_2(
         self, tmp_path, capsys, value
     ):
@@ -718,22 +601,6 @@ class TestIntegrityCli:
                 str(reads),
                 "-o",
                 str(tmp_path / "o.fa"),
-                "--retention-interval-s",
-                value,
-            ],
-        )
-        assert "--retention-interval-s" in err and "positive" in err
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_nonpositive_retention_on_serve_exits_2(
-        self, tmp_path, capsys, value
-    ):
-        # validated before the manifest is even opened
-        err = self._fails(
-            capsys,
-            [
-                "serve",
-                str(tmp_path / "batch.json"),
                 "--retention-interval-s",
                 value,
             ],
@@ -780,32 +647,8 @@ class TestIntegrityCli:
         assert "refresh windows" in captured.out
         assert read_fasta(out)
 
-    def test_serve_batch_defaults_apply_to_jobs(self, tmp_path, capsys):
-        import json
-
-        reads = self._reads(tmp_path)
-        manifest = tmp_path / "batch.json"
-        manifest.write_text(
-            json.dumps(
-                {"jobs": [{"tenant": "a", "reads": reads.name, "k": 11}]}
-            )
-        )
-        rc = main(
-            [
-                "serve",
-                str(manifest),
-                "--ecc",
-                "secded",
-                "--retention-interval-s",
-                "1e-4",
-            ]
-        )
-        assert rc == 0
-        assert "completed" in capsys.readouterr().out
-
-
 class TestTelemetryCli:
-    """--telemetry-out on assemble/serve, and inspect on both shapes."""
+    """--telemetry-out on assemble, and inspect on a journaled job."""
 
     def write_reads(self, tmp_path, seed=11, name="reads.fa"):
         import random
@@ -819,12 +662,24 @@ class TestTelemetryCli:
         path.write_text("\n".join(records) + "\n")
         return path
 
-    def write_manifest(self, tmp_path, payload, name="batch.json"):
-        import json
-
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return path
+    def journaled_job(self, tmp_path, capsys):
+        reads = self.write_reads(tmp_path)
+        job_dir = tmp_path / "job"
+        rc = main(
+            [
+                "assemble",
+                str(reads),
+                "-o",
+                str(tmp_path / "c.fa"),
+                "-k",
+                "11",
+                "--job-dir",
+                str(job_dir),
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        return job_dir
 
     def test_assemble_telemetry_out_validates(self, simulated, tmp_path, capsys):
         from repro.observability.validate import validate_exposition_file
@@ -871,113 +726,8 @@ class TestTelemetryCli:
         assert rc == 2
         assert "--telemetry-out" in capsys.readouterr().err
 
-    def test_serve_slos_alerts_telemetry(self, tmp_path, capsys):
-        from repro.observability.validate import validate_exposition_file
-
-        reads = self.write_reads(tmp_path)
-        manifest = self.write_manifest(
-            tmp_path,
-            {
-                "slos": {"acme": {"latency_ms": 600000}},
-                "alerts": [
-                    "service.completed >= 1",
-                    {
-                        "name": "budget-burn",
-                        "expr": "burn_rate(acme) > 1",
-                        "severity": "page",
-                    },
-                ],
-                "jobs": [
-                    {"tenant": "acme", "name": "a", "reads": reads.name,
-                     "k": 11},
-                    {"tenant": "beta", "name": "b", "reads": reads.name,
-                     "k": 11},
-                ],
-            },
-        )
-        telemetry = tmp_path / "svc.prom"
-        rc = main(
-            ["serve", str(manifest), "--telemetry-out", str(telemetry)]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "alert [warning]: service.completed >= 1" in out
-        assert validate_exposition_file(telemetry) == []
-        text = telemetry.read_text()
-        assert "slo_burn_rate_acme" in text
-        assert "alerts_fired_total 1" in text
-        # the scheduler audited its drain into the job root
-        job_root = manifest.parent / "batch.json.jobs"
-        assert (job_root / "audit.jsonl").is_file()
-
-    def test_serve_rejects_bad_alert_rule(self, tmp_path, capsys):
-        reads = self.write_reads(tmp_path)
-        manifest = self.write_manifest(
-            tmp_path,
-            {
-                "alerts": ["not a rule"],
-                "jobs": [
-                    {"tenant": "acme", "name": "a", "reads": reads.name}
-                ],
-            },
-        )
-        rc = main(["serve", str(manifest)])
-        assert rc == 2
-        assert "alert rule" in capsys.readouterr().err
-
-    def test_serve_rejects_bad_slo(self, tmp_path, capsys):
-        reads = self.write_reads(tmp_path)
-        manifest = self.write_manifest(
-            tmp_path,
-            {
-                "slos": {"acme": {"latency_ms": -1}},
-                "jobs": [
-                    {"tenant": "acme", "name": "a", "reads": reads.name}
-                ],
-            },
-        )
-        rc = main(["serve", str(manifest)])
-        assert rc == 2
-
-    def test_inspect_service_root_rollup(self, tmp_path, capsys):
-        reads = self.write_reads(tmp_path)
-        manifest = self.write_manifest(
-            tmp_path,
-            {
-                "slos": {"acme": {"latency_ms": 600000}},
-                "jobs": [
-                    {"tenant": "acme", "name": "a", "reads": reads.name,
-                     "k": 11},
-                    {"tenant": "beta", "name": "b", "reads": reads.name,
-                     "k": 11},
-                ],
-            },
-        )
-        assert main(["serve", str(manifest)]) == 0
-        capsys.readouterr()
-        job_root = manifest.parent / "batch.json.jobs"
-        rc = main(["inspect", str(job_root)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "per-tenant rollup" in out
-        assert "acme" in out and "beta" in out
-        assert "power (top energy mnemonics, all journaled jobs)" in out
-        assert "slo[acme]" in out
-
     def test_inspect_job_dir_has_power_section(self, tmp_path, capsys):
-        reads = self.write_reads(tmp_path)
-        manifest = self.write_manifest(
-            tmp_path,
-            {
-                "jobs": [
-                    {"tenant": "acme", "name": "a", "reads": reads.name,
-                     "k": 11}
-                ]
-            },
-        )
-        assert main(["serve", str(manifest)]) == 0
-        capsys.readouterr()
-        job_dir = manifest.parent / "batch.json.jobs" / "acme" / "a"
+        job_dir = self.journaled_job(tmp_path, capsys)
         rc = main(["inspect", str(job_dir)])
         out = capsys.readouterr().out
         assert rc == 0
@@ -987,19 +737,7 @@ class TestTelemetryCli:
     def test_inspect_renders_flight_dump(self, tmp_path, capsys):
         from repro.observability.flightrec import FlightRecorder
 
-        reads = self.write_reads(tmp_path)
-        manifest = self.write_manifest(
-            tmp_path,
-            {
-                "jobs": [
-                    {"tenant": "acme", "name": "a", "reads": reads.name,
-                     "k": 11}
-                ]
-            },
-        )
-        assert main(["serve", str(manifest)]) == 0
-        capsys.readouterr()
-        job_dir = manifest.parent / "batch.json.jobs" / "acme" / "a"
+        job_dir = self.journaled_job(tmp_path, capsys)
         flight = FlightRecorder()
         flight.on_command("AAP1", 1, 5.0, 2.0, "hashmap", sim_ns=1.0)
         flight.dump(job_dir, reason="synthetic post-mortem")
@@ -1008,3 +746,29 @@ class TestTelemetryCli:
         assert rc == 0
         assert "flight recorder dump" in out
         assert "synthetic post-mortem" in out
+
+    def test_inspect_renders_a_dump_carrying_alerts(self, tmp_path, capsys):
+        """Dumps written before the alert ring was removed carry an
+        ``"alerts"`` key; inspect still renders them."""
+        import json
+
+        from repro.observability.flightrec import FLIGHT_FILENAME
+
+        job_dir = self.journaled_job(tmp_path, capsys)
+        (job_dir / FLIGHT_FILENAME).write_text(
+            json.dumps(
+                {
+                    "format": "repro-flight-v1",
+                    "reason": "older post-mortem",
+                    "commands": [],
+                    "spans": [{"name": "stage.hashmap", "lane": "hashmap"}],
+                    "events": [],
+                    "alerts": [{"name": "a", "expression": "x > 1"}],
+                }
+            )
+        )
+        rc = main(["inspect", str(job_dir)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "older post-mortem" in out
+        assert "stage.hashmap" in out
