@@ -4,8 +4,7 @@ Three checkers share one findings model
 (:mod:`repro.analysis.findings`) and one exit-code taxonomy:
 
 * :mod:`repro.analysis.verifier` — dataflow verification of recorded
-  AAP command streams (``repro verify-trace`` and the opt-in
-  :class:`~repro.analysis.verifier.InlineChecker`),
+  AAP command streams (``repro verify-trace``),
 * :mod:`repro.analysis.lint` — repo invariants enforced over the AST
   (determinism, hot-path ledger honesty, the error taxonomy),
 * :mod:`repro.analysis.typecheck` — gated strict mypy over the
@@ -43,11 +42,7 @@ from repro.analysis.tracefile import (
     save_document,
 )
 from repro.analysis.typecheck import typecheck
-from repro.analysis.verifier import (
-    InlineChecker,
-    StreamVerifier,
-    verify_document,
-)
+from repro.analysis.verifier import StreamVerifier, verify_document
 
 __all__ = [
     "EXIT_FINDINGS",
@@ -56,7 +51,6 @@ __all__ = [
     "EXIT_RUNTIME",
     "Finding",
     "FindingReport",
-    "InlineChecker",
     "OptimizationResult",
     "Severity",
     "StreamVerifier",

@@ -4,9 +4,8 @@ The paper's correctness story rests on hard ISA rules: a type-2/3 AAP
 may only land results on designated compute rows, TRA majority needs
 three initialised operand rows, and the add-on latch must be loaded
 before the sum MUX reads it.  This module checks a recorded command
-stream (a :class:`~repro.analysis.tracefile.TraceDocument`, or a live
-controller feed through :class:`InlineChecker`) against those rules
-and reports typed findings.
+stream (a :class:`~repro.analysis.tracefile.TraceDocument`) against
+those rules and reports typed findings.
 
 Rule catalogue
 ==============
@@ -64,7 +63,7 @@ C005   charges left unflushed at end of stream
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.analysis.findings import FindingReport
 from repro.analysis.tracefile import TraceDocument
@@ -75,10 +74,8 @@ from repro.core.timing import (
     command_latency_table,
 )
 from repro.core.trace import CommandTrace, TraceEntry
-from repro.errors import TraceHazardError
 
 __all__ = [
-    "InlineChecker",
     "StreamVerifier",
     "verify_charges",
     "verify_document",
@@ -650,88 +647,3 @@ def verify_document(doc: TraceDocument, source: str = "<trace>") -> FindingRepor
     if doc.complete:
         _verify_accounting(doc, report, source=source)
     return report
-
-
-class InlineChecker:
-    """Opt-in live hazard checking during simulation.
-
-    Duck-types the :class:`~repro.core.trace.CommandTrace` recording
-    interface (``record``/``mark``), so it plugs straight into
-    ``controller.attach_trace``.  Each command is checked as it is
-    issued; in ``strict`` mode the first hazard raises
-    :class:`~repro.errors.TraceHazardError` at the faulty call site,
-    otherwise findings accumulate in :attr:`report`.
-
-    A ``tee`` trace can ride along so a run is simultaneously checked
-    and recorded::
-
-        checker = InlineChecker.for_platform(pim, tee=CommandTrace())
-        pim.controller.attach_trace(checker)
-    """
-
-    def __init__(
-        self,
-        geometry: dict,
-        layout: dict | None = None,
-        strict: bool = True,
-        tee: Any = None,
-    ) -> None:
-        self._verifier = StreamVerifier(
-            geometry=geometry,
-            layout=layout,
-            cold_start=False,
-            check_dataflow=True,
-            source="<inline>",
-        )
-        self.strict = strict
-        self.tee = tee
-
-    @classmethod
-    def for_platform(
-        cls, pim: Any, strict: bool = True, tee: Any = None
-    ) -> "InlineChecker":
-        from repro.mapping.kmer_layout import scaled_layout
-
-        sub_geom = pim.geometry.bank.mat.subarray
-        layout = scaled_layout(sub_geom)
-        return cls(
-            geometry={
-                "rows": int(sub_geom.rows),
-                "cols": int(sub_geom.cols),
-                "compute_rows": int(sub_geom.compute_rows),
-                "data_rows": int(sub_geom.data_rows),
-            },
-            layout={
-                "kmer_rows": layout.kmer_rows,
-                "value_rows": layout.value_rows,
-                "temp_rows": layout.temp_rows,
-            },
-            strict=strict,
-            tee=tee,
-        )
-
-    @property
-    def report(self) -> FindingReport:
-        return self._verifier.report
-
-    def record(
-        self,
-        mnemonic: str,
-        subarray: tuple[int, ...],
-        rows: tuple[int, ...],
-        payload: Any = None,
-    ) -> None:
-        if self.tee is not None:
-            self.tee.record(mnemonic, subarray, rows, payload)
-        payload_tuple = (
-            tuple(int(b) for b in payload) if payload is not None else None
-        )
-        new = self._verifier.feed(mnemonic, subarray, tuple(rows), payload_tuple)
-        if new and self.strict:
-            latest = self.report.findings[-1]
-            raise TraceHazardError(str(latest))
-
-    def mark(self, label: str) -> None:
-        if self.tee is not None and hasattr(self.tee, "mark"):
-            self.tee.mark(label)
-        self._verifier.feed_mark(label)

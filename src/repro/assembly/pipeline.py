@@ -106,11 +106,6 @@ class PimPipeline:
             (batched bit-plane execution of the hashmap and degree
             stages; identical tables/contigs/resilience events, time
             charged per gang schedule).
-        batch_reads: reads per bulk hashmap round.  ``None`` (default)
-            issues one round per read, the golden arrival granularity;
-            larger rounds produce identical tables/contigs/command
-            counts (the arrival order is unchanged) but a coarser gang
-            schedule.
     """
 
     def __init__(
@@ -124,14 +119,11 @@ class PimPipeline:
         simplify: bool = False,
         resilience: "ResiliencePolicy | str | None" = None,
         engine: str = "scalar",
-        batch_reads: int | None = None,
     ) -> None:
         if k <= 1:
             raise ValueError("assembly needs k >= 2")
         if engine not in ("scalar", "bulk"):
             raise ValueError("engine must be 'scalar' or 'bulk'")
-        if batch_reads is not None and batch_reads < 1:
-            raise ValueError("batch_reads must be >= 1")
         self.pim = pim
         self.k = k
         self.min_count = min_count
@@ -140,7 +132,6 @@ class PimPipeline:
         self.min_contig_length = min_contig_length
         self.simplify = simplify
         self.engine = engine
-        self.batch_reads = batch_reads
         self.resilience = (
             None if resilience is None else ResiliencePolicy.named(resilience)
         )
@@ -176,7 +167,6 @@ class PimPipeline:
             lane="hashmap",
             engine=self.engine,
             k=self.k,
-            batch_reads=self.batch_reads,
         ) as stage_span, pim.phase("hashmap"):
             # window marker: the k-mer-table layout rules are in force
             # from here until hashmap:end (trace verifier scoping)
@@ -190,23 +180,10 @@ class PimPipeline:
             # time as reads are inserted, so the integrity engine must
             # get control between inserts — an end-of-stage-only sync
             # could never corrupt (or protect) the table mid-build
-            if self.batch_reads is None:
-                for sequence in sequences:
-                    checkpoint()
-                    counter.add_sequence(sequence)
-                    pim.integrity_sync()
-            else:
-                batch: list[DnaSequence] = []
-                for sequence in sequences:
-                    checkpoint()
-                    batch.append(sequence)
-                    if len(batch) >= self.batch_reads:
-                        counter.add_sequences(batch)
-                        pim.integrity_sync()
-                        batch = []
-                if batch:
-                    counter.add_sequences(batch)
-                    pim.integrity_sync()
+            for sequence in sequences:
+                checkpoint()
+                counter.add_sequence(sequence)
+                pim.integrity_sync()
             if self._scrub_active():
                 # bound how long a corrupted slot can poison queries
                 with span("scrub.table"):

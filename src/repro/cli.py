@@ -76,13 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     assemble.add_argument(
         "--metrics-out",
-        help="write the metrics snapshot (counters, histograms, "
-        "sub-array heatmap) as JSON",
-    )
-    assemble.add_argument(
-        "--telemetry-out",
-        help="write the metrics + power gauges as a Prometheus "
-        "text-format exposition (plus a .json snapshot next to it)",
+        help="write the metrics snapshot (counters, histograms, power "
+        "summary and gauges, sub-array heatmap) as JSON",
     )
     assemble.add_argument("reads", help="FASTA or FASTQ file of reads")
     assemble.add_argument("-o", "--output", required=True, help="contig FASTA")
@@ -362,12 +357,8 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         raise InputError("--stage-timeout/--job-timeout require --job-dir")
     if args.job_dir and args.engine != "pim":
         raise InputError("--job-dir requires --engine pim")
-    if (
-        args.trace_out or args.metrics_out or args.telemetry_out
-    ) and args.engine != "pim":
-        raise InputError(
-            "--trace-out/--metrics-out/--telemetry-out require --engine pim"
-        )
+    if (args.trace_out or args.metrics_out) and args.engine != "pim":
+        raise InputError("--trace-out/--metrics-out require --engine pim")
     if args.aap_trace_out and args.engine != "pim":
         raise InputError("--aap-trace-out requires --engine pim")
     if args.aap_trace_out and args.job_dir:
@@ -415,7 +406,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         from contextlib import ExitStack
 
         session = None
-        if args.trace_out or args.metrics_out or args.telemetry_out:
+        if args.trace_out or args.metrics_out:
             from repro.observability.session import ObservabilitySession
 
             session = ObservabilitySession()
@@ -488,7 +479,6 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
                 trace_path=args.trace_out,
                 metrics_path=args.metrics_out,
                 pim=pim,
-                telemetry_path=args.telemetry_out,
             ):
                 print(f"observability: wrote {path}")
         contigs = outcome.contigs

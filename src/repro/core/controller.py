@@ -80,6 +80,7 @@ from repro.core.scheduler import BatchedAapScheduler
 from repro.core.stats import StatsLedger
 from repro.core.storage import popcount_words, width_mask
 from repro.core.timing import TimingParameters, DEFAULT_TIMING
+from repro.core.trace import CommandTrace
 from repro.errors import UncorrectableFaultError
 from repro.observability.spans import span
 
@@ -98,7 +99,7 @@ class Controller:
     resilience: ResilienceEngine | None = None
 
     def __post_init__(self) -> None:
-        self._trace = None
+        self._trace: CommandTrace | None = None
         #: the one gang scheduler every bulk kernel charges through
         self.scheduler = BatchedAapScheduler(
             self.ledger, timing=self.timing, energy=self.energy
@@ -227,12 +228,12 @@ class Controller:
 
     # ----- tracing ------------------------------------------------------------
 
-    def attach_trace(self, trace) -> None:
+    def attach_trace(self, trace: CommandTrace | None) -> None:
         """Record subsequent commands into a
         :class:`repro.core.trace.CommandTrace` (None detaches).
 
         The controller's :attr:`scheduler` records its bulk charges and
-        flushes into the same trace, when the sink has ``charge()``.
+        flushes into the same trace.
         """
         self._trace = trace
         self.scheduler.trace = trace
@@ -243,12 +244,10 @@ class Controller:
         Pipeline stages call this around layout-owning windows
         (``hashmap:begin`` ... ``hashmap:end``, scrub passes) so the
         trace verifier knows when the k-mer-table row designations are
-        in force.  A no-op without a trace, or with a trace sink that
-        does not track marks.
+        in force.  A no-op without a trace.
         """
-        mark = getattr(self._trace, "mark", None)
-        if mark is not None:
-            mark(label)
+        if self._trace is not None:
+            self._trace.mark(label)
 
     def _record_trace(
         self,

@@ -181,8 +181,8 @@ class BatchedAapScheduler:
     Per-command costs come from the cached
     :func:`repro.core.timing.command_cost_table`.
 
-    ``trace`` is the controller's attached sink; when it has
-    ``charge()``/``flush()`` (a :class:`~repro.core.trace.CommandTrace`)
+    ``trace`` is the controller's attached
+    :class:`~repro.core.trace.CommandTrace` (``None`` when detached):
     every charged (mnemonic, sub-array) share and every flush boundary
     is recorded into it for audit.
     """
@@ -194,7 +194,7 @@ class BatchedAapScheduler:
         self.timing = timing or DEFAULT_TIMING
         self.energy = energy or DEFAULT_ENERGY
         self.costs = command_cost_table(self.timing, self.energy)
-        self.trace = None
+        self.trace: CommandTrace | None = None
         #: resource -> index into ``_busy``: sub-array keys, plus
         #: ``("grb", bank, mat)`` and ``("dpu", bank, mat)``
         self._resource_ids: dict[tuple, int] = {}
@@ -269,10 +269,9 @@ class BatchedAapScheduler:
         if mnemonic in ("MEM_RD", "MEM_WR"):
             np.add.at(self._busy, ids[:, 1], key_ns)
         counts = counts.tolist()
-        record = getattr(self.trace, "charge", None)
-        if record is not None:
+        if self.trace is not None:
             for key, count in zip(keys, counts):
-                record(mnemonic, key, count, count * time_ns)
+                self.trace.charge(mnemonic, key, count, count * time_ns)
         total = sum(counts)
         self._time_ns[mnemonic] += total * time_ns
         self._energy_nj[mnemonic] += total * energy_nj
@@ -289,9 +288,8 @@ class BatchedAapScheduler:
         serial = float(sum(self._time_ns.values()))
         makespan = float(self._busy.max()) if self._busy.size else 0.0
         commands = self.pending_commands
-        record = getattr(self.trace, "flush", None)
-        if record is not None and commands:
-            record(serial, makespan, commands)
+        if self.trace is not None and commands:
+            self.trace.flush(serial, makespan, commands)
         scale = (makespan / serial) if serial > 0 else 0.0
         for mnemonic, count in self._counts.items():
             self.ledger.record(

@@ -19,7 +19,6 @@ Hierarchy::
     ├── SubarrayQuarantinedError          — touched a quarantined sub-array
     ├── InputError                        — malformed/unusable user input
     │   └── TraceFormatError              — unparseable AAP trace document
-    ├── TraceHazardError                  — inline checker caught a hazard
     ├── StageTimeoutError                 — a deadline budget expired
     ├── JournalError                      — job journal missing/corrupt/mismatched
     │   └── JournalLockedError            — journal held by another runner
@@ -102,16 +101,6 @@ class TraceFormatError(InputError):
     well-formed command stream (exit code 1 from ``repro
     verify-trace``); this error means the file is not a trace document
     at all (exit code 2, like every other :class:`InputError`).
-    """
-
-
-class TraceHazardError(ReproError):
-    """The inline AAP checker caught a hazard at the issuing call site.
-
-    Raised only in the opt-in strict mode of
-    :class:`repro.analysis.verifier.InlineChecker`; the offline
-    ``repro verify-trace`` path reports the same hazards as findings
-    instead of raising.
     """
 
 

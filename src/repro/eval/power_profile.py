@@ -96,14 +96,13 @@ def run_power_profile(
     coverage: float = 10.0,
     k: int = 15,
     seed: int = 47,
-    bin_ns: "float | None" = None,
 ) -> PowerProfile:
     """Assemble one synthetic workload under a session; profile it."""
     from repro.assembly.pipeline import _sized_device, assemble_with_pim
     from repro.observability.session import ObservabilitySession
 
     reads = _workload(length, coverage, seed)
-    session = ObservabilitySession(power_bin_ns=bin_ns)
+    session = ObservabilitySession()
     with session.activate():
         # build the device inside the session so its ledger connects
         pim = _sized_device(reads, k)
@@ -118,11 +117,11 @@ def run_power_profile(
         timeline_energy_nj=power.total_energy_nj,
         ledger_energy_nj=ledger.energy_nj,
         integral_nj=power.integral_nj(),
-        total_time_ns=power.total_time_ns,
+        total_time_ns=power.cursor_ns,
         average_power_w=power.average_power_w(),
         peak_power_w=power.peak_power_w(),
         thermal_proxy_w=power.thermal_proxy_w(),
-        stage_energy_nj=dict(power.stage_energy_nj),
+        stage_energy_nj=power.summary()["stages"],
         top_mnemonics=tuple(power.top_mnemonics(5)),
     )
 

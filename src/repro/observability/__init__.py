@@ -8,22 +8,21 @@ run on a single timeline:
   parent/child nesting, attributes), wired through the pipeline
   stages, job retries, scheduler batches and controller dispatch;
 * :mod:`repro.observability.metrics` — counters/gauges/histograms fed
-  by the stats ledger through the narrow :class:`Recorder` protocol
-  and by instrumentation points through module-level helpers;
+  by instrumentation points through module-level helpers, plus the
+  narrow :class:`Recorder` protocol a stats ledger forwards to;
 * :mod:`repro.observability.export` — Chrome/Perfetto trace-event
   JSON (one lane per pipeline stage plus resilience/watchdog lanes),
   ``metrics.json`` snapshots, sub-array utilization heatmaps, and the
   schema validator CI runs;
 * :mod:`repro.observability.session` — one-call activation wiring all
   of the above around a run (the CLI's ``--trace-out``/
-  ``--metrics-out``);
+  ``--metrics-out``); the session is the ledger's recorder;
 * :mod:`repro.observability.inspect` — post-hoc ``repro inspect`` of
   a finished or crashed job directory;
-* :mod:`repro.observability.power` — windowed per-lane/per-mnemonic
+* :mod:`repro.observability.power` — windowed per-phase/per-mnemonic
   power timeline off the ledger command stream, with a bit-exact
-  conservation invariant against the ledger totals;
-* :mod:`repro.observability.exposition` — zero-dependency Prometheus
-  text-format v0.0.4 writer (the CLI's ``--telemetry-out``);
+  conservation invariant against the ledger totals: the session's one
+  accumulator of ledger records, published into ``metrics.json``;
 * :mod:`repro.observability.flightrec` — bounded ring of recent
   commands/spans/events, dumped as ``flight.json`` on failure.
 
@@ -40,10 +39,6 @@ from repro.observability.export import (
     validate_trace_file,
     write_chrome_trace,
     write_metrics,
-)
-from repro.observability.exposition import (
-    render_prometheus,
-    write_exposition,
 )
 from repro.observability.flightrec import FlightRecorder
 from repro.observability.power import PowerTimeline
@@ -89,13 +84,11 @@ __all__ = [
     "inspect_job",
     "observe",
     "render_job_inspection",
-    "render_prometheus",
     "set_gauge",
     "span",
     "subarray_utilization",
     "validate_chrome_trace",
     "validate_trace_file",
     "write_chrome_trace",
-    "write_exposition",
     "write_metrics",
 ]

@@ -233,7 +233,7 @@ def write_chrome_trace(path: "str | Path", tracer: Tracer, power=None) -> Path:
 _ALLOWED_PHASES = {"B", "E", "i", "M", "C"}
 
 
-def validate_chrome_trace(doc: dict) -> list[str]:
+def validate_chrome_trace(doc: object) -> list[str]:
     """Check a trace document against the Chrome trace-event schema.
 
     Returns a list of problems (empty = valid).  Beyond well-formed
@@ -242,6 +242,8 @@ def validate_chrome_trace(doc: dict) -> list[str]:
     nest (every ``E`` matches the innermost open ``B`` by name), every
     opened span closes, and timestamps never decrease in file order.
     """
+    if not isinstance(doc, dict):
+        return ["trace document is not a JSON object"]
     problems: list[str] = []
     events = doc.get("traceEvents")
     if not isinstance(events, list):

@@ -54,11 +54,10 @@ class FlightRecorder:
         energy_nj: float,
         phase: "str | None",
         sim_ns: float = 0.0,
-        lane: "str | None" = None,
     ) -> None:
         """One ledger record (compact tuple; GIL-safe deque append)."""
         self._commands.append(
-            (sim_ns, command, count, time_ns, energy_nj, phase, lane)
+            (sim_ns, command, count, time_ns, energy_nj, phase)
         )
 
     def on_span_close(self, span) -> None:
@@ -85,10 +84,9 @@ class FlightRecorder:
                     "time_ns": time_ns,
                     "energy_nj": energy_nj,
                     "phase": phase,
-                    "lane": lane,
                 }
                 for (
-                    sim_ns, command, count, time_ns, energy_nj, phase, lane,
+                    sim_ns, command, count, time_ns, energy_nj, phase,
                 ) in self._commands
             ],
             "spans": [
@@ -137,11 +135,18 @@ class FlightRecorder:
 
     @staticmethod
     def load(job_dir: "str | Path") -> "dict | None":
-        """Read a previously dumped ``flight.json`` (``None`` if absent)."""
+        """Read a previously dumped ``flight.json``.
+
+        ``None`` when the file is absent, undecodable, or not a JSON
+        object — none of those is a dump
+        :func:`~repro.observability.inspect.format_flight_section` could
+        render.
+        """
         path = Path(job_dir) / FLIGHT_FILENAME
         if not path.exists():
             return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
             return None
+        return doc if isinstance(doc, dict) else None

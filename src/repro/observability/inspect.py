@@ -150,15 +150,23 @@ def format_power_section(
     return "\n".join(lines)
 
 
+def _ring(flight: dict, key: str) -> list[dict]:
+    """One ring of a dump, entries that are not objects skipped."""
+    entries = flight.get(key)
+    if not isinstance(entries, list):
+        return []
+    return [entry for entry in entries if isinstance(entry, dict)]
+
+
 def format_flight_section(flight: dict) -> str:
     """Human rendering of one flight-recorder dump (``flight.json``)."""
+    spans = _ring(flight, "spans")
     lines = [
         f"reason: {flight.get('reason', '<unknown>')}",
-        f"captured: {len(flight.get('commands', []))} commands, "
-        f"{len(flight.get('spans', []))} spans, "
-        f"{len(flight.get('events', []))} events",
+        f"captured: {len(_ring(flight, 'commands'))} commands, "
+        f"{len(spans)} spans, "
+        f"{len(_ring(flight, 'events'))} events",
     ]
-    spans = flight.get("spans", [])
     if spans:
         lines.append("last spans:")
         for span in spans[-5:]:

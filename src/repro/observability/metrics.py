@@ -15,8 +15,10 @@ feed metrics through two narrow, off-by-default channels:
 * the :class:`Recorder` protocol — :class:`~repro.core.stats.StatsLedger`
   forwards every :meth:`~repro.core.stats.StatsLedger.record` call to an
   attached recorder (``None`` by default), preserving the ledger's
-  additive-only functional/timed separation: the registry observes the
-  same event stream, it never becomes a second source of truth;
+  additive-only functional/timed separation.  The recorder is the
+  :class:`~repro.observability.session.ObservabilitySession`, which
+  folds the stream into its power timeline; the timeline publishes the
+  ``pim.*`` command/time/energy counters into the registry at export;
 * the module-level :func:`inc` / :func:`observe` / :func:`set_gauge`
   helpers, which no-op unless a registry is activated — the same
   pattern the span tracer uses, so instrumented hot paths stay free
@@ -206,7 +208,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metric store; also a :class:`Recorder` for a stats ledger."""
+    """Named metric store."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
@@ -240,26 +242,6 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
-
-    # ----- Recorder protocol ------------------------------------------------
-
-    def on_command(
-        self,
-        command: str,
-        count: int,
-        time_ns: float,
-        energy_nj: float,
-        phase: "str | None",
-    ) -> None:
-        """Fold one ledger record into the per-mnemonic counters."""
-        self.counter(f"pim.commands.{command}").inc(count)
-        self.counter(f"pim.time_ns.{command}").inc(time_ns)
-        self.counter(f"pim.energy_nj.{command}").inc(energy_nj)
-        self.counter("pim.commands.total").inc(count)
-        self.counter("pim.time_ns.total").inc(time_ns)
-        self.counter("pim.energy_nj.total").inc(energy_nj)
-        if phase is not None:
-            self.counter(f"pim.stage_time_ns.{phase}").inc(time_ns)
 
     # ----- export -----------------------------------------------------------
 

@@ -2,11 +2,12 @@
 
 The paper's headline comparisons are power numbers (Fig. 9b, Fig. 10),
 but until now the simulator only reported energy as a single end-of-run
-scalar.  :class:`PowerTimeline` turns the same
-:class:`~repro.core.stats.StatsLedger` command stream the metrics
-registry already observes into a *timeline*: energy binned over
-simulated time, attributed per mnemonic and per **lane** (by default the
-pipeline stage), and reported in watts with the exact formula
+scalar.  :class:`PowerTimeline` turns the
+:class:`~repro.core.stats.StatsLedger` command stream into a
+*timeline*: energy binned over simulated time, attributed per mnemonic
+and per **lane** (the ledger phase, i.e. the pipeline stage, with
+``"job"`` for records outside a phase), and reported in watts with the
+exact formula
 ``energy_nj / time_ns + p_background_w`` that
 :meth:`repro.core.energy.EnergyModel.power_w` uses (1 nJ / 1 ns = 1 W).
 
@@ -22,7 +23,7 @@ energy, exactly* — is kept bit-exact, not approximately:
   ledger.totals().energy_nj`` holds under IEEE-754 equality, float
   non-associativity notwithstanding;
 * per-phase accumulators mirror the ledger's per-phase ``+=`` order the
-  same way, so ``stage_energy_nj[phase] ==
+  same way, so ``phase_energy_nj[phase] ==
   ledger.totals(phase).energy_nj`` is also exact;
 * binning *spreads* each event's energy uniformly over its duration,
   charging the final bin with the residual ``energy - assigned`` rather
@@ -31,9 +32,11 @@ energy, exactly* — is kept bit-exact, not approximately:
   float reassociation (checked with ``math.fsum`` in tests and by the
   ``--check`` gate of ``benchmarks/bench_power_timeline.py``).
 
-Lane attribution defaults to the ledger phase, so pipeline stages form
-lanes by themselves.  All mutation happens under one lock: jobs run on
-concurrent threads may share one session.
+The timeline is the observability session's one accumulator of ledger
+records: its cursor is the session's simulated clock, and
+:meth:`PowerTimeline.publish` writes its per-mnemonic and per-stage
+sums into the metrics registry at export.  All mutation happens under
+one lock: jobs run on concurrent threads may share one session.
 """
 
 from __future__ import annotations
@@ -51,11 +54,13 @@ __all__ = [
 #: that a paper-scale run stays a few thousand bins)
 DEFAULT_BIN_NS = 100_000.0
 
-#: lane charged when neither an explicit lane nor a ledger phase is given
+#: lane of the records charged outside any ledger phase (no pipeline
+#: stage opens a ledger phase of this name)
 DEFAULT_POWER_LANE = "job"
 
+
 class PowerTimeline:
-    """Bins the command stream into per-lane / per-mnemonic energy.
+    """Bins the command stream into per-phase / per-mnemonic energy.
 
     Args:
         bin_ns: bin width in simulated nanoseconds.
@@ -89,18 +94,20 @@ class PowerTimeline:
         self.p_background_w = float(p_background_w)
         self.thermal_tau_ns = float(thermal_tau_ns)
         self._lock = threading.Lock()
+        #: the session's one simulated clock: the sum of every record's
+        #: time, advanced in ledger order
         self._cursor_ns = 0.0
-        #: exact mirrors of the ledger accumulators (see module docs)
+        #: exact mirrors of the ledger accumulators (see module docs);
+        #: per-phase sums key records outside a phase by ``"job"``
         self.total_energy_nj = 0.0
-        self.total_time_ns = 0.0
-        self.stage_energy_nj: dict[str, float] = {}
-        self.lane_energy_nj: dict[str, float] = {}
+        self.phase_time_ns: dict[str, float] = {}
+        self.phase_energy_nj: dict[str, float] = {}
         self.mnemonic_energy_nj: dict[str, float] = {}
         self.mnemonic_time_ns: dict[str, float] = {}
         self.mnemonic_count: dict[str, int] = {}
-        #: bin index -> deposited energy (nJ), globally and per lane
+        #: bin index -> deposited energy (nJ), globally and per phase
         self._bins: dict[int, float] = {}
-        self._lane_bins: dict[str, dict[int, float]] = {}
+        self._phase_bins: dict[str, dict[int, float]] = {}
         self.events = 0
 
     # ----- feeding (the Recorder-shaped entry point) -------------------------
@@ -112,25 +119,18 @@ class PowerTimeline:
         time_ns: float,
         energy_nj: float,
         phase: "str | None",
-        lane: "str | None" = None,
     ) -> None:
-        """Deposit one ledger record into the timeline.
-
-        ``lane`` defaults to the ledger phase, then ``"job"`` — so
-        pipeline stages form lanes by themselves.
-        """
-        if lane is None:
-            lane = phase if phase is not None else DEFAULT_POWER_LANE
+        """Deposit one ledger record into the timeline."""
+        if phase is None:
+            phase = DEFAULT_POWER_LANE
         with self._lock:
             self.events += 1
             self.total_energy_nj += energy_nj
-            self.total_time_ns += time_ns
-            if phase is not None:
-                self.stage_energy_nj[phase] = (
-                    self.stage_energy_nj.get(phase, 0.0) + energy_nj
-                )
-            self.lane_energy_nj[lane] = (
-                self.lane_energy_nj.get(lane, 0.0) + energy_nj
+            self.phase_time_ns[phase] = (
+                self.phase_time_ns.get(phase, 0.0) + time_ns
+            )
+            self.phase_energy_nj[phase] = (
+                self.phase_energy_nj.get(phase, 0.0) + energy_nj
             )
             self.mnemonic_energy_nj[command] = (
                 self.mnemonic_energy_nj.get(command, 0.0) + energy_nj
@@ -141,23 +141,21 @@ class PowerTimeline:
             self.mnemonic_count[command] = (
                 self.mnemonic_count.get(command, 0) + count
             )
-            self._deposit(lane, time_ns, energy_nj)
+            self._deposit(phase, time_ns, energy_nj)
 
-    def _deposit(self, lane: str, time_ns: float, energy_nj: float) -> None:
+    def _deposit(self, phase: str, time_ns: float, energy_nj: float) -> None:
         """Spread one event's energy over [cursor, cursor + time_ns)."""
         start = self._cursor_ns
         self._cursor_ns = start + time_ns
-        lane_bins = self._lane_bins.get(lane)
-        if lane_bins is None:
-            lane_bins = self._lane_bins[lane] = {}
         if energy_nj == 0.0:
             return
+        phase_bins = self._phase_bins.setdefault(phase, {})
         first = int(start // self.bin_ns)
         last = int(self._cursor_ns // self.bin_ns)
         if time_ns <= 0.0 or first == last:
             # instantaneous (or bin-contained) event: all in one bin
             self._bins[first] = self._bins.get(first, 0.0) + energy_nj
-            lane_bins[first] = lane_bins.get(first, 0.0) + energy_nj
+            phase_bins[first] = phase_bins.get(first, 0.0) + energy_nj
             return
         assigned = 0.0
         for index in range(first, last + 1):
@@ -171,7 +169,7 @@ class PowerTimeline:
                 share = energy_nj * ((hi - lo) / time_ns)
                 assigned += share
             self._bins[index] = self._bins.get(index, 0.0) + share
-            lane_bins[index] = lane_bins.get(index, 0.0) + share
+            phase_bins[index] = phase_bins.get(index, 0.0) + share
 
     # ----- reading -----------------------------------------------------------
 
@@ -181,14 +179,17 @@ class PowerTimeline:
         return self._cursor_ns
 
     def lanes(self) -> list[str]:
-        return sorted(self._lane_bins)
+        """Every phase that saw a record, ``"job"`` included."""
+        return sorted(self.phase_energy_nj)
 
-    def integral_nj(self, lane: "str | None" = None) -> float:
+    def _bins_of(self, phase: "str | None") -> dict[int, float]:
+        return self._bins if phase is None else self._phase_bins.get(phase, {})
+
+    def integral_nj(self, phase: "str | None" = None) -> float:
         """Energy deposited into the bins (``math.fsum``, reassociated)."""
-        bins = self._bins if lane is None else self._lane_bins.get(lane, {})
-        return math.fsum(bins.values())
+        return math.fsum(self._bins_of(phase).values())
 
-    def series(self, lane: "str | None" = None) -> list[tuple[float, float]]:
+    def series(self, phase: "str | None" = None) -> list[tuple[float, float]]:
         """``(bin_start_ns, power_w)`` points, gaps filled with background.
 
         Power of a bin is its deposited energy over the bin width plus
@@ -196,7 +197,7 @@ class PowerTimeline:
         bin that saw no energy still report background power, so the
         series is a gap-free step function a counter track can render.
         """
-        bins = self._bins if lane is None else self._lane_bins.get(lane, {})
+        bins = self._bins_of(phase)
         if not bins:
             return []
         first, last = min(bins), max(bins)
@@ -208,14 +209,14 @@ class PowerTimeline:
             for index in range(first, last + 1)
         ]
 
-    def peak_power_w(self, lane: "str | None" = None) -> float:
+    def peak_power_w(self, phase: "str | None" = None) -> float:
         """Hottest single bin, in watts (background when empty)."""
-        bins = self._bins if lane is None else self._lane_bins.get(lane, {})
+        bins = self._bins_of(phase)
         if not bins:
             return self.p_background_w
         return max(bins.values()) / self.bin_ns + self.p_background_w
 
-    def thermal_proxy_w(self, lane: "str | None" = None) -> float:
+    def thermal_proxy_w(self, phase: "str | None" = None) -> float:
         """Peak of an EWMA over bin powers — sustained-power proxy.
 
         The EWMA's smoothing factor comes from the thermal time
@@ -223,7 +224,7 @@ class PowerTimeline:
         barely moves it, a sustained burn converges to the bin power.
         Deterministic — computed from the bins, no wall clock anywhere.
         """
-        series = self.series(lane)
+        series = self.series(phase)
         if not series:
             return self.p_background_w
         alpha = 1.0 - math.exp(-self.bin_ns / self.thermal_tau_ns)
@@ -237,9 +238,9 @@ class PowerTimeline:
 
     def average_power_w(self) -> float:
         """Whole-run average: total energy over elapsed time + background."""
-        if self.total_time_ns <= 0:
+        if self._cursor_ns <= 0:
             return self.p_background_w
-        return self.total_energy_nj / self.total_time_ns + self.p_background_w
+        return self.total_energy_nj / self._cursor_ns + self.p_background_w
 
     def top_mnemonics(self, k: int = 5) -> list[tuple[str, float]]:
         """The ``k`` mnemonics with the largest energy share, descending."""
@@ -257,18 +258,18 @@ class PowerTimeline:
             "p_background_w": self.p_background_w,
             "events": self.events,
             "total_energy_nj": self.total_energy_nj,
-            "total_time_ns": self.total_time_ns,
+            "total_time_ns": self._cursor_ns,
             "average_power_w": self.average_power_w(),
             "peak_power_w": self.peak_power_w(),
             "thermal_proxy_w": self.thermal_proxy_w(),
             "lanes": {
                 lane: {
-                    "energy_nj": self.lane_energy_nj.get(lane, 0.0),
+                    "energy_nj": self.phase_energy_nj[lane],
                     "peak_power_w": self.peak_power_w(lane),
                 }
                 for lane in self.lanes()
             },
-            "stages": dict(sorted(self.stage_energy_nj.items())),
+            "stages": _stages(self.phase_energy_nj),
             "mnemonics": {
                 name: {
                     "energy_nj": self.mnemonic_energy_nj[name],
@@ -279,12 +280,41 @@ class PowerTimeline:
             },
         }
 
-    def publish_gauges(self, registry) -> None:
-        """Write the peak/thermal/average gauges into a metrics registry."""
+    def publish(self, registry) -> None:
+        """Write the timeline's sums into a metrics registry.
+
+        The ``pim.*`` command/time/energy counters (per mnemonic, their
+        ``.total`` aggregates, per-stage time) and the ``power.*``
+        gauges.  Values are assigned, not added, so publishing twice
+        writes the same registry.
+        """
+
+        def counter(name: str, value: float) -> None:
+            registry.counter(name).value = float(value)
+
+        for name, count in self.mnemonic_count.items():
+            counter(f"pim.commands.{name}", count)
+            counter(f"pim.time_ns.{name}", self.mnemonic_time_ns[name])
+            counter(f"pim.energy_nj.{name}", self.mnemonic_energy_nj[name])
+        if self.events:
+            counter("pim.commands.total", sum(self.mnemonic_count.values()))
+            counter("pim.time_ns.total", self._cursor_ns)
+            counter("pim.energy_nj.total", self.total_energy_nj)
+        for phase, time_ns in _stages(self.phase_time_ns).items():
+            counter(f"pim.stage_time_ns.{phase}", time_ns)
         registry.gauge("power.peak_w").set(self.peak_power_w())
         registry.gauge("power.thermal_proxy_w").set(self.thermal_proxy_w())
         registry.gauge("power.average_w").set(self.average_power_w())
         for lane in self.lanes():
             registry.gauge(f"power.lane_energy_nj.{lane}").set(
-                self.lane_energy_nj.get(lane, 0.0)
+                self.phase_energy_nj[lane]
             )
+
+
+def _stages(per_phase: dict[str, float]) -> dict[str, float]:
+    """The ledger-phase entries of a per-phase sum, sorted by name."""
+    return {
+        phase: value
+        for phase, value in sorted(per_phase.items())
+        if phase != DEFAULT_POWER_LANE
+    }

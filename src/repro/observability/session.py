@@ -12,13 +12,13 @@ simulated-clock bridge between them — and activates them together::
         result = assemble_with_pim(reads, k=21)
     session.export(trace_path="t.json", metrics_path="m.json", pim=pim)
 
-The simulated clock is fed by the session's own
-:class:`~repro.observability.metrics.Recorder`: every stats-ledger
-record the run charges flows through :meth:`on_command`, which
-advances the tracer's simulated timestamp, folds the event into the
-registry, deposits its energy into the power timeline, and pushes it
-onto the flight-recorder ring.  Ledgers connect through
-:func:`connect_ledger`, which
+Every stats-ledger record the run charges flows through the session's
+own :class:`~repro.observability.metrics.Recorder`, :meth:`on_command`,
+into exactly one accumulator, the power timeline, and onto the
+flight-recorder ring.  The timeline's cursor is the simulated clock the
+tracer and the flight ring read, and its per-mnemonic and per-stage
+sums are published into the registry at :meth:`export`.  Ledgers
+connect through :func:`connect_ledger`, which
 :class:`~repro.core.platform.PimAssembler` calls at construction — a
 no-op unless a session is active, so the default simulator keeps its
 zero-instrumentation cost and job resumes (which rebuild the platform
@@ -41,10 +41,9 @@ from repro.observability.export import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.observability.exposition import write_exposition
 from repro.observability.flightrec import FlightRecorder
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.power import DEFAULT_POWER_LANE, PowerTimeline
+from repro.observability.power import PowerTimeline
 from repro.observability.spans import Tracer
 
 __all__ = ["ObservabilitySession", "active_session", "connect_ledger"]
@@ -54,31 +53,14 @@ _ACTIVE: "ObservabilitySession | None" = None
 
 
 class ObservabilitySession:
-    """Tracer + registry + power timeline + flight recorder, as one unit.
+    """Tracer + registry + power timeline + flight recorder, as one unit."""
 
-    Args:
-        power_bin_ns: bin width of the power timeline (simulated ns);
-            ``None`` keeps the default.
-        flight: pass ``False`` to skip the flight recorder (micro-
-            benchmarks measuring the enabled path without ring pushes).
-    """
-
-    def __init__(
-        self,
-        power_bin_ns: "float | None" = None,
-        flight: bool = True,
-    ) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self._sim_time_ns = 0.0
-        self.tracer = Tracer(sim_clock=lambda: self._sim_time_ns)
-        self.power = (
-            PowerTimeline(bin_ns=power_bin_ns)
-            if power_bin_ns is not None
-            else PowerTimeline()
-        )
-        self.flight = FlightRecorder() if flight else None
-        if self.flight is not None:
-            self.tracer.listener = self.flight
+        self.power = PowerTimeline()
+        self.tracer = Tracer(sim_clock=lambda: self.power.cursor_ns)
+        self.flight = FlightRecorder()
+        self.tracer.listener = self.flight
         self._lock = threading.Lock()
 
     # ----- the Recorder fed to every connected StatsLedger -------------------
@@ -91,34 +73,22 @@ class ObservabilitySession:
         energy_nj: float,
         phase: "str | None",
     ) -> None:
-        """Advance the simulated clock and fan the event out.
-
-        The lane is the ledger phase (``"job"`` outside any phase), so
-        the power timeline and the flight ring agree on who burned the
-        energy.
-        """
-        lane = phase if phase is not None else DEFAULT_POWER_LANE
+        """Fold one ledger record into the timeline and the flight ring."""
         with self._lock:
-            self._sim_time_ns += time_ns
-            self.registry.on_command(command, count, time_ns, energy_nj, phase)
-            self.power.on_command(
-                command, count, time_ns, energy_nj, phase, lane=lane
+            self.power.on_command(command, count, time_ns, energy_nj, phase)
+            self.flight.on_command(
+                command,
+                count,
+                time_ns,
+                energy_nj,
+                phase,
+                sim_ns=self.power.cursor_ns,
             )
-            if self.flight is not None:
-                self.flight.on_command(
-                    command,
-                    count,
-                    time_ns,
-                    energy_nj,
-                    phase,
-                    sim_ns=self._sim_time_ns,
-                    lane=lane,
-                )
 
     @property
     def sim_time_ns(self) -> float:
         """Cumulative simulated nanoseconds observed by this session."""
-        return self._sim_time_ns
+        return self.power.cursor_ns
 
     # ----- lifecycle --------------------------------------------------------
 
@@ -139,9 +109,7 @@ class ObservabilitySession:
     # ----- failure handling --------------------------------------------------
 
     def dump_flight(self, job_dir, reason: str):
-        """Dump the flight rings into ``job_dir`` (no-op without rings)."""
-        if self.flight is None:
-            return None
+        """Dump the flight rings into ``job_dir``."""
         return self.flight.dump(job_dir, reason)
 
     # ----- export -----------------------------------------------------------
@@ -166,12 +134,11 @@ class ObservabilitySession:
         trace_path: "str | None" = None,
         metrics_path: "str | None" = None,
         pim=None,
-        telemetry_path: "str | None" = None,
     ) -> list[str]:
         """Write the requested artefacts; returns the written paths."""
         written: list[str] = []
         heatmap = self.snapshot_platform(pim) if pim is not None else []
-        self.power.publish_gauges(self.registry)
+        self.power.publish(self.registry)
         if trace_path:
             written.append(
                 str(write_chrome_trace(trace_path, self.tracer,
@@ -183,16 +150,6 @@ class ObservabilitySession:
                 extra["subarray_heatmap"] = heatmap
             written.append(
                 str(write_metrics(metrics_path, self.registry, extra=extra))
-            )
-        if telemetry_path:
-            written.append(
-                str(
-                    write_exposition(
-                        telemetry_path,
-                        self.registry,
-                        extra={"power": self.power.summary()},
-                    )
-                )
             )
         return written
 

@@ -118,7 +118,6 @@ class JobConfig:
     simplify: bool = False
     resilience: "ResiliencePolicy | str | None" = None
     engine: str = "scalar"
-    batch_reads: int | None = None
     #: data-at-rest protection: ``"secded"`` attaches the retention /
     #: ECC / scrub engine, ``"off"`` models rot without correction,
     #: ``None`` leaves the platform untouched (no retention model)
@@ -182,7 +181,6 @@ class JobConfig:
                 else self.resilience.state_dict()
             ),
             "engine": self.engine,
-            "batch_reads": self.batch_reads,
             "ecc": self.ecc,
             "retention_interval_s": self.retention_interval_s,
         }
@@ -368,7 +366,18 @@ class JobRunner:
                     f"(journal {stored.get('input_sha256', '?')[:12]}..., "
                     f"input {fingerprint[:12]}...)"
                 )
-            if stored.get("config") != self.config.identity_dict():
+            config = stored.get("config")
+            if isinstance(config, dict) and "batch_reads" in config:
+                # journals written while reads could be batched into
+                # hashmap rounds record the (default) null batch size
+                config = dict(config)
+                if config.pop("batch_reads") is not None:
+                    raise JournalError(
+                        "the journaled job batches reads into hashmap "
+                        "rounds, which is no longer supported; start "
+                        "it afresh instead of resuming"
+                    )
+            if config != self.config.identity_dict():
                 raise JournalError(
                     "job configuration does not match the journal; a "
                     "resume must use the original k/engine/policy settings"
@@ -424,7 +433,6 @@ class JobRunner:
             simplify=self.config.simplify,
             resilience=None,  # the engine is attached/restored on pim
             engine=self.config.engine,
-            batch_reads=self.config.batch_reads,
         )
 
     def _payload(self, stage: str) -> dict:
@@ -526,7 +534,6 @@ class JobRunner:
                     lane="job",
                     attempt=attempt,
                     engine=self.config.engine,
-                    batch_reads=self.config.batch_reads,
                 ):
                     self._execute_stage(stage, reads, watchdog)
                 with span(f"job.checkpoint.{stage}", lane="job"):

@@ -17,9 +17,9 @@ from repro.analysis.tracefile import (
     load_document,
     save_document,
 )
-from repro.analysis.verifier import InlineChecker, verify_document
+from repro.analysis.verifier import verify_document
 from repro.core.trace import CommandTrace
-from repro.errors import TraceFormatError, TraceHazardError
+from repro.errors import TraceFormatError
 
 SUB = (0, 0, 0)
 GEOMETRY = {"rows": 64, "cols": 8, "compute_rows": 8, "data_rows": 56}
@@ -496,46 +496,3 @@ def test_load_accepts_well_formed_charges(tmp_path):
     assert doc.trace.charges == [("AAP1", (0, 0, 0), 2, 170.0)]
     assert doc.trace.flushes == [(1, 170.0, 170.0, 2)]
     assert verify_document(doc).render() == ""
-
-
-# ----- the inline checker ----------------------------------------------------
-
-
-def test_inline_checker_strict_raises_at_call_site():
-    checker = InlineChecker(geometry=GEOMETRY, strict=True)
-    with pytest.raises(TraceHazardError):
-        checker.record("AAP2", SUB, (1, 1, 60))
-
-
-def test_inline_checker_collects_when_not_strict():
-    checker = InlineChecker(geometry=GEOMETRY, strict=False)
-    checker.record("AAP2", SUB, (1, 1, 60))
-    checker.record("FROB", SUB, ())
-    assert {"V001", "V002"} <= checker.report.rules()
-
-
-def test_inline_checker_tees_to_a_real_trace():
-    tee = CommandTrace()
-    checker = InlineChecker(geometry=GEOMETRY, strict=False, tee=tee)
-    checker.record("AAP1", SUB, (0, 60))
-    checker.mark("hashmap:begin")
-    assert len(tee) == 1
-    assert tee.marks == [(1, "hashmap:begin")]
-
-
-def test_inline_checker_passes_a_real_hashmap_run():
-    """Strict live checking over a real scalar counting run: no raise."""
-    from repro.assembly.hashmap import PimKmerCounter
-    from repro.core.platform import PimAssembler
-    from repro.genome.sequence import DnaSequence
-
-    pim = PimAssembler.small(subarrays=8, rows=256, cols=64)
-    checker = InlineChecker.for_platform(pim, strict=True)
-    pim.controller.attach_trace(checker)
-    try:
-        counter = PimKmerCounter(pim, 5)
-        counter.add_sequence(DnaSequence("ACGTACGTTGCA"))
-        counts = counter.counts()
-    finally:
-        pim.controller.attach_trace(None)
-    assert counts and checker.report.ok

@@ -90,24 +90,6 @@ class TestCharges:
         pim.controller.scheduler.flush()
         assert len(trace.charges) == 1
 
-    def test_sink_without_charge_is_not_fed(self):
-        """A record/mark-only sink (the inline checker) keeps working."""
-
-        class Sink:
-            def __init__(self):
-                self.records = []
-
-            def record(self, *args):
-                self.records.append(args)
-
-        pim = PimAssembler.small()
-        sink = Sink()
-        pim.controller.attach_trace(sink)
-        pim.controller.scheduler.charge("AAP1", [(0, 0, 0)], [3])
-        pim.controller.scheduler.flush()
-        assert sink.records == []
-        assert pim.stats.command_count("AAP1") == 3
-
     @pytest.mark.parametrize(
         "charge",
         [

@@ -229,6 +229,22 @@ class TestUnifiedFindings:
         assert report.exit_code == 1
         assert report.findings[0].source == str(path)
 
+    @pytest.mark.parametrize("top_level", [[1, 2], "trace", 3, None])
+    def test_non_object_document_is_a_finding(
+        self, tmp_path, capsys, top_level
+    ):
+        from repro.analysis.findings import EXIT_FINDINGS
+        from repro.observability.export import validate_trace_report
+        from repro.observability.validate import main
+
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(top_level))
+        report = validate_trace_report(path)
+        assert report.rules() == {"X001"}
+        assert "not a JSON object" in report.findings[0].message
+        assert main([str(path)]) == EXIT_FINDINGS
+        assert "INVALID" in capsys.readouterr().out
+
     def test_validate_cli_exit_codes(self, tmp_path, capsys):
         import json
 

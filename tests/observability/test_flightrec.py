@@ -61,8 +61,7 @@ class TestTracerListener:
 class TestDumpLoad:
     def test_round_trip(self, tmp_path):
         flight = FlightRecorder()
-        flight.on_command("MEM_WR", 2, 5.0, 1.5, "hashmap", sim_ns=10.0,
-                          lane="hashmap")
+        flight.on_command("MEM_WR", 2, 5.0, 1.5, "hashmap", sim_ns=10.0)
         path = flight.dump(tmp_path, reason="unit test")
         assert path.name == FLIGHT_FILENAME
         assert flight.dumps == 1
@@ -70,7 +69,7 @@ class TestDumpLoad:
         assert loaded["format"] == "repro-flight-v1"
         assert loaded["reason"] == "unit test"
         assert loaded["commands"][0]["command"] == "MEM_WR"
-        assert loaded["commands"][0]["lane"] == "hashmap"
+        assert loaded["commands"][0]["phase"] == "hashmap"
 
     def test_dump_never_raises_on_unwritable_dir(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
@@ -82,6 +81,11 @@ class TestDumpLoad:
     def test_load_missing_or_corrupt(self, tmp_path):
         assert FlightRecorder.load(tmp_path) is None
         (tmp_path / FLIGHT_FILENAME).write_text("{ not json")
+        assert FlightRecorder.load(tmp_path) is None
+
+    @pytest.mark.parametrize("text", ["[1]", '"flight"', "7", "null"])
+    def test_load_non_object_is_absent(self, tmp_path, text):
+        (tmp_path / FLIGHT_FILENAME).write_text(text)
         assert FlightRecorder.load(tmp_path) is None
 
 

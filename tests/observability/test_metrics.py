@@ -14,6 +14,7 @@ from repro.observability.metrics import (
     observe,
     set_gauge,
 )
+from repro.observability.session import ObservabilitySession
 
 
 class TestPrimitives:
@@ -59,18 +60,9 @@ class TestRegistry:
             reg.gauge("x")
         assert reg.get("missing") is None
 
-    def test_registry_satisfies_recorder_protocol(self):
-        assert isinstance(MetricsRegistry(), Recorder)
-
-    def test_on_command_fans_out(self):
-        reg = MetricsRegistry()
-        reg.on_command("AAP1", 3, 120.0, 9.0, "hashmap")
-        reg.on_command("AAP1", 1, 40.0, 3.0, None)
-        assert reg.counter("pim.commands.AAP1").value == 4
-        assert reg.counter("pim.time_ns.AAP1").value == 160.0
-        assert reg.counter("pim.energy_nj.AAP1").value == 12.0
-        assert reg.counter("pim.commands.total").value == 4
-        assert reg.counter("pim.stage_time_ns.hashmap").value == 120.0
+    def test_session_is_the_recorder_not_the_registry(self):
+        assert isinstance(ObservabilitySession(), Recorder)
+        assert not isinstance(MetricsRegistry(), Recorder)
 
     def test_snapshot_is_sorted_and_json_shaped(self):
         reg = MetricsRegistry()
@@ -105,27 +97,30 @@ class TestModuleHelpers:
 
 class TestLedgerForwarding:
     def test_ledger_forwards_records_to_recorder(self):
-        reg = MetricsRegistry()
+        session = ObservabilitySession()
         ledger = StatsLedger()
-        ledger.attach_recorder(reg)
+        ledger.attach_recorder(session)
         with ledger.phase("hashmap"):
             ledger.record("AAP2", time_ns=30.0, energy_nj=2.0, count=3)
         ledger.record("MEM_RD", time_ns=10.0, energy_nj=1.0)
+        session.export()  # publishes the recorded sums
+        reg = session.registry
         assert reg.counter("pim.commands.AAP2").value == 3
         assert reg.counter("pim.stage_time_ns.hashmap").value == 30.0
         # the root-phase record carries phase=None -> no stage counter
         assert reg.get("pim.stage_time_ns.None") is None
+        assert reg.get("pim.stage_time_ns.job") is None
         # the ledger itself is untouched by the mirroring
         assert ledger.totals().time_ns == 40.0
 
     def test_detach_stops_forwarding(self):
-        reg = MetricsRegistry()
+        session = ObservabilitySession()
         ledger = StatsLedger()
-        ledger.attach_recorder(reg)
+        ledger.attach_recorder(session)
         ledger.record("AAP1", time_ns=1.0, energy_nj=1.0)
         ledger.attach_recorder(None)
         ledger.record("AAP1", time_ns=1.0, energy_nj=1.0)
-        assert reg.counter("pim.commands.AAP1").value == 1
+        assert session.power.mnemonic_count == {"AAP1": 1}
 
 
 class TestHistogramQuantiles:

@@ -40,7 +40,7 @@ class TestConservation:
             )
         totals = ledger.totals()
         assert timeline.total_energy_nj == totals.energy_nj  # no approx!
-        assert timeline.total_time_ns == totals.time_ns
+        assert timeline.cursor_ns == totals.time_ns
 
     @pytest.mark.parametrize("engine", ["scalar", "bulk"])
     def test_end_to_end_both_engines(self, reads, engine):
@@ -50,13 +50,18 @@ class TestConservation:
             assemble_with_pim(reads, 15, pim=pim, engine=engine)
         totals = pim.stats.totals()
         assert session.power.total_energy_nj == totals.energy_nj
-        assert session.power.total_time_ns == totals.time_ns
-        # per-stage energies mirror the ledger's phase accounting
-        for stage, energy in session.power.stage_energy_nj.items():
+        assert session.power.cursor_ns == totals.time_ns
+        # per-stage energies and times mirror the ledger's phase accounting
+        stages = session.power.summary()["stages"]
+        assert stages
+        for stage, energy in stages.items():
             assert energy == pim.stats.totals(stage).energy_nj
+            assert session.power.phase_time_ns[stage] == (
+                pim.stats.totals(stage).time_ns
+            )
 
     def test_integral_matches_total(self, reads):
-        session = ObservabilitySession(power_bin_ns=500.0)
+        session = ObservabilitySession()
         with session.activate():
             assemble_with_pim(reads, 15)
         total = session.power.total_energy_nj
@@ -100,13 +105,15 @@ class TestBinning:
 
 
 class TestLanes:
-    def test_explicit_lane_then_phase_fallback(self):
+    def test_lane_is_the_phase_or_job(self):
         timeline = PowerTimeline(bin_ns=10.0, p_background_w=0.0)
-        timeline.on_command("AAP1", 1, 10.0, 3.0, "hashmap", lane="job")
-        timeline.on_command("AAP1", 1, 10.0, 2.0, "hashmap", lane=None)
-        assert timeline.lane_energy_nj["job"] == 3.0
-        # without a lane the ledger phase is the fallback
-        assert timeline.lane_energy_nj["hashmap"] == 2.0
+        timeline.on_command("AAP1", 1, 10.0, 3.0, None)
+        timeline.on_command("AAP1", 1, 10.0, 2.0, "hashmap")
+        assert timeline.phase_energy_nj == {"job": 3.0, "hashmap": 2.0}
+        summary = timeline.summary()
+        assert set(summary["lanes"]) == {"job", "hashmap"}
+        # "job" is the lane of records outside a phase, not a stage
+        assert summary["stages"] == {"hashmap": 2.0}
 
     def test_lane_sums_conserve_total(self):
         timeline = PowerTimeline(bin_ns=10.0, p_background_w=0.0)
@@ -114,9 +121,9 @@ class TestLanes:
         for i in range(500):
             timeline.on_command(
                 "AAP2", 1, rng.random() * 40.0, rng.random() * 3.0,
-                None, lane=f"lane-{i % 3}",
+                f"lane-{i % 3}",
             )
-        lane_sum = math.fsum(timeline.lane_energy_nj.values())
+        lane_sum = math.fsum(timeline.phase_energy_nj.values())
         assert lane_sum == pytest.approx(
             timeline.total_energy_nj, rel=1e-12
         )
@@ -160,13 +167,41 @@ class TestGauges:
         from repro.observability.metrics import MetricsRegistry
 
         timeline = PowerTimeline(bin_ns=10.0, p_background_w=2.0)
-        timeline.on_command("AAP1", 1, 10.0, 5.0, None, lane="t0")
+        timeline.on_command("AAP1", 1, 10.0, 5.0, "t0")
         registry = MetricsRegistry()
-        timeline.publish_gauges(registry)
+        timeline.publish(registry)
         assert registry.gauge("power.peak_w").value == pytest.approx(2.5)
         assert registry.gauge("power.average_w").value == pytest.approx(2.5)
         assert registry.gauge("power.lane_energy_nj.t0").value == 5.0
         assert registry.gauge("power.thermal_proxy_w").value > 2.0
+
+    def test_publish_command_counters(self):
+        from repro.observability.metrics import MetricsRegistry
+
+        timeline = PowerTimeline(bin_ns=10.0)
+        timeline.on_command("AAP1", 3, 120.0, 9.0, "hashmap")
+        timeline.on_command("AAP1", 1, 40.0, 3.0, None)
+        registry = MetricsRegistry()
+        timeline.publish(registry)
+        assert registry.counter("pim.commands.AAP1").value == 4
+        assert registry.counter("pim.time_ns.AAP1").value == 160.0
+        assert registry.counter("pim.energy_nj.AAP1").value == 12.0
+        assert registry.counter("pim.commands.total").value == 4
+        assert registry.counter("pim.time_ns.total").value == 160.0
+        assert registry.counter("pim.energy_nj.total").value == 12.0
+        assert registry.counter("pim.stage_time_ns.hashmap").value == 120.0
+        # the records outside a phase have no stage counter
+        assert registry.get("pim.stage_time_ns.job") is None
+        snapshot = registry.snapshot()
+        timeline.publish(registry)  # assigned, not added
+        assert registry.snapshot() == snapshot
+
+    def test_publish_nothing_seen_writes_no_counters(self):
+        from repro.observability.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        PowerTimeline(bin_ns=10.0).publish(registry)
+        assert not [n for n in registry.names() if n.startswith("pim.")]
 
     def test_summary_shape(self):
         timeline = PowerTimeline(bin_ns=10.0)

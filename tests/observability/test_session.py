@@ -50,6 +50,13 @@ class TestSessionWiring:
         assert session.sim_time_ns == pytest.approx(pim.stats.totals().time_ns)
         assert session.sim_time_ns == pytest.approx(result.total_time_ns)
 
+    def test_tracer_and_flight_read_the_timeline_clock(self, reads):
+        session, _, _ = _traced_run(reads)
+        assert session.sim_time_ns == session.power.cursor_ns
+        assert session.tracer.sim_clock() == session.power.cursor_ns
+        last = session.flight.snapshot("end")["commands"][-1]
+        assert last["sim_ns"] == session.power.cursor_ns
+
 
 class TestStageSpanAgreement:
     """The acceptance criterion: per-stage span durations on the
@@ -79,6 +86,7 @@ class TestStageSpanAgreement:
     def test_command_metrics_match_ledger(self, reads):
         session, pim, _ = _traced_run(reads)
         totals = pim.stats.totals()
+        session.export()  # publishes the timeline's sums
         reg = session.registry
         assert reg.counter("pim.commands.total").value == totals.total_commands
         assert reg.counter("pim.time_ns.total").value == pytest.approx(
@@ -105,6 +113,14 @@ class TestExport:
     def test_export_nothing_requested(self, reads):
         session, _, _ = _traced_run(reads)
         assert session.export() == []
+
+    def test_exporting_twice_writes_the_same_metrics(self, reads, tmp_path):
+        session, pim, _ = _traced_run(reads)
+        session.export(metrics_path=tmp_path / "m1.json", pim=pim)
+        session.export(metrics_path=tmp_path / "m2.json", pim=pim)
+        first = (tmp_path / "m1.json").read_bytes()
+        assert first == (tmp_path / "m2.json").read_bytes()
+        assert b'"pim.commands.total"' in first
 
 
 class TestDisabledOverheadPath:

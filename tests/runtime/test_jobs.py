@@ -135,6 +135,38 @@ class TestResumeValidation:
                 tmp_path / "job", JobConfig(k=K, min_count=2)
             ).resume(reads)
 
+    @staticmethod
+    def _journal_with_batch_reads(reads, job_dir, value):
+        """A journal cut after hashmap whose job.json records
+        ``batch_reads``, as journals written before it was retired do."""
+        import json
+
+        source = JobRunner(job_dir, JobConfig(k=K, engine="bulk"))
+        source.run(reads)
+        manifest = source.journal.manifest_path
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(lines[:1]))
+        path = source.journal.config_path
+        stored = json.loads(path.read_text())
+        assert "batch_reads" not in stored["config"]
+        stored["config"]["batch_reads"] = value
+        path.write_text(json.dumps(stored, sort_keys=True, indent=1))
+
+    def test_resume_accepts_a_null_batch_reads_journal(self, reads, tmp_path):
+        config = JobConfig(k=K, engine="bulk")
+        golden = JobRunner(tmp_path / "golden", config).run(reads)
+        self._journal_with_batch_reads(reads, tmp_path / "job", None)
+        out = JobRunner(tmp_path / "job", config).resume(reads)
+        assert out.report.resumed_from == "hashmap"
+        assert run_fingerprint(out.result) == run_fingerprint(golden.result)
+
+    def test_resume_rejects_a_batched_journal(self, reads, tmp_path):
+        self._journal_with_batch_reads(reads, tmp_path / "job", 8)
+        with pytest.raises(JournalError, match="batches reads"):
+            JobRunner(
+                tmp_path / "job", JobConfig(k=K, engine="bulk")
+            ).resume(reads)
+
     def test_fingerprint_is_order_sensitive(self, reads):
         assert reads_fingerprint(reads) != reads_fingerprint(
             list(reversed(reads))
@@ -250,7 +282,7 @@ class TestKillAndResume:
         """Records may carry the retired ``"runtime"`` key (the engine
         and batch size a retry once switched to); a resume ignores it,
         runs the config's engine and finishes bit-identically."""
-        config = JobConfig(k=K, engine="bulk", batch_reads=8)
+        config = JobConfig(k=K, engine="bulk")
         golden = JobRunner(tmp_path / "golden", config).run(reads)
         golden_fp = run_fingerprint(golden.result)
         payload = JobRunner._payload
@@ -353,7 +385,6 @@ class TestRetryLadder:
         config = JobConfig(
             k=K,
             engine="bulk",
-            batch_reads=8,
             backoff_base_s=0.05,
             backoff_jitter=0.0,
         )
@@ -365,7 +396,6 @@ class TestRetryLadder:
         actions = [d.action for d in out.report.decisions]
         assert actions == ["retry", "retry"]
         assert runner._pipeline.engine == "bulk"
-        assert runner._pipeline.batch_reads == 8
         # capped exponential backoff between attempts
         assert self.slept == [0.05, 0.1]
 
@@ -384,9 +414,7 @@ class TestRetryLadder:
             return pim
 
         def decisions(engine):
-            config = JobConfig(
-                k=K, engine=engine, batch_reads=8, backoff_base_s=0.0
-            )
+            config = JobConfig(k=K, engine=engine, backoff_base_s=0.0)
             runner = JobRunner(
                 tmp_path / engine, config, pim_factory=factory,
                 sleep=lambda s: None,
@@ -433,9 +461,7 @@ class TestRetryLadder:
         """A retried stage replays from its entry snapshot: the output
         equals an undisturbed run's."""
         golden = JobRunner(tmp_path / "golden", JobConfig(k=K)).run(reads)
-        config = JobConfig(
-            k=K, engine="bulk", batch_reads=8, backoff_base_s=0.0
-        )
+        config = JobConfig(k=K, engine="bulk", backoff_base_s=0.0)
         runner, flaky = self._flaky_runner(tmp_path, config, fail_times=2)
         monkeypatch.setattr(PimPipeline, "run_hashmap", flaky)
         out = runner.run(reads)

@@ -648,7 +648,7 @@ class TestIntegrityCli:
         assert read_fasta(out)
 
 class TestTelemetryCli:
-    """--telemetry-out on assemble, and inspect on a journaled job."""
+    """inspect on a journaled job: power section and flight dumps."""
 
     def write_reads(self, tmp_path, seed=11, name="reads.fa"):
         import random
@@ -680,51 +680,6 @@ class TestTelemetryCli:
         assert rc == 0
         capsys.readouterr()
         return job_dir
-
-    def test_assemble_telemetry_out_validates(self, simulated, tmp_path, capsys):
-        from repro.observability.validate import validate_exposition_file
-
-        telemetry = tmp_path / "telemetry.prom"
-        rc = main(
-            [
-                "assemble",
-                str(simulated / "reads.fq"),
-                "-o",
-                str(tmp_path / "contigs.fa"),
-                "-k",
-                "15",
-                "--telemetry-out",
-                str(telemetry),
-            ]
-        )
-        assert rc == 0
-        assert "observability: wrote" in capsys.readouterr().out
-        assert validate_exposition_file(telemetry) == []
-        text = telemetry.read_text()
-        assert "power_peak_w" in text
-        assert "pim_commands_total" in text
-        # the JSON companion carries the power summary
-        import json
-
-        doc = json.loads((tmp_path / "telemetry.prom.json").read_text())
-        assert doc["power"]["total_energy_nj"] > 0
-        assert doc["power"]["events"] > 0
-
-    def test_telemetry_out_requires_pim_engine(self, simulated, tmp_path, capsys):
-        rc = main(
-            [
-                "assemble",
-                str(simulated / "reads.fq"),
-                "-o",
-                str(tmp_path / "c.fa"),
-                "--engine",
-                "software",
-                "--telemetry-out",
-                str(tmp_path / "t.prom"),
-            ]
-        )
-        assert rc == 2
-        assert "--telemetry-out" in capsys.readouterr().err
 
     def test_inspect_job_dir_has_power_section(self, tmp_path, capsys):
         job_dir = self.journaled_job(tmp_path, capsys)
@@ -772,3 +727,61 @@ class TestTelemetryCli:
         assert rc == 0
         assert "older post-mortem" in out
         assert "stage.hashmap" in out
+
+    def test_inspect_renders_a_dump_whose_commands_carry_lanes(
+        self, tmp_path, capsys
+    ):
+        """Older dumps tag every command record with a ``"lane"``."""
+        import json
+
+        from repro.observability.flightrec import FLIGHT_FILENAME
+
+        job_dir = self.journaled_job(tmp_path, capsys)
+        command = {
+            "sim_ns": 5.0, "command": "AAP1", "count": 1, "time_ns": 5.0,
+            "energy_nj": 2.0, "phase": "hashmap", "lane": "hashmap",
+        }
+        (job_dir / FLIGHT_FILENAME).write_text(
+            json.dumps(
+                {
+                    "format": "repro-flight-v1",
+                    "reason": "lane-tagged post-mortem",
+                    "commands": [command],
+                    "spans": [],
+                    "events": [],
+                }
+            )
+        )
+        rc = main(["inspect", str(job_dir)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "lane-tagged post-mortem" in out
+        assert "captured: 1 commands" in out
+
+    @pytest.mark.parametrize(
+        "document, shown",
+        [
+            ([1], None),
+            ({"reason": "bad rings", "spans": [5]}, "0 spans"),
+            ({"reason": "bad rings", "commands": 3, "spans": [5, {}]},
+             "1 spans"),
+        ],
+    )
+    def test_inspect_survives_a_malformed_flight_dump(
+        self, tmp_path, capsys, document, shown
+    ):
+        import json
+
+        from repro.observability.flightrec import FLIGHT_FILENAME
+
+        job_dir = self.journaled_job(tmp_path, capsys)
+        (job_dir / FLIGHT_FILENAME).write_text(json.dumps(document))
+        rc = main(["inspect", str(job_dir)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        if shown is None:
+            # not an object: treated as no dump at all
+            assert "flight recorder dump" not in out
+        else:
+            assert "flight recorder dump" in out
+            assert "captured: 0 commands, " + shown in out
