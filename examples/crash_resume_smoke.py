@@ -6,16 +6,24 @@ with a *real* process kill, not a simulated one:
 1. run an uninterrupted journaled assembly → golden contigs + counts;
 2. start the same job in a subprocess and ``SIGKILL`` it mid-hashmap
    (a sentinel file tells us the stage is underway);
-3. resume from the torn journal in a fresh process;
+3. resume from the torn journal in a fresh process, checking the kill
+   really landed mid-hashmap (no stage record, so the resume starts
+   over from ``"start"``);
 4. diff contigs and per-mnemonic command counts — they must be
    bit-identical to the uninterrupted run.
 
-Also exercised by CI (`crash-resume-smoke` job).  Exit code 0 on
-success; any divergence raises.
+Run it once per execution engine::
+
+    python examples/crash_resume_smoke.py --engine scalar
+    python examples/crash_resume_smoke.py --engine bulk
+
+Also exercised by CI (`crash-resume-smoke` job) on both engines.  Exit
+code 0 on success; any divergence raises.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import signal
@@ -35,6 +43,9 @@ from repro.runtime.jobs import JobConfig, JobRunner  # noqa: E402
 K = 11
 GENOME_BP = 1200
 COVERAGE = 20
+#: victim seconds per watchdog tick: the bulk hashmap takes ~800 ticks,
+#: so 5 ms each keeps it running for seconds past the kill below
+TICK_S = 0.005
 
 # The victim subprocess: run the job, touching a sentinel once the
 # hashmap stage has started so the parent knows when to shoot it.
@@ -51,10 +62,11 @@ job_dir, sentinel = sys.argv[2], Path(sys.argv[3])
 def slow_tick(ticks):
     if ticks == 1:
         sentinel.touch()
-    time.sleep(0.0005)  # stretch the stage so SIGKILL lands inside it
+    time.sleep(%(tick_s)r)  # stretch the stage so SIGKILL lands inside it
 
 reads = make_reads()
-runner = JobRunner(job_dir, JobConfig(k=%(k)d), watchdog=Watchdog(on_tick=slow_tick))
+config = JobConfig(k=%(k)d, engine=%(engine)r)
+runner = JobRunner(job_dir, config, watchdog=Watchdog(on_tick=slow_tick))
 runner.run(reads)
 """
 
@@ -77,12 +89,18 @@ def fingerprint(result) -> dict:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--engine", choices=("scalar", "bulk"), default="scalar"
+    )
+    engine = parser.parse_args().engine
+    config = JobConfig(k=K, engine=engine)
     reads = make_reads()
     with tempfile.TemporaryDirectory(prefix="crash-resume-") as tmp:
         tmp = Path(tmp)
 
         # 1. the uninterrupted golden run
-        golden = JobRunner(tmp / "golden", JobConfig(k=K)).run(reads)
+        golden = JobRunner(tmp / "golden", config).run(reads)
         golden_fp = fingerprint(golden.result)
         print(
             f"golden: {len(golden_fp['contigs'])} contigs, "
@@ -108,7 +126,7 @@ def main() -> int:
             [
                 sys.executable,
                 "-c",
-                VICTIM % {"k": K},
+                VICTIM % {"k": K, "engine": engine, "tick_s": TICK_S},
                 str(SRC),
                 str(tmp / "job"),
                 str(sentinel),
@@ -126,14 +144,19 @@ def main() -> int:
         time.sleep(0.3)  # let it get some work journaled/underway
         os.kill(victim.pid, signal.SIGKILL)
         victim.wait()
-        print(f"victim SIGKILLed mid-hashmap (pid {victim.pid})")
+        print(f"{engine} victim SIGKILLed (pid {victim.pid})")
 
         # 3. resume in this process
-        out = JobRunner(tmp / "job", JobConfig(k=K)).resume(reads)
+        out = JobRunner(tmp / "job", config).resume(reads)
         print(
             f"resumed from {out.report.resumed_from!r}: "
             f"{len(out.result.contigs)} contigs"
         )
+        if out.report.resumed_from != "start":
+            raise AssertionError(
+                "the kill landed after the hashmap stage finished "
+                f"(resumed from {out.report.resumed_from!r})"
+            )
 
         # 4. bit-identical or bust
         resumed_fp = fingerprint(out.result)

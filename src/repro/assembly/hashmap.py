@@ -110,9 +110,6 @@ class PimKmerCounter:
             columns).
         subarray_keys: which sub-arrays hold table partitions; defaults
             to every sub-array of the device.
-        saturating: clamp counters at the 8-bit maximum instead of
-            raising (real hardware saturates; the golden-model
-            comparison requires counts below the limit).
         engine: ``"scalar"`` (per-op golden model) or ``"bulk"``
             (batched bit-plane execution; identical tables, end state
             and command counts, gang-scheduled time).
@@ -123,7 +120,6 @@ class PimKmerCounter:
         pim: PimAssembler,
         k: int,
         subarray_keys: Sequence[tuple[int, int, int]] | None = None,
-        saturating: bool = True,
         engine: str = "scalar",
     ) -> None:
         if k <= 0:
@@ -138,7 +134,6 @@ class PimKmerCounter:
             )
         self.pim = pim
         self.k = k
-        self.saturating = saturating
         self.engine = engine
         # default to the *usable* sub-arrays: partitions never land on
         # storage the resilience engine already quarantined
@@ -392,12 +387,6 @@ class PimKmerCounter:
             )
         hits_per_key = occurrences - (~known).astype(np.int64)
         final_vals = np.minimum(start_vals + hits_per_key, layout.counter_max)
-        if not self.saturating and (
-            start_vals + hits_per_key > layout.counter_max
-        ).any():
-            # would raise OverflowError mid-stream: same scalar replay
-            self._replay_scalar(packed)
-            return
 
         # ---- functional end state -------------------------------------
         if uniq.size:
@@ -512,12 +501,7 @@ class PimKmerCounter:
         """
         current = self._read_counter(table, slot)
         if current >= table.layout.counter_max:
-            if self.saturating:
-                return
-            raise OverflowError(
-                f"counter for slot {slot} exceeded "
-                f"{table.layout.counter_max}"
-            )
+            return  # counters saturate, as the hardware's do
         new_value = self.pim.controller.dpu_scalar_add(
             table.key, current, 1, bits=table.layout.counter_bits
         )
@@ -636,7 +620,6 @@ class PimKmerCounter:
         """
         return {
             "k": self.k,
-            "saturating": self.saturating,
             "keys": [list(table.key) for table in self._tables],
             "occupied": self._occupied.tolist(),
             "slot_keys": [list(keys) for keys in self._slot_keys],
@@ -649,13 +632,16 @@ class PimKmerCounter:
         """Re-attach a counter to a platform restored from a snapshot.
 
         ``engine`` need not match the snapshotting run's: the table
-        protocol is engine-agnostic.
+        protocol is engine-agnostic.  Older records carry
+        ``"saturating": true``; counters always saturate now, so a
+        record asking for raising counters is refused.
         """
+        if not state.get("saturating", True):
+            raise ValueError("non-saturating counters are no longer supported")
         counter = cls(
             pim,
             int(state["k"]),
             subarray_keys=[tuple(key) for key in state["keys"]],
-            saturating=bool(state["saturating"]),
             engine=engine,
         )
         counter._occupied[:] = [int(value) for value in state["occupied"]]

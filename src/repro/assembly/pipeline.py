@@ -6,10 +6,13 @@ per-stage phase accounting the paper's Fig. 9 breakdown uses:
 1. ``hashmap``  — k-mer analysis on the PIM hash table,
 2. ``debruijn`` — graph construction from the table,
 3. ``traverse`` — in/out-degree computation (bulk PIM_Add over the
-   adjacency mapping) and path traversal,
+   adjacency mapping) and unitig traversal.
 
-plus the optional scaffolding extension (stage 3 of Fig. 5a, the
-paper's future work).
+Graph simplification, Eulerian contigs and the scaffolding extension
+(stage 3 of Fig. 5a, the paper's future work) are host-side passes a
+caller applies to the result: :func:`~repro.assembly.simplify.simplify_graph`
+or :func:`~repro.assembly.contigs.assemble_contigs` on ``result.graph``,
+:func:`~repro.assembly.scaffold.greedy_scaffold` on ``result.contigs``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Iterable, Sequence
 from repro.assembly.contigs import Contig, assemble_contigs
 from repro.assembly.debruijn import DeBruijnGraph
 from repro.assembly.hashmap import PimKmerCounter
-from repro.assembly.scaffold import Scaffold, greedy_scaffold
 from repro.core.integrity import IntegrityCounts
 from repro.core.platform import PimAssembler
 from repro.core.resilience import (
@@ -54,7 +56,6 @@ class PipelineState:
     #: ``(in_degree, out_degree)`` over packed node keys (Fig. 8 output)
     degrees: "tuple[dict[int, int], dict[int, int]] | None" = None
     contigs: "list[Contig] | None" = None
-    scaffolds: list[Scaffold] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ class AssemblyResult:
     """Contigs plus the stage-level accounting of the run."""
 
     contigs: list[Contig]
-    scaffolds: list[Scaffold]
     graph: DeBruijnGraph
     kmer_table_size: int
     hashmap: PhaseTotals
@@ -94,8 +94,7 @@ class PimPipeline:
             runs; see :meth:`PimAssembler.small`).
         k: k-mer length.
         min_count: k-mer frequency threshold for graph edges.
-        contig_mode: ``"unitig"`` (default) or ``"euler"``.
-        scaffold: also run the greedy scaffolding extension.
+        min_contig_length: drop contigs shorter than this many bases.
         resilience: a :class:`ResiliencePolicy` (or its level name,
             e.g. ``"detect-retry-remap"``) activating the detect →
             correct → degrade loop for the run: protected in-memory
@@ -113,10 +112,7 @@ class PimPipeline:
         pim: PimAssembler,
         k: int,
         min_count: int = 1,
-        contig_mode: str = "unitig",
-        scaffold: bool = False,
         min_contig_length: int = 0,
-        simplify: bool = False,
         resilience: "ResiliencePolicy | str | None" = None,
         engine: str = "scalar",
     ) -> None:
@@ -127,10 +123,7 @@ class PimPipeline:
         self.pim = pim
         self.k = k
         self.min_count = min_count
-        self.contig_mode = contig_mode
-        self.scaffold = scaffold
         self.min_contig_length = min_contig_length
-        self.simplify = simplify
         self.engine = engine
         self.resilience = (
             None if resilience is None else ResiliencePolicy.named(resilience)
@@ -200,56 +193,39 @@ class PimPipeline:
             "stage.debruijn", lane="debruijn", min_count=self.min_count
         ) as stage_span, self.pim.phase("debruijn"):
             self.pim.integrity_sync()
-            graph = DeBruijnGraph.from_counts(
+            state.graph = DeBruijnGraph.from_counts(
                 state.counts, k=self.k, min_count=self.min_count
             )
-            if self.simplify:
-                from repro.assembly.simplify import simplify_graph
-
-                with span("simplify.graph"):
-                    graph, _ = simplify_graph(graph)
-            state.graph = graph
-            stage_span.set_attribute("nodes", graph.num_nodes)
+            stage_span.set_attribute("nodes", state.graph.num_nodes)
         return state
 
     def run_traverse(self, state: PipelineState) -> PipelineState:
         """Stage 3 — degree computation (bulk PIM_Add) + path walk."""
         pim = self.pim
         with span(
-            "stage.traverse",
-            lane="traverse",
-            engine=self.engine,
-            contig_mode=self.contig_mode,
-        ) as stage_span:
-            with pim.phase("traverse"):
-                # the table is read again below; heal any rot first
-                pim.integrity_sync()
-                if self._scrub_active():
-                    # the table is still resident while the graph is walked
-                    with span("scrub.table"):
-                        state.counter.scrub()
-                # Degree computation through the PIM adjacency mapping
-                # (bulk PIM_Add, Fig. 8) — the in-memory portion of the
-                # traversal — followed by the path walk.
-                with span("traverse.degrees"):
-                    state.degrees = degree_vectors_pim(
-                        pim,
-                        state.graph,
-                        # scratch space must avoid quarantined sub-arrays
-                        subarray_key=pim.usable_subarray_keys()[0],
-                        engine=self.engine,
-                    )
-                with span("traverse.contigs"):
-                    state.contigs = assemble_contigs(
-                        state.graph,
-                        mode=self.contig_mode,
-                        min_length=self.min_contig_length,
-                    )
-
-            state.scaffolds = []
-            if self.scaffold and state.contigs:
-                with span("traverse.scaffold"):
-                    state.scaffolds = greedy_scaffold(state.contigs)
+            "stage.traverse", lane="traverse", engine=self.engine
+        ) as stage_span, pim.phase("traverse"):
+            # the table is read again below; heal any rot first
+            pim.integrity_sync()
+            if self._scrub_active():
+                # the table is still resident while the graph is walked
+                with span("scrub.table"):
+                    state.counter.scrub()
+            # Degree computation through the PIM adjacency mapping
+            # (bulk PIM_Add, Fig. 8) — the in-memory portion of the
+            # traversal — followed by the path walk.
+            with span("traverse.degrees"):
+                state.degrees = degree_vectors_pim(
+                    pim,
+                    state.graph,
+                    # scratch space must avoid quarantined sub-arrays
+                    subarray_key=pim.usable_subarray_keys()[0],
+                    engine=self.engine,
+                )
+            with span("traverse.contigs"):
+                state.contigs = assemble_contigs(
+                    state.graph, min_length=self.min_contig_length
+                )
             stage_span.set_attribute("contigs", len(state.contigs))
         return state
 
@@ -259,7 +235,6 @@ class PimPipeline:
         engine = pim.resilience
         return AssemblyResult(
             contigs=state.contigs,
-            scaffolds=state.scaffolds,
             graph=state.graph,
             kmer_table_size=len(state.counter),
             hashmap=pim.stats.totals("hashmap"),

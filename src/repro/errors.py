@@ -161,11 +161,13 @@ class JournalLockedError(JournalError):
 
 
 class JobFailedError(ReproError):
-    """Every rung of the retry ladder was exhausted.
+    """A stage failed with no sub-array left to quarantine, or after
+    the last attempt the retry ladder allows.
 
     Attributes:
         stage: the stage that could not be completed.
-        attempts: total stage executions (1 original + retries).
+        attempts: total stage executions (1 original + one re-run per
+            quarantine).
         last_error: the exception that ended the final attempt.
     """
 

@@ -23,7 +23,7 @@ The journal stores *payloads*; what goes into a stage-boundary payload
 (platform snapshot, k-mer table, graph, ...) is decided by
 :mod:`repro.runtime.jobs`.  This module also provides the pure-data
 serializers for the assembly objects a payload embeds (de Bruijn
-graph, contigs, scaffolds) — the platform itself snapshots through
+graph, contigs) — the platform itself snapshots through
 :meth:`repro.core.platform.PimAssembler.state_dict`.
 """
 
@@ -54,8 +54,6 @@ __all__ = [
     "graph_from_state",
     "contigs_state",
     "contigs_from_state",
-    "scaffolds_state",
-    "scaffolds_from_state",
 ]
 
 #: version 2: platform snapshots carry packed uint64 ``"words"``
@@ -353,18 +351,3 @@ def contigs_from_state(items: Iterable) -> list:
         for name, seq, edges in items
     ]
 
-
-def scaffolds_state(scaffolds: Iterable) -> list:
-    return [[s.name, str(s.sequence), list(s.members)] for s in scaffolds]
-
-
-def scaffolds_from_state(items: Iterable) -> list:
-    from repro.assembly.scaffold import Scaffold
-    from repro.genome.sequence import DnaSequence
-
-    return [
-        Scaffold(
-            name=name, sequence=DnaSequence(seq), members=tuple(members)
-        )
-        for name, seq, members in items
-    ]

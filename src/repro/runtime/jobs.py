@@ -16,23 +16,23 @@ one job:
   checkpoints inside the hashmap/adjacency/euler loops; the raised
   :class:`~repro.errors.StageTimeoutError` always leaves a resumable
   journal behind;
-* a retry ladder with capped, fingerprint-seeded jittered backoff
-  quarantines the failing sub-array (when the error names one and a
-  resilience engine is attached) or plainly retries, rolling the stage
-  back to its entry snapshot before every attempt so retries replay
-  deterministically.  The job runs on the engine and batch size its
-  :class:`JobConfig` names from first dispatch to completion: the bulk
-  engine is bit-identical to the scalar one, so switching engines
-  could never change an outcome.  Every decision is journaled and
-  surfaces in the :class:`JobReport`.
+* a failed stage is re-run only after a quarantine: when the error
+  names a sub-array that is not yet quarantined and a resilience
+  engine is attached, that sub-array is retired and the stage rolls
+  back to its entry snapshot and runs again.  Any other failure gives
+  up at once — the fault and rot streams are seeded and restored on
+  rollback, so a retry with nothing changed would replay the same
+  failure.  The job runs on the engine its :class:`JobConfig` names
+  from first dispatch to completion: the bulk engine is bit-identical
+  to the scalar one, so switching engines could never change an
+  outcome.  Every decision is journaled and surfaces in the
+  :class:`JobReport`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import random
-import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -47,6 +47,7 @@ from repro.assembly.pipeline import (
 )
 from repro.core.platform import PimAssembler
 from repro.core.resilience import ResiliencePolicy
+from repro.genome.kmer import MAX_PACKED_K
 from repro.errors import (
     JobFailedError,
     JournalError,
@@ -66,8 +67,6 @@ from repro.runtime.checkpoint import (
     contigs_state,
     graph_from_state,
     graph_state,
-    scaffolds_from_state,
-    scaffolds_state,
 )
 from repro.runtime.watchdog import Watchdog
 
@@ -76,15 +75,29 @@ __all__ = ["JobConfig", "JobDecision", "JobReport", "JobOutcome", "JobRunner"]
 #: the journal stage name of the completed-job record
 RESULT_STAGE = "result"
 
-#: errors the retry ladder re-attempts (fault-class failures the
-#: resilience layer could not absorb, plus capacity collapses a
-#: quarantine re-plan may route around)
+#: errors the retry ladder re-attempts after quarantining the
+#: sub-array they name (fault-class failures the resilience layer could
+#: not absorb, plus capacity collapses a quarantine re-plan may route
+#: around)
 RETRYABLE_ERRORS = (
     UncorrectableFaultError,
     VerificationError,
     SubarrayQuarantinedError,
     TableFullError,
 )
+
+#: attempts per stage: the first run plus at most three re-runs, each
+#: after quarantining one more sub-array
+MAX_ATTEMPTS = 4
+
+#: pipeline options older ``job.json`` files record, with the default
+#: value that still resumes and what any other value asked for
+RETIRED_OPTIONS = {
+    "batch_reads": (None, "batches reads into hashmap rounds"),
+    "contig_mode": ("unitig", "walks Eulerian contigs"),
+    "scaffold": (False, "scaffolds its contigs"),
+    "simplify": (False, "simplifies its graph"),
+}
 
 
 def reads_fingerprint(reads: Iterable) -> str:
@@ -107,15 +120,13 @@ class JobConfig:
     The determinism-relevant fields are frozen into ``job.json`` when
     the journal is created; a resume validates them (and the input
     fingerprint) so a journal can never silently continue a *different*
-    job.  Deadline and ladder knobs may change between resume attempts.
+    job.  Deadline budgets may change between resume attempts.  A bad
+    value raises :class:`ValueError` here, before any journal exists.
     """
 
     k: int
     min_count: int = 1
-    contig_mode: str = "unitig"
-    scaffold: bool = False
     min_contig_length: int = 0
-    simplify: bool = False
     resilience: "ResiliencePolicy | str | None" = None
     engine: str = "scalar"
     #: data-at-rest protection: ``"secded"`` attaches the retention /
@@ -128,24 +139,18 @@ class JobConfig:
     # --- deadline budgets (not identity-relevant) ---
     stage_timeout_s: float | None = None
     job_timeout_s: float | None = None
-    # --- retry ladder (not identity-relevant) ---
-    max_attempts: int = 4
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    #: fractional spread of the seeded backoff jitter: each capped
-    #: exponential delay is scaled by a factor in ``[1-j, 1+j]`` drawn
-    #: from an RNG seeded by the job's input fingerprint, so a fleet of
-    #: concurrent jobs never retries in lockstep yet every single job's
-    #: delays replay exactly from its own identity
-    backoff_jitter: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff parameters must be non-negative")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError("backoff_jitter must be within [0, 1]")
+        if not 2 <= self.k <= MAX_PACKED_K:
+            raise ValueError(
+                f"k must be within [2, {MAX_PACKED_K}] (got {self.k})"
+            )
+        if self.engine not in ("scalar", "bulk"):
+            raise ValueError(
+                f"engine must be 'scalar' or 'bulk' (got {self.engine!r})"
+            )
+        if self.min_count < 1:
+            raise ValueError(f"min_count must be >= 1 (got {self.min_count})")
         for name, value in (
             ("stage_timeout_s", self.stage_timeout_s),
             ("job_timeout_s", self.job_timeout_s),
@@ -171,10 +176,7 @@ class JobConfig:
         return {
             "k": self.k,
             "min_count": self.min_count,
-            "contig_mode": self.contig_mode,
-            "scaffold": self.scaffold,
             "min_contig_length": self.min_contig_length,
-            "simplify": self.simplify,
             "resilience": (
                 None
                 if self.resilience is None
@@ -205,7 +207,6 @@ class JobDecision:
     attempt: int
     action: str
     error: str
-    backoff_s: float
 
 
 @dataclass
@@ -255,7 +256,6 @@ class JobRunner:
         watchdog: inject a pre-built watchdog (tests use ``on_tick`` to
             simulate crashes); defaults to one wired from the config's
             deadline budgets, or none when no budget is set.
-        sleep: backoff sleeper (injectable for tests).
     """
 
     def __init__(
@@ -264,17 +264,14 @@ class JobRunner:
         config: JobConfig,
         pim_factory: "Callable[[Sequence], PimAssembler] | None" = None,
         watchdog: Watchdog | None = None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.journal = JobJournal(job_dir)
         self.config = config
         self.pim_factory = pim_factory
         self._external_watchdog = watchdog
-        self._sleep = sleep
         self._pim: PimAssembler | None = None
         self._pipeline: PimPipeline | None = None
         self._state: PipelineState | None = None
-        self._backoff_rng: "random.Random | None" = None
         self.report = JobReport(job_dir=str(job_dir))
 
     # ----- public API -------------------------------------------------------
@@ -289,12 +286,11 @@ class JobRunner:
                 directory's exclusive lock (double-resume hazard).
             StageTimeoutError: a deadline expired; the journal still
                 holds the last completed boundary — resume later.
-            JobFailedError: the retry ladder was exhausted.
+            JobFailedError: a stage failed with no sub-array left to
+                quarantine, or after :data:`MAX_ATTEMPTS` attempts.
         """
         reads = list(reads)
         fingerprint = reads_fingerprint(reads)
-        # backoff jitter replays deterministically from the job identity
-        self._backoff_rng = random.Random(int(fingerprint[:16], 16))
         try:
             with self.journal.lock().holding():
                 return self._run_locked(reads, fingerprint, resume)
@@ -367,16 +363,8 @@ class JobRunner:
                     f"input {fingerprint[:12]}...)"
                 )
             config = stored.get("config")
-            if isinstance(config, dict) and "batch_reads" in config:
-                # journals written while reads could be batched into
-                # hashmap rounds record the (default) null batch size
-                config = dict(config)
-                if config.pop("batch_reads") is not None:
-                    raise JournalError(
-                        "the journaled job batches reads into hashmap "
-                        "rounds, which is no longer supported; start "
-                        "it afresh instead of resuming"
-                    )
+            if isinstance(config, dict):
+                config = self._drop_retired_options(config)
             if config != self.config.identity_dict():
                 raise JournalError(
                     "job configuration does not match the journal; a "
@@ -396,6 +384,19 @@ class JobRunner:
             }
         )
         return None
+
+    @staticmethod
+    def _drop_retired_options(config: dict) -> dict:
+        """Strip the options older journals record for pipeline
+        features since removed; only their default values resume."""
+        config = dict(config)
+        for name, (default, feature) in RETIRED_OPTIONS.items():
+            if name in config and config.pop(name) != default:
+                raise JournalError(
+                    f"the journaled job {feature}, which is no longer "
+                    "supported; start it afresh instead of resuming"
+                )
+        return config
 
     @staticmethod
     def _remaining_stages(completed: "str | tuple") -> list[str]:
@@ -427,10 +428,7 @@ class JobRunner:
             pim,
             k=self.config.k,
             min_count=self.config.min_count,
-            contig_mode=self.config.contig_mode,
-            scaffold=self.config.scaffold,
             min_contig_length=self.config.min_contig_length,
-            simplify=self.config.simplify,
             resilience=None,  # the engine is attached/restored on pim
             engine=self.config.engine,
         )
@@ -461,7 +459,6 @@ class JobRunner:
             "contigs": (
                 None if state.contigs is None else contigs_state(state.contigs)
             ),
-            "scaffolds": scaffolds_state(state.scaffolds),
         }
         if stage == RESULT_STAGE:
             payload["kmer_table_size"] = len(state.counter)
@@ -470,8 +467,9 @@ class JobRunner:
     def _restore_payload(self, payload: dict) -> None:
         """Rebuild the execution state from one journal record.
 
-        Records written before the engine was fixed per job also carry
-        a ``"runtime"`` key; it is ignored, the config names the engine.
+        Older records may also carry a ``"runtime"`` key (written
+        before the engine was fixed per job) or a ``"scaffolds"`` list
+        (written while the pipeline could scaffold); both are ignored.
         """
         from repro.assembly.hashmap import PimKmerCounter
 
@@ -495,7 +493,6 @@ class JobRunner:
             )
         if payload["contigs"] is not None:
             state.contigs = contigs_from_state(payload["contigs"])
-        state.scaffolds = scaffolds_from_state(payload["scaffolds"])
         self._attach(pim, state)
 
     def _rehydrate_result(self, payload: dict) -> AssemblyResult:
@@ -503,7 +500,6 @@ class JobRunner:
         engine = pim.resilience
         return AssemblyResult(
             contigs=self._state.contigs,
-            scaffolds=self._state.scaffolds,
             graph=self._state.graph,
             kmer_table_size=int(payload["kmer_table_size"]),
             hashmap=pim.stats.totals("hashmap"),
@@ -541,18 +537,17 @@ class JobRunner:
                 self.report.stages_run.append(stage)
                 return
             except StageTimeoutError as exc:
-                self._decide(stage, attempt, "abort-timeout", exc, 0.0)
+                self._decide(stage, attempt, "abort-timeout", exc)
                 raise
             except RETRYABLE_ERRORS as exc:
-                if attempt >= self.config.max_attempts:
-                    self._decide(stage, attempt, "give-up", exc, 0.0)
+                key = None if attempt >= MAX_ATTEMPTS else self._quarantine(exc)
+                if key is None:
+                    self._decide(stage, attempt, "give-up", exc)
                     raise JobFailedError(stage, attempt, exc) from exc
-                backoff = self._backoff(attempt)
-                action = self._quarantine_or_retry(exc)
-                self._decide(stage, attempt, action, exc, backoff)
+                self._decide(
+                    stage, attempt, f"quarantine-{','.join(map(str, key))}", exc
+                )
                 inc("job.retries")
-                if backoff > 0:
-                    self._sleep(backoff)
                 self._rollback(entry)
 
     def _execute_stage(self, stage, reads, watchdog: Watchdog | None) -> None:
@@ -567,37 +562,17 @@ class JobRunner:
             with watchdog.stage(stage):
                 runner()
 
-    def _backoff(self, attempt: int) -> float:
-        """Capped exponential delay with seeded, reproducible jitter.
-
-        The exponential ramp is scaled by a factor drawn uniformly from
-        ``[1 - jitter, 1 + jitter]`` on the fingerprint-seeded RNG —
-        concurrent jobs with different inputs spread out instead of
-        retrying in lockstep, while re-running one job replays its
-        exact delay sequence.  The cap bounds the jittered value too.
-        """
-        backoff = min(
-            self.config.backoff_cap_s,
-            self.config.backoff_base_s * (2 ** (attempt - 1)),
-        )
-        jitter = self.config.backoff_jitter
-        if jitter > 0.0 and backoff > 0.0 and self._backoff_rng is not None:
-            backoff *= 1.0 + jitter * (2.0 * self._backoff_rng.random() - 1.0)
-            backoff = min(self.config.backoff_cap_s, backoff)
-        return backoff
-
-    def _quarantine_or_retry(self, error: BaseException) -> str:
-        """Pick the next ladder rung: retire the sub-array the error
-        names (once, when a resilience engine is attached), otherwise
-        plainly retry (re-staged by backoff)."""
+    def _quarantine(self, error: BaseException) -> "tuple | None":
+        """Retire the sub-array the error names, when a resilience
+        engine is attached and has not yet quarantined it, and return
+        its key.  ``None`` means nothing changed, so a re-run would
+        replay the failure exactly."""
         key = getattr(error, "subarray_key", None)
         engine = self._pim.resilience
-        if key is not None and engine is not None and not engine.is_quarantined(
-            tuple(key)
-        ):
-            engine.quarantine(tuple(key))
-            return f"quarantine-{','.join(map(str, key))}"
-        return "retry"
+        if key is None or engine is None or engine.is_quarantined(tuple(key)):
+            return None
+        engine.quarantine(tuple(key))
+        return tuple(key)
 
     def _rollback(self, entry: dict) -> None:
         """Restore the stage-entry snapshot (keeping quarantines)."""
@@ -619,14 +594,12 @@ class JobRunner:
         attempt: int,
         action: str,
         error: BaseException,
-        backoff_s: float,
     ) -> None:
         decision = JobDecision(
             stage=stage,
             attempt=attempt,
             action=action,
             error=f"{type(error).__name__}: {error}",
-            backoff_s=backoff_s,
         )
         self.report.decisions.append(decision)
         self.journal.log_decision(asdict(decision))

@@ -98,22 +98,6 @@ class TestHashmapEquivalence:
             assert np.array_equal(a, b)
         assert cmd_s == cmd_b
 
-    def test_counter_overflow_fires_identically(self):
-        def run(engine):
-            pim = PimAssembler.small(subarrays=16)
-            counter = PimKmerCounter(
-                pim, 5, engine=engine, saturating=False
-            )
-            err = None
-            try:
-                for _ in range(300):
-                    counter.add_sequence(DnaSequence("ACGTACGTAC"))
-            except OverflowError as exc:
-                err = str(exc)
-            return err, counter.counts(), pim.controller.ledger.totals().commands
-
-        assert run("scalar") == run("bulk")
-
     def test_live_fault_rates_replay_the_scalar_stream(self):
         """compute2/copy faults force the exact per-op RNG replay."""
 

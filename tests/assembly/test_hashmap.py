@@ -96,13 +96,18 @@ class TestPimCounterMechanics:
             counter.add_kmer(kmer)
         assert counter.counts()[pack_kmer(kmer)] == counter.layout.counter_max
 
-    def test_non_saturating_mode_raises(self):
+    def test_from_state_accepts_only_saturating_records(self):
+        """Journals record ``"saturating": true`` (or nothing); a
+        record asking for raising counters is refused."""
         pim = PimAssembler.small(subarrays=1, rows=64, cols=16)
-        counter = PimKmerCounter(pim, 4, saturating=False)
-        kmer = DnaSequence("ACGT")
-        with pytest.raises(OverflowError):
-            for _ in range(counter.layout.counter_max + 1):
-                counter.add_kmer(kmer)
+        counter = PimKmerCounter(pim, 4)
+        counter.add_kmer(DnaSequence("ACGT"))
+        state = counter.state_dict()
+        for record in (state, {**state, "saturating": True}):
+            restored = PimKmerCounter.from_state(pim, record)
+            assert restored.counts() == counter.counts()
+        with pytest.raises(ValueError, match="non-saturating"):
+            PimKmerCounter.from_state(pim, {**state, "saturating": False})
 
     def test_partitions_spread_load(self, medium_pim):
         counter = PimKmerCounter(medium_pim, 9)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.assembly import assemble, assemble_with_pim, evaluate_assembly
+from repro.assembly import (
+    assemble,
+    assemble_contigs,
+    assemble_with_pim,
+    evaluate_assembly,
+    greedy_scaffold,
+    simplify_graph,
+)
 from repro.assembly.pipeline import PimPipeline
 from repro.core import PimAssembler
 from repro.genome import ReadSimulator, synthetic_chromosome
@@ -47,8 +54,9 @@ class TestReferenceRecovery:
         sim = ReadSimulator(read_length=60, seed=34)
         reads = sim.sample(reference, sim.reads_for_coverage(200, 25))
         pim = PimAssembler.small(subarrays=8, rows=256, cols=64)
-        result = PimPipeline(pim, k=15, contig_mode="euler").run(reads)
-        report = evaluate_assembly(result.contigs, reference)
+        result = PimPipeline(pim, k=15).run(reads)
+        contigs = assemble_contigs(result.graph, mode="euler")
+        report = evaluate_assembly(contigs, reference)
         assert report.genome_fraction > 0.9
 
 
@@ -84,9 +92,14 @@ class TestAccounting:
 
 class TestOptions:
     def test_scaffold_option(self, small_case):
+        """Scaffolding is a host pass over the result's contigs: every
+        contig lands in exactly one scaffold."""
         _, reads = small_case
-        result = assemble_with_pim(reads, k=13, scaffold=True)
-        assert isinstance(result.scaffolds, list)
+        result = assemble_with_pim(reads, k=13)
+        scaffolds = greedy_scaffold(result.contigs)
+        assert sorted(m for s in scaffolds for m in s.members) == sorted(
+            c.name for c in result.contigs
+        )
 
     def test_min_contig_length(self, small_case):
         _, reads = small_case
@@ -99,26 +112,26 @@ class TestOptions:
             PimPipeline(pim, k=1)
 
     def test_simplify_option_cleans_noisy_graph(self):
-        """simplify=True must not hurt a clean assembly and must
-        reduce contig count on error-polluted input."""
+        """Simplifying the result's graph must not lower N50 on
+        error-polluted input."""
         reference = synthetic_chromosome(700, seed=61)
         sim = ReadSimulator(read_length=60, seed=62, error_rate=0.008)
         reads = sim.sample(reference, sim.reads_for_coverage(700, 30))
         plain = assemble_with_pim(reads, k=15)
-        cleaned = assemble_with_pim(reads, k=15, simplify=True)
+        cleaned, _ = simplify_graph(plain.graph)
         plain_report = evaluate_assembly(plain.contigs, reference)
         cleaned_report = evaluate_assembly(
-            [c for c in cleaned.contigs if len(c) >= 30], reference
+            [c for c in assemble_contigs(cleaned) if len(c) >= 30], reference
         )
-        assert cleaned.graph.num_edges <= plain.graph.num_edges
+        assert cleaned.num_edges <= plain.graph.num_edges
         assert cleaned_report.n50 >= plain_report.n50
 
     def test_simplify_noop_on_clean_reads(self, small_case):
         _, reads = small_case
         plain = assemble_with_pim(reads, k=13)
-        simplified = assemble_with_pim(reads, k=13, simplify=True)
+        simplified, _ = simplify_graph(plain.graph)
         assert sorted(str(c.sequence) for c in plain.contigs) == sorted(
-            str(c.sequence) for c in simplified.contigs
+            str(c.sequence) for c in assemble_contigs(simplified)
         )
 
 

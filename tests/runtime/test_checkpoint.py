@@ -11,8 +11,6 @@ from repro.runtime.checkpoint import (
     graph_state,
     contigs_from_state,
     contigs_state,
-    scaffolds_from_state,
-    scaffolds_state,
 )
 
 
@@ -167,20 +165,3 @@ class TestSerializers:
         assert rebuilt[0].name == "contig_0"
         assert str(rebuilt[0].sequence) == "ACGTAC"
         assert rebuilt[0].edge_count == 2
-
-    def test_scaffolds_round_trip(self):
-        from repro.assembly.scaffold import Scaffold
-        from repro.genome.sequence import DnaSequence
-
-        scaffolds = [
-            Scaffold(
-                "scaffold_0",
-                DnaSequence("ACGTACGT"),
-                members=("contig_0", "contig_1"),
-            )
-        ]
-        rebuilt = scaffolds_from_state(
-            json.loads(json.dumps(scaffolds_state(scaffolds)))
-        )
-        assert rebuilt[0].members == ("contig_0", "contig_1")
-        assert str(rebuilt[0].sequence) == "ACGTACGT"

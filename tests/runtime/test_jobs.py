@@ -19,10 +19,17 @@ from repro.errors import (
     JobFailedError,
     JournalError,
     StageTimeoutError,
+    TableFullError,
+    UncorrectableFaultError,
     VerificationError,
 )
 from repro.genome.sequence import DnaSequence
-from repro.runtime.jobs import JobConfig, JobRunner, reads_fingerprint
+from repro.runtime.jobs import (
+    MAX_ATTEMPTS,
+    JobConfig,
+    JobRunner,
+    reads_fingerprint,
+)
 from repro.runtime.watchdog import Watchdog
 
 K = 9
@@ -136,33 +143,97 @@ class TestResumeValidation:
             ).resume(reads)
 
     @staticmethod
-    def _journal_with_batch_reads(reads, job_dir, value):
-        """A journal cut after hashmap whose job.json records
-        ``batch_reads``, as journals written before it was retired do."""
+    def _legacy_journal(reads, job_dir, monkeypatch, keep=1, **options):
+        """A bulk-engine journal cut after ``keep`` stage records, in the
+        format older versions wrote: ``job.json`` records ``options``
+        (retired pipeline options) and every record carries a
+        ``"scaffolds"`` list and a ``"saturating": true`` counter."""
         import json
 
-        source = JobRunner(job_dir, JobConfig(k=K, engine="bulk"))
-        source.run(reads)
+        payload = JobRunner._payload
+
+        def legacy(runner, stage):
+            record = payload(runner, stage)
+            record["scaffolds"] = []
+            if record["counter"] is not None:
+                record["counter"]["saturating"] = True
+            return record
+
+        with monkeypatch.context() as patch:
+            patch.setattr(JobRunner, "_payload", legacy)
+            source = JobRunner(job_dir, JobConfig(k=K, engine="bulk"))
+            source.run(reads)
         manifest = source.journal.manifest_path
         lines = manifest.read_text().splitlines(keepends=True)
-        manifest.write_text("".join(lines[:1]))
+        manifest.write_text("".join(lines[:keep]))
         path = source.journal.config_path
         stored = json.loads(path.read_text())
-        assert "batch_reads" not in stored["config"]
-        stored["config"]["batch_reads"] = value
+        for name, value in options.items():
+            assert name not in stored["config"]
+            stored["config"][name] = value
         path.write_text(json.dumps(stored, sort_keys=True, indent=1))
 
-    def test_resume_accepts_a_null_batch_reads_journal(self, reads, tmp_path):
+    def test_resume_accepts_a_null_batch_reads_journal(
+        self, reads, tmp_path, monkeypatch
+    ):
         config = JobConfig(k=K, engine="bulk")
         golden = JobRunner(tmp_path / "golden", config).run(reads)
-        self._journal_with_batch_reads(reads, tmp_path / "job", None)
+        self._legacy_journal(
+            reads, tmp_path / "job", monkeypatch, batch_reads=None
+        )
         out = JobRunner(tmp_path / "job", config).resume(reads)
         assert out.report.resumed_from == "hashmap"
         assert run_fingerprint(out.result) == run_fingerprint(golden.result)
 
-    def test_resume_rejects_a_batched_journal(self, reads, tmp_path):
-        self._journal_with_batch_reads(reads, tmp_path / "job", 8)
+    def test_resume_rejects_a_batched_journal(
+        self, reads, tmp_path, monkeypatch
+    ):
+        self._legacy_journal(reads, tmp_path / "job", monkeypatch, batch_reads=8)
         with pytest.raises(JournalError, match="batches reads"):
+            JobRunner(
+                tmp_path / "job", JobConfig(k=K, engine="bulk")
+            ).resume(reads)
+
+    def test_resume_accepts_a_journal_with_retired_pipeline_options(
+        self, reads, tmp_path, monkeypatch
+    ):
+        """A journal whose ``job.json`` records the default contig mode,
+        scaffold and simplify flags, and whose records carry scaffolds,
+        resumes from every stage boundary bit-identically."""
+        config = JobConfig(k=K, engine="bulk")
+        golden = JobRunner(tmp_path / "golden", config).run(reads)
+        for keep, stage in ((1, "hashmap"), (2, "debruijn"), (3, "traverse")):
+            job_dir = tmp_path / f"cut{keep}"
+            self._legacy_journal(
+                reads,
+                job_dir,
+                monkeypatch,
+                keep=keep,
+                contig_mode="unitig",
+                scaffold=False,
+                simplify=False,
+            )
+            out = JobRunner(job_dir, config).resume(reads)
+            assert out.report.resumed_from == stage
+            assert run_fingerprint(out.result) == run_fingerprint(
+                golden.result
+            )
+
+    @pytest.mark.parametrize(
+        "option, value, feature",
+        [
+            ("contig_mode", "euler", "walks Eulerian contigs"),
+            ("scaffold", True, "scaffolds its contigs"),
+            ("simplify", True, "simplifies its graph"),
+        ],
+    )
+    def test_resume_rejects_a_non_default_retired_option(
+        self, reads, tmp_path, monkeypatch, option, value, feature
+    ):
+        self._legacy_journal(
+            reads, tmp_path / "job", monkeypatch, **{option: value}
+        )
+        with pytest.raises(JournalError, match=feature):
             JobRunner(
                 tmp_path / "job", JobConfig(k=K, engine="bulk")
             ).resume(reads)
@@ -362,46 +433,44 @@ class TestCompletedJobRehydration:
 
 
 class TestRetryLadder:
-    def _flaky_runner(self, tmp_path, config, fail_times):
-        """JobRunner whose hashmap stage fails `fail_times` times."""
-        runner = JobRunner(
-            tmp_path / "job", config, sleep=lambda s: self.slept.append(s)
-        )
-        self.slept = []
-        original = PimPipeline.run_hashmap
-        state = {"left": fail_times}
+    """A stage is re-run only after quarantining the sub-array its
+    error names; every other failure gives up on the first attempt."""
 
-        def flaky(pipeline, reads, pstate):
-            if state["left"] > 0:
-                state["left"] -= 1
-                raise VerificationError("injected stage failure")
-            return original(pipeline, reads, pstate)
+    @staticmethod
+    def _failing_stage(monkeypatch, keys, stage="run_hashmap"):
+        """Make ``stage`` raise one uncorrectable fault per entry of
+        ``keys`` (naming that sub-array; ``None`` names none) before it
+        does any work, then run normally."""
+        original = getattr(PimPipeline, stage)
+        pending = list(keys)
 
-        return runner, flaky
+        def fail_first(pipeline, *args):
+            if pending:
+                key = pending.pop(0)
+                if key is None:
+                    raise VerificationError("injected stage failure")
+                raise UncorrectableFaultError(key, "compute2", 1)
+            return original(pipeline, *args)
 
-    def test_engine_and_batch_stay_fixed_across_retries(
+        monkeypatch.setattr(PimPipeline, stage, fail_first)
+        return pending
+
+    def test_engine_stays_fixed_across_retries(
         self, reads, tmp_path, monkeypatch
     ):
-        config = JobConfig(
-            k=K,
-            engine="bulk",
-            backoff_base_s=0.05,
-            backoff_jitter=0.0,
-        )
-        self.slept = []
-        runner, flaky = self._flaky_runner(tmp_path, config, fail_times=2)
-        monkeypatch.setattr(PimPipeline, "run_hashmap", flaky)
+        config = JobConfig(k=K, engine="bulk", resilience="detect")
+        self._failing_stage(monkeypatch, [(0, 0, 0), (0, 0, 1)])
+        runner = JobRunner(tmp_path / "job", config)
         out = runner.run(reads)
         assert out.report.completed
         actions = [d.action for d in out.report.decisions]
-        assert actions == ["retry", "retry"]
+        assert actions == ["quarantine-0,0,0", "quarantine-0,0,1"]
         assert runner._pipeline.engine == "bulk"
-        # capped exponential backoff between attempts
-        assert self.slept == [0.05, 0.1]
 
     def test_bulk_decisions_equal_scalar_decisions(self, reads, tmp_path):
         """Under one seeded fault stream both engines fail identically,
-        so they take identical ladder decisions: quarantine first."""
+        so they take identical ladder decisions: one quarantine per
+        failing sub-array until the attempts run out."""
 
         def factory(job_reads):
             pim = _sized_device(job_reads, K)
@@ -414,11 +483,8 @@ class TestRetryLadder:
             return pim
 
         def decisions(engine):
-            config = JobConfig(k=K, engine=engine, backoff_base_s=0.0)
-            runner = JobRunner(
-                tmp_path / engine, config, pim_factory=factory,
-                sleep=lambda s: None,
-            )
+            config = JobConfig(k=K, engine=engine)
+            runner = JobRunner(tmp_path / engine, config, pim_factory=factory)
             with pytest.raises(JobFailedError):
                 runner.run(reads)
             return [
@@ -427,33 +493,70 @@ class TestRetryLadder:
 
         bulk = decisions("bulk")
         assert bulk == decisions("scalar")
-        assert bulk[0][1] == "quarantine-0,0,0"
-
-    def test_backoff_is_capped(self, reads, tmp_path, monkeypatch):
-        config = JobConfig(
-            k=K,
-            max_attempts=5,
-            backoff_base_s=1.0,
-            backoff_cap_s=2.5,
-            backoff_jitter=0.0,
-        )
-        runner, flaky = self._flaky_runner(tmp_path, config, fail_times=4)
-        monkeypatch.setattr(PimPipeline, "run_hashmap", flaky)
-        out = runner.run(reads)
-        assert out.report.completed
-        assert self.slept == [1.0, 2.0, 2.5, 2.5]
+        assert [action for _, action, _ in bulk] == [
+            "quarantine-0,0,0",
+            "quarantine-0,0,1",
+            "quarantine-0,0,2",
+            "give-up",
+        ]
 
     def test_ladder_exhaustion_raises_job_failed(
         self, reads, tmp_path, monkeypatch
     ):
-        config = JobConfig(k=K, max_attempts=3, backoff_base_s=0.0)
-        runner, flaky = self._flaky_runner(tmp_path, config, fail_times=99)
-        monkeypatch.setattr(PimPipeline, "run_hashmap", flaky)
+        """Every attempt names a fresh sub-array: the ladder stops at
+        MAX_ATTEMPTS, as many as the quarantines it may spend plus one."""
+        config = JobConfig(k=K, resilience="detect")
+        self._failing_stage(
+            monkeypatch, [(0, 0, index) for index in range(MAX_ATTEMPTS + 2)]
+        )
+        runner = JobRunner(tmp_path / "job", config)
         with pytest.raises(JobFailedError) as info:
             runner.run(reads)
         assert info.value.stage == "hashmap"
-        assert info.value.attempts == 3
-        assert runner.report.decisions[-1].action == "give-up"
+        assert info.value.attempts == MAX_ATTEMPTS == 4
+        actions = [d.action for d in runner.report.decisions]
+        assert actions == [
+            "quarantine-0,0,0",
+            "quarantine-0,0,1",
+            "quarantine-0,0,2",
+            "give-up",
+        ]
+
+    @pytest.mark.parametrize(
+        "resilience, keys",
+        [
+            ("detect", [None]),  # the error names no sub-array
+            (None, [(0, 0, 0)]),  # no engine to quarantine with
+            ("detect", [(0, 0, 0), (0, 0, 0)]),  # already quarantined
+        ],
+        ids=["unnamed", "no-engine", "repeat"],
+    )
+    def test_failure_with_nothing_to_quarantine_gives_up(
+        self, reads, tmp_path, monkeypatch, resilience, keys
+    ):
+        config = JobConfig(k=K, resilience=resilience)
+        self._failing_stage(monkeypatch, keys)
+        runner = JobRunner(tmp_path / "job", config)
+        with pytest.raises(JobFailedError) as info:
+            runner.run(reads)
+        assert info.value.attempts == len(keys)
+        actions = [d.action for d in runner.report.decisions]
+        assert actions[-1] == "give-up"
+        assert len(actions) == len(keys)
+
+    def test_full_table_gives_up_after_one_attempt(self, reads, tmp_path):
+        """A table overflow names no sub-array: re-running the stage
+        would overflow identically, so the job fails at once."""
+        runner = JobRunner(
+            tmp_path / "job",
+            JobConfig(k=K),
+            pim_factory=lambda _: PimAssembler.small(subarrays=1),
+        )
+        with pytest.raises(JobFailedError) as info:
+            runner.run(reads)
+        assert isinstance(info.value.last_error, TableFullError)
+        assert info.value.attempts == 1
+        assert [d.action for d in runner.report.decisions] == ["give-up"]
 
     def test_retried_run_still_matches_golden_output(
         self, reads, tmp_path, monkeypatch
@@ -461,10 +564,10 @@ class TestRetryLadder:
         """A retried stage replays from its entry snapshot: the output
         equals an undisturbed run's."""
         golden = JobRunner(tmp_path / "golden", JobConfig(k=K)).run(reads)
-        config = JobConfig(k=K, engine="bulk", backoff_base_s=0.0)
-        runner, flaky = self._flaky_runner(tmp_path, config, fail_times=2)
-        monkeypatch.setattr(PimPipeline, "run_hashmap", flaky)
-        out = runner.run(reads)
+        config = JobConfig(k=K, engine="bulk", resilience="detect")
+        self._failing_stage(monkeypatch, [(0, 0, 0), (0, 0, 1)])
+        out = JobRunner(tmp_path / "job", config).run(reads)
+        assert len(out.report.decisions) == 2
         assert [(c.name, str(c.sequence)) for c in out.result.contigs] == [
             (c.name, str(c.sequence)) for c in golden.result.contigs
         ]
@@ -477,81 +580,44 @@ class TestRetryLadder:
     def test_rollback_restores_fault_and_rot_streams(
         self, reads, tmp_path, monkeypatch, stage, engine, ecc
     ):
-        """The stage runs for real once, consuming fault and rot draws,
-        then fails; the retry rolls the platform back to the stage's
-        entry snapshot, so the job ends exactly as an undisturbed one."""
+        """Fail after the work vs fail before it: in the first run the
+        stage runs for real, consuming fault and rot draws, and then
+        raises; in the second it raises before doing anything.  Both
+        quarantine the same sub-array and re-run from the stage's entry
+        snapshot, so both jobs end identically."""
         policy = ResiliencePolicy.named("detect-retry-remap")
         config = rot_config(engine, policy, ecc)
         factory = faulty_pim_factory(
             policy, integrity=None if ecc is None else ROT
         )
-        golden = JobRunner(
-            tmp_path / "golden", config, pim_factory=factory
-        ).run(reads)
-
         original = getattr(PimPipeline, stage)
-        state = {"left": 1}
+        key = (0, 0, 0)
 
-        def run_then_fail(pipeline, *args):
-            out = original(pipeline, *args)
-            if state["left"] > 0:
-                state["left"] -= 1
-                raise VerificationError("injected failure after the stage")
-            return out
+        def run(job_dir, after_work):
+            state = {"left": 1}
 
-        monkeypatch.setattr(PimPipeline, stage, run_then_fail)
-        runner = JobRunner(
-            tmp_path / "job",
-            config,
-            pim_factory=factory,
-            sleep=lambda s: None,
-        )
-        out = runner.run(reads)
-        assert state["left"] == 0
-        assert [d.action for d in out.report.decisions] == ["retry"]
-        assert run_fingerprint(out.result) == run_fingerprint(golden.result)
+            def fail_once(pipeline, *args):
+                if state["left"] and not after_work:
+                    state["left"] = 0
+                    raise UncorrectableFaultError(key, "compute2", 1)
+                out = original(pipeline, *args)
+                if state["left"]:
+                    state["left"] = 0
+                    raise UncorrectableFaultError(key, "compute2", 1)
+                return out
 
-    def test_jitter_spreads_but_replays_from_the_job_seed(
-        self, reads, tmp_path, monkeypatch
-    ):
-        """Jittered delays stay in [base*(1-j), cap], and the sequence
-        is a pure function of the input fingerprint: the same job
-        re-run sleeps identically, a different job sleeps differently."""
-        config = JobConfig(
-            k=K,
-            max_attempts=5,
-            backoff_base_s=1.0,
-            backoff_cap_s=16.0,
-            backoff_jitter=0.25,
-        )
-        runner, flaky = self._flaky_runner(tmp_path, config, fail_times=3)
-        monkeypatch.setattr(PimPipeline, "run_hashmap", flaky)
-        runner.run(reads)
-        first = list(self.slept)
-        assert len(first) == 3
-        for attempt, slept in enumerate(first, start=1):
-            base = min(16.0, 1.0 * 2 ** (attempt - 1))
-            assert base * 0.75 <= slept <= min(16.0, base * 1.25)
-        assert first != [1.0, 2.0, 4.0]  # jitter actually moved them
+            with monkeypatch.context() as patch:
+                patch.setattr(PimPipeline, stage, fail_once)
+                out = JobRunner(job_dir, config, pim_factory=factory).run(
+                    reads
+                )
+            assert state["left"] == 0
+            assert [d.action for d in out.report.decisions] == [
+                "quarantine-0,0,0"
+            ]
+            return run_fingerprint(out.result)
 
-        runner2, flaky2 = self._flaky_runner(
-            tmp_path / "again", config, fail_times=3
-        )
-        monkeypatch.setattr(PimPipeline, "run_hashmap", flaky2)
-        runner2.run(reads)
-        assert self.slept == first  # reproducible from the job seed
-
-        other = make_reads(seed=99)
-        runner3, flaky3 = self._flaky_runner(
-            tmp_path / "other", config, fail_times=3
-        )
-        monkeypatch.setattr(PimPipeline, "run_hashmap", flaky3)
-        runner3.run(other)
-        assert self.slept != first  # different jobs do not lockstep
-
-    def test_jitter_config_is_validated(self):
-        with pytest.raises(ValueError, match="backoff_jitter"):
-            JobConfig(k=K, backoff_jitter=1.5)
+        assert run(tmp_path / "after", True) == run(tmp_path / "before", False)
 
     def test_nonpositive_budgets_are_rejected(self):
         with pytest.raises(ValueError, match="stage_timeout_s"):
@@ -567,14 +633,26 @@ class TestRetryLadder:
         with pytest.raises(ValueError, match=field):
             JobConfig(k=K, **{field: value})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"k": 1}, {"k": 40}, {"engine": "gpu"}, {"min_count": 0}],
+        ids=["k=1", "k=40", "engine=gpu", "min_count=0"],
+    )
+    def test_bad_config_raises_before_a_journal_exists(self, tmp_path, bad):
+        field = next(iter(bad))
+        with pytest.raises(ValueError, match=field):
+            JobRunner(tmp_path / "job", JobConfig(**{"k": K, **bad}))
+        assert not (tmp_path / "job").exists()
+
     def test_decisions_are_journaled(self, reads, tmp_path, monkeypatch):
-        config = JobConfig(k=K, engine="bulk", backoff_base_s=0.0)
-        runner, flaky = self._flaky_runner(tmp_path, config, fail_times=1)
-        monkeypatch.setattr(PimPipeline, "run_hashmap", flaky)
+        config = JobConfig(k=K, engine="bulk", resilience="detect")
+        self._failing_stage(monkeypatch, [(0, 0, 0)])
+        runner = JobRunner(tmp_path / "job", config)
         runner.run(reads)
         logged = runner.journal.decisions()
-        assert [d["action"] for d in logged] == ["retry"]
+        assert [d["action"] for d in logged] == ["quarantine-0,0,0"]
         assert logged[0]["stage"] == "hashmap"
+        assert set(logged[0]) == {"stage", "attempt", "action", "error"}
 
 
 class TestPlatformSnapshot:

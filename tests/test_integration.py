@@ -79,9 +79,9 @@ class TestFullAssemblyFlow:
         # two read pools with a coverage gap in the middle
         sim = ReadSimulator(read_length=50, seed=98)
         reads = sim.sample(reference, sim.reads_for_coverage(500, 25))
-        result = assemble_with_pim(reads, k=15, scaffold=True)
+        result = assemble_with_pim(reads, k=15)
         if len(result.contigs) > 1:
-            assert len(result.scaffolds) <= len(result.contigs)
+            assert len(greedy_scaffold(result.contigs)) <= len(result.contigs)
 
 
 class TestSimulatedTimingConsistency:
