@@ -26,13 +26,13 @@ Execution engines
 
 ``engine="scalar"`` (the default, and the golden model) walks the
 Hashmap loop k-mer by k-mer through the controller.  ``engine="bulk"``
-batch-inserts each round's k-mers per sub-array through the bulk
+batch-inserts the k-mers of many reads per sub-array through the bulk
 bit-plane engine (:mod:`repro.core.bitplane`): slot assignment, scan
 lengths and counter evolution are derived with vectorised NumPy over
 the whole batch, memory reaches the identical end state, and the
-ledger is charged the identical per-mnemonic command counts in one
-gang-scheduled batch.  Runs with live compare/copy fault rates replay
-the scalar per-op path so the fault RNG stream stays exact.
+ledger is charged the identical per-mnemonic command counts as one
+gang schedule per read.  Runs with live compare/copy fault rates
+replay the scalar per-op path so the fault RNG stream stays exact.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.genome.kmer import (
     iter_kmers,
     kmer_to_row_bits,
     pack_kmer,
-    packed_kmers_array,
+    packed_kmers_batch,
     packed_to_row_bits,
     unpack_kmer,
 )
@@ -63,10 +63,15 @@ from repro.mapping.kmer_layout import KmerLayout, scaled_layout
 from repro.runtime.watchdog import checkpoint
 
 __all__ = [
+    "BATCH_KMERS",
     "PimKmerCounter",
     "SoftwareKmerCounter",
     "kmer_partition",
 ]
+
+#: k-mer arrivals after which the pipeline closes a batch of whole
+#: reads and hands it to one bulk host call
+BATCH_KMERS = 8192
 
 
 @dataclass
@@ -145,6 +150,7 @@ class PimKmerCounter:
         if not keys:
             raise ValueError("at least one sub-array is required")
         self._tables = [_SubarrayTable(key=key, layout=layout) for key in keys]
+        self._keys = [table.key for table in self._tables]
         #: per-partition occupied k-mer slots
         self._occupied = np.zeros(len(keys), dtype=np.int64)
         #: per-partition store slot, cached on the bulk path's first
@@ -159,8 +165,8 @@ class PimKmerCounter:
         self._mask = np.zeros(geometry.cols, dtype=np.uint8)
         self._mask[: self._valid_bits] = 1
         # global sorted key index over all partitions (bulk-path lookup):
-        # bulk rounds merge their new keys in; scalar inserts mark it
-        # dirty and the next bulk round rebuilds it from _slot_keys
+        # bulk batches merge their new keys in; scalar inserts mark it
+        # dirty and the next bulk batch rebuilds it from _slot_keys
         self._index_dirty = True
         self._idx_keys = np.empty(0, dtype=np.uint64)
         self._idx_slot = np.empty(0, dtype=np.int64)
@@ -220,29 +226,29 @@ class PimKmerCounter:
             self._insert_new(index, temp, packed)
 
     def add_sequence(self, sequence: DnaSequence) -> None:
-        if self.engine == "bulk":
-            packed = packed_kmers_array(sequence, self.k)
-            if packed.size:
-                self._add_packed_bulk(packed)
-            return
-        for kmer in iter_kmers(sequence, self.k):
-            self.add_kmer(kmer)
+        self.add_sequences([sequence])
 
     def add_sequences(self, sequences: "Sequence[DnaSequence]") -> None:
-        """Insert many sequences as ONE bulk round (scalar: k-mer loop).
+        """Insert many sequences, one gang schedule per sequence.
 
-        Arrival order is the concatenation order, identical to calling
-        :meth:`add_sequence` per item — so tables, contigs and command
-        counts match; only the bulk gang schedule (time) coarsens.
+        Arrival order is the concatenation order, so tables, end state
+        and the ledger are identical to calling :meth:`add_sequence`
+        per item.  The bulk engine does the host work of the whole
+        batch in one pass and still charges each sequence its own gang
+        schedule.
         """
-        if self.engine == "bulk":
-            arrays = [packed_kmers_array(seq, self.k) for seq in sequences]
-            arrays = [arr for arr in arrays if arr.size]
-            if arrays:
-                self._add_packed_bulk(np.concatenate(arrays))
+        if self.engine != "bulk":
+            for sequence in sequences:
+                for kmer in iter_kmers(sequence, self.k):
+                    self.add_kmer(kmer)
             return
-        for sequence in sequences:
-            self.add_sequence(sequence)
+        packed, owner = packed_kmers_batch(sequences, self.k)
+        if not packed.size:
+            return
+        # one cancellation point per sequence that has k-mers
+        for _ in range(int(np.count_nonzero(np.diff(owner))) + 1):
+            checkpoint()
+        self._add_packed_bulk(packed, owner)
 
     def add_reads(self, reads: Iterable[Read]) -> None:
         self.add_sequences([read.sequence for read in reads])
@@ -254,9 +260,9 @@ class PimKmerCounter:
 
         Partition identity is a pure function of the packed k-mer, so
         one device-wide sorted array resolves any key to its table slot
-        with a single :func:`np.searchsorted`.  Bulk rounds keep it
+        with a single :func:`np.searchsorted`.  Bulk batches keep it
         current with :meth:`_merge_index`; this full rebuild runs only
-        after scalar inserts (a replayed round, :meth:`from_state`).
+        after scalar inserts (a replayed batch, :meth:`from_state`).
         """
         keys = [k for part in self._slot_keys for k in part]
         slots = [
@@ -273,34 +279,35 @@ class PimKmerCounter:
         self._index_dirty = False
 
     def _replay_scalar(self, packed: np.ndarray) -> None:
-        """Run a round k-mer by k-mer through the scalar golden path."""
+        """Run a batch k-mer by k-mer through the scalar golden path."""
         for value in packed.tolist():
             self._add_packed_scalar(int(value))
 
     def _merge_index(self, keys: np.ndarray, slots: np.ndarray) -> None:
-        """Insert a round's new (sorted, absent) keys into the index."""
+        """Insert a batch's new (sorted, absent) keys into the index."""
         pos = np.searchsorted(self._idx_keys, keys)
         self._idx_keys = np.insert(self._idx_keys, pos, keys)
         self._idx_slot = np.insert(self._idx_slot, pos, slots)
 
-    def _add_packed_bulk(self, packed: np.ndarray) -> None:
-        """Batch-insert a round of packed k-mers across ALL sub-arrays.
+    def _add_packed_bulk(self, packed: np.ndarray, owner: np.ndarray) -> None:
+        """Batch-insert packed k-mers of several reads across ALL sub-arrays.
 
-        The scalar loop's observable behaviour is reproduced exactly:
-        slot assignment follows first arrival, scan lengths follow the
+        ``owner`` (non-decreasing) names each arrival's read.  The
+        scalar loop's observable behaviour is reproduced exactly: slot
+        assignment follows first arrival, scan lengths follow the
         stop-at-first-match protocol, counters saturate per hit, and
         the ledger receives the identical command counts — charged as
-        one gang-scheduled batch per round instead of op by op.
+        one gang schedule per read instead of op by op.
 
-        A round is a fixed number of device-wide NumPy calls however
-        many partitions it touches: one ``np.unique`` over the round,
+        A batch is a fixed number of device-wide NumPy calls however
+        many partitions it touches: one ``np.unique`` over the batch,
         one sorted-index lookup for known keys, one lexsort for
         first-arrival slot assignment, packed bit-field gather/scatter
         for every counter, one row-bits pack for every new key and
         every partition's last query, one ``(slot, row)`` scatter for
-        the k-mer and compute rows, and one vector charge per mnemonic.
+        the k-mer and compute rows, and one segmented charge over the
+        (read, partition) pairs.
         """
-        checkpoint()  # per-round cancellation point (bulk hashmap path)
         ctrl = self.pim.controller
         faults = ctrl.faults
         if (
@@ -338,11 +345,18 @@ class PimKmerCounter:
         occ0 = self._occupied
         new_per_part = np.bincount(uparts[new_u], minlength=n_parts)
         if (occ0 + new_per_part > layout.kmer_rows).any():
-            # some partition would raise TableFullError mid-stream;
-            # nothing has been applied yet, so replay the whole round
-            # through the scalar path and let the error fire at the
-            # exact arrival — with the exact partial table state — the
-            # golden model produces
+            # some partition would raise TableFullError mid-stream and
+            # nothing has been applied yet: re-run a batch read by read,
+            # and replay a single read through the scalar path, so the
+            # error fires at the exact arrival — with the exact partial
+            # table state and ledger — the golden model produces
+            if owner[0] != owner[-1]:
+                cuts = np.flatnonzero(np.diff(owner)) + 1
+                for part, part_owner in zip(
+                    np.split(packed, cuts), np.split(owner, cuts)
+                ):
+                    self._add_packed_bulk(part, part_owner)
+                return
             self._replay_scalar(packed)
             return
         order = np.lexsort((first_idx[new_u], uparts[new_u]))
@@ -361,14 +375,23 @@ class PimKmerCounter:
         is_miss[first_idx[new_u]] = True
         scanned = np.where(is_miss, slots, slots + 1)
 
-        # resolve each touched partition's store slot on first touch,
+        # the (read, partition) pairs, read-major: the charging unit
+        pairs, pair_of = np.unique(
+            owner * n_parts + kparts, return_inverse=True
+        )
+        pair_parts = pairs % n_parts
+
+        # resolve each touched partition's store slot on first touch, in
+        # per-read touch order (it fixes the store's slot numbering),
         # BEFORE taking any packed view: store growth reallocates the
         # tensor
-        arr_p = np.bincount(kparts, minlength=n_parts)
-        touched = np.flatnonzero(arr_p)
+        touched = np.flatnonzero(np.bincount(kparts, minlength=n_parts))
         sslot = self._store_slot
-        for p in touched[sslot[touched] < 0].tolist():
-            sslot[p] = self.pim.device.subarray_at(self._tables[p].key).slot
+        unresolved = pair_parts[sslot[pair_parts] < 0]
+        if unresolved.size:
+            firsts = np.sort(np.unique(unresolved, return_index=True)[1])
+            for p in unresolved[firsts].tolist():
+                sslot[p] = self.pim.device.subarray_at(self._keys[p]).slot
         store = self.pim.device.store
 
         # counter evolution: value(key) ends at min(start + hits, max),
@@ -416,7 +439,7 @@ class PimKmerCounter:
         last_words = store.tensor[
             sslot[read_parts], layout.kmer_row(0) + last_slot
         ]
-        # the last scanned row may be one this round inserts
+        # the last scanned row may be one this batch inserts
         fresh = np.flatnonzero(last_slot >= occ0[read_parts])
         fresh_parts = read_parts[fresh]
         last_words[fresh] = new_words[
@@ -446,33 +469,56 @@ class PimKmerCounter:
             self._occupied += new_per_part
             self._merge_index(uniq[new_u], uniq_slot[new_u])
 
-        # ---- charging: identical command counts, one vector charge
-        # per mnemonic over the touched partitions, one gang batch ----
-        miss_p = np.bincount(kparts[is_miss], minlength=n_parts)
+        # ---- charging: identical command counts per (read, partition)
+        # pair, one gang schedule per read ----
+        # a hit increments iff the value before it is below the
+        # maximum: start + rank for a known key, rank for a new one
+        # (its first arrival inserted a 1), rank counting the key's
+        # earlier arrivals in this batch
+        by_key = np.argsort(inv, kind="stable")
+        rank = np.empty(packed.size, dtype=np.int64)
+        rank[by_key] = np.arange(packed.size) - np.repeat(
+            np.cumsum(occurrences) - occurrences, occurrences
+        )
+        before = np.where(known[inv], start_vals[inv] + rank, rank)
+        incs = ~is_miss & (before < layout.counter_max)
+        n_pairs = pairs.size
+        arr_p = np.bincount(pair_of, minlength=n_pairs)
+        miss_p = np.bincount(pair_of[is_miss], minlength=n_pairs)
         scan_p = np.bincount(
-            kparts, weights=scanned.astype(np.float64), minlength=n_parts
+            pair_of, weights=scanned.astype(np.float64), minlength=n_pairs
         ).astype(np.int64)
-        inc_p = np.bincount(
-            uparts,
-            weights=(final_vals - start_vals).astype(np.float64),
-            minlength=n_parts,
-        ).astype(np.int64)
-        keys = [self._tables[p].key for p in touched.tolist()]
-        sched = ctrl.scheduler
+        inc_p = np.bincount(pair_of[incs], minlength=n_pairs)
+        pair_reads = pairs // n_parts
+        # under a detect policy each read's parity checks are charged
+        # before its flush
+        eng = ctrl._verifying()
+        read_starts = np.flatnonzero(
+            np.concatenate(([True], pair_reads[1:] != pair_reads[:-1]))
+        )
+        scanned_per_read = np.add.reduceat(scan_p, read_starts).tolist()
+
+        def charge_verify(i: int) -> None:
+            if scanned_per_read[i]:
+                ctrl._charge_verify(eng, count=scanned_per_read[i])
+
         # per arrival: temp insert + x1 staging; per miss: the insert
         # RowClone and its counter write; per hit: a counter read; per
         # increment: a DPU add and its write-back; per scanned row: AAP
         # copy + XNOR on the sub-array, AND-reduce on the MAT's DPU
-        sched.charge("MEM_WR", keys, (arr_p + miss_p + inc_p)[touched])
-        sched.charge("MEM_RD", keys, (arr_p - miss_p)[touched])
-        sched.charge("AAP1", keys, (arr_p + miss_p + scan_p)[touched])
-        sched.charge("AAP2", keys, scan_p[touched])
-        sched.charge("DPU", keys, (scan_p + inc_p)[touched])
-        eng = ctrl._verifying()
-        total_scanned = int(scan_p.sum())
-        if eng is not None and total_scanned:
-            ctrl._charge_verify(eng, count=total_scanned)
-        sched.flush()
+        ctrl.scheduler.flush_segments(
+            self._keys,
+            pair_parts,
+            pair_reads,
+            [
+                ("MEM_WR", arr_p + miss_p + inc_p),
+                ("MEM_RD", arr_p - miss_p),
+                ("AAP1", arr_p + miss_p + scan_p),
+                ("AAP2", scan_p),
+                ("DPU", scan_p + inc_p),
+            ],
+            charge_verify if eng is not None else None,
+        )
 
     # ----- table updates ---------------------------------------------------------------
 
@@ -584,12 +630,26 @@ class PimKmerCounter:
     # ----- readback --------------------------------------------------------------------------
 
     def counts(self) -> Counter:
-        """Read the full table back as {packed k-mer: frequency}."""
-        out: Counter = Counter()
-        for index, table in enumerate(self._tables):
-            for slot in range(int(self._occupied[index])):
-                out[self._slot_keys[index][slot]] = self._read_counter(table, slot)
-        return out
+        """Read the full table back as {packed k-mer: frequency}.
+
+        One :meth:`Controller.read_fields` call reads every counter and
+        accounts as one host row read per stored k-mer, in
+        partition/slot order.
+        """
+        parts = np.flatnonzero(self._occupied).tolist()
+        if not parts:
+            return Counter()
+        layout = self.layout
+        occupied = self._occupied[parts].tolist()
+        slots = np.concatenate([np.arange(n) for n in occupied])
+        values = self.pim.controller.read_fields(
+            [self._keys[p] for p, n in zip(parts, occupied) for _ in range(n)],
+            layout.value_base + slots // layout.counters_per_row,
+            (slots % layout.counters_per_row) * layout.counter_bits,
+            layout.counter_bits,
+        )
+        keys = [key for p in parts for key in self._slot_keys[p]]
+        return Counter(dict(zip(keys, values.tolist())))
 
     def stored_kmer(self, partition: int, slot: int) -> DnaSequence:
         """Decode a stored k-mer row straight from memory (for tests)."""

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from repro.assembly.contigs import Contig, assemble_contigs
 from repro.assembly.debruijn import DeBruijnGraph
-from repro.assembly.hashmap import PimKmerCounter
+from repro.assembly.hashmap import BATCH_KMERS, PimKmerCounter
 from repro.core.integrity import IntegrityCounts
 from repro.core.platform import PimAssembler
 from repro.core.resilience import (
@@ -172,10 +172,24 @@ class PimPipeline:
             # rot checkpoints: retention windows elapse in *simulated*
             # time as reads are inserted, so the integrity engine must
             # get control between inserts — an end-of-stage-only sync
-            # could never corrupt (or protect) the table mid-build
+            # could never corrupt (or protect) the table mid-build.
+            # Without one, reads go in batches of up to BATCH_KMERS
+            # k-mer arrivals, each read still its own gang schedule.
+            limit = 1 if pim.integrity is not None else BATCH_KMERS
+            batch: list[DnaSequence] = []
+            arrivals = 0
             for sequence in sequences:
                 checkpoint()
-                counter.add_sequence(sequence)
+                batch.append(sequence)
+                # at least one, so under an integrity engine even a
+                # read shorter than k closes its own batch
+                arrivals += max(1, len(sequence) - self.k + 1)
+                if arrivals >= limit:
+                    counter.add_sequences(batch)
+                    pim.integrity_sync()
+                    batch, arrivals = [], 0
+            if batch:
+                counter.add_sequences(batch)
                 pim.integrity_sync()
             if self._scrub_active():
                 # bound how long a corrupted slot can poison queries

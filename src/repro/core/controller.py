@@ -390,6 +390,45 @@ class Controller:
         self._charge("MEM_RD", self.timing.t_read_row, self.energy.e_read_row)
         return mat.grb.read()
 
+    def read_fields(
+        self,
+        subarray_keys: list,
+        rows: np.ndarray,
+        bit_offsets: np.ndarray,
+        width: int,
+    ) -> np.ndarray:
+        """Host-read one ``width``-bit field from each of many rows.
+
+        Entry ``i`` reads row ``rows[i]`` of sub-array
+        ``subarray_keys[i]``.  The accounting is that of one
+        :meth:`read_row` per entry, in order: one ``MEM_RD`` trace
+        entry and ledger record each, and every MAT's GRB left holding
+        the last row read through it.  The fields come from one
+        vectorised gather; returns them as int64.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        if self._trace is not None:
+            for key, row in zip(subarray_keys, rows.tolist()):
+                self._trace.record("MEM_RD", key, (row,))
+        time_ns, energy_nj = self.timing.t_read_row, self.energy.e_read_row
+        for _ in range(rows.size):
+            self._charge("MEM_RD", time_ns, energy_nj)
+        subs = {
+            key: self.device.subarray_at(key)
+            for key in dict.fromkeys(subarray_keys)
+        }
+        last = {
+            key[:2]: (key, row) for key, row in zip(subarray_keys, rows.tolist())
+        }
+        for (bank, mat), (key, row) in last.items():
+            self.device.mat_at(bank, mat).grb.load(subs[key].read_row(row))
+        return self.device.store.read_fields(
+            np.array([subs[key].slot for key in subarray_keys], dtype=np.intp),
+            rows,
+            bit_offsets,
+            width,
+        )
+
     # ----- DPU path -----------------------------------------------------------
 
     def dpu_match(

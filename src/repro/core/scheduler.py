@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -151,6 +151,19 @@ class BatchReport:
         return self.serial_ns / self.makespan_ns
 
 
+def _resource_columns(mnemonic: str) -> tuple[int, ...]:
+    """Which of a key's (sub-array, MAT GRB, MAT DPU) ids a command busies.
+
+    DPU work runs on the MAT's DPU; host reads and writes cross the
+    MAT's GRB and the sub-array; everything else occupies the sub-array.
+    """
+    if mnemonic == "DPU":
+        return (2,)
+    if mnemonic in ("MEM_RD", "MEM_WR"):
+        return (0, 1)
+    return (0,)
+
+
 class BatchedAapScheduler:
     """Coalesces independent per-sub-array op streams into gang issues.
 
@@ -180,6 +193,11 @@ class BatchedAapScheduler:
     gang-scheduled wall-clock (documented in ``docs/CALIBRATION.md``).
     Per-command costs come from the cached
     :func:`repro.core.timing.command_cost_table`.
+
+    :meth:`flush_segments` prices many independent gang schedules in
+    one host pass — the bulk hashmap charges one per read of a batch —
+    with the ledger records, trace records and metrics a
+    :meth:`charge`/:meth:`flush` sequence per schedule would emit.
 
     ``trace`` is the controller's attached
     :class:`~repro.core.trace.CommandTrace` (``None`` when detached):
@@ -265,17 +283,23 @@ class BatchedAapScheduler:
         if not keys:
             return
         key_ns = counts * time_ns
-        np.add.at(self._busy, ids[:, 2 if mnemonic == "DPU" else 0], key_ns)
-        if mnemonic in ("MEM_RD", "MEM_WR"):
-            np.add.at(self._busy, ids[:, 1], key_ns)
+        for column in _resource_columns(mnemonic):
+            np.add.at(self._busy, ids[:, column], key_ns)
         counts = counts.tolist()
-        if self.trace is not None:
-            for key, count in zip(keys, counts):
-                self.trace.charge(mnemonic, key, count, count * time_ns)
+        self._trace_charges(mnemonic, keys, counts, time_ns)
         total = sum(counts)
         self._time_ns[mnemonic] += total * time_ns
         self._energy_nj[mnemonic] += total * energy_nj
         self._counts[mnemonic] += total
+
+    def _trace_charges(
+        self, mnemonic: str, keys: list, counts: list, time_ns: float
+    ) -> None:
+        """Record each key's nonzero share of a charge to the trace."""
+        if self.trace is not None:
+            for key, count in zip(keys, counts):
+                if count > 0:
+                    self.trace.charge(mnemonic, key, count, count * time_ns)
 
     # ----- flushing ----------------------------------------------------------
 
@@ -285,23 +309,108 @@ class BatchedAapScheduler:
 
     def flush(self) -> BatchReport:
         """Charge the queued batch to the ledger as one gang schedule."""
-        serial = float(sum(self._time_ns.values()))
         makespan = float(self._busy.max()) if self._busy.size else 0.0
-        commands = self.pending_commands
-        if self.trace is not None and commands:
-            self.trace.flush(serial, makespan, commands)
-        scale = (makespan / serial) if serial > 0 else 0.0
-        for mnemonic, count in self._counts.items():
-            self.ledger.record(
-                mnemonic,
-                time_ns=self._time_ns[mnemonic] * scale,
-                energy_nj=self._energy_nj[mnemonic],
-                count=count,
-            )
+        report = self._record(
+            self._time_ns, self._energy_nj, self._counts, makespan
+        )
         self._busy.fill(0.0)
         self._time_ns.clear()
         self._energy_nj.clear()
         self._counts.clear()
+        return report
+
+    def flush_segments(
+        self,
+        keys: list,
+        key_index: np.ndarray,
+        segments: np.ndarray,
+        charges: "list[tuple[str, np.ndarray]]",
+        before_flush: "Callable[[int], None] | None" = None,
+    ) -> None:
+        """Charge and flush one gang schedule per segment, in one pass.
+
+        Entry ``j`` queues ``counts[j]`` commands of each ``(mnemonic,
+        counts)`` in ``charges`` on ``keys[key_index[j]]``; consecutive
+        entries with equal ``segments`` labels form one schedule.  The
+        outcome equals, per segment in order, one :meth:`charge` per
+        mnemonic over the segment's entries followed by :meth:`flush`:
+        the same ledger records, trace records and ``pim.batch.*``
+        metrics.  Busy times sum integer-nanosecond command times, so
+        they are exact in any order; per-mnemonic time and energy use
+        :meth:`flush`'s float operations.  ``before_flush(i)`` runs
+        between segment ``i``'s charges and its flush.  Mnemonics must
+        be distinct; the :meth:`charge` queue is left untouched.
+        """
+        segments = np.asarray(segments)
+        if not segments.size:
+            return
+        change = np.concatenate(([False], segments[1:] != segments[:-1]))
+        starts = np.concatenate(([0], np.flatnonzero(change)))
+        # per entry: busy ns on its sub-array, MAT GRB and MAT DPU
+        busy = np.zeros((3, segments.size))
+        rows = []
+        for mnemonic, counts in charges:
+            time_ns, energy_nj = self.costs[mnemonic]
+            counts = np.asarray(counts, dtype=np.int64)
+            for column in _resource_columns(mnemonic):
+                busy[column] += counts * time_ns
+            rows.append(
+                (
+                    mnemonic,
+                    time_ns,
+                    energy_nj,
+                    counts.tolist(),
+                    np.add.reduceat(counts, starts).tolist(),
+                )
+            )
+        ids = self._ids(keys)[key_index]  # may grow the resource table
+        # busy ns per (segment, resource), then each segment's maximum
+        n_res = len(self._resource_ids)
+        bins = (np.cumsum(change) * n_res + ids.T).ravel()
+        ubins, inverse = np.unique(bins, return_inverse=True)
+        per_resource = np.bincount(inverse, weights=busy.ravel())
+        first = np.flatnonzero(
+            np.concatenate(([True], np.diff(ubins // n_res) != 0))
+        )
+        makespans = np.maximum.reduceat(per_resource, first).tolist()
+        bounds = np.append(starts, segments.size).tolist()
+        entry_keys = [keys[i] for i in np.asarray(key_index).tolist()]
+        for i, makespan in enumerate(makespans):
+            lo, hi = bounds[i], bounds[i + 1]
+            time_ns, energy_nj, totals = {}, {}, {}
+            for mnemonic, t, e, counts, per_segment in rows:
+                self._trace_charges(
+                    mnemonic, entry_keys[lo:hi], counts[lo:hi], t
+                )
+                total = per_segment[i]
+                if total > 0:
+                    time_ns[mnemonic] = total * t
+                    energy_nj[mnemonic] = total * e
+                    totals[mnemonic] = total
+            if before_flush is not None:
+                before_flush(i)
+            self._record(time_ns, energy_nj, totals, makespan)
+
+    def _record(
+        self,
+        time_ns: "Mapping[str, float]",
+        energy_nj: "Mapping[str, float]",
+        counts: "Mapping[str, int]",
+        makespan: float,
+    ) -> BatchReport:
+        """Record one gang schedule's per-mnemonic totals to the ledger."""
+        serial = float(sum(time_ns.values()))
+        commands = sum(counts.values())
+        if self.trace is not None and commands:
+            self.trace.flush(serial, makespan, commands)
+        scale = (makespan / serial) if serial > 0 else 0.0
+        for mnemonic, count in counts.items():
+            self.ledger.record(
+                mnemonic,
+                time_ns=time_ns[mnemonic] * scale,
+                energy_nj=energy_nj[mnemonic],
+                count=count,
+            )
         if commands:
             inc("pim.batch.flushes")
             observe("pim.batch.commands", commands)

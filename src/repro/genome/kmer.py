@@ -16,7 +16,7 @@ construction is validated against.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,6 +96,35 @@ def packed_kmers_array(sequence: DnaSequence, k: int) -> np.ndarray:
     for offset in range(k):
         values = (values << np.uint64(BITS_PER_BASE)) | codes[offset : offset + count]
     return values
+
+
+def packed_kmers_batch(
+    sequences: Sequence[DnaSequence], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed k-mers of many sequences and each k-mer's sequence index.
+
+    One vectorised pass over the concatenated base codes; windows that
+    cross a sequence boundary are dropped, so the k-mers equal the
+    concatenation of :func:`packed_kmers_array` over the sequences and
+    the index array is non-decreasing.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if k > MAX_PACKED_K:
+        raise ValueError(f"k={k} exceeds the packing limit {MAX_PACKED_K}")
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    count = int(lengths.sum()) - k + 1
+    if count <= 0:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.intp)
+    codes = np.concatenate([seq.codes for seq in sequences]).astype(np.uint64)
+    values = np.zeros(count, dtype=np.uint64)
+    shift = np.uint64(BITS_PER_BASE)
+    for offset in range(k):
+        values <<= shift
+        values |= codes[offset : offset + count]
+    owner = np.repeat(np.arange(lengths.size), lengths)[:count]
+    inside = np.arange(k, count + k) <= np.cumsum(lengths)[owner]
+    return values[inside], owner[inside]
 
 
 def packed_to_row_bits(packed: np.ndarray, k: int, row_bits: int) -> np.ndarray:

@@ -135,15 +135,22 @@ class TestControllerScheduler:
 
     @pytest.fixture()
     def spy(self, monkeypatch):
-        """Record (scheduler, mnemonic) for every scheduler charge call."""
+        """Record (scheduler, mnemonic) for every mnemonic charged through
+        ``charge`` or ``flush_segments``."""
         calls = []
         charge = BatchedAapScheduler.charge
+        flush_segments = BatchedAapScheduler.flush_segments
 
         def spying(self, mnemonic, subarray_keys, counts):
             calls.append((self, mnemonic))
             return charge(self, mnemonic, subarray_keys, counts)
 
+        def spying_segments(self, keys, key_index, segments, charges, *rest):
+            calls.extend((self, mnemonic) for mnemonic, _ in charges)
+            return flush_segments(self, keys, key_index, segments, charges, *rest)
+
         monkeypatch.setattr(BatchedAapScheduler, "charge", spying)
+        monkeypatch.setattr(BatchedAapScheduler, "flush_segments", spying_segments)
         return calls
 
     def assert_drained(self, pim, calls):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import PimAssembler
 from repro.core.isa import RowAddress, SAOp
+from repro.core.trace import CommandTrace
 
 
 def addr(pim, row, subarray=0):
@@ -75,6 +76,50 @@ class TestBasicCommands:
         assert (pim.controller.read_row(a) == data).all()
         assert pim.stats.command_count("MEM_WR") == 1
         assert pim.stats.command_count("MEM_RD") == 1
+
+    def test_read_fields_accounts_as_read_rows(self):
+        """A vector field read is one ``read_row`` per entry, in order."""
+        reads = [  # (sub-array key, row, bit): two MATs, repeated rows
+            ((0, 0, 0), 5, 0),
+            ((0, 1, 0), 6, 8),
+            ((0, 0, 1), 7, 28),
+            ((0, 0, 0), 5, 16),
+            ((0, 1, 1), 9, 4),
+        ]
+        runs = []
+        for vector in (True, False):
+            pim = PimAssembler.small(subarrays=2, rows=64, cols=32, mats=2)
+            data = np.random.default_rng(7).integers(
+                0, 2, (4, 16, 32), dtype=np.uint8
+            )
+            for i, key in enumerate(pim.device.subarray_keys()):
+                for row in range(16):
+                    pim.device.subarray_at(key).write_row(row, data[i, row])
+            trace = CommandTrace()
+            pim.controller.attach_trace(trace)
+            if vector:
+                keys, rows, bits = zip(*reads)
+                values = pim.controller.read_fields(
+                    list(keys), np.array(rows), np.array(bits), 6
+                ).tolist()
+            else:
+                values = []
+                for key, row, bit in reads:
+                    got = pim.controller.read_row(RowAddress(*key, row=row))
+                    field = got[bit : bit + 6]
+                    values.append(int(field @ (1 << np.arange(field.size))))
+            totals = pim.stats.totals()
+            runs.append(
+                (
+                    values,
+                    [(e.mnemonic, e.subarray, e.rows) for e in trace],
+                    float(totals.time_ns).hex(),
+                    float(totals.energy_nj).hex(),
+                    pim.state_dict(),
+                )
+            )
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == len(reads)
 
 
 class TestDpuPath:

@@ -11,6 +11,7 @@ from repro.core.scheduler import (
     audit_parallelism,
 )
 from repro.core.trace import CommandTrace as Trace
+from repro.observability.metrics import MetricsRegistry
 
 
 def traced_pim(**kwargs):
@@ -279,3 +280,56 @@ class TestVectorCharge:
         small = sched.flush()
         assert small.makespan_ns == pytest.approx(big.makespan_ns / 100)
         assert sched.pending_commands == 0
+
+
+class TestFlushSegments:
+    """One segmented call equals charge() + flush() per segment."""
+
+    MNEMONICS = ("MEM_WR", "MEM_RD", "AAP1", "AAP2", "DPU")
+
+    def run(self, n_keys, segmented):
+        rng = np.random.default_rng(n_keys)
+        # three MATs: GRB and DPU are shared by several keys
+        keys = [(0, i % 3, i) for i in range(n_keys)]
+        segments, index = [], []
+        for segment in range(6):
+            touched = np.sort(rng.choice(n_keys, size=3, replace=False))
+            segments += [segment] * 3
+            index += touched.tolist()
+        index = np.array(index)
+        counts = {m: rng.integers(0, 4, index.size) for m in self.MNEMONICS}
+        ledger = _RecordingLedger()
+        sched = BatchedAapScheduler(ledger)
+        sched.trace = Trace()
+        verified = []
+        registry = MetricsRegistry()
+        with registry.activate():
+            if segmented:
+                sched.flush_segments(
+                    keys,
+                    index,
+                    np.array(segments),
+                    [(m, counts[m]) for m in self.MNEMONICS],
+                    verified.append,
+                )
+            else:
+                for segment in range(6):
+                    sel = np.flatnonzero(np.array(segments) == segment)
+                    touched = [keys[j] for j in index[sel]]
+                    for m in self.MNEMONICS:
+                        sched.charge(m, touched, counts[m][sel])
+                    verified.append(segment)
+                    sched.flush()
+        return (
+            ledger.calls,
+            sched.trace.charges,
+            sched.trace.flushes,
+            verified,
+            registry.snapshot(),
+        )
+
+    def test_bit_identical_to_charge_and_flush(self):
+        segmented = self.run(4, segmented=True)
+        assert segmented == self.run(4, segmented=False)
+        assert len(segmented[2]) == 6
+        assert segmented[3] == list(range(6))

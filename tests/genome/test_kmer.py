@@ -13,6 +13,7 @@ from repro.genome.kmer import (
     kmer_to_row_bits,
     pack_kmer,
     packed_kmers_array,
+    packed_kmers_batch,
     unpack_kmer,
 )
 from repro.genome.sequence import DnaSequence
@@ -64,6 +65,19 @@ class TestExtraction:
         seq = DnaSequence(text)
         naive = [pack_kmer(kmer) for kmer in seq.kmers(k)]
         assert list(iter_packed_kmers(seq, k)) == naive
+
+    @given(st.lists(st.text(alphabet="ACGT", max_size=30), max_size=6),
+           st.integers(min_value=1, max_value=16))
+    def test_batch_matches_per_sequence_rolling(self, texts, k):
+        """No window crosses a sequence boundary; owners label each k-mer."""
+        seqs = [DnaSequence(text) for text in texts]
+        packed, owner = packed_kmers_batch(seqs, k)
+        expected = [
+            (value, index)
+            for index, seq in enumerate(seqs)
+            for value in iter_packed_kmers(seq, k)
+        ]
+        assert list(zip(packed.tolist(), owner.tolist())) == expected
 
     def test_short_sequence_yields_nothing(self):
         assert list(iter_packed_kmers(DnaSequence("AC"), 5)) == []
