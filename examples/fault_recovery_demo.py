@@ -16,11 +16,16 @@ in-memory operation:
 
 The run ends with the resilience report (detected/corrected events,
 retries, quarantined sub-arrays) and the verification overhead the
-detect loop charged to the stats ledger.
+detect loop charged to the stats ledger.  The exit status is 1 when
+the protected contigs differ from the baseline, so the demo doubles as
+a recovery check.
 
 Run:
-    python examples/fault_recovery_demo.py
+    python examples/fault_recovery_demo.py [--engine {scalar,bulk}]
 """
+
+import argparse
+import sys
 
 from repro.assembly.metrics import evaluate_assembly
 from repro.assembly.pipeline import PimPipeline, _sized_device
@@ -36,17 +41,24 @@ MIN_COUNT = 2
 SEEDS = {"genome": 700, "reads": 701, "faults": 702}
 
 
-def assemble(reads, variation: float, policy: "str | None"):
+def assemble(reads, variation: float, policy: "str | None", engine: str):
     pim = _sized_device(reads, K)
     if variation > 0:
         pim.controller.faults = FaultModel.from_variation(
             variation, seed=SEEDS["faults"]
         )
-    pipeline = PimPipeline(pim, k=K, min_count=MIN_COUNT, resilience=policy)
+    pipeline = PimPipeline(
+        pim, k=K, min_count=MIN_COUNT, resilience=policy, engine=engine
+    )
     return pipeline.run(reads)
 
 
-def main() -> None:
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--engine", choices=("scalar", "bulk"), default="scalar"
+    )
+    engine = parser.parse_args().engine
     reference = synthetic_chromosome(GENOME_LENGTH, seed=SEEDS["genome"])
     simulator = ReadSimulator(read_length=READ_LENGTH, seed=SEEDS["reads"])
     reads = simulator.sample(
@@ -55,16 +67,16 @@ def main() -> None:
     print(
         f"workload: {len(reads)} reads x {READ_LENGTH}bp "
         f"(~{COVERAGE:.0f}x coverage of a {GENOME_LENGTH}bp reference), "
-        f"k={K}, min_count={MIN_COUNT}"
+        f"k={K}, min_count={MIN_COUNT}, engine={engine}"
     )
 
     print("\n=== 1. fault-free baseline ===")
-    baseline = assemble(reads, 0.0, None)
+    baseline = assemble(reads, 0.0, None, engine)
     baseline_contigs = sorted(str(c.sequence) for c in baseline.contigs)
     print(evaluate_assembly(baseline.contigs, reference))
 
     print(f"\n=== 2. ±{VARIATION_PERCENT:.0f}% variation, policy OFF ===")
-    unprotected = assemble(reads, VARIATION_PERCENT, "off")
+    unprotected = assemble(reads, VARIATION_PERCENT, "off", engine)
     off_contigs = sorted(str(c.sequence) for c in unprotected.contigs)
     print(evaluate_assembly(unprotected.contigs, reference))
     print(
@@ -76,12 +88,16 @@ def main() -> None:
         f"\n=== 3. ±{VARIATION_PERCENT:.0f}% variation, "
         "policy detect-retry-remap ==="
     )
-    protected = assemble(reads, VARIATION_PERCENT, "detect-retry-remap")
-    protected_contigs = sorted(str(c.sequence) for c in protected.contigs)
+    protected = assemble(
+        reads, VARIATION_PERCENT, "detect-retry-remap", engine
+    )
+    recovered = (
+        sorted(str(c.sequence) for c in protected.contigs) == baseline_contigs
+    )
     print(evaluate_assembly(protected.contigs, reference))
     print(
         "contigs identical to baseline: "
-        f"{'yes — recovered' if protected_contigs == baseline_contigs else 'NO'}"
+        f"{'yes — recovered' if recovered else 'NO'}"
     )
 
     report = protected.resilience
@@ -100,7 +116,8 @@ def main() -> None:
     )
     slowdown = protected.total_time_ns / baseline.total_time_ns
     print(f"protected-run slowdown vs fault-free baseline: {slowdown:.2f}x")
+    return 0 if recovered else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

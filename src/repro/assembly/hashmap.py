@@ -581,43 +581,56 @@ class PimKmerCounter:
         The table lives in the arrays for the whole assembly run, so a
         scrub pass between pipeline stages bounds how long a corrupted
         slot (a faulted insert RowClone, a retention upset) can poison
-        queries.  Each occupied row is parity-checked
-        (:meth:`~repro.core.controller.Controller.scrub_row`, charged
-        as ``VRF`` cycles); a mismatching row is rewritten from the
-        host shadow through the GRB (one ``MEM_WR``) when the active
-        policy retries, and recorded as uncorrected otherwise.
+        queries.  A pass is one vector compare
+        (:meth:`~repro.core.controller.Controller.scrub_rows`) of every
+        occupied row against the host shadow, packed in one call, and
+        is accounted as one parity check (``VRF`` cycles) per row in
+        partition/slot order.  A mismatching row is rewritten from the
+        host shadow through the GRB (one ``MEM_WR``) right after its
+        check when the active policy retries, and recorded as
+        uncorrected otherwise.
 
         Returns:
             ``(checked, repaired)`` row counts.
         """
         ctrl = self.pim.controller
         engine = ctrl.resilience
-        checked = repaired = 0
+        parts = np.flatnonzero(self._occupied).tolist()
+        occupied = self._occupied[parts].tolist()
+        keys = [self._keys[p] for p, n in zip(parts, occupied) for _ in range(n)]
+        slots = np.concatenate(
+            [np.arange(n) for n in occupied] + [np.zeros(0, dtype=np.int64)]
+        )
+        rows = self.layout.kmer_row(0) + slots
+        expected = packed_to_row_bits(
+            np.array(
+                [key for p in parts for key in self._slot_keys[p]],
+                dtype=np.uint64,
+            ),
+            self.k,
+            self.pim.row_bits,
+        )
+        repaired = 0
+
+        def repair(i: int) -> None:
+            nonlocal repaired
+            if engine is not None:
+                engine.note_detected()
+            if engine is None or engine.policy.retry:
+                ctrl.write_row(RowAddress(*keys[i], row=int(rows[i])), expected[i])
+                repaired += 1
+                if engine is not None:
+                    engine.note_corrected()
+            else:
+                engine.note_uncorrected(keys[i], int(rows[i]))
+
         # Scrub repairs legitimately MEM_WR straight into the k-mer
         # region; the marks tell the trace verifier to suspend its
         # table-region write rule for this window.
         ctrl.mark("scrub:begin")
-        for index, table in enumerate(self._tables):
-            for slot in range(int(self._occupied[index])):
-                row = table.layout.kmer_row(slot)
-                addr = self._addr(table, row)
-                expected = kmer_to_row_bits(
-                    unpack_kmer(self._slot_keys[index][slot], self.k),
-                    self.pim.row_bits,
-                )
-                checked += 1
-                if ctrl.scrub_row(addr, expected):
-                    continue
-                if engine is not None:
-                    engine.note_detected()
-                if engine is None or engine.policy.retry:
-                    ctrl.write_row(addr, expected)
-                    repaired += 1
-                    if engine is not None:
-                        engine.note_corrected()
-                else:
-                    engine.note_uncorrected(table.key, row)
+        ctrl.scrub_rows(keys, rows, pack_rows(expected), repair)
         ctrl.mark("scrub:end")
+        checked = len(keys)
         if engine is not None:
             engine.note_scrub(checked, repaired)
         # one repair stream: table-scrub repairs feed the integrity

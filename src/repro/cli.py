@@ -344,6 +344,8 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         )
     if args.min_count < 1:
         raise InputError(f"--min-count must be >= 1 (got {args.min_count})")
+    if args.min_contig < 0:
+        raise InputError(f"--min-contig must be >= 0 (got {args.min_contig})")
     if args.resume and not args.job_dir:
         raise InputError("--resume requires --job-dir")
     _require_positive_seconds("--stage-timeout", args.stage_timeout)

@@ -57,7 +57,7 @@ between-stage scrub instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -143,23 +143,6 @@ class Controller:
             eng.note_verify(
                 count * (t_aap + t_dpu), count * (e_aap + e_dpu), ops=count
             )
-
-    def scrub_row(self, src: RowAddress, expected: np.ndarray) -> bool:
-        """Parity-check one resident row: True iff it is intact.
-
-        The scrub pass over long-resident structures (the k-mer table)
-        recomputes each row's parity through the add-on XOR path and
-        reduces it on the DPU — the same ``VRF`` cycles a per-op check
-        costs.  ``expected`` is the row's reference content (the host
-        shadow the hash table keeps); the functional model compares
-        bits directly.
-        """
-        self.device.validate_address(src)
-        stored = self.device.subarray_at(src).read_row(src.row)
-        self._charge_verify(self.resilience)
-        return bool(
-            np.array_equal(stored, np.asarray(expected, dtype=np.uint8))
-        )
 
     def _commit_result(
         self,
@@ -428,6 +411,47 @@ class Controller:
             bit_offsets,
             width,
         )
+
+    def scrub_rows(
+        self,
+        subarray_keys: list,
+        rows: np.ndarray,
+        expected_words: np.ndarray,
+        on_drift: Callable[[int], None] | None = None,
+    ) -> np.ndarray:
+        """Parity-check many resident rows; True where a row is intact.
+
+        Entry ``i`` checks row ``rows[i]`` of sub-array
+        ``subarray_keys[i]`` against ``expected_words[i]``, the row's
+        host-shadow content packed as in the store.  Each check
+        recomputes the row's parity through the add-on XOR path and
+        reduces it on the DPU, the ``VRF`` cycles a per-op check
+        costs: this accounts as one parity check per entry, in order.
+        ``on_drift(i)`` runs right after entry ``i``'s check when that
+        row drifted, so a caller's repair lands in the command stream
+        where a row-by-row scrub puts it.  Functionally it is one
+        gather of packed words and one whole-word compare (tail bits
+        are zero on both sides).
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        n_rows = self.device.geometry.bank.mat.subarray.rows
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+            raise IndexError(f"scrub row out of range 0..{n_rows - 1}")
+        slot_of = {}
+        for key in dict.fromkeys(subarray_keys):
+            self.device.validate_address(RowAddress(*key, row=0))
+            slot_of[key] = self.device.subarray_at(key).slot
+        slots = np.array(
+            [slot_of[key] for key in subarray_keys], dtype=np.intp
+        )
+        stored = self.device.store.tensor[slots, rows]
+        intact = (stored == expected_words).all(axis=1)
+        eng = self.resilience
+        for i, ok in enumerate(intact.tolist()):
+            self._charge_verify(eng)
+            if not ok and on_drift is not None:
+                on_drift(i)
+        return intact
 
     # ----- DPU path -----------------------------------------------------------
 

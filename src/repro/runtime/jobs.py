@@ -151,6 +151,10 @@ class JobConfig:
             )
         if self.min_count < 1:
             raise ValueError(f"min_count must be >= 1 (got {self.min_count})")
+        if self.min_contig_length < 0:
+            raise ValueError(
+                f"min_contig_length must be >= 0 (got {self.min_contig_length})"
+            )
         for name, value in (
             ("stage_timeout_s", self.stage_timeout_s),
             ("job_timeout_s", self.job_timeout_s),

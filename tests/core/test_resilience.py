@@ -17,6 +17,7 @@ from repro.core.resilience import (
     spare_rows_needed,
 )
 from repro.core.stats import StatsLedger
+from repro.core.storage import pack_rows
 from repro.errors import (
     AllocationError,
     FaultConfigError,
@@ -236,16 +237,20 @@ class TestVerifiedExecution:
             assert engine.is_weak_row((0, 0, 0), des.row)
         assert engine.is_quarantined((0, 0, 0))
 
-    def test_scrub_row_detects_drift(self):
+    def test_scrub_rows_detects_drift(self):
         pim = PimAssembler.small(subarrays=1, rows=64, cols=32)
         pim.protect("detect")
         bits = np.ones(32, dtype=np.uint8)
         addr = store(pim, bits)
-        assert pim.controller.scrub_row(addr, bits)
+        key, rows = [addr.subarray_key], np.array([addr.row])
+        words = pack_rows(bits[None, :])
+        assert pim.controller.scrub_rows(key, rows, words).all()
         flipped = bits.copy()
         flipped[0] = 0
         pim.device.subarray_at(addr).write_row(addr.row, flipped)
-        assert not pim.controller.scrub_row(addr, bits)
+        drifted = []
+        intact = pim.controller.scrub_rows(key, rows, words, drifted.append)
+        assert not intact.any() and drifted == [0]
         assert pim.stats.command_count("VRF_AAP") == 2 * VERIFY_AAP_CYCLES
 
     def test_sum_cycle_verified_too(self):

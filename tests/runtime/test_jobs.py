@@ -635,8 +635,14 @@ class TestRetryLadder:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"k": 1}, {"k": 40}, {"engine": "gpu"}, {"min_count": 0}],
-        ids=["k=1", "k=40", "engine=gpu", "min_count=0"],
+        [
+            {"k": 1},
+            {"k": 40},
+            {"engine": "gpu"},
+            {"min_count": 0},
+            {"min_contig_length": -1},
+        ],
+        ids=["k=1", "k=40", "engine=gpu", "min_count=0", "min_contig_length=-1"],
     )
     def test_bad_config_raises_before_a_journal_exists(self, tmp_path, bad):
         field = next(iter(bad))

@@ -259,6 +259,24 @@ class TestFailurePaths:
             assert rc == 2
             assert "--k" in err and limit in err
 
+    def test_negative_min_contig_exits_2(self, tmp_path, capsys):
+        reads = tmp_path / "reads.fa"
+        reads.write_text(">r0\nACGTACGTACGTACGT\n")
+        rc, err = self._run(
+            capsys,
+            [
+                "assemble",
+                str(reads),
+                "-o",
+                str(tmp_path / "o.fa"),
+                "--min-contig",
+                "-5",
+            ],
+        )
+        assert rc == 2
+        assert "--min-contig" in err and "-5" in err
+        assert not (tmp_path / "o.fa").exists()
+
     @pytest.mark.parametrize(
         "flag,value",
         [
