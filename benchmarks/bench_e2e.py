@@ -1,18 +1,21 @@
 """End-to-end bulk assembly over a genome-size ladder.
 
 Assembles one synthetic genome per rung with the bulk engine and
-writes ``BENCH_e2e.json``: per-stage host seconds (hashmap / debruijn /
-traverse), the software reference assembler's seconds, peak RSS,
-modelled (simulated) nanoseconds per stage, and the exponent of a
-log-log fit of total host seconds against genome length.  Every
-rung's contigs are compared with ``assembly/reference_impl.py``.
+writes ``BENCH_e2e.json`` (``BENCH_e2e_quick.json`` with ``--quick``,
+so a smoke run never replaces the committed full ladder): per-stage
+host seconds (hashmap / debruijn / traverse), the software reference
+assembler's seconds, peak RSS, modelled (simulated) nanoseconds per
+stage, and the exponent of a log-log fit of total host seconds against
+genome length.  Every rung's contigs are compared with
+``assembly/reference_impl.py``.
 
 Setup: k=22, 101-bp error-free reads at 10x coverage,
 ``synthetic_chromosome(L, seed=1)`` and ``ReadSimulator(seed=2)``.
 Each rung runs in a fresh interpreter, so its peak RSS is its own.
 
 ``--check`` fails the run when any rung's contigs differ from the
-reference or the exponent exceeds :data:`MAX_EXPONENT`.
+reference, the exponent exceeds :data:`MAX_EXPONENT`, or the 64 kbp
+rung's total host seconds exceed :data:`MAX_64KBP_TOTAL_S`.
 
 Usage::
 
@@ -44,6 +47,12 @@ LADDERS = {
 
 #: ``--check`` fails above this fitted scaling exponent
 MAX_EXPONENT = 1.15
+
+#: ``--check`` fails when the 64 kbp rung's ``total_s`` exceeds this:
+#: 2x the committed full ladder's 64 kbp total (2.22 s on a 2-core
+#: x86-64 VM), so a constant-factor slowdown fails even when the
+#: exponent holds
+MAX_64KBP_TOTAL_S = 2 * 2.22
 
 STAGES = ("hashmap", "debruijn", "traverse")
 
@@ -112,8 +121,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail on differing contigs or an exponent above "
-        f"{MAX_EXPONENT}",
+        help="fail on differing contigs, an exponent above "
+        f"{MAX_EXPONENT} or a 64 kbp total above {MAX_64KBP_TOTAL_S:.2f} s",
     )
     parser.add_argument(
         "--rung", type=int, help=argparse.SUPPRESS
@@ -121,8 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "-o",
         "--output",
-        default=str(Path(__file__).resolve().parent.parent / "BENCH_e2e.json"),
-        help="where to write the JSON record",
+        help="where to write the JSON record (default: BENCH_e2e.json, "
+        "or BENCH_e2e_quick.json with --quick, at the repo root)",
     )
     args = parser.parse_args(argv)
     if args.rung is not None:
@@ -168,7 +177,11 @@ def main(argv: list[str] | None = None) -> int:
         "scaling_exponent": exponent,
         "rungs": rungs,
     }
-    out_path = Path(args.output)
+    out_path = Path(
+        args.output
+        or Path(__file__).resolve().parent.parent
+        / ("BENCH_e2e_quick.json" if args.quick else "BENCH_e2e.json")
+    )
     out_path.write_text(json.dumps(record, indent=2) + "\n", encoding="ascii")
     print(f"wrote {out_path}")
 
@@ -182,10 +195,18 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"scaling exponent {exponent:.3f} > {MAX_EXPONENT}"
             )
+        failures += [
+            f"64 kbp total {r['total_s']:.2f} s > {MAX_64KBP_TOTAL_S:.2f} s"
+            for r in rungs
+            if r["genome_bp"] == 64_000 and r["total_s"] > MAX_64KBP_TOTAL_S
+        ]
         if failures:
             print("FAIL: " + "; ".join(failures))
             return 1
-        print("OK: contigs match on every rung and the exponent holds")
+        print(
+            "OK: contigs match on every rung, the exponent and the "
+            "64 kbp seconds hold"
+        )
     return 0
 
 

@@ -8,15 +8,12 @@ PIM pipeline: erroneous k-mers appear once or twice, genuine k-mers
 appear ~coverage times, so thresholding removes the error tips/bulges
 before traversal.
 
-It also demonstrates the scaffolding extension (paper stage 3, left as
-future work there) joining the filtered contigs.
-
 Run:
     python examples/noisy_reads_assembly.py
 """
 
 from repro import assemble_with_pim
-from repro.assembly import evaluate_assembly, greedy_scaffold, scaffold_n50
+from repro.assembly import evaluate_assembly
 from repro.core import PimAssembler
 from repro.genome import ReadSimulator, synthetic_chromosome
 
@@ -28,8 +25,7 @@ def run_one(error_rate: float, min_count: int, reference, k: int = 15):
     # Error k-mers inflate the table, so give the device headroom.
     pim = PimAssembler.small(subarrays=16, rows=512, cols=64)
     result = assemble_with_pim(reads, k=k, pim=pim, min_count=min_count)
-    report = evaluate_assembly(result.contigs, reference)
-    return result, report
+    return evaluate_assembly(result.contigs, reference)
 
 
 def main() -> None:
@@ -37,15 +33,15 @@ def main() -> None:
     print(f"reference: {len(reference)} bp synthetic chromosome\n")
 
     print("error-free reads, no filtering:")
-    _, clean = run_one(error_rate=0.0, min_count=1, reference=reference)
+    clean = run_one(error_rate=0.0, min_count=1, reference=reference)
     print(f"  {clean}")
 
     print("\n1% substitution errors, no filtering (graph polluted):")
-    _, noisy = run_one(error_rate=0.01, min_count=1, reference=reference)
+    noisy = run_one(error_rate=0.01, min_count=1, reference=reference)
     print(f"  {noisy}")
 
     print("\n1% substitution errors, min_count=3 (errors filtered):")
-    result, filtered = run_one(error_rate=0.01, min_count=3, reference=reference)
+    filtered = run_one(error_rate=0.01, min_count=3, reference=reference)
     print(f"  {filtered}")
 
     assert filtered.n50 >= noisy.n50, "filtering should not fragment further"
@@ -53,15 +49,6 @@ def main() -> None:
         f"\nfiltering recovered N50 {noisy.n50} -> {filtered.n50} "
         f"({filtered.num_contigs} contigs)"
     )
-
-    if len(result.contigs) > 1:
-        scaffolds = greedy_scaffold(result.contigs, min_overlap=10)
-        print(
-            f"scaffolding extension: {len(result.contigs)} contigs -> "
-            f"{len(scaffolds)} scaffolds (N50 {scaffold_n50(scaffolds)})"
-        )
-    else:
-        print("single contig already — scaffolding not needed")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ Package map:
 * :mod:`repro.genome` — sequences, FASTA/FASTQ IO, synthetic
   references, read simulation, k-mers.
 * :mod:`repro.assembly` — the PIM-mapped de Bruijn pipeline (hashmap,
-  graph, Eulerian traversal, contigs, scaffolding) plus the software
+  graph, Eulerian traversal, contigs) plus the software
   golden model.
 * :mod:`repro.mapping` — correlated hash-table layout, interval-block
   partitioning, allocation, adjacency mapping, the Pd model.

@@ -1,33 +1,5 @@
-"""Genome assembly algorithms, PIM-mapped and software golden models.
+"""Genome assembly algorithms, PIM-mapped and software golden models."""
 
-Extensions beyond the paper's pipeline: bidirected (strand-aware)
-assembly, spectral read error correction, and mate-pair scaffolding.
-"""
-
-from repro.assembly.bidirected import (
-    BidirectedDeBruijnGraph,
-    CanonicalKmerCounter,
-    PimCanonicalKmerCounter,
-    assemble_bidirected,
-)
-from repro.assembly.correction import (
-    CorrectionResult,
-    SpectralCorrector,
-    correct_reads,
-)
-from repro.assembly.simplify import (
-    SimplifyStats,
-    clip_tips,
-    pop_bubbles,
-    simplify_graph,
-)
-from repro.assembly.mate_scaffold import (
-    ContigLink,
-    MateScaffold,
-    build_scaffolds,
-    link_contigs,
-    scaffold_assembly,
-)
 from repro.assembly.contigs import (
     Contig,
     assemble_contigs,
@@ -61,25 +33,8 @@ from repro.assembly.metrics import (
 )
 from repro.assembly.pipeline import AssemblyResult, PimPipeline, assemble_with_pim
 from repro.assembly.reference_impl import SoftwareAssemblyResult, assemble
-from repro.assembly.scaffold import Scaffold, greedy_scaffold, scaffold_n50
 
 __all__ = [
-    "BidirectedDeBruijnGraph",
-    "CanonicalKmerCounter",
-    "PimCanonicalKmerCounter",
-    "assemble_bidirected",
-    "CorrectionResult",
-    "SpectralCorrector",
-    "correct_reads",
-    "SimplifyStats",
-    "clip_tips",
-    "pop_bubbles",
-    "simplify_graph",
-    "ContigLink",
-    "MateScaffold",
-    "build_scaffolds",
-    "link_contigs",
-    "scaffold_assembly",
     "Contig",
     "assemble_contigs",
     "contigs_from_paths",
@@ -110,7 +65,4 @@ __all__ = [
     "assemble_with_pim",
     "SoftwareAssemblyResult",
     "assemble",
-    "Scaffold",
-    "greedy_scaffold",
-    "scaffold_n50",
 ]

@@ -8,11 +8,9 @@ per-stage phase accounting the paper's Fig. 9 breakdown uses:
 3. ``traverse`` — in/out-degree computation (bulk PIM_Add over the
    adjacency mapping) and unitig traversal.
 
-Graph simplification, Eulerian contigs and the scaffolding extension
-(stage 3 of Fig. 5a, the paper's future work) are host-side passes a
-caller applies to the result: :func:`~repro.assembly.simplify.simplify_graph`
-or :func:`~repro.assembly.contigs.assemble_contigs` on ``result.graph``,
-:func:`~repro.assembly.scaffold.greedy_scaffold` on ``result.contigs``.
+Eulerian contigs are a host-side pass a caller applies to the
+result: :func:`~repro.assembly.contigs.assemble_contigs` on
+``result.graph``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ def assemble(
     min_count: int = 1,
     mode: str = "unitig",
     min_contig_length: int = 0,
-    simplify: bool = False,
 ) -> SoftwareAssemblyResult:
     """End-to-end software assembly.
 
@@ -43,17 +42,12 @@ def assemble(
         min_count: k-mer frequency threshold for graph edges.
         mode: contig extraction mode (``"unitig"`` or ``"euler"``).
         min_contig_length: drop contigs shorter than this.
-        simplify: clip tips / pop bubbles before contig extraction.
     """
     counter = SoftwareKmerCounter(k)
     for item in reads:
         sequence = item.sequence if isinstance(item, Read) else item
         counter.add_sequence(sequence)
     graph = DeBruijnGraph.from_counts(counter.counts(), k=k, min_count=min_count)
-    if simplify:
-        from repro.assembly.simplify import simplify_graph
-
-        graph, _ = simplify_graph(graph)
     contigs = assemble_contigs(graph, mode=mode, min_length=min_contig_length)
     return SoftwareAssemblyResult(
         contigs=contigs, graph=graph, kmer_table_size=len(counter)

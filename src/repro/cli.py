@@ -18,7 +18,7 @@ The subcommands cover the workflows a downstream user needs:
 * ``pim-assembler inspect`` — post-hoc accounting of a journaled job
   directory (works on finished, crashed and timed-out jobs);
 * ``pim-assembler simulate`` — generate a synthetic reference and a
-  read set (single- or paired-end) for experiments;
+  read set for experiments;
 * ``pim-assembler experiments`` — regenerate the paper's tables and
   figures, printing them and/or exporting CSVs.
 
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     assemble.add_argument(
         "--engine",
-        choices=("pim", "software", "bidirected"),
+        choices=("pim", "software"),
         default="pim",
         help="assembly engine (default: the PIM functional simulator)",
     )
@@ -101,11 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="PIM simulator execution engine: 'scalar' issues commands "
         "one at a time (golden model), 'bulk' batches them as "
         "bit-plane gangs (same results, much faster simulation)",
-    )
-    assemble.add_argument(
-        "--correct",
-        action="store_true",
-        help="run spectral error correction before assembly",
     )
     assemble.add_argument(
         "--lenient",
@@ -218,24 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--read-length", type=int, default=101)
     simulate.add_argument("--error-rate", type=float, default=0.0)
     simulate.add_argument("--seed", type=int, default=14)
-    simulate.add_argument(
-        "--paired", action="store_true", help="paired-end with 400bp inserts"
-    )
-
-    scaffold = sub.add_parser(
-        "scaffold", help="mate-pair scaffold assembled contigs"
-    )
-    scaffold.add_argument("contigs", help="contig FASTA (from `assemble`)")
-    scaffold.add_argument(
-        "pairs", help="paired FASTQ with /1 and /2 mate naming"
-    )
-    scaffold.add_argument("-o", "--output", required=True, help="scaffold FASTA")
-    scaffold.add_argument(
-        "--insert-mean", type=int, default=400, help="library insert size"
-    )
-    scaffold.add_argument(
-        "--min-links", type=int, default=3, help="pairs required per join"
-    )
 
     experiments = sub.add_parser(
         "experiments", help="regenerate the paper's tables and figures"
@@ -330,7 +307,6 @@ def _require_positive_seconds(flag: str, value: "float | None") -> None:
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
     from repro.assembly import assemble, assemble_with_pim
-    from repro.assembly.bidirected import assemble_bidirected
     from repro.errors import InputError
     from repro.genome.io_fasta import FastaRecord, write_fasta
     from repro.genome.kmer import MAX_PACKED_K
@@ -348,6 +324,11 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         raise InputError(f"--min-contig must be >= 0 (got {args.min_contig})")
     if args.resume and not args.job_dir:
         raise InputError("--resume requires --job-dir")
+    output = Path(args.output)
+    if output.is_dir():
+        raise InputError(f"-o: {output} is a directory, not a file path")
+    if not output.parent.is_dir():
+        raise InputError(f"-o: directory {output.parent} does not exist")
     _require_positive_seconds("--stage-timeout", args.stage_timeout)
     _require_positive_seconds("--job-timeout", args.job_timeout)
     _require_positive_seconds(
@@ -394,15 +375,6 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
             f"record(s) ({'; '.join(parse_report.reasons[:3])}"
             f"{', ...' if len(parse_report.reasons) > 3 else ''})"
         )
-    if args.correct:
-        from repro.assembly.correction import correct_reads
-
-        result = correct_reads(reads, k=max(9, args.k - 6))
-        print(
-            f"correction: {result.corrected_reads} reads / "
-            f"{result.corrected_bases} bases fixed"
-        )
-        reads = result.reads
 
     if args.engine == "pim":
         from contextlib import ExitStack
@@ -498,20 +470,13 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
                 f"{itg.words_corrected} corrected / "
                 f"{itg.words_uncorrectable} uncorrectable"
             )
-    elif args.engine == "software":
+    else:
         contigs = assemble(
             reads,
             k=args.k,
             min_count=args.min_count,
             min_contig_length=args.min_contig,
         ).contigs
-    else:
-        contigs = assemble_bidirected(
-            reads,
-            k=args.k,
-            min_count=args.min_count,
-            min_contig_length=args.min_contig,
-        )
 
     write_fasta(
         args.output,
@@ -709,114 +674,47 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.errors import InputError
     from repro.genome.io_fasta import FastaRecord, FastqRecord, write_fasta, write_fastq
+    from repro.genome.reads import ReadSimulator
     from repro.genome.reference import synthetic_chromosome
+
+    if args.length < 1:
+        raise InputError(f"--length must be >= 1 (got {args.length})")
+    if args.read_length < 1:
+        raise InputError(f"--read-length must be >= 1 (got {args.read_length})")
+    if args.read_length > args.length:
+        raise InputError(
+            f"--read-length must be <= --length {args.length} "
+            f"(got {args.read_length})"
+        )
+    if not (math.isfinite(args.coverage) and args.coverage > 0):
+        raise InputError(
+            f"--coverage must be a positive number (got {args.coverage})"
+        )
+    if not 0.0 <= args.error_rate < 1.0:
+        raise InputError(f"--error-rate must be in [0, 1) (got {args.error_rate})")
 
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     reference = synthetic_chromosome(args.length, seed=args.seed)
     write_fasta(out / "reference.fa", [FastaRecord("chr_synth", str(reference))])
 
-    if args.paired:
-        from repro.genome.paired import PairedReadSimulator, all_reads
-
-        sim = PairedReadSimulator(
-            read_length=args.read_length,
-            seed=args.seed + 1,
-            error_rate=args.error_rate,
-        )
-        pairs = sim.sample(
-            reference, sim.pairs_for_coverage(args.length, args.coverage)
-        )
-        reads = all_reads(pairs)
-        count_msg = f"{len(pairs)} pairs"
-    else:
-        from repro.genome.reads import ReadSimulator
-
-        sim = ReadSimulator(
-            read_length=args.read_length,
-            seed=args.seed + 1,
-            error_rate=args.error_rate,
-        )
-        reads = sim.sample(
-            reference, sim.reads_for_coverage(args.length, args.coverage)
-        )
-        count_msg = f"{len(reads)} reads"
-
+    sim = ReadSimulator(
+        read_length=args.read_length,
+        seed=args.seed + 1,
+        error_rate=args.error_rate,
+    )
+    reads = sim.sample(
+        reference, sim.reads_for_coverage(args.length, args.coverage)
+    )
     write_fastq(
         out / "reads.fq",
         [FastqRecord(r.name, str(r.sequence)) for r in reads],
     )
     print(
-        f"reference.fa ({args.length} bp) + reads.fq ({count_msg}) -> {out}/"
-    )
-    return 0
-
-
-def _load_pairs(path: str, insert_mean: int):
-    """Reconstruct ReadPair objects from /1-/2 mate naming."""
-    from repro.errors import InputError
-    from repro.genome.io_fasta import read_fastq
-    from repro.genome.paired import ReadPair
-    from repro.genome.reads import Read
-    from repro.genome.sequence import DnaSequence
-
-    try:
-        records = read_fastq(path)
-    except FileNotFoundError:
-        raise InputError(f"pairs file not found: {path}")
-    except (OSError, UnicodeDecodeError, ValueError) as exc:
-        raise InputError(f"cannot parse pairs from {path}: {exc}")
-
-    mates: dict[str, dict[str, Read]] = {}
-    for i, record in enumerate(records):
-        name, _, mate = record.name.rpartition("/")
-        if mate not in ("1", "2") or not name:
-            continue
-        mates.setdefault(name, {})[mate] = Read(
-            record.name,
-            DnaSequence(record.sequence),
-            start=i,
-            reverse=(mate == "2"),
-        )
-    pairs = []
-    for name, sides in mates.items():
-        if "1" in sides and "2" in sides:
-            pairs.append(
-                ReadPair(
-                    name=name,
-                    left=sides["1"],
-                    right=sides["2"],
-                    insert_size=insert_mean,
-                )
-            )
-    if not pairs:
-        raise InputError(f"no /1-/2 mate pairs found in {path}")
-    return pairs
-
-
-def _cmd_scaffold(args: argparse.Namespace) -> int:
-    from repro.assembly.contigs import Contig
-    from repro.assembly.mate_scaffold import scaffold_assembly
-    from repro.genome.io_fasta import FastaRecord, read_fasta, write_fasta
-    from repro.genome.sequence import DnaSequence
-
-    contigs = [
-        Contig(r.name, DnaSequence(r.sequence), edge_count=1)
-        for r in read_fasta(args.contigs)
-    ]
-    pairs = _load_pairs(args.pairs, args.insert_mean)
-    scaffolds = scaffold_assembly(
-        contigs, pairs, insert_mean=args.insert_mean, min_links=args.min_links
-    )
-    write_fasta(
-        args.output,
-        [FastaRecord(s.name, s.sequence_with_gaps) for s in scaffolds],
-    )
-    joined = sum(1 for s in scaffolds if len(s.members) > 1)
-    print(
-        f"{len(contigs)} contigs -> {len(scaffolds)} scaffolds "
-        f"({joined} joins) -> {args.output}"
+        f"reference.fa ({args.length} bp) + reads.fq ({len(reads)} reads) "
+        f"-> {out}/"
     )
     return 0
 
@@ -905,7 +803,6 @@ def main(argv: list[str] | None = None) -> int:
         "optimize-trace": _cmd_optimize_trace,
         "inspect": _cmd_inspect,
         "simulate": _cmd_simulate,
-        "scaffold": _cmd_scaffold,
         "experiments": _cmd_experiments,
     }
     try:

@@ -197,26 +197,6 @@ class ExecutionModel:
             return self._run_bandwidth(platform)
         raise TypeError(f"unsupported platform type: {type(platform).__name__}")
 
-    def lookup_seconds(self, platform: Platform, lookups: float) -> float:
-        """Price a compare-class lookup workload on any platform.
-
-        A *lookup* is one k-mer membership test: a hash-table scan on
-        the in-DRAM platforms (occupancy x scan-overhead PIM_XNOR
-        cycles, over the deployment's lanes), one hash query on the
-        von-Neumann platforms.  Used by extension studies (e.g. the
-        PIM-offloaded spectral correction bench) so they price work
-        with exactly the Fig. 9 primitives.
-        """
-        if lookups < 0:
-            raise ValueError("lookups must be non-negative")
-        if isinstance(platform, InDramPlatform):
-            lanes = self._lanes(platform)
-            scan = self._occupancy_rows() * self.mapping.scan_overhead
-            return lookups * scan * platform.compare_ns() * 1e-9 / lanes
-        if isinstance(platform, BandwidthPlatform):
-            return lookups * platform.query_ns(self.workload.k) * 1e-9
-        raise TypeError(f"unsupported platform type: {type(platform).__name__}")
-
     # ----- in-DRAM platforms --------------------------------------------------------
 
     def _lanes(self, platform: InDramPlatform) -> float:

@@ -7,8 +7,6 @@ from repro.assembly import (
     assemble_contigs,
     assemble_with_pim,
     evaluate_assembly,
-    greedy_scaffold,
-    simplify_graph,
 )
 from repro.assembly.pipeline import PimPipeline
 from repro.core import PimAssembler
@@ -91,16 +89,6 @@ class TestAccounting:
 
 
 class TestOptions:
-    def test_scaffold_option(self, small_case):
-        """Scaffolding is a host pass over the result's contigs: every
-        contig lands in exactly one scaffold."""
-        _, reads = small_case
-        result = assemble_with_pim(reads, k=13)
-        scaffolds = greedy_scaffold(result.contigs)
-        assert sorted(m for s in scaffolds for m in s.members) == sorted(
-            c.name for c in result.contigs
-        )
-
     def test_min_contig_length(self, small_case):
         _, reads = small_case
         result = assemble_with_pim(reads, k=13, min_contig_length=30)
@@ -110,30 +98,6 @@ class TestOptions:
         pim = PimAssembler.small()
         with pytest.raises(ValueError):
             PimPipeline(pim, k=1)
-
-    def test_simplify_option_cleans_noisy_graph(self):
-        """Simplifying the result's graph must not lower N50 on
-        error-polluted input."""
-        reference = synthetic_chromosome(700, seed=61)
-        sim = ReadSimulator(read_length=60, seed=62, error_rate=0.008)
-        reads = sim.sample(reference, sim.reads_for_coverage(700, 30))
-        plain = assemble_with_pim(reads, k=15)
-        cleaned, _ = simplify_graph(plain.graph)
-        plain_report = evaluate_assembly(plain.contigs, reference)
-        cleaned_report = evaluate_assembly(
-            [c for c in assemble_contigs(cleaned) if len(c) >= 30], reference
-        )
-        assert cleaned.num_edges <= plain.graph.num_edges
-        assert cleaned_report.n50 >= plain_report.n50
-
-    def test_simplify_noop_on_clean_reads(self, small_case):
-        _, reads = small_case
-        plain = assemble_with_pim(reads, k=13)
-        simplified, _ = simplify_graph(plain.graph)
-        assert sorted(str(c.sequence) for c in plain.contigs) == sorted(
-            str(c.sequence) for c in assemble_contigs(simplified)
-        )
-
 
 class TestResilientPipeline:
     def test_no_policy_means_no_report(self, small_case):

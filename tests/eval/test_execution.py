@@ -173,28 +173,6 @@ class TestMechanics:
         with pytest.raises(TypeError):
             ExecutionModel(chr14_workload(16)).run(Fake())
 
-    def test_lookup_seconds_in_dram(self):
-        model = ExecutionModel(chr14_workload(16))
-        pa = make_platform("P-A")
-        one = model.lookup_seconds(pa, 1e6)
-        two = model.lookup_seconds(pa, 2e6)
-        assert two == pytest.approx(2 * one)
-        assert one > 0
-
-    def test_lookup_seconds_bandwidth(self):
-        model = ExecutionModel(chr14_workload(16))
-        g = make_platform("GPU")
-        assert model.lookup_seconds(g, 1e9) == pytest.approx(
-            g.query_ns(16), rel=1e-6
-        )
-
-    def test_lookup_seconds_validation(self):
-        model = ExecutionModel(chr14_workload(16))
-        with pytest.raises(ValueError):
-            model.lookup_seconds(make_platform("P-A"), -1.0)
-        with pytest.raises(TypeError):
-            model.lookup_seconds(object(), 1.0)
-
     def test_energy_consistency(self, results16):
         r = results16["P-A"]
         assert r.total_energy_j == pytest.approx(

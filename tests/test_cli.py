@@ -35,29 +35,31 @@ class TestSimulate:
         ref = read_fasta(simulated / "reference.fa")[0]
         assert len(ref.sequence) == 1500
 
-    def test_paired_mode(self, tmp_path):
-        out = tmp_path / "paired"
-        rc = main(
-            [
-                "simulate",
-                "-o",
-                str(out),
-                "--length",
-                "2000",
-                "--coverage",
-                "20",
-                "--read-length",
-                "60",
-                "--paired",
-            ]
-        )
-        assert rc == 0
-        text = (out / "reads.fq").read_text()
-        assert "/1" in text and "/2" in text
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--coverage", "0"),
+            ("--length", "-5"),
+            ("--read-length", "500"),
+            ("--error-rate", "2"),
+        ],
+    )
+    def test_bad_numbers_exit_2_naming_the_flag(
+        self, tmp_path, capsys, flag, value
+    ):
+        argv = ["simulate", "-o", str(tmp_path / "sim"), flag, value]
+        if flag == "--read-length":
+            argv += ["--length", "100"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and flag in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "sim").exists()
 
 
 class TestAssemble:
-    @pytest.mark.parametrize("engine", ["pim", "software", "bidirected"])
+    @pytest.mark.parametrize("engine", ["pim", "software"])
     def test_engines_produce_contigs(self, simulated, tmp_path, engine, capsys):
         out = tmp_path / f"{engine}.fa"
         rc = main(
@@ -86,24 +88,6 @@ class TestAssemble:
             ["assemble", str(simulated / "reads.fq"), "-o", str(out), "-k", "15"]
         )
         assert "simulated PIM time" in capsys.readouterr().out
-
-    def test_correction_flag(self, simulated, tmp_path, capsys):
-        out = tmp_path / "c.fa"
-        rc = main(
-            [
-                "assemble",
-                str(simulated / "reads.fq"),
-                "-o",
-                str(out),
-                "-k",
-                "17",
-                "--engine",
-                "software",
-                "--correct",
-            ]
-        )
-        assert rc == 0
-        assert "correction:" in capsys.readouterr().out
 
     def test_fasta_input(self, tmp_path):
         reads_fa = tmp_path / "reads.fa"
@@ -240,7 +224,7 @@ class TestFailurePaths:
         cases = [("1", "pim", "2")] + [
             # above the 64-bit packing limit, on every engine
             ("40", engine, "32")
-            for engine in ("pim", "software", "bidirected")
+            for engine in ("pim", "software")
         ]
         for k, engine, limit in cases:
             rc, err = self._run(
@@ -258,6 +242,26 @@ class TestFailurePaths:
             )
             assert rc == 2
             assert "--k" in err and limit in err
+
+    @pytest.mark.parametrize(
+        "output,named",
+        [("absent/o.fa", "absent"), (".", ".")],
+        ids=["missing-directory", "is-a-directory"],
+    )
+    def test_unwritable_output_exits_2_before_reading(
+        self, tmp_path, capsys, output, named
+    ):
+        rc, err = self._run(
+            capsys,
+            [
+                "assemble",
+                str(tmp_path / "nope.fq"),
+                "-o",
+                str(tmp_path / output),
+            ],
+        )
+        assert rc == 2
+        assert str(tmp_path / named) in err and "not found" not in err
 
     def test_negative_min_contig_exits_2(self, tmp_path, capsys):
         reads = tmp_path / "reads.fa"
@@ -394,6 +398,23 @@ class TestRetiredCommands:
         assert info.value.code == 2
         assert "invalid choice: 'serve'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["scaffold", "c.fa", "pairs.fq", "-o", "s.fa"], "'scaffold'"),
+            (["assemble", "r.fq", "-o", "c.fa", "--engine", "bidirected"],
+             "'bidirected'"),
+            (["assemble", "r.fq", "-o", "c.fa", "--correct"], "--correct"),
+            (["simulate", "-o", "sim", "--paired"], "--paired"),
+        ],
+        ids=["scaffold", "engine-bidirected", "correct", "paired"],
+    )
+    def test_retired_assembly_extras_are_rejected(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestVersion:
     def test_version_flag_prints_package_version(self, capsys):
@@ -488,78 +509,6 @@ class TestObservabilityCli:
         rc = main(["inspect", str(tmp_path), "--top-k", "0"])
         assert rc == 2
         assert "--top-k" in capsys.readouterr().err
-
-
-class TestScaffold:
-    def test_scaffolds_fragmented_contigs(self, tmp_path, capsys):
-        """Simulate paired reads, hand the CLI two gap-separated
-        contigs, and check it joins them with an N run."""
-        from repro.assembly.contigs import Contig
-        from repro.genome.io_fasta import (
-            FastaRecord,
-            FastqRecord,
-            read_fasta,
-            write_fasta,
-            write_fastq,
-        )
-        from repro.genome.paired import PairedReadSimulator
-        from repro.genome.reference import synthetic_chromosome
-
-        reference = synthetic_chromosome(3000, seed=321)
-        contigs_fa = tmp_path / "contigs.fa"
-        write_fasta(
-            contigs_fa,
-            [
-                FastaRecord("contigA", str(reference[0:1200])),
-                FastaRecord("contigB", str(reference[1400:2600])),
-            ],
-        )
-        sim = PairedReadSimulator(
-            read_length=60, insert_mean=500, insert_sd=30, seed=322
-        )
-        pairs = sim.sample(reference, sim.pairs_for_coverage(3000, 30))
-        reads_fq = tmp_path / "pairs.fq"
-        records = []
-        for pair in pairs:
-            records.append(FastqRecord(pair.left.name, str(pair.left.sequence)))
-            records.append(FastqRecord(pair.right.name, str(pair.right.sequence)))
-        write_fastq(reads_fq, records)
-
-        out = tmp_path / "scaffolds.fa"
-        rc = main(
-            [
-                "scaffold",
-                str(contigs_fa),
-                str(reads_fq),
-                "-o",
-                str(out),
-                "--insert-mean",
-                "500",
-            ]
-        )
-        assert rc == 0
-        scaffolds = read_fasta(out)
-        assert len(scaffolds) == 1
-        assert "N" in scaffolds[0].sequence
-        assert "1 joins" in capsys.readouterr().out
-
-    def test_rejects_unpaired_input(self, tmp_path):
-        from repro.genome.io_fasta import FastqRecord, write_fastq
-
-        contigs_fa = tmp_path / "c.fa"
-        contigs_fa.write_text(">c0\nACGTACGTACGTACGTACGTACGTACGT\n")
-        reads_fq = tmp_path / "r.fq"
-        write_fastq(reads_fq, [FastqRecord("solo", "ACGTACGT")])
-        rc = main(
-            [
-                "scaffold",
-                str(contigs_fa),
-                str(reads_fq),
-                "-o",
-                str(tmp_path / "s.fa"),
-            ]
-        )
-        assert rc == 2
 
 
 class TestExperiments:

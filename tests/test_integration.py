@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import PimAssembler, assemble, assemble_with_pim
-from repro.assembly import evaluate_assembly, greedy_scaffold
+from repro.assembly import evaluate_assembly
 from repro.assembly.pipeline import PimPipeline
 from repro.eval import (
     chr14_workload,
@@ -72,17 +72,6 @@ class TestFullAssemblyFlow:
         report = evaluate_assembly(result.contigs, reference)
         assert report.misassemblies == 0
         assert report.genome_fraction > 0.8
-
-    def test_scaffolding_joins_adjacent_contigs(self):
-        reference = synthetic_chromosome(500, seed=97)
-        # construct two overlapping windows as artificial contigs via
-        # two read pools with a coverage gap in the middle
-        sim = ReadSimulator(read_length=50, seed=98)
-        reads = sim.sample(reference, sim.reads_for_coverage(500, 25))
-        result = assemble_with_pim(reads, k=15)
-        if len(result.contigs) > 1:
-            assert len(greedy_scaffold(result.contigs)) <= len(result.contigs)
-
 
 class TestSimulatedTimingConsistency:
     def test_pipeline_time_scales_with_reads(self):
