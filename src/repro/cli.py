@@ -409,17 +409,14 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
                 print(f"job: {job.report}")
             else:
                 from repro.assembly.pipeline import _sized_device
+                from repro.core.integrity import IntegrityConfig
 
                 pim = _sized_device(reads, args.k)
-                if args.ecc or args.retention_interval_s:
-                    from repro.core.integrity import IntegrityConfig
-
-                    kwargs = {"ecc": args.ecc or "secded"}
-                    if args.retention_interval_s is not None:
-                        kwargs["retention_interval_s"] = (
-                            args.retention_interval_s
-                        )
-                    pim.attach_integrity(IntegrityConfig(**kwargs))
+                integrity = IntegrityConfig.requested(
+                    args.ecc, args.retention_interval_s
+                )
+                if integrity is not None:
+                    pim.attach_integrity(integrity)
                 recorder = None
                 if args.aap_trace_out or args.aap_opt:
                     from repro.analysis.tracefile import TraceRecorder
@@ -696,7 +693,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise InputError(f"--error-rate must be in [0, 1) (got {args.error_rate})")
 
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(
+            f"-o: cannot create directory {out} ({exc.strerror})"
+        ) from exc
     reference = synthetic_chromosome(args.length, seed=args.seed)
     write_fasta(out / "reference.fa", [FastaRecord("chr_synth", str(reference))])
 

@@ -38,12 +38,8 @@ from repro.core.isa import (
     AapCompute2,
     AapCompute3,
     AapCopy,
-    DpuOp,
-    MemRead,
-    MemWrite,
     RowAddress,
     SAOp,
-    SumCycle,
 )
 from repro.core.platform import PimAssembler, WordColumns
 from repro.core.sense_amplifier import (
@@ -90,12 +86,8 @@ __all__ = [
     "AapCompute2",
     "AapCompute3",
     "AapCopy",
-    "DpuOp",
-    "MemRead",
-    "MemWrite",
     "RowAddress",
     "SAOp",
-    "SumCycle",
     "PimAssembler",
     "WordColumns",
     "CONTROL_SIGNALS",

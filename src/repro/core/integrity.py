@@ -234,6 +234,20 @@ class IntegrityConfig:
         if self.weak_row_threshold < 1:
             raise FaultConfigError("weak_row_threshold must be >= 1")
 
+    @classmethod
+    def requested(
+        cls, ecc: "str | None", retention_interval_s: "float | None"
+    ) -> "IntegrityConfig | None":
+        """The engine the ``ecc``/``retention_interval_s`` options ask
+        for: ``None`` when neither is set; an interval alone implies
+        SECDED."""
+        if ecc is None and retention_interval_s is None:
+            return None
+        kwargs: dict = {"ecc": ecc or "secded"}
+        if retention_interval_s is not None:
+            kwargs["retention_interval_s"] = retention_interval_s
+        return cls(**kwargs)
+
     @property
     def per_window_probability(self) -> float:
         """Per-bit upset probability per retention window."""

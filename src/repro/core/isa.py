@@ -15,8 +15,9 @@ Sizes must be a multiple of the DRAM row size; otherwise the application
 pads with dummy data (the mapping layer in :mod:`repro.mapping` is
 responsible for that padding).
 
-This module defines the address space and the instruction dataclasses;
-:mod:`repro.core.controller` executes them against sub-array state.
+This module defines the address space, the three AAP dataclasses
+:mod:`repro.core.controller` validates its operands through, and the
+registry of every trace mnemonic the platform emits.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class AapCopy:
     def __post_init__(self) -> None:
         if not self.src.same_subarray(self.des):
             raise ValueError(
-                "type-1 AAP copies within one sub-array; use the global "
-                "row buffer path (MemRead/MemWrite) across sub-arrays"
+                "type-1 AAP copies within one sub-array; move data "
+                "across sub-arrays through the global row buffer"
             )
 
     mnemonic = "AAP1"
@@ -123,113 +124,6 @@ class AapCompute3:
 
     mnemonic = "AAP3"
 
-
-@dataclass(frozen=True)
-class SumCycle:
-    """The latch-assisted sum cycle: des = src1 ^ src2 ^ latched_carry.
-
-    This models the add-on XOR gate consuming the D-latch contents (the
-    carry produced by a preceding :class:`AapCompute3`) together with a
-    fresh two-row activation of the addend rows.
-    """
-
-    src1: RowAddress
-    src2: RowAddress
-    carry: RowAddress
-    des: RowAddress
-
-    def __post_init__(self) -> None:
-        operands = (self.src1, self.src2, self.carry)
-        if not all(s.same_subarray(self.des) for s in operands):
-            raise ValueError("sum-cycle operands must share a sub-array")
-
-    mnemonic = "SUM"
-
-
-@dataclass(frozen=True)
-class MemWrite:
-    """Write one row of data from the host through the global row buffer."""
-
-    des: RowAddress
-
-    mnemonic = "MEM_WR"
-
-
-@dataclass(frozen=True)
-class MemRead:
-    """Read one row of data to the host through the global row buffer."""
-
-    src: RowAddress
-
-    mnemonic = "MEM_RD"
-
-
-@dataclass(frozen=True)
-class RowInit:
-    """Initialise a row to all-0 or all-1.
-
-    Hardware realisation: a RowClone from one of the two reserved
-    constant rows every Ambit-class design keeps — one AAP, charged as
-    such, but traced under its own mnemonic so a replay knows the fill
-    value (a plain ``AAP1`` entry cannot carry it).
-    """
-
-    des: RowAddress
-    value: int = 0
-
-    def __post_init__(self) -> None:
-        if self.value not in (0, 1):
-            raise ValueError("init value must be 0 or 1")
-
-    mnemonic = "ROW_INIT"
-
-
-@dataclass(frozen=True)
-class LatchClear:
-    """Reset the SA's carry latch (a precharge-time side effect; free).
-
-    Traced so a command stream is a complete description of latch
-    state: without it, a replayed ``SUM`` could consume a stale carry
-    the original run had cleared.
-    """
-
-    subarray: tuple[int, int, int]
-
-    mnemonic = "LATCH_CLR"
-
-
-@dataclass(frozen=True)
-class DpuOp:
-    """A MAT-level DPU operation over one sense-amplifier stripe.
-
-    ``kind`` is one of ``and_reduce`` / ``or_reduce`` / ``popcount`` /
-    ``scalar_add`` — the simple non-bulk bit-wise ops the paper assigns
-    to the low-overhead Digital Processing Unit.
-    """
-
-    subarray: tuple[int, int, int]
-    kind: str
-
-    VALID_KINDS = ("and_reduce", "or_reduce", "popcount", "scalar_add")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self.VALID_KINDS:
-            raise ValueError(f"unknown DPU op kind: {self.kind!r}")
-
-    mnemonic = "DPU"
-
-
-Instruction = (
-    AapCopy
-    | AapCompute2
-    | AapCompute3
-    | SumCycle
-    | MemWrite
-    | MemRead
-    | RowInit
-    | LatchClear
-    | DpuOp
-)
 
 #: Every trace mnemonic the platform can emit, in canonical order.
 #: ``repro.core.timing.command_cost_table`` must price each of these

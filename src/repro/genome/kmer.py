@@ -173,14 +173,6 @@ def count_kmers(
     return counts
 
 
-def canonical_kmer(kmer: DnaSequence) -> DnaSequence:
-    """The lexicographically smaller of a k-mer and its reverse
-    complement (used by the strand-aware extension, not by the paper's
-    forward-only pipeline)."""
-    rc = kmer.reverse_complement()
-    return kmer if pack_kmer(kmer) <= pack_kmer(rc) else rc
-
-
 def kmer_to_row_bits(kmer: DnaSequence, row_bits: int) -> np.ndarray:
     """Lay a k-mer out as a padded sub-array row (2 bits/base + zeros)."""
     bits = kmer.to_bits()

@@ -8,7 +8,7 @@ into resumable, deadline-bounded jobs:
 * :mod:`repro.runtime.watchdog` — cooperative cancellation checkpoints
   with per-stage / whole-job deadline budgets,
 * :mod:`repro.runtime.jobs` — the :class:`JobRunner` retry ladder
-  (quarantine-or-retry over stage-entry rollbacks).
+  (quarantine, roll back to the last journaled record, re-run).
 
 The assembly modules import :func:`checkpoint` from here, and
 ``jobs`` imports the assembly pipeline — so the jobs symbols are

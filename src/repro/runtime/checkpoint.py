@@ -19,12 +19,12 @@ atomic rename; manifest lines are appended and fsynced only *after*
 the record they reference is durable, so the manifest never points at
 a record that is not fully on disk.
 
-The journal stores *payloads*; what goes into a stage-boundary payload
-(platform snapshot, k-mer table, graph, ...) is decided by
-:mod:`repro.runtime.jobs`.  This module also provides the pure-data
-serializers for the assembly objects a payload embeds (de Bruijn
-graph, contigs) — the platform itself snapshots through
-:meth:`repro.core.platform.PimAssembler.state_dict`.
+The journal stores *payloads*; what goes into one is decided by
+:mod:`repro.runtime.jobs`: the platform snapshot
+(:meth:`repro.core.platform.PimAssembler.state_dict`), the k-mer
+counter's host shadow and the table's readback.  Nothing derived is
+journaled — the de Bruijn graph and the contigs are host functions of
+the readback, rebuilt when a record is restored.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 try:  # pragma: no cover - POSIX only; the lock degrades to a no-op
     import fcntl
@@ -46,15 +46,7 @@ from repro.errors import JournalError, JournalLockedError
 from repro.observability.metrics import inc, observe
 from repro.observability.spans import event
 
-__all__ = [
-    "JobJournal",
-    "JournalLock",
-    "RecordRef",
-    "graph_state",
-    "graph_from_state",
-    "contigs_state",
-    "contigs_from_state",
-]
+__all__ = ["JobJournal", "JournalLock", "RecordRef"]
 
 #: version 2: platform snapshots carry packed uint64 ``"words"``
 #: (columnar storage); version-1 journals (unpacked ``"bits"``) are
@@ -295,59 +287,4 @@ class JobJournal:
         if not refs:
             return None
         return refs[-1], self.load(refs[-1])
-
-
-# ----- assembly-object serializers ------------------------------------------
-
-
-def graph_state(graph) -> dict:
-    """Serialize a de Bruijn graph preserving node *and* edge order.
-
-    Iteration order of the adjacency map feeds straight into contig
-    naming and traversal order, so the round trip keeps both the node
-    insertion order and each source's edge list order byte-exact.
-    """
-    return {
-        "k": graph.k,
-        "nodes": list(graph.nodes()),
-        "edges": [
-            [edge.source, edge.target, edge.kmer, edge.count]
-            for edge in graph.edges()
-        ],
-    }
-
-
-def graph_from_state(state: dict):
-    from repro.assembly.debruijn import DeBruijnGraph, Edge
-
-    graph = DeBruijnGraph(k=int(state["k"]))
-    for node in state["nodes"]:
-        graph._adjacency[int(node)] = []
-    for source, target, kmer, count in state["edges"]:
-        edge = Edge(
-            source=int(source),
-            target=int(target),
-            kmer=int(kmer),
-            count=int(count),
-        )
-        graph._adjacency.setdefault(edge.source, []).append(edge)
-        graph._adjacency.setdefault(edge.target, [])
-        graph._out_degree[edge.source] += 1
-        graph._in_degree[edge.target] += 1
-        graph._edge_count += 1
-    return graph
-
-
-def contigs_state(contigs: Iterable) -> list:
-    return [[c.name, str(c.sequence), c.edge_count] for c in contigs]
-
-
-def contigs_from_state(items: Iterable) -> list:
-    from repro.assembly.contigs import Contig
-    from repro.genome.sequence import DnaSequence
-
-    return [
-        Contig(name=name, sequence=DnaSequence(seq), edge_count=int(edges))
-        for name, seq, edges in items
-    ]
 

@@ -5,12 +5,14 @@ recovers *job* faults: a process death, a wall-clock overrun, or a
 stage whose in-memory recovery gave out.  One :class:`JobRunner` run is
 one job:
 
-* after every Fig. 5a stage boundary the full execution state —
-  platform memory, stats ledger, fault-RNG stream, resilience events,
-  k-mer table shadow, graph — is journaled to a content-hashed on-disk
-  record (:mod:`repro.runtime.checkpoint`), so ``kill -9`` at any point
-  loses at most one stage of work and a resumed run finishes
-  **bit-identically** to an uninterrupted one;
+* after every Fig. 5a stage boundary the execution state that cannot
+  be derived — platform memory, stats ledger, fault-RNG stream,
+  resilience events, k-mer table shadow and its readback — is
+  journaled to a content-hashed on-disk record
+  (:mod:`repro.runtime.checkpoint`), so ``kill -9`` at any point loses
+  at most one stage of work and a resumed run finishes
+  **bit-identically** to an uninterrupted one; the graph and contigs
+  are host functions of the readback and are rebuilt on restore;
 * a :class:`~repro.runtime.watchdog.Watchdog` enforces per-stage and
   whole-job deadline budgets through the cooperative cancellation
   checkpoints inside the hashmap/adjacency/euler loops; the raised
@@ -19,9 +21,9 @@ one job:
 * a failed stage is re-run only after a quarantine: when the error
   names a sub-array that is not yet quarantined and a resilience
   engine is attached, that sub-array is retired and the stage rolls
-  back to its entry snapshot and runs again.  Any other failure gives
-  up at once — the fault and rot streams are seeded and restored on
-  rollback, so a retry with nothing changed would replay the same
+  back to the last durable record and runs again.  Any other failure
+  gives up at once — the fault and rot streams are seeded and restored
+  on rollback, so a retry with nothing changed would replay the same
   failure.  The job runs on the engine its :class:`JobConfig` names
   from first dispatch to completion: the bulk engine is bit-identical
   to the scalar one, so switching engines could never change an
@@ -38,6 +40,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from repro.assembly.contigs import assemble_contigs
+from repro.assembly.debruijn import DeBruijnGraph
+from repro.assembly.hashmap import PimKmerCounter
 from repro.assembly.pipeline import (
     STAGE_NAMES,
     AssemblyResult,
@@ -45,6 +50,7 @@ from repro.assembly.pipeline import (
     PipelineState,
     _sized_device,
 )
+from repro.core.integrity import IntegrityConfig
 from repro.core.platform import PimAssembler
 from repro.core.resilience import ResiliencePolicy
 from repro.genome.kmer import MAX_PACKED_K
@@ -61,13 +67,7 @@ from repro.errors import (
 from repro.observability.metrics import inc
 from repro.observability.session import active_session
 from repro.observability.spans import event, span
-from repro.runtime.checkpoint import (
-    JobJournal,
-    contigs_from_state,
-    contigs_state,
-    graph_from_state,
-    graph_state,
-)
+from repro.runtime.checkpoint import JobJournal
 from repro.runtime.watchdog import Watchdog
 
 __all__ = ["JobConfig", "JobDecision", "JobReport", "JobOutcome", "JobRunner"]
@@ -191,17 +191,6 @@ class JobConfig:
             "retention_interval_s": self.retention_interval_s,
         }
 
-    def integrity_config(self) -> "IntegrityConfig | None":
-        """The integrity engine this job asks for (``None`` for none)."""
-        if self.ecc is None and self.retention_interval_s is None:
-            return None
-        from repro.core.integrity import IntegrityConfig
-
-        kwargs: dict = {"ecc": self.ecc or "secded"}
-        if self.retention_interval_s is not None:
-            kwargs["retention_interval_s"] = self.retention_interval_s
-        return IntegrityConfig(**kwargs)
-
 
 @dataclass(frozen=True)
 class JobDecision:
@@ -316,18 +305,20 @@ class JobRunner:
         record = self._open_journal(reads, fingerprint, resume)
 
         if record is not None and record[0].stage == RESULT_STAGE:
-            # the job already finished — rehydrate the stored result
+            # the job already finished — the restore rebuilt its result
             self._restore_payload(record[1])
             self.report.completed = True
-            return JobOutcome(self._rehydrate_result(record[1]), self.report)
+            return JobOutcome(self._pipeline.result(self._state), self.report)
 
         if record is not None:
-            self._restore_payload(record[1])
+            snapshot = record[1]
+            self._restore_payload(snapshot)
         else:
             self._fresh_start(reads)
-
-        completed = () if record is None else record[0].stage
-        remaining = self._remaining_stages(completed)
+            # the one rollback point not on disk; every later stage
+            # rolls back to the record its predecessor journaled
+            snapshot = self._payload("start")
+        remaining = self._remaining_stages(snapshot["stage"])
 
         watchdog = self._external_watchdog
         if watchdog is None and (
@@ -340,14 +331,15 @@ class JobRunner:
             )
         if watchdog is None:
             for stage in remaining:
-                self._run_stage(stage, reads, watchdog=None)
+                snapshot = self._run_stage(stage, reads, None, snapshot)
         else:
             with watchdog.active():
                 for stage in remaining:
-                    self._run_stage(stage, reads, watchdog=watchdog)
+                    snapshot = self._run_stage(stage, reads, watchdog, snapshot)
 
         result = self._pipeline.result(self._state)
-        self.journal.append(RESULT_STAGE, self._payload(RESULT_STAGE))
+        # nothing runs after traverse, so its record is the result's
+        self.journal.append(RESULT_STAGE, dict(snapshot, stage=RESULT_STAGE))
         self.report.completed = True
         return JobOutcome(result, self.report)
 
@@ -403,11 +395,14 @@ class JobRunner:
         return config
 
     @staticmethod
-    def _remaining_stages(completed: "str | tuple") -> list[str]:
-        if not completed:
+    def _remaining_stages(completed: str) -> list[str]:
+        """The stages still to run after a record of stage
+        ``completed`` (``"start"``: the fresh-start snapshot)."""
+        if completed == RESULT_STAGE:
+            return []
+        if completed not in STAGE_NAMES:
             return list(STAGE_NAMES)
-        index = STAGE_NAMES.index(completed)
-        return list(STAGE_NAMES[index + 1 :])
+        return list(STAGE_NAMES[STAGE_NAMES.index(completed) + 1 :])
 
     # ----- execution state --------------------------------------------------
 
@@ -418,7 +413,9 @@ class JobRunner:
             pim = _sized_device(reads, self.config.k)
         if self.config.resilience is not None:
             pim.protect(self.config.resilience)
-        integrity = self.config.integrity_config()
+        integrity = IntegrityConfig.requested(
+            self.config.ecc, self.config.retention_interval_s
+        )
         if integrity is not None and pim.integrity is None:
             # a pim_factory may have pre-attached its own engine; the
             # job config only fills the gap, never overrides it
@@ -438,9 +435,9 @@ class JobRunner:
         )
 
     def _payload(self, stage: str) -> dict:
-        """One journal record: the complete post-stage execution state."""
+        """One journal record: the post-stage state nothing can derive."""
         state = self._state
-        payload = {
+        return {
             "stage": stage,
             "platform": self._pim.state_dict(),
             "counter": (
@@ -451,32 +448,21 @@ class JobRunner:
                 if state.counts is None
                 else [[int(k), int(v)] for k, v in state.counts.items()]
             ),
-            "graph": None if state.graph is None else graph_state(state.graph),
-            "degrees": (
-                None
-                if state.degrees is None
-                else [
-                    [[int(k), int(v)] for k, v in degree.items()]
-                    for degree in state.degrees
-                ]
-            ),
-            "contigs": (
-                None if state.contigs is None else contigs_state(state.contigs)
-            ),
         }
-        if stage == RESULT_STAGE:
-            payload["kmer_table_size"] = len(state.counter)
-        return payload
 
     def _restore_payload(self, payload: dict) -> None:
         """Rebuild the execution state from one journal record.
 
-        Older records may also carry a ``"runtime"`` key (written
-        before the engine was fixed per job) or a ``"scaffolds"`` list
-        (written while the pipeline could scaffold); both are ignored.
-        """
-        from repro.assembly.hashmap import PimKmerCounter
+        The graph (once debruijn has completed) and the contigs (once
+        traverse has) are rebuilt from the journaled ``counts`` by the
+        same host functions the stages call; neither charges the
+        ledger.  The payload is only read, never kept, so one record
+        can serve as the rollback point of several attempts.
 
+        Older records may carry keys this version derives or no longer
+        has — ``graph``, ``degrees``, ``contigs``, ``kmer_table_size``,
+        ``runtime``, ``scaffolds`` — all ignored.
+        """
         pim = PimAssembler.from_state(payload["platform"])
         state = PipelineState()
         if payload["counter"] is not None:
@@ -487,44 +473,25 @@ class JobRunner:
             state.counts = Counter(
                 {int(k): int(v) for k, v in payload["counts"]}
             )
-        if payload["graph"] is not None:
-            state.graph = graph_from_state(payload["graph"])
-        if payload["degrees"] is not None:
-            in_pairs, out_pairs = payload["degrees"]
-            state.degrees = (
-                {int(k): int(v) for k, v in in_pairs},
-                {int(k): int(v) for k, v in out_pairs},
+        remaining = self._remaining_stages(payload["stage"])
+        if "debruijn" not in remaining:
+            state.graph = DeBruijnGraph.from_counts(
+                state.counts, k=self.config.k, min_count=self.config.min_count
             )
-        if payload["contigs"] is not None:
-            state.contigs = contigs_from_state(payload["contigs"])
+        if "traverse" not in remaining:
+            state.contigs = assemble_contigs(
+                state.graph, min_length=self.config.min_contig_length
+            )
         self._attach(pim, state)
-
-    def _rehydrate_result(self, payload: dict) -> AssemblyResult:
-        pim = self._pim
-        engine = pim.resilience
-        return AssemblyResult(
-            contigs=self._state.contigs,
-            graph=self._state.graph,
-            kmer_table_size=int(payload["kmer_table_size"]),
-            hashmap=pim.stats.totals("hashmap"),
-            debruijn=pim.stats.totals("debruijn"),
-            traverse=pim.stats.totals("traverse"),
-            resilience=(
-                engine.report(stages=list(STAGE_NAMES))
-                if engine is not None
-                else None
-            ),
-            integrity=(
-                pim.integrity.counts()
-                if pim.integrity is not None
-                else None
-            ),
-        )
 
     # ----- the retry ladder -------------------------------------------------
 
-    def _run_stage(self, stage: str, reads, watchdog: Watchdog | None) -> None:
-        entry = self._payload(f"entry-{stage}")  # in-memory rollback point
+    def _run_stage(
+        self, stage: str, reads, watchdog: Watchdog | None, entry: dict
+    ) -> dict:
+        """Run one stage, rolling back to ``entry`` (the last durable
+        record, or the fresh-start snapshot) before each retry; returns
+        the stage's own record."""
         attempt = 0
         while True:
             attempt += 1
@@ -537,9 +504,10 @@ class JobRunner:
                 ):
                     self._execute_stage(stage, reads, watchdog)
                 with span(f"job.checkpoint.{stage}", lane="job"):
-                    self.journal.append(stage, self._payload(stage))
+                    record = self._payload(stage)
+                    self.journal.append(stage, record)
                 self.report.stages_run.append(stage)
-                return
+                return record
             except StageTimeoutError as exc:
                 self._decide(stage, attempt, "abort-timeout", exc)
                 raise
@@ -579,7 +547,7 @@ class JobRunner:
         return tuple(key)
 
     def _rollback(self, entry: dict) -> None:
-        """Restore the stage-entry snapshot (keeping quarantines)."""
+        """Restore the stage's rollback point (keeping quarantines)."""
         self._restore_payload(entry)
         # quarantine decisions must survive too: re-apply to the
         # restored engine (snapshot predates the decision)

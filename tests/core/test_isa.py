@@ -6,7 +6,6 @@ from repro.core.isa import (
     AapCompute2,
     AapCompute3,
     AapCopy,
-    DpuOp,
     RowAddress,
     SAOp,
 )
@@ -77,12 +76,3 @@ class TestAapCompute3:
                 des=addr(3, subarray=1),
             )
 
-
-class TestDpuOp:
-    def test_valid_kinds(self):
-        for kind in DpuOp.VALID_KINDS:
-            DpuOp(subarray=(0, 0, 0), kind=kind)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            DpuOp(subarray=(0, 0, 0), kind="fft")

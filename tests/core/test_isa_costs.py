@@ -7,10 +7,9 @@ the registry itself is pinned here.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.energy import EnergyParameters
-from repro.core.isa import ALL_MNEMONICS, LatchClear, RowInit
+from repro.core.isa import ALL_MNEMONICS
 from repro.core.timing import (
     DEFAULT_TIMING,
     command_cost_table,
@@ -47,21 +46,6 @@ def test_latch_clear_is_free():
     costs = command_cost_table(DEFAULT_TIMING, ENERGY)
     assert latencies["LATCH_CLR"] == 0.0
     assert costs["LATCH_CLR"] == (0.0, 0.0)
-
-
-def test_row_init_validates_fill_value():
-    from repro.core.isa import RowAddress
-
-    addr = RowAddress(0, 0, 0, 3)
-    assert RowInit(des=addr, value=1).mnemonic == "ROW_INIT"
-    with pytest.raises(ValueError):
-        RowInit(des=addr, value=2)
-
-
-def test_latch_clear_carries_its_subarray():
-    instr = LatchClear(subarray=(0, 1, 2))
-    assert instr.mnemonic == "LATCH_CLR"
-    assert instr.subarray == (0, 1, 2)
 
 
 # ----- replay of the new mnemonics -------------------------------------------

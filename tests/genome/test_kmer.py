@@ -1,4 +1,4 @@
-"""k-mer packing, rolling extraction, counting, canonicalisation."""
+"""k-mer packing, rolling extraction, counting, row layout."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from repro.genome.kmer import (
     MAX_PACKED_K,
     PAPER_K_VALUES,
-    canonical_kmer,
     count_kmers,
     iter_packed_kmers,
     kmer_to_row_bits,
@@ -108,19 +107,6 @@ class TestCounting:
     def test_paper_k_values(self):
         assert PAPER_K_VALUES == (16, 22, 26, 32)
         assert all(k <= MAX_PACKED_K for k in PAPER_K_VALUES)
-
-
-class TestCanonical:
-    @given(kmer_text)
-    def test_canonical_is_strand_invariant(self, text):
-        kmer = DnaSequence(text)
-        assert canonical_kmer(kmer) == canonical_kmer(kmer.reverse_complement())
-
-    @given(kmer_text)
-    def test_canonical_is_one_of_the_pair(self, text):
-        kmer = DnaSequence(text)
-        canon = canonical_kmer(kmer)
-        assert canon in (kmer, kmer.reverse_complement())
 
 
 class TestRowLayout:

@@ -1,17 +1,11 @@
-"""The content-hashed journal: durability, torn writes, serializers."""
+"""The content-hashed journal: durability and torn writes."""
 
 import json
 
 import pytest
 
 from repro.errors import JournalError
-from repro.runtime.checkpoint import (
-    JobJournal,
-    graph_from_state,
-    graph_state,
-    contigs_from_state,
-    contigs_state,
-)
+from repro.runtime.checkpoint import JobJournal
 
 
 @pytest.fixture()
@@ -112,56 +106,3 @@ class TestTornWrites:
             handle.write('{"action": "degr')  # torn mid-write
         assert journal.decisions() == [{"action": "retry"}]
 
-
-class TestSerializers:
-    def _graph(self):
-        from collections import Counter
-
-        from repro.assembly.debruijn import DeBruijnGraph
-        from repro.genome.kmer import pack_kmer
-        from repro.genome.sequence import DnaSequence
-
-        counts = Counter(
-            {
-                pack_kmer(DnaSequence("ACGTA")): 2,
-                pack_kmer(DnaSequence("CGTAC")): 1,
-                pack_kmer(DnaSequence("GTACG")): 3,
-            }
-        )
-        return DeBruijnGraph.from_counts(counts, k=5)
-
-    def test_graph_round_trip_preserves_orders(self):
-        graph = self._graph()
-        rebuilt = graph_from_state(
-            json.loads(json.dumps(graph_state(graph)))
-        )
-        assert list(rebuilt.nodes()) == list(graph.nodes())
-        assert [
-            (e.source, e.target, e.kmer, e.count) for e in rebuilt.edges()
-        ] == [(e.source, e.target, e.kmer, e.count) for e in graph.edges()]
-        for node in graph.nodes():
-            assert rebuilt.in_degree(node) == graph.in_degree(node)
-            assert rebuilt.out_degree(node) == graph.out_degree(node)
-
-    def test_graph_round_trip_same_contigs(self):
-        from repro.assembly.contigs import assemble_contigs
-
-        graph = self._graph()
-        rebuilt = graph_from_state(graph_state(graph))
-        original = assemble_contigs(graph)
-        again = assemble_contigs(rebuilt)
-        assert [(c.name, str(c.sequence)) for c in again] == [
-            (c.name, str(c.sequence)) for c in original
-        ]
-
-    def test_contigs_round_trip(self):
-        from repro.assembly.contigs import Contig
-        from repro.genome.sequence import DnaSequence
-
-        contigs = [Contig("contig_0", DnaSequence("ACGTAC"), edge_count=2)]
-        rebuilt = contigs_from_state(
-            json.loads(json.dumps(contigs_state(contigs)))
-        )
-        assert rebuilt[0].name == "contig_0"
-        assert str(rebuilt[0].sequence) == "ACGTAC"
-        assert rebuilt[0].edge_count == 2

@@ -57,6 +57,18 @@ class TestSimulate:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "sim").exists()
 
+    def test_output_path_of_a_file_exits_2_naming_it(
+        self, simulated, capsys
+    ):
+        reads = simulated / "reads.fq"
+        before = reads.read_bytes()
+        rc = main(["simulate", "-o", str(reads), "--length", "200"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and str(reads) in err
+        assert len(err.strip().splitlines()) == 1
+        assert reads.read_bytes() == before
+
 
 class TestAssemble:
     @pytest.mark.parametrize("engine", ["pim", "software"])
