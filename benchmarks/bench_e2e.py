@@ -11,7 +11,9 @@ genome length.  Every rung's contigs are compared with
 
 Setup: k=22, 101-bp error-free reads at 10x coverage,
 ``synthetic_chromosome(L, seed=1)`` and ``ReadSimulator(seed=2)``.
-Each rung runs in a fresh interpreter, so its peak RSS is its own.
+Each rung runs in a fresh interpreter, so its peak RSS is its own;
+rungs below 64 kbp run :data:`SHORT_RUNG_REPEATS` times and keep the
+fastest run (every run's contigs must match).
 
 ``--check`` fails the run when any rung's contigs differ from the
 reference, the exponent exceeds :data:`MAX_EXPONENT`, or the 64 kbp
@@ -57,6 +59,11 @@ MAX_EXPONENT = 1.15
 #: ``--quick`` runs (total 2.92-3.53 s, calibration 0.20-0.22 s), so a
 #: constant-factor slowdown fails even when the exponent holds
 MAX_64KBP_CALIBRATED = 2 * 15.4
+
+#: fresh-interpreter runs of each rung below 64 kbp, the fastest kept:
+#: those rungs take well under a second, so one run's host noise alone
+#: could swing the fitted exponent past :data:`MAX_EXPONENT`
+SHORT_RUNG_REPEATS = 3
 
 STAGES = ("hashmap", "debruijn", "traverse")
 
@@ -164,13 +171,20 @@ def main(argv: list[str] | None = None) -> int:
     mode = "quick" if args.quick else "full"
     rungs = []
     for length in LADDERS[mode]:
-        out = subprocess.run(
-            [sys.executable, __file__, "--rung", str(length)],
-            check=True,
-            capture_output=True,
-            text=True,
-        ).stdout
-        rung = json.loads(out.splitlines()[-1])
+        runs = []
+        for _ in range(SHORT_RUNG_REPEATS if length < 64_000 else 1):
+            out = subprocess.run(
+                [sys.executable, __file__, "--rung", str(length)],
+                check=True,
+                capture_output=True,
+                text=True,
+            ).stdout
+            runs.append(json.loads(out.splitlines()[-1]))
+        rung = min(runs, key=lambda run: run["total_s"])
+        rung["runs_total_s"] = [run["total_s"] for run in runs]
+        rung["contigs_match_reference"] = all(
+            run["contigs_match_reference"] for run in runs
+        )
         rungs.append(rung)
         host = rung["host_s"]
         print(

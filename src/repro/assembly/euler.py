@@ -9,17 +9,25 @@ runs Fleury's algorithm for the Euler path.  This module implements:
 * :func:`fleury_path` — Fleury's algorithm exactly as the paper's
   pseudo-code names it (quadratic; kept for fidelity and used by the
   tests as a cross-check on small graphs),
-* :func:`unitigs` — maximal non-branching paths, the contig-safe
-  decomposition used when the graph has ambiguous branching (repeats).
+* :func:`unitig_walk` — maximal non-branching paths, the contig-safe
+  decomposition used when the graph has ambiguous branching (repeats),
+  as edge-id arrays: one ``next_edge`` array (the sole out-edge of a
+  simple target) is followed from every branching node's out-edges,
+  then around each isolated cycle; :func:`unitigs` returns the same
+  paths as :class:`~repro.assembly.debruijn.Edge` lists.
 
 All of them consume :class:`~repro.assembly.debruijn.DeBruijnGraph`
-and treat each distinct k-mer as one traversable edge.
+and treat each distinct k-mer as one traversable edge.  The Euler and
+Fleury walks use the graph's on-demand :class:`Edge` objects; the
+unitig walk and :func:`degree_table` use its arrays only.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from typing import Iterator
+
+import numpy as np
 
 from repro.assembly.debruijn import DeBruijnGraph, Edge
 from repro.runtime.watchdog import checkpoint
@@ -181,6 +189,54 @@ def fleury_path(graph: DeBruijnGraph, component: set[int] | None = None) -> list
     return trail
 
 
+def unitig_walk(graph: DeBruijnGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal non-branching paths as edge ids (see :func:`unitigs`).
+
+    Returns ``(walk, bounds)``: path ``i`` is ``walk[bounds[i]:bounds[i
+    + 1]]``, edge ids in :meth:`DeBruijnGraph.edges` order.  Edge ``e``
+    is followed by ``next_edge[e]``, the sole out-edge of its target
+    when the target is simple (one edge in, one out), else by nothing.
+    """
+    simple = graph.simple_nodes()
+    targets = graph.targets
+    next_edge = np.where(
+        simple[targets], graph.offsets[:-1][targets], -1
+    ).tolist()
+    walk: list[int] = []
+    bounds: list[int] = []
+    # First pass: every out-edge of a branching node, in edge order;
+    # its path runs until a branching target.
+    for edge in np.flatnonzero(~simple[graph.sources]).tolist():
+        checkpoint()  # per-path cancellation point (unitig extension)
+        bounds.append(len(walk))
+        while edge >= 0:
+            walk.append(edge)
+            edge = next_edge[edge]
+    walked = np.fromiter(walk, dtype=np.int64, count=len(walk))
+    # Second pass: isolated simple cycles, each entered at its first
+    # node in node order (edge order groups edges by source node).
+    pending = np.ones(graph.num_edges, dtype=bool)
+    pending[walked] = False
+    cycles: list[int] = []
+    for first in np.flatnonzero(pending).tolist():
+        if not pending[first]:
+            continue
+        checkpoint()  # per-path cancellation point (unitig extension)
+        bounds.append(len(walk) + len(cycles))
+        edge = first
+        while True:
+            cycles.append(edge)
+            pending[edge] = False
+            edge = next_edge[edge]
+            if edge == first:
+                break
+    bounds.append(len(walk) + len(cycles))
+    return (
+        np.concatenate((walked, np.array(cycles, dtype=np.int64))),
+        np.array(bounds, dtype=np.int64),
+    )
+
+
 def unitigs(graph: DeBruijnGraph) -> list[list[Edge]]:
     """Maximal non-branching paths (the contig-safe decomposition).
 
@@ -188,49 +244,24 @@ def unitigs(graph: DeBruijnGraph) -> list[list[Edge]]:
     nodes (or cycle entry points) and extend while the interior nodes
     are simple (in = out = 1).
     """
-    consumed: set[int] = set()
-    paths: list[list[Edge]] = []
-
-    def extend_from(edge: Edge) -> list[Edge]:
-        checkpoint()  # per-path cancellation point (unitig extension)
-        path = [edge]
-        consumed.add(id(edge))
-        node = edge.target
-        while not graph.is_branching(node):
-            nxt = [e for e in graph.out_edges(node) if id(e) not in consumed]
-            if not nxt:
-                break
-            follow = nxt[0]
-            if follow.target == follow.source and graph.out_degree(node) == 1:
-                pass  # self-loop at a simple node; still consume it
-            path.append(follow)
-            consumed.add(id(follow))
-            node = follow.target
-            if node == edge.source and not graph.is_branching(node):
-                break  # closed an isolated cycle
-        return path
-
-    # First pass: paths starting at branching nodes.
-    for node in graph.nodes():
-        if graph.is_branching(node):
-            for edge in graph.out_edges(node):
-                if id(edge) not in consumed:
-                    paths.append(extend_from(edge))
-    # Second pass: isolated simple cycles.
-    for node in graph.nodes():
-        for edge in graph.out_edges(node):
-            if id(edge) not in consumed:
-                paths.append(extend_from(edge))
-    return paths
+    walk, bounds = unitig_walk(graph)
+    edges = list(graph.edges())
+    path_of = walk.tolist()
+    cuts = bounds.tolist()
+    return [
+        [edges[e] for e in path_of[lo:hi]] for lo, hi in zip(cuts, cuts[1:])
+    ]
 
 
 def degree_table(graph: DeBruijnGraph) -> dict[int, tuple[int, int]]:
     """node -> (in_degree, out_degree): the quantity the paper's
     traversal computes with bulk PIM_Add over adjacency rows (Fig. 8)."""
-    return {
-        node: (graph.in_degree(node), graph.out_degree(node))
-        for node in graph.nodes()
-    }
+    return dict(
+        zip(
+            graph.node_keys.tolist(),
+            zip(graph.in_degrees.tolist(), graph.out_degrees.tolist()),
+        )
+    )
 
 
 def degree_table_pim(

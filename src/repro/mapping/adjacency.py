@@ -20,10 +20,15 @@ That is a carry-save (Wallace) reduction in bit-plane space:
 functional simulator; :func:`degree_vectors_pim` applies it to a de
 Bruijn graph chunk by chunk (each chunk covers up to one row width of
 vertices, the ``n <= f = min(a, b)`` allocation rule of Section III).
+On the bulk engine the degrees are the columnar graph's ``bincount``
+arrays and only each chunk's row counts are derived, so every chunk
+and direction's reduction is charged in one batched
+``flush_segments`` call with the scalar schedule's exact counts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from typing import Sequence
@@ -149,6 +154,7 @@ def wallace_column_sum(
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def _wallace_schedule(n_rows: int) -> tuple[int, int, int]:
     """(compressions, result bits, zero planes) of the scalar schedule.
 
@@ -172,6 +178,59 @@ def _wallace_schedule(n_rows: int) -> tuple[int, int, int]:
     return compressions, bits_needed, zero_planes
 
 
+def _live_sum_faults(pim: PimAssembler) -> bool:
+    """Live sum/TRA fault rates: their per-op draw order is part of
+    the contract, so reductions must run the scalar schedule."""
+    faults = pim.controller.faults
+    return (
+        faults is not None
+        and faults.enabled
+        and (faults.sum_rate > 0.0 or faults.tra_rate > 0.0)
+    )
+
+
+def _charge_wallace(
+    pim: PimAssembler,
+    subarray_key: tuple[int, int, int],
+    row_counts: Sequence[int],
+) -> None:
+    """Charge one scalar-equivalent reduction per entry of ``row_counts``.
+
+    Each reduction is its own gang schedule on ``subarray_key``, and all
+    of them go through one :meth:`BatchedAapScheduler.flush_segments`
+    call: the ledger, trace and ``pim.batch.*`` metrics equal one
+    ``charge`` per mnemonic plus ``flush`` per reduction, with each
+    reduction's verify charge between its charges and its flush.
+    """
+    ctrl = pim.controller
+    compressions, bits_needed, zero_planes = (
+        np.array(column, dtype=np.int64)
+        for column in zip(*(_wallace_schedule(n) for n in row_counts))
+    )
+    pairs = compressions + bits_needed  # one SUM + TRA pair each
+    n = pairs.size
+    eng = ctrl._verifying()
+    verify_counts = (2 * pairs).tolist()
+    ctrl.scheduler.flush_segments(
+        [subarray_key],
+        np.zeros(n, dtype=np.intp),
+        np.arange(n),
+        [
+            ("MEM_WR", np.asarray(row_counts, dtype=np.int64) + zero_planes),
+            ("LATCH_LD", compressions),
+            # scalar equivalence: the final ripple_add zeroes its carry
+            # row with one charged AAP (RowClone off the constant row)
+            ("AAP1", np.ones(n, dtype=np.int64)),
+            ("SUM", pairs),
+            ("AAP3", pairs),
+            ("MEM_RD", bits_needed + 1),
+        ],
+        (lambda i: ctrl._charge_verify(eng, count=verify_counts[i]))
+        if eng is not None
+        else None,
+    )
+
+
 def _wallace_column_sum_bulk(
     pim: PimAssembler,
     rows: Sequence[np.ndarray],
@@ -186,13 +245,7 @@ def _wallace_column_sum_bulk(
     back); runs with live sum/TRA fault rates use the scalar path so
     the RNG stream stays per-op exact.
     """
-    ctrl = pim.controller
-    faults = ctrl.faults
-    if (
-        faults is not None
-        and faults.enabled
-        and (faults.sum_rate > 0.0 or faults.tra_rate > 0.0)
-    ):
+    if _live_sum_faults(pim):
         return wallace_column_sum(pim, rows, subarray_key, engine="scalar")
 
     checkpoint()  # per-reduction cancellation point (bulk path)
@@ -206,65 +259,68 @@ def _wallace_column_sum_bulk(
             arr = np.pad(arr, (0, width - arr.size))
         staged.append(arr)
     total = np.stack(staged).astype(np.int64).sum(axis=0)
-
-    compressions, bits_needed, zero_planes = _wallace_schedule(len(staged))
-    pairs = compressions + bits_needed  # one SUM + TRA pair each
-    key = (subarray_key,)
-    sched = ctrl.scheduler
-    sched.charge("MEM_WR", key, (len(staged) + zero_planes,))
-    sched.charge("LATCH_LD", key, (compressions,))
-    # scalar equivalence: the final ripple_add zeroes its carry row
-    # with one charged AAP (RowClone off the constant row)
-    sched.charge("AAP1", key, (1,))
-    sched.charge("SUM", key, (pairs,))
-    sched.charge("AAP3", key, (pairs,))
-    sched.charge("MEM_RD", key, (bits_needed + 1,))
-    eng = ctrl._verifying()
-    if eng is not None:
-        ctrl._charge_verify(eng, count=2 * pairs)
-    sched.flush()
+    _charge_wallace(pim, subarray_key, [len(staged)])
     return total
 
 
-def _bucket_edges(
-    graph: DeBruijnGraph, nodes: Sequence[int], width: int
-) -> dict[str, list[tuple[dict[int, int], list[int], list[int]]]]:
-    """Bucket every edge by the width-``width`` chunk of ``nodes`` it hits.
+def _adjacency_pairs(
+    graph: DeBruijnGraph, spot: np.ndarray, width: int, direction: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(chunk, key vertex, column)`` of every edge that hits a chunk.
 
-    One :meth:`DeBruijnGraph.edges` pass serves every chunk and both
-    directions — the paper's interval-block partitioning.  Per
-    direction and chunk the bucket holds ``(row_of, row_ids, cols)``:
-    the row index of each key vertex in first-seen edge order, and one
-    ``(row, column)`` hit per edge, so :func:`_dense_rows` rebuilds
-    exactly the rows a per-chunk scan would, in the same order.
+    ``spot[node id]`` is the vertex's ``chunk * width + column``, or -1
+    when it is in no chunk.  ``direction="in"`` puts an edge in its
+    target's column of its source's row, ``"out"`` in its source's
+    column of its target's row.  Entries are in
+    :meth:`DeBruijnGraph.edges` order.
     """
-    place = {node: divmod(i, width) for i, node in enumerate(nodes)}
-    n_chunks = -(-len(nodes) // width)
-    buckets = {
-        direction: [({}, [], []) for _ in range(n_chunks)]
-        for direction in ("in", "out")
-    }
-    ins, outs = buckets["in"], buckets["out"]
-    for edge in graph.edges():
-        for chunks, key_node, chunk_node in (
-            (ins, edge.source, edge.target),
-            (outs, edge.target, edge.source),
-        ):
-            spot = place.get(chunk_node)
-            if spot is not None:
-                row_of, row_ids, cols = chunks[spot[0]]
-                row_ids.append(row_of.setdefault(key_node, len(row_of)))
-                cols.append(spot[1])
-    return buckets
+    if direction == "in":
+        key, placed = graph.sources, graph.targets
+    else:
+        key, placed = graph.targets, graph.sources
+    where = spot[placed]
+    on = where >= 0
+    chunk, column = np.divmod(where[on], width)
+    return chunk, key[on], column
+
+
+def _adjacency_hits(
+    graph: DeBruijnGraph,
+    spot: np.ndarray,
+    width: int,
+    n_chunks: int,
+    direction: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, column, bounds)`` of every hit, grouped by chunk.
+
+    Chunk ``c``'s hits are ``bounds[c]:bounds[c + 1]``.  Its rows are
+    numbered by first appearance of their key vertex in edge order, so
+    they come out as a per-chunk scan of :meth:`DeBruijnGraph.edges`
+    would build them.
+    """
+    chunk, key, column = _adjacency_pairs(graph, spot, width, direction)
+    n = max(graph.num_nodes, 1)
+    unique, first, inverse = np.unique(
+        chunk * n + key, return_index=True, return_inverse=True
+    )
+    row_chunk = unique // n
+    rank = np.empty(unique.size, dtype=np.int64)
+    rank[np.lexsort((first, row_chunk))] = np.arange(unique.size)
+    counts = np.bincount(row_chunk, minlength=n_chunks)
+    row = rank[inverse.ravel()] - (np.cumsum(counts) - counts)[chunk]
+    order = np.argsort(chunk, kind="stable")
+    bounds = np.searchsorted(chunk[order], np.arange(n_chunks + 1))
+    return row[order], column[order], bounds
 
 
 def _dense_rows(
-    bucket: tuple[dict[int, int], list[int], list[int]], width: int
+    hits: tuple[np.ndarray, np.ndarray, np.ndarray], chunk: int, columns: int
 ) -> list[np.ndarray]:
-    """One chunk's bucket as 0/1 adjacency rows of ``width`` columns."""
-    row_of, row_ids, cols = bucket
-    rows = np.zeros((len(row_of), width), dtype=np.uint8)
-    rows[row_ids, cols] = 1
+    """One chunk's hits as 0/1 adjacency rows of ``columns`` columns."""
+    row, column, bounds = hits
+    lo, hi = bounds[chunk], bounds[chunk + 1]
+    rows = np.zeros((row[lo:hi].max(initial=-1) + 1, columns), dtype=np.uint8)
+    rows[row[lo:hi], column[lo:hi]] = 1
     return list(rows)
 
 
@@ -286,8 +342,12 @@ def adjacency_rows_for_chunk(
     if not chunk_nodes:
         return []
     width = len(chunk_nodes)
-    (bucket,) = _bucket_edges(graph, chunk_nodes, width)[direction]
-    return _dense_rows(bucket, width)
+    ids = graph.node_ids(chunk_nodes)
+    spot = np.full(graph.num_nodes, -1, dtype=np.int64)
+    spot[ids[ids >= 0]] = np.flatnonzero(ids >= 0)
+    return _dense_rows(
+        _adjacency_hits(graph, spot, width, 1, direction), 0, width
+    )
 
 
 def degree_vectors_pim(
@@ -298,10 +358,14 @@ def degree_vectors_pim(
 ) -> tuple[dict[int, int], dict[int, int]]:
     """In/out degrees of every vertex via in-memory column sums.
 
-    Chunks the vertex set by the row width (the ``n <= f`` rule),
-    buckets the edges by chunk in one pass, and accumulates each
-    chunk's degree vectors with :func:`wallace_column_sum`
-    (``engine="bulk"`` batches each chunk's whole reduction).
+    Chunks the vertex set, in ascending key order, by the row width
+    (the ``n <= f`` rule); each chunk has an in and an out set of
+    adjacency rows to reduce.  ``engine="bulk"`` takes the degrees from
+    the graph's ``bincount`` arrays (what the bit-plane sums yield) and
+    charges every chunk and direction's reduction, in order, through
+    one batched flush.  ``engine="scalar"``, and bulk under live
+    sum/TRA fault rates, run :func:`wallace_column_sum` chunk by chunk
+    over the same rows in the same order.
 
     Warning:
         the scratch sub-array's data rows are freely overwritten — run
@@ -311,23 +375,55 @@ def degree_vectors_pim(
     Returns:
         ``(in_degree, out_degree)`` dictionaries over packed node keys.
     """
-    nodes = sorted(graph.nodes())
     width = pim.row_bits
-    buckets = _bucket_edges(graph, nodes, width)
+    n_chunks = -(-graph.num_nodes // width)
+    # every vertex's chunk * width + column, in ascending key order
+    spot = np.empty(graph.num_nodes, dtype=np.int64)
+    spot[graph.key_order] = np.arange(graph.num_nodes)
+    nodes = graph.node_keys[graph.key_order].tolist()
+    if engine == "bulk" and not _live_sum_faults(pim):
+        # distinct key vertices per chunk (sorted, not np.unique, whose
+        # hash path is ~50x slower on these wide keys), chunk-major
+        n = max(graph.num_nodes, 1)
+        per_direction = []
+        for direction in ("in", "out"):
+            chunk, key, _ = _adjacency_pairs(graph, spot, width, direction)
+            pairs = np.sort(chunk * n + key)
+            fresh = np.ones(pairs.size, dtype=bool)
+            fresh[1:] = pairs[1:] != pairs[:-1]
+            per_direction.append(
+                np.bincount(pairs[fresh] // n, minlength=n_chunks)
+            )
+        row_counts = np.stack(per_direction, axis=1).ravel().tolist()
+        for n_rows in row_counts:
+            checkpoint()  # per-chunk cancellation point
+            if n_rows:
+                checkpoint()  # per-reduction cancellation point
+        live = [n_rows for n_rows in row_counts if n_rows]
+        if live:
+            _charge_wallace(pim, subarray_key, live)
+        return (
+            dict(zip(nodes, graph.in_degrees[graph.key_order].tolist())),
+            dict(zip(nodes, graph.out_degrees[graph.key_order].tolist())),
+        )
+    hits = {
+        direction: _adjacency_hits(graph, spot, width, n_chunks, direction)
+        for direction in ("in", "out")
+    }
     in_deg: dict[int, int] = {}
     out_deg: dict[int, int] = {}
     for index, lo in enumerate(range(0, len(nodes), width)):
-        chunk = nodes[lo : lo + width]
+        chunk_nodes = nodes[lo : lo + width]
         for direction, out in (("in", in_deg), ("out", out_deg)):
             checkpoint()  # per-chunk cancellation point
-            rows = _dense_rows(buckets[direction][index], len(chunk))
+            rows = _dense_rows(hits[direction], index, len(chunk_nodes))
             if rows:
                 sums = wallace_column_sum(
                     pim, rows, subarray_key, engine=engine
                 )
             else:
                 sums = np.zeros(width, dtype=np.int64)
-            for i, node in enumerate(chunk):
+            for i, node in enumerate(chunk_nodes):
                 out[node] = int(sums[i])
     return in_deg, out_deg
 

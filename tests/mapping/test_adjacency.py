@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.assembly.debruijn import build_graph_from_sequences
 from repro.core import PimAssembler
 from repro.genome.sequence import DnaSequence
-from repro.mapping import adjacency
 from repro.mapping.adjacency import (
     adjacency_rows_for_chunk,
     degree_vectors_pim,
@@ -119,63 +118,6 @@ class TestDegreeVectorsPim:
         for node in g.nodes():
             assert in_deg[node] == g.in_degree(node)
             assert out_deg[node] == g.out_degree(node)
-
-
-class TestOneEdgePass:
-    """Edges are bucketed by chunk once, not rescanned per chunk."""
-
-    @pytest.fixture
-    def graph(self):
-        rng = np.random.default_rng(9)
-        text = "".join(rng.choice(list("ACGT"), size=90))
-        g = build_graph_from_sequences([DnaSequence(text)], 6)
-        assert g.num_nodes > 2 * 16  # at least 3 chunks of 16 columns
-        return g
-
-    @pytest.mark.parametrize("engine", ["scalar", "bulk"])
-    def test_edges_iterated_once(self, graph, monkeypatch, engine):
-        passes = []
-        raw = graph.edges
-
-        def counted():
-            passes.append(1)
-            return raw()
-
-        monkeypatch.setattr(graph, "edges", counted)
-        pim = PimAssembler.small(subarrays=1, rows=256, cols=16)
-        in_deg, out_deg = degree_vectors_pim(pim, graph, engine=engine)
-        assert len(passes) == 1
-        for node in graph.nodes():
-            assert in_deg[node] == graph.in_degree(node)
-            assert out_deg[node] == graph.out_degree(node)
-
-    def test_chunk_rows_match_per_chunk_scan(self, graph, monkeypatch):
-        reduced = []
-        raw = adjacency.wallace_column_sum
-
-        def capture(pim, rows, *args, **kwargs):
-            reduced.append([np.array(row) for row in rows])
-            return raw(pim, rows, *args, **kwargs)
-
-        monkeypatch.setattr(adjacency, "wallace_column_sum", capture)
-        pim = PimAssembler.small(subarrays=1, rows=256, cols=16)
-        degree_vectors_pim(pim, graph, engine="bulk")
-
-        nodes = sorted(graph.nodes())
-        expected = []
-        for lo in range(0, len(nodes), 16):
-            for direction in ("in", "out"):
-                rows = adjacency_rows_for_chunk(
-                    graph, nodes[lo : lo + 16], direction
-                )
-                if rows:
-                    expected.append(rows)
-        assert len(expected) >= 6
-        assert len(reduced) == len(expected)
-        for got, want in zip(reduced, expected):
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestPlanesNeeded:

@@ -122,12 +122,13 @@ class TestMultiChipMapping:
         in_total: dict[int, int] = {}
         out_total: dict[int, int] = {}
         for chip in range(chips):
-            chip_graph = DeBruijnGraph(k=9)
-            for block, owner in assignment.items():
-                if owner != chip:
-                    continue
-                for edge in partition.block_edges(block):
-                    chip_graph.add_kmer(edge.kmer, edge.count)
+            chip_counts = {
+                edge.kmer: edge.count
+                for block, owner in assignment.items()
+                if owner == chip
+                for edge in partition.block_edges(block)
+            }
+            chip_graph = DeBruijnGraph.from_counts(chip_counts, k=9)
             if chip_graph.num_edges == 0:
                 continue
             device = PimAssembler.small(subarrays=1, rows=512, cols=64)
