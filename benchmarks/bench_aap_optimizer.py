@@ -8,9 +8,10 @@ each document and records:
   document is partial and degrades to identity — recorded as such);
 * the equivalence judgement (every rewrite must be proven) and a full
   re-verification of the optimised stream (must be finding-free);
-* a gang-aware replay of the optimised scalar stream against a fresh
-  device, asserted bit-identical to the original run's final row state;
-* coalesced-makespan improvement from the gang slots;
+* a replay of the optimised scalar stream against a fresh device,
+  asserted bit-identical to the original run's final row state;
+* the coalesced makespan before and after, priced by the batched
+  scheduler (:func:`repro.core.scheduler.charge_stream`);
 * wall-clock cost of the optimise + prove pipeline.
 
 ``--check`` turns the floors into a CI gate: the scalar stream must
@@ -58,7 +59,8 @@ def _bench_engine(engine: str, length: int) -> dict:
     from repro.analysis.optimizer import optimize_document
     from repro.analysis.verifier import _doc_timing, verify_document
     from repro.assembly.pipeline import _sized_device
-    from repro.core.scheduler import charge_stream, replay_optimized
+    from repro.core.scheduler import charge_stream
+    from repro.core.trace import replay
 
     doc, reads, pim = _record(engine, length)
     start = time.perf_counter()
@@ -84,7 +86,7 @@ def _bench_engine(engine: str, length: int) -> dict:
     record["reverify_findings"] = len(reverify)
 
     fresh = _sized_device(reads, 11)
-    replay = replay_optimized(result.document, fresh.controller)
+    replay(result.document.trace, fresh.controller)
     keys = list(pim.device.subarray_keys())
     identical = all(
         (
@@ -94,8 +96,6 @@ def _bench_engine(engine: str, length: int) -> dict:
         for key in keys
     )
     record["replay_identical"] = identical
-    record["gang_slots"] = replay.gang_slots
-    record["ganged_commands"] = replay.ganged_commands
 
     timing = _doc_timing(doc)
     before = charge_stream(doc.trace, timing=timing)
@@ -142,7 +142,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{rec['engine']:>8}: {cmd['before']} -> {cmd['after']} commands "
             f"(-{cmd['reduction']:.1%}), energy -{energy['reduction']:.1%}, "
-            f"{rec['gang_slots']} gang slots, "
             f"makespan {rec['makespan_ns']['before'] / 1e3:.1f} -> "
             f"{rec['makespan_ns']['after'] / 1e3:.1f} us, "
             f"wall {rec['wall_s'] * 1e3:.0f} ms, "

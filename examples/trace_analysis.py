@@ -5,8 +5,8 @@ Records the exact AAP command stream of a PIM k-mer-counting run, then
 uses the three trace tools:
 
 * **analysis** — command mix, per-sub-array load, imbalance;
-* **scheduling** — the bank/GRB-aware makespan, i.e. how much
-  sub-array parallelism the algorithm actually exposes;
+* **scheduling** — the batched scheduler's coalesced makespan, i.e.
+  how much sub-array parallelism the algorithm actually exposes;
 * **replay** — re-issues the trace on a fresh device and verifies the
   final memory state is bit-identical (the trace fully describes the
   computation).
@@ -17,7 +17,7 @@ Run:
 
 from repro.assembly import PimKmerCounter
 from repro.core import CommandTrace, PimAssembler, analyse, replay
-from repro.core.scheduler import audit_parallelism
+from repro.core.scheduler import charge_stream
 from repro.genome import synthetic_chromosome
 
 
@@ -41,13 +41,12 @@ def main() -> None:
     print(f"  busiest sub-array: {busiest[0]} ({busiest[1]} commands)")
     print(f"  load imbalance   : {stats.load_imbalance():.2f}x")
 
-    print("\n--- scheduling (bank/GRB-aware) ---")
-    report = audit_parallelism(trace)
+    print("\n--- scheduling (sub-array, GRB and DPU resources) ---")
+    report = charge_stream(trace)
     print(f"  serial command time : {report.serial_ns / 1e6:8.3f} ms")
-    print(f"  scheduled makespan  : {report.makespan_ns / 1e6:8.3f} ms")
-    print(f"  exposed parallelism : {report.parallel_speedup:.2f}x "
-          f"over {len(report.per_subarray_busy_ns)} sub-arrays")
-    print(f"  mean utilisation    : {report.utilisation:.0%}")
+    print(f"  coalesced makespan  : {report.makespan_ns / 1e6:8.3f} ms")
+    print(f"  exposed parallelism : {report.coalescing_speedup:.2f}x "
+          f"over {len(stats.subarray_load)} sub-arrays")
 
     print("\n--- replay verification ---")
     fresh = PimAssembler.small(subarrays=2, rows=256, cols=64, mats=4)

@@ -40,13 +40,14 @@ E001   final row contents differ on some row of some sub-array
 E002   observation sequence mismatch (kind, row, or observed value)
 E003   final carry-latch state differs on some sub-array
 E004   charge totals increased (command count, serial time or energy)
-E005   malformed gang annotation (mixed mnemonics, shared sub-array,
-       overlap, out of bounds, or a window mark inside the gang)
 E006   document envelope mismatch (engine, geometry, layout, timing,
        completeness or cold-start flags differ)
 E007   unmodelled mnemonic — the interpreter cannot prove anything
        about streams carrying integrity commands (``REF``/``ECC_*``)
 =====  ===================================================================
+
+E005 is retired (it validated the gang-slot annotations of a removed
+optimiser pass); the other rules keep their numbers.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from repro.core.timing import TimingParameters, command_cost_table
 from repro.core.trace import CommandTrace, TraceEntry
 
 __all__ = [
-    "GANGABLE_MNEMONICS",
     "MODELLED_MNEMONICS",
     "Interner",
     "SubSummary",
@@ -89,10 +89,6 @@ MODELLED_MNEMONICS = frozenset(
         "DPU",
     }
 )
-
-#: mnemonics the controller can issue as one gang slot across
-#: sub-arrays (``Controller.gang_copy`` / ``Controller.gang_compute2``)
-GANGABLE_MNEMONICS = ("AAP1", "AAP2")
 
 SubKey = tuple[int, int, int]
 Observation = tuple[str, int | None, int | None]
@@ -279,77 +275,6 @@ def _check_envelope(
             )
 
 
-def _check_gangs(
-    optimized: TraceDocument, report: FindingReport, source: str
-) -> None:
-    gangs = optimized.meta.get("gangs")
-    if gangs is None:
-        return
-    if not isinstance(gangs, list):
-        report.add("E005", "meta['gangs'] must be a list", source=source)
-        return
-    entries = optimized.trace.entries()
-    mark_positions = {pos for pos, _ in optimized.trace.marks}
-    previous_end = 0
-    normalised: list[tuple[int, int]] = []
-    for gang in gangs:
-        try:
-            start, length = int(gang[0]), int(gang[1])
-        except (TypeError, ValueError, IndexError):
-            report.add(
-                "E005",
-                f"malformed gang annotation {gang!r} (expected "
-                "[start, length])",
-                source=source,
-            )
-            return
-        normalised.append((start, length))
-    for start, length in sorted(normalised):
-        if length < 2 or start < 0 or start + length > len(entries):
-            report.add(
-                "E005",
-                f"gang [{start}, {length}] is out of bounds or smaller "
-                "than two members",
-                source=source,
-                location=start,
-            )
-            continue
-        if start < previous_end:
-            report.add(
-                "E005",
-                f"gang [{start}, {length}] overlaps the previous gang",
-                source=source,
-                location=start,
-            )
-        previous_end = max(previous_end, start + length)
-        members = entries[start : start + length]
-        mnemonics = {m.mnemonic for m in members}
-        if len(mnemonics) != 1 or not mnemonics <= set(GANGABLE_MNEMONICS):
-            report.add(
-                "E005",
-                f"gang [{start}, {length}] mixes mnemonics or contains "
-                f"a non-gangable one ({sorted(mnemonics)})",
-                source=source,
-                location=start,
-            )
-        keys = {m.subarray for m in members}
-        if len(keys) != length:
-            report.add(
-                "E005",
-                f"gang [{start}, {length}] reuses a sub-array — gang "
-                "members must occupy distinct sub-arrays",
-                source=source,
-                location=start,
-            )
-        if any(start < pos < start + length for pos in mark_positions):
-            report.add(
-                "E005",
-                f"gang [{start}, {length}] straddles a window mark",
-                source=source,
-                location=start,
-            )
-
-
 def _doc_timing(doc: TraceDocument) -> TimingParameters:
     from repro.core.timing import DEFAULT_TIMING
 
@@ -378,7 +303,6 @@ def check_equivalence(
 
     report = FindingReport()
     _check_envelope(original, optimized, report, source)
-    _check_gangs(optimized, report, source)
 
     interner = Interner()
     interpreter = SymbolicInterpreter(interner)

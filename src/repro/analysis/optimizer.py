@@ -5,7 +5,7 @@ stages copies operands onto compute staging rows before every XNOR
 activation (copy chains through ``AAP1``), overwritten rows keep their
 earlier dead writes, and precharge-style ``ROW_INIT``/``LATCH_CLR``
 commands repeat with nothing in between.  This module rewrites such
-streams with four classic peephole passes:
+streams with three classic peephole passes:
 
 ``copy_propagation_pass``
     forwards activation source operands through ``AAP1`` copy chains
@@ -19,12 +19,12 @@ streams with four classic peephole passes:
 ``redundant_init_pass``
     removes a ``ROW_INIT`` re-asserting a fill value the row is
     already known to hold, and a ``LATCH_CLR`` when the latch is
-    already cleared — the repeated-precharge peephole;
-``gang_merge_pass``
-    reorders commands *across* sub-arrays (never within one) inside
-    mark-delimited segments so runs of identical two-row activations on
-    distinct sub-arrays become gang-issuable slots, recorded in
-    ``meta["gangs"]`` for the batched replay path.
+    already cleared — the repeated-precharge peephole.
+
+The passes only remove or rewrite commands; they never reorder them.
+Cross-sub-array parallelism is priced by the batched scheduler
+(:func:`repro.core.scheduler.charge_stream`), which coalesces the
+stream per sub-array whatever its interleaving.
 
 None of this is trusted: every optimisation emits machine-checkable
 justifications into ``meta["aap_opt"]``, and the rewritten document is
@@ -47,18 +47,13 @@ O003   stream carries unmodelled mnemonics (``REF``/``ECC_*``) —
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.analysis.equiv import (
-    GANGABLE_MNEMONICS,
-    MODELLED_MNEMONICS,
-    check_equivalence,
-    stream_cost,
-)
+from repro.analysis.equiv import MODELLED_MNEMONICS, check_equivalence, stream_cost
 from repro.analysis.findings import FindingReport, Severity
 from repro.analysis.tracefile import TraceDocument
 from repro.analysis.verifier import _doc_timing, _iter_with_marks, verify_document
@@ -72,7 +67,6 @@ __all__ = [
     "TraceOptimizer",
     "copy_propagation_pass",
     "dead_write_pass",
-    "gang_merge_pass",
     "optimize_document",
     "redundant_init_pass",
 ]
@@ -393,95 +387,6 @@ DEFAULT_PASSES: tuple[Callable[[list[Token]], tuple[list[Token], PassStats]], ..
 
 
 # --------------------------------------------------------------------------
-# gang merge (scheduling pass — runs once, after the rewrite fixpoint)
-# --------------------------------------------------------------------------
-
-
-def gang_merge_pass(
-    tokens: list[Token],
-) -> tuple[list[Token], list[tuple[int, int]], PassStats]:
-    """Deterministic cross-sub-array list scheduling into gang slots.
-
-    Within each mark-delimited segment the pass keeps one FIFO queue
-    per sub-array (per-sub program order is inviolable — that is the
-    soundness argument: sub-arrays share no state, so any interleaving
-    that preserves every per-sub order is equivalent) and repeatedly
-    either emits a *gang* — the front commands of ≥ 2 queues sharing a
-    gangable mnemonic (``AAP1``/``AAP2``), recorded as
-    ``(start, length)`` — or drains one command from the longest
-    queue.  The schedule is a pure function of the per-sub sequences,
-    which makes the pass idempotent and insensitive to the incoming
-    cross-sub interleaving.
-    """
-    out: list[Token] = []
-    gangs: list[tuple[int, int]] = []
-    entries_emitted = 0
-    ganged = 0
-
-    def flush_segment(segment: list[TraceEntry]) -> None:
-        nonlocal entries_emitted, ganged
-        queues: dict[tuple, deque] = {}
-        for entry in segment:
-            queues.setdefault(entry.subarray, deque()).append(entry)
-        while queues:
-            fronts: dict[str, list[tuple]] = {}
-            for sub in queues:
-                mnemonic = queues[sub][0].mnemonic
-                if mnemonic in GANGABLE_MNEMONICS:
-                    fronts.setdefault(mnemonic, []).append(sub)
-            best = None
-            if fronts:
-                best = min(
-                    fronts, key=lambda m: (-len(fronts[m]), m)
-                )
-            if best is not None and len(fronts[best]) >= 2:
-                members = sorted(fronts[best])
-                gangs.append((entries_emitted, len(members)))
-                ganged += len(members)
-                for sub in members:
-                    out.append(("entry", queues[sub].popleft()))
-                    entries_emitted += 1
-                    if not queues[sub]:
-                        del queues[sub]
-            else:
-                sub = min(queues, key=lambda s: (-len(queues[s]), s))
-                out.append(("entry", queues[sub].popleft()))
-                entries_emitted += 1
-                if not queues[sub]:
-                    del queues[sub]
-
-    segment: list[TraceEntry] = []
-    for token in tokens:
-        if token[0] == "mark":
-            flush_segment(segment)
-            segment = []
-            out.append(token)
-        else:
-            segment.append(token[1])
-    flush_segment(segment)
-
-    return (
-        out,
-        gangs,
-        PassStats(
-            name="gang_merge",
-            rewritten=ganged,
-            justifications=(
-                {
-                    "action": "gang",
-                    "slots": len(gangs),
-                    "commands": ganged,
-                    "reason": "front commands of distinct sub-array queues "
-                    "share a gangable mnemonic; per-sub order preserved",
-                },
-            )
-            if gangs
-            else (),
-        ),
-    )
-
-
-# --------------------------------------------------------------------------
 # document rebuild
 # --------------------------------------------------------------------------
 
@@ -561,8 +466,6 @@ class TraceOptimizer:
         equivalence: run the symbolic equivalence judge over the
             rewrite; on refutation the original document is returned
             (``ok=False``) with the refuted stream in ``rejected``.
-        gang_merge: run the cross-sub-array gang scheduling pass after
-            the rewrite fixpoint.
         max_iterations: fixpoint iteration cap (each iteration runs
             every rewrite pass once).
     """
@@ -575,13 +478,11 @@ class TraceOptimizer:
         | None = None,
         verify_input: bool = True,
         equivalence: bool = True,
-        gang_merge: bool = True,
         max_iterations: int = 8,
     ) -> None:
         self.passes = tuple(passes) if passes is not None else DEFAULT_PASSES
         self.verify_input = verify_input
         self.equivalence = equivalence
-        self.gang_merge = gang_merge
         self.max_iterations = max_iterations
 
     def optimize(
@@ -642,12 +543,7 @@ class TraceOptimizer:
             if not changed:
                 break
 
-        gangs: list[tuple[int, int]] = []
-        if self.gang_merge:
-            tokens, gangs, gang_stats = gang_merge_pass(tokens)
-            pass_stats.append(gang_stats)
-
-        optimized = self._build_document(doc, tokens, gangs, pass_stats)
+        optimized = self._build_document(doc, tokens, pass_stats)
 
         if self.equivalence:
             verdict = check_equivalence(doc, optimized, source=source)
@@ -663,7 +559,7 @@ class TraceOptimizer:
                     rejected=optimized,
                 )
 
-        savings = self._savings(doc, optimized, gangs)
+        savings = self._savings(doc, optimized)
         return OptimizationResult(
             ok=True,
             document=optimized,
@@ -684,17 +580,18 @@ class TraceOptimizer:
             document=doc,
             report=report,
             identity=True,
-            savings=self._savings(doc, doc, []),
+            savings=self._savings(doc, doc),
         )
 
     def _build_document(
         self,
         doc: TraceDocument,
         tokens: list[Token],
-        gangs: list[tuple[int, int]],
         pass_stats: Sequence[PassStats],
     ) -> TraceDocument:
         trace = _rebuild_trace(tokens, doc.trace)
+        # "gangs" held the slot annotations of a retired scheduling
+        # pass; older optimised documents still carry them
         meta = {
             k: v for k, v in doc.meta.items() if k not in ("aap_opt", "gangs")
         }
@@ -715,8 +612,6 @@ class TraceOptimizer:
             "justifications_truncated": total_just
             > _MAX_META_JUSTIFICATIONS,
         }
-        if gangs:
-            meta["gangs"] = [[start, length] for start, length in gangs]
         return TraceDocument(
             engine=doc.engine,
             trace=trace,
@@ -733,7 +628,6 @@ class TraceOptimizer:
         self,
         original: TraceDocument,
         optimized: TraceDocument,
-        gangs: list[tuple[int, int]],
     ) -> dict[str, Any]:
         from repro.core.energy import DEFAULT_ENERGY
 
@@ -759,10 +653,6 @@ class TraceOptimizer:
                 "before": before[2],
                 "after": after[2],
                 "reduction": ratio(before[2], after[2]),
-            },
-            "gangs": {
-                "slots": len(gangs),
-                "commands": sum(length for _, length in gangs),
             },
         }
 

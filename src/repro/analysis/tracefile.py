@@ -202,7 +202,23 @@ class TraceRecorder:
         self.pim.controller.attach_trace(None)
 
     def document(self, **meta: Any) -> TraceDocument:
+        """The recorded run as a trace document.
+
+        Raises:
+            ValueError: the recorder is labelled ``scalar`` but the
+                trace holds batched-scheduler charges, which only the
+                bulk engine issues; a scalar document is read as a
+                complete program, so the mislabel would fail
+                verification against a correct run.
+        """
         from repro.mapping.kmer_layout import scaled_layout
+
+        if self.engine == "scalar" and self.trace.charges:
+            raise ValueError(
+                "trace recorded with engine='scalar' holds "
+                f"{len(self.trace.charges)} batched-scheduler charges "
+                "of the 'bulk' engine; record it with engine='bulk'"
+            )
 
         sub_geom = self.pim.geometry.bank.mat.subarray
         layout = scaled_layout(sub_geom)

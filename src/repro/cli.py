@@ -11,10 +11,10 @@ The subcommands cover the workflows a downstream user needs:
   (exit 1 on findings, 2 on an unreadable document; ``--json`` for
   machine-readable findings);
 * ``pim-assembler optimize-trace`` — verified peephole optimisation of
-  a recorded trace document: dead-write elimination, copy propagation,
-  redundant-precharge removal and cross-sub-array gang merging, every
-  rewrite proven observationally equivalent by the symbolic checker
-  before the optimised document is written;
+  a recorded trace document: dead-write elimination, copy propagation
+  and redundant-precharge removal, every rewrite proven observationally
+  equivalent by the symbolic checker before the optimised document is
+  written;
 * ``pim-assembler inspect`` — post-hoc accounting of a journaled job
   directory (works on finished, crashed and timed-out jobs);
 * ``pim-assembler simulate`` — generate a synthetic reference and a
@@ -139,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--aap-opt",
         action="store_true",
         help="optimise the recorded AAP stream (verified peephole "
-        "passes + gang merge), replay it on a fresh device and assert "
+        "passes), replay it on a fresh device and assert "
         "the final row state bit-identical (--engine pim, "
         "--exec-engine scalar, no --job-dir/--ecc)",
     )
@@ -182,12 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output",
         help="where to write the optimised document "
         "(default: <trace>.opt.json)",
-    )
-    optimize_trace.add_argument(
-        "--no-gang-merge",
-        action="store_true",
-        help="skip the cross-sub-array gang scheduling pass (keep the "
-        "original command interleaving)",
     )
 
     inspect_cmd = sub.add_parser(
@@ -552,7 +546,8 @@ def _replay_aap_opt(doc, reads, k: int, pim) -> None:
     from repro.analysis.optimizer import optimize_document
     from repro.analysis.verifier import _doc_timing
     from repro.assembly.pipeline import _sized_device
-    from repro.core.scheduler import charge_stream, replay_optimized
+    from repro.core.scheduler import charge_stream
+    from repro.core.trace import replay
     from repro.errors import ReproError
 
     result = optimize_document(doc, source="<assemble>")
@@ -565,7 +560,7 @@ def _replay_aap_opt(doc, reads, k: int, pim) -> None:
         )
     savings = result.savings
     fresh = _sized_device(reads, k)
-    replay_report = replay_optimized(result.document, fresh.controller)
+    replay(result.document.trace, fresh.controller)
     keys = list(pim.device.subarray_keys())
     diverged = [
         key
@@ -587,9 +582,7 @@ def _replay_aap_opt(doc, reads, k: int, pim) -> None:
     print(
         f"aap-opt: {cmd['before']} -> {cmd['after']} commands "
         f"(-{cmd['reduction']:.1%}), "
-        f"energy -{savings['energy_nj']['reduction']:.1%}, "
-        f"{replay_report.gang_slots} gang slots covering "
-        f"{replay_report.ganged_commands} commands"
+        f"energy -{savings['energy_nj']['reduction']:.1%}"
     )
     print(
         f"aap-opt: replay bit-identical on {len(keys)} sub-array(s); "
@@ -606,9 +599,7 @@ def _cmd_optimize_trace(args: argparse.Namespace) -> int:
     from repro.core.scheduler import charge_stream
 
     doc = load_document(args.trace)
-    result = optimize_document(
-        doc, source=args.trace, gang_merge=not args.no_gang_merge
-    )
+    result = optimize_document(doc, source=args.trace)
     for finding in result.report:
         print(str(finding), file=sys.stderr)
     if not result.ok:
@@ -640,7 +631,6 @@ def _cmd_optimize_trace(args: argparse.Namespace) -> int:
     savings = result.savings
     cmd = savings["commands"]
     energy = savings["energy_nj"]
-    gangs = savings["gangs"]
     timing = _doc_timing(doc)
     before = charge_stream(doc.trace, timing=timing)
     after = charge_stream(result.document.trace, timing=timing)
@@ -648,9 +638,7 @@ def _cmd_optimize_trace(args: argparse.Namespace) -> int:
         f"{args.trace}: {cmd['before']} -> {cmd['after']} commands "
         f"(-{cmd['reduction']:.1%}), "
         f"energy {energy['before']:.0f} -> {energy['after']:.0f} nJ "
-        f"(-{energy['reduction']:.1%}), "
-        f"{gangs['slots']} gang slots covering {gangs['commands']} "
-        "commands"
+        f"(-{energy['reduction']:.1%})"
     )
     print(
         f"{args.trace}: equivalence proven, re-verification clean; "

@@ -31,7 +31,6 @@ from repro.core.resilience import (
     recommended_policy,
     spare_rows_needed,
 )
-from repro.core.scheduler import ScheduleReport, TraceScheduler, audit_parallelism
 from repro.core.trace import CommandTrace, TraceAnalysis, analyse, replay
 from repro.core.energy import EnergyModel, EnergyParameters, DEFAULT_ENERGY
 from repro.core.isa import (
@@ -73,9 +72,6 @@ __all__ = [
     "ResilienceReport",
     "recommended_policy",
     "spare_rows_needed",
-    "ScheduleReport",
-    "TraceScheduler",
-    "audit_parallelism",
     "CommandTrace",
     "TraceAnalysis",
     "analyse",

@@ -535,6 +535,9 @@ class Controller:
             AapCompute2(src1=src1, src2=src2, des=des, op=op)  # validate
             sub = self.device.subarray_at(src1)
             clean = sub.compute2(src1.row, src2.row, des.row, op)
+            self._record_trace(
+                "AAP2", src1.subarray_key, (src1.row, src2.row, des.row)
+            )
             results.append(
                 self._commit_result(
                     sub,
@@ -549,29 +552,6 @@ class Controller:
                 )
             )
         return results
-
-    def gang_copy(self, ops: Sequence[tuple[RowAddress, RowAddress]]) -> None:
-        """RowClone across many sub-arrays in one command slot.
-
-        Routed through the same fault-injection path as :meth:`copy`
-        (the ``copy`` mechanism; rate 0 unless a margin study stresses
-        RowClone transfers).
-        """
-        if not ops:
-            raise ValueError("gang must be non-empty")
-        keys = {src.subarray_key for src, _ in ops}
-        if len(keys) != len(ops):
-            raise ValueError("gang members must live in distinct sub-arrays")
-        inject = self.faults is not None and self.faults.copy_rate > 0.0
-        for src, des in ops:
-            AapCopy(src=src, des=des)  # validate
-            sub = self.device.subarray_at(src)
-            sub.rowclone(src.row, des.row)
-            if inject:
-                self._apply_faults(sub, des.row, sub.row_view(des.row), "copy")
-        self._charge(
-            "AAP1", self.timing.t_aap, self.energy.e_aap_copy, gang=len(ops)
-        )
 
     # ----- compound operations -------------------------------------------------
 

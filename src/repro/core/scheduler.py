@@ -1,138 +1,36 @@
-"""Trace-driven command scheduling and timing validation.
+"""Batched AAP scheduling: the simulator's one model of sub-array parallelism.
 
-The ledger charges each command's latency as if the machine were a
-single queue; real DRAM overlaps commands to *different* sub-arrays and
-banks.  :class:`TraceScheduler` replays a
-:class:`~repro.core.trace.CommandTrace` against a resource model —
-every sub-array is busy for its command's duration (DPU ops included:
-they are booked on the command's sub-array), every MAT's GRB
-serialises host reads/writes — and reports the
-*scheduled makespan*: the wall-clock a controller exploiting all
-sub-array parallelism would need.
+The paper's throughput comes from every (bank, MAT) pair issuing the
+same AAP command on its own sub-array at once.  The ledger of the
+scalar controller charges each command as if the machine were a single
+queue; :class:`BatchedAapScheduler` prices a batch of commands against
+a resource model instead — every sub-array serialises its own stream,
+every MAT's GRB serialises host reads/writes and every MAT's DPU its
+reduce ops — and charges the batch's *makespan*, the busiest
+resource's serial time.  The bulk engine charges through it, and
+:func:`charge_stream` prices a recorded
+:class:`~repro.core.trace.CommandTrace` the same way:
 
-Uses:
-
-* **parallelism audit** — ``speedup = serial_time / makespan`` measures
-  how much sub-array-level parallelism an algorithm's command stream
-  actually exposes (the hash-partitioned hashmap should be near the
-  number of partitions; a single-sub-array reduction near 1);
-* **timing validation** — the makespan can never exceed the serial sum
-  and never undercut the busiest resource (critical path); both bounds
-  are asserted by the tests.
+* **parallelism audit** — ``coalescing_speedup = serial / makespan``
+  measures how much sub-array-level parallelism a command stream
+  exposes (the hash-partitioned hashmap coalesces by more than 1x; a
+  single-sub-array reduction by exactly 1x);
+* **timing bounds** — the makespan never exceeds the serial sum and
+  equals the largest per-resource busy sum; both are asserted by the
+  tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.timing import (
-    DEFAULT_TIMING,
-    TimingParameters,
-    command_cost_table,
-    command_latency_table,
-)
-from repro.core.trace import CommandTrace, TraceEntry
+from repro.core.timing import DEFAULT_TIMING, command_cost_table
+from repro.core.trace import CommandTrace
 from repro.observability.metrics import inc, observe
-
-
-@dataclass(frozen=True)
-class ScheduleReport:
-    """Outcome of scheduling one trace."""
-
-    makespan_ns: float
-    serial_ns: float
-    per_subarray_busy_ns: dict[tuple[int, int, int], float]
-    commands: int
-
-    @property
-    def parallel_speedup(self) -> float:
-        """serial / makespan — the exposed sub-array parallelism."""
-        if self.makespan_ns <= 0:
-            return 1.0
-        return self.serial_ns / self.makespan_ns
-
-    @property
-    def critical_resource_ns(self) -> float:
-        return max(self.per_subarray_busy_ns.values(), default=0.0)
-
-    @property
-    def utilisation(self) -> float:
-        """Mean busy fraction of the touched sub-arrays."""
-        if not self.per_subarray_busy_ns or self.makespan_ns <= 0:
-            return 0.0
-        mean_busy = sum(self.per_subarray_busy_ns.values()) / len(
-            self.per_subarray_busy_ns
-        )
-        return mean_busy / self.makespan_ns
-
-
-@dataclass
-class TraceScheduler:
-    """Greedy list scheduler over per-sub-array and per-MAT resources.
-
-    Commands issue in trace order (the controller is in-order), but a
-    command only waits for *its own* resources: the target sub-array
-    (for every mnemonic, ``DPU`` included), plus the MAT's GRB for host
-    I/O (``MEM_RD``/``MEM_WR``).  This
-    mirrors how independent sub-arrays proceed concurrently under one
-    command stream with per-bank queues.
-    """
-
-    timing: TimingParameters = field(default_factory=lambda: DEFAULT_TIMING)
-
-    def command_latency_ns(self, entry: TraceEntry) -> float:
-        try:
-            return command_latency_table(self.timing)[entry.mnemonic]
-        except KeyError:
-            raise ValueError(
-                f"no latency model for mnemonic {entry.mnemonic!r}"
-            ) from None
-
-    def schedule(self, trace: CommandTrace) -> ScheduleReport:
-        """Compute the parallel makespan of a trace."""
-        subarray_free: dict[tuple[int, int, int], float] = {}
-        grb_free: dict[tuple[int, int], float] = {}
-        busy: dict[tuple[int, int, int], float] = {}
-        makespan = 0.0
-        serial = 0.0
-
-        for entry in trace:
-            latency = self.command_latency_ns(entry)
-            serial += latency
-            start = subarray_free.get(entry.subarray, 0.0)
-            if entry.mnemonic in ("MEM_RD", "MEM_WR"):
-                mat_key = entry.subarray[:2]
-                start = max(start, grb_free.get(mat_key, 0.0))
-            finish = start + latency
-            subarray_free[entry.subarray] = finish
-            if entry.mnemonic in ("MEM_RD", "MEM_WR"):
-                grb_free[entry.subarray[:2]] = finish
-            busy[entry.subarray] = busy.get(entry.subarray, 0.0) + latency
-            makespan = max(makespan, finish)
-
-        return ScheduleReport(
-            makespan_ns=makespan,
-            serial_ns=serial,
-            per_subarray_busy_ns=busy,
-            commands=len(trace),
-        )
-
-
-def audit_parallelism(
-    trace: CommandTrace, timing: TimingParameters | None = None
-) -> ScheduleReport:
-    """One-call scheduling of a recorded trace."""
-    scheduler = TraceScheduler(timing=timing or DEFAULT_TIMING)
-    return scheduler.schedule(trace)
-
-
-# --------------------------------------------------------------------------
-# Batched AAP scheduling (the bulk execution engine's timed view)
-# --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -172,9 +70,8 @@ class BatchedAapScheduler:
     (mnemonic, resource) pair and flushes them in one pass: commands
     against different sub-arrays share command slots (gang issue, the
     SIMD execution of Section III), so wall-clock time is the busiest
-    resource's serial time — the same resource model
-    :class:`TraceScheduler` replays trace-entry by trace-entry, but
-    computed in O(resources) instead of O(commands).
+    resource's serial time, computed in O(resources) instead of
+    O(commands).
 
     Resources:
 
@@ -424,26 +321,6 @@ class BatchedAapScheduler:
         )
 
 
-# --------------------------------------------------------------------------
-# Optimised-trace replay (the `--aap-opt` path)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GangReplayReport:
-    """Outcome of replaying a gang-annotated optimised stream."""
-
-    commands: int
-    gang_slots: int
-    ganged_commands: int
-    skipped: int
-
-    @property
-    def command_slots(self) -> int:
-        """Issue slots consumed: singles plus one per gang."""
-        return self.commands - self.ganged_commands + self.gang_slots
-
-
 class _NullLedger:
     """Absorbs charges when only the schedule report is wanted."""
 
@@ -469,84 +346,3 @@ def charge_stream(trace, timing=None, energy=None) -> BatchReport:
     for mnemonic, per_sub in per_mnemonic.items():
         scheduler.charge(mnemonic, per_sub.keys(), per_sub.values())
     return scheduler.flush()
-
-
-def replay_optimized(doc, controller) -> GangReplayReport:
-    """Replay an optimised trace document, honouring its gang slots.
-
-    ``meta["gangs"]`` windows (``[start, length]`` into the entry list,
-    as emitted by the optimiser's gang-merge pass and validated by the
-    equivalence judge's E005 rule) are issued through the controller's
-    gang paths — one command slot, energy per member; everything else
-    replays entry by entry like :func:`repro.core.trace.replay`,
-    skipping ``MEM_RD``/``DPU`` observations.
-
-    Raises:
-        ValueError: on a gang window naming a non-gangable mnemonic or
-            mixing mnemonics (malformed annotations; run the
-            equivalence checker first).
-    """
-    from repro.core.isa import RowAddress, SAOp
-    from repro.core.trace import replay_entry
-
-    def addr(entry, row: int) -> RowAddress:
-        bank, mat, sub = entry.subarray
-        return RowAddress(bank=bank, mat=mat, subarray=sub, row=row)
-
-    entries = doc.trace.entries()
-    gang_at: dict[int, int] = {}
-    for start, length in doc.meta.get("gangs") or []:
-        gang_at[int(start)] = int(length)
-
-    commands = slots = ganged = skipped = 0
-    i = 0
-    while i < len(entries):
-        length = gang_at.get(i, 0)
-        if length >= 2 and i + length <= len(entries):
-            members = entries[i : i + length]
-            mnemonics = {m.mnemonic for m in members}
-            if len(mnemonics) != 1:
-                raise ValueError(
-                    f"gang at entry {i} mixes mnemonics {sorted(mnemonics)}"
-                )
-            mnemonic = members[0].mnemonic
-            if mnemonic == "AAP1":
-                controller.gang_copy(
-                    [
-                        (addr(e, e.rows[0]), addr(e, e.rows[1]))
-                        for e in members
-                    ]
-                )
-            elif mnemonic == "AAP2":
-                controller.gang_compute2(
-                    [
-                        (
-                            addr(e, e.rows[0]),
-                            addr(e, e.rows[1]),
-                            addr(e, e.rows[2]),
-                        )
-                        for e in members
-                    ],
-                    SAOp.XNOR2,
-                )
-            else:
-                raise ValueError(
-                    f"gang at entry {i} has non-gangable mnemonic "
-                    f"{mnemonic!r}"
-                )
-            slots += 1
-            ganged += length
-            commands += length
-            i += length
-            continue
-        if replay_entry(entries[i], controller):
-            commands += 1
-        else:
-            skipped += 1
-        i += 1
-    return GangReplayReport(
-        commands=commands,
-        gang_slots=slots,
-        ganged_commands=ganged,
-        skipped=skipped,
-    )

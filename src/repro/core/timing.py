@@ -157,9 +157,10 @@ def command_latency_table(timing: TimingParameters) -> dict:
 
     ``TimingParameters`` derives every latency through properties, so a
     per-command lookup in a hot loop re-runs the arithmetic each time.
-    Both schedulers (the trace replayer and the bulk engine's batched
-    AAP scheduler) read this cached table instead; the frozen dataclass
-    is hashable, so one table exists per distinct configuration.
+    The batched AAP scheduler (through :func:`command_cost_table`) and
+    the trace verifier read this cached table instead; the frozen
+    dataclass is hashable, so one table exists per distinct
+    configuration.
     """
     return {
         "AAP1": timing.t_aap,

@@ -17,7 +17,7 @@ GEOMETRY = {"rows": 32, "cols": 64, "compute_rows": 8, "data_rows": 24}
 SUB = (0, 0, 0)
 
 
-def make_doc(build, engine="scalar", complete=True, meta=None, geometry=None):
+def make_doc(build, engine="scalar", complete=True, geometry=None):
     """A minimal document around a trace the ``build`` callback records."""
     trace = CommandTrace()
     build(trace)
@@ -26,7 +26,6 @@ def make_doc(build, engine="scalar", complete=True, meta=None, geometry=None):
         trace=trace,
         geometry=dict(geometry or GEOMETRY),
         complete=complete,
-        meta=dict(meta or {}),
     )
 
 
@@ -247,95 +246,3 @@ def test_e007_unmodelled_mnemonic():
 
     report = check_equivalence(make_doc(original), make_doc(optimized))
     assert report.rules() == {"E007"}
-
-
-# --------------------------------------------------------------------------
-# gang annotation validation (E005)
-# --------------------------------------------------------------------------
-
-
-def gang_doc(meta, n_subs=3):
-    def build(trace):
-        for i in range(n_subs):
-            trace.record("AAP1", (0, 0, i), (2, 10))
-
-    return make_doc(build, meta=meta)
-
-
-def base_doc(n_subs=3):
-    return gang_doc(meta=None, n_subs=n_subs)
-
-
-def test_valid_gang_annotation_accepted():
-    report = check_equivalence(base_doc(), gang_doc({"gangs": [[0, 3]]}))
-    assert report.ok
-
-
-def test_e005_out_of_bounds_gang():
-    report = check_equivalence(base_doc(), gang_doc({"gangs": [[1, 5]]}))
-    assert "E005" in report.rules()
-
-
-def test_e005_undersized_gang():
-    report = check_equivalence(base_doc(), gang_doc({"gangs": [[0, 1]]}))
-    assert "E005" in report.rules()
-
-
-def test_e005_overlapping_gangs():
-    report = check_equivalence(
-        base_doc(), gang_doc({"gangs": [[0, 2], [1, 2]]})
-    )
-    assert "E005" in report.rules()
-
-
-def test_e005_gang_reusing_a_subarray():
-    def build(trace):
-        trace.record("AAP1", SUB, (2, 10))
-        trace.record("AAP1", SUB, (10, 11))
-
-    def original(trace):
-        trace.record("AAP1", SUB, (2, 10))
-        trace.record("AAP1", SUB, (10, 11))
-
-    report = check_equivalence(
-        make_doc(original), make_doc(build, meta={"gangs": [[0, 2]]})
-    )
-    assert "E005" in report.rules()
-
-
-def test_e005_non_gangable_mnemonic():
-    def build(trace):
-        for i in range(2):
-            trace.record("SUM", (0, 0, i), (2, 3, 12))
-
-    report = check_equivalence(
-        base_doc(),
-        make_doc(build, meta={"gangs": [[0, 2]]}),
-    )
-    assert "E005" in report.rules()
-
-
-def test_e005_malformed_annotation_shape():
-    report = check_equivalence(
-        base_doc(), gang_doc({"gangs": [["x"]]})
-    )
-    assert "E005" in report.rules()
-
-
-def test_e005_gang_straddling_a_mark():
-    def build(trace):
-        trace.record("AAP1", (0, 0, 0), (2, 10))
-        trace.mark("window")
-        trace.record("AAP1", (0, 0, 1), (2, 10))
-        trace.record("AAP1", (0, 0, 2), (2, 10))
-
-    def original(trace):
-        trace.record("AAP1", (0, 0, 0), (2, 10))
-        trace.mark("window")
-        trace.record("AAP1", (0, 0, 1), (2, 10))
-        trace.record("AAP1", (0, 0, 2), (2, 10))
-
-    report = check_equivalence(
-        make_doc(original), make_doc(build, meta={"gangs": [[0, 3]]})
-    )
-    assert "E005" in report.rules()

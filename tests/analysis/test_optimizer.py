@@ -13,9 +13,15 @@ from repro.analysis.optimizer import (
     TraceOptimizer,
     optimize_document,
 )
-from repro.analysis.tracefile import TraceDocument, TraceRecorder
+from repro.analysis.tracefile import (
+    TraceDocument,
+    TraceRecorder,
+    load_document,
+    save_document,
+)
 from repro.analysis.verifier import verify_document
 from repro.assembly.pipeline import _sized_device, assemble_with_pim
+from repro.core.scheduler import charge_stream
 from repro.core.trace import CommandTrace
 from repro.genome import ReadSimulator, synthetic_chromosome
 
@@ -39,7 +45,6 @@ def signature(doc):
     return (
         [(e.mnemonic, e.subarray, e.rows, e.payload) for e in doc.trace],
         list(doc.trace.marks),
-        doc.meta.get("gangs"),
     )
 
 
@@ -77,6 +82,25 @@ def test_optimization_reduces_and_reverifies(corpus_doc, corpus_result):
     # the rewritten document must sail through the full verifier
     report = verify_document(corpus_result.document, source="<optimized>")
     assert report.render() == ""
+
+
+def test_corpus_figures_are_pinned(corpus_doc, corpus_result):
+    """The seeded corpus's command count, energy cut and coalesced
+    makespans; the optimiser only removes and rewrites commands, and
+    ``charge_stream`` prices them whatever their interleaving."""
+    savings = corpus_result.savings
+    assert savings["commands"] == {
+        "before": 11906,
+        "after": 8471,
+        "reduction": pytest.approx(0.2885099949605241, rel=1e-12),
+    }
+    assert savings["energy_nj"]["reduction"] == pytest.approx(
+        0.28961812144209725, rel=1e-12
+    )
+    before = charge_stream(corpus_doc.trace)
+    after = charge_stream(corpus_result.document.trace)
+    assert (before.makespan_ns, after.makespan_ns) == (180455.0, 123895.0)
+    assert "gangs" not in savings
 
 
 def test_ledger_recomputed_for_rewritten_stream(corpus_doc, corpus_result):
@@ -200,9 +224,7 @@ def bad_redundant_init(tokens):
     "bad_pass", [bad_dead_write, bad_copy_propagation, bad_redundant_init]
 )
 def test_judge_rejects_misfiring_pass(corpus_doc, bad_pass):
-    optimizer = TraceOptimizer(
-        passes=[bad_pass], verify_input=False, gang_merge=False
-    )
+    optimizer = TraceOptimizer(passes=[bad_pass], verify_input=False)
     result = optimizer.optimize(corpus_doc, source="<sabotage>")
     assert result.ok is False
     # the rewrite is rejected: the caller gets the untouched original,
@@ -212,16 +234,24 @@ def test_judge_rejects_misfiring_pass(corpus_doc, bad_pass):
     assert result.report.rules() & {"E001", "E002", "E003"}
 
 
-def test_judge_rejects_corrupted_gang_annotation(corpus_doc, corpus_result):
-    doc = corpus_result.document
-    gangs = [list(g) for g in doc.meta.get("gangs", [])]
-    assert gangs, "corpus optimization should produce gang slots"
-    gangs[0][1] += 1  # stretch the first gang over a non-member command
-    tampered = dataclasses.replace(
-        doc, meta={**doc.meta, "gangs": gangs}
+def test_gang_annotated_document_still_loads_and_reoptimises(
+    tmp_path, corpus_doc, corpus_result
+):
+    """Optimised documents once carried ``meta["gangs"]`` slot
+    annotations; such a document verifies clean, is still judged
+    equivalent, and re-optimising it drops the stale key."""
+    legacy = dataclasses.replace(
+        corpus_result.document,
+        meta={**corpus_result.document.meta, "gangs": [[77, 2], [85, 2]]},
     )
-    report = check_equivalence(corpus_doc, tampered, source="<tampered>")
-    assert "E005" in report.rules()
+    loaded = load_document(save_document(tmp_path / "legacy.json", legacy))
+    assert loaded.meta["gangs"] == [[77, 2], [85, 2]]
+    assert verify_document(loaded).render() == ""
+    assert check_equivalence(corpus_doc, loaded).ok
+    again = optimize_document(loaded, source="<legacy>")
+    assert again.ok
+    assert "gangs" not in again.document.meta
+    assert signature(again.document) == signature(corpus_result.document)
 
 
 def test_payload_survives_round_trip(corpus_result):

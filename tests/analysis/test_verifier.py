@@ -348,7 +348,7 @@ def test_parallel_flush_makespan_accepted():
 # ----- real pipeline traces must be finding-free -----------------------------
 
 
-def _record_pipeline(engine):
+def _record_pipeline(engine, label=None):
     from repro.assembly.pipeline import _sized_device, assemble_with_pim
     from repro.genome import ReadSimulator, synthetic_chromosome
 
@@ -358,7 +358,7 @@ def _record_pipeline(engine):
         reference, simulator.reads_for_coverage(len(reference), 5)
     )
     pim = _sized_device(reads, 9)
-    recorder = TraceRecorder(pim, engine=engine)
+    recorder = TraceRecorder(pim, engine=label or engine)
     with recorder:
         assemble_with_pim(reads, k=9, pim=pim, engine=engine)
     return recorder.document(workload="test")
@@ -384,6 +384,13 @@ def test_bulk_pipeline_trace_is_clean(bulk_doc):
     report = verify_document(bulk_doc)
     assert report.render() == ""
     assert len(bulk_doc.trace.charges) > 100  # gangs were recorded
+
+
+def test_scalar_label_on_a_bulk_run_is_refused():
+    """A bulk run labelled scalar would read as a complete program and
+    fail verification against a correct run: the recorder refuses it."""
+    with pytest.raises(ValueError, match="'scalar'.*'bulk'"):
+        _record_pipeline("bulk", label="scalar")
 
 
 def test_document_round_trips_through_json(tmp_path, bulk_doc):

@@ -259,17 +259,6 @@ class TestGangExecution:
         with pytest.raises(ValueError):
             small_pim.controller.gang_compute2([])
 
-    def test_gang_copy_rejects_empty(self, small_pim):
-        with pytest.raises(ValueError):
-            small_pim.controller.gang_copy([])
-
-    def test_gang_copy_rejects_same_subarray(self, small_pim, rng):
-        pim = small_pim
-        src = store(pim, rng.integers(0, 2, 32).astype(np.uint8))
-        d1, d2 = pim.allocate_row(), pim.allocate_row()
-        with pytest.raises(ValueError):
-            pim.controller.gang_copy([(src, d1), (src, d2)])
-
     def test_gang_compute2_routes_through_fault_injection(self, rng):
         """Ganged compute2 must corrupt exactly like the single op."""
         from repro.core.faults import FaultModel
@@ -294,48 +283,6 @@ class TestGangExecution:
             stored = pim.device.subarray_at(des).read_row(des.row)
             assert (stored == 1 - exp).all()
         assert pim.controller.faults.injected_faults == 3 * 32
-
-    def test_gang_copy_routes_through_fault_injection(self, rng):
-        from repro.core.faults import FaultModel
-
-        pim = PimAssembler.small(subarrays=4, rows=64, cols=32)
-        pim.controller.faults = FaultModel(copy_rate=1.0, seed=17)
-        data = rng.integers(0, 2, 32).astype(np.uint8)
-        pairs = []
-        for s in range(2):
-            src = store(pim, data, (0, 0, s))
-            pairs.append((src, pim.allocate_row((0, 0, s))))
-        pim.controller.gang_copy(pairs)
-        for _, des in pairs:
-            stored = pim.device.subarray_at(des).read_row(des.row)
-            assert (stored == 1 - data).all()
-
-    def test_gang_copy_clean_without_copy_rate(self, rng):
-        """Default fault models leave RowClone transfers untouched."""
-        from repro.core.faults import FaultModel
-
-        pim = PimAssembler.small(subarrays=4, rows=64, cols=32)
-        pim.controller.faults = FaultModel(compute2_rate=0.5, seed=17)
-        data = rng.integers(0, 2, 32).astype(np.uint8)
-        src = store(pim, data, (0, 0, 0))
-        des = pim.allocate_row((0, 0, 0))
-        pim.controller.gang_copy([(src, des)])
-        assert (pim.device.subarray_at(des).read_row(des.row) == data).all()
-
-    def test_gang_copy(self, small_pim, rng):
-        pim = small_pim
-        pairs = []
-        datas = []
-        for s in range(2):
-            data = rng.integers(0, 2, 32).astype(np.uint8)
-            src = store(pim, data, (0, 0, s))
-            des = pim.allocate_row((0, 0, s))
-            pairs.append((src, des))
-            datas.append((des, data))
-        pim.controller.gang_copy(pairs)
-        for des, data in datas:
-            assert (pim.controller.read_row(des) == data).all()
-
 
 class TestCompress3to2:
     def test_matches_full_adder(self, small_pim, rng):

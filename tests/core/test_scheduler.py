@@ -1,15 +1,14 @@
-"""Trace-driven scheduling: makespan bounds, parallelism audit."""
+"""The batched scheduler: makespan bounds, parallelism audit, vector charges."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core import CommandTrace, PimAssembler
-from repro.core.scheduler import (
-    BatchReport,
-    BatchedAapScheduler,
-    TraceScheduler,
-    audit_parallelism,
-)
+from repro.core.energy import DEFAULT_ENERGY
+from repro.core.scheduler import BatchReport, BatchedAapScheduler, charge_stream
+from repro.core.timing import DEFAULT_TIMING, command_cost_table
 from repro.core.trace import CommandTrace as Trace
 from repro.observability.metrics import MetricsRegistry
 
@@ -21,6 +20,26 @@ def traced_pim(**kwargs):
     return pim, trace
 
 
+def resource_busy(trace):
+    """Busy ns per resource, recomputed from the cost table.
+
+    Every command busies its sub-array, except ``DPU`` work, which runs
+    on the MAT's DPU; host reads and writes also cross the MAT's GRB.
+    """
+    costs = command_cost_table(DEFAULT_TIMING, DEFAULT_ENERGY)
+    busy = Counter()
+    for entry in trace:
+        time_ns = costs[entry.mnemonic][0]
+        mat = entry.subarray[:2]
+        if entry.mnemonic == "DPU":
+            busy[("dpu", *mat)] += time_ns
+        else:
+            busy[entry.subarray] += time_ns
+        if entry.mnemonic in ("MEM_RD", "MEM_WR"):
+            busy[("grb", *mat)] += time_ns
+    return busy
+
+
 class TestBounds:
     def test_serial_trace_makespan_equals_serial_time(self, rng):
         """Commands on one sub-array cannot overlap."""
@@ -28,9 +47,9 @@ class TestBounds:
         a = pim.store_row(rng.integers(0, 2, 32).astype(np.uint8))
         b = pim.store_row(rng.integers(0, 2, 32).astype(np.uint8))
         pim.pim_xnor(a, b)
-        report = audit_parallelism(trace)
+        report = charge_stream(trace)
         assert report.makespan_ns == pytest.approx(report.serial_ns)
-        assert report.parallel_speedup == pytest.approx(1.0)
+        assert report.coalescing_speedup == pytest.approx(1.0)
 
     def test_parallel_mats_overlap(self, rng):
         """The same work spread over 4 MATs (own GRBs) overlaps."""
@@ -43,15 +62,15 @@ class TestBounds:
                 rng.integers(0, 2, 32).astype(np.uint8), (0, m, 0)
             )
             pim.pim_xnor(a, b)
-        report = audit_parallelism(trace)
-        assert report.parallel_speedup > 3.0
+        report = charge_stream(trace)
+        assert report.coalescing_speedup > 3.0
         assert report.makespan_ns < report.serial_ns
 
     def test_shared_grb_limits_single_mat_parallelism(self, rng):
-        """Sub-arrays of ONE MAT share a GRB: the alternating
-        host-write / scan pattern serialises through it."""
-        pim, trace = traced_pim(subarrays=4, mats=1)
-        for s in range(4):
+        """Sub-arrays of ONE MAT share a GRB: with eight of them, their
+        host writes outlast any one sub-array's work."""
+        pim, trace = traced_pim(subarrays=8, mats=1)
+        for s in range(8):
             a = pim.store_row(
                 rng.integers(0, 2, 32).astype(np.uint8), (0, 0, s)
             )
@@ -59,8 +78,9 @@ class TestBounds:
                 rng.integers(0, 2, 32).astype(np.uint8), (0, 0, s)
             )
             pim.pim_xnor(a, b)
-        report = audit_parallelism(trace)
-        assert 1.0 < report.parallel_speedup < 3.0
+        report = charge_stream(trace)
+        assert report.makespan_ns == resource_busy(trace)[("grb", 0, 0)]
+        assert 1.0 < report.coalescing_speedup < 8.0
 
     def test_makespan_never_below_critical_resource(self, rng):
         pim, trace = traced_pim()
@@ -69,8 +89,8 @@ class TestBounds:
                 pim.store_row(
                     rng.integers(0, 2, 32).astype(np.uint8), (0, 0, s)
                 )
-        report = audit_parallelism(trace)
-        assert report.makespan_ns >= report.critical_resource_ns - 1e-9
+        report = charge_stream(trace)
+        assert report.makespan_ns == max(resource_busy(trace).values())
         assert report.makespan_ns <= report.serial_ns + 1e-9
 
     def test_grb_serialises_host_io_within_a_mat(self, rng):
@@ -78,22 +98,21 @@ class TestBounds:
         pim, trace = traced_pim()
         pim.store_row(rng.integers(0, 2, 32).astype(np.uint8), (0, 0, 0))
         pim.store_row(rng.integers(0, 2, 32).astype(np.uint8), (0, 0, 1))
-        report = audit_parallelism(trace)
+        report = charge_stream(trace)
         # two MEM_WRs through one GRB: no overlap despite distinct
         # sub-arrays
         assert report.makespan_ns == pytest.approx(report.serial_ns)
 
     def test_empty_trace(self):
-        report = audit_parallelism(Trace())
-        assert report.makespan_ns == 0.0
-        assert report.commands == 0
-        assert report.utilisation == 0.0
+        report = charge_stream(Trace())
+        assert report == BatchReport(0.0, 0.0, 0)
+        assert report.coalescing_speedup == 1.0
 
     def test_unknown_mnemonic_rejected(self):
         trace = Trace()
         trace.record("WARP", (0, 0, 0), (0,))
         with pytest.raises(ValueError):
-            TraceScheduler().schedule(trace)
+            charge_stream(trace)
 
 
 class TestPropertyBounds:
@@ -115,37 +134,36 @@ class TestPropertyBounds:
         trace = Trace()
         for mnemonic, sub, mat in commands:
             trace.record(mnemonic, (0, mat, sub), (0,))
-        report = audit_parallelism(trace)
+        report = charge_stream(trace)
+        assert report.commands == len(commands)
         assert report.makespan_ns <= report.serial_ns + 1e-6
-        assert report.makespan_ns >= report.critical_resource_ns - 1e-6
-        assert sum(report.per_subarray_busy_ns.values()) == pytest.approx(
-            report.serial_ns
-        )
+        assert report.makespan_ns == max(resource_busy(trace).values())
 
     @given(commands=commands)
     @settings(max_examples=20, deadline=None)
     def test_speedup_bounded_by_resource_count(self, commands):
+        """Each command busies one sub-array or one DPU, so those
+        resources' busy times sum to the serial time."""
         trace = Trace()
         for mnemonic, sub, mat in commands:
             trace.record(mnemonic, (0, mat, sub), (0,))
-        report = audit_parallelism(trace)
-        resources = len(report.per_subarray_busy_ns)
-        assert report.parallel_speedup <= resources + 1e-6
+        report = charge_stream(trace)
+        resources = [r for r in resource_busy(trace) if r[0] != "grb"]
+        assert report.coalescing_speedup <= len(resources) + 1e-6
 
 
 class TestAlgorithmAudit:
     def test_hashmap_exposes_partition_parallelism(self):
-        """The hash-partitioned counter must schedule much faster than
-        its serial command stream."""
+        """The hash-partitioned counter must coalesce its command
+        stream across partitions."""
         from repro.assembly import PimKmerCounter
         from repro.genome import synthetic_chromosome
 
         pim, trace = traced_pim(subarrays=2, rows=256, cols=64, mats=4)
         counter = PimKmerCounter(pim, 9)
         counter.add_sequence(synthetic_chromosome(500, seed=888))
-        report = audit_parallelism(trace)
-        assert report.parallel_speedup > 2.0
-        assert 0.0 < report.utilisation <= 1.0
+        report = charge_stream(trace)
+        assert report.coalescing_speedup > 2.0
 
     def test_wallace_reduction_is_serial(self, rng):
         """A single-sub-array reduction exposes no parallelism."""
@@ -154,8 +172,8 @@ class TestAlgorithmAudit:
         pim, trace = traced_pim(subarrays=1, rows=256, cols=32)
         rows = [rng.integers(0, 2, 32).astype(np.uint8) for _ in range(9)]
         wallace_column_sum(pim, rows)
-        report = audit_parallelism(trace)
-        assert report.parallel_speedup == pytest.approx(1.0)
+        report = charge_stream(trace)
+        assert report.coalescing_speedup == 1.0
 
 
 # ----- batched scheduler: vector charge vs a per-key reference loop -----

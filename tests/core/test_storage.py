@@ -201,6 +201,30 @@ class TestBitFields:
         assert not row[8:16].any()
         assert row[:8].all() and row[16:].all()
 
+    def test_fields_reencode_each_touched_row_once_with_ecc(self):
+        """Two fields in one row, and one in another: each touched row
+        is re-encoded once, and the ECC plane matches the data."""
+        from repro.core.integrity import encode_secded
+
+        store = BitPlaneStore(rows=4, cols=128)
+        for _ in range(2):
+            store.new_slot()
+        store.enable_ecc(encode_secded)
+        store.drain_encoded_rows()
+        before = store.ecc_plane.copy()
+        slots = np.array([1, 0, 1])
+        rows = np.array([2, 3, 2])
+        offsets = np.array([70, 0, 8])
+        store.write_fields(slots, rows, offsets, 8, np.array([5, 6, 7]))
+        np.testing.assert_array_equal(
+            store.read_fields(slots, rows, offsets, 8), [5, 6, 7]
+        )
+        assert store.drain_encoded_rows() == 2
+        expected = before.copy()
+        for slot, row in ((0, 3), (1, 2)):
+            expected[slot, row] = encode_secded(store.tensor[slot, row])
+        np.testing.assert_array_equal(store.ecc_plane, expected)
+
 
 class TestSnapshotFormats:
     def _platform(self):

@@ -175,6 +175,24 @@ class TestReplay:
             replayed = fresh.device.subarray_at(key).snapshot()
             assert (original == replayed).all(), key
 
+    def test_ganged_bulk_xnor_replays_to_identical_state(self, rng):
+        """``gang_compute2`` records one AAP2 per member, so a traced
+        bulk XNOR replays exactly and matches the ledger's count."""
+        geometry = dict(subarrays=2, rows=64, cols=32, mats=2)
+        pim, trace = traced_pim(**geometry)
+        a = rng.integers(0, 2, 200).astype(np.uint8)
+        b = rng.integers(0, 2, 200).astype(np.uint8)
+        np.testing.assert_array_equal(pim.bulk_xnor(a, b), 1 - (a ^ b))
+        aap2 = trace.entries("AAP2")
+        assert len(aap2) == pim.stats.command_count("AAP2") == 7
+
+        fresh = PimAssembler.small(**geometry)
+        replay(trace, fresh.controller)
+        for key in pim.device.subarray_keys():
+            original = pim.device.subarray_at(key).snapshot()
+            replayed = fresh.device.subarray_at(key).snapshot()
+            assert (original == replayed).all(), key
+
     def test_replay_skips_reads(self, rng):
         pim, trace = traced_pim()
         a = pim.store_row(rng.integers(0, 2, 32).astype(np.uint8))

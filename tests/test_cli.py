@@ -427,6 +427,12 @@ class TestRetiredCommands:
         assert info.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_optimize_trace_no_gang_merge_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["optimize-trace", str(tmp_path / "t.json"), "--no-gang-merge"])
+        assert info.value.code == 2
+        assert "--no-gang-merge" in capsys.readouterr().err
+
 
 class TestVersion:
     def test_version_flag_prints_package_version(self, capsys):
