@@ -14,9 +14,11 @@ each document and records:
   scheduler (:func:`repro.core.scheduler.charge_stream`);
 * wall-clock cost of the optimise + prove pipeline.
 
-``--check`` turns the floors into a CI gate: the scalar stream must
-lose at least 15 % of its commands and 10 % of its energy, the judge
-must accept, re-verification must be clean and the replay identical.
+The record goes to ``BENCH_aapopt.json`` (the git-ignored
+``BENCH_aapopt_quick.json`` with ``--quick``).  ``--check`` turns the
+floors into a CI gate: the scalar stream must lose at least 15 % of
+its commands and 10 % of its energy, the judge must accept,
+re-verification must be clean and the replay identical.
 
 Usage::
 
@@ -120,10 +122,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "-o",
         "--output",
-        default=str(
-            Path(__file__).resolve().parent.parent / "BENCH_aapopt.json"
-        ),
-        help="where to write the JSON record",
+        help="where to write the JSON record (default: BENCH_aapopt.json, "
+        "or BENCH_aapopt_quick.json with --quick, at the repo root)",
     )
     args = parser.parse_args(argv)
 
@@ -158,7 +158,11 @@ def main(argv: list[str] | None = None) -> int:
         },
         "engines": records,
     }
-    out = Path(args.output)
+    out = Path(
+        args.output
+        or Path(__file__).resolve().parent.parent
+        / ("BENCH_aapopt_quick.json" if args.quick else "BENCH_aapopt.json")
+    )
     out.write_text(json.dumps(results, indent=2) + "\n", encoding="ascii")
     print(f"wrote {out}")
 

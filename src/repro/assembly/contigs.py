@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.assembly.debruijn import DeBruijnGraph, Edge
-from repro.assembly.euler import eulerian_paths, unitig_walk
+from repro.assembly.euler import unitig_walk
 from repro.genome.alphabet import BITS_PER_BASE
 from repro.genome.sequence import DnaSequence
 
@@ -105,30 +105,21 @@ def contigs_from_paths(
     )
 
 
-def assemble_contigs(
-    graph: DeBruijnGraph,
-    mode: str = "unitig",
-    min_length: int = 0,
-) -> list[Contig]:
-    """Contig generation from a de Bruijn graph.
+def assemble_contigs(graph: DeBruijnGraph, min_length: int = 0) -> list[Contig]:
+    """Contigs from a de Bruijn graph: its maximal non-branching paths.
+
+    Unitigs are robust to repeats; for the paper's Eulerian trails use
+    :func:`contigs_from_paths` over
+    :func:`~repro.assembly.euler.eulerian_paths`.
 
     Args:
         graph: the k-mer graph.
-        mode: ``"unitig"`` (maximal non-branching paths; robust to
-            repeats) or ``"euler"`` (one Eulerian trail per component,
-            the paper's traversal; requires trail feasibility).
         min_length: drop contigs shorter than this many bases.
     """
-    if mode == "unitig":
-        walk, bounds = unitig_walk(graph)
-        return _named(
-            spell_walk(graph, walk, bounds),
-            np.diff(bounds).tolist(),
-            min_length,
-            "contig",
-        )
-    if mode == "euler":
-        return contigs_from_paths(
-            graph, eulerian_paths(graph), min_length=min_length
-        )
-    raise ValueError(f"unknown contig mode {mode!r}")
+    walk, bounds = unitig_walk(graph)
+    return _named(
+        spell_walk(graph, walk, bounds),
+        np.diff(bounds).tolist(),
+        min_length,
+        "contig",
+    )

@@ -264,28 +264,6 @@ def degree_table(graph: DeBruijnGraph) -> dict[int, tuple[int, int]]:
     )
 
 
-def degree_table_pim(
-    pim,
-    graph: DeBruijnGraph,
-    subarray_key: tuple[int, int, int] = (0, 0, 0),
-    engine: str = "scalar",
-) -> dict[int, tuple[int, int]]:
-    """:func:`degree_table` computed on the accelerator (Fig. 8).
-
-    Runs the in-memory adjacency column sums —
-    :func:`repro.mapping.adjacency.degree_vectors_pim` — under either
-    execution engine and folds the two vectors into the traversal's
-    degree table.  The tests assert it agrees with the pure-graph
-    :func:`degree_table` under both engines.
-    """
-    from repro.mapping.adjacency import degree_vectors_pim
-
-    in_deg, out_deg = degree_vectors_pim(
-        pim, graph, subarray_key, engine=engine
-    )
-    return {node: (in_deg[node], out_deg[node]) for node in graph.nodes()}
-
-
 def path_edge_multiset(path: list[Edge]) -> Counter:
     """Multiset of k-mers along a path (test invariant helper)."""
     return Counter(edge.kmer for edge in path)

@@ -14,10 +14,10 @@ modeled DRAM cycles.  The bulk paths of the hashmap
   whole round of scans is a fixed number of vectorised expressions on
   words (XNOR is ``~(a ^ b)``), and a whole-bank slab is a single
   basic-indexing view of the store tensor;
-* commands are charged through the controller's one
-  :class:`~repro.core.scheduler.BatchedAapScheduler`, one call per
-  mnemonic, which coalesces independent per-sub-array streams into
-  gang issues;
+* commands are priced by the controller's one
+  :class:`~repro.core.scheduler.BatchedAapScheduler`, one
+  ``flush_segments`` call per kernel, which coalesces independent
+  per-sub-array streams into gang issues;
 * fault and verify sampling happen batch-wise under the stream
   equivalence rule of :mod:`repro.core.faults` — a fixed seed produces
   the exact per-op sampling sequence of the scalar path.

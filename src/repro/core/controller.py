@@ -152,8 +152,6 @@ class Controller:
         clean: np.ndarray,
         mechanism: str,
         mnemonic: str,
-        time_ns: float,
-        energy_nj: float,
         charge_initial: bool = True,
     ) -> np.ndarray:
         """Charge, fault-inject and (under a detect policy) verify one op.
@@ -166,7 +164,7 @@ class Controller:
         per attempt) until it passes or the retry budget is exhausted.
         """
         if charge_initial:
-            self._charge(mnemonic, time_ns, energy_nj)
+            self._charge(mnemonic)
         faults = self.faults
         inject = (
             faults is not None
@@ -198,7 +196,7 @@ class Controller:
             attempt += 1
             eng.note_retry()
             # re-execution at re-staged (derated) margins
-            self._charge(mnemonic, time_ns, energy_nj)
+            self._charge(mnemonic)
             result = faults.corrupt(
                 clean, mechanism, scale=policy.restage_derate**attempt
             )
@@ -244,10 +242,21 @@ class Controller:
 
     # ----- accounting helpers ----------------------------------------------
 
-    def _charge(self, mnemonic: str, time_ns: float, energy_nj: float, gang: int = 1) -> None:
+    def _charge(self, mnemonic: str, count: int = 1) -> None:
+        """Record ``count`` serial commands at their cost-table price."""
+        time_ns, energy_nj = self.scheduler.costs[mnemonic]
         self.ledger.record(
-            mnemonic, time_ns=time_ns, energy_nj=energy_nj * gang, count=gang
+            mnemonic,
+            time_ns=count * time_ns,
+            energy_nj=count * energy_nj,
+            count=count,
         )
+
+    def _charge_scan(self, count: int) -> None:
+        """Record ``count`` scanned comparisons: an AAP copy into x2,
+        the XNOR into x3 and the DPU's AND-reduce each."""
+        for mnemonic in ("AAP1", "AAP2", "DPU"):
+            self._charge(mnemonic, count)
 
     # ----- single-instruction execution --------------------------------------
 
@@ -259,9 +268,9 @@ class Controller:
         sub = self.device.subarray_at(src)
         sub.rowclone(src.row, des.row)
         if self.faults is not None and self.faults.copy_rate > 0.0:
-            self._apply_faults(sub, des.row, sub.row_view(des.row), "copy")
+            self._apply_faults(sub, des.row, sub.read_row(des.row), "copy")
         self._record_trace(instr.mnemonic, src.subarray_key, (src.row, des.row))
-        self._charge(instr.mnemonic, self.timing.t_aap, self.energy.e_aap_copy)
+        self._charge(instr.mnemonic)
 
     def compute2(
         self,
@@ -286,8 +295,6 @@ class Controller:
             clean,
             "compute2",
             instr.mnemonic,
-            self.timing.t_aap,
-            self.energy.e_compute2,
         )
 
     def tra_carry(
@@ -315,8 +322,6 @@ class Controller:
             clean,
             "tra",
             instr.mnemonic,
-            self.timing.t_aap,
-            self.energy.e_tra,
         )
 
     def sum_cycle(
@@ -337,17 +342,15 @@ class Controller:
             clean,
             "sum",
             "SUM",
-            self.timing.t_aap,
-            self.energy.e_sum_cycle,
         )
 
     def load_latch(self, src: RowAddress) -> None:
         """Capture one row into the SA latch (one row cycle)."""
         self.device.validate_address(src)
         sub = self.device.subarray_at(src)
-        sub.sa.load_latch(sub.row_view(src.row))
+        sub.sa.load_latch(sub.read_row(src.row))
         self._record_trace("LATCH_LD", src.subarray_key, (src.row,))
-        self._charge("LATCH_LD", self.timing.t_ap, self.energy.e_activate)
+        self._charge("LATCH_LD")
 
     def clear_latch(self, subarray_key: tuple[int, int, int]) -> None:
         """Reset the carry latch (precharge-time side effect; free)."""
@@ -362,7 +365,7 @@ class Controller:
         mat.grb.load(arr)
         self.device.subarray_at(des).write_row(des.row, mat.grb.read())
         self._record_trace("MEM_WR", des.subarray_key, (des.row,), payload=arr)
-        self._charge("MEM_WR", self.timing.t_write_row, self.energy.e_write_row)
+        self._charge("MEM_WR")
 
     def read_row(self, src: RowAddress) -> np.ndarray:
         """Host read through the global row buffer."""
@@ -370,7 +373,7 @@ class Controller:
         mat = self.device.mat_at(src.bank, src.mat)
         mat.grb.load(self.device.subarray_at(src).read_row(src.row))
         self._record_trace("MEM_RD", src.subarray_key, (src.row,))
-        self._charge("MEM_RD", self.timing.t_read_row, self.energy.e_read_row)
+        self._charge("MEM_RD")
         return mat.grb.read()
 
     def read_fields(
@@ -393,9 +396,9 @@ class Controller:
         if self._trace is not None:
             for key, row in zip(subarray_keys, rows.tolist()):
                 self._trace.record("MEM_RD", key, (row,))
-        time_ns, energy_nj = self.timing.t_read_row, self.energy.e_read_row
+        time_ns, energy_nj = self.scheduler.costs["MEM_RD"]
         for _ in range(rows.size):
-            self._charge("MEM_RD", time_ns, energy_nj)
+            self.ledger.record("MEM_RD", time_ns, energy_nj)
         subs = {
             key: self.device.subarray_at(key)
             for key in dict.fromkeys(subarray_keys)
@@ -474,13 +477,13 @@ class Controller:
         self.device.validate_address(result_row)
         mat = self.device.mat_at(result_row.bank, result_row.mat)
         if bits is None:
-            bits = self.device.subarray_at(result_row).row_view(result_row.row)
+            bits = self.device.subarray_at(result_row).read_row(result_row.row)
         if mask is None:
             outcome = mat.dpu.and_reduce(bits)
         else:
             outcome = mat.dpu.masked_and_reduce(bits, mask)
         self._record_trace("DPU", result_row.subarray_key, (result_row.row,))
-        self._charge("DPU", self.timing.t_dpu_clk, self.energy.e_dpu_op)
+        self._charge("DPU")
         return bool(outcome)
 
     def dpu_scalar_add(
@@ -495,17 +498,8 @@ class Controller:
         mat = self.device.mat_at(bank, mat_index)
         result = mat.dpu.scalar_add(a, b, bits=bits)
         self._record_trace("DPU", subarray_key, ())
-        self._charge("DPU", self.timing.t_dpu_clk, self.energy.e_dpu_op)
+        self._charge("DPU")
         return result
-
-    def dpu_popcount(self, row: RowAddress) -> int:
-        self.device.validate_address(row)
-        mat = self.device.mat_at(row.bank, row.mat)
-        bits = self.device.subarray_at(row).row_view(row.row)
-        count = mat.dpu.popcount(bits)
-        self._record_trace("DPU", row.subarray_key, (row.row,))
-        self._charge("DPU", self.timing.t_dpu_clk, self.energy.e_dpu_op)
-        return count
 
     # ----- gang (SIMD) execution ----------------------------------------------
 
@@ -527,8 +521,13 @@ class Controller:
         keys = {src1.subarray_key for src1, _, _ in ops}
         if len(keys) != len(ops):
             raise ValueError("gang members must live in distinct sub-arrays")
-        self._charge(
-            "AAP2", self.timing.t_aap, self.energy.e_compute2, gang=len(ops)
+        # one command slot: time once, energy per member
+        time_ns, energy_nj = self.scheduler.costs["AAP2"]
+        self.ledger.record(
+            "AAP2",
+            time_ns=time_ns,
+            energy_nj=energy_nj * len(ops),
+            count=len(ops),
         )
         results = []
         for src1, src2, des in ops:
@@ -546,8 +545,6 @@ class Controller:
                     clean,
                     "compute2",
                     "AAP2",
-                    self.timing.t_aap,
-                    self.energy.e_compute2,
                     charge_initial=False,
                 )
             )
@@ -639,7 +636,7 @@ class Controller:
         # Stage the query into x1 (one AAP), mirroring xnor_rows.
         sub.rowclone(temp.row, x1)
         self._record_trace("AAP1", temp.subarray_key, (temp.row, x1))
-        self._charge("AAP1", self.timing.t_aap, self.energy.e_aap_copy)
+        self._charge("AAP1")
         if n_rows == 0:
             return None
 
@@ -697,24 +694,7 @@ class Controller:
                 self._record_trace("AAP2", key, (x1, x2, x3))
                 self._record_trace("DPU", key, (x3,))
 
-        self.ledger.record(
-            "AAP1",
-            time_ns=scanned * self.timing.t_aap,
-            energy_nj=scanned * self.energy.e_aap_copy,
-            count=scanned,
-        )
-        self.ledger.record(
-            "AAP2",
-            time_ns=scanned * self.timing.t_aap,
-            energy_nj=scanned * self.energy.e_compute2,
-            count=scanned,
-        )
-        self.ledger.record(
-            "DPU",
-            time_ns=scanned * self.timing.t_dpu_clk,
-            energy_nj=scanned * self.energy.e_dpu_op,
-            count=scanned,
-        )
+        self._charge_scan(scanned)
         return hit
 
     def _scan_recover(
@@ -750,24 +730,7 @@ class Controller:
             if idx.size == 0:
                 break
             eng.note_retry(int(idx.size))
-            self.ledger.record(
-                "AAP1",
-                time_ns=idx.size * self.timing.t_aap,
-                energy_nj=idx.size * self.energy.e_aap_copy,
-                count=int(idx.size),
-            )
-            self.ledger.record(
-                "AAP2",
-                time_ns=idx.size * self.timing.t_aap,
-                energy_nj=idx.size * self.energy.e_compute2,
-                count=int(idx.size),
-            )
-            self.ledger.record(
-                "DPU",
-                time_ns=idx.size * self.timing.t_dpu_clk,
-                energy_nj=idx.size * self.energy.e_dpu_op,
-                count=int(idx.size),
-            )
+            self._charge_scan(int(idx.size))
             self._charge_verify(eng, count=int(idx.size))
             derated = rate * policy.restage_derate**attempt
             p_retry = np.where(
@@ -861,56 +824,4 @@ class Controller:
             (des.row,),
             payload=np.array([value], dtype=np.uint8),
         )
-        self._charge("AAP1", self.timing.t_aap, self.energy.e_aap_copy)
-
-    def not_row(self, src: RowAddress, des: RowAddress) -> np.ndarray:
-        """Bit-wise NOT via the reconfigurable SA: ``NOT a = XNOR(a, 0)``.
-
-        Costs one init (AAP1) of a zero compute row plus one staging
-        copy and one compute cycle — cheaper than Ambit's dual-row NOT
-        gadget, another dividend of the X(N)OR-native SA.
-        """
-        if not src.same_subarray(des):
-            raise ValueError("not_row operands must share a sub-array")
-        sub = self.device.subarray_at(src)
-        x1 = src.with_row(sub.compute_row(1))
-        x2 = src.with_row(sub.compute_row(2))
-        self.copy(src, x1)
-        self.init_row(x2, 0)
-        return self.compute2(x1, x2, des, SAOp.XNOR2)
-
-    def move_row(self, src: RowAddress, des: RowAddress) -> None:
-        """Inter-sub-array row move through the shared GRB.
-
-        Same-sub-array moves degenerate to a RowClone; cross-sub-array
-        moves ride the MAT's global row buffer (read + write, the
-        routing traffic the Fig. 11 memory-wall study counts).
-        """
-        self.device.validate_address(src)
-        self.device.validate_address(des)
-        if src.same_subarray(des):
-            self.copy(src, des)
-            return
-        data = self.device.subarray_at(src).read_row(src.row)
-        mat = self.device.mat_at(des.bank, des.mat)
-        mat.grb.load(data)
-        self.device.subarray_at(des).write_row(des.row, mat.grb.read())
-        self._record_trace("MEM_RD", src.subarray_key, (src.row,))
-        self._record_trace("MEM_WR", des.subarray_key, (des.row,), payload=data)
-        self._charge("MEM_RD", self.timing.t_read_row, self.energy.e_read_row)
-        self._charge("MEM_WR", self.timing.t_write_row, self.energy.e_write_row)
-
-    def xor3_rows(
-        self,
-        r1: RowAddress,
-        r2: RowAddress,
-        r3: RowAddress,
-        des: RowAddress,
-    ) -> np.ndarray:
-        """Three-input XOR (parity) via latch-assisted sum: 2 cycles.
-
-        ``des = r1 ^ r2 ^ r3`` — the sum output of a full adder, used
-        by parity checks over row groups.
-        """
-        self.load_latch(r3)
-        return self.sum_cycle(r1, r2, des)
+        self._charge("AAP1")

@@ -59,11 +59,6 @@ class Dpu:
         arr = self._check(bits)
         return int(arr.any())
 
-    def popcount(self, bits: np.ndarray) -> int:
-        """Number of set bits (used for degree spot-checks in traversal)."""
-        arr = self._check(bits)
-        return int(arr.sum())
-
     def masked_and_reduce(self, bits: np.ndarray, mask: np.ndarray) -> int:
         """AND-reduce restricted to the positions where ``mask`` is 1.
 

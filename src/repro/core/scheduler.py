@@ -81,20 +81,19 @@ class BatchedAapScheduler:
     * each MAT's DPU runs reduce ops — a *separate* resource, so the
       DPU reduce of a scanned row overlaps the next row's activation.
 
-    Charging: one :meth:`charge` call is one mnemonic fanned out over a
-    vector of sub-arrays, the way one AAP command runs on every
-    sub-array at once.  At :meth:`flush` the batch's makespan is
-    computed, and each mnemonic is recorded with its full energy and
-    command count but with its serial time scaled by
-    ``makespan / serial`` so the phase totals add up to the
-    gang-scheduled wall-clock (documented in ``docs/CALIBRATION.md``).
-    Per-command costs come from the cached
+    Pricing: :meth:`flush_segments` is the one makespan computation.
+    It prices many independent gang schedules in one host pass — the
+    bulk hashmap prices one per read of a batch — and records each
+    mnemonic with its full energy and command count but with its
+    serial time scaled by ``makespan / serial``, so the phase totals
+    add up to the gang-scheduled wall-clock (documented in
+    ``docs/CALIBRATION.md``).  Per-command costs come from the cached
     :func:`repro.core.timing.command_cost_table`.
 
-    :meth:`flush_segments` prices many independent gang schedules in
-    one host pass — the bulk hashmap charges one per read of a batch —
-    with the ledger records, trace records and metrics a
-    :meth:`charge`/:meth:`flush` sequence per schedule would emit.
+    :meth:`charge` and :meth:`flush` are a queue in front of it: one
+    :meth:`charge` call is one mnemonic fanned out over a vector of
+    sub-arrays, the way one AAP command runs on every sub-array at
+    once, and :meth:`flush` prices the queued batch as one segment.
 
     ``trace`` is the controller's attached
     :class:`~repro.core.trace.CommandTrace` (``None`` when detached):
@@ -110,21 +109,25 @@ class BatchedAapScheduler:
         self.energy = energy or DEFAULT_ENERGY
         self.costs = command_cost_table(self.timing, self.energy)
         self.trace: CommandTrace | None = None
-        #: resource -> index into ``_busy``: sub-array keys, plus
-        #: ``("grb", bank, mat)`` and ``("dpu", bank, mat)``
+        #: resource -> id: sub-array keys, plus ``("grb", bank, mat)``
+        #: and ``("dpu", bank, mat)``
         self._resource_ids: dict[tuple, int] = {}
         #: sub-array key -> (sub-array, MAT GRB, MAT DPU) resource ids
         self._key_ids: dict[tuple, tuple[int, int, int]] = {}
-        #: the last charged key vector and its ``(n, 3)`` id array: the
+        #: the last resolved key vector and its ``(n, 3)`` id array: the
         #: charges of one kernel all share one key vector
         self._last_keys: list = []
         self._last_ids = np.zeros((0, 3), dtype=np.intp)
-        self._busy = np.zeros(0, dtype=np.float64)
-        self._time_ns: Counter = Counter()
-        self._energy_nj: Counter = Counter()
-        self._counts: Counter = Counter()
+        #: the :meth:`charge` queue: ``(mnemonic, keys, counts)`` per call
+        self._queue: list[tuple[str, list, np.ndarray]] = []
 
-    # ----- queueing -------------------------------------------------------
+    def _cost(self, mnemonic: str) -> tuple[float, float]:
+        try:
+            return self.costs[mnemonic]
+        except KeyError:
+            raise ValueError(
+                f"no cost model for mnemonic {mnemonic!r}"
+            ) from None
 
     def _ids(self, keys: list) -> np.ndarray:
         """``(len(keys), 3)`` sub-array, MAT GRB and MAT DPU ids."""
@@ -137,14 +140,13 @@ class BatchedAapScheduler:
                     resources.setdefault(resource, len(resources))
                     for resource in (key, ("grb", *mat), ("dpu", *mat))
                 )
-            grow = len(resources) - self._busy.size
-            if grow > 0:
-                self._busy = np.concatenate((self._busy, np.zeros(grow)))
             self._last_keys = keys
             self._last_ids = np.array(
                 [key_ids[key] for key in keys], dtype=np.intp
             ).reshape(-1, 3)
         return self._last_ids
+
+    # ----- the charge queue --------------------------------------------------
 
     def charge(
         self,
@@ -154,66 +156,44 @@ class BatchedAapScheduler:
     ) -> None:
         """Queue ``counts[i]`` commands of one kind on ``subarray_keys[i]``.
 
-        Zero counts are skipped.  Busy time accumulates with one
-        ``np.add.at`` per resource kind over cached resource ids, in
-        key order (so repeated keys sum exactly as a per-key loop
-        would).
+        Nothing is priced until :meth:`flush`.  Keys and counts must
+        have equal lengths and counts must be non-negative; each
+        mnemonic is charged at most once per batch.
         """
-        try:
-            time_ns, energy_nj = self.costs[mnemonic]
-        except KeyError:
-            raise ValueError(
-                f"no cost model for mnemonic {mnemonic!r}"
-            ) from None
+        self._cost(mnemonic)  # reject an unknown mnemonic at once
+        if any(queued == mnemonic for queued, _, _ in self._queue):
+            raise ValueError(f"{mnemonic!r} already charged in this batch")
         keys = list(subarray_keys)
         if not isinstance(counts, np.ndarray):
             counts = list(counts)
         counts = np.asarray(counts).astype(np.int64)
-        if counts.size != len(keys):  # zip semantics: the shorter wins
-            n = min(counts.size, len(keys))
-            counts, keys = counts[:n], keys[:n]
-        ids = self._ids(keys)  # before reading self._busy: may grow it
-        live = counts > 0
-        if not live.all():
-            counts, ids = counts[live], ids[live]
-            keys = [key for key, on in zip(keys, live.tolist()) if on]
-        if not keys:
-            return
-        key_ns = counts * time_ns
-        for column in _resource_columns(mnemonic):
-            np.add.at(self._busy, ids[:, column], key_ns)
-        counts = counts.tolist()
-        self._trace_charges(mnemonic, keys, counts, time_ns)
-        total = sum(counts)
-        self._time_ns[mnemonic] += total * time_ns
-        self._energy_nj[mnemonic] += total * energy_nj
-        self._counts[mnemonic] += total
-
-    def _trace_charges(
-        self, mnemonic: str, keys: list, counts: list, time_ns: float
-    ) -> None:
-        """Record each key's nonzero share of a charge to the trace."""
-        if self.trace is not None:
-            for key, count in zip(keys, counts):
-                if count > 0:
-                    self.trace.charge(mnemonic, key, count, count * time_ns)
-
-    # ----- flushing ----------------------------------------------------------
-
-    @property
-    def pending_commands(self) -> int:
-        return sum(self._counts.values())
+        if counts.size != len(keys):
+            raise ValueError(
+                f"{len(keys)} sub-array keys but {counts.size} counts"
+            )
+        if (counts < 0).any():
+            raise ValueError("command counts must be non-negative")
+        self._queue.append((mnemonic, keys, counts))
 
     def flush(self) -> BatchReport:
-        """Charge the queued batch to the ledger as one gang schedule."""
-        makespan = float(self._busy.max()) if self._busy.size else 0.0
-        report = self._record(
-            self._time_ns, self._energy_nj, self._counts, makespan
+        """Charge the queued batch to the ledger as one gang schedule.
+
+        The queue goes through :meth:`flush_segments` as one segment
+        whose entries are every charge's keys in charge order.
+        """
+        queue, self._queue = self._queue, []
+        keys = [key for _, charged, _ in queue for key in charged]
+        if not keys:
+            return BatchReport(serial_ns=0.0, makespan_ns=0.0, commands=0)
+        charges, lo = [], 0
+        for mnemonic, charged, counts in queue:
+            column = np.zeros(len(keys), dtype=np.int64)
+            column[lo : lo + counts.size] = counts
+            charges.append((mnemonic, column))
+            lo += counts.size
+        (report,) = self.flush_segments(
+            keys, np.arange(len(keys)), np.zeros(len(keys)), charges
         )
-        self._busy.fill(0.0)
-        self._time_ns.clear()
-        self._energy_nj.clear()
-        self._counts.clear()
         return report
 
     def flush_segments(
@@ -223,31 +203,32 @@ class BatchedAapScheduler:
         segments: np.ndarray,
         charges: "list[tuple[str, np.ndarray]]",
         before_flush: "Callable[[int], None] | None" = None,
-    ) -> None:
-        """Charge and flush one gang schedule per segment, in one pass.
+    ) -> list[BatchReport]:
+        """Price and record one gang schedule per segment, in one pass.
 
-        Entry ``j`` queues ``counts[j]`` commands of each ``(mnemonic,
+        Entry ``j`` puts ``counts[j]`` commands of each ``(mnemonic,
         counts)`` in ``charges`` on ``keys[key_index[j]]``; consecutive
-        entries with equal ``segments`` labels form one schedule.  The
-        outcome equals, per segment in order, one :meth:`charge` per
-        mnemonic over the segment's entries followed by :meth:`flush`:
-        the same ledger records, trace records and ``pim.batch.*``
-        metrics.  Busy times sum integer-nanosecond command times, so
-        they are exact in any order; per-mnemonic time and energy use
-        :meth:`flush`'s float operations.  ``before_flush(i)`` runs
-        between segment ``i``'s charges and its flush.  Mnemonics must
-        be distinct; the :meth:`charge` queue is left untouched.
+        entries with equal ``segments`` labels form one schedule.  Per
+        segment, in order: each mnemonic's nonzero per-entry shares go
+        to the trace, ``before_flush(i)`` runs, and the schedule's
+        per-mnemonic totals go to the ledger with ``pim.batch.*``
+        metrics.  A resource's busy time sums its entries in entry
+        order.  Mnemonics must be distinct.  Returns one
+        :class:`BatchReport` per segment.
         """
+        names = [mnemonic for mnemonic, _ in charges]
+        if len(set(names)) != len(names):
+            raise ValueError(f"mnemonics charged more than once: {names}")
         segments = np.asarray(segments)
         if not segments.size:
-            return
+            return []
         change = np.concatenate(([False], segments[1:] != segments[:-1]))
         starts = np.concatenate(([0], np.flatnonzero(change)))
         # per entry: busy ns on its sub-array, MAT GRB and MAT DPU
         busy = np.zeros((3, segments.size))
         rows = []
         for mnemonic, counts in charges:
-            time_ns, energy_nj = self.costs[mnemonic]
+            time_ns, energy_nj = self._cost(mnemonic)
             counts = np.asarray(counts, dtype=np.int64)
             for column in _resource_columns(mnemonic):
                 busy[column] += counts * time_ns
@@ -272,13 +253,16 @@ class BatchedAapScheduler:
         makespans = np.maximum.reduceat(per_resource, first).tolist()
         bounds = np.append(starts, segments.size).tolist()
         entry_keys = [keys[i] for i in np.asarray(key_index).tolist()]
+        trace = self.trace
+        reports = []
         for i, makespan in enumerate(makespans):
             lo, hi = bounds[i], bounds[i + 1]
             time_ns, energy_nj, totals = {}, {}, {}
             for mnemonic, t, e, counts, per_segment in rows:
-                self._trace_charges(
-                    mnemonic, entry_keys[lo:hi], counts[lo:hi], t
-                )
+                if trace is not None:
+                    for key, count in zip(entry_keys[lo:hi], counts[lo:hi]):
+                        if count > 0:
+                            trace.charge(mnemonic, key, count, count * t)
                 total = per_segment[i]
                 if total > 0:
                     time_ns[mnemonic] = total * t
@@ -286,7 +270,8 @@ class BatchedAapScheduler:
                     totals[mnemonic] = total
             if before_flush is not None:
                 before_flush(i)
-            self._record(time_ns, energy_nj, totals, makespan)
+            reports.append(self._record(time_ns, energy_nj, totals, makespan))
+        return reports
 
     def _record(
         self,

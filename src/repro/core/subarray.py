@@ -120,36 +120,6 @@ class SubArray:
             raise IndexError(f"row range [{start}, {stop}) out of bounds")
         return self.store.read_rows(self._slot, start, stop)
 
-    # ----- unpacked snapshots (read-only at the pack boundary) ---------------
-
-    def row_view(self, row: int) -> np.ndarray:
-        """Unpacked snapshot of one row; treat as read-only.
-
-        Before the columnar store this was a live view; it is now a
-        fresh unpack of the packed words, so mutations do NOT reach
-        storage — writers go through :meth:`write_row` or the packed
-        word APIs of :class:`~repro.core.storage.BitPlaneStore`.
-        """
-        return self.store.read_row(self._slot, self._check_row(row))
-
-    def block_view(self, start: int, stop: int) -> np.ndarray:
-        """Unpacked snapshot of the row block ``[start, stop)`` (read-only)."""
-        self._check_row(start)
-        if stop < start or stop > self.geometry.rows:
-            raise IndexError(f"row range [{start}, {stop}) out of bounds")
-        return self.store.read_rows(self._slot, start, stop)
-
-    @property
-    def raw_bits(self) -> np.ndarray:
-        """Unpacked snapshot of the whole bit matrix (read-only).
-
-        The bulk engine used to mutate through this; it now writes
-        packed words directly (:attr:`store` / :attr:`slot`), and this
-        accessor exists for tests and debugging that compare whole
-        matrices.
-        """
-        return self.store.snapshot_slot(self._slot)
-
     def rowclone(self, src: int, des: int) -> None:
         """In-sub-array copy via back-to-back activation (AAP type 1)."""
         self.store.copy_row(

@@ -69,29 +69,23 @@ def wallace_column_sum(
     pim: PimAssembler,
     rows: Sequence[np.ndarray],
     subarray_key: tuple[int, int, int] = (0, 0, 0),
-    engine: str = "scalar",
 ) -> np.ndarray:
     """Column-wise sum of many 0/1 rows via in-memory carry-save adds.
+
+    Every compression executes through the controller; the bulk engine
+    charges the same schedule's command counts with
+    :func:`_charge_wallace` instead.
 
     Args:
         pim: the platform (a scratch sub-array is used for all work).
         rows: bit vectors (each at most one row wide).
         subarray_key: which sub-array to compute in.
-        engine: ``"scalar"`` executes every compression through the
-            controller; ``"bulk"`` computes the sum as one bit-plane
-            expression and charges the identical command counts in one
-            batch (falls back to scalar under live sum/TRA fault
-            rates, whose per-op draw order is part of the contract).
 
     Returns:
         int64 vector of per-column sums (width = row width).
     """
-    if engine not in ("scalar", "bulk"):
-        raise ValueError("engine must be 'scalar' or 'bulk'")
     if not rows:
         raise ValueError("need at least one row")
-    if engine == "bulk":
-        return _wallace_column_sum_bulk(pim, rows, subarray_key)
     scratch = _ScratchRows(pim, subarray_key)
     ctrl = pim.controller
     width = pim.row_bits
@@ -229,38 +223,6 @@ def _charge_wallace(
         if eng is not None
         else None,
     )
-
-
-def _wallace_column_sum_bulk(
-    pim: PimAssembler,
-    rows: Sequence[np.ndarray],
-    subarray_key: tuple[int, int, int],
-) -> np.ndarray:
-    """Bulk bit-plane evaluation of :func:`wallace_column_sum`.
-
-    The column sums are one NumPy reduction; the ledger is charged the
-    scalar schedule's exact command and verify counts as one batch.
-    The scratch sub-array's transient row contents are not replayed
-    (the scalar path overwrites them freely and nothing reads them
-    back); runs with live sum/TRA fault rates use the scalar path so
-    the RNG stream stays per-op exact.
-    """
-    if _live_sum_faults(pim):
-        return wallace_column_sum(pim, rows, subarray_key, engine="scalar")
-
-    checkpoint()  # per-reduction cancellation point (bulk path)
-    width = pim.row_bits
-    staged = []
-    for bits in rows:
-        arr = np.asarray(bits, dtype=np.uint8).ravel()
-        if arr.size > width:
-            raise ValueError(f"row of {arr.size} bits exceeds width {width}")
-        if arr.size < width:
-            arr = np.pad(arr, (0, width - arr.size))
-        staged.append(arr)
-    total = np.stack(staged).astype(np.int64).sum(axis=0)
-    _charge_wallace(pim, subarray_key, [len(staged)])
-    return total
 
 
 def _adjacency_pairs(
@@ -418,9 +380,7 @@ def degree_vectors_pim(
             checkpoint()  # per-chunk cancellation point
             rows = _dense_rows(hits[direction], index, len(chunk_nodes))
             if rows:
-                sums = wallace_column_sum(
-                    pim, rows, subarray_key, engine=engine
-                )
+                sums = wallace_column_sum(pim, rows, subarray_key)
             else:
                 sums = np.zeros(width, dtype=np.int64)
             for i, node in enumerate(chunk_nodes):

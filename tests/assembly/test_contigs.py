@@ -9,7 +9,7 @@ from repro.assembly.contigs import (
     spell_path,
 )
 from repro.assembly.debruijn import build_graph_from_sequences
-from repro.assembly.euler import eulerian_path, unitigs
+from repro.assembly.euler import eulerian_path, eulerian_paths, unitigs
 from repro.genome.sequence import DnaSequence
 
 dna = st.text(alphabet="ACGT", min_size=8, max_size=80)
@@ -82,38 +82,33 @@ class TestContigExtraction:
         text = "ACGTACGTTGCAGG"
         k = 4
         g = graph_of(text, k)
-        contigs = assemble_contigs(g, mode="unitig")
+        contigs = assemble_contigs(g)
         total_kmers = sum(c.edge_count for c in contigs)
         assert total_kmers == g.num_edges
 
     def test_euler_mode_on_clean_graph(self):
         text = "ACGTTGCA"
         g = graph_of(text, 4)
-        contigs = assemble_contigs(g, mode="euler")
+        contigs = contigs_from_paths(g, eulerian_paths(g))
         assert len(contigs) == 1
         assert str(contigs[0].sequence) == text
 
-    def test_unknown_mode(self):
-        g = graph_of("ACGT", 3)
-        with pytest.raises(ValueError):
-            assemble_contigs(g, mode="greedy")
-
     def test_min_length_filter(self):
         g = graph_of("ACGTACGTTGCAGG", 4)
-        all_contigs = assemble_contigs(g, mode="unitig")
-        filtered = assemble_contigs(g, mode="unitig", min_length=6)
+        all_contigs = assemble_contigs(g)
+        filtered = assemble_contigs(g, min_length=6)
         assert all(len(c) >= 6 for c in filtered)
         assert len(filtered) <= len(all_contigs)
 
     def test_contigs_sorted_longest_first(self):
         g = graph_of("ACGTACGTTGCAGGAATTCC", 4)
-        contigs = assemble_contigs(g, mode="unitig")
+        contigs = assemble_contigs(g)
         lengths = [len(c) for c in contigs]
         assert lengths == sorted(lengths, reverse=True)
 
     def test_contig_names_are_rank_ordered(self):
         g = graph_of("ACGTACGTTGCAGG", 4)
-        contigs = assemble_contigs(g, mode="unitig")
+        contigs = assemble_contigs(g)
         assert [c.name for c in contigs] == [
             f"contig{i}" for i in range(len(contigs))
         ]

@@ -4,8 +4,9 @@ import pytest
 
 from repro.assembly import (
     assemble,
-    assemble_contigs,
     assemble_with_pim,
+    contigs_from_paths,
+    eulerian_paths,
     evaluate_assembly,
 )
 from repro.assembly.pipeline import PimPipeline
@@ -53,7 +54,7 @@ class TestReferenceRecovery:
         reads = sim.sample(reference, sim.reads_for_coverage(200, 25))
         pim = PimAssembler.small(subarrays=8, rows=256, cols=64)
         result = PimPipeline(pim, k=15).run(reads)
-        contigs = assemble_contigs(result.graph, mode="euler")
+        contigs = contigs_from_paths(result.graph, eulerian_paths(result.graph))
         report = evaluate_assembly(contigs, reference)
         assert report.genome_fraction > 0.9
 

@@ -1,6 +1,5 @@
 """Bulk execution: the batched scheduler and its one-charge-path callers."""
 
-import numpy as np
 import pytest
 
 from repro.core import PimAssembler
@@ -8,10 +7,6 @@ from repro.core.scheduler import BatchedAapScheduler
 from repro.core.stats import StatsLedger
 from repro.core.timing import DEFAULT_TIMING, command_latency_table
 from repro.core.trace import CommandTrace
-
-
-def random_block(rng, n, w):
-    return rng.integers(0, 2, (n, w)).astype(np.uint8)
 
 
 K0 = (0, 0, 0)
@@ -44,8 +39,7 @@ class TestBatchedScheduler:
     def test_disjoint_subarrays_coalesce(self):
         """The same work across N sub-arrays gangs into ~1/N the time."""
         ledger, sched = self.make()
-        for s in range(8):
-            sched.charge("AAP1", [(0, 0, s)], [10])
+        sched.charge("AAP1", [(0, 0, s) for s in range(8)], [10] * 8)
         report = sched.flush()
         assert report.coalescing_speedup == pytest.approx(8.0)
         latency = command_latency_table(DEFAULT_TIMING)
@@ -70,8 +64,7 @@ class TestBatchedScheduler:
     def test_grb_serialises_mat_transfers(self):
         """Host reads of two sub-arrays of one MAT share the GRB."""
         ledger, sched = self.make()
-        sched.charge("MEM_RD", [(0, 0, 0)], [5])
-        sched.charge("MEM_RD", [(0, 0, 1)], [5])
+        sched.charge("MEM_RD", [(0, 0, 0), (0, 0, 1)], [5, 5])
         report = sched.flush()
         assert report.makespan_ns == pytest.approx(report.serial_ns)
 
@@ -84,7 +77,6 @@ class TestBatchedScheduler:
         ledger, sched = self.make()
         sched.charge("AAP1", [K0], [2])
         sched.flush()
-        assert sched.pending_commands == 0
         report = sched.flush()
         assert report.commands == 0
         assert report.serial_ns == 0.0
@@ -95,39 +87,9 @@ class TestBatchedScheduler:
         sched.trace = trace
         sched.charge("AAP1", [(0, 0, 0), (0, 0, 1), (0, 0, 2)], [0, 3, 0])
         sched.charge("AAP2", [(0, 0, 0)], [0])
-        assert sched.pending_commands == 3
+        assert sched.flush().commands == 3
         assert [c[:3] for c in trace.charges] == [("AAP1", (0, 0, 1), 3)]
-        sched.flush()
         assert ledger.totals().commands == {"AAP1": 3}
-
-    def test_vector_charge_equals_single_key_charges(self):
-        """One charge over N keys == N one-key charges, in every output."""
-        keys = [(b, m, s) for b in range(2) for m in range(2) for s in range(3)]
-        counts = [3, 0, 7, 1, 4, 4, 0, 9, 2, 5, 1, 6]
-
-        def run(vector):
-            ledger, sched = self.make()
-            trace = CommandTrace()
-            sched.trace = trace
-            for mnemonic in ("MEM_WR", "MEM_RD", "AAP1", "AAP2", "DPU"):
-                if vector:
-                    sched.charge(mnemonic, keys, counts)
-                else:
-                    for key, count in zip(keys, counts):
-                        sched.charge(mnemonic, [key], [count])
-            return sched.flush(), ledger.totals(), trace
-
-        report_v, totals_v, trace_v = run(vector=True)
-        report_s, totals_s, trace_s = run(vector=False)
-        assert report_v.commands == report_s.commands
-        assert report_v.makespan_ns == report_s.makespan_ns
-        assert report_v.serial_ns == pytest.approx(report_s.serial_ns, rel=1e-12)
-        assert totals_v.commands == totals_s.commands
-        assert totals_v.time_ns == pytest.approx(totals_s.time_ns, rel=1e-12)
-        assert totals_v.energy_nj == pytest.approx(totals_s.energy_nj, rel=1e-12)
-        assert trace_v.charges == trace_s.charges
-        assert trace_v.flushes == trace_s.flushes
-        assert len(trace_v.charges) == 5 * sum(1 for c in counts if c)
 
 
 class TestControllerScheduler:
@@ -156,7 +118,7 @@ class TestControllerScheduler:
     def assert_drained(self, pim, calls):
         sched = pim.controller.scheduler
         assert calls and all(owner is sched for owner, _ in calls)
-        assert sched.pending_commands == 0
+        assert sched.flush().commands == 0
 
     def test_hashmap_round_charges_once_per_mnemonic(self, spy):
         from repro.assembly.hashmap import PimKmerCounter
@@ -171,11 +133,10 @@ class TestControllerScheduler:
         assert sorted(mnemonics) == ["AAP1", "AAP2", "DPU", "MEM_RD", "MEM_WR"]
         self.assert_drained(pim, spy)
 
-    def test_wallace_reduction_drains(self, spy, rng):
-        from repro.mapping.adjacency import wallace_column_sum
+    def test_wallace_reduction_drains(self, spy):
+        from repro.mapping.adjacency import _charge_wallace
 
         pim = PimAssembler.small(subarrays=2, rows=64, cols=32)
-        rows = [random_block(rng, 1, 32)[0] for _ in range(9)]
-        wallace_column_sum(pim, rows, (0, 0, 0), engine="bulk")
+        _charge_wallace(pim, (0, 0, 0), [9])
         assert len(spy) == 6
         self.assert_drained(pim, spy)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import PimAssembler
 from repro.core.isa import RowAddress, SAOp
+from repro.core.timing import command_cost_table
 from repro.core.trace import CommandTrace
 
 
@@ -142,11 +143,6 @@ class TestDpuPath:
         assert pim.controller.dpu_match(des, mask)  # first 16 agree
         assert not pim.controller.dpu_match(des)  # full row differs
 
-    def test_dpu_popcount(self, small_pim):
-        pim = small_pim
-        a = store(pim, [1, 0, 1, 1] + [0] * 28)
-        assert pim.controller.dpu_popcount(a) == 3
-
     def test_dpu_scalar_add_wraps(self, small_pim):
         result = small_pim.controller.dpu_scalar_add((0, 0, 0), 255, 1, bits=8)
         assert result == 0
@@ -225,6 +221,110 @@ class TestRippleAdd:
         wb = pim.store_word_columns([1], bits=1)
         ws = pim.pim_add(wa, wb)
         assert pim.read_word_columns(ws)[0] == 16
+
+
+def _scan_setup(pim, rng):
+    rows = [store(pim, rng.integers(0, 2, 32)) for _ in range(4)]
+    return rows[2], rows[0].row  # the query is the third candidate
+
+
+#: every scalar op of the controller, run on a fresh small device
+SCALAR_OPS = {
+    "copy": lambda pim, rng: pim.controller.copy(
+        store(pim, rng.integers(0, 2, 32)), pim.allocate_row()
+    ),
+    "compute2": lambda pim, rng: pim.controller.compute2(
+        *(store(pim, rng.integers(0, 2, 32)) for _ in range(2)),
+        pim.allocate_row(),
+        SAOp.XOR2,
+    ),
+    "tra_carry": lambda pim, rng: pim.controller.tra_carry(
+        *(store(pim, rng.integers(0, 2, 32)) for _ in range(3)),
+        pim.allocate_row(),
+    ),
+    "sum_cycle": lambda pim, rng: pim.controller.sum_cycle(
+        *(store(pim, rng.integers(0, 2, 32)) for _ in range(2)),
+        pim.allocate_row(),
+    ),
+    "load_latch": lambda pim, rng: pim.controller.load_latch(
+        store(pim, rng.integers(0, 2, 32))
+    ),
+    "write_row": lambda pim, rng: pim.controller.write_row(
+        pim.allocate_row(), rng.integers(0, 2, 32)
+    ),
+    "read_row": lambda pim, rng: pim.controller.read_row(pim.allocate_row()),
+    "read_fields": lambda pim, rng: pim.controller.read_fields(
+        [(0, 0, 0), (0, 0, 1), (0, 0, 0)], np.array([1, 2, 3]), np.zeros(3), 4
+    ),
+    "dpu_match": lambda pim, rng: pim.controller.dpu_match(
+        store(pim, rng.integers(0, 2, 32))
+    ),
+    "dpu_scalar_add": lambda pim, rng: pim.controller.dpu_scalar_add(
+        (0, 0, 0), 3, 4
+    ),
+    "xnor_rows": lambda pim, rng: pim.controller.xnor_rows(
+        *(store(pim, rng.integers(0, 2, 32)) for _ in range(2)),
+        pim.allocate_row(),
+    ),
+    "compare_scan": lambda pim, rng: pim.controller.compare_scan(
+        *_scan_setup(pim, rng), 4
+    ),
+    "ripple_add": lambda pim, rng: pim.controller.ripple_add(
+        [store(pim, rng.integers(0, 2, 32)) for _ in range(3)],
+        [store(pim, rng.integers(0, 2, 32)) for _ in range(3)],
+        [pim.allocate_row() for _ in range(3)],
+        pim.allocate_row(),
+    ),
+    "compress_3to2": lambda pim, rng: pim.controller.compress_3to2(
+        *(store(pim, rng.integers(0, 2, 32)) for _ in range(3)),
+        pim.allocate_row(),
+        pim.allocate_row(),
+    ),
+    "init_row": lambda pim, rng: pim.controller.init_row(pim.allocate_row(), 1),
+}
+
+
+class _Records:
+    """Recorder summing each mnemonic's ledger records."""
+
+    def __init__(self):
+        self.per_mnemonic = {}
+
+    def on_command(self, command, count, time_ns, energy_nj, phase):
+        n, t, e = self.per_mnemonic.get(command, (0, 0.0, 0.0))
+        self.per_mnemonic[command] = (n + count, t + time_ns, e + energy_nj)
+
+
+class TestPricingParity:
+    """Scalar ops price every command from the cost table."""
+
+    @pytest.mark.parametrize("op", sorted(SCALAR_OPS))
+    def test_time_and_energy_are_count_times_table(self, op, rng):
+        pim = PimAssembler.small(subarrays=4, rows=64, cols=32)
+        records = _Records()
+        pim.stats.attach_recorder(records)
+        SCALAR_OPS[op](pim, rng)
+        costs = command_cost_table(pim.controller.timing, pim.controller.energy)
+        assert records.per_mnemonic
+        for mnemonic, (count, time_ns, energy_nj) in records.per_mnemonic.items():
+            assert mnemonic in costs, mnemonic
+            latency, energy = costs[mnemonic]
+            assert time_ns == pytest.approx(count * latency, rel=1e-12)
+            assert energy_nj == pytest.approx(count * energy, rel=1e-12)
+
+    def test_gang_charges_time_once_energy_per_member(self, rng):
+        pim = PimAssembler.small(subarrays=4, rows=64, cols=32)
+        ops = [
+            tuple(store(pim, rng.integers(0, 2, 32), (0, 0, s)) for _ in range(3))
+            for s in range(3)
+        ]
+        records = _Records()
+        pim.stats.attach_recorder(records)
+        pim.controller.gang_compute2(ops)
+        latency, energy = command_cost_table(
+            pim.controller.timing, pim.controller.energy
+        )["AAP2"]
+        assert records.per_mnemonic == {"AAP2": (3, latency, 3 * energy)}
 
 
 class TestGangExecution:

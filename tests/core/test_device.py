@@ -103,9 +103,6 @@ class TestDpu:
         assert dpu.or_reduce(np.zeros(4, dtype=np.uint8)) == 0
         assert dpu.or_reduce(np.array([0, 1], dtype=np.uint8)) == 1
 
-    def test_popcount(self):
-        assert Dpu(width=8).popcount(np.array([1, 0, 1, 1], dtype=np.uint8)) == 3
-
     def test_masked_and_reduce(self):
         dpu = Dpu(width=8)
         bits = np.array([1, 1, 0, 0], dtype=np.uint8)
@@ -128,4 +125,4 @@ class TestDpu:
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
-            Dpu(width=4).popcount(np.zeros((2, 2), dtype=np.uint8))
+            Dpu(width=4).and_reduce(np.zeros((2, 2), dtype=np.uint8))

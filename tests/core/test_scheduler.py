@@ -188,11 +188,13 @@ class _RecordingLedger:
 
 
 class _PerKeyScheduler(BatchedAapScheduler):
-    """Reference: busy time summed key by key into a dict."""
+    """Reference: each charge priced key by key into dicts at charge
+    time, reading nothing of the base class but its cost table."""
 
     def __init__(self, ledger):
         super().__init__(ledger)
         self._ref_busy = {}
+        self._ref_totals = {}  # mnemonic -> [time_ns, energy_nj, count]
 
     def charge(self, mnemonic, subarray_keys, counts):
         time_ns, energy_nj = self.costs[mnemonic]
@@ -217,28 +219,27 @@ class _PerKeyScheduler(BatchedAapScheduler):
                     self._ref_busy.get(resource, 0.0) + key_ns
                 )
         if total:
-            self._time_ns[mnemonic] += total * time_ns
-            self._energy_nj[mnemonic] += total * energy_nj
-            self._counts[mnemonic] += total
+            self._ref_totals[mnemonic] = [
+                total * time_ns, total * energy_nj, total
+            ]
 
     def flush(self):
-        serial = float(sum(self._time_ns.values()))
+        totals = self._ref_totals
+        serial = float(sum(t for t, _, _ in totals.values()))
         makespan = max(self._ref_busy.values(), default=0.0)
-        commands = self.pending_commands
+        commands = sum(n for _, _, n in totals.values())
         if commands:
             self.trace.flush(serial, makespan, commands)
         scale = (makespan / serial) if serial > 0 else 0.0
-        for mnemonic, count in self._counts.items():
+        for mnemonic, (time_ns, energy_nj, count) in totals.items():
             self.ledger.record(
                 mnemonic,
-                time_ns=self._time_ns[mnemonic] * scale,
-                energy_nj=self._energy_nj[mnemonic],
+                time_ns=time_ns * scale,
+                energy_nj=energy_nj,
                 count=count,
             )
-        self._ref_busy.clear()
-        self._time_ns.clear()
-        self._energy_nj.clear()
-        self._counts.clear()
+        self._ref_busy = {}
+        self._ref_totals = {}
         return BatchReport(
             serial_ns=serial, makespan_ns=makespan, commands=commands
         )
@@ -259,10 +260,10 @@ def _charge_script(sched):
     sched.charge("MEM_WR", iter([d, a]), {0: 2, 1: 8}.values())
     sched.charge("AAP1", [], [])
     shared = [a, b]  # one key list, mutated between two charges
-    sched.charge("AAP1", shared, [1, 2])
+    sched.charge("AAP3", shared, [1, 2])
     shared[1] = d
-    sched.charge("AAP1", shared, [3, 4])
-    sched.charge("MEM_RD", [a, b, c], [2, 1])  # zip: the shorter wins
+    sched.charge("SUM", shared, [3, 4])
+    sched.charge("MEM_RD", [a, b, c], [2, 1, 0])
     reports.append(sched.flush())
     reports.append(sched.flush())  # an empty batch
     return reports
@@ -297,7 +298,63 @@ class TestVectorCharge:
         sched.charge("AAP1", [(0, 0, 1)], [1])
         small = sched.flush()
         assert small.makespan_ns == pytest.approx(big.makespan_ns / 100)
-        assert sched.pending_commands == 0
+        assert sched.flush() == BatchReport(0.0, 0.0, 0)
+
+
+class TestInputDefects:
+    """Malformed charges raise instead of dropping commands."""
+
+    def test_repeated_mnemonic_in_flush_segments(self):
+        sched = BatchedAapScheduler(_RecordingLedger())
+        with pytest.raises(ValueError, match="more than once"):
+            sched.flush_segments(
+                [(0, 0, 0)],
+                np.zeros(1, dtype=np.intp),
+                np.zeros(1),
+                [("AAP1", np.array([1])), ("AAP1", np.array([2]))],
+            )
+        assert sched.ledger.calls == []
+
+    def test_repeated_mnemonic_in_one_batch(self):
+        sched = BatchedAapScheduler(_RecordingLedger())
+        sched.charge("AAP1", [(0, 0, 0)], [1])
+        with pytest.raises(ValueError, match="already charged"):
+            sched.charge("AAP1", [(0, 0, 1)], [2])
+        report = sched.flush()  # the first charge is still queued
+        assert report.commands == 1
+        sched.charge("AAP1", [(0, 0, 1)], [2])  # a new batch may
+        assert sched.flush().commands == 2
+
+    @pytest.mark.parametrize(
+        "keys,counts", [([(0, 0, 0), (0, 0, 1)], [1]), ([(0, 0, 0)], [1, 2])]
+    )
+    def test_length_mismatch(self, keys, counts):
+        sched = BatchedAapScheduler(_RecordingLedger())
+        with pytest.raises(ValueError, match="counts"):
+            sched.charge("AAP1", keys, counts)
+
+    def test_negative_count(self):
+        sched = BatchedAapScheduler(_RecordingLedger())
+        with pytest.raises(ValueError, match="non-negative"):
+            sched.charge("AAP1", [(0, 0, 0), (0, 0, 1)], [3, -1])
+
+    def test_unknown_mnemonic_is_value_error_on_both_paths(self):
+        sched = BatchedAapScheduler(_RecordingLedger())
+        with pytest.raises(ValueError, match="WARP"):
+            sched.charge("WARP", [(0, 0, 0)], [1])
+        with pytest.raises(ValueError, match="WARP"):
+            sched.flush_segments(
+                [(0, 0, 0)],
+                np.zeros(1, dtype=np.intp),
+                np.zeros(1),
+                [("WARP", np.array([1]))],
+            )
+
+    def test_no_per_batch_accumulators(self):
+        sched = BatchedAapScheduler(_RecordingLedger())
+        for name in ("_busy", "_time_ns", "_energy_nj", "_counts"):
+            assert not hasattr(sched, name)
+        assert not hasattr(BatchedAapScheduler, "pending_commands")
 
 
 class TestFlushSegments:

@@ -222,37 +222,14 @@ class TestExtendedOps:
         with pytest.raises(ValueError):
             pim.controller.init_row(pim.allocate_row(), 2)
 
-    def test_not_row(self, rng):
-        pim = PimAssembler.small()
-        data = rng.integers(0, 2, 32).astype(np.uint8)
-        src = pim.store_row(data)
-        des = pim.allocate_row()
-        out = pim.controller.not_row(src, des)
-        assert (out == 1 - data).all()
-
-    def test_move_row_across_subarrays(self, rng):
-        pim = PimAssembler.small()
-        data = rng.integers(0, 2, 32).astype(np.uint8)
-        src = pim.store_row(data, (0, 0, 0))
-        des = pim.allocate_row((0, 0, 2))
-        pim.controller.move_row(src, des)
-        assert (pim.controller.read_row(des) == data).all()
-        # cross-sub-array moves ride the GRB: read + write charged
-        assert pim.stats.command_count("MEM_RD") >= 1
-
-    def test_move_row_same_subarray_is_rowclone(self, rng):
-        pim = PimAssembler.small()
-        data = rng.integers(0, 2, 32).astype(np.uint8)
-        src = pim.store_row(data)
-        des = pim.allocate_row()
-        before = pim.stats.command_count("AAP1")
-        pim.controller.move_row(src, des)
-        assert pim.stats.command_count("AAP1") == before + 1
-
     def test_xor3(self, rng):
         pim = PimAssembler.small()
         rows = [rng.integers(0, 2, 32).astype(np.uint8) for _ in range(3)]
         addrs = [pim.store_row(r) for r in rows]
         des = pim.allocate_row()
-        out = pim.controller.xor3_rows(*addrs, des)
+        before = pim.stats.totals().total_commands
+        # three-input XOR in 2 cycles: latch r3, then the sum cycle
+        pim.controller.load_latch(addrs[2])
+        out = pim.controller.sum_cycle(addrs[0], addrs[1], des)
         assert (out == (rows[0] ^ rows[1] ^ rows[2])).all()
+        assert pim.stats.totals().total_commands == before + 2

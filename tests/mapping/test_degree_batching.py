@@ -69,7 +69,7 @@ def _charged_sum(pim, rows, subarray_key):
     if faults is not None and faults.enabled and (
         faults.sum_rate > 0.0 or faults.tra_rate > 0.0
     ):
-        return wallace_column_sum(pim, rows, subarray_key, engine="scalar")
+        return wallace_column_sum(pim, rows, subarray_key)
     checkpoint()
     width = pim.row_bits
     staged = [np.pad(np.asarray(r, np.uint8), (0, width - len(r))) for r in rows]
@@ -109,7 +109,7 @@ def reference_degrees(pim, graph, subarray_key=(0, 0, 0), engine="scalar", seen=
             elif engine == "bulk":
                 sums = _charged_sum(pim, rows, subarray_key)
             else:
-                sums = wallace_column_sum(pim, rows, subarray_key, engine="scalar")
+                sums = wallace_column_sum(pim, rows, subarray_key)
             for i, node in enumerate(chunk):
                 out[node] = int(sums[i])
     return in_deg, out_deg
