@@ -31,7 +31,8 @@ def run_study(variation_percent: float = 10.0):
         pim.controller.faults = FaultModel(compute2_rate=rate, seed=702)
         counter = PimKmerCounter(pim, 6)
         counter.add_sequence(reference)
-        table = counter.counts()
+        kmers, counts = counter.counts()
+        table = dict(zip(kmers.tolist(), counts.tolist()))
         mismatched = sum(
             1
             for key in set(golden.counts()) | set(table)

@@ -22,12 +22,12 @@ is asked for them (Euler/Fleury trails, interval-block partitioning).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.genome.alphabet import BITS_PER_BASE
-from repro.genome.kmer import MAX_PACKED_K, unpack_kmer
+from repro.genome.kmer import MAX_PACKED_K, packed_kmers_batch, unpack_kmer
 from repro.genome.sequence import DnaSequence
 
 
@@ -127,19 +127,19 @@ class DeBruijnGraph:
     @classmethod
     def from_counts(
         cls,
-        counts: Mapping[int, int],
+        kmers: np.ndarray,
+        counts: np.ndarray,
         k: int,
         min_count: int = 1,
     ) -> "DeBruijnGraph":
-        """Build the graph from a hash table of k-mer frequencies."""
+        """Build the graph from the hash table: its strictly increasing
+        packed k-mers and their frequencies (``PimKmerCounter.counts``),
+        keeping the k-mers seen at least ``min_count`` times."""
         if min_count <= 0:
             raise ValueError("min_count must be positive")
-        kmers = np.fromiter(counts.keys(), dtype=np.uint64, count=len(counts))
-        freqs = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        keep = freqs >= min_count
-        kmers, freqs = kmers[keep], freqs[keep]
-        order = np.argsort(kmers)
-        return cls(k, kmers[order], freqs[order])
+        counts = np.asarray(counts)
+        keep = counts >= min_count
+        return cls(k, np.asarray(kmers)[keep], counts[keep])
 
     # ----- queries ----------------------------------------------------------------
 
@@ -255,7 +255,6 @@ def build_graph_from_sequences(
     sequences: Iterable[DnaSequence], k: int, min_count: int = 1
 ) -> DeBruijnGraph:
     """Convenience: software count + graph build in one step."""
-    from repro.genome.kmer import count_kmers
-
-    counts = count_kmers(list(sequences), k)
-    return DeBruijnGraph.from_counts(counts, k=k, min_count=min_count)
+    packed, _ = packed_kmers_batch(list(sequences), k)
+    kmers, counts = np.unique(packed, return_counts=True)
+    return DeBruijnGraph.from_counts(kmers, counts, k=k, min_count=min_count)

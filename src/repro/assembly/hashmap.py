@@ -38,7 +38,6 @@ replay the scalar per-op path so the fault RNG stream stays exact.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,7 +46,7 @@ from repro.core.bitplane import scan_end_rows
 from repro.core.isa import RowAddress
 from repro.core.platform import PimAssembler
 from repro.core.storage import pack_rows
-from repro.errors import TableFullError
+from repro.errors import JournalError, TableFullError
 from repro.genome.kmer import (
     iter_kmers,
     kmer_to_row_bits,
@@ -59,7 +58,8 @@ from repro.genome.kmer import (
 from repro.genome.reads import Read
 from repro.genome.sequence import DnaSequence
 from repro.mapping.hashing import kmer_partition, kmer_partition_array
-from repro.mapping.kmer_layout import KmerLayout, scaled_layout
+from repro.mapping.kmer_layout import scaled_layout
+from repro.runtime.checkpoint import decode_words, encode_words
 from repro.runtime.watchdog import checkpoint
 
 __all__ = [
@@ -72,14 +72,6 @@ __all__ = [
 #: k-mer arrivals after which the pipeline closes a batch of whole
 #: reads and hands it to one bulk host call
 BATCH_KMERS = 8192
-
-
-@dataclass
-class _SubarrayTable:
-    """Host-side metadata of one sub-array's table region."""
-
-    key: tuple[int, int, int]
-    layout: KmerLayout
 
 
 class SoftwareKmerCounter:
@@ -149,8 +141,10 @@ class PimKmerCounter:
         )
         if not keys:
             raise ValueError("at least one sub-array is required")
-        self._tables = [_SubarrayTable(key=key, layout=layout) for key in keys]
-        self._keys = [table.key for table in self._tables]
+        #: the table region's layout, shared by every partition
+        self.layout = layout
+        #: partition index -> sub-array key
+        self._keys = keys
         #: per-partition occupied k-mer slots
         self._occupied = np.zeros(len(keys), dtype=np.int64)
         #: per-partition store slot, cached on the bulk path's first
@@ -158,32 +152,32 @@ class PimKmerCounter:
         self._store_slot = np.full(len(keys), -1, dtype=np.int64)
         #: compute rows x1..x3 (``SubArray.compute_row``)
         self._x_rows = tuple(geometry.data_rows + i for i in range(3))
-        #: per-partition slot -> packed k-mer (host shadow for readback
-        #: ordering only; matching is done in-memory).
-        self._slot_keys: list[list[int]] = [[] for _ in keys]
         self._valid_bits = 2 * k
-        self._mask = np.zeros(geometry.cols, dtype=np.uint8)
-        self._mask[: self._valid_bits] = 1
-        # global sorted key index over all partitions (bulk-path lookup):
-        # bulk batches merge their new keys in; scalar inserts mark it
-        # dirty and the next bulk batch rebuilds it from _slot_keys
-        self._index_dirty = True
+        # the host shadow of the stored k-mers: a sorted key index over
+        # all partitions with each key's slot.  The partition is a pure
+        # function of the key, so this one array resolves a key to its
+        # slot (the bulk path's lookup) and, lexsorted by (partition,
+        # slot), gives the table's row order (scrub, readback, journal).
+        # Keys are strictly increasing unless a faulted scan missed a
+        # match and stored a k-mer twice; the copies sit in slot order.
         self._idx_keys = np.empty(0, dtype=np.uint64)
         self._idx_slot = np.empty(0, dtype=np.int64)
 
     # ----- addressing helpers ---------------------------------------------------
 
-    def _addr(self, table: _SubarrayTable, row: int) -> RowAddress:
-        bank, mat, sub = table.key
-        return RowAddress(bank=bank, mat=mat, subarray=sub, row=row)
+    def _addr(self, index: int, row: int) -> RowAddress:
+        return RowAddress(*self._keys[index], row=row)
 
     @property
     def partitions(self) -> int:
-        return len(self._tables)
+        return len(self._keys)
 
-    @property
-    def layout(self) -> KmerLayout:
-        return self._tables[0].layout
+    def _slot_order(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Index positions in partition/slot order, with their
+        partitions and slots."""
+        parts = kmer_partition_array(self._idx_keys, self.partitions)
+        order = np.lexsort((self._idx_slot, parts))
+        return order, parts[order], self._idx_slot[order]
 
     # ----- the Hashmap procedure ---------------------------------------------------
 
@@ -200,13 +194,12 @@ class PimKmerCounter:
         if kmer is None:
             kmer = unpack_kmer(packed, self.k)
         index = kmer_partition(packed, self.partitions)
-        table = self._tables[index]
         occupied = int(self._occupied[index])
         ctrl = self.pim.controller
-        layout = table.layout
+        layout = self.layout
 
         # MEM_insert the query into the temp region.
-        temp = self._addr(table, layout.temp_row(0))
+        temp = self._addr(index, layout.temp_row(0))
         bits = kmer_to_row_bits(kmer, self.pim.row_bits)
         ctrl.write_row(temp, bits)
 
@@ -221,7 +214,7 @@ class PimKmerCounter:
         )
 
         if match_slot is not None:
-            self._increment(table, match_slot)
+            self._increment(index, match_slot)
         else:
             self._insert_new(index, temp, packed)
 
@@ -255,37 +248,19 @@ class PimKmerCounter:
 
     # ----- the bulk path ---------------------------------------------------------
 
-    def _rebuild_index(self) -> None:
-        """Rebuild the global sorted key index from the slot shadow.
-
-        Partition identity is a pure function of the packed k-mer, so
-        one device-wide sorted array resolves any key to its table slot
-        with a single :func:`np.searchsorted`.  Bulk batches keep it
-        current with :meth:`_merge_index`; this full rebuild runs only
-        after scalar inserts (a replayed batch, :meth:`from_state`).
-        """
-        keys = [k for part in self._slot_keys for k in part]
-        slots = [
-            s for part in self._slot_keys for s in range(len(part))
-        ]
-        if keys:
-            arr = np.asarray(keys, dtype=np.uint64)
-            order = np.argsort(arr, kind="stable")
-            self._idx_keys = arr[order]
-            self._idx_slot = np.asarray(slots, dtype=np.int64)[order]
-        else:
-            self._idx_keys = np.empty(0, dtype=np.uint64)
-            self._idx_slot = np.empty(0, dtype=np.int64)
-        self._index_dirty = False
-
     def _replay_scalar(self, packed: np.ndarray) -> None:
         """Run a batch k-mer by k-mer through the scalar golden path."""
         for value in packed.tolist():
             self._add_packed_scalar(int(value))
 
     def _merge_index(self, keys: np.ndarray, slots: np.ndarray) -> None:
-        """Insert a batch's new (sorted, absent) keys into the index."""
-        pos = np.searchsorted(self._idx_keys, keys)
+        """Insert sorted keys into the index.
+
+        A key already present (a scalar insert after a faulted scan)
+        lands after its copies: they hold lower slots of the same
+        partition, and the first copy is the one a scan matches.
+        """
+        pos = np.searchsorted(self._idx_keys, keys, side="right")
         self._idx_keys = np.insert(self._idx_keys, pos, keys)
         self._idx_slot = np.insert(self._idx_slot, pos, slots)
 
@@ -327,8 +302,6 @@ class PimKmerCounter:
         uparts = kmer_partition_array(uniq, n_parts).astype(np.int64)
 
         # resolve known keys against the global sorted index
-        if self._index_dirty:
-            self._rebuild_index()
         if self._idx_keys.size:
             pos = np.minimum(
                 np.searchsorted(self._idx_keys, uniq),
@@ -460,12 +433,6 @@ class PimKmerCounter:
             np.concatenate((new_words, end_words)),
         )
         if nu.size:
-            new_keys = uniq[nu]
-            for p in np.flatnonzero(new_per_part).tolist():
-                lo = seg_starts[p]
-                self._slot_keys[p].extend(
-                    new_keys[lo : lo + new_per_part[p]].tolist()
-                )
             self._occupied += new_per_part
             self._merge_index(uniq[new_u], uniq_slot[new_u])
 
@@ -524,50 +491,48 @@ class PimKmerCounter:
 
     def _insert_new(self, index: int, temp: RowAddress, packed: int) -> None:
         """MEM_insert(k_mer, 1): claim partition ``index``'s next free slot."""
-        table = self._tables[index]
-        layout = table.layout
+        layout = self.layout
         slot = int(self._occupied[index])
         if slot >= layout.kmer_rows:
             raise TableFullError(
-                f"sub-array {table.key} k-mer region full "
+                f"sub-array {self._keys[index]} k-mer region full "
                 f"({layout.kmer_rows} slots)"
             )
         ctrl = self.pim.controller
-        ctrl.copy(temp, self._addr(table, layout.kmer_row(slot)))
-        self._write_counter(table, slot, 1)
+        ctrl.copy(temp, self._addr(index, layout.kmer_row(slot)))
+        self._write_counter(index, slot, 1)
         self._occupied[index] += 1
-        self._slot_keys[index].append(packed)
-        self._index_dirty = True
+        self._merge_index(np.uint64(packed), slot)
 
-    def _increment(self, table: _SubarrayTable, slot: int) -> None:
+    def _increment(self, index: int, slot: int) -> None:
         """New_freq = PIM_Add(k_mer, 1); MEM_insert(k_mer, New_freq).
 
         Counter fields are 8-bit packed (32 per value row), so the
         update is the DPU's non-bulk read-modify-write path.
         """
-        current = self._read_counter(table, slot)
-        if current >= table.layout.counter_max:
+        current = self._read_counter(index, slot)
+        if current >= self.layout.counter_max:
             return  # counters saturate, as the hardware's do
         new_value = self.pim.controller.dpu_scalar_add(
-            table.key, current, 1, bits=table.layout.counter_bits
+            self._keys[index], current, 1, bits=self.layout.counter_bits
         )
-        self._write_counter(table, slot, new_value)
+        self._write_counter(index, slot, new_value)
 
     # ----- counter field access -----------------------------------------------------------
 
-    def _read_counter(self, table: _SubarrayTable, slot: int) -> int:
-        row, bit = table.layout.value_position(slot)
-        data = self.pim.controller.read_row(self._addr(table, row))
-        field = data[bit : bit + table.layout.counter_bits]
-        return int(field @ (1 << np.arange(table.layout.counter_bits)))
+    def _read_counter(self, index: int, slot: int) -> int:
+        bits = self.layout.counter_bits
+        row, bit = self.layout.value_position(slot)
+        data = self.pim.controller.read_row(self._addr(index, row))
+        return int(data[bit : bit + bits] @ (1 << np.arange(bits)))
 
-    def _write_counter(self, table: _SubarrayTable, slot: int, value: int) -> None:
-        layout = table.layout
+    def _write_counter(self, index: int, slot: int, value: int) -> None:
+        layout = self.layout
         if not 0 <= value <= layout.counter_max:
             raise ValueError(f"counter value {value} out of range")
         row, bit = layout.value_position(slot)
-        addr = self._addr(table, row)
-        sub = self.pim.device.subarray_at(table.key)
+        addr = self._addr(index, row)
+        sub = self.pim.device.subarray_at(self._keys[index])
         data = sub.read_row(row)  # host shadow read for the RMW merge
         bits = (value >> np.arange(layout.counter_bits)) & 1
         data[bit : bit + layout.counter_bits] = bits.astype(np.uint8)
@@ -595,20 +560,11 @@ class PimKmerCounter:
         """
         ctrl = self.pim.controller
         engine = ctrl.resilience
-        parts = np.flatnonzero(self._occupied).tolist()
-        occupied = self._occupied[parts].tolist()
-        keys = [self._keys[p] for p, n in zip(parts, occupied) for _ in range(n)]
-        slots = np.concatenate(
-            [np.arange(n) for n in occupied] + [np.zeros(0, dtype=np.int64)]
-        )
+        order, parts, slots = self._slot_order()
+        keys = [self._keys[p] for p in parts.tolist()]
         rows = self.layout.kmer_row(0) + slots
         expected = packed_to_row_bits(
-            np.array(
-                [key for p in parts for key in self._slot_keys[p]],
-                dtype=np.uint64,
-            ),
-            self.k,
-            self.pim.row_bits,
+            self._idx_keys[order], self.k, self.pim.row_bits
         )
         repaired = 0
 
@@ -642,33 +598,42 @@ class PimKmerCounter:
 
     # ----- readback --------------------------------------------------------------------------
 
-    def counts(self) -> Counter:
-        """Read the full table back as {packed k-mer: frequency}.
+    def _distinct(self) -> np.ndarray:
+        """Mask over the index keeping each stored k-mer once: the last
+        (highest-slot) copy of a k-mer a faulted scan stored twice."""
+        last = np.ones(self._idx_keys.size, dtype=bool)
+        last[:-1] = self._idx_keys[1:] != self._idx_keys[:-1]
+        return last
 
-        One :meth:`Controller.read_fields` call reads every counter and
-        accounts as one host row read per stored k-mer, in
+    @property
+    def kmers(self) -> np.ndarray:
+        """The stored k-mers, strictly increasing (no device access)."""
+        return self._idx_keys[self._distinct()]
+
+    def counts(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Read the full table back as ``(kmers, counts)``.
+
+        ``kmers`` is :attr:`kmers`; ``counts`` their frequencies, in the
+        same order.  One :meth:`Controller.read_fields` call reads every
+        counter and accounts as one host row read per stored k-mer, in
         partition/slot order.
         """
-        parts = np.flatnonzero(self._occupied).tolist()
-        if not parts:
-            return Counter()
+        order, parts, slots = self._slot_order()
         layout = self.layout
-        occupied = self._occupied[parts].tolist()
-        slots = np.concatenate([np.arange(n) for n in occupied])
-        values = self.pim.controller.read_fields(
-            [self._keys[p] for p, n in zip(parts, occupied) for _ in range(n)],
+        values = np.empty(order.size, dtype=np.int64)
+        values[order] = self.pim.controller.read_fields(
+            [self._keys[p] for p in parts.tolist()],
             layout.value_base + slots // layout.counters_per_row,
             (slots % layout.counters_per_row) * layout.counter_bits,
             layout.counter_bits,
         )
-        keys = [key for p in parts for key in self._slot_keys[p]]
-        return Counter(dict(zip(keys, values.tolist())))
+        last = self._distinct()
+        return self._idx_keys[last], values[last]
 
     def stored_kmer(self, partition: int, slot: int) -> DnaSequence:
         """Decode a stored k-mer row straight from memory (for tests)."""
-        table = self._tables[partition]
         row = self.pim.controller.read_row(
-            self._addr(table, table.layout.kmer_row(slot))
+            self._addr(partition, self.layout.kmer_row(slot))
         )
         return DnaSequence.from_bits(row[: self._valid_bits])
 
@@ -686,16 +651,17 @@ class PimKmerCounter:
 
         The in-memory row/counter *bits* travel in the platform
         snapshot (:meth:`repro.core.platform.PimAssembler.state_dict`);
-        this records the partition keys, occupancy, and slot→k-mer
-        shadow needed to re-attach a counter to restored memory —
-        including any rows a fault left corrupt, which a rebuild from
-        the shadow alone would silently repair.
+        this records the partition keys and the stored k-mers in
+        partition/slot order as base64 words — the shadow that
+        re-attaches a counter to restored memory, including any rows a
+        fault left corrupt, which a rebuild from the shadow alone would
+        silently repair.
         """
+        order = self._slot_order()[0]
         return {
             "k": self.k,
-            "keys": [list(table.key) for table in self._tables],
-            "occupied": self._occupied.tolist(),
-            "slot_keys": [list(keys) for keys in self._slot_keys],
+            "keys": [list(key) for key in self._keys],
+            "kmers": encode_words(self._idx_keys[order]),
         }
 
     @classmethod
@@ -705,21 +671,28 @@ class PimKmerCounter:
         """Re-attach a counter to a platform restored from a snapshot.
 
         ``engine`` need not match the snapshotting run's: the table
-        protocol is engine-agnostic.  Older records carry
-        ``"saturating": true``; counters always saturate now, so a
-        record asking for raising counters is refused.
+        protocol is engine-agnostic.  Occupancy and slots follow from
+        the k-mers' partitions; k-mers out of partition order, or more
+        than a partition holds, raise :class:`~repro.errors.JournalError`.
         """
-        if not state.get("saturating", True):
-            raise ValueError("non-saturating counters are no longer supported")
         counter = cls(
             pim,
             int(state["k"]),
             subarray_keys=[tuple(key) for key in state["keys"]],
             engine=engine,
         )
-        counter._occupied[:] = [int(value) for value in state["occupied"]]
-        counter._slot_keys = [
-            [int(value) for value in keys] for keys in state["slot_keys"]
-        ]
-        counter._index_dirty = True
+        kmers = decode_words(state["kmers"], "<u8", "counter k-mers")
+        parts = kmer_partition_array(kmers, counter.partitions)
+        if (parts[1:] < parts[:-1]).any():
+            raise JournalError("counter k-mers are not in partition order")
+        occupied = np.bincount(parts, minlength=counter.partitions)
+        if (occupied > counter.layout.kmer_rows).any():
+            raise JournalError("counter k-mers overflow a partition's rows")
+        counter._occupied[:] = occupied
+        slots = np.arange(kmers.size) - np.repeat(
+            np.cumsum(occupied) - occupied, occupied
+        )
+        order = np.argsort(kmers, kind="stable")
+        counter._idx_keys = kmers[order].astype(np.uint64)
+        counter._idx_slot = slots[order]
         return counter

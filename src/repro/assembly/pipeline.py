@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.assembly.contigs import Contig, assemble_contigs
 from repro.assembly.debruijn import DeBruijnGraph
 from repro.assembly.hashmap import BATCH_KMERS, PimKmerCounter
@@ -49,7 +51,9 @@ class PipelineState:
     """
 
     counter: PimKmerCounter | None = None
-    counts: "dict | None" = None
+    #: the table readback: ``(kmers, counts)`` arrays, k-mers strictly
+    #: increasing (:meth:`PimKmerCounter.counts`)
+    counts: "tuple[np.ndarray, np.ndarray] | None" = None
     graph: DeBruijnGraph | None = None
     #: ``(in_degree, out_degree)`` over packed node keys (Fig. 8 output)
     degrees: "tuple[dict[int, int], dict[int, int]] | None" = None
@@ -206,7 +210,7 @@ class PimPipeline:
         ) as stage_span, self.pim.phase("debruijn"):
             self.pim.integrity_sync()
             state.graph = DeBruijnGraph.from_counts(
-                state.counts, k=self.k, min_count=self.min_count
+                *state.counts, k=self.k, min_count=self.min_count
             )
             stage_span.set_attribute("nodes", state.graph.num_nodes)
         return state

@@ -54,11 +54,6 @@ class Dpu:
         arr = self._check(bits)
         return int(arr.all())
 
-    def or_reduce(self, bits: np.ndarray) -> int:
-        """1 iff any bit is 1."""
-        arr = self._check(bits)
-        return int(arr.any())
-
     def masked_and_reduce(self, bits: np.ndarray, mask: np.ndarray) -> int:
         """AND-reduce restricted to the positions where ``mask`` is 1.
 

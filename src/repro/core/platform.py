@@ -424,11 +424,10 @@ class PimAssembler:
         inverse copy, so ``from_state(s).state_dict() == s`` exactly.
         Each entry also carries a ``"sha256"`` digest of those word
         bytes: a journal whose resident data rotted (or was tampered
-        with) between write and resume fails restore with a typed
+        with) between write and resume, or whose entry lacks the
+        digest, fails restore with a typed
         :class:`~repro.errors.JournalError` instead of resuming into a
-        wrong answer.  :meth:`from_state` still accepts format-1
-        journals (unpacked ``"bits"``, MSB-first packbits) written
-        before the rewrite, and format-2 entries without digests.
+        wrong answer.
         """
         import base64
         import dataclasses
@@ -505,7 +504,7 @@ class PimAssembler:
     @classmethod
     def from_state(cls, state: dict) -> "PimAssembler":
         """Rebuild a platform mid-run from :meth:`state_dict`."""
-        import base64
+        import hashlib
 
         from repro.core.faults import FaultModel
         from repro.core.resilience import ResilienceEngine
@@ -535,43 +534,36 @@ class PimAssembler:
             timing=TimingParameters(**state["timing"]),
             energy=EnergyParameters(**state["energy"]),
         )
-        rows, cols = g["rows"], g["cols"]
-
-        def unpack(payload: str, size: int) -> np.ndarray:
-            raw = np.frombuffer(
-                base64.b64decode(payload.encode("ascii")), dtype=np.uint8
-            )
-            return np.unpackbits(raw)[:size]
-
-        from repro.core.storage import pack_rows
-
-        import hashlib
+        cols = g["cols"]
 
         from repro.errors import JournalError
+        from repro.runtime.checkpoint import decode_b64, decode_words
+
+        def unpack(payload: str, size: int) -> np.ndarray:
+            raw = np.frombuffer(decode_b64(payload, "snapshot bits"), np.uint8)
+            return np.unpackbits(raw)[:size]
 
         for entry in state["subarrays"]:
-            sub = pim.device.subarray_at(tuple(entry["key"]))
-            if "words" in entry:  # format 2: stored packed words verbatim
-                word_bytes = base64.b64decode(entry["words"].encode("ascii"))
-                expected = entry.get("sha256")
-                if expected is not None:
-                    actual = hashlib.sha256(word_bytes).hexdigest()
-                    if actual != expected:
-                        raise JournalError(
-                            f"sub-array {tuple(entry['key'])} words fail "
-                            f"their integrity digest (stored {expected[:12]}…,"
-                            f" recomputed {actual[:12]}…) — the snapshot "
-                            "rotted or was tampered with; refusing to "
-                            "resume into a corrupt table"
-                        )
-                raw = np.frombuffer(word_bytes, dtype="<u8")
-                sub.store.tensor[sub.slot] = raw.reshape(rows, -1).astype(
-                    np.uint64
+            key = tuple(entry["key"])
+            sub = pim.device.subarray_at(key)
+            raw = decode_words(entry["words"], "<u8", f"sub-array {key} words")
+            expected = entry.get("sha256")
+            if expected is None:
+                raise JournalError(f"sub-array {key} words carry no sha256")
+            actual = hashlib.sha256(raw).hexdigest()
+            if actual != expected:
+                raise JournalError(
+                    f"sub-array {key} words fail their integrity digest "
+                    f"(stored {str(expected)[:12]}…, recomputed "
+                    f"{actual[:12]}…) — the snapshot rotted or was "
+                    "tampered with; refusing to resume into a corrupt table"
                 )
-            else:  # format 1: unpacked bits, MSB-first packbits
-                sub.store.tensor[sub.slot] = pack_rows(
-                    unpack(entry["bits"], rows * cols).reshape(rows, cols)
+            stored = sub.store.tensor[sub.slot]
+            if raw.size != stored.size:
+                raise JournalError(
+                    f"sub-array {key} holds {raw.size} words, not {stored.size}"
                 )
+            stored[...] = raw.reshape(stored.shape)
             sub.sa._latch[:] = unpack(entry["latch"], cols)
         for entry in state["grbs"]:
             bank_idx, mat_idx = entry["key"]

@@ -29,6 +29,7 @@ the readback, rebuilt when a record is restored.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -36,6 +37,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
+
+import numpy as np
 
 try:  # pragma: no cover - POSIX only; the lock degrades to a no-op
     import fcntl
@@ -48,17 +51,41 @@ from repro.observability.spans import event
 
 __all__ = ["JobJournal", "JournalLock", "RecordRef"]
 
-#: version 2: platform snapshots carry packed uint64 ``"words"``
-#: (columnar storage); version-1 journals (unpacked ``"bits"``) are
-#: still restorable — the platform's ``from_state`` handles both.
-#: Format-2 snapshots additionally embed a per-sub-array ``"sha256"``
-#: over the word bytes, which ``from_state`` verifies when present:
-#: the manifest hash proves the *record file* arrived intact, the
-#: embedded digest proves the *stored rows inside it* did not rot or
-#: get tampered with between write and resume (JournalError on
-#: mismatch).  Older digest-free records restore without the check.
-JOURNAL_VERSION = 2
-SUPPORTED_JOURNAL_VERSIONS = (1, 2)
+#: version 3: a record stores each k-mer once — the counter's k-mers
+#: and the readback's values travel as base64 little-endian 8-byte
+#: words (:func:`encode_words`) — and every platform sub-array entry
+#: carries packed uint64 ``"words"`` plus a ``"sha256"`` over their
+#: bytes, which ``from_state`` verifies: the manifest hash proves the
+#: *record file* arrived intact, the embedded digest proves the *stored
+#: rows inside it* did not rot or get tampered with between write and
+#: resume.  Journals of versions 1 and 2 are refused with a
+#: :class:`~repro.errors.JournalError`.
+JOURNAL_VERSION = 3
+SUPPORTED_JOURNAL_VERSIONS = (3,)
+
+
+def encode_words(values: np.ndarray) -> str:
+    """A 1-D uint64 or int64 array as base64 little-endian words."""
+    data = values.astype(values.dtype.newbyteorder("<"), copy=False).tobytes()
+    return base64.b64encode(data).decode("ascii")
+
+
+def decode_b64(text: object, what: str) -> bytes:
+    """The bytes of a base64 record field, or :class:`JournalError`."""
+    try:
+        return base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise JournalError(f"{what} is not valid base64: {exc}") from None
+
+
+def decode_words(text: object, dtype: str, what: str) -> np.ndarray:
+    """Inverse of :func:`encode_words` (``dtype`` ``"<u8"`` or ``"<i8"``)."""
+    data = decode_b64(text, what)
+    if len(data) % 8:
+        raise JournalError(
+            f"{what} holds {len(data)} bytes, not a whole number of words"
+        )
+    return np.frombuffer(data, dtype=dtype)
 
 
 def _sha256(data: bytes) -> str:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -67,7 +66,7 @@ from repro.errors import (
 from repro.observability.metrics import inc
 from repro.observability.session import active_session
 from repro.observability.spans import event, span
-from repro.runtime.checkpoint import JobJournal
+from repro.runtime.checkpoint import JobJournal, decode_words, encode_words
 from repro.runtime.watchdog import Watchdog
 
 __all__ = ["JobConfig", "JobDecision", "JobReport", "JobOutcome", "JobRunner"]
@@ -89,15 +88,6 @@ RETRYABLE_ERRORS = (
 #: attempts per stage: the first run plus at most three re-runs, each
 #: after quarantining one more sub-array
 MAX_ATTEMPTS = 4
-
-#: pipeline options older ``job.json`` files record, with the default
-#: value that still resumes and what any other value asked for
-RETIRED_OPTIONS = {
-    "batch_reads": (None, "batches reads into hashmap rounds"),
-    "contig_mode": ("unitig", "walks Eulerian contigs"),
-    "scaffold": (False, "scaffolds its contigs"),
-    "simplify": (False, "simplifies its graph"),
-}
 
 
 def reads_fingerprint(reads: Iterable) -> str:
@@ -358,10 +348,7 @@ class JobRunner:
                     f"(journal {stored.get('input_sha256', '?')[:12]}..., "
                     f"input {fingerprint[:12]}...)"
                 )
-            config = stored.get("config")
-            if isinstance(config, dict):
-                config = self._drop_retired_options(config)
-            if config != self.config.identity_dict():
+            if stored.get("config") != self.config.identity_dict():
                 raise JournalError(
                     "job configuration does not match the journal; a "
                     "resume must use the original k/engine/policy settings"
@@ -380,19 +367,6 @@ class JobRunner:
             }
         )
         return None
-
-    @staticmethod
-    def _drop_retired_options(config: dict) -> dict:
-        """Strip the options older journals record for pipeline
-        features since removed; only their default values resume."""
-        config = dict(config)
-        for name, (default, feature) in RETIRED_OPTIONS.items():
-            if name in config and config.pop(name) != default:
-                raise JournalError(
-                    f"the journaled job {feature}, which is no longer "
-                    "supported; start it afresh instead of resuming"
-                )
-        return config
 
     @staticmethod
     def _remaining_stages(completed: str) -> list[str]:
@@ -443,10 +417,9 @@ class JobRunner:
             "counter": (
                 None if state.counter is None else state.counter.state_dict()
             ),
+            # the readback's values; its k-mers are the counter's
             "counts": (
-                None
-                if state.counts is None
-                else [[int(k), int(v)] for k, v in state.counts.items()]
+                None if state.counts is None else encode_words(state.counts[1])
             ),
         }
 
@@ -458,10 +431,6 @@ class JobRunner:
         same host functions the stages call; neither charges the
         ledger.  The payload is only read, never kept, so one record
         can serve as the rollback point of several attempts.
-
-        Older records may carry keys this version derives or no longer
-        has — ``graph``, ``degrees``, ``contigs``, ``kmer_table_size``,
-        ``runtime``, ``scaffolds`` — all ignored.
         """
         pim = PimAssembler.from_state(payload["platform"])
         state = PipelineState()
@@ -470,13 +439,18 @@ class JobRunner:
                 pim, payload["counter"], engine=self.config.engine
             )
         if payload["counts"] is not None:
-            state.counts = Counter(
-                {int(k): int(v) for k, v in payload["counts"]}
-            )
+            kmers = state.counter.kmers
+            counts = decode_words(payload["counts"], "<i8", "counts")
+            if counts.size != kmers.size:
+                raise JournalError(
+                    f"record holds {counts.size} counts for "
+                    f"{kmers.size} stored k-mers"
+                )
+            state.counts = (kmers, counts)
         remaining = self._remaining_stages(payload["stage"])
         if "debruijn" not in remaining:
             state.graph = DeBruijnGraph.from_counts(
-                state.counts, k=self.config.k, min_count=self.config.min_count
+                *state.counts, k=self.config.k, min_count=self.config.min_count
             )
         if "traverse" not in remaining:
             state.contigs = assemble_contigs(

@@ -46,7 +46,7 @@ def protected_counter(engine):
 def store_state(pim, counter):
     """Words and code bytes of every partition, in partition order."""
     store = pim.device.store
-    slots = [pim.device.subarray_at(t.key).slot for t in counter._tables]
+    slots = [pim.device.subarray_at(key).slot for key in counter._keys]
     return store.tensor[slots].copy(), store.ecc_plane[slots].copy()
 
 
@@ -144,5 +144,5 @@ def test_state_round_trip_keeps_bulk_index(engine):
     reference = PimKmerCounter(PimAssembler.small(subarrays=16), 9)
     for batch in ROUNDS:
         reference.add_sequences(batch)
-    assert again.counts() == reference.counts()
+    assert dict(zip(*again.counts())) == dict(zip(*reference.counts()))
     assert again.occupancy == reference.occupancy

@@ -10,13 +10,17 @@ same unitigs.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.assembly.contigs import assemble_contigs
 from repro.assembly.debruijn import DeBruijnGraph
 from repro.assembly.euler import degree_table, unitig_walk, unitigs
+from repro.assembly.hashmap import PimKmerCounter, SoftwareKmerCounter
 from repro.assembly.reference_impl import _DictGraph
+from repro.core import PimAssembler
 from repro.genome.kmer import pack_kmer
 from repro.genome.sequence import DnaSequence
 
@@ -61,7 +65,12 @@ def kmer_counts(draw):
 @settings(max_examples=150, deadline=None)
 def test_columnar_graph_equals_dict_graph(case):
     k, counts, min_count = case
-    graph = DeBruijnGraph.from_counts(counts, k=k, min_count=min_count)
+    graph = DeBruijnGraph.from_counts(
+        np.array(list(counts), dtype=np.uint64),
+        np.array(list(counts.values())),
+        k=k,
+        min_count=min_count,
+    )
     ref = _DictGraph(counts, k, min_count)
 
     assert graph.num_nodes == ref.num_nodes
@@ -98,6 +107,40 @@ def test_full_word_kmers_keep_their_top_bits():
         for i in range(len(text) - 31)
     }
     assert max(counts) >= 2**63
-    graph = DeBruijnGraph.from_counts(counts, k=32)
+    kmers = np.array(sorted(counts), dtype=np.uint64)
+    graph = DeBruijnGraph.from_counts(kmers, np.ones(kmers.size, np.int64), k=32)
     assert sorted(e.kmer for e in graph.edges()) == sorted(counts)
     assert [str(c.sequence) for c in assemble_contigs(graph)] == [text]
+
+
+def graph_from_counter(counts: Counter, k: int, min_count: int) -> DeBruijnGraph:
+    """The ``Counter`` -> ``fromiter`` -> ``argsort`` build that the
+    array handoff replaced, kept as the reference."""
+    kmers = np.fromiter(counts.keys(), dtype=np.uint64, count=len(counts))
+    freqs = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    keep = freqs >= min_count
+    kmers, freqs = kmers[keep], freqs[keep]
+    order = np.argsort(kmers)
+    return DeBruijnGraph(k, kmers[order], freqs[order])
+
+
+@given(
+    reads=st.lists(st.text("ACGT", min_size=4, max_size=60), max_size=6),
+    engine=st.sampled_from(("scalar", "bulk")),
+    min_count=st.integers(min_value=1, max_value=2),
+)
+@settings(max_examples=30, deadline=None)
+def test_table_readback_graph_equals_counter_graph(reads, engine, min_count):
+    """The graph built from ``PimKmerCounter.counts()`` arrays is the
+    graph the dict path builds from the same reads."""
+    k = 7
+    sequences = [DnaSequence(text) for text in reads]
+    counter = PimKmerCounter(PimAssembler.small(subarrays=8), k, engine=engine)
+    counter.add_sequences(sequences)
+    software = SoftwareKmerCounter(k)
+    for sequence in sequences:
+        software.add_sequence(sequence)
+    graph = DeBruijnGraph.from_counts(*counter.counts(), k=k, min_count=min_count)
+    ref = graph_from_counter(software.counts(), k, min_count)
+    for name in ("node_keys", "kmers", "counts", "sources", "targets", "offsets"):
+        np.testing.assert_array_equal(getattr(graph, name), getattr(ref, name))

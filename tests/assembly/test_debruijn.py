@@ -1,5 +1,6 @@
 """De Bruijn graph construction and structure queries."""
 
+import numpy as np
 import pytest
 
 from repro.assembly.debruijn import DeBruijnGraph, build_graph_from_sequences
@@ -9,6 +10,13 @@ from repro.genome.sequence import DnaSequence
 
 def graph_of(text, k, min_count=1):
     return build_graph_from_sequences([DnaSequence(text)], k, min_count)
+
+
+def table_of(text, k):
+    """``(kmers, counts)`` of a sequence, k-mers increasing."""
+    counts = count_kmers(DnaSequence(text), k)
+    kmers = sorted(counts)
+    return np.array(kmers, dtype=np.uint64), np.array([counts[x] for x in kmers])
 
 
 class TestConstruction:
@@ -28,15 +36,15 @@ class TestConstruction:
 
     def test_from_counts_respects_min_count(self):
         # ACG occurs twice; the k-mers of the "T" tail occur once.
-        counts = count_kmers(DnaSequence("ACGACGT"), 3)
-        full = DeBruijnGraph.from_counts(counts, k=3)
-        filtered = DeBruijnGraph.from_counts(counts, k=3, min_count=2)
+        kmers, counts = table_of("ACGACGT", 3)
+        full = DeBruijnGraph.from_counts(kmers, counts, k=3)
+        filtered = DeBruijnGraph.from_counts(kmers, counts, k=3, min_count=2)
         assert filtered.num_edges < full.num_edges
         assert all(e.count >= 2 for e in filtered.edges())
 
     def test_from_counts_rejects_bad_min_count(self):
         with pytest.raises(ValueError):
-            DeBruijnGraph.from_counts({}, k=3, min_count=0)
+            DeBruijnGraph.from_counts([], [], k=3, min_count=0)
 
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError):
@@ -48,10 +56,13 @@ class TestConstruction:
         assert acg.count == 2
 
     def test_deterministic_edge_order(self):
-        counts = count_kmers(DnaSequence("ACGTACGTT"), 3)
-        a = DeBruijnGraph.from_counts(counts, k=3)
-        b = DeBruijnGraph.from_counts(dict(reversed(list(counts.items()))), k=3)
-        assert [e.kmer for e in a.edges()] == [e.kmer for e in b.edges()]
+        """The sorted table fixes the edge order: unsorted k-mers are
+        refused rather than sorted again."""
+        kmers, counts = table_of("ACGTACGTT", 3)
+        graph = DeBruijnGraph.from_counts(kmers, counts, k=3)
+        assert sorted(e.kmer for e in graph.edges()) == kmers.tolist()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DeBruijnGraph.from_counts(kmers[::-1], counts[::-1], k=3)
 
 
 class TestDegrees:

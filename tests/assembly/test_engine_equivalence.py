@@ -36,11 +36,8 @@ def random_reads(seed, n_reads=12, length=50):
 
 def table_state(counter, pim):
     """Everything a workload can observe about the hash table."""
-    rows = [
-        pim.device.subarray_at(t.key).snapshot()
-        for t in counter._tables
-    ]
-    return counter.counts(), len(counter), rows
+    rows = [pim.device.subarray_at(key).snapshot() for key in counter._keys]
+    return dict(zip(*counter.counts())), len(counter), rows
 
 
 class TestHashmapEquivalence:
@@ -73,7 +70,10 @@ class TestHashmapEquivalence:
             counter = PimKmerCounter(pim, 9, engine=engine)
             for read in reads:
                 counter.add_sequence(read)
-            return counter.counts(), pim.controller.ledger.totals().commands
+            return (
+                dict(zip(*counter.counts())),
+                pim.controller.ledger.totals().commands,
+            )
 
         assert run("scalar") == run("bulk")
 
@@ -114,7 +114,7 @@ class TestHashmapEquivalence:
             for read in random_reads(5, n_reads=6):
                 counter.add_sequence(read)
             return (
-                counter.counts(),
+                dict(zip(*counter.counts())),
                 pim.controller.ledger.totals().commands,
                 pim.controller.faults.injected_faults,
             )
@@ -201,7 +201,7 @@ class TestPipelineEquivalence:
         counter = PimKmerCounter(pim0, 7, engine="scalar")
         for read in reads:
             counter.add_sequence(read)
-        graph = DeBruijnGraph.from_counts(counter.counts(), k=7)
+        graph = DeBruijnGraph.from_counts(*counter.counts(), k=7)
         expected = degree_table(graph)
         for engine in ("scalar", "bulk"):
             pim = PimAssembler.small(subarrays=4, rows=512, cols=64)

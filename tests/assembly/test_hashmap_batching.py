@@ -9,8 +9,6 @@ flush records, ``pim.batch.*`` metrics, store words and GRB state
 (the platform snapshot), and the counts read back.
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,7 @@ from repro.core.trace import CommandTrace
 from repro.errors import TableFullError
 from repro.genome import ReadSimulator, synthetic_chromosome
 from repro.genome.sequence import DnaSequence
+from repro.mapping.hashing import kmer_partition_array
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime.watchdog import Watchdog
 
@@ -89,9 +88,18 @@ def run_counter(reads, k, batched, setup=None, subarrays=32):
         else:
             for read in reads:
                 counter.add_sequences([read])
-        return counter.counts(), counter.occupancy
+        return dict(zip(*counter.counts())), counter.occupancy
 
     return observe(pim, work)
+
+
+def slot_shadow(counter):
+    """(partition, slot) -> packed k-mer, read off the sorted index."""
+    parts = kmer_partition_array(counter._idx_keys, counter.partitions)
+    return {
+        (int(p), int(s)): int(key)
+        for p, s, key in zip(parts, counter._idx_slot, counter._idx_keys)
+    }
 
 
 def assert_same(batched, single):
@@ -177,16 +185,13 @@ def test_vector_readback_matches_per_row_reads():
 
         def work():
             if vector:
-                return counter.counts()
-            return Counter(
-                {
-                    counter._slot_keys[index][slot]: counter._read_counter(
-                        table, slot
-                    )
-                    for index, table in enumerate(counter._tables)
-                    for slot in range(counter.occupancy[index])
-                }
-            )
+                return dict(zip(*counter.counts()))
+            shadow = slot_shadow(counter)
+            return {
+                shadow[index, slot]: counter._read_counter(index, slot)
+                for index in range(counter.partitions)
+                for slot in range(counter.occupancy[index])
+            }
 
         return observe(pim, work)
 

@@ -22,6 +22,7 @@ from repro.core.isa import RowAddress
 from repro.core.trace import CommandTrace
 from repro.genome.kmer import kmer_to_row_bits, unpack_kmer
 from repro.genome.sequence import DnaSequence
+from repro.mapping.hashing import kmer_partition_array
 
 
 def reference_scrub(counter):
@@ -30,13 +31,18 @@ def reference_scrub(counter):
     ctrl = pim.controller
     engine = ctrl.resilience
     checked = repaired = 0
+    parts = kmer_partition_array(counter._idx_keys, counter.partitions)
+    shadow = {
+        (int(p), int(s)): int(packed)
+        for p, s, packed in zip(parts, counter._idx_slot, counter._idx_keys)
+    }
     ctrl.mark("scrub:begin")
     for index, key in enumerate(counter._keys):
         for slot in range(counter.occupancy[index]):
             row = counter.layout.kmer_row(slot)
             addr = RowAddress(*key, row=row)
             expected = kmer_to_row_bits(
-                unpack_kmer(counter._slot_keys[index][slot], counter.k),
+                unpack_kmer(shadow[index, slot], counter.k),
                 pim.row_bits,
             )
             checked += 1

@@ -98,11 +98,6 @@ class TestDpu:
         assert dpu.and_reduce(np.ones(8, dtype=np.uint8)) == 1
         assert dpu.and_reduce(np.array([1, 1, 0, 1], dtype=np.uint8)) == 0
 
-    def test_or_reduce(self):
-        dpu = Dpu(width=8)
-        assert dpu.or_reduce(np.zeros(4, dtype=np.uint8)) == 0
-        assert dpu.or_reduce(np.array([0, 1], dtype=np.uint8)) == 1
-
     def test_masked_and_reduce(self):
         dpu = Dpu(width=8)
         bits = np.array([1, 1, 0, 0], dtype=np.uint8)

@@ -249,39 +249,6 @@ class TestSnapshotFormats:
         restored = PimAssembler.from_state(snapshot)
         assert restored.state_dict() == snapshot
 
-    def test_v1_unpacked_entries_restore_bit_identical(self):
-        """A format-1 journal (MSB-first packbits of uint8 bits) must
-        land in packed storage with identical row contents."""
-        import base64
-
-        from repro.core.platform import PimAssembler
-
-        pim = self._platform()
-        snapshot = pim.state_dict()
-        legacy = dict(snapshot)
-        legacy.pop("format")
-        legacy["subarrays"] = []
-        for entry in snapshot["subarrays"]:
-            sub = pim.device.subarray_at(tuple(entry["key"]))
-            legacy["subarrays"].append(
-                {
-                    "key": entry["key"],
-                    "bits": base64.b64encode(
-                        np.packbits(sub.snapshot())
-                    ).decode("ascii"),
-                    "latch": entry["latch"],
-                }
-            )
-        restored = PimAssembler.from_state(legacy)
-        for entry in snapshot["subarrays"]:
-            key = tuple(entry["key"])
-            np.testing.assert_array_equal(
-                restored.device.subarray_at(key).snapshot(),
-                pim.device.subarray_at(key).snapshot(),
-            )
-        # and a re-snapshot of the restored platform is format 2
-        assert restored.state_dict()["format"] == 2
-
 
 class TestConversionCounters:
     def test_boundary_churn_is_counted_per_label(self):

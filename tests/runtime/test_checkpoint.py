@@ -19,7 +19,7 @@ class TestLifecycle:
     def test_create_then_load_config(self, journal):
         config = journal.load_config()
         assert config["k"] == 9
-        assert config["journal_version"] == 2
+        assert config["journal_version"] == 3
 
     def test_create_refuses_existing(self, journal):
         with pytest.raises(JournalError, match="already exists"):

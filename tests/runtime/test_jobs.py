@@ -143,81 +143,25 @@ class TestResumeValidation:
             ).resume(reads)
 
     @staticmethod
-    def _legacy_journal(reads, job_dir, monkeypatch, keep=1, **options):
-        """A bulk-engine journal cut after ``keep`` stage records, in the
-        format older versions wrote: ``job.json`` records ``options``
-        (retired pipeline options) and every record carries a
-        ``"scaffolds"`` list and a ``"saturating": true`` counter."""
+    def _journal_with_options(reads, job_dir, **options):
+        """A finished bulk-engine journal whose ``job.json`` also
+        records ``options``, pipeline options this version lacks."""
         import json
 
-        payload = JobRunner._payload
-
-        def legacy(runner, stage):
-            record = payload(runner, stage)
-            record["scaffolds"] = []
-            if record["counter"] is not None:
-                record["counter"]["saturating"] = True
-            return record
-
-        with monkeypatch.context() as patch:
-            patch.setattr(JobRunner, "_payload", legacy)
-            source = JobRunner(job_dir, JobConfig(k=K, engine="bulk"))
-            source.run(reads)
-        manifest = source.journal.manifest_path
-        lines = manifest.read_text().splitlines(keepends=True)
-        manifest.write_text("".join(lines[:keep]))
-        path = source.journal.config_path
+        JobRunner(job_dir, JobConfig(k=K, engine="bulk")).run(reads)
+        path = job_dir / "job.json"
         stored = json.loads(path.read_text())
         for name, value in options.items():
             assert name not in stored["config"]
             stored["config"][name] = value
         path.write_text(json.dumps(stored, sort_keys=True, indent=1))
 
-    def test_resume_accepts_a_null_batch_reads_journal(
-        self, reads, tmp_path, monkeypatch
-    ):
-        config = JobConfig(k=K, engine="bulk")
-        golden = JobRunner(tmp_path / "golden", config).run(reads)
-        self._legacy_journal(
-            reads, tmp_path / "job", monkeypatch, batch_reads=None
-        )
-        out = JobRunner(tmp_path / "job", config).resume(reads)
-        assert out.report.resumed_from == "hashmap"
-        assert run_fingerprint(out.result) == run_fingerprint(golden.result)
-
-    def test_resume_rejects_a_batched_journal(
-        self, reads, tmp_path, monkeypatch
-    ):
-        self._legacy_journal(reads, tmp_path / "job", monkeypatch, batch_reads=8)
-        with pytest.raises(JournalError, match="batches reads"):
+    def test_resume_rejects_a_batched_journal(self, reads, tmp_path):
+        self._journal_with_options(reads, tmp_path / "job", batch_reads=8)
+        with pytest.raises(JournalError, match="configuration"):
             JobRunner(
                 tmp_path / "job", JobConfig(k=K, engine="bulk")
             ).resume(reads)
-
-    def test_resume_accepts_a_journal_with_retired_pipeline_options(
-        self, reads, tmp_path, monkeypatch
-    ):
-        """A journal whose ``job.json`` records the default contig mode,
-        scaffold and simplify flags, and whose records carry scaffolds,
-        resumes from every stage boundary bit-identically."""
-        config = JobConfig(k=K, engine="bulk")
-        golden = JobRunner(tmp_path / "golden", config).run(reads)
-        for keep, stage in ((1, "hashmap"), (2, "debruijn"), (3, "traverse")):
-            job_dir = tmp_path / f"cut{keep}"
-            self._legacy_journal(
-                reads,
-                job_dir,
-                monkeypatch,
-                keep=keep,
-                contig_mode="unitig",
-                scaffold=False,
-                simplify=False,
-            )
-            out = JobRunner(job_dir, config).resume(reads)
-            assert out.report.resumed_from == stage
-            assert run_fingerprint(out.result) == run_fingerprint(
-                golden.result
-            )
 
     @pytest.mark.parametrize(
         "option, value, feature",
@@ -228,15 +172,30 @@ class TestResumeValidation:
         ],
     )
     def test_resume_rejects_a_non_default_retired_option(
-        self, reads, tmp_path, monkeypatch, option, value, feature
+        self, reads, tmp_path, option, value, feature
     ):
-        self._legacy_journal(
-            reads, tmp_path / "job", monkeypatch, **{option: value}
-        )
-        with pytest.raises(JournalError, match=feature):
+        """A ``job.json`` asking for a removed pipeline feature (here:
+        one that ``feature``) fails the configuration check."""
+        self._journal_with_options(reads, tmp_path / "job", **{option: value})
+        with pytest.raises(JournalError, match="configuration"):
             JobRunner(
                 tmp_path / "job", JobConfig(k=K, engine="bulk")
             ).resume(reads)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_resume_refuses_pre_v3_journals(self, reads, tmp_path, version):
+        """Journals written before records stored each k-mer once no
+        longer resume."""
+        import json
+
+        job_dir = tmp_path / "job"
+        JobRunner(job_dir, JobConfig(k=K)).run(reads)
+        path = job_dir / "job.json"
+        stored = json.loads(path.read_text())
+        stored["journal_version"] = version
+        path.write_text(json.dumps(stored))
+        with pytest.raises(JournalError, match="not supported"):
+            JobRunner(job_dir, JobConfig(k=K)).resume(reads)
 
     def test_fingerprint_is_order_sensitive(self, reads):
         assert reads_fingerprint(reads) != reads_fingerprint(

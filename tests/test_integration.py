@@ -128,7 +128,12 @@ class TestMultiChipMapping:
                 if owner == chip
                 for edge in partition.block_edges(block)
             }
-            chip_graph = DeBruijnGraph.from_counts(chip_counts, k=9)
+            kmers = sorted(chip_counts)
+            chip_graph = DeBruijnGraph.from_counts(
+                np.array(kmers, dtype=np.uint64),
+                np.array([chip_counts[kmer] for kmer in kmers]),
+                k=9,
+            )
             if chip_graph.num_edges == 0:
                 continue
             device = PimAssembler.small(subarrays=1, rows=512, cols=64)
