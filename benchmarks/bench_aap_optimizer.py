@@ -59,7 +59,7 @@ def _record(engine: str, length: int):
 
 def _bench_engine(engine: str, length: int) -> dict:
     from repro.analysis.optimizer import optimize_document
-    from repro.analysis.verifier import _doc_timing, verify_document
+    from repro.analysis.verifier import verify_document
     from repro.assembly.pipeline import _sized_device
     from repro.core.scheduler import charge_stream
     from repro.core.trace import replay
@@ -99,7 +99,7 @@ def _bench_engine(engine: str, length: int) -> dict:
     )
     record["replay_identical"] = identical
 
-    timing = _doc_timing(doc)
+    timing = doc.timing_parameters()
     before = charge_stream(doc.trace, timing=timing)
     after = charge_stream(result.document.trace, timing=timing)
     record["makespan_ns"] = {

@@ -275,14 +275,6 @@ def _check_envelope(
             )
 
 
-def _doc_timing(doc: TraceDocument) -> TimingParameters:
-    from repro.core.timing import DEFAULT_TIMING
-
-    if not doc.timing:
-        return DEFAULT_TIMING
-    return TimingParameters(**{k: float(v) for k, v in doc.timing.items()})
-
-
 _MAX_FINDINGS_PER_RULE = 8
 
 
@@ -319,7 +311,7 @@ def check_equivalence(
         rhs = after.get(key, untouched)
         _compare_sub(key, lhs, rhs, interner, report, source)
 
-    timing = _doc_timing(original)
+    timing = original.timing_parameters()
     old_cost = stream_cost(original.trace, timing, DEFAULT_ENERGY)
     new_cost = stream_cost(optimized.trace, timing, DEFAULT_ENERGY)
     for label, old, new, tol in (

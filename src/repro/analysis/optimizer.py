@@ -21,7 +21,10 @@ streams with three classic peephole passes:
     already known to hold, and a ``LATCH_CLR`` when the latch is
     already cleared — the repeated-precharge peephole.
 
-The passes only remove or rewrite commands; they never reorder them.
+Each command's reads, writes and latch effects, and the operand rules a
+rewrite must keep, come from the instruction table
+:data:`repro.core.isa.ISA`.  The passes only remove or rewrite
+commands; they never reorder them.
 Cross-sub-array parallelism is priced by the batched scheduler
 (:func:`repro.core.scheduler.charge_stream`), which coalesces the
 stream per sub-array whatever its interleaving.
@@ -56,7 +59,8 @@ import numpy as np
 from repro.analysis.equiv import MODELLED_MNEMONICS, check_equivalence, stream_cost
 from repro.analysis.findings import FindingReport, Severity
 from repro.analysis.tracefile import TraceDocument
-from repro.analysis.verifier import _doc_timing, _iter_with_marks, verify_document
+from repro.analysis.verifier import _iter_with_marks, verify_document
+from repro.core.isa import ISA, ledger_counts
 from repro.core.timing import command_cost_table
 from repro.core.trace import CommandTrace, TraceEntry
 
@@ -113,59 +117,6 @@ class OptimizationResult:
 
 
 # --------------------------------------------------------------------------
-# command effect model
-# --------------------------------------------------------------------------
-
-_SOURCE_POSITIONS = {
-    "AAP1": (0,),
-    "AAP2": (0, 1),
-    "AAP3": (0, 1, 2),
-    "SUM": (0, 1),
-    "LATCH_LD": (0,),
-}
-
-
-def _effects(
-    entry: TraceEntry,
-) -> tuple[tuple[int, ...], tuple[int, ...], bool, bool, bool]:
-    """``(reads, writes, reads_latch, writes_latch, observation)``."""
-    m = entry.mnemonic
-    rows = entry.rows
-    if m == "AAP1":
-        return (rows[0],), (rows[1],), False, False, False
-    if m == "AAP2":
-        return rows[:2], (rows[2],), False, False, False
-    if m == "AAP3":
-        return rows[:3], (rows[3],), False, True, False
-    if m == "SUM":
-        return rows[:2], (rows[2],), True, False, False
-    if m == "LATCH_LD":
-        return (rows[0],), (), False, True, False
-    if m == "LATCH_CLR":
-        return (), (), False, True, False
-    if m == "ROW_INIT":
-        return (), (rows[0],), False, False, False
-    if m == "MEM_WR":
-        return (), (rows[0],), False, False, False
-    if m == "MEM_RD":
-        return (rows[0],), (), False, False, True
-    if m == "DPU":
-        return rows[:1], (), False, False, True
-    raise ValueError(f"unmodelled mnemonic {m!r}")
-
-
-def _operands_valid(mnemonic: str, rows: Sequence[int]) -> bool:
-    """The ISA/verifier operand constraints a rewrite must preserve."""
-    if mnemonic == "AAP1":
-        return rows[0] != rows[1]
-    if mnemonic in ("AAP2", "SUM"):
-        return rows[0] != rows[1] and rows[2] not in (rows[0], rows[1])
-    if mnemonic == "AAP3":
-        return len({rows[0], rows[1], rows[2]}) == 3
-    return True
-
-
-# --------------------------------------------------------------------------
 # rewrite passes (token stream -> token stream, order-preserving)
 # --------------------------------------------------------------------------
 
@@ -189,14 +140,16 @@ def dead_write_pass(tokens: list[Token]) -> tuple[list[Token], PassStats]:
             kept_reversed.append(token)
             continue
         entry: TraceEntry = token[1]
-        reads, writes, rlatch, wlatch, obs = _effects(entry)
+        sig = ISA[entry.mnemonic]
+        writes = entry.rows[sig.writes]
+        wlatch = sig.writes_latch
         sub = entry.subarray
         dead = dead_rows.setdefault(sub, set())
-        if not obs and (writes or wlatch):
+        if not sig.observation and (writes or wlatch):
             removable = all(w in dead for w in writes) and (
                 not wlatch or dead_latch.get(sub, False)
             )
-            if removable and (writes or wlatch):
+            if removable:
                 removed += 1
                 justifications.append(
                     {
@@ -213,9 +166,9 @@ def dead_write_pass(tokens: list[Token]) -> tuple[list[Token], PassStats]:
             dead.add(w)
         if wlatch:
             dead_latch[sub] = True
-        for r in reads:
+        for r in entry.rows[sig.reads]:
             dead.discard(r)
-        if rlatch:
+        if sig.reads_latch:
             dead_latch[sub] = False
         kept_reversed.append(token)
     kept_reversed.reverse()
@@ -265,7 +218,9 @@ def copy_propagation_pass(
                 seen.add(row)
             return row
 
-        positions = _SOURCE_POSITIONS.get(entry.mnemonic, ())
+        sig = ISA[entry.mnemonic]
+        # an observed row is part of the observation: never rewritten
+        positions = () if sig.observation else sig.sources
         new_rows = list(entry.rows)
         for pos in positions:
             candidate = resolve(new_rows[pos])
@@ -273,7 +228,7 @@ def copy_propagation_pass(
                 continue
             tentative = list(new_rows)
             tentative[pos] = candidate
-            if not _operands_valid(entry.mnemonic, tentative):
+            if not sig.operands_valid(tentative):
                 continue
             justifications.append(
                 {
@@ -292,12 +247,12 @@ def copy_propagation_pass(
         if new_rows != list(entry.rows):
             entry = dataclasses.replace(entry, rows=tuple(new_rows))
 
-        _, writes, _, _, _ = _effects(entry)
+        writes = entry.rows[sig.writes]
         for w in writes:
             ver[w] += 1
             alias.pop(w, None)
-        if entry.mnemonic == "AAP1":
-            src, des = entry.rows
+        if sig.copies:
+            (src,), (des,) = entry.rows[sig.reads], writes
             alias[des] = (src, ver[src], ver[des])
         out.append(("entry", entry))
 
@@ -331,14 +286,17 @@ def redundant_init_pass(
         entry: TraceEntry = token[1]
         sub = entry.subarray
         consts = known_const.setdefault(sub, {})
-        if entry.mnemonic == "ROW_INIT":
+        sig = ISA[entry.mnemonic]
+        writes = entry.rows[sig.writes]
+        if sig.payload == "fill":
+            (row,) = writes
             fill = int(entry.payload[0]) if entry.payload else 0
-            if consts.get(entry.rows[0]) == fill:
+            if consts.get(row) == fill:
                 removed += 1
                 justifications.append(
                     {
                         "action": "remove",
-                        "op": "ROW_INIT",
+                        "op": entry.mnemonic,
                         "sub": list(sub),
                         "rows": list(entry.rows),
                         "reason": f"row already holds constant {fill} from "
@@ -346,7 +304,7 @@ def redundant_init_pass(
                     }
                 )
                 continue
-            consts[entry.rows[0]] = fill
+            consts[row] = fill
             out.append(token)
             continue
         if entry.mnemonic == "LATCH_CLR":
@@ -366,10 +324,9 @@ def redundant_init_pass(
             latch_clear[sub] = True
             out.append(token)
             continue
-        _, writes, _, wlatch, _ = _effects(entry)
         for w in writes:
             consts.pop(w, None)
-        if wlatch:
+        if sig.writes_latch:
             latch_clear[sub] = False
         out.append(token)
     return out, PassStats(
@@ -415,10 +372,9 @@ def _recompute_ledger(
 ) -> dict[str, Any] | None:
     """Ledger totals consistent with the rewritten stream.
 
-    Mirrors the accounting the verifier enforces (V008/V009): the
-    ``ROW_INIT`` trace entries fold into the ``AAP1`` charge (hardware
-    issues them as RowClone off the constant row) and ``LATCH_CLR`` is
-    a free precharge side effect that is never charged.  Energy is
+    Mirrors the accounting the verifier enforces (V008/V009): each
+    command is charged under its :data:`~repro.core.isa.ISA` ledger
+    name (:func:`~repro.core.isa.ledger_counts`).  Energy is
     priced through the shared cost table with the default energy model
     (documents do not embed energy parameters).
     """
@@ -426,12 +382,8 @@ def _recompute_ledger(
         return None
     from repro.core.energy import DEFAULT_ENERGY
 
-    costs = command_cost_table(_doc_timing(doc), DEFAULT_ENERGY)
-    counts: Counter = Counter()
-    for entry in trace:
-        counts[entry.mnemonic] += 1
-    counts["AAP1"] += counts.pop("ROW_INIT", 0)
-    counts.pop("LATCH_CLR", None)
+    costs = command_cost_table(doc.timing_parameters(), DEFAULT_ENERGY)
+    counts = ledger_counts(Counter(entry.mnemonic for entry in trace))
     time_ns = 0.0
     energy_nj = 0.0
     for mnemonic, count in counts.items():
@@ -575,12 +527,14 @@ class TraceOptimizer:
     def _identity(
         self, doc: TraceDocument, report: FindingReport
     ) -> OptimizationResult:
+        # a mnemonic outside the instruction table has no price
+        priced = all(entry.mnemonic in ISA for entry in doc.trace)
         return OptimizationResult(
             ok=True,
             document=doc,
             report=report,
             identity=True,
-            savings=self._savings(doc, doc),
+            savings=self._savings(doc, doc) if priced else {},
         )
 
     def _build_document(
@@ -631,29 +585,17 @@ class TraceOptimizer:
     ) -> dict[str, Any]:
         from repro.core.energy import DEFAULT_ENERGY
 
-        timing = _doc_timing(original)
+        timing = original.timing_parameters()
         before = stream_cost(original.trace, timing, DEFAULT_ENERGY)
         after = stream_cost(optimized.trace, timing, DEFAULT_ENERGY)
 
-        def ratio(old: float, new: float) -> float:
-            return (old - new) / old if old else 0.0
-
         return {
-            "commands": {
-                "before": before[0],
-                "after": after[0],
-                "reduction": ratio(before[0], after[0]),
-            },
-            "time_ns": {
-                "before": before[1],
-                "after": after[1],
-                "reduction": ratio(before[1], after[1]),
-            },
-            "energy_nj": {
-                "before": before[2],
-                "after": after[2],
-                "reduction": ratio(before[2], after[2]),
-            },
+            name: {
+                "before": old,
+                "after": new,
+                "reduction": (old - new) / old if old else 0.0,
+            }
+            for name, old, new in zip(("commands", "time_ns", "energy_nj"), before, after)
         }
 
 

@@ -35,12 +35,14 @@ and the verifier leans on the recorded charges instead.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.core.trace import CommandTrace
+from repro.core.timing import DEFAULT_TIMING, TimingParameters
+from repro.core.trace import CommandTrace, is_finite, is_int
 from repro.errors import TraceFormatError
 
 __all__ = [
@@ -53,8 +55,12 @@ __all__ = [
 
 FORMAT = "repro-aap-trace/1"
 
-#: timing fields the verifier needs to rebuild latency tables
+#: timing fields the recorder writes for the verifier's latency tables
 _TIMING_FIELDS = ("t_ras", "t_rp", "t_rcd", "t_bl", "t_dpu_clk")
+#: timing fields a document may carry
+_TIMING_KEYS = frozenset(f.name for f in dataclasses.fields(TimingParameters))
+_GEOMETRY_KEYS = ("rows", "cols", "compute_rows", "data_rows")
+_LAYOUT_KEYS = ("kmer_rows", "value_rows", "temp_rows")
 
 
 @dataclass
@@ -70,6 +76,12 @@ class TraceDocument:
     complete: bool = True
     cold_start: bool = False
     meta: dict[str, Any] = field(default_factory=dict)
+
+    def timing_parameters(self) -> TimingParameters:
+        """The document's timing constants; the defaults when it has none."""
+        if not self.timing:
+            return DEFAULT_TIMING
+        return TimingParameters(**{k: float(v) for k, v in self.timing.items()})
 
     def to_json(self) -> dict:
         return {
@@ -106,31 +118,21 @@ class TraceDocument:
             raise TraceFormatError(
                 f"{source}: engine must be 'scalar' or 'bulk', got {engine!r}"
             )
+        for flag in ("complete", "cold_start"):
+            if not isinstance(doc.get(flag, False), bool):
+                raise TraceFormatError(f"{source}: {flag} must be true or false")
         geometry = doc.get("geometry")
-        if not isinstance(geometry, dict) or not all(
-            isinstance(geometry.get(k), int)
-            for k in ("rows", "cols", "compute_rows", "data_rows")
-        ):
+        if not _ints(geometry, _GEOMETRY_KEYS):
             raise TraceFormatError(
-                f"{source}: geometry needs integer rows/cols/"
-                "compute_rows/data_rows"
+                f"{source}: geometry needs integer {'/'.join(_GEOMETRY_KEYS)}"
             )
-        layout = doc.get("layout")
-        if layout is not None:
-            if not isinstance(layout, dict) or not all(
-                isinstance(layout.get(k), int)
-                for k in ("kmer_rows", "value_rows", "temp_rows")
-            ):
-                raise TraceFormatError(
-                    f"{source}: layout needs integer kmer_rows/"
-                    "value_rows/temp_rows"
-                )
-        timing = doc.get("timing")
-        if timing is not None and not isinstance(timing, dict):
-            raise TraceFormatError(f"{source}: timing must be an object")
-        ledger = doc.get("ledger")
-        if ledger is not None and not isinstance(ledger, dict):
-            raise TraceFormatError(f"{source}: ledger must be an object")
+        for key, ok, need in (
+            ("layout", _layout_ok, "integer " + "/".join(_LAYOUT_KEYS)),
+            ("timing", _timing_ok, f"positive numbers for {sorted(_TIMING_KEYS)}"),
+            ("ledger", _ledger_ok, "numeric time_ns/energy_nj, integer counts"),
+        ):
+            if doc.get(key) is not None and not ok(doc[key]):
+                raise TraceFormatError(f"{source}: {key} needs {need}")
         try:
             trace = CommandTrace.from_json(doc)
         except ValueError as exc:
@@ -139,14 +141,47 @@ class TraceDocument:
         return cls(
             engine=engine,
             trace=trace,
-            geometry={k: int(v) for k, v in geometry.items()},
-            layout=layout,
-            timing=timing,
-            ledger=ledger,
-            complete=bool(doc.get("complete", engine == "scalar")),
-            cold_start=bool(doc.get("cold_start", False)),
+            geometry={k: int(geometry[k]) for k in _GEOMETRY_KEYS},
+            layout=doc.get("layout"),
+            timing=doc.get("timing"),
+            ledger=doc.get("ledger"),
+            complete=doc.get("complete", engine == "scalar"),
+            cold_start=doc.get("cold_start", False),
             meta=meta if isinstance(meta, dict) else {},
         )
+
+
+def _ints(section: object, keys: tuple[str, ...]) -> bool:
+    return isinstance(section, dict) and all(
+        isinstance(section.get(k), int) for k in keys
+    )
+
+
+def _layout_ok(layout: object) -> bool:
+    return _ints(layout, _LAYOUT_KEYS)
+
+
+def _timing_ok(timing: object) -> bool:
+    if not isinstance(timing, dict) or not set(timing) <= _TIMING_KEYS:
+        return False
+    if not all(is_finite(value) for value in timing.values()):
+        return False
+    try:
+        TimingParameters(**timing)
+    except ValueError:
+        return False
+    return True
+
+
+def _ledger_ok(ledger: object) -> bool:
+    if not isinstance(ledger, dict):
+        return False
+    commands = ledger.get("commands") or {}
+    return (
+        all(is_finite(ledger.get(k, 0.0)) for k in ("time_ns", "energy_nj"))
+        and isinstance(commands, dict)
+        and all(is_int(count) for count in commands.values())
+    )
 
 
 def save_document(path: "str | Path", doc: TraceDocument) -> Path:

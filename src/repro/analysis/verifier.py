@@ -5,7 +5,10 @@ may only land results on designated compute rows, TRA majority needs
 three initialised operand rows, and the add-on latch must be loaded
 before the sum MUX reads it.  This module checks a recorded command
 stream (a :class:`~repro.analysis.tracefile.TraceDocument`) against
-those rules and reports typed findings.
+those rules and reports typed findings.  Every per-mnemonic fact a rule
+needs (arity, operand positions, payload kind, latch effects, ledger
+name, resources) comes from the instruction table
+:data:`repro.core.isa.ISA`.
 
 Rule catalogue
 ==============
@@ -13,7 +16,7 @@ Rule catalogue
 Stream rules (any document):
 
 =====  ===================================================================
-V001   unknown mnemonic (not in :data:`repro.core.isa.ALL_MNEMONICS`)
+V001   unknown mnemonic (not in :data:`repro.core.isa.ISA`)
 V002   malformed operands: wrong arity, row out of range, bad payload,
        degenerate self-copy, repeated two-/three-row-activation operand
 =====  ===================================================================
@@ -44,8 +47,9 @@ Accounting rules (complete scalar documents carrying ledger totals):
 =====  ===================================================================
 V008   cost-table-inconsistent timing: ledger time differs from
        Σ count × latency, or an unpriced mnemonic was charged
-V009   trace/ledger command-count mismatch (``AAP1`` ledger count folds
-       the ``ROW_INIT`` trace entries, which hardware issues as AAP1)
+V009   trace/ledger command-count mismatch: trace counts folded to
+       their table ledger names differ from the ledger's, or the ledger
+       counts a mnemonic the table charges under another name (or free)
 =====  ===================================================================
 
 Charge rules (the scheduler charges a bulk trace records):
@@ -63,16 +67,14 @@ C005   charges left unflushed at end of stream
 from __future__ import annotations
 
 import math
+import reprlib
+from collections import Counter
 from typing import Iterable
 
 from repro.analysis.findings import FindingReport
 from repro.analysis.tracefile import TraceDocument
-from repro.core.isa import ALL_MNEMONICS
-from repro.core.timing import (
-    DEFAULT_TIMING,
-    TimingParameters,
-    command_latency_table,
-)
+from repro.core.isa import ISA, Signature, ledger_counts, resource_key
+from repro.core.timing import TimingParameters, command_latency_table
 from repro.core.trace import CommandTrace, TraceEntry
 
 __all__ = [
@@ -80,17 +82,6 @@ __all__ = [
     "verify_charges",
     "verify_document",
 ]
-
-#: mnemonics whose ledger counts a complete scalar trace must match 1:1
-_LEDGER_MATCHED = (
-    "AAP2",
-    "AAP3",
-    "SUM",
-    "LATCH_LD",
-    "MEM_WR",
-    "MEM_RD",
-    "DPU",
-)
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-6
@@ -139,8 +130,8 @@ class StreamVerifier:
         self.cold_start = cold_start
         self.check_dataflow = check_dataflow
         self._index = 0
-        #: per-subarray set of initialised rows (dataflow state)
-        self._defined: dict[tuple[int, ...], set[int]] = {}
+        #: per-subarray set of rows written so far (dataflow state)
+        self._written: dict[tuple[int, ...], set[int]] = {}
         #: per-subarray "latch holds a known value" flag
         self._latch_known: dict[tuple[int, ...], bool] = {}
         #: per-subarray occupied k-mer slots inside the hashmap window
@@ -158,20 +149,14 @@ class StreamVerifier:
             location=self._index if index is None else index,
         )
 
-    def _defined_rows(self, sub: tuple[int, ...]) -> set[int]:
-        if sub not in self._defined:
-            if self.cold_start:
-                self._defined[sub] = set()
-            else:
-                # data rows hold pre-existing content; compute rows
-                # behind the modified decoder always start undefined
-                self._defined[sub] = set(range(self.data_rows))
-        return self._defined[sub]
-
     def _check_read(self, sub: tuple[int, ...], row: int, what: str) -> None:
         if not self.check_dataflow:
             return
-        if row not in self._defined_rows(sub):
+        # data rows hold pre-existing content unless the stream starts
+        # cold; compute rows behind the modified decoder always start
+        # undefined
+        preloaded = not self.cold_start and row < self.data_rows
+        if not preloaded and row not in self._written.get(sub, ()):
             self._flag(
                 "V003",
                 f"{what} reads uninitialised row {row} of sub-array {sub}",
@@ -179,23 +164,7 @@ class StreamVerifier:
 
     def _define(self, sub: tuple[int, ...], row: int) -> None:
         if self.check_dataflow:
-            self._defined_rows(sub).add(row)
-
-    def _is_compute(self, row: int) -> bool:
-        return row >= self.data_rows
-
-    def _rows_ok(
-        self, mnemonic: str, sub: tuple[int, ...], rows: tuple[int, ...]
-    ) -> bool:
-        for row in rows:
-            if not 0 <= row < self.rows:
-                self._flag(
-                    "V002",
-                    f"{mnemonic} row {row} outside sub-array "
-                    f"[0, {self.rows}) at {sub}",
-                )
-                return False
-        return True
+            self._written.setdefault(sub, set()).add(row)
 
     # ----- window marks ----------------------------------------------------
 
@@ -216,7 +185,8 @@ class StreamVerifier:
         self,
         mnemonic: str,
         sub: tuple[int, ...],
-        rows: tuple[int, ...],
+        signature: Signature,
+        des: int,
     ) -> None:
         if self.layout is None or not self._in_hashmap or self._in_scrub:
             return
@@ -224,14 +194,13 @@ class StreamVerifier:
         value_end = kmer_rows + int(self.layout["value_rows"])
         temp_end = value_end + int(self.layout["temp_rows"])
 
-        if mnemonic == "AAP1":
-            des = rows[1]
+        if signature.copies:
             if des < kmer_rows:
                 slots = self._inserted.setdefault(tuple(sub), set())
                 if des in slots:
                     self._flag(
                         "V006",
-                        f"AAP1 clobbers live k-mer slot row {des} of "
+                        f"{mnemonic} clobbers live k-mer slot row {des} of "
                         f"sub-array {sub} (already inserted this window)",
                     )
                 slots.add(des)
@@ -239,12 +208,11 @@ class StreamVerifier:
                 region = "value" if des < value_end else "temp"
                 self._flag(
                     "V006",
-                    f"AAP1 copy into the {region} region (row {des}) of "
-                    f"sub-array {sub} during the hashmap window",
+                    f"{mnemonic} copy into the {region} region (row {des}) "
+                    f"of sub-array {sub} during the hashmap window",
                 )
-        elif mnemonic in ("AAP2", "AAP3", "SUM"):
-            des = rows[-1]
-            if not self._is_compute(des):
+        elif signature.sources:
+            if des < self.data_rows:
                 self._flag(
                     "V007",
                     f"{mnemonic} destination row {des} of sub-array {sub} "
@@ -252,15 +220,13 @@ class StreamVerifier:
                     f"[{self.data_rows}, {self.rows}) during the hashmap "
                     "window",
                 )
-        elif mnemonic in ("MEM_WR", "ROW_INIT"):
-            des = rows[0]
-            if des < kmer_rows:
-                self._flag(
-                    "V007",
-                    f"{mnemonic} host write into the k-mer region "
-                    f"(row {des}) of sub-array {sub} during the hashmap "
-                    "window (only temp/value rows take host writes)",
-                )
+        elif des < kmer_rows:
+            self._flag(
+                "V007",
+                f"{mnemonic} host write into the k-mer region "
+                f"(row {des}) of sub-array {sub} during the hashmap "
+                "window (only temp/value rows take host writes)",
+            )
 
     # ----- the per-entry rule engine ---------------------------------------
 
@@ -273,143 +239,82 @@ class StreamVerifier:
     ) -> int:
         """Check one command; returns the number of new findings."""
         before = len(self.report)
-        sub = tuple(subarray)
-        if mnemonic not in ALL_MNEMONICS:
-            self._flag("V001", f"unknown mnemonic {mnemonic!r}")
-            self._index += 1
-            return len(self.report) - before
-
-        arity = {
-            "AAP1": 2,
-            "AAP2": 3,
-            "AAP3": 4,
-            "SUM": 3,
-            "LATCH_LD": 1,
-            "LATCH_CLR": 0,
-            "ROW_INIT": 1,
-            "MEM_WR": 1,
-            "MEM_RD": 1,
-        }
-        if mnemonic == "DPU":
-            if len(rows) > 1:
-                self._flag("V002", f"DPU takes at most one row, got {len(rows)}")
-                self._index += 1
-                return len(self.report) - before
-        elif len(rows) != arity[mnemonic]:
-            self._flag(
-                "V002",
-                f"{mnemonic} takes {arity[mnemonic]} row operand(s), "
-                f"got {len(rows)}",
-            )
-            self._index += 1
-            return len(self.report) - before
-        if not self._rows_ok(mnemonic, sub, rows):
-            self._index += 1
-            return len(self.report) - before
-
-        if mnemonic == "AAP1":
-            src, des = rows
-            if src == des:
-                self._flag(
-                    "V002",
-                    f"AAP1 with src == des (row {src}) is a dead command "
-                    "(RowClone onto itself)",
-                )
-            else:
-                self._check_read(sub, src, "AAP1")
-                self._define(sub, des)
-            self._layout_rules(mnemonic, sub, rows)
-        elif mnemonic == "AAP2":
-            s1, s2, des = rows
-            if s1 == s2:
-                self._flag(
-                    "V002",
-                    f"AAP2 requires two distinct source rows, got {s1} twice",
-                )
-            if des in (s1, s2):
-                self._flag(
-                    "V005",
-                    f"AAP2 destination row {des} is an activated source — "
-                    "missing precharge between activations",
-                )
-            self._check_read(sub, s1, "AAP2")
-            if s2 != s1:
-                self._check_read(sub, s2, "AAP2")
-            if des not in (s1, s2):
-                self._define(sub, des)
-            self._layout_rules(mnemonic, sub, rows)
-        elif mnemonic == "AAP3":
-            s1, s2, s3, des = rows
-            if len({s1, s2, s3}) != 3:
-                self._flag(
-                    "V002",
-                    f"AAP3 requires three distinct source rows, got "
-                    f"({s1}, {s2}, {s3})",
-                )
-            for s in dict.fromkeys((s1, s2, s3)):
-                self._check_read(sub, s, "AAP3")
-            # in-place TRA (des == a source) is legal: the majority
-            # lands on all three activated rows
-            self._define(sub, des)
-            self._latch_known[sub] = True  # TRA captures the carry
-            self._layout_rules(mnemonic, sub, rows)
-        elif mnemonic == "SUM":
-            s1, s2, des = rows
-            if s1 == s2:
-                self._flag(
-                    "V002",
-                    f"SUM requires two distinct addend rows, got {s1} twice",
-                )
-            if des in (s1, s2):
-                self._flag(
-                    "V005",
-                    f"SUM destination row {des} is an activated addend — "
-                    "missing precharge between activations",
-                )
-            if self.check_dataflow and not self._latch_known.get(sub, False):
-                self._flag(
-                    "V004",
-                    f"SUM on sub-array {sub} consumes the carry latch "
-                    "before any LATCH_LD/TRA/LATCH_CLR set it",
-                )
-            self._check_read(sub, s1, "SUM")
-            if s2 != s1:
-                self._check_read(sub, s2, "SUM")
-            if des not in (s1, s2):
-                self._define(sub, des)
-            self._layout_rules(mnemonic, sub, rows)
-        elif mnemonic == "LATCH_LD":
-            self._check_read(sub, rows[0], "LATCH_LD")
-            self._latch_known[sub] = True
-        elif mnemonic == "LATCH_CLR":
-            self._latch_known[sub] = True
-        elif mnemonic == "ROW_INIT":
-            if payload is None or len(payload) != 1 or payload[0] not in (0, 1):
-                self._flag(
-                    "V002",
-                    "ROW_INIT payload must be a single 0/1 fill value, "
-                    f"got {payload!r}",
-                )
-            self._define(sub, rows[0])
-            self._layout_rules(mnemonic, sub, rows)
-        elif mnemonic == "MEM_WR":
-            if payload is None or len(payload) != self.cols:
-                got = "none" if payload is None else str(len(payload))
-                self._flag(
-                    "V002",
-                    f"MEM_WR payload must cover the {self.cols}-column "
-                    f"row, got {got} bits",
-                )
-            self._define(sub, rows[0])
-            self._layout_rules(mnemonic, sub, rows)
-        elif mnemonic == "MEM_RD":
-            self._check_read(sub, rows[0], "MEM_RD")
-        elif mnemonic == "DPU":
-            if rows:
-                self._check_read(sub, rows[0], "DPU")
-
+        self._check(mnemonic, tuple(subarray), rows, payload)
         self._index += 1
         return len(self.report) - before
+
+    def _check(
+        self,
+        mnemonic: str,
+        sub: tuple[int, ...],
+        rows: tuple[int, ...],
+        payload: tuple[int, ...] | None,
+    ) -> None:
+        signature = ISA.get(mnemonic)
+        if signature is None:
+            self._flag("V001", f"unknown mnemonic {mnemonic!r}")
+            return
+        if len(rows) not in signature.arity:
+            arity = " or ".join(map(str, signature.arity))
+            self._flag(
+                "V002", f"{mnemonic} takes {arity} row operand(s), got {len(rows)}"
+            )
+            return
+        if rows and not (min(rows) >= 0 and max(rows) < self.rows):
+            row = next(row for row in rows if not 0 <= row < self.rows)
+            self._flag(
+                "V002",
+                f"{mnemonic} row {row} outside sub-array [0, {self.rows}) at {sub}",
+            )
+            return
+        if signature.payload != "none":
+            fill = signature.payload == "fill"
+            size = 1 if fill else self.cols
+            if payload is None or len(payload) != size or not set(payload) <= {0, 1}:
+                wanted = "one 0/1 fill value" if fill else f"{size} 0/1 bits"
+                self._flag(
+                    "V002",
+                    f"{mnemonic} payload must be {wanted}, "
+                    f"got {reprlib.repr(payload)}",
+                )
+        sources = rows[signature.reads]
+        des = None if signature.dest is None else rows[signature.dest]
+        if signature.distinct_sources and len(set(sources)) != len(sources):
+            self._flag(
+                "V002", f"{mnemonic} requires distinct source rows, got {sources}"
+            )
+        clobbered = des in sources and not signature.in_place
+        if clobbered and signature.copies:
+            self._flag(
+                "V002",
+                f"{mnemonic} with src == des (row {des}) is a dead command "
+                "(RowClone onto itself)",
+            )
+        elif clobbered:
+            self._flag(
+                "V005",
+                f"{mnemonic} destination row {des} is an activated source — "
+                "missing precharge between activations",
+            )
+        if (
+            signature.reads_latch
+            and self.check_dataflow
+            and not self._latch_known.get(sub, False)
+        ):
+            self._flag(
+                "V004",
+                f"{mnemonic} on sub-array {sub} consumes the carry latch "
+                "before any LATCH_LD/TRA/LATCH_CLR set it",
+            )
+        if not (clobbered and signature.copies):
+            for row in dict.fromkeys(sources):
+                self._check_read(sub, row, mnemonic)
+        if signature.writes_latch:
+            self._latch_known[sub] = True
+        if des is not None:
+            if not clobbered:
+                self._define(sub, des)
+            self._layout_rules(mnemonic, sub, signature, des)
 
     def feed_entry(self, entry: TraceEntry) -> int:
         return self.feed(entry.mnemonic, entry.subarray, entry.rows, entry.payload)
@@ -430,13 +335,6 @@ def _iter_with_marks(doc: TraceDocument) -> Iterable[tuple[str, object]]:
     while mi < len(marks):
         yield "mark", marks[mi][1]
         mi += 1
-
-
-def _doc_timing(doc: TraceDocument) -> TimingParameters:
-    if not doc.timing:
-        return DEFAULT_TIMING
-    fields = {k: float(v) for k, v in doc.timing.items()}
-    return TimingParameters(**fields)
 
 
 def verify_charges(
@@ -487,15 +385,9 @@ def verify_charges(
             )
         serial += time_ns
         commands += count
-        if mnemonic == "DPU":
-            busy[("dpu", sub[0], sub[1])] = (
-                busy.get(("dpu", sub[0], sub[1]), 0.0) + time_ns
-            )
-        else:
-            busy[tuple(sub)] = busy.get(tuple(sub), 0.0) + time_ns
-            if mnemonic in ("MEM_RD", "MEM_WR"):
-                grb = ("grb", sub[0], sub[1])
-                busy[grb] = busy.get(grb, 0.0) + time_ns
+        for name in ISA[mnemonic].resources:
+            resource = resource_key(name, sub)
+            busy[resource] = busy.get(resource, 0.0) + time_ns
     while fi < len(flush_points):
         _check_flush(flush_points[fi], serial, busy, commands, report, source)
         serial, commands, busy = 0.0, 0, {}
@@ -519,40 +411,31 @@ def _check_flush(
     source: str,
 ) -> None:
     at, serial_rec, makespan_rec, commands_rec = flush
-    if not _close(serial_rec, serial):
-        report.add(
-            "C004",
-            f"flush at charge #{at} records serial {serial_rec:.3f} ns, "
-            f"charges sum to {serial:.3f} ns",
-            source=source,
-            location=at,
-        )
     makespan = max(busy.values(), default=0.0)
-    if not _close(makespan_rec, makespan):
-        report.add(
-            "C004",
-            f"flush at charge #{at} records makespan {makespan_rec:.3f} ns, "
-            f"busiest resource is {makespan:.3f} ns",
-            source=source,
-            location=at,
-        )
-    if makespan_rec > serial_rec + _ABS_TOL:
-        report.add(
-            "C004",
-            f"flush at charge #{at} has makespan {makespan_rec:.3f} ns "
-            f"exceeding serial time {serial_rec:.3f} ns (non-monotone "
-            "timing)",
-            source=source,
-            location=at,
-        )
-    if commands_rec != commands:
-        report.add(
-            "C004",
-            f"flush at charge #{at} records {commands_rec} commands, "
-            f"charges sum to {commands}",
-            source=source,
-            location=at,
-        )
+    for wrong, message in (
+        (
+            not _close(serial_rec, serial),
+            f"records serial {serial_rec:.3f} ns, charges sum to {serial:.3f} ns",
+        ),
+        (
+            not _close(makespan_rec, makespan),
+            f"records makespan {makespan_rec:.3f} ns, busiest resource is "
+            f"{makespan:.3f} ns",
+        ),
+        (
+            makespan_rec > serial_rec + _ABS_TOL,
+            f"has makespan {makespan_rec:.3f} ns exceeding serial time "
+            f"{serial_rec:.3f} ns (non-monotone timing)",
+        ),
+        (
+            commands_rec != commands,
+            f"records {commands_rec} commands, charges sum to {commands}",
+        ),
+    ):
+        if wrong:
+            report.add(
+                "C004", f"flush at charge #{at} {message}", source=source, location=at
+            )
 
 
 def _verify_accounting(
@@ -560,14 +443,14 @@ def _verify_accounting(
 ) -> None:
     """Ledger-side rules V008/V009 for complete scalar documents."""
     ledger = doc.ledger or {}
-    counts = {str(k): int(v) for k, v in (ledger.get("commands") or {}).items()}
+    counts = dict(ledger.get("commands") or {})
     if not counts:
         return
     if any(m.startswith("VRF_") for m in counts):
         # verified runs recharge retried ops without re-tracing them;
         # count/time folding is only exact for unverified streams
         return
-    timing = _doc_timing(doc)
+    timing = doc.timing_parameters()
     latencies = command_latency_table(timing)
     expected_time = 0.0
     priced = True
@@ -591,37 +474,27 @@ def _verify_accounting(
             source=source,
         )
 
-    from collections import Counter
-
-    traced: Counter = Counter()
-    for entry in doc.trace:
-        traced[entry.mnemonic] += 1
-    # hardware issues ROW_INIT as an AAP1 (RowClone off the constant
-    # row); the ledger charges it under AAP1
-    folded_aap1 = traced["AAP1"] + traced["ROW_INIT"]
-    if counts.get("AAP1", 0) != folded_aap1:
-        report.add(
-            "V009",
-            f"ledger counts {counts.get('AAP1', 0)} AAP1 but the trace "
-            f"holds {traced['AAP1']} AAP1 + {traced['ROW_INIT']} ROW_INIT "
-            f"= {folded_aap1}",
-            source=source,
-        )
-    for mnemonic in _LEDGER_MATCHED:
-        if counts.get(mnemonic, 0) != traced[mnemonic]:
+    # the ledger charges each traced program command under its table
+    # name; the refresh/ECC stream is charged without being traced
+    program = {m: sig for m, sig in ISA.items() if sig.program}
+    expected = ledger_counts(Counter(e.mnemonic for e in doc.trace))
+    for name in sorted({sig.ledger for sig in program.values() if sig.ledger}):
+        if counts.get(name, 0) != expected[name]:
             report.add(
                 "V009",
-                f"ledger counts {counts.get(mnemonic, 0)} {mnemonic} but "
-                f"the trace holds {traced[mnemonic]}",
+                f"ledger counts {counts.get(name, 0)} {name} but the trace "
+                f"holds {expected[name]} command(s) charged as {name}",
                 source=source,
             )
-    if "LATCH_CLR" in counts:
-        report.add(
-            "V009",
-            "LATCH_CLR is a free precharge side effect and must not be "
-            "charged to the ledger",
-            source=source,
-        )
+    for mnemonic in sorted(counts.keys() & program.keys()):
+        charged_as = program[mnemonic].ledger
+        if charged_as != mnemonic:
+            report.add(
+                "V009",
+                f"{mnemonic} is charged as {charged_as or 'nothing'}, so the "
+                "ledger must not count it under its own name",
+                source=source,
+            )
 
 
 def verify_document(doc: TraceDocument, source: str = "<trace>") -> FindingReport:
@@ -642,7 +515,7 @@ def verify_document(doc: TraceDocument, source: str = "<trace>") -> FindingRepor
             verifier.feed_entry(item)  # type: ignore[arg-type]
     verifier.finish()
     verify_charges(
-        doc.trace, _doc_timing(doc), report, source=f"{source}#charges"
+        doc.trace, doc.timing_parameters(), report, source=f"{source}#charges"
     )
     if doc.complete:
         _verify_accounting(doc, report, source=source)

@@ -59,7 +59,7 @@ from repro.genome.reads import Read
 from repro.genome.sequence import DnaSequence
 from repro.mapping.hashing import kmer_partition, kmer_partition_array
 from repro.mapping.kmer_layout import scaled_layout
-from repro.runtime.checkpoint import decode_words, encode_words
+from repro.runtime.checkpoint import decode_words, encode_words, require_keys
 from repro.runtime.watchdog import checkpoint
 
 __all__ = [
@@ -675,6 +675,7 @@ class PimKmerCounter:
         the k-mers' partitions; k-mers out of partition order, or more
         than a partition holds, raise :class:`~repro.errors.JournalError`.
         """
+        require_keys(state, ("k", "keys", "kmers"), "counter state")
         counter = cls(
             pim,
             int(state["k"]),

@@ -544,7 +544,6 @@ def _replay_aap_opt(doc, reads, k: int, pim) -> None:
             unaffected).
     """
     from repro.analysis.optimizer import optimize_document
-    from repro.analysis.verifier import _doc_timing
     from repro.assembly.pipeline import _sized_device
     from repro.core.scheduler import charge_stream
     from repro.core.trace import replay
@@ -575,7 +574,7 @@ def _replay_aap_opt(doc, reads, k: int, pim) -> None:
             f"aap-opt: optimised replay diverged from the original run "
             f"on {len(diverged)} of {len(keys)} sub-array(s)"
         )
-    timing = _doc_timing(doc)
+    timing = doc.timing_parameters()
     before = charge_stream(doc.trace, timing=timing)
     after = charge_stream(result.document.trace, timing=timing)
     cmd = savings["commands"]
@@ -595,7 +594,7 @@ def _cmd_optimize_trace(args: argparse.Namespace) -> int:
     from repro.analysis.findings import EXIT_FINDINGS, EXIT_OK
     from repro.analysis.optimizer import optimize_document
     from repro.analysis.tracefile import load_document, save_document
-    from repro.analysis.verifier import _doc_timing, verify_document
+    from repro.analysis.verifier import verify_document
     from repro.core.scheduler import charge_stream
 
     doc = load_document(args.trace)
@@ -631,7 +630,7 @@ def _cmd_optimize_trace(args: argparse.Namespace) -> int:
     savings = result.savings
     cmd = savings["commands"]
     energy = savings["energy_nj"]
-    timing = _doc_timing(doc)
+    timing = doc.timing_parameters()
     before = charge_stream(doc.trace, timing=timing)
     after = charge_stream(result.document.trace, timing=timing)
     print(

@@ -63,13 +63,7 @@ import numpy as np
 
 from repro.core.device import Device
 from repro.core.energy import EnergyParameters, DEFAULT_ENERGY
-from repro.core.isa import (
-    AapCompute2,
-    AapCompute3,
-    AapCopy,
-    RowAddress,
-    SAOp,
-)
+from repro.core.isa import ISA, AapCompute2, AapCompute3, AapCopy, RowAddress, SAOp
 from repro.core.faults import FaultModel
 from repro.core.resilience import (
     VERIFY_AAP_CYCLES,
@@ -240,6 +234,21 @@ class Controller:
         if self._trace is not None:
             self._trace.record(mnemonic, subarray, rows, payload)
 
+    def _issue(
+        self,
+        mnemonic: str,
+        subarray: tuple[int, int, int],
+        rows: tuple[int, ...],
+        payload: np.ndarray | None = None,
+    ) -> None:
+        """Trace one serial command and charge it under its
+        :data:`~repro.core.isa.ISA` ledger name (free ones are not)."""
+        if self._trace is not None:
+            self._trace.record(mnemonic, subarray, rows, payload)
+        charged = ISA[mnemonic].ledger
+        if charged is not None:
+            self._charge(charged)
+
     # ----- accounting helpers ----------------------------------------------
 
     def _charge(self, mnemonic: str, count: int = 1) -> None:
@@ -269,8 +278,7 @@ class Controller:
         sub.rowclone(src.row, des.row)
         if self.faults is not None and self.faults.copy_rate > 0.0:
             self._apply_faults(sub, des.row, sub.read_row(des.row), "copy")
-        self._record_trace(instr.mnemonic, src.subarray_key, (src.row, des.row))
-        self._charge(instr.mnemonic)
+        self._issue(instr.mnemonic, src.subarray_key, (src.row, des.row))
 
     def compute2(
         self,
@@ -349,13 +357,12 @@ class Controller:
         self.device.validate_address(src)
         sub = self.device.subarray_at(src)
         sub.sa.load_latch(sub.read_row(src.row))
-        self._record_trace("LATCH_LD", src.subarray_key, (src.row,))
-        self._charge("LATCH_LD")
+        self._issue("LATCH_LD", src.subarray_key, (src.row,))
 
     def clear_latch(self, subarray_key: tuple[int, int, int]) -> None:
         """Reset the carry latch (precharge-time side effect; free)."""
         self.device.subarray_at(subarray_key).sa.clear_latch()
-        self._record_trace("LATCH_CLR", subarray_key, ())
+        self._issue("LATCH_CLR", subarray_key, ())
 
     def write_row(self, des: RowAddress, bits: np.ndarray) -> None:
         """Host write through the global row buffer."""
@@ -364,16 +371,14 @@ class Controller:
         arr = np.asarray(bits, dtype=np.uint8)
         mat.grb.load(arr)
         self.device.subarray_at(des).write_row(des.row, mat.grb.read())
-        self._record_trace("MEM_WR", des.subarray_key, (des.row,), payload=arr)
-        self._charge("MEM_WR")
+        self._issue("MEM_WR", des.subarray_key, (des.row,), payload=arr)
 
     def read_row(self, src: RowAddress) -> np.ndarray:
         """Host read through the global row buffer."""
         self.device.validate_address(src)
         mat = self.device.mat_at(src.bank, src.mat)
         mat.grb.load(self.device.subarray_at(src).read_row(src.row))
-        self._record_trace("MEM_RD", src.subarray_key, (src.row,))
-        self._charge("MEM_RD")
+        self._issue("MEM_RD", src.subarray_key, (src.row,))
         return mat.grb.read()
 
     def read_fields(
@@ -482,8 +487,7 @@ class Controller:
             outcome = mat.dpu.and_reduce(bits)
         else:
             outcome = mat.dpu.masked_and_reduce(bits, mask)
-        self._record_trace("DPU", result_row.subarray_key, (result_row.row,))
-        self._charge("DPU")
+        self._issue("DPU", result_row.subarray_key, (result_row.row,))
         return bool(outcome)
 
     def dpu_scalar_add(
@@ -497,8 +501,7 @@ class Controller:
         bank, mat_index, _ = subarray_key
         mat = self.device.mat_at(bank, mat_index)
         result = mat.dpu.scalar_add(a, b, bits=bits)
-        self._record_trace("DPU", subarray_key, ())
-        self._charge("DPU")
+        self._issue("DPU", subarray_key, ())
         return result
 
     # ----- gang (SIMD) execution ----------------------------------------------
@@ -635,8 +638,7 @@ class Controller:
 
         # Stage the query into x1 (one AAP), mirroring xnor_rows.
         sub.rowclone(temp.row, x1)
-        self._record_trace("AAP1", temp.subarray_key, (temp.row, x1))
-        self._charge("AAP1")
+        self._issue("AAP1", temp.subarray_key, (temp.row, x1))
         if n_rows == 0:
             return None
 
@@ -816,12 +818,7 @@ class Controller:
         sub.write_row(des.row, fill)
         # Traced as ROW_INIT (carrying the fill value) rather than a
         # degenerate src==des AAP1: the self-copy form replayed as a
-        # no-op, losing init-to-1 state.  The ledger keeps charging
-        # AAP1 — the hardware cost is exactly one RowClone.
-        self._record_trace(
-            "ROW_INIT",
-            des.subarray_key,
-            (des.row,),
-            payload=np.array([value], dtype=np.uint8),
+        # no-op, losing init-to-1 state.
+        self._issue(
+            "ROW_INIT", des.subarray_key, (des.row,), np.array([value], dtype=np.uint8)
         )
-        self._charge("AAP1")

@@ -16,14 +16,19 @@ pads with dummy data (the mapping layer in :mod:`repro.mapping` is
 responsible for that padding).
 
 This module defines the address space, the three AAP dataclasses
-:mod:`repro.core.controller` validates its operands through, and the
-registry of every trace mnemonic the platform emits.
+:mod:`repro.core.controller` validates its operands through, and
+:data:`ISA`, the one table of every trace mnemonic the platform emits:
+its operand layout, effects, payload, ledger name and resources.  The
+trace verifier, the optimiser's effect model, trace replay and the
+batched scheduler all read it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 
 class SAOp(enum.Enum):
@@ -125,25 +130,134 @@ class AapCompute3:
     mnemonic = "AAP3"
 
 
-#: Every trace mnemonic the platform can emit, in canonical order.
-#: ``repro.core.timing.command_cost_table`` must price each of these
-#: (tested by ``tests/core/test_isa_costs.py``); the analysis layer
-#: rejects trace documents containing anything else.
-ALL_MNEMONICS: tuple[str, ...] = (
-    "AAP1",
-    "AAP2",
-    "AAP3",
-    "SUM",
-    "LATCH_LD",
-    "LATCH_CLR",
-    "ROW_INIT",
-    "MEM_WR",
-    "MEM_RD",
-    "DPU",
-    # refresh / data-at-rest integrity stream (repro.core.integrity);
-    # charged straight through the ledger, never part of AAP programs
-    "REF",
-    "ECC_CHK",
-    "ECC_ENC",
-    "ECC_FIX",
-)
+# --------------------------------------------------------------------------
+# the instruction table
+# --------------------------------------------------------------------------
+
+#: what a command can keep busy, in the batched scheduler's column order:
+#: its own sub-array, its MAT's global row buffer and its MAT's DPU
+RESOURCES: tuple[str, ...] = ("subarray", "grb", "dpu")
+
+
+@dataclass(frozen=True)
+class Signature:
+    """Everything the analysis layer and the scheduler know about one mnemonic.
+
+    A recorded command lists its row operands sources first, destination
+    last (:class:`repro.core.trace.TraceEntry`); ``sources`` and ``dest``
+    name those positions, and ``rows[reads]`` / ``rows[writes]`` slice
+    them out.
+
+    Attributes:
+        arity: the legal numbers of row operands (``DPU`` takes 0 or 1).
+        sources: positions of the rows the command reads.
+        dest: position of the row it writes, or ``None``.
+        reads_latch: consumes the carry latch (``SUM``).
+        writes_latch: sets the carry latch.
+        observation: hands a row to the host or the DPU and changes no
+            array state.
+        distinct_sources: the activated source rows must differ.
+        in_place: the destination may be an activated source — Ambit's
+            TRA majority lands on all three rows (``AAP3``).
+        payload: ``"none"``, ``"fill"`` (one 0/1 value) or ``"row"``
+            (one 0/1 bit per column).
+        ledger: the mnemonic the ledger charges it under; ``None`` when
+            it is free.
+        resources: which of :data:`RESOURCES` it keeps busy.
+        program: part of an AAP program; ``False`` for the refresh/ECC
+            stream, which the ledger charges without tracing commands.
+    """
+
+    arity: tuple[int, ...]
+    sources: tuple[int, ...] = ()
+    dest: int | None = None
+    reads_latch: bool = False
+    writes_latch: bool = False
+    observation: bool = False
+    distinct_sources: bool = False
+    in_place: bool = False
+    payload: str = "none"
+    ledger: str | None = None
+    resources: tuple[str, ...] = ("subarray",)
+    program: bool = True
+    reads: slice = field(init=False, repr=False, compare=False)
+    writes: slice = field(init=False, repr=False, compare=False)
+    #: :attr:`resources` as column indices into :data:`RESOURCES`
+    columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.sources)
+        if self.sources != tuple(range(n)) or self.dest not in (None, n):
+            raise ValueError("operands are laid out sources first, then dest")
+        object.__setattr__(self, "reads", slice(0, n))
+        object.__setattr__(self, "writes", slice(n, n + (self.dest is not None)))
+        columns = tuple(RESOURCES.index(name) for name in self.resources)
+        object.__setattr__(self, "columns", columns)
+
+    @property
+    def copies(self) -> bool:
+        """The destination receives its one source's value (type-1 AAP)."""
+        return self.dest is not None and len(self.sources) == 1
+
+    def operands_valid(self, rows: Sequence[int]) -> bool:
+        """Distinct sources, and no destination among them unless in place."""
+        sources = rows[self.reads]
+        if self.distinct_sources and len(set(sources)) != len(sources):
+            return False
+        return self.in_place or self.dest is None or rows[self.dest] not in sources
+
+
+def resource_key(name: str, subarray: tuple[int, ...]) -> tuple[object, ...]:
+    """The resource ``name`` serving ``subarray``: the sub-array itself,
+    or its MAT's GRB or DPU as ``(name, bank, mat)``."""
+    if name == "subarray":
+        return tuple(subarray)
+    return (name, subarray[0], subarray[1])
+
+
+_GRB = ("subarray", "grb")
+
+#: The instruction table: every trace mnemonic the platform can emit, in
+#: canonical order; each entry reads ``(arity, sources, dest, ...)``.
+#: ``repro.core.timing.command_cost_table`` prices each of them
+#: (``tests/core/test_isa_costs.py``); the analysis layer rejects trace
+#: documents holding anything else.
+ISA: dict[str, Signature] = {
+    "AAP1": Signature((2,), (0,), 1, ledger="AAP1"),
+    "AAP2": Signature((3,), (0, 1), 2, distinct_sources=True, ledger="AAP2"),
+    # TRA: the majority lands on des and in the carry latch
+    "AAP3": Signature((4,), (0, 1, 2), 3, writes_latch=True, distinct_sources=True,
+                      in_place=True, ledger="AAP3"),
+    # latch-assisted sum: des = src1 ^ src2 ^ latch
+    "SUM": Signature((3,), (0, 1), 2, reads_latch=True, distinct_sources=True,
+                     ledger="SUM"),
+    "LATCH_LD": Signature((1,), (0,), writes_latch=True, ledger="LATCH_LD"),
+    # rides on the precharge of the surrounding AAP: never charged
+    "LATCH_CLR": Signature((0,), writes_latch=True),
+    # a RowClone off a reserved constant row: charged as one AAP1
+    "ROW_INIT": Signature((1,), (), 0, payload="fill", ledger="AAP1"),
+    "MEM_WR": Signature((1,), (), 0, payload="row", ledger="MEM_WR", resources=_GRB),
+    "MEM_RD": Signature((1,), (0,), observation=True, ledger="MEM_RD", resources=_GRB),
+    "DPU": Signature((0, 1), (0,), observation=True, ledger="DPU", resources=("dpu",)),
+    # refresh / data-at-rest integrity stream (repro.core.integrity)
+    "REF": Signature((0,), ledger="REF", program=False),
+    "ECC_CHK": Signature((0,), ledger="ECC_CHK", program=False),
+    "ECC_ENC": Signature((0,), ledger="ECC_ENC", program=False),
+    "ECC_FIX": Signature((0,), ledger="ECC_FIX", program=False),
+}
+
+ALL_MNEMONICS: tuple[str, ...] = tuple(ISA)
+
+
+def ledger_counts(traced: Mapping[str, int]) -> Counter[str]:
+    """Fold per-mnemonic command counts into the counts the ledger charges.
+
+    Each count moves to its mnemonic's :attr:`Signature.ledger` name;
+    free mnemonics and names outside :data:`ISA` drop out.
+    """
+    folded: Counter[str] = Counter()
+    for mnemonic, count in traced.items():
+        signature = ISA.get(mnemonic)
+        if signature is not None and signature.ledger is not None:
+            folded[signature.ledger] += count
+    return folded

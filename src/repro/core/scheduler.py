@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro.core.isa import ISA, RESOURCES, resource_key
 from repro.core.timing import DEFAULT_TIMING, command_cost_table
 from repro.core.trace import CommandTrace
 from repro.observability.metrics import inc, observe
@@ -49,19 +50,6 @@ class BatchReport:
         return self.serial_ns / self.makespan_ns
 
 
-def _resource_columns(mnemonic: str) -> tuple[int, ...]:
-    """Which of a key's (sub-array, MAT GRB, MAT DPU) ids a command busies.
-
-    DPU work runs on the MAT's DPU; host reads and writes cross the
-    MAT's GRB and the sub-array; everything else occupies the sub-array.
-    """
-    if mnemonic == "DPU":
-        return (2,)
-    if mnemonic in ("MEM_RD", "MEM_WR"):
-        return (0, 1)
-    return (0,)
-
-
 class BatchedAapScheduler:
     """Coalesces independent per-sub-array op streams into gang issues.
 
@@ -80,6 +68,9 @@ class BatchedAapScheduler:
       the source/target sub-array);
     * each MAT's DPU runs reduce ops — a *separate* resource, so the
       DPU reduce of a scanned row overlaps the next row's activation.
+
+    Which of them a mnemonic busies is its ``resources`` entry in the
+    instruction table :data:`repro.core.isa.ISA`.
 
     Pricing: :meth:`flush_segments` is the one makespan computation.
     It prices many independent gang schedules in one host pass — the
@@ -135,10 +126,9 @@ class BatchedAapScheduler:
             key_ids = self._key_ids
             resources = self._resource_ids
             for key in set(keys).difference(key_ids):
-                mat = key[:2]
                 key_ids[key] = tuple(
-                    resources.setdefault(resource, len(resources))
-                    for resource in (key, ("grb", *mat), ("dpu", *mat))
+                    resources.setdefault(resource_key(name, key), len(resources))
+                    for name in RESOURCES
                 )
             self._last_keys = keys
             self._last_ids = np.array(
@@ -230,7 +220,7 @@ class BatchedAapScheduler:
         for mnemonic, counts in charges:
             time_ns, energy_nj = self._cost(mnemonic)
             counts = np.asarray(counts, dtype=np.int64)
-            for column in _resource_columns(mnemonic):
+            for column in ISA[mnemonic].columns:
                 busy[column] += counts * time_ns
             rows.append(
                 (

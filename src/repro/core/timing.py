@@ -168,12 +168,9 @@ def command_latency_table(timing: TimingParameters) -> dict:
         "AAP3": timing.t_aap,
         "SUM": timing.t_aap,
         "LATCH_LD": timing.t_ap,
-        # A row init is one RowClone from a reserved constant row; the
-        # stats ledger charges it as AAP1, the trace keeps the mnemonic
-        # (and the fill value) so replay stays faithful.
+        # a RowClone off a constant row, and a free latch reset (the
+        # ledger names of both: repro.core.isa.ISA)
         "ROW_INIT": timing.t_aap,
-        # Latch reset rides on the precharge of the surrounding AAP:
-        # no extra command, no extra time.
         "LATCH_CLR": 0.0,
         "MEM_WR": timing.t_write_row,
         "MEM_RD": timing.t_read_row,

@@ -7,7 +7,8 @@ bench would consume.  Uses:
 * **debugging** — inspect what an algorithm actually issued;
 * **verification** — replay a trace against a fresh device and check
   the final state matches (`replay`), proving the trace is a complete
-  description of the computation;
+  description of the computation; operand layout and payload kinds
+  come from the instruction table :data:`repro.core.isa.ISA`;
 * **analysis** — command-mix histograms, per-sub-array load, bank-level
   conflict estimation (`TraceAnalysis`);
 * **charge audit** — the bulk engine executes on raw bit planes and
@@ -27,9 +28,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
+
+from repro.core.isa import ISA, RowAddress
 
 if TYPE_CHECKING:
     from repro.core.controller import Controller
@@ -41,14 +44,13 @@ class TraceEntry:
 
     Attributes:
         index: issue order.
-        mnemonic: command name (one of
-            :data:`repro.core.isa.ALL_MNEMONICS`).
+        mnemonic: command name (a key of :data:`repro.core.isa.ISA`).
         subarray: (bank, mat, subarray) the command targets.
         rows: row operands in issue order (sources first, then the
             destination, where applicable).
-        payload: row data for ``MEM_WR`` commands (bit tuple) and the
-            fill value for ``ROW_INIT`` (one-element tuple), else
-            ``None`` — exactly the information needed for replay.
+        payload: the mnemonic's payload (``Signature.payload``): the
+            row's bits for ``MEM_WR``, the one fill value for
+            ``ROW_INIT``, else ``None`` — exactly what replay needs.
     """
 
     index: int
@@ -201,40 +203,50 @@ class CommandTrace:
         if not isinstance(commands, list):
             raise ValueError("trace document: 'commands' missing or not a list")
         for i, cmd in enumerate(commands):
-            if not isinstance(cmd, dict):
-                raise ValueError(f"trace command #{i}: not an object")
-            try:
-                mnemonic = cmd["op"]
-                subarray = tuple(int(x) for x in cmd["sub"])
-                rows = tuple(int(r) for r in cmd["rows"])
-            except (KeyError, TypeError, ValueError):
+            if not (
+                isinstance(cmd, dict)
+                and isinstance(cmd.get("op"), str)
+                and _is_subarray(cmd.get("sub"))
+                and isinstance(cmd.get("rows"), list)
+                and all(is_int(r) for r in cmd["rows"])
+            ):
                 raise ValueError(
-                    f"trace command #{i}: needs 'op', 'sub', 'rows'"
-                ) from None
-            if not isinstance(mnemonic, str) or len(subarray) != 3:
-                raise ValueError(f"trace command #{i}: malformed op/sub")
+                    f"trace command #{i}: needs a string 'op', a 3-int 'sub' "
+                    "and a list of int 'rows'"
+                )
             payload = cmd.get("payload")
+            if payload is not None and not (
+                isinstance(payload, list)
+                and all(is_int(b) and 0 <= b <= 255 for b in payload)
+            ):
+                raise ValueError(
+                    f"trace command #{i}: 'payload' must be a list of "
+                    "integers in [0, 255]"
+                )
             trace.record(
-                mnemonic,
-                subarray,  # type: ignore[arg-type]
-                rows,
+                cmd["op"],
+                tuple(cmd["sub"]),  # type: ignore[arg-type]
+                tuple(cmd["rows"]),
                 np.asarray(payload, dtype=np.uint8) if payload is not None else None,
             )
-        for j, mark in enumerate(doc.get("marks", [])):
-            try:
-                pos, label = mark
-            except (TypeError, ValueError):
-                raise ValueError(f"trace mark #{j}: expected [pos, label]") from None
-            if not isinstance(label, str):
-                raise ValueError(f"trace mark #{j}: label must be a string")
-            trace._marks.append((int(pos), label))
+        for j, mark in enumerate(_section(doc, "marks")):
+            if not (
+                isinstance(mark, list)
+                and len(mark) == 2
+                and is_int(mark[0])
+                and isinstance(mark[1], str)
+            ):
+                raise ValueError(
+                    f"trace mark #{j}: expected [int position, string label]"
+                )
+            trace._marks.append((mark[0], mark[1]))
         for i, ch in enumerate(_section(doc, "charges")):
             if not (
                 isinstance(ch, dict)
                 and isinstance(ch.get("op"), str)
                 and _is_subarray(ch.get("sub"))
-                and _is_int(ch.get("count"))
-                and _is_finite(ch.get("time_ns"))
+                and is_int(ch.get("count"))
+                and is_finite(ch.get("time_ns"))
             ):
                 raise ValueError(
                     f"trace charge #{i}: needs a string 'op', a 3-int 'sub', "
@@ -246,10 +258,10 @@ class CommandTrace:
         for i, fl in enumerate(_section(doc, "flushes")):
             if not (
                 isinstance(fl, dict)
-                and _is_int(fl.get("at"))
-                and _is_finite(fl.get("serial_ns"))
-                and _is_finite(fl.get("makespan_ns"))
-                and _is_int(fl.get("commands"))
+                and is_int(fl.get("at"))
+                and is_finite(fl.get("serial_ns"))
+                and is_finite(fl.get("makespan_ns"))
+                and is_int(fl.get("commands"))
             ):
                 raise ValueError(
                     f"trace flush #{i}: needs int 'at'/'commands' and finite "
@@ -273,11 +285,11 @@ def _section(doc: dict, key: str) -> list:
     return value
 
 
-def _is_int(value: object) -> bool:
+def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite(value: object) -> bool:
+def is_finite(value: object) -> bool:
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
@@ -289,7 +301,7 @@ def _is_subarray(value: object) -> bool:
     return (
         isinstance(value, list)
         and len(value) == 3
-        and all(_is_int(x) for x in value)
+        and all(is_int(x) for x in value)
     )
 
 
@@ -334,60 +346,45 @@ def analyse(trace: CommandTrace) -> TraceAnalysis:
     )
 
 
-def replay_entry(entry: TraceEntry, controller: "Controller") -> bool:
-    """Re-issue one recorded command; returns False when skipped.
+#: the controller method that re-issues each state-changing mnemonic;
+#: it takes the operand rows as addresses (the sub-array key when there
+#: are none), then the payload (:func:`replay_entry`)
+REPLAY_METHODS: dict[str, str] = {
+    "AAP1": "copy",
+    "AAP2": "compute2",
+    "AAP3": "tra_carry",
+    "SUM": "sum_cycle",
+    "LATCH_LD": "load_latch",
+    "LATCH_CLR": "clear_latch",
+    "ROW_INIT": "init_row",
+    "MEM_WR": "write_row",
+}
 
-    ``MEM_RD`` and ``DPU`` entries are observations (they do not mutate
-    array state) and are skipped.
+
+def replay_entry(entry: TraceEntry, controller: "Controller") -> bool:
+    """Re-issue one recorded command; returns False for an observation
+    (``MEM_RD``, ``DPU``), which changes no array state.  ``AAP2``
+    replays as the XNOR2 the pipeline issues.
 
     Raises:
-        ValueError: on a mnemonic replay does not understand.
+        ValueError: on a mnemonic replay does not understand, or a
+            missing payload.
     """
-    from repro.core.isa import RowAddress, SAOp
-
-    bank, mat, sub = entry.subarray
-
-    def addr(row: int) -> RowAddress:
-        return RowAddress(bank=bank, mat=mat, subarray=sub, row=row)
-
-    if entry.mnemonic == "AAP1":
-        controller.copy(addr(entry.rows[0]), addr(entry.rows[1]))
-    elif entry.mnemonic == "AAP2":
-        controller.compute2(
-            addr(entry.rows[0]),
-            addr(entry.rows[1]),
-            addr(entry.rows[2]),
-            SAOp.XNOR2,
-        )
-    elif entry.mnemonic == "AAP3":
-        controller.tra_carry(
-            addr(entry.rows[0]),
-            addr(entry.rows[1]),
-            addr(entry.rows[2]),
-            addr(entry.rows[3]),
-        )
-    elif entry.mnemonic == "SUM":
-        controller.sum_cycle(
-            addr(entry.rows[0]), addr(entry.rows[1]), addr(entry.rows[2])
-        )
-    elif entry.mnemonic == "LATCH_LD":
-        controller.load_latch(addr(entry.rows[0]))
-    elif entry.mnemonic == "LATCH_CLR":
-        controller.clear_latch(entry.subarray)
-    elif entry.mnemonic == "ROW_INIT":
-        if entry.payload is None:
-            raise ValueError(f"ROW_INIT entry #{entry.index} lacks payload")
-        controller.init_row(addr(entry.rows[0]), int(entry.payload[0]))
-    elif entry.mnemonic == "MEM_WR":
-        if entry.payload is None:
-            raise ValueError(f"MEM_WR entry #{entry.index} lacks payload")
-        controller.write_row(
-            addr(entry.rows[0]), np.array(entry.payload, dtype=np.uint8)
-        )
-    elif entry.mnemonic in ("MEM_RD", "DPU"):
+    signature = ISA.get(entry.mnemonic)
+    if signature is not None and signature.observation:
         return False
-    else:
+    method = REPLAY_METHODS.get(entry.mnemonic)
+    if signature is None or method is None:
         raise ValueError(f"cannot replay mnemonic {entry.mnemonic!r}")
+    bank, mat, sub = entry.subarray
+    args: list[Any] = [RowAddress(bank, mat, sub, row) for row in entry.rows]
+    if signature.payload != "none":
+        if entry.payload is None:
+            raise ValueError(f"{entry.mnemonic} entry #{entry.index} lacks payload")
+        fill = signature.payload == "fill"
+        payload = entry.payload
+        args.append(int(payload[0]) if fill else np.array(payload, dtype=np.uint8))
+    getattr(controller, method)(*(args or [entry.subarray]))
     return True
 
 

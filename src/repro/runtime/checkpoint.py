@@ -88,6 +88,15 @@ def decode_words(text: object, dtype: str, what: str) -> np.ndarray:
     return np.frombuffer(data, dtype=dtype)
 
 
+def require_keys(record: object, keys: tuple[str, ...], what: str) -> None:
+    """Raise :class:`JournalError` unless ``record`` is an object holding ``keys``."""
+    if not isinstance(record, dict):
+        raise JournalError(f"{what} is not an object")
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise JournalError(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

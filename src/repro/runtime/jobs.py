@@ -66,7 +66,12 @@ from repro.errors import (
 from repro.observability.metrics import inc
 from repro.observability.session import active_session
 from repro.observability.spans import event, span
-from repro.runtime.checkpoint import JobJournal, decode_words, encode_words
+from repro.runtime.checkpoint import (
+    JobJournal,
+    decode_words,
+    encode_words,
+    require_keys,
+)
 from repro.runtime.watchdog import Watchdog
 
 __all__ = ["JobConfig", "JobDecision", "JobReport", "JobOutcome", "JobRunner"]
@@ -432,6 +437,9 @@ class JobRunner:
         ledger.  The payload is only read, never kept, so one record
         can serve as the rollback point of several attempts.
         """
+        require_keys(
+            payload, ("stage", "platform", "counter", "counts"), "journal record"
+        )
         pim = PimAssembler.from_state(payload["platform"])
         state = PipelineState()
         if payload["counter"] is not None:
@@ -439,6 +447,8 @@ class JobRunner:
                 pim, payload["counter"], engine=self.config.engine
             )
         if payload["counts"] is not None:
+            if state.counter is None:
+                raise JournalError("record holds counts but no counter")
             kmers = state.counter.kmers
             counts = decode_words(payload["counts"], "<i8", "counts")
             if counts.size != kmers.size:

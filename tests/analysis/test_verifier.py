@@ -18,6 +18,7 @@ from repro.analysis.tracefile import (
     save_document,
 )
 from repro.analysis.verifier import verify_document
+from repro.cli import main
 from repro.core.trace import CommandTrace
 from repro.errors import TraceFormatError
 
@@ -127,6 +128,16 @@ CORPUS = [
         "V002",
     ),
     (
+        "mem-wr-non-bit-payload",
+        lambda: make_doc([("MEM_WR", (1,), [2] * 8)]),
+        "V002",
+    ),
+    (
+        "ref-with-row-operand",
+        lambda: make_doc([("REF", (1,))]),
+        "V002",
+    ),
+    (
         "read-of-uninitialised-row",
         lambda: make_doc([("AAP1", (5, 60))]),
         "V003",
@@ -232,6 +243,14 @@ CORPUS = [
         lambda: make_doc(
             [("LATCH_CLR", ())],
             ledger={"time_ns": 0.0, "commands": {"LATCH_CLR": 1}},
+        ),
+        "V009",
+    ),
+    (
+        "row-init-charged-under-its-own-name",
+        lambda: make_doc(
+            [("ROW_INIT", (1,), [1])],
+            ledger={"time_ns": 170.0, "commands": {"AAP1": 1, "ROW_INIT": 1}},
         ),
         "V009",
     ),
@@ -503,3 +522,54 @@ def test_load_accepts_well_formed_charges(tmp_path):
     assert doc.trace.charges == [("AAP1", (0, 0, 0), 2, 170.0)]
     assert doc.trace.flushes == [(1, 170.0, 170.0, 2)]
     assert verify_document(doc).render() == ""
+
+
+def _set(path, value):
+    """A mutator writing ``value`` at ``path`` of a raw document."""
+
+    def mutate(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+#: malformed documents: each must fail at load, before any rule runs
+MALFORMED = [
+    ("payload-over-a-byte", _set(("commands", 0, "payload"), [300] * 8)),
+    ("payload-negative", _set(("commands", 0, "payload"), [-1] * 8)),
+    ("payload-not-a-list", _set(("commands", 0, "payload"), {})),
+    ("payload-float", _set(("commands", 0, "payload"), [1.0] * 8)),
+    ("row-float", _set(("commands", 0, "rows"), [1.5])),
+    ("row-string", _set(("commands", 0, "rows"), ["1"])),
+    ("sub-float", _set(("commands", 0, "sub"), [0, 0, 0.5])),
+    ("ledger-count-not-int", _set(("ledger", "commands", "MEM_WR"), "x")),
+    ("ledger-time-not-number", _set(("ledger", "time_ns"), "abc")),
+    ("ledger-commands-not-object", _set(("ledger", "commands"), [1])),
+    ("timing-unknown-key", _set(("timing", "t_frob"), 1.0)),
+    ("timing-not-number", _set(("timing", "t_ras"), "fast")),
+    ("timing-non-positive", _set(("timing", "t_ras"), 0.0)),
+    ("mark-position-not-int", _set(("marks",), [[None, "hashmap:begin"]])),
+    ("marks-not-a-list", _set(("marks",), {"0": "hashmap:begin"})),
+    ("complete-not-bool", _set(("complete",), "false")),
+    ("cold-start-not-bool", _set(("cold_start",), 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, mutate", MALFORMED, ids=[case[0] for case in MALFORMED]
+)
+def test_malformed_document_is_a_format_error(tmp_path, name, mutate):
+    """A typed load error and the CLI's input exit, never a traceback."""
+    raw = make_doc(
+        [("MEM_WR", (1,), FULL_ROW)],
+        ledger={"time_ns": 0.0, "commands": {"MEM_WR": 1}},
+    ).to_json()
+    mutate(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(TraceFormatError):
+        load_document(path)
+    assert main(["verify-trace", str(path)]) == 2

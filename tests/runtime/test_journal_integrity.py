@@ -118,6 +118,21 @@ MESSAGES = {
 }
 
 
+def _rewrite_record(job_dir: Path, mutate) -> None:
+    """Apply ``mutate`` to the journal's first record and re-hash it into
+    the manifest, so the manifest check passes and restore is what must
+    catch the damage."""
+    journal = JobJournal(job_dir)
+    ref = journal.records()[0]
+    record = journal.load(ref)
+    mutate(record)
+    data = json.dumps(record, sort_keys=True).encode("ascii")
+    (journal.records_dir / ref.filename).write_bytes(data)
+    digest = hashlib.sha256(data).hexdigest()
+    journal.manifest_path.write_text(f"0 {ref.stage} {ref.filename} {digest}\n")
+    assert journal.records()[0].sha256 == digest
+
+
 @st.composite
 def record_mutations(draw):
     """A function that breaks one field of a v3 hashmap record."""
@@ -201,19 +216,45 @@ class TestMalformedRecords:
         with tempfile.TemporaryDirectory() as tmp:
             job_dir = Path(tmp) / "job"
             shutil.copytree(hashmap_journal, job_dir)
-            journal = JobJournal(job_dir)
-            ref = journal.records()[0]
-            record = journal.load(ref)
-            mutate(record)
-            data = json.dumps(record, sort_keys=True).encode("ascii")
-            (journal.records_dir / ref.filename).write_bytes(data)
-            digest = hashlib.sha256(data).hexdigest()
-            journal.manifest_path.write_text(
-                f"0 {ref.stage} {ref.filename} {digest}\n"
-            )
-            assert journal.records()[0].sha256 == digest
+            _rewrite_record(job_dir, mutate)
             with pytest.raises(JournalError, match=MESSAGES[kind]):
                 JobRunner(job_dir, JobConfig(k=K)).resume(READS)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("platform",),
+            ("counter",),
+            ("counts",),
+            ("counter", "k"),
+            ("counter", "keys"),
+            ("counter", "kmers"),
+        ],
+        ids="/".join,
+    )
+    def test_record_missing_a_key_raises_journal_error(
+        self, hashmap_journal, tmp_path, path
+    ):
+        def mutate(record):
+            node = record
+            for key in path[:-1]:
+                node = node[key]
+            del node[path[-1]]
+
+        job_dir = tmp_path / "job"
+        shutil.copytree(hashmap_journal, job_dir)
+        _rewrite_record(job_dir, mutate)
+        with pytest.raises(JournalError, match=f"lacks {path[-1]!r}"):
+            JobRunner(job_dir, JobConfig(k=K)).resume(READS)
+
+    def test_record_with_counts_but_no_counter_raises_journal_error(
+        self, hashmap_journal, tmp_path
+    ):
+        job_dir = tmp_path / "job"
+        shutil.copytree(hashmap_journal, job_dir)
+        _rewrite_record(job_dir, lambda record: record.update(counter=None))
+        with pytest.raises(JournalError, match="no counter"):
+            JobRunner(job_dir, JobConfig(k=K)).resume(READS)
 
     def test_cli_refuses_a_v2_journal_in_one_line(
         self, hashmap_journal, tmp_path, capsys
