@@ -50,7 +50,7 @@ O003   stream carries unmodelled mnemonics (``REF``/``ECC_*``) —
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -130,7 +130,7 @@ def dead_write_pass(tokens: list[Token]) -> tuple[list[Token], PassStats]:
     — the equivalence obligations make every final row and latch an
     observable, so a trailing write is never removable.
     """
-    dead_rows: dict[tuple, set[int]] = {}
+    dead_rows: defaultdict[tuple, set[int]] = defaultdict(set)
     dead_latch: dict[tuple, bool] = {}
     kept_reversed: list[Token] = []
     justifications: list[dict] = []
@@ -144,7 +144,7 @@ def dead_write_pass(tokens: list[Token]) -> tuple[list[Token], PassStats]:
         writes = entry.rows[sig.writes]
         wlatch = sig.writes_latch
         sub = entry.subarray
-        dead = dead_rows.setdefault(sub, set())
+        dead = dead_rows[sub]
         if not sig.observation and (writes or wlatch):
             removable = all(w in dead for w in writes) and (
                 not wlatch or dead_latch.get(sub, False)
@@ -193,8 +193,10 @@ def copy_propagation_pass(
     sources, destination not an activated source) and skipped when the
     substitution would violate them.
     """
-    version: dict[tuple, Counter] = {}
-    copies: dict[tuple, dict[int, tuple[int, int, int]]] = {}
+    version: defaultdict[tuple, Counter] = defaultdict(Counter)
+    copies: defaultdict[tuple, dict[int, tuple[int, int, int]]] = defaultdict(
+        dict
+    )
     out: list[Token] = []
     justifications: list[dict] = []
     rewritten = 0
@@ -205,8 +207,8 @@ def copy_propagation_pass(
             continue
         entry: TraceEntry = token[1]
         sub = entry.subarray
-        ver = version.setdefault(sub, Counter())
-        alias = copies.setdefault(sub, {})
+        ver = version[sub]
+        alias = copies[sub]
 
         def resolve(row: int) -> int:
             seen = {row}
@@ -274,7 +276,7 @@ def redundant_init_pass(
     other write to the row (or latch load/TRA) invalidates the
     known-state fact.
     """
-    known_const: dict[tuple, dict[int, int]] = {}
+    known_const: defaultdict[tuple, dict[int, int]] = defaultdict(dict)
     latch_clear: dict[tuple, bool] = {}
     out: list[Token] = []
     justifications: list[dict] = []
@@ -285,7 +287,7 @@ def redundant_init_pass(
             continue
         entry: TraceEntry = token[1]
         sub = entry.subarray
-        consts = known_const.setdefault(sub, {})
+        consts = known_const[sub]
         sig = ISA[entry.mnemonic]
         writes = entry.rows[sig.writes]
         if sig.payload == "fill":

@@ -457,17 +457,15 @@ class PimKmerCounter:
         ).astype(np.int64)
         inc_p = np.bincount(pair_of[incs], minlength=n_pairs)
         pair_reads = pairs // n_parts
-        # under a detect policy each read's parity checks are charged
-        # before its flush
+        # under a detect policy each read charges one parity check per
+        # scanned row, ahead of its schedule
         eng = ctrl._verifying()
-        read_starts = np.flatnonzero(
-            np.concatenate(([True], pair_reads[1:] != pair_reads[:-1]))
-        )
-        scanned_per_read = np.add.reduceat(scan_p, read_starts).tolist()
-
-        def charge_verify(i: int) -> None:
-            if scanned_per_read[i]:
-                ctrl._charge_verify(eng, count=scanned_per_read[i])
+        verify = None
+        if eng is not None:
+            read_starts = np.flatnonzero(
+                np.concatenate(([True], pair_reads[1:] != pair_reads[:-1]))
+            )
+            verify = np.add.reduceat(scan_p, read_starts)
 
         # per arrival: temp insert + x1 staging; per miss: the insert
         # RowClone and its counter write; per hit: a counter read; per
@@ -484,8 +482,10 @@ class PimKmerCounter:
                 ("AAP2", scan_p),
                 ("DPU", scan_p + inc_p),
             ],
-            charge_verify if eng is not None else None,
+            verify,
         )
+        if verify is not None:
+            ctrl._note_verify(eng, verify)
 
     # ----- table updates ---------------------------------------------------------------
 
@@ -561,7 +561,6 @@ class PimKmerCounter:
         ctrl = self.pim.controller
         engine = ctrl.resilience
         order, parts, slots = self._slot_order()
-        keys = [self._keys[p] for p in parts.tolist()]
         rows = self.layout.kmer_row(0) + slots
         expected = packed_to_row_bits(
             self._idx_keys[order], self.k, self.pim.row_bits
@@ -570,23 +569,24 @@ class PimKmerCounter:
 
         def repair(i: int) -> None:
             nonlocal repaired
+            key = self._keys[parts[i]]
             if engine is not None:
                 engine.note_detected()
             if engine is None or engine.policy.retry:
-                ctrl.write_row(RowAddress(*keys[i], row=int(rows[i])), expected[i])
+                ctrl.write_row(RowAddress(*key, row=int(rows[i])), expected[i])
                 repaired += 1
                 if engine is not None:
                     engine.note_corrected()
             else:
-                engine.note_uncorrected(keys[i], int(rows[i]))
+                engine.note_uncorrected(key, int(rows[i]))
 
         # Scrub repairs legitimately MEM_WR straight into the k-mer
         # region; the marks tell the trace verifier to suspend its
         # table-region write rule for this window.
         ctrl.mark("scrub:begin")
-        ctrl.scrub_rows(keys, rows, pack_rows(expected), repair)
+        ctrl.scrub_rows(self._keys, parts, rows, pack_rows(expected), repair)
         ctrl.mark("scrub:end")
-        checked = len(keys)
+        checked = int(rows.size)
         if engine is not None:
             engine.note_scrub(checked, repaired)
         # one repair stream: table-scrub repairs feed the integrity
@@ -622,7 +622,8 @@ class PimKmerCounter:
         layout = self.layout
         values = np.empty(order.size, dtype=np.int64)
         values[order] = self.pim.controller.read_fields(
-            [self._keys[p] for p in parts.tolist()],
+            self._keys,
+            parts,
             layout.value_base + slots // layout.counters_per_row,
             (slots % layout.counters_per_row) * layout.counter_bits,
             layout.counter_bits,

@@ -65,11 +65,7 @@ from repro.core.device import Device
 from repro.core.energy import EnergyParameters, DEFAULT_ENERGY
 from repro.core.isa import ISA, AapCompute2, AapCompute3, AapCopy, RowAddress, SAOp
 from repro.core.faults import FaultModel
-from repro.core.resilience import (
-    VERIFY_AAP_CYCLES,
-    VERIFY_DPU_OPS,
-    ResilienceEngine,
-)
+from repro.core.resilience import ResilienceEngine
 from repro.core.scheduler import BatchedAapScheduler
 from repro.core.stats import StatsLedger
 from repro.core.storage import popcount_words, width_mask
@@ -117,26 +113,39 @@ class Controller:
 
     def _charge_verify(self, eng: ResilienceEngine | None, count: int = 1) -> None:
         """Charge ``count`` parity checks (extra AAP + DPU cycles)."""
-        t_aap = VERIFY_AAP_CYCLES * self.timing.t_aap
-        e_aap = VERIFY_AAP_CYCLES * self.energy.e_sum_cycle
-        t_dpu = VERIFY_DPU_OPS * self.timing.t_dpu_clk
-        e_dpu = VERIFY_DPU_OPS * self.energy.e_dpu_op
-        self.ledger.record(
-            "VRF_AAP",
-            time_ns=count * t_aap,
-            energy_nj=count * e_aap,
-            count=count * VERIFY_AAP_CYCLES,
+        (aap, n_aap, t_aap, e_aap), (dpu, n_dpu, t_dpu, e_dpu) = (
+            self.scheduler.verify
         )
         self.ledger.record(
-            "VRF_DPU",
+            aap,
+            time_ns=count * t_aap,
+            energy_nj=count * e_aap,
+            count=count * n_aap,
+        )
+        self.ledger.record(
+            dpu,
             time_ns=count * t_dpu,
             energy_nj=count * e_dpu,
-            count=count * VERIFY_DPU_OPS,
+            count=count * n_dpu,
         )
         if eng is not None:
             eng.note_verify(
                 count * (t_aap + t_dpu), count * (e_aap + e_dpu), ops=count
             )
+
+    def _note_verify(
+        self, eng: ResilienceEngine | None, checks: np.ndarray
+    ) -> None:
+        """Tell ``eng`` about groups of ``checks[i]`` parity checks whose
+        ``VRF`` cells a batch stream already recorded, as one
+        :meth:`_charge_verify` per nonzero group would."""
+        checks = checks[checks > 0]
+        if eng is None or not checks.size:
+            return
+        (_, _, t_aap, e_aap), (_, _, t_dpu, e_dpu) = self.scheduler.verify
+        eng.note_verify_batch(
+            checks * (t_aap + t_dpu), checks * (e_aap + e_dpu), checks
+        )
 
     def _commit_result(
         self,
@@ -381,9 +390,23 @@ class Controller:
         self._issue("MEM_RD", src.subarray_key, (src.row,))
         return mat.grb.read()
 
+    def _slots(self, keys: list, key_index: np.ndarray) -> np.ndarray:
+        """Store slot of each entry's sub-array ``keys[key_index[i]]``.
+
+        Sub-arrays are validated and resolved in first-use order, the
+        order a row-by-row loop would touch (and lazily claim) them.
+        """
+        used, first = np.unique(key_index, return_index=True)
+        slot_of = np.zeros(len(keys), dtype=np.intp)
+        for j in used[np.argsort(first)].tolist():
+            self.device.validate_address(RowAddress(*keys[j], row=0))
+            slot_of[j] = self.device.subarray_at(keys[j]).slot
+        return slot_of[key_index]
+
     def read_fields(
         self,
-        subarray_keys: list,
+        keys: list,
+        key_index: np.ndarray,
         rows: np.ndarray,
         bit_offsets: np.ndarray,
         width: int,
@@ -391,38 +414,47 @@ class Controller:
         """Host-read one ``width``-bit field from each of many rows.
 
         Entry ``i`` reads row ``rows[i]`` of sub-array
-        ``subarray_keys[i]``.  The accounting is that of one
+        ``keys[key_index[i]]``.  The accounting is that of one
         :meth:`read_row` per entry, in order: one ``MEM_RD`` trace
-        entry and ledger record each, and every MAT's GRB left holding
-        the last row read through it.  The fields come from one
-        vectorised gather; returns them as int64.
+        entry each, one ledger stream of one ``MEM_RD`` record per
+        entry, and every MAT's GRB left holding the last row read
+        through it.  The fields come from one vectorised gather;
+        returns them as int64.
         """
+        key_index = np.asarray(key_index, dtype=np.intp)
         rows = np.asarray(rows, dtype=np.intp)
         if self._trace is not None:
-            for key, row in zip(subarray_keys, rows.tolist()):
-                self._trace.record("MEM_RD", key, (row,))
-        time_ns, energy_nj = self.scheduler.costs["MEM_RD"]
-        for _ in range(rows.size):
-            self.ledger.record("MEM_RD", time_ns, energy_nj)
-        subs = {
-            key: self.device.subarray_at(key)
-            for key in dict.fromkeys(subarray_keys)
-        }
-        last = {
-            key[:2]: (key, row) for key, row in zip(subarray_keys, rows.tolist())
-        }
-        for (bank, mat), (key, row) in last.items():
-            self.device.mat_at(bank, mat).grb.load(subs[key].read_row(row))
-        return self.device.store.read_fields(
-            np.array([subs[key].slot for key in subarray_keys], dtype=np.intp),
-            rows,
-            bit_offsets,
-            width,
+            for j, row in zip(key_index.tolist(), rows.tolist()):
+                self._trace.record("MEM_RD", keys[j], (row,))
+        n = rows.size
+        if n:
+            time_ns, energy_nj = self.scheduler.costs["MEM_RD"]
+            self.ledger.record_batch(
+                ("MEM_RD",),
+                np.zeros(n, dtype=np.intp),
+                np.ones(n, dtype=np.int64),
+                np.full(n, time_ns),
+                np.full(n, energy_nj),
+            )
+        slots = self._slots(keys, key_index)
+        # each MAT's GRB ends holding the last row read through it
+        mat_ids: dict = {}
+        mats = np.array(
+            [mat_ids.setdefault(key[:2], len(mat_ids)) for key in keys],
+            dtype=np.intp,
         )
+        _, last = np.unique(mats[key_index][::-1], return_index=True)
+        for i in (n - 1 - last).tolist():
+            key = keys[key_index[i]]
+            self.device.mat_at(*key[:2]).grb.load(
+                self.device.subarray_at(key).read_row(int(rows[i]))
+            )
+        return self.device.store.read_fields(slots, rows, bit_offsets, width)
 
     def scrub_rows(
         self,
-        subarray_keys: list,
+        keys: list,
+        key_index: np.ndarray,
         rows: np.ndarray,
         expected_words: np.ndarray,
         on_drift: Callable[[int], None] | None = None,
@@ -430,35 +462,49 @@ class Controller:
         """Parity-check many resident rows; True where a row is intact.
 
         Entry ``i`` checks row ``rows[i]`` of sub-array
-        ``subarray_keys[i]`` against ``expected_words[i]``, the row's
+        ``keys[key_index[i]]`` against ``expected_words[i]``, the row's
         host-shadow content packed as in the store.  Each check
         recomputes the row's parity through the add-on XOR path and
         reduces it on the DPU, the ``VRF`` cycles a per-op check
-        costs: this accounts as one parity check per entry, in order.
-        ``on_drift(i)`` runs right after entry ``i``'s check when that
-        row drifted, so a caller's repair lands in the command stream
+        costs: this accounts as one parity check per entry, in order,
+        sent to the ledger as one stream.  ``on_drift(i)`` runs right
+        after entry ``i``'s check when that row drifted, splitting the
+        stream there, so a caller's repair lands in the command stream
         where a row-by-row scrub puts it.  Functionally it is one
         gather of packed words and one whole-word compare (tail bits
         are zero on both sides).
         """
+        key_index = np.asarray(key_index, dtype=np.intp)
         rows = np.asarray(rows, dtype=np.intp)
         n_rows = self.device.geometry.bank.mat.subarray.rows
         if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
             raise IndexError(f"scrub row out of range 0..{n_rows - 1}")
-        slot_of = {}
-        for key in dict.fromkeys(subarray_keys):
-            self.device.validate_address(RowAddress(*key, row=0))
-            slot_of[key] = self.device.subarray_at(key).slot
-        slots = np.array(
-            [slot_of[key] for key in subarray_keys], dtype=np.intp
-        )
-        stored = self.device.store.tensor[slots, rows]
+        stored = self.device.store.tensor[self._slots(keys, key_index), rows]
         intact = (stored == expected_words).all(axis=1)
+        drifted = (
+            np.flatnonzero(~intact).tolist() if on_drift is not None else []
+        )
         eng = self.resilience
-        for i, ok in enumerate(intact.tolist()):
-            self._charge_verify(eng)
-            if not ok and on_drift is not None:
+        (aap, n_aap, t_aap, e_aap), (dpu, n_dpu, t_dpu, e_dpu) = (
+            self.scheduler.verify
+        )
+        lo = 0
+        for i in drifted + [None]:
+            hi = rows.size if i is None else i + 1
+            if hi > lo:
+                # per row: its VRF_AAP cycles, then its VRF_DPU reduce
+                m = hi - lo
+                self.ledger.record_batch(
+                    (aap, dpu),
+                    np.tile([0, 1], m),
+                    np.tile([n_aap, n_dpu], m),
+                    np.tile([t_aap, t_dpu], m),
+                    np.tile([e_aap, e_dpu], m),
+                )
+                self._note_verify(eng, np.ones(m, dtype=np.int64))
+            if i is not None and on_drift is not None:
                 on_drift(i)
+            lo = hi
         return intact
 
     # ----- DPU path -----------------------------------------------------------

@@ -508,7 +508,21 @@ class PimAssembler:
 
         from repro.core.faults import FaultModel
         from repro.core.resilience import ResilienceEngine
+        from repro.errors import JournalError
+        from repro.runtime.checkpoint import (
+            decode_b64,
+            decode_words,
+            require_keys,
+        )
 
+        require_keys(
+            state,
+            (
+                "geometry", "timing", "energy", "subarrays", "grbs",
+                "next_row", "stats", "faults", "resilience",
+            ),
+            "platform state",
+        )
         g = state["geometry"]
         geometry = DeviceGeometry(
             bank=BankGeometry(
@@ -535,9 +549,6 @@ class PimAssembler:
             energy=EnergyParameters(**state["energy"]),
         )
         cols = g["cols"]
-
-        from repro.errors import JournalError
-        from repro.runtime.checkpoint import decode_b64, decode_words
 
         def unpack(payload: str, size: int) -> np.ndarray:
             raw = np.frombuffer(decode_b64(payload, "snapshot bits"), np.uint8)

@@ -36,10 +36,12 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+import numpy as np
+
 from repro.core.stats import StatsLedger
 from repro.errors import FaultConfigError
 from repro.dram.retention import RetentionModel
-from repro.observability.metrics import inc
+from repro.observability.metrics import inc, running_sums
 from repro.observability.spans import event
 
 #: extra AAP row cycles one verification costs: recompute the parity of
@@ -49,6 +51,30 @@ VERIFY_AAP_CYCLES = 2
 VERIFY_DPU_OPS = 1
 #: AAP cycles to fold one inserted row into a region's running parity.
 PARITY_UPDATE_AAP_CYCLES = 1
+
+
+def verify_cells(
+    timing, energy
+) -> "tuple[tuple[str, int, float, float], ...]":
+    """The two ledger cells of one parity check.
+
+    ``(mnemonic, commands, ns, nJ)`` of its ``VRF_AAP`` cycles and of
+    its ``VRF_DPU`` reduce; ``n`` checks charge ``n`` times each.
+    """
+    return (
+        (
+            "VRF_AAP",
+            VERIFY_AAP_CYCLES,
+            VERIFY_AAP_CYCLES * timing.t_aap,
+            VERIFY_AAP_CYCLES * energy.e_sum_cycle,
+        ),
+        (
+            "VRF_DPU",
+            VERIFY_DPU_OPS,
+            VERIFY_DPU_OPS * timing.t_dpu_clk,
+            VERIFY_DPU_OPS * energy.e_dpu_op,
+        ),
+    )
 
 
 class PolicyLevel(str, Enum):
@@ -285,6 +311,20 @@ class ResilienceLedger:
         for target in self._targets():
             self._floats.setdefault(target, Counter())[name] += amount
 
+    def bump_floats(self, amounts: "dict[str, np.ndarray]") -> None:
+        """:meth:`bump_float` per name and amount, in order, bit for bit."""
+        cells = [
+            (self._floats.setdefault(target, Counter()), name, values)
+            for target in self._targets()
+            for name, values in amounts.items()
+        ]
+        sums = running_sums(
+            [floats[name] for floats, name, _ in cells],
+            [(i, values) for i, (_, _, values) in enumerate(cells)],
+        )
+        for (floats, name, _), total in zip(cells, sums):
+            floats[name] = total
+
     def counts(self, phase: str | None = None) -> ResilienceCounts:
         name = phase or StatsLedger.ROOT_PHASE
         events = self._events.get(name, Counter())
@@ -334,6 +374,15 @@ class ResilienceEngine:
         self.ledger.bump("verified_ops", ops)
         self.ledger.bump_float("verify_time_ns", time_ns)
         self.ledger.bump_float("verify_energy_nj", energy_nj)
+
+    def note_verify_batch(
+        self, time_ns: np.ndarray, energy_nj: np.ndarray, ops: np.ndarray
+    ) -> None:
+        """:meth:`note_verify` per entry, in order, bit for bit."""
+        self.ledger.bump("verified_ops", int(ops.sum()))
+        self.ledger.bump_floats(
+            {"verify_time_ns": time_ns, "verify_energy_nj": energy_nj}
+        )
 
     def note_detected(self, count: int = 1) -> None:
         self.ledger.bump("detected", count)

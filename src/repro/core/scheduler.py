@@ -24,14 +24,15 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.isa import ISA, RESOURCES, resource_key
+from repro.core.resilience import verify_cells
 from repro.core.timing import DEFAULT_TIMING, command_cost_table
 from repro.core.trace import CommandTrace
-from repro.observability.metrics import inc, observe
+from repro.observability.metrics import active_registry, inc, observe
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,11 @@ class BatchedAapScheduler:
         self.timing = timing or DEFAULT_TIMING
         self.energy = energy or DEFAULT_ENERGY
         self.costs = command_cost_table(self.timing, self.energy)
+        #: the ledger cells of one parity check, and as name list and
+        #: count, ns and nJ rows
+        self.verify = verify_cells(self.timing, self.energy)
+        names, *rows = zip(*self.verify)
+        self._verify_columns = [list(names)] + [np.array(row) for row in rows]
         self.trace: CommandTrace | None = None
         #: resource -> id: sub-array keys, plus ``("grb", bank, mat)``
         #: and ``("dpu", bank, mat)``
@@ -192,19 +198,27 @@ class BatchedAapScheduler:
         key_index: np.ndarray,
         segments: np.ndarray,
         charges: "list[tuple[str, np.ndarray]]",
-        before_flush: "Callable[[int], None] | None" = None,
+        verify: "np.ndarray | None" = None,
     ) -> list[BatchReport]:
         """Price and record one gang schedule per segment, in one pass.
 
         Entry ``j`` puts ``counts[j]`` commands of each ``(mnemonic,
         counts)`` in ``charges`` on ``keys[key_index[j]]``; consecutive
-        entries with equal ``segments`` labels form one schedule.  Per
-        segment, in order: each mnemonic's nonzero per-entry shares go
-        to the trace, ``before_flush(i)`` runs, and the schedule's
-        per-mnemonic totals go to the ledger with ``pim.batch.*``
-        metrics.  A resource's busy time sums its entries in entry
-        order.  Mnemonics must be distinct.  Returns one
-        :class:`BatchReport` per segment.
+        entries with equal ``segments`` labels form one schedule.
+        ``verify[i]``, when given, is the number of parity checks
+        segment ``i`` charges (:func:`~repro.core.resilience.verify_cells`).
+
+        The whole call reaches the ledger as one ordered stream
+        (:meth:`~repro.core.stats.StatsLedger.record_batch`): per
+        segment, its ``VRF_AAP`` and ``VRF_DPU`` cells, then each
+        mnemonic's total in charge order with its serial time scaled by
+        ``makespan / serial``, zero-count cells dropped.  Verify cycles
+        stay outside the schedule: no resource, trace charge or
+        ``pim.batch.*`` metric sees them.  Each mnemonic's nonzero
+        per-entry shares and each segment's flush go to the trace.  A
+        resource's busy time sums its entries in entry order.
+        Mnemonics must be distinct.  Returns one :class:`BatchReport`
+        per segment.
         """
         names = [mnemonic for mnemonic, _ in charges]
         if len(set(names)) != len(names):
@@ -214,23 +228,13 @@ class BatchedAapScheduler:
             return []
         change = np.concatenate(([False], segments[1:] != segments[:-1]))
         starts = np.concatenate(([0], np.flatnonzero(change)))
+        t, e = np.array([self._cost(mnemonic) for mnemonic in names]).T
+        entries = np.array([counts for _, counts in charges], dtype=np.int64)
         # per entry: busy ns on its sub-array, MAT GRB and MAT DPU
         busy = np.zeros((3, segments.size))
-        rows = []
-        for mnemonic, counts in charges:
-            time_ns, energy_nj = self._cost(mnemonic)
-            counts = np.asarray(counts, dtype=np.int64)
+        for mnemonic, time_ns, counts in zip(names, t, entries):
             for column in ISA[mnemonic].columns:
                 busy[column] += counts * time_ns
-            rows.append(
-                (
-                    mnemonic,
-                    time_ns,
-                    energy_nj,
-                    counts.tolist(),
-                    np.add.reduceat(counts, starts).tolist(),
-                )
-            )
         ids = self._ids(keys)[key_index]  # may grow the resource table
         # busy ns per (segment, resource), then each segment's maximum
         n_res = len(self._resource_ids)
@@ -240,66 +244,102 @@ class BatchedAapScheduler:
         first = np.flatnonzero(
             np.concatenate(([True], np.diff(ubins // n_res) != 0))
         )
-        makespans = np.maximum.reduceat(per_resource, first).tolist()
-        bounds = np.append(starts, segments.size).tolist()
-        entry_keys = [keys[i] for i in np.asarray(key_index).tolist()]
-        trace = self.trace
-        reports = []
-        for i, makespan in enumerate(makespans):
-            lo, hi = bounds[i], bounds[i + 1]
-            time_ns, energy_nj, totals = {}, {}, {}
-            for mnemonic, t, e, counts, per_segment in rows:
-                if trace is not None:
-                    for key, count in zip(entry_keys[lo:hi], counts[lo:hi]):
-                        if count > 0:
-                            trace.charge(mnemonic, key, count, count * t)
-                total = per_segment[i]
-                if total > 0:
-                    time_ns[mnemonic] = total * t
-                    energy_nj[mnemonic] = total * e
-                    totals[mnemonic] = total
-            if before_flush is not None:
-                before_flush(i)
-            reports.append(self._record(time_ns, energy_nj, totals, makespan))
+        makespans = np.maximum.reduceat(per_resource, first)
+
+        # (segments x mnemonics) totals; serial ns adds left to right
+        totals = np.add.reduceat(entries, starts, axis=1).T
+        time_ns = totals * t
+        serial = np.add.accumulate(time_ns, axis=1)[:, -1]
+        scale = np.divide(
+            makespans, serial, out=np.zeros_like(serial), where=serial > 0
+        )
+        commands = totals.sum(axis=1)
+        self._record_cells(
+            names, totals, time_ns * scale[:, None], totals * e, verify
+        )
+        reports = [
+            BatchReport(serial_ns=s, makespan_ns=m, commands=n)
+            for s, m, n in zip(
+                serial.tolist(), makespans.tolist(), commands.tolist()
+            )
+        ]
+        if self.trace is not None:
+            self._trace_segments(
+                keys, key_index, starts, names, t, entries, reports
+            )
+        if active_registry() is not None:
+            for report in reports:
+                if report.commands:
+                    inc("pim.batch.flushes")
+                    observe("pim.batch.commands", report.commands)
+                    observe("pim.batch.makespan_ns", report.makespan_ns)
+                    observe("pim.batch.speedup", report.coalescing_speedup)
         return reports
 
-    def _record(
+    def _record_cells(
         self,
-        time_ns: "Mapping[str, float]",
-        energy_nj: "Mapping[str, float]",
-        counts: "Mapping[str, int]",
-        makespan: float,
-    ) -> BatchReport:
-        """Record one gang schedule's per-mnemonic totals to the ledger."""
-        serial = float(sum(time_ns.values()))
-        commands = sum(counts.values())
-        if self.trace is not None and commands:
-            self.trace.flush(serial, makespan, commands)
-        scale = (makespan / serial) if serial > 0 else 0.0
-        for mnemonic, count in counts.items():
-            self.ledger.record(
-                mnemonic,
-                time_ns=time_ns[mnemonic] * scale,
-                energy_nj=energy_nj[mnemonic],
-                count=count,
-            )
-        if commands:
-            inc("pim.batch.flushes")
-            observe("pim.batch.commands", commands)
-            observe("pim.batch.makespan_ns", makespan)
-            observe(
-                "pim.batch.speedup",
-                (serial / makespan) if makespan > 0 else 1.0,
-            )
-        return BatchReport(
-            serial_ns=serial, makespan_ns=makespan, commands=commands
+        names: list,
+        counts: np.ndarray,
+        time_ns: np.ndarray,
+        energy_nj: np.ndarray,
+        verify: "np.ndarray | None",
+    ) -> None:
+        """Send (segments x mnemonics) cells to the ledger as one stream.
+
+        Row-major with zero-count cells dropped; ``verify[i]`` parity
+        checks put their ``VRF_AAP`` and ``VRF_DPU`` cells ahead of
+        segment ``i``'s.
+        """
+        if verify is not None:
+            checks = np.asarray(verify, dtype=np.int64)[:, None]
+            cells, n, t, e = self._verify_columns
+            names = cells + names
+            counts = np.concatenate((checks * n, counts), axis=1)
+            time_ns = np.concatenate((checks * t, time_ns), axis=1)
+            energy_nj = np.concatenate((checks * e, energy_nj), axis=1)
+        nonzero = counts > 0
+        # number the commands in order of first appearance
+        used = np.flatnonzero(nonzero.any(axis=0))
+        used = used[np.argsort(nonzero[:, used].argmax(axis=0), kind="stable")]
+        if not used.size:
+            return
+        code = np.empty(len(names), dtype=np.intp)
+        code[used] = np.arange(used.size)
+        live = np.flatnonzero(nonzero)
+        self.ledger.record_batch(
+            [names[c] for c in used.tolist()],
+            code[live % len(names)],
+            counts.ravel()[live],
+            time_ns.ravel()[live],
+            energy_nj.ravel()[live],
         )
+
+    def _trace_segments(
+        self, keys, key_index, starts, names, t, entries, reports
+    ) -> None:
+        """Record each segment's nonzero per-entry shares, then its flush."""
+        trace = self.trace
+        bounds = np.append(starts, len(key_index)).tolist()
+        entry_keys = [keys[i] for i in np.asarray(key_index).tolist()]
+        shares = [
+            (mnemonic, time_ns, counts.tolist())
+            for mnemonic, time_ns, counts in zip(names, t.tolist(), entries)
+        ]
+        for lo, hi, report in zip(bounds, bounds[1:], reports):
+            for mnemonic, time_ns, counts in shares:
+                for key, count in zip(entry_keys[lo:hi], counts[lo:hi]):
+                    if count > 0:
+                        trace.charge(mnemonic, key, count, count * time_ns)
+            if report.commands:
+                trace.flush(
+                    report.serial_ns, report.makespan_ns, report.commands
+                )
 
 
 class _NullLedger:
     """Absorbs charges when only the schedule report is wanted."""
 
-    def record(self, *args: object, **kwargs: object) -> None:
+    def record_batch(self, *args: object) -> None:
         pass
 
 

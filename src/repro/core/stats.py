@@ -12,9 +12,12 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import PhaseActiveError
+from repro.observability.metrics import running_sums
 
 if TYPE_CHECKING:
     from repro.observability.metrics import Recorder
@@ -121,6 +124,57 @@ class StatsLedger:
         if self._recorder is not None:
             self._recorder.on_command(
                 command, count, time_ns, energy_nj, self.current_phase
+            )
+
+    def record_batch(
+        self,
+        names: Sequence[str],
+        codes: np.ndarray,
+        counts: np.ndarray,
+        time_ns: np.ndarray,
+        energy_nj: np.ndarray,
+    ) -> None:
+        """Record an ordered stream of events, as one :meth:`record` each.
+
+        Event ``j`` is ``counts[j]`` commands of ``names[codes[j]]``
+        with combined ``time_ns[j]`` and ``energy_nj[j]``.  Commands
+        travel as small integer codes so a stream stays numeric;
+        ``names`` lists the stream's commands in order of first
+        appearance, each used at least once (that order is the one in
+        which a :meth:`record` loop would first key them).  Every phase
+        total is the left-to-right running sum a :meth:`record` loop
+        builds (:func:`running_sums`), so the ledger and the attached
+        recorder end bit-identical to that loop; the recorder receives
+        the stream in one
+        :meth:`~repro.observability.metrics.Recorder.on_batch` call.
+        """
+        if not len(codes):
+            return
+        if counts.min() <= 0:
+            raise ValueError("count must be positive")
+        if time_ns.min() < 0 or energy_nj.min() < 0:
+            raise ValueError("time and energy must be non-negative")
+        totals = np.zeros(len(names), dtype=np.int64)
+        np.add.at(totals, codes, counts)
+        if not totals.all():
+            raise ValueError("every command name must occur in the stream")
+        targets = [self.ROOT_PHASE]
+        targets.extend(self._phase_stack)
+        n = len(targets)
+        sums = running_sums(
+            [self._time_ns[name] for name in targets]
+            + [self._energy_nj[name] for name in targets],
+            [(i, time_ns) for i in range(n)]
+            + [(n + i, energy_nj) for i in range(n)],
+        )
+        for i, name in enumerate(targets):
+            self._time_ns[name] = sums[i]
+            self._energy_nj[name] = sums[n + i]
+            for command, count in zip(names, totals.tolist()):
+                self._commands[name][command] += count
+        if self._recorder is not None:
+            self._recorder.on_batch(
+                names, codes, counts, time_ns, energy_nj, self.current_phase
             )
 
     def elapsed_ns(self, phase: str | None = None) -> float:

@@ -193,8 +193,9 @@ def _charge_wallace(
     Each reduction is its own gang schedule on ``subarray_key``, and all
     of them go through one :meth:`BatchedAapScheduler.flush_segments`
     call: the ledger, trace and ``pim.batch.*`` metrics equal one
-    ``charge`` per mnemonic plus ``flush`` per reduction, with each
-    reduction's verify charge between its charges and its flush.
+    ``charge`` per mnemonic plus ``flush`` per reduction; under a
+    detect policy each reduction's parity checks (one per SUM and per
+    TRA) lead its records.
     """
     ctrl = pim.controller
     compressions, bits_needed, zero_planes = (
@@ -204,7 +205,7 @@ def _charge_wallace(
     pairs = compressions + bits_needed  # one SUM + TRA pair each
     n = pairs.size
     eng = ctrl._verifying()
-    verify_counts = (2 * pairs).tolist()
+    verify = 2 * pairs if eng is not None else None
     ctrl.scheduler.flush_segments(
         [subarray_key],
         np.zeros(n, dtype=np.intp),
@@ -219,10 +220,10 @@ def _charge_wallace(
             ("AAP3", pairs),
             ("MEM_RD", bits_needed + 1),
         ],
-        (lambda i: ctrl._charge_verify(eng, count=verify_counts[i]))
-        if eng is not None
-        else None,
+        verify,
     )
+    if verify is not None:
+        ctrl._note_verify(eng, verify)
 
 
 def _adjacency_pairs(

@@ -18,7 +18,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import repeat
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 __all__ = ["FLIGHT_FILENAME", "FlightRecorder"]
 
@@ -58,6 +62,33 @@ class FlightRecorder:
         """One ledger record (compact tuple; GIL-safe deque append)."""
         self._commands.append(
             (sim_ns, command, count, time_ns, energy_nj, phase)
+        )
+
+    def on_batch(
+        self,
+        names: Sequence[str],
+        codes: np.ndarray,
+        counts: np.ndarray,
+        time_ns: np.ndarray,
+        energy_nj: np.ndarray,
+        phase: "str | None",
+        sim_ns: np.ndarray,
+    ) -> None:
+        """An ordered stream of ledger records, ``sim_ns`` per record.
+
+        Only the tail the ring can hold is appended: the ring ends as
+        :meth:`on_command` per record would leave it.
+        """
+        tail = -self._commands.maxlen if self._commands.maxlen else None
+        self._commands.extend(
+            zip(
+                sim_ns[tail:].tolist(),
+                [names[code] for code in codes[tail:].tolist()],
+                counts[tail:].tolist(),
+                time_ns[tail:].tolist(),
+                energy_nj[tail:].tolist(),
+                repeat(phase),
+            )
         )
 
     def on_span_close(self, span) -> None:

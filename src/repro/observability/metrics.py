@@ -13,8 +13,9 @@ Existing components never import this module's classes directly; they
 feed metrics through two narrow, off-by-default channels:
 
 * the :class:`Recorder` protocol — :class:`~repro.core.stats.StatsLedger`
-  forwards every :meth:`~repro.core.stats.StatsLedger.record` call to an
-  attached recorder (``None`` by default), preserving the ledger's
+  forwards every :meth:`~repro.core.stats.StatsLedger.record` call, and
+  every ordered stream of :meth:`~repro.core.stats.StatsLedger.record_batch`,
+  to an attached recorder (``None`` by default), preserving the ledger's
   additive-only functional/timed separation.  The recorder is the
   :class:`~repro.observability.session.ObservabilitySession`, which
   folds the stream into its power timeline; the timeline publishes the
@@ -30,7 +31,10 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Protocol, runtime_checkable
+from itertools import repeat
+from typing import Iterator, Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -45,6 +49,7 @@ __all__ = [
     "active_registry",
     "inc",
     "observe",
+    "running_sums",
     "set_gauge",
 ]
 
@@ -65,13 +70,68 @@ STORAGE_UNPACK_ROWS = "storage.unpack_rows"
 _TLS = threading.local()
 
 
+#: events per ``np.add.accumulate`` block of :func:`running_sums`: bounds
+#: the temporary matrix a long stream needs
+SUM_BLOCK = 4096
+#: streams up to this many positions are summed by a Python loop, which
+#: beats the fixed cost of the array calls on a hashmap read's handful
+#: of cells
+SHORT_SUM = 64
+
+
+def running_sums(
+    seeds: Sequence[float],
+    addends: "Sequence[tuple[int | np.ndarray, np.ndarray]]",
+) -> list[float]:
+    """Running totals of ``seeds``, each extended left to right.
+
+    Each ``(rows, values)`` pair of ``addends`` adds ``values[k]`` to
+    total ``rows[k]`` (or to total ``rows`` when it is one int), in
+    ``k`` order; a total takes its addends from one pair.  The result
+    is bit for bit that of a ``total += value`` loop, which is how a
+    stream of at most :data:`SHORT_SUM` positions is summed.  A longer
+    one shares one ``np.add.accumulate`` per block of :data:`SUM_BLOCK`
+    positions among all totals, with a zero where a total has no
+    addend: accumulate adds in sequence (``np.sum`` adds pairwise and
+    rounds differently), and zeros change no sum of non-negative
+    values.  Every batched accumulator of the ledger stream goes
+    through here.
+    """
+    width = max((len(values) for _, values in addends), default=0)
+    if width <= SHORT_SUM:
+        totals = [float(seed) for seed in seeds]
+        for rows, values in addends:
+            targets = (
+                rows.tolist() if isinstance(rows, np.ndarray) else repeat(rows)
+            )
+            for row, value in zip(targets, values.tolist()):
+                totals[row] += value
+        return totals
+    sums = np.array(seeds, dtype=float)
+    for lo in range(0, width, SUM_BLOCK):
+        hi = min(width, lo + SUM_BLOCK)
+        block = np.zeros((sums.size, hi - lo + 1))
+        block[:, 0] = sums
+        for rows, values in addends:
+            part = values[lo:hi]
+            if not part.size:
+                continue
+            if isinstance(rows, np.ndarray):
+                block[rows[lo:hi], np.arange(1, part.size + 1)] = part
+            else:
+                block[rows, 1 : part.size + 1] = part
+        sums = np.add.accumulate(block, axis=1)[:, -1]
+    return sums.tolist()
+
+
 @runtime_checkable
 class Recorder(Protocol):
     """What a :class:`~repro.core.stats.StatsLedger` forwards events to.
 
-    The protocol is deliberately one method wide: the ledger pushes its
-    raw command events and nothing else, so the stats path needs no
-    knowledge of metric names or aggregation.
+    The protocol is two methods wide and both carry the same raw command
+    events: :meth:`on_command` one record, :meth:`on_batch` an ordered
+    stream of them.  The stats path needs no knowledge of metric names
+    or aggregation.
     """
 
     def on_command(
@@ -83,6 +143,23 @@ class Recorder(Protocol):
         phase: "str | None",
     ) -> None:
         """One ledger record: ``count`` commands, combined time/energy."""
+
+    def on_batch(
+        self,
+        names: Sequence[str],
+        codes: np.ndarray,
+        counts: np.ndarray,
+        time_ns: np.ndarray,
+        energy_nj: np.ndarray,
+        phase: "str | None",
+    ) -> None:
+        """An ordered stream of ledger records, all in one phase.
+
+        Record ``j`` is ``counts[j]`` commands of ``names[codes[j]]``
+        with combined ``time_ns[j]`` and ``energy_nj[j]``; ``names``
+        lists the stream's commands in order of first appearance.  The
+        effect must equal :meth:`on_command` per record, in order.
+        """
 
 
 class Counter:

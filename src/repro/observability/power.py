@@ -43,6 +43,11 @@ from __future__ import annotations
 
 import math
 import threading
+from typing import Sequence
+
+import numpy as np
+
+from repro.observability.metrics import running_sums
 
 __all__ = [
     "DEFAULT_BIN_NS",
@@ -141,26 +146,151 @@ class PowerTimeline:
             self.mnemonic_count[command] = (
                 self.mnemonic_count.get(command, 0) + count
             )
-            self._deposit(phase, time_ns, energy_nj)
+            start = self._cursor_ns
+            self._cursor_ns = start + time_ns
+            if energy_nj != 0.0:
+                phase_bins = self._phase_bins.setdefault(phase, {})
+                for index, share in self._spread(
+                    start, self._cursor_ns, time_ns, energy_nj
+                ):
+                    self._bins[index] = self._bins.get(index, 0.0) + share
+                    phase_bins[index] = phase_bins.get(index, 0.0) + share
 
-    def _deposit(self, phase: str, time_ns: float, energy_nj: float) -> None:
-        """Spread one event's energy over [cursor, cursor + time_ns)."""
-        start = self._cursor_ns
-        self._cursor_ns = start + time_ns
-        if energy_nj == 0.0:
-            return
-        phase_bins = self._phase_bins.setdefault(phase, {})
+    def on_batch(
+        self,
+        names: Sequence[str],
+        codes: np.ndarray,
+        counts: np.ndarray,
+        time_ns: np.ndarray,
+        energy_nj: np.ndarray,
+        phase: "str | None",
+    ) -> np.ndarray:
+        """Deposit an ordered stream of ledger records, as
+        :meth:`on_command` per record would.
+
+        Every accumulator and every bin is a left-to-right running sum
+        (:func:`~repro.observability.metrics.running_sums`) over its
+        addends in stream order; a bin's addends are the energies of the
+        events inside it and the shares of the rare events that straddle
+        into it.  Returns the cursor after each event, the simulated
+        clock the flight ring stamps.
+        """
+        if not len(codes):
+            return np.empty(0)
+        if phase is None:
+            phase = DEFAULT_POWER_LANE
+        with self._lock:
+            cursor = np.add.accumulate(
+                np.concatenate(([self._cursor_ns], time_ns))
+            )
+            totals = np.zeros(len(names), dtype=np.int64)
+            np.add.at(totals, codes, counts)
+            bins, run, deposits = self._deposits(cursor, time_ns, energy_nj)
+            phase_bins = (
+                self._phase_bins.setdefault(phase, {}) if bins else {}
+            )
+            g, b = len(names), len(bins)
+            sums = iter(
+                running_sums(
+                    [
+                        self.total_energy_nj,
+                        self.phase_time_ns.get(phase, 0.0),
+                        self.phase_energy_nj.get(phase, 0.0),
+                    ]
+                    + [self.mnemonic_energy_nj.get(c, 0.0) for c in names]
+                    + [self.mnemonic_time_ns.get(c, 0.0) for c in names]
+                    + [self._bins.get(index, 0.0) for index in bins]
+                    + [phase_bins.get(index, 0.0) for index in bins],
+                    [
+                        (0, energy_nj),
+                        (1, time_ns),
+                        (2, energy_nj),
+                        (3 + codes, energy_nj),
+                        (3 + g + codes, time_ns),
+                        (3 + 2 * g + run, deposits),
+                        (3 + 2 * g + b + run, deposits),
+                    ],
+                )
+            )
+            self.events += len(codes)
+            self.total_energy_nj = next(sums)
+            self.phase_time_ns[phase] = next(sums)
+            self.phase_energy_nj[phase] = next(sums)
+            for target in (self.mnemonic_energy_nj, self.mnemonic_time_ns):
+                for command in names:
+                    target[command] = next(sums)
+            for command, count in zip(names, totals.tolist()):
+                self.mnemonic_count[command] = (
+                    self.mnemonic_count.get(command, 0) + count
+                )
+            for target in (self._bins, phase_bins):
+                for index in bins:
+                    target[index] = next(sums)
+            self._cursor_ns = float(cursor[-1])
+            return cursor[1:]
+
+    def _deposits(
+        self, cursor: np.ndarray, time_ns: np.ndarray, energy_nj: np.ndarray
+    ) -> "tuple[list[int], int | np.ndarray, np.ndarray]":
+        """A stream's bin deposits, in deposit order.
+
+        ``cursor[j]`` and ``cursor[j + 1]`` bound event ``j``.  An
+        event inside one bin deposits its energy there; an event that
+        straddles bins deposits its :meth:`_spread` shares, in bin
+        order; an event without energy deposits nothing.  Returns the
+        bins touched, ascending, and per deposit its position in that
+        list and its energy.
+        """
+        first = int(cursor[0] // self.bin_ns)
+        if first == int(cursor[-1] // self.bin_ns):
+            # the whole stream lies in one bin, where an event without
+            # energy adds zero
+            if energy_nj.any():
+                return [first], 0, energy_nj
+            return [], 0, energy_nj[:0]
+        live = np.flatnonzero(energy_nj != 0.0)
+        start, end = cursor[live], cursor[live + 1]
+        index = np.floor_divide(start, self.bin_ns).astype(np.int64)
+        value = energy_nj[live]
+        straddle = np.flatnonzero(
+            (time_ns[live] > 0.0)
+            & (index != np.floor_divide(end, self.bin_ns))
+        ).tolist()
+        if straddle:
+            # splice each straddler's shares in at its place
+            pieces, lo = [], 0
+            for j in straddle:
+                shares = self._spread(
+                    float(start[j]),
+                    float(end[j]),
+                    float(time_ns[live[j]]),
+                    float(value[j]),
+                )
+                pieces.append((index[lo:j], value[lo:j]))
+                pieces.append(tuple(map(np.array, zip(*shares))))
+                lo = j + 1
+            pieces.append((index[lo:], value[lo:]))
+            index = np.concatenate([i for i, _ in pieces])
+            value = np.concatenate([v for _, v in pieces])
+        # the cursor only advances, so deposits run in bin order
+        change = np.ones(index.size, dtype=bool)
+        change[1:] = index[1:] != index[:-1]
+        return index[change].tolist(), np.cumsum(change) - 1, value
+
+    def _spread(
+        self, start: float, end: float, time_ns: float, energy_nj: float
+    ) -> "list[tuple[int, float]]":
+        """``(bin, share)`` of one event's energy over [start, end)."""
         first = int(start // self.bin_ns)
-        last = int(self._cursor_ns // self.bin_ns)
+        last = int(end // self.bin_ns)
         if time_ns <= 0.0 or first == last:
             # instantaneous (or bin-contained) event: all in one bin
-            self._bins[first] = self._bins.get(first, 0.0) + energy_nj
-            phase_bins[first] = phase_bins.get(first, 0.0) + energy_nj
-            return
+            return [(first, energy_nj)]
+        shares = []
         assigned = 0.0
         for index in range(first, last + 1):
             lo = max(start, index * self.bin_ns)
-            hi = min(self._cursor_ns, (index + 1) * self.bin_ns)
+            hi = min(end, (index + 1) * self.bin_ns)
             if index == last:
                 # residual, not proportional share: the event deposits
                 # exactly energy_nj across its bins
@@ -168,8 +298,8 @@ class PowerTimeline:
             else:
                 share = energy_nj * ((hi - lo) / time_ns)
                 assigned += share
-            self._bins[index] = self._bins.get(index, 0.0) + share
-            phase_bins[index] = phase_bins.get(index, 0.0) + share
+            shares.append((index, share))
+        return shares
 
     # ----- reading -----------------------------------------------------------
 

@@ -13,8 +13,9 @@ simulated-clock bridge between them — and activates them together::
     session.export(trace_path="t.json", metrics_path="m.json", pim=pim)
 
 Every stats-ledger record the run charges flows through the session's
-own :class:`~repro.observability.metrics.Recorder`, :meth:`on_command`,
-into exactly one accumulator, the power timeline, and onto the
+own :class:`~repro.observability.metrics.Recorder` — :meth:`on_command`
+for one record, :meth:`on_batch` for a kernel's ordered stream — into
+exactly one accumulator, the power timeline, and onto the
 flight-recorder ring.  The timeline's cursor is the simulated clock the
 tracer and the flight ring read, and its per-mnemonic and per-stage
 sums are published into the registry at :meth:`export`.  Ledgers
@@ -24,7 +25,7 @@ no-op unless a session is active, so the default simulator keeps its
 zero-instrumentation cost and job resumes (which rebuild the platform
 mid-run) reconnect automatically.
 
-One lock serialises :meth:`on_command`: jobs run on concurrent threads
+One lock serialises both entry points: jobs run on concurrent threads
 may share a single session, and the power timeline's conservation
 invariant (bit-exact against the ledger) does not survive lost
 updates.
@@ -34,7 +35,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import ExitStack, contextmanager
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.observability.export import (
     subarray_utilization,
@@ -83,6 +86,25 @@ class ObservabilitySession:
                 energy_nj,
                 phase,
                 sim_ns=self.power.cursor_ns,
+            )
+
+    def on_batch(
+        self,
+        names: Sequence[str],
+        codes: np.ndarray,
+        counts: np.ndarray,
+        time_ns: np.ndarray,
+        energy_nj: np.ndarray,
+        phase: "str | None",
+    ) -> None:
+        """Fold an ordered stream of ledger records, as :meth:`on_command`
+        per record would."""
+        with self._lock:
+            sim_ns = self.power.on_batch(
+                names, codes, counts, time_ns, energy_nj, phase
+            )
+            self.flight.on_batch(
+                names, codes, counts, time_ns, energy_nj, phase, sim_ns
             )
 
     @property

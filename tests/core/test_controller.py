@@ -100,8 +100,13 @@ class TestBasicCommands:
             pim.controller.attach_trace(trace)
             if vector:
                 keys, rows, bits = zip(*reads)
+                table = list(dict.fromkeys(keys))
                 values = pim.controller.read_fields(
-                    list(keys), np.array(rows), np.array(bits), 6
+                    table,
+                    np.array([table.index(key) for key in keys]),
+                    np.array(rows),
+                    np.array(bits),
+                    6,
                 ).tolist()
             else:
                 values = []
@@ -254,7 +259,11 @@ SCALAR_OPS = {
     ),
     "read_row": lambda pim, rng: pim.controller.read_row(pim.allocate_row()),
     "read_fields": lambda pim, rng: pim.controller.read_fields(
-        [(0, 0, 0), (0, 0, 1), (0, 0, 0)], np.array([1, 2, 3]), np.zeros(3), 4
+        [(0, 0, 0), (0, 0, 1)],
+        np.array([0, 1, 0]),
+        np.array([1, 2, 3]),
+        np.zeros(3),
+        4,
     ),
     "dpu_match": lambda pim, rng: pim.controller.dpu_match(
         store(pim, rng.integers(0, 2, 32))
@@ -293,6 +302,12 @@ class _Records:
     def on_command(self, command, count, time_ns, energy_nj, phase):
         n, t, e = self.per_mnemonic.get(command, (0, 0.0, 0.0))
         self.per_mnemonic[command] = (n + count, t + time_ns, e + energy_nj)
+
+    def on_batch(self, names, codes, counts, time_ns, energy_nj, phase):
+        for code, count, t, e in zip(
+            codes.tolist(), counts.tolist(), time_ns.tolist(), energy_nj.tolist()
+        ):
+            self.on_command(names[code], count, t, e, phase)
 
 
 class TestPricingParity:

@@ -244,12 +244,14 @@ class TestVerifiedExecution:
         addr = store(pim, bits)
         key, rows = [addr.subarray_key], np.array([addr.row])
         words = pack_rows(bits[None, :])
-        assert pim.controller.scrub_rows(key, rows, words).all()
+        assert pim.controller.scrub_rows(key, [0], rows, words).all()
         flipped = bits.copy()
         flipped[0] = 0
         pim.device.subarray_at(addr).write_row(addr.row, flipped)
         drifted = []
-        intact = pim.controller.scrub_rows(key, rows, words, drifted.append)
+        intact = pim.controller.scrub_rows(
+            key, [0], rows, words, drifted.append
+        )
         assert not intact.any() and drifted == [0]
         assert pim.stats.command_count("VRF_AAP") == 2 * VERIFY_AAP_CYCLES
 

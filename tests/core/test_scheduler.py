@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import CommandTrace, PimAssembler
 from repro.core.energy import DEFAULT_ENERGY
+from repro.core.resilience import verify_cells
 from repro.core.scheduler import BatchReport, BatchedAapScheduler, charge_stream
 from repro.core.timing import DEFAULT_TIMING, command_cost_table
 from repro.core.trace import CommandTrace as Trace
@@ -185,6 +186,12 @@ class _RecordingLedger:
 
     def record(self, mnemonic, time_ns, energy_nj, count):
         self.calls.append((mnemonic, time_ns, energy_nj, count))
+
+    def record_batch(self, names, codes, counts, time_ns, energy_nj):
+        for code, count, t, e in zip(
+            codes.tolist(), counts.tolist(), time_ns.tolist(), energy_nj.tolist()
+        ):
+            self.record(names[code], t, e, count)
 
 
 class _PerKeyScheduler(BatchedAapScheduler):
@@ -373,10 +380,11 @@ class TestFlushSegments:
             index += touched.tolist()
         index = np.array(index)
         counts = {m: rng.integers(0, 4, index.size) for m in self.MNEMONICS}
+        # parity checks per segment, zero for some
+        checks = rng.integers(0, 3, 6)
         ledger = _RecordingLedger()
         sched = BatchedAapScheduler(ledger)
         sched.trace = Trace()
-        verified = []
         registry = MetricsRegistry()
         with registry.activate():
             if segmented:
@@ -385,7 +393,7 @@ class TestFlushSegments:
                     index,
                     np.array(segments),
                     [(m, counts[m]) for m in self.MNEMONICS],
-                    verified.append,
+                    checks,
                 )
             else:
                 for segment in range(6):
@@ -393,13 +401,17 @@ class TestFlushSegments:
                     touched = [keys[j] for j in index[sel]]
                     for m in self.MNEMONICS:
                         sched.charge(m, touched, counts[m][sel])
-                    verified.append(segment)
+                    n = int(checks[segment])
+                    for name, per_check, t, e in verify_cells(
+                        DEFAULT_TIMING, DEFAULT_ENERGY
+                    ):
+                        if n:
+                            ledger.record(name, n * t, n * e, n * per_check)
                     sched.flush()
         return (
             ledger.calls,
             sched.trace.charges,
             sched.trace.flushes,
-            verified,
             registry.snapshot(),
         )
 
@@ -407,4 +419,7 @@ class TestFlushSegments:
         segmented = self.run(4, segmented=True)
         assert segmented == self.run(4, segmented=False)
         assert len(segmented[2]) == 6
-        assert segmented[3] == list(range(6))
+        # the verify cells lead their segments' records; zero checks
+        # record nothing
+        names = [call[0] for call in segmented[0]]
+        assert 0 < names.count("VRF_AAP") == names.count("VRF_DPU") < 6

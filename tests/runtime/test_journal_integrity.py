@@ -99,6 +99,25 @@ def hashmap_journal(tmp_path_factory) -> Path:
     return job_dir
 
 
+@pytest.fixture(scope="module")
+def cli_hashmap_journal(tmp_path_factory) -> "tuple[Path, list[str]]":
+    """A CLI job journal cut back to its hashmap record, and the
+    ``assemble`` arguments (without ``--job-dir``) that made it."""
+    from repro.cli import main
+
+    root = tmp_path_factory.mktemp("cli-journal")
+    reads = root / "reads.fa"
+    reads.write_text(
+        "".join(f">r{i}\n{read}\n" for i, read in enumerate(READS))
+    )
+    argv = ["assemble", str(reads), "-o", str(root / "o.fa"), "-k", str(K)]
+    job_dir = root / "job"
+    assert main(argv + ["--job-dir", str(job_dir)]) == 0
+    manifest = job_dir / "MANIFEST"
+    manifest.write_text(manifest.read_text().splitlines(keepends=True)[0])
+    return job_dir, argv
+
+
 def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
@@ -229,12 +248,21 @@ class TestMalformedRecords:
             ("counter", "k"),
             ("counter", "keys"),
             ("counter", "kmers"),
+        ]
+        + [
+            ("platform", key)
+            for key in (
+                "geometry", "timing", "energy", "subarrays", "grbs",
+                "next_row", "stats", "faults", "resilience",
+            )
         ],
         ids="/".join,
     )
     def test_record_missing_a_key_raises_journal_error(
-        self, hashmap_journal, tmp_path, path
+        self, hashmap_journal, cli_hashmap_journal, tmp_path, capsys, path
     ):
+        from repro.cli import main
+
         def mutate(record):
             node = record
             for key in path[:-1]:
@@ -246,6 +274,14 @@ class TestMalformedRecords:
         _rewrite_record(job_dir, mutate)
         with pytest.raises(JournalError, match=f"lacks {path[-1]!r}"):
             JobRunner(job_dir, JobConfig(k=K)).resume(READS)
+        # the CLI maps the same damage to its journal exit status
+        cli_job, argv = cli_hashmap_journal
+        job_dir = tmp_path / "cli-job"
+        shutil.copytree(cli_job, job_dir)
+        _rewrite_record(job_dir, mutate)
+        capsys.readouterr()
+        assert main(argv + ["--job-dir", str(job_dir), "--resume"]) == 3
+        assert f"lacks {path[-1]!r}" in capsys.readouterr().err
 
     def test_record_with_counts_but_no_counter_raises_journal_error(
         self, hashmap_journal, tmp_path
