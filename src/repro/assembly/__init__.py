@@ -1,21 +1,8 @@
 """Genome assembly algorithms, PIM-mapped and software golden models."""
 
-from repro.assembly.contigs import (
-    Contig,
-    assemble_contigs,
-    contigs_from_paths,
-    spell_path,
-)
-from repro.assembly.debruijn import DeBruijnGraph, Edge, build_graph_from_sequences
-from repro.assembly.euler import (
-    degree_table,
-    eulerian_path,
-    eulerian_paths,
-    find_start_node,
-    fleury_path,
-    has_eulerian_path,
-    unitigs,
-)
+from repro.assembly.contigs import Contig, assemble_contigs, spell_walk
+from repro.assembly.debruijn import DeBruijnGraph, build_graph_from_sequences
+from repro.assembly.euler import euler_walk, fleury_walk, unitig_walk
 from repro.assembly.hashmap import (
     PimKmerCounter,
     SoftwareKmerCounter,
@@ -37,18 +24,12 @@ from repro.assembly.reference_impl import SoftwareAssemblyResult, assemble
 __all__ = [
     "Contig",
     "assemble_contigs",
-    "contigs_from_paths",
-    "spell_path",
+    "spell_walk",
     "DeBruijnGraph",
-    "Edge",
     "build_graph_from_sequences",
-    "degree_table",
-    "eulerian_path",
-    "eulerian_paths",
-    "find_start_node",
-    "fleury_path",
-    "has_eulerian_path",
-    "unitigs",
+    "euler_walk",
+    "fleury_walk",
+    "unitig_walk",
     "PimKmerCounter",
     "SoftwareKmerCounter",
     "kmer_partition",

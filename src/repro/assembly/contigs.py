@@ -5,9 +5,8 @@ the sequence ``n0`` followed by the last base of every subsequent node
 — the standard de Bruijn path-to-sequence rule (paper Fig. 5c's
 Contig-I/II/III example).  The last base of node ``n_i`` is the last
 base of the k-mer on the edge into it, so :func:`spell_walk` spells
-every unitig from arrays: its start node unpacked once, then
-``kmers[path] & 3``.  :func:`spell_path` does the same for a list of
-:class:`~repro.assembly.debruijn.Edge` objects (Euler trails).
+every path of an edge-id walk (unitigs, Euler or Fleury trails) from
+arrays: its start node unpacked once, then ``kmers[path] & 3``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.assembly.debruijn import DeBruijnGraph, Edge
+from repro.assembly.debruijn import DeBruijnGraph
 from repro.assembly.euler import unitig_walk
 from repro.genome.alphabet import BITS_PER_BASE
 from repro.genome.sequence import DnaSequence
@@ -34,28 +33,22 @@ class Contig:
         return len(self.sequence)
 
 
-def spell_path(graph: DeBruijnGraph, path: list[Edge]) -> DnaSequence:
-    """Spell the sequence of a non-empty edge path."""
-    if not path:
-        raise ValueError("cannot spell an empty path")
-    for prev, nxt in zip(path, path[1:]):
-        if prev.target != nxt.source:
-            raise ValueError("edges do not form a connected path")
-    first = graph.node_sequence(path[0].source).codes
-    last_bases = np.array([edge.kmer & 3 for edge in path], dtype=np.uint8)
-    return DnaSequence(np.concatenate((first, last_bases)))
-
-
 def spell_walk(
     graph: DeBruijnGraph, walk: np.ndarray, bounds: np.ndarray
 ) -> list[DnaSequence]:
-    """Spell every path of a :func:`~repro.assembly.euler.unitig_walk`.
+    """Spell every path of an edge-id walk
+    (:mod:`~repro.assembly.euler`'s ``(walk, bounds)``).
 
     A path spells its start node, unpacked once, followed by the last
     base (``kmer & 3``) of each of its edges.
+
+    Raises:
+        ValueError: if ``bounds`` marks a path with no edges.
     """
     if walk.size == 0:
         return []
+    if np.any(np.diff(bounds) <= 0):
+        raise ValueError("walk has an empty path: every path needs an edge")
     shifts = BITS_PER_BASE * np.arange(
         graph.node_bases - 1, -1, -1, dtype=np.uint64
     )
@@ -69,57 +62,27 @@ def spell_walk(
     ]
 
 
-def _named(
-    sequences: list[DnaSequence],
-    edge_counts: list[int],
-    min_length: int,
-    prefix: str,
-) -> list[Contig]:
-    """Keep sequences of at least ``min_length`` bases, longest first
-    (ties in path order), named by rank."""
-    kept = [
-        (sequence, edges)
-        for sequence, edges in zip(sequences, edge_counts)
-        if len(sequence) >= min_length
-    ]
-    kept.sort(key=lambda item: len(item[0]), reverse=True)
-    return [
-        Contig(name=f"{prefix}{i}", sequence=sequence, edge_count=edges)
-        for i, (sequence, edges) in enumerate(kept)
-    ]
-
-
-def contigs_from_paths(
-    graph: DeBruijnGraph,
-    paths: list[list[Edge]],
-    min_length: int = 0,
-    prefix: str = "contig",
-) -> list[Contig]:
-    """Spell every path and keep those of at least ``min_length`` bases."""
-    paths = [path for path in paths if path]
-    return _named(
-        [spell_path(graph, path) for path in paths],
-        [len(path) for path in paths],
-        min_length,
-        prefix,
-    )
-
-
 def assemble_contigs(graph: DeBruijnGraph, min_length: int = 0) -> list[Contig]:
     """Contigs from a de Bruijn graph: its maximal non-branching paths.
 
-    Unitigs are robust to repeats; for the paper's Eulerian trails use
-    :func:`contigs_from_paths` over
-    :func:`~repro.assembly.euler.eulerian_paths`.
+    Unitigs are robust to repeats; the paper's Eulerian trails spell
+    as ``spell_walk(graph, *euler_walk(graph))``.
 
     Args:
         graph: the k-mer graph.
         min_length: drop contigs shorter than this many bases.
     """
     walk, bounds = unitig_walk(graph)
-    return _named(
-        spell_walk(graph, walk, bounds),
-        np.diff(bounds).tolist(),
-        min_length,
-        "contig",
-    )
+    kept = [
+        (sequence, edges)
+        for sequence, edges in zip(
+            spell_walk(graph, walk, bounds), np.diff(bounds).tolist()
+        )
+        if len(sequence) >= min_length
+    ]
+    # longest first, ties in path order, named by rank
+    kept.sort(key=lambda item: len(item[0]), reverse=True)
+    return [
+        Contig(name=f"contig{i}", sequence=sequence, edge_count=edges)
+        for i, (sequence, edges) in enumerate(kept)
+    ]

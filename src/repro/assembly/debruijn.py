@@ -8,41 +8,24 @@ contributes one edge carrying its observed frequency as an attribute
 (frequencies below ``min_count`` can be dropped — the standard
 error-filtering knob).
 
-The graph is columnar: edges are parallel ``uint64`` k-mer / ``int64``
-count / node-id arrays grouped by source (CSR out-edge offsets), nodes
-one ``uint64`` key array, degrees ``bincount`` arrays.  Node ids follow
-the order in which a walk over the sorted k-mers first meets each node
-as source or target, so :meth:`DeBruijnGraph.nodes` and
-:meth:`DeBruijnGraph.edges` iterate in that order, which the traversal
-and the degree chunks depend on.  :class:`Edge` objects are made only
-when :meth:`~DeBruijnGraph.edges` or :meth:`~DeBruijnGraph.out_edges`
-is asked for them (Euler/Fleury trails, interval-block partitioning).
+The graph is arrays only: edges are parallel ``uint64`` k-mer /
+``int64`` count / node-id arrays grouped by source (CSR out-edge
+offsets), nodes one ``uint64`` key array, degrees ``bincount`` arrays,
+components one label array.  Node ids follow the order in which a walk
+over the sorted k-mers first meets each node as source or target, and
+edge ids the CSR order; the traversals, the degree chunks and contig
+naming depend on both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from repro.genome.alphabet import BITS_PER_BASE
-from repro.genome.kmer import MAX_PACKED_K, packed_kmers_batch, unpack_kmer
+from repro.genome.kmer import MAX_PACKED_K, packed_kmers_batch
 from repro.genome.sequence import DnaSequence
-
-
-@dataclass(frozen=True)
-class Edge:
-    """One de Bruijn edge: an observed k-mer linking two (k-1)-mers."""
-
-    source: int
-    target: int
-    kmer: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ValueError("edge count must be positive")
 
 
 class DeBruijnGraph:
@@ -53,9 +36,9 @@ class DeBruijnGraph:
         kmers: the edges' packed k-mers, strictly increasing.
         counts: each k-mer's frequency (positive).
 
-    Edge ``e`` (its index in :meth:`edges` order) runs from node
-    ``sources[e]`` to ``targets[e]``; node ``i``'s out-edges are
-    ``offsets[i]:offsets[i + 1]``, its key ``node_keys[i]``.
+    Edge ``e`` runs from node ``sources[e]`` to ``targets[e]``; node
+    ``i``'s out-edges are ``offsets[i]:offsets[i + 1]``, its key
+    ``node_keys[i]``.
     """
 
     def __init__(
@@ -103,7 +86,6 @@ class DeBruijnGraph:
         self.sources = sources[order]
         self.targets = targets[order]
         self.offsets = np.concatenate(([0], np.cumsum(self.out_degrees)))
-        self._edge_objects: "list[Edge] | None" = None
 
     # ----- construction -----------------------------------------------------
 
@@ -116,13 +98,6 @@ class DeBruijnGraph:
     def node_bits(self) -> int:
         """Bits per packed node key."""
         return BITS_PER_BASE * self.node_bases
-
-    def split_kmer(self, packed_kmer: int) -> tuple[int, int]:
-        """(prefix node, suffix node) of a packed k-mer."""
-        mask = (1 << self.node_bits) - 1
-        prefix = packed_kmer >> BITS_PER_BASE
-        suffix = packed_kmer & mask
-        return prefix, suffix
 
     @classmethod
     def from_counts(
@@ -162,71 +137,16 @@ class DeBruijnGraph:
             ids[hit] = self.key_order[at[hit]]
         return ids
 
-    def _node_id(self, node: int) -> int:
-        if not 0 <= node < 1 << self.node_bits:
-            return -1
-        return int(self.node_ids([node])[0])
-
-    def nodes(self) -> Iterator[int]:
-        return iter(self.node_keys.tolist())
-
-    def _edges(self) -> "list[Edge]":
-        """Every edge as an :class:`Edge`, made once on first request."""
-        if self._edge_objects is None:
-            keys = self.node_keys.tolist()
-            self._edge_objects = [
-                Edge(source=keys[s], target=keys[t], kmer=kmer, count=count)
-                for s, t, kmer, count in zip(
-                    self.sources.tolist(),
-                    self.targets.tolist(),
-                    self.kmers.tolist(),
-                    self.counts.tolist(),
-                )
-            ]
-        return self._edge_objects
-
-    def edges(self) -> Iterator[Edge]:
-        return iter(self._edges())
-
-    def out_edges(self, node: int) -> list[Edge]:
-        i = self._node_id(node)
-        if i < 0:
-            return []
-        return self._edges()[self.offsets[i] : self.offsets[i + 1]]
-
-    def out_degree(self, node: int) -> int:
-        i = self._node_id(node)
-        return int(self.out_degrees[i]) if i >= 0 else 0
-
-    def in_degree(self, node: int) -> int:
-        i = self._node_id(node)
-        return int(self.in_degrees[i]) if i >= 0 else 0
-
-    def node_sequence(self, node: int) -> DnaSequence:
-        """Decode a node key back into its (k-1)-mer."""
-        return unpack_kmer(node, self.node_bases)
-
-    def has_node(self, node: int) -> bool:
-        return self._node_id(node) >= 0
-
     # ----- structure analysis --------------------------------------------------------
 
-    def degree_imbalance(self) -> dict[int, int]:
-        """node -> out_degree - in_degree (Euler path endpoints)."""
-        delta = self.out_degrees - self.in_degrees
-        nonzero = np.flatnonzero(delta)
-        return dict(
-            zip(self.node_keys[nonzero].tolist(), delta[nonzero].tolist())
-        )
-
-    def connected_components(self) -> list[set[int]]:
-        """Weakly connected components (undirected reachability), in
-        node order of each component's first node.
+    def connected_components(self) -> np.ndarray:
+        """Weakly connected component label per node id: the smallest
+        node id of the node's component, so ascending labels list the
+        components in order of their first node.
 
         Hook-and-jump labelling: every edge hooks the larger of its two
         roots under the smaller, then every label jumps to its root, until
-        no edge joins two roots; each component ends labelled by its
-        smallest node id.
+        no edge joins two roots.
         """
         label = np.arange(self.num_nodes)
         while True:
@@ -237,14 +157,7 @@ class DeBruijnGraph:
             np.minimum.at(label, np.maximum(a, b)[joins], np.minimum(a, b)[joins])
             while not np.array_equal(label[label], label):
                 label = label[label]
-        order = np.argsort(label, kind="stable")
-        cuts = np.flatnonzero(np.diff(label[order])) + 1
-        keys = self.node_keys[order]
-        return [set(part.tolist()) for part in np.split(keys, cuts) if part.size]
-
-    def is_branching(self, node: int) -> bool:
-        """True if the node is not a simple pass-through (1 in, 1 out)."""
-        return not (self.in_degree(node) == 1 and self.out_degree(node) == 1)
+        return label
 
     def simple_nodes(self) -> np.ndarray:
         """Per node id: one edge in and one out (not branching)."""

@@ -1,201 +1,192 @@
-"""Stage 2b — graph traversal: Eulerian paths and unitigs.
+"""Stage 2b — graph traversal: Eulerian trails and unitigs.
 
 The paper's ``Traverse(G)`` procedure computes every vertex's in/out
 degree with bulk ``PIM_Add`` operations, picks the start vertex, and
-runs Fleury's algorithm for the Euler path.  This module implements:
+runs Fleury's algorithm for the Euler path.  This module implements,
+all as walks over the edge ids of the columnar
+:class:`~repro.assembly.debruijn.DeBruijnGraph`:
 
-* :func:`eulerian_path` — Hierholzer's algorithm (linear time; the
-  production traversal),
-* :func:`fleury_path` — Fleury's algorithm exactly as the paper's
+* :func:`euler_walk` — Hierholzer's algorithm (linear time), one trail
+  per weakly connected component,
+* :func:`fleury_walk` — Fleury's algorithm exactly as the paper's
   pseudo-code names it (quadratic; kept for fidelity and used by the
-  tests as a cross-check on small graphs),
+  tests as an oracle on small graphs),
 * :func:`unitig_walk` — maximal non-branching paths, the contig-safe
-  decomposition used when the graph has ambiguous branching (repeats),
-  as edge-id arrays: one ``next_edge`` array (the sole out-edge of a
-  simple target) is followed from every branching node's out-edges,
-  then around each isolated cycle; :func:`unitigs` returns the same
-  paths as :class:`~repro.assembly.debruijn.Edge` lists.
+  decomposition used when the graph has ambiguous branching (repeats):
+  one ``next_edge`` array (the sole out-edge of a simple target) is
+  followed from every branching node's out-edges, then around each
+  isolated cycle.
 
-All of them consume :class:`~repro.assembly.debruijn.DeBruijnGraph`
-and treat each distinct k-mer as one traversable edge.  The Euler and
-Fleury walks use the graph's on-demand :class:`Edge` objects; the
-unitig walk and :func:`degree_table` use its arrays only.
+Each returns ``(walk, bounds)``: path ``i`` is ``walk[bounds[i]:bounds[i
++ 1]]``, and :func:`~repro.assembly.contigs.spell_walk` spells them.
+Every distinct k-mer is one traversable edge.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.assembly.debruijn import DeBruijnGraph, Edge
+from repro.assembly.debruijn import DeBruijnGraph
 from repro.runtime.watchdog import checkpoint
 
 
-def find_start_node(graph: DeBruijnGraph, component: set[int]) -> int:
-    """The Euler-path start vertex of one component.
+def _trail_starts(graph: DeBruijnGraph) -> Iterator[tuple[int, int]]:
+    """``(start node id, edge count)`` of each component with edges, in
+    order of the components' first nodes.
 
-    A node with ``out - in == 1`` if one exists (open trail), otherwise
-    any node with outgoing edges (closed tour).
-    """
-    start_candidates = [
-        node
-        for node in component
-        if graph.out_degree(node) - graph.in_degree(node) == 1
-    ]
-    if start_candidates:
-        return min(start_candidates)
-    with_out = [n for n in component if graph.out_degree(n) > 0]
-    if not with_out:
-        raise ValueError("component has no edges")
-    return min(with_out)
-
-
-def has_eulerian_path(graph: DeBruijnGraph, component: set[int]) -> bool:
-    """Euler-trail feasibility test for one weakly connected component."""
-    plus_one = minus_one = 0
-    for node in component:
-        delta = graph.out_degree(node) - graph.in_degree(node)
-        if delta == 1:
-            plus_one += 1
-        elif delta == -1:
-            minus_one += 1
-        elif delta != 0:
-            return False
-    return (plus_one, minus_one) in ((0, 0), (1, 1))
-
-
-def eulerian_path(graph: DeBruijnGraph, component: set[int] | None = None) -> list[Edge]:
-    """Hierholzer's algorithm over one component (default: whole graph).
+    The start is the smallest key with ``out - in == 1`` (open trail),
+    else the smallest key with an out-edge (closed tour).
 
     Raises:
-        ValueError: if the component admits no Eulerian trail.
+        ValueError: on reaching a component whose degrees admit no
+            Eulerian trail (checked lazily, so earlier components are
+            walked first).
     """
-    if component is None:
-        components = graph.connected_components()
-        if len(components) != 1:
-            raise ValueError(
-                f"graph has {len(components)} components; traverse each "
-                "separately (see eulerian_paths)"
-            )
-        component = components[0]
-    if not has_eulerian_path(graph, component):
-        raise ValueError("component has no Eulerian trail")
-
-    next_index: dict[int, int] = defaultdict(int)
-    out_lists = {node: graph.out_edges(node) for node in component}
-    start = find_start_node(graph, component)
-
-    stack: list[int] = [start]
-    edge_stack: list[Edge] = []
-    trail: list[Edge] = []
-    while stack:
-        checkpoint()  # per-step cancellation point (Hierholzer walk)
-        node = stack[-1]
-        edges = out_lists.get(node, [])
-        if next_index[node] < len(edges):
-            edge = edges[next_index[node]]
-            next_index[node] += 1
-            stack.append(edge.target)
-            edge_stack.append(edge)
-        else:
-            stack.pop()
-            if edge_stack:
-                trail.append(edge_stack.pop())
-    trail.reverse()
-
-    total_edges = sum(len(graph.out_edges(n)) for n in component)
-    if len(trail) != total_edges:
-        raise ValueError("component is not edge-connected; no single trail")
-    return trail
+    n = graph.num_nodes
+    labels = graph.connected_components()
+    delta = graph.out_degrees - graph.in_degrees
+    plus = np.bincount(labels, weights=delta == 1, minlength=n)
+    minus = np.bincount(labels, weights=delta == -1, minlength=n)
+    skewed = np.bincount(labels, weights=np.abs(delta) > 1, minlength=n)
+    feasible = (skewed == 0) & (plus == minus) & (plus <= 1)
+    edges = np.bincount(labels[graph.sources], minlength=n)
+    start = np.full(n, -1, dtype=np.int64)
+    # the open-trail start overrides the closed-tour one
+    for mask in (graph.out_degrees > 0, delta == 1):
+        ids = np.flatnonzero(mask)
+        ids = ids[np.lexsort((graph.node_keys[ids], labels[ids]))]
+        first = np.ones(ids.size, dtype=bool)
+        first[1:] = labels[ids[1:]] != labels[ids[:-1]]
+        start[labels[ids[first]]] = ids[first]
+    for root in np.flatnonzero((labels == np.arange(n)) & (edges > 0)).tolist():
+        if not feasible[root]:
+            raise ValueError("component has no Eulerian trail")
+        yield int(start[root]), int(edges[root])
 
 
-def eulerian_paths(graph: DeBruijnGraph) -> list[list[Edge]]:
-    """One Eulerian trail per weakly connected component."""
-    trails = []
-    for component in graph.connected_components():
-        if any(graph.out_degree(n) for n in component):
-            trails.append(eulerian_path(graph, component))
-    return trails
+def _walks(
+    graph: DeBruijnGraph, trail: Callable[[int, int], list[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``trail(start, edge count)`` over every component."""
+    walk: list[int] = []
+    bounds = [0]
+    for start, n_edges in _trail_starts(graph):
+        walk += trail(start, n_edges)
+        bounds.append(len(walk))
+    return np.array(walk, dtype=np.int64), np.array(bounds, dtype=np.int64)
 
 
-def fleury_path(graph: DeBruijnGraph, component: set[int] | None = None) -> list[Edge]:
-    """Fleury's algorithm (paper Fig. 5c names it explicitly).
+def euler_walk(graph: DeBruijnGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Hierholzer's algorithm: one Eulerian trail per weakly connected
+    component with edges, out-edges taken in CSR order.
 
-    Never crosses a bridge unless forced.  O(E^2); intended for small
-    graphs and as a test oracle against :func:`eulerian_path`.
+    Raises:
+        ValueError: if a component admits no Eulerian trail.
     """
-    if component is None:
-        components = graph.connected_components()
-        if len(components) != 1:
-            raise ValueError("fleury_path expects a single component")
-        component = components[0]
-    if not has_eulerian_path(graph, component):
-        raise ValueError("component has no Eulerian trail")
+    targets = graph.targets.tolist()
+    ends = graph.offsets[1:].tolist()
+    next_out = graph.offsets[:-1].tolist()
 
-    remaining: dict[int, list[Edge]] = {
-        node: graph.out_edges(node) for node in component
-    }
-    used: set[int] = set()  # id()s of consumed Edge objects
+    def hierholzer(start: int, n_edges: int) -> list[int]:
+        stack = [start]
+        edge_stack: list[int] = []
+        trail: list[int] = []
+        while stack:
+            checkpoint()  # per-step cancellation point (Hierholzer walk)
+            node = stack[-1]
+            edge = next_out[node]
+            if edge < ends[node]:
+                next_out[node] = edge + 1
+                stack.append(targets[edge])
+                edge_stack.append(edge)
+            else:
+                stack.pop()
+                if edge_stack:
+                    trail.append(edge_stack.pop())
+        if len(trail) != n_edges:
+            raise ValueError("component is not edge-connected; no single trail")
+        return trail[::-1]
 
-    # Pre-index reverse adjacency for the undirected reachability.
-    reverse: dict[int, list[Edge]] = defaultdict(list)
-    for node in component:
-        for edge in remaining[node]:
-            reverse[edge.target].append(edge)
+    return _walks(graph, hierholzer)
+
+
+def fleury_walk(graph: DeBruijnGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Fleury's algorithm (paper Fig. 5c names it explicitly), one trail
+    per component from the same start as :func:`euler_walk`.
+
+    Never crosses a bridge unless forced: of a node's unused out-edges
+    (CSR order) it takes the first whose removal keeps as many nodes
+    reachable through unused edges.  O(E^2); a test oracle for small
+    graphs.
+    """
+    sources = graph.sources.tolist()
+    targets = graph.targets.tolist()
+    offsets = graph.offsets.tolist()
+    by_target = np.argsort(graph.targets, kind="stable")
+    in_cuts = np.searchsorted(
+        graph.targets[by_target], np.arange(graph.num_nodes + 1)
+    ).tolist()
+    by_target = by_target.tolist()
+    used = [False] * graph.num_edges
+
+    def touching(node: int) -> list[int]:
+        return (
+            list(range(offsets[node], offsets[node + 1]))
+            + by_target[in_cuts[node] : in_cuts[node + 1]]
+        )
 
     def undirected_reach(start: int) -> int:
         seen = {start}
         stack = [start]
         while stack:
             node = stack.pop()
-            for edge in remaining.get(node, []) + reverse.get(node, []):
-                if id(edge) in used:
+            for edge in touching(node):
+                if used[edge]:
                     continue
-                for nxt in (edge.target, edge.source):
+                for nxt in (targets[edge], sources[edge]):
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
         return len(seen)
 
-    node = find_start_node(graph, component)
-    trail: list[Edge] = []
-    total_edges = sum(len(remaining[n]) for n in component)
-    for _ in range(total_edges):
-        checkpoint()  # per-edge cancellation point (Fleury walk)
-        candidates = [e for e in remaining[node] if id(e) not in used]
-        if not candidates:
-            raise ValueError("stuck before consuming every edge")
-        chosen = None
-        if len(candidates) == 1:
+    def fleury(node: int, n_edges: int) -> list[int]:
+        trail: list[int] = []
+        for _ in range(n_edges):
+            checkpoint()  # per-edge cancellation point (Fleury walk)
+            candidates = [
+                e for e in range(offsets[node], offsets[node + 1]) if not used[e]
+            ]
+            if not candidates:
+                raise ValueError("stuck before consuming every edge")
             chosen = candidates[0]
-        else:
-            before = undirected_reach(node)
-            for edge in candidates:
-                used.add(id(edge))
-                after = undirected_reach(node)
-                used.discard(id(edge))
-                if after >= before - 1 and after >= 1:
-                    # not a bridge (removal keeps the rest reachable)
-                    if after == before:
+            if len(candidates) > 1:
+                before = undirected_reach(node)
+                for edge in candidates:
+                    used[edge] = True
+                    after = undirected_reach(node)
+                    used[edge] = False
+                    if after == before:  # not a bridge
                         chosen = edge
                         break
-            if chosen is None:
-                chosen = candidates[0]
-        used.add(id(chosen))
-        trail.append(chosen)
-        node = chosen.target
-    return trail
+            used[chosen] = True
+            trail.append(chosen)
+            node = targets[chosen]
+        return trail
+
+    return _walks(graph, fleury)
 
 
 def unitig_walk(graph: DeBruijnGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal non-branching paths as edge ids (see :func:`unitigs`).
+    """Maximal non-branching paths as edge ids: the contig-safe
+    decomposition.
 
-    Returns ``(walk, bounds)``: path ``i`` is ``walk[bounds[i]:bounds[i
-    + 1]]``, edge ids in :meth:`DeBruijnGraph.edges` order.  Edge ``e``
-    is followed by ``next_edge[e]``, the sole out-edge of its target
-    when the target is simple (one edge in, one out), else by nothing.
+    Every edge lies on exactly one path.  Edge ``e`` is followed by
+    ``next_edge[e]``, the sole out-edge of its target when the target
+    is simple (one edge in, one out), else by nothing.  Paths start at
+    every out-edge of a branching node, in edge order, then at each
+    isolated cycle's first edge.
     """
     simple = graph.simple_nodes()
     targets = graph.targets
@@ -235,44 +226,3 @@ def unitig_walk(graph: DeBruijnGraph) -> tuple[np.ndarray, np.ndarray]:
         np.concatenate((walked, np.array(cycles, dtype=np.int64))),
         np.array(bounds, dtype=np.int64),
     )
-
-
-def unitigs(graph: DeBruijnGraph) -> list[list[Edge]]:
-    """Maximal non-branching paths (the contig-safe decomposition).
-
-    Every edge appears in exactly one unitig.  Paths start at branching
-    nodes (or cycle entry points) and extend while the interior nodes
-    are simple (in = out = 1).
-    """
-    walk, bounds = unitig_walk(graph)
-    edges = list(graph.edges())
-    path_of = walk.tolist()
-    cuts = bounds.tolist()
-    return [
-        [edges[e] for e in path_of[lo:hi]] for lo, hi in zip(cuts, cuts[1:])
-    ]
-
-
-def degree_table(graph: DeBruijnGraph) -> dict[int, tuple[int, int]]:
-    """node -> (in_degree, out_degree): the quantity the paper's
-    traversal computes with bulk PIM_Add over adjacency rows (Fig. 8)."""
-    return dict(
-        zip(
-            graph.node_keys.tolist(),
-            zip(graph.in_degrees.tolist(), graph.out_degrees.tolist()),
-        )
-    )
-
-
-def path_edge_multiset(path: list[Edge]) -> Counter:
-    """Multiset of k-mers along a path (test invariant helper)."""
-    return Counter(edge.kmer for edge in path)
-
-
-def iter_path_nodes(path: list[Edge]) -> Iterator[int]:
-    """Nodes visited along a path, including the start node."""
-    if not path:
-        return
-    yield path[0].source
-    for edge in path:
-        yield edge.target

@@ -8,9 +8,8 @@ per-stage phase accounting the paper's Fig. 9 breakdown uses:
 3. ``traverse`` — in/out-degree computation (bulk PIM_Add over the
    adjacency mapping) and unitig traversal.
 
-Eulerian contigs are a host-side pass a caller applies to the
-result: :func:`~repro.assembly.contigs.assemble_contigs` on
-``result.graph``.
+Eulerian trails are a host-side pass a caller applies to the result:
+``spell_walk(result.graph, *euler_walk(result.graph))``.
 """
 
 from __future__ import annotations
@@ -55,8 +54,9 @@ class PipelineState:
     #: increasing (:meth:`PimKmerCounter.counts`)
     counts: "tuple[np.ndarray, np.ndarray] | None" = None
     graph: DeBruijnGraph | None = None
-    #: ``(in_degree, out_degree)`` over packed node keys (Fig. 8 output)
-    degrees: "tuple[dict[int, int], dict[int, int]] | None" = None
+    #: ``(in_degrees, out_degrees)`` int64 arrays by node id (Fig. 8
+    #: output)
+    degrees: "tuple[np.ndarray, np.ndarray] | None" = None
     contigs: "list[Contig] | None" = None
 
 

@@ -296,22 +296,6 @@ class IntegrityCounts:
     table_rows_scrubbed: int = 0
     table_repairs: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "windows": self.windows,
-            "flips_injected": self.flips_injected,
-            "words_corrected": self.words_corrected,
-            "words_uncorrectable": self.words_uncorrectable,
-            "rows_scrubbed": self.rows_scrubbed,
-            "rows_encoded": self.rows_encoded,
-            "table_rows_scrubbed": self.table_rows_scrubbed,
-            "table_repairs": self.table_repairs,
-        }
-
-    @classmethod
-    def from_dict(cls, state: dict) -> "IntegrityCounts":
-        return cls(**{k: int(v) for k, v in state.items()})
-
 
 class IntegrityEngine:
     """Run-time state of the data-at-rest integrity subsystem.

@@ -24,6 +24,7 @@ On the bulk engine the degrees are the columnar graph's ``bincount``
 arrays and only each chunk's row counts are derived, so every chunk
 and direction's reduction is charged in one batched
 ``flush_segments`` call with the scalar schedule's exact counts.
+Either way the degrees come back as int64 arrays by node id.
 """
 
 from __future__ import annotations
@@ -234,8 +235,7 @@ def _adjacency_pairs(
     ``spot[node id]`` is the vertex's ``chunk * width + column``, or -1
     when it is in no chunk.  ``direction="in"`` puts an edge in its
     target's column of its source's row, ``"out"`` in its source's
-    column of its target's row.  Entries are in
-    :meth:`DeBruijnGraph.edges` order.
+    column of its target's row.  Entries are in edge-id order.
     """
     if direction == "in":
         key, placed = graph.sources, graph.targets
@@ -258,7 +258,7 @@ def _adjacency_hits(
 
     Chunk ``c``'s hits are ``bounds[c]:bounds[c + 1]``.  Its rows are
     numbered by first appearance of their key vertex in edge order, so
-    they come out as a per-chunk scan of :meth:`DeBruijnGraph.edges`
+    they come out as a per-chunk scan of the edges in edge-id order
     would build them.
     """
     chunk, key, column = _adjacency_pairs(graph, spot, width, direction)
@@ -318,7 +318,7 @@ def degree_vectors_pim(
     graph: DeBruijnGraph,
     subarray_key: tuple[int, int, int] = (0, 0, 0),
     engine: str = "scalar",
-) -> tuple[dict[int, int], dict[int, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """In/out degrees of every vertex via in-memory column sums.
 
     Chunks the vertex set, in ascending key order, by the row width
@@ -336,14 +336,19 @@ def degree_vectors_pim(
         been read back (the pipeline's traverse phase does).
 
     Returns:
-        ``(in_degree, out_degree)`` dictionaries over packed node keys.
+        ``(in_degrees, out_degrees)``: int64 arrays by node id, equal
+        to the graph's own.
+
+    Raises:
+        ValueError: for an engine other than ``"scalar"`` or ``"bulk"``.
     """
+    if engine not in ("scalar", "bulk"):
+        raise ValueError("engine must be 'scalar' or 'bulk'")
     width = pim.row_bits
     n_chunks = -(-graph.num_nodes // width)
     # every vertex's chunk * width + column, in ascending key order
     spot = np.empty(graph.num_nodes, dtype=np.int64)
     spot[graph.key_order] = np.arange(graph.num_nodes)
-    nodes = graph.node_keys[graph.key_order].tolist()
     if engine == "bulk" and not _live_sum_faults(pim):
         # distinct key vertices per chunk (sorted, not np.unique, whose
         # hash path is ~50x slower on these wide keys), chunk-major
@@ -366,26 +371,23 @@ def degree_vectors_pim(
         if live:
             _charge_wallace(pim, subarray_key, live)
         return (
-            dict(zip(nodes, graph.in_degrees[graph.key_order].tolist())),
-            dict(zip(nodes, graph.out_degrees[graph.key_order].tolist())),
+            graph.in_degrees.astype(np.int64),
+            graph.out_degrees.astype(np.int64),
         )
     hits = {
         direction: _adjacency_hits(graph, spot, width, n_chunks, direction)
         for direction in ("in", "out")
     }
-    in_deg: dict[int, int] = {}
-    out_deg: dict[int, int] = {}
-    for index, lo in enumerate(range(0, len(nodes), width)):
-        chunk_nodes = nodes[lo : lo + width]
+    in_deg = np.zeros(graph.num_nodes, dtype=np.int64)
+    out_deg = np.zeros(graph.num_nodes, dtype=np.int64)
+    for index in range(n_chunks):
+        ids = graph.key_order[index * width : (index + 1) * width]
         for direction, out in (("in", in_deg), ("out", out_deg)):
             checkpoint()  # per-chunk cancellation point
-            rows = _dense_rows(hits[direction], index, len(chunk_nodes))
+            rows = _dense_rows(hits[direction], index, ids.size)
             if rows:
                 sums = wallace_column_sum(pim, rows, subarray_key)
-            else:
-                sums = np.zeros(width, dtype=np.int64)
-            for i, node in enumerate(chunk_nodes):
-                out[node] = int(sums[i])
+                out[ids] = sums[: ids.size]
     return in_deg, out_deg
 
 

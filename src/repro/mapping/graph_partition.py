@@ -6,22 +6,23 @@ into M^2 blocks.  Then each block is allocated to a chip and mapped to
 its sub-arrays."
 
 :class:`IntervalBlockPartition` implements that: vertex -> interval by
-the same multiplicative hash the hash table uses; edge (u, v) -> block
-(interval(u), interval(v)); blocks are assigned to chips round-robin
+the same multiplicative hash the hash table uses; edge id (u, v) ->
+block (interval(u), interval(v)); blocks are assigned to chips round-robin
 along the destination-major order of the paper's figure.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.mapping.hashing import kmer_partition
+from repro.mapping.hashing import kmer_partition, kmer_partition_array
 
 if TYPE_CHECKING:  # import cycle: the assembly package uses mapping
-    from repro.assembly.debruijn import DeBruijnGraph, Edge
+    from repro.assembly.debruijn import DeBruijnGraph
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,13 @@ class IntervalBlockPartition:
     Args:
         intervals: M, the number of vertex intervals (= chips in the
             paper's allocation).
+
+    Blocks hold the graph's edge ids, ascending.
     """
 
     intervals: int
-    _edges: dict[BlockId, list[Edge]] = field(default_factory=dict)
-    _vertex_counts: Counter = field(default_factory=Counter)
+    _edges: dict[BlockId, np.ndarray] = field(default_factory=dict)
+    _vertex_counts: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.intervals <= 0:
@@ -56,24 +59,23 @@ class IntervalBlockPartition:
     # ----- construction -------------------------------------------------------
 
     def vertex_interval(self, node: int) -> int:
-        """Interval of a vertex (hash-based, uniform)."""
+        """Interval of a vertex key (hash-based, uniform)."""
         return kmer_partition(node, self.intervals)
-
-    def add_edge(self, edge: Edge) -> BlockId:
-        block = BlockId(
-            source_interval=self.vertex_interval(edge.source),
-            destination_interval=self.vertex_interval(edge.target),
-        )
-        self._edges.setdefault(block, []).append(edge)
-        return block
 
     @classmethod
     def from_graph(cls, graph: DeBruijnGraph, intervals: int) -> "IntervalBlockPartition":
         partition = cls(intervals=intervals)
-        for node in graph.nodes():
-            partition._vertex_counts[partition.vertex_interval(node)] += 1
-        for edge in graph.edges():
-            partition.add_edge(edge)
+        interval = kmer_partition_array(graph.node_keys, intervals)
+        partition._vertex_counts = np.bincount(
+            interval, minlength=intervals
+        ).tolist()
+        block = interval[graph.sources] * intervals + interval[graph.targets]
+        order = np.argsort(block, kind="stable")
+        cuts = np.flatnonzero(np.diff(block[order])) + 1
+        for ids in np.split(order, cuts):
+            if ids.size:
+                source, destination = divmod(int(block[ids[0]]), intervals)
+                partition._edges[BlockId(source, destination)] = ids
         return partition
 
     # ----- queries ---------------------------------------------------------------
@@ -83,8 +85,9 @@ class IntervalBlockPartition:
         """M^2 — including empty blocks."""
         return self.intervals * self.intervals
 
-    def block_edges(self, block: BlockId) -> list[Edge]:
-        return list(self._edges.get(block, []))
+    def block_edges(self, block: BlockId) -> np.ndarray:
+        """Edge ids of one block (empty when the block is)."""
+        return self._edges.get(block, np.empty(0, dtype=np.int64)).copy()
 
     def nonempty_blocks(self) -> list[BlockId]:
         return sorted(
@@ -94,10 +97,10 @@ class IntervalBlockPartition:
 
     def interval_sizes(self) -> list[int]:
         """Vertices per interval (load-balance check)."""
-        return [self._vertex_counts.get(i, 0) for i in range(self.intervals)]
+        return list(self._vertex_counts) or [0] * self.intervals
 
     def edge_block_sizes(self) -> dict[BlockId, int]:
-        return {block: len(edges) for block, edges in self._edges.items()}
+        return {block: int(edges.size) for block, edges in self._edges.items()}
 
     # ----- allocation (stage 2 of Fig. 8) --------------------------------------------
 
@@ -127,5 +130,5 @@ class IntervalBlockPartition:
         loads = [0] * chips
         assignment = self.chip_assignment(chips)
         for block, chip in assignment.items():
-            loads[chip] += len(self._edges[block])
+            loads[chip] += int(self._edges[block].size)
         return loads

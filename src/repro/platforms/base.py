@@ -237,9 +237,6 @@ class BandwidthPlatform(Platform):
         key_words = max(1.0, 2.0 * k / 32.0)
         return self.query_base_ns * key_words**self.key_width_exponent
 
-    def stream_ns_per_byte(self) -> float:
-        return 1e9 / (self.spec.effective_bandwidth_gbps * 1e9)
-
     def random_probe_ns(self) -> float:
         """Effective cost of one uncoalesced random access at full
         concurrency: bytes-per-probe over effective bandwidth."""

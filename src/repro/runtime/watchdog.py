@@ -110,10 +110,6 @@ class Watchdog:
         finally:
             _TLS.watchdog = previous
 
-    def start_job(self) -> None:
-        """(Re)start the whole-job clock; resume carries budgets over."""
-        self._job_start = self.clock()
-
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
         """Scope a stage budget; nested stages are not supported."""

@@ -3,9 +3,10 @@
 ``reference_impl`` keeps its own dict-of-lists graph, per-edge unitig
 extension and spelling.  On random k-mer sets — self-loops, isolated
 cycles, branches, and at k=32 k-mers that use the whole 64-bit word —
-the columnar graph must iterate the same nodes and edges in the same
-order, report the same degrees and components, and walk and spell the
-same unitigs.
+the columnar graph must hold the same nodes and edges in the same
+order, report the same degrees and components, walk the same Euler
+trails and unitigs, and spell the same contigs.  Fleury's walk, the
+paper-named oracle, must use Hierholzer's edges.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.assembly.contigs import assemble_contigs
 from repro.assembly.debruijn import DeBruijnGraph
-from repro.assembly.euler import degree_table, unitig_walk, unitigs
+from repro.assembly.euler import euler_walk, fleury_walk, unitig_walk
 from repro.assembly.hashmap import PimKmerCounter, SoftwareKmerCounter
 from repro.assembly.reference_impl import _DictGraph
 from repro.core import PimAssembler
@@ -75,27 +77,54 @@ def test_columnar_graph_equals_dict_graph(case):
 
     assert graph.num_nodes == ref.num_nodes
     assert graph.num_edges == ref.num_edges
-    assert list(graph.nodes()) == list(ref.nodes())
-    assert [(e.source, e.target, e.kmer) for e in graph.edges()] == list(
-        ref.edges()
-    )
-    assert degree_table(graph) == {
-        node: (ref.indegree[node], len(ref.out[node])) for node in ref.nodes()
-    }
-    for node in ref.nodes():
-        assert graph.in_degree(node) == ref.indegree[node]
-        assert graph.out_degree(node) == len(ref.out[node])
-        assert graph.is_branching(node) == (not ref.simple(node))
-    assert graph.connected_components() == ref.components()
+    keys = graph.node_keys
+    assert keys.tolist() == list(ref.nodes())
+    assert list(
+        zip(
+            keys[graph.sources].tolist(),
+            keys[graph.targets].tolist(),
+            graph.kmers.tolist(),
+        )
+    ) == list(ref.edges())
+    assert graph.in_degrees.tolist() == [ref.indegree[n] for n in ref.nodes()]
+    assert graph.out_degrees.tolist() == [len(ref.out[n]) for n in ref.nodes()]
+    assert graph.simple_nodes().tolist() == [ref.simple(n) for n in ref.nodes()]
+
+    labels = graph.connected_components()
+    assert [
+        set(keys[labels == root].tolist()) for root in np.unique(labels)
+    ] == ref.components()
 
     paths = ref.unitigs()
-    assert [[e.kmer for e in path] for path in unitigs(graph)] == paths
     walk, bounds = unitig_walk(graph)
-    assert graph.kmers[walk].tolist() == [kmer for p in paths for kmer in p]
+    cuts = bounds.tolist()
+    assert [
+        graph.kmers[walk[lo:hi]].tolist() for lo, hi in zip(cuts, cuts[1:])
+    ] == paths
     assert [str(c.sequence) for c in assemble_contigs(graph)] == [
         str(ref.spell(path))
         for path in sorted(paths, key=len, reverse=True)
     ]
+
+    try:
+        trails = ref.euler_trails()
+    except ValueError:
+        with pytest.raises(ValueError):
+            euler_walk(graph)
+        with pytest.raises(ValueError):
+            fleury_walk(graph)
+        return
+    walk, bounds = euler_walk(graph)
+    cuts = bounds.tolist()
+    assert [
+        graph.kmers[walk[lo:hi]].tolist() for lo, hi in zip(cuts, cuts[1:])
+    ] == trails
+    fleury, fleury_bounds = fleury_walk(graph)
+    assert fleury_bounds.tolist() == cuts
+    for lo, hi in zip(cuts, cuts[1:]):
+        trail = fleury[lo:hi]
+        assert (graph.sources[trail[1:]] == graph.targets[trail[:-1]]).all()
+    assert Counter(fleury.tolist()) == Counter(walk.tolist())
 
 
 def test_full_word_kmers_keep_their_top_bits():
@@ -109,7 +138,7 @@ def test_full_word_kmers_keep_their_top_bits():
     assert max(counts) >= 2**63
     kmers = np.array(sorted(counts), dtype=np.uint64)
     graph = DeBruijnGraph.from_counts(kmers, np.ones(kmers.size, np.int64), k=32)
-    assert sorted(e.kmer for e in graph.edges()) == sorted(counts)
+    assert sorted(graph.kmers.tolist()) == sorted(counts)
     assert [str(c.sequence) for c in assemble_contigs(graph)] == [text]
 
 

@@ -1,15 +1,12 @@
 """Contig spelling and extraction."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.assembly.contigs import (
-    assemble_contigs,
-    contigs_from_paths,
-    spell_path,
-)
-from repro.assembly.debruijn import build_graph_from_sequences
-from repro.assembly.euler import eulerian_path, eulerian_paths, unitigs
+from repro.assembly.contigs import assemble_contigs, spell_walk
+from repro.assembly.debruijn import DeBruijnGraph, build_graph_from_sequences
+from repro.assembly.euler import euler_walk, unitig_walk
 from repro.genome.sequence import DnaSequence
 
 dna = st.text(alphabet="ACGT", min_size=8, max_size=80)
@@ -19,12 +16,15 @@ def graph_of(text, k=4):
     return build_graph_from_sequences([DnaSequence(text)], k)
 
 
+def euler_spelled(graph):
+    """The Euler trails' sequences (``ValueError`` when none exist)."""
+    return [str(s) for s in spell_walk(graph, *euler_walk(graph))]
+
+
 class TestSpellPath:
     def test_spells_original_sequence(self):
         text = "ACGTTGCA"
-        g = graph_of(text, 4)
-        trail = eulerian_path(g)
-        assert str(spell_path(g, trail)) == text
+        assert euler_spelled(graph_of(text, 4)) == [text]
 
     @given(dna)
     @settings(max_examples=30, deadline=None)
@@ -36,9 +36,7 @@ class TestSpellPath:
         node_mers = [str(m) for m in seq.kmers(k - 1)]
         if len(set(node_mers)) != len(node_mers):
             return  # a node repeats: multiple trails may exist
-        g = graph_of(text, k)
-        trail = eulerian_path(g)
-        assert str(spell_path(g, trail)) == text
+        assert euler_spelled(graph_of(text, k)) == [text]
 
     @given(dna)
     @settings(max_examples=30, deadline=None)
@@ -51,30 +49,25 @@ class TestSpellPath:
         if len(kmers) != seq.kmer_count(k):
             return  # duplicate k-mers collapse; trail may not exist
         g = graph_of(text, k)
-        components = g.connected_components()
-        if len(components) != 1:
+        try:
+            spelled = euler_spelled(g)
+        except ValueError:
+            return  # unbalanced degrees: no trail
+        if len(spelled) != 1:
             return
-        from repro.assembly.euler import has_eulerian_path
-
-        if not has_eulerian_path(g, components[0]):
-            return
-        trail = eulerian_path(g)
-        spelled = spell_path(g, trail)
-        assert {str(m) for m in spelled.kmers(k)} == kmers
-        assert len(spelled) == len(seq)
+        assert {str(m) for m in DnaSequence(spelled[0]).kmers(k)} == kmers
+        assert len(spelled[0]) == len(seq)
 
     def test_rejects_empty_path(self):
         g = graph_of("ACGT", 3)
+        walk, bounds = unitig_walk(g)
+        with_empty = np.concatenate((bounds[:1], bounds))
         with pytest.raises(ValueError):
-            spell_path(g, [])
-
-    def test_rejects_disconnected_edges(self):
-        g = graph_of("ACGTAGGC", 3)
-        edges = list(g.edges())
-        disconnected = [edges[0], edges[-1]]
-        if disconnected[0].target != disconnected[1].source:
-            with pytest.raises(ValueError):
-                spell_path(g, disconnected)
+            spell_walk(g, walk, with_empty)
+        # an edgeless graph has no paths and spells nothing
+        empty = DeBruijnGraph(k=3)
+        assert spell_walk(empty, *euler_walk(empty)) == []
+        assert spell_walk(empty, *unitig_walk(empty)) == []
 
 
 class TestContigExtraction:
@@ -88,10 +81,9 @@ class TestContigExtraction:
 
     def test_euler_mode_on_clean_graph(self):
         text = "ACGTTGCA"
-        g = graph_of(text, 4)
-        contigs = contigs_from_paths(g, eulerian_paths(g))
-        assert len(contigs) == 1
-        assert str(contigs[0].sequence) == text
+        walk, bounds = euler_walk(graph_of(text, 4))
+        assert bounds.tolist() == [0, walk.size]
+        assert euler_spelled(graph_of(text, 4)) == [text]
 
     def test_min_length_filter(self):
         g = graph_of("ACGTACGTTGCAGG", 4)
@@ -115,6 +107,7 @@ class TestContigExtraction:
 
     def test_contigs_from_paths_skips_empty(self):
         g = graph_of("ACGT", 3)
-        paths = unitigs(g) + [[]]
-        contigs = contigs_from_paths(g, paths)
-        assert all(c.edge_count > 0 for c in contigs)
+        _, bounds = unitig_walk(g)
+        assert (np.diff(bounds) > 0).all()
+        assert all(c.edge_count > 0 for c in assemble_contigs(g))
+        assert assemble_contigs(DeBruijnGraph(k=3)) == []

@@ -16,7 +16,6 @@ import pytest
 from repro.core.energy import EnergyParameters
 from repro.core.integrity import (
     IntegrityConfig,
-    IntegrityCounts,
     IntegrityEngine,
     _correct_word,
     _encode_word,
@@ -309,10 +308,6 @@ class TestScrubEngine:
         # same simulated time, windows already burned: no double rot
         assert engine2.sync().windows == engine.counts().windows
         del store, store2
-
-    def test_counts_round_trip(self):
-        counts = IntegrityCounts(windows=2, flips_injected=5)
-        assert IntegrityCounts.from_dict(counts.as_dict()) == counts
 
 
 # ----- the acceptance property ----------------------------------------------

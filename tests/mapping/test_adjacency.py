@@ -70,28 +70,26 @@ class TestWallaceColumnSum:
 class TestAdjacencyRows:
     def test_in_direction(self):
         g = build_graph_from_sequences([DnaSequence("ACGT")], 3)
-        nodes = sorted(g.nodes())
+        nodes = sorted(g.node_keys.tolist())
         rows = adjacency_rows_for_chunk(g, nodes, "in")
         total = np.sum(rows, axis=0)
-        for i, node in enumerate(nodes):
-            assert total[i] == g.in_degree(node)
+        assert np.array_equal(total, g.in_degrees[g.node_ids(nodes)])
 
     def test_out_direction(self):
         g = build_graph_from_sequences([DnaSequence("ACGTAC")], 3)
-        nodes = sorted(g.nodes())
+        nodes = sorted(g.node_keys.tolist())
         rows = adjacency_rows_for_chunk(g, nodes, "out")
         total = np.sum(rows, axis=0)
-        for i, node in enumerate(nodes):
-            assert total[i] == g.out_degree(node)
+        assert np.array_equal(total, g.out_degrees[g.node_ids(nodes)])
 
     def test_rejects_bad_direction(self):
         g = build_graph_from_sequences([DnaSequence("ACGT")], 3)
         with pytest.raises(ValueError):
-            adjacency_rows_for_chunk(g, list(g.nodes()), "sideways")
+            adjacency_rows_for_chunk(g, g.node_keys.tolist(), "sideways")
 
     def test_chunk_restriction(self):
         g = build_graph_from_sequences([DnaSequence("ACGTTGCA")], 3)
-        nodes = sorted(g.nodes())
+        nodes = sorted(g.node_keys.tolist())
         chunk = nodes[:2]
         rows = adjacency_rows_for_chunk(g, chunk, "in")
         assert all(r.size == 2 for r in rows)
@@ -103,9 +101,9 @@ class TestDegreeVectorsPim:
         g = build_graph_from_sequences([DnaSequence(text)], 3)
         pim = PimAssembler.small(subarrays=1, rows=256, cols=16)
         in_deg, out_deg = degree_vectors_pim(pim, g)
-        for node in g.nodes():
-            assert in_deg[node] == g.in_degree(node)
-            assert out_deg[node] == g.out_degree(node)
+        assert in_deg.dtype == out_deg.dtype == np.int64
+        assert np.array_equal(in_deg, g.in_degrees)
+        assert np.array_equal(out_deg, g.out_degrees)
 
     def test_chunking_over_row_width(self):
         """More vertices than row columns forces multiple chunks."""
@@ -115,9 +113,17 @@ class TestDegreeVectorsPim:
         pim = PimAssembler.small(subarrays=1, rows=256, cols=8)
         assert g.num_nodes > 8
         in_deg, out_deg = degree_vectors_pim(pim, g)
-        for node in g.nodes():
-            assert in_deg[node] == g.in_degree(node)
-            assert out_deg[node] == g.out_degree(node)
+        assert np.array_equal(in_deg, g.in_degrees)
+        assert np.array_equal(out_deg, g.out_degrees)
+
+    @pytest.mark.parametrize("engine", ["warp", "Bulk", ""])
+    def test_rejects_unknown_engine(self, engine):
+        """An unknown engine is refused before anything is charged."""
+        g = build_graph_from_sequences([DnaSequence("ACGTACGT")], 3)
+        pim = PimAssembler.small(subarrays=1, rows=256, cols=16)
+        with pytest.raises(ValueError, match="engine"):
+            degree_vectors_pim(pim, g, engine=engine)
+        assert not pim.stats.totals().commands
 
 
 class TestPlanesNeeded:

@@ -3,13 +3,13 @@
 ``degree_vectors_pim(engine="bulk")`` takes the degrees from the
 graph's arrays and charges every chunk and direction's reduction in one
 ``flush_segments`` call.  The reference below is the loop it replaced:
-one pass over ``graph.edges()`` bucketing edges by chunk, then per chunk
-and direction dense adjacency rows and one reduction, charged with one
-``charge`` per mnemonic, the verify charge and a ``flush``.  The two
-must leave identical degree dicts, ledgers, traces, ``pim.batch.*``
-metrics and watchdog ticks.  Scalar and live sum/TRA fault rates go
-through ``wallace_column_sum`` per chunk; there the reduced rows
-themselves must match the reference's.
+one pass over the edges in edge-id order bucketing them by chunk, then
+per chunk and direction dense adjacency rows and one reduction, charged
+with one ``charge`` per mnemonic, the verify charge and a ``flush``.
+The two must leave identical degree arrays, ledgers, traces,
+``pim.batch.*`` metrics and watchdog ticks.  Scalar and live sum/TRA
+fault rates go through ``wallace_column_sum`` per chunk; there the
+reduced rows themselves must match the reference's.
 """
 
 from __future__ import annotations
@@ -43,10 +43,12 @@ def _bucket_edges(graph, nodes, width):
         for direction in ("in", "out")
     }
     ins, outs = buckets["in"], buckets["out"]
-    for edge in graph.edges():
+    keys = graph.node_keys.tolist()
+    for source, target in zip(graph.sources.tolist(), graph.targets.tolist()):
+        source, target = keys[source], keys[target]
         for chunks, key_node, chunk_node in (
-            (ins, edge.source, edge.target),
-            (outs, edge.target, edge.source),
+            (ins, source, target),
+            (outs, target, source),
         ):
             spot = place.get(chunk_node)
             if spot is not None:
@@ -93,7 +95,8 @@ def _charged_sum(pim, rows, subarray_key):
 
 
 def reference_degrees(pim, graph, subarray_key=(0, 0, 0), engine="scalar", seen=None):
-    nodes = sorted(graph.nodes())
+    """Degree dicts by node key, returned as arrays by node id."""
+    nodes = sorted(graph.node_keys.tolist())
     width = pim.row_bits
     buckets = _bucket_edges(graph, nodes, width)
     in_deg, out_deg = {}, {}
@@ -112,7 +115,11 @@ def reference_degrees(pim, graph, subarray_key=(0, 0, 0), engine="scalar", seen=
                 sums = wallace_column_sum(pim, rows, subarray_key)
             for i, node in enumerate(chunk):
                 out[node] = int(sums[i])
-    return in_deg, out_deg
+    keys = graph.node_keys.tolist()
+    return tuple(
+        np.array([degree[key] for key in keys], dtype=np.int64)
+        for degree in (in_deg, out_deg)
+    )
 
 
 # ----- observation -----------------------------------------------------------
@@ -138,7 +145,7 @@ def observe(compute, graph, engine, **device):
         degrees = compute(pim, graph, (0, 0, 1), engine=engine)
     stats = pim.stats
     return {
-        "degrees": [list(d.items()) for d in degrees],
+        "degrees": [(d.dtype, d.tolist()) for d in degrees],
         "ledger": {
             phase: (
                 float(stats.totals(phase).time_ns).hex(),
@@ -189,10 +196,10 @@ class TestBatchedMatchesLoop:
     def test_matches_graph_degrees(self):
         graph = random_graph(4, 300, 7)
         in_deg, out_deg = degree_vectors_pim(build_pim(), graph, engine="bulk")
-        assert list(in_deg) == sorted(graph.nodes())
-        for node in graph.nodes():
-            assert in_deg[node] == graph.in_degree(node)
-            assert out_deg[node] == graph.out_degree(node)
+        assert np.array_equal(in_deg, graph.in_degrees)
+        assert np.array_equal(out_deg, graph.out_degrees)
+        # copies: the caller cannot corrupt the graph through them
+        assert not np.shares_memory(in_deg, graph.in_degrees)
 
     def test_wide_rows_single_chunk(self):
         assert_same(random_graph(2, 40, 5), cols=64)

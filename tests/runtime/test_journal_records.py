@@ -26,12 +26,22 @@ def reads():
     return make_reads()
 
 
+def graph_edges(graph) -> list:
+    """``(source key, target key, k-mer, count)`` in edge-id order."""
+    keys = graph.node_keys
+    return list(
+        zip(
+            keys[graph.sources].tolist(),
+            keys[graph.targets].tolist(),
+            graph.kmers.tolist(),
+            graph.counts.tolist(),
+        )
+    )
+
+
 def graph_orders(graph) -> tuple:
     """Node order and per-source edge order (both feed contig naming)."""
-    return (
-        list(graph.nodes()),
-        [(e.source, e.target, e.kmer, e.count) for e in graph.edges()],
-    )
+    return graph.node_keys.tolist(), graph_edges(graph)
 
 
 def cut_journal(runner: JobRunner, keep: int) -> None:
@@ -97,13 +107,11 @@ def test_parent_format_records_resume_identically(
         graph = state.graph
         record["graph"] = None if graph is None else {
             "k": graph.k,
-            "nodes": list(graph.nodes()),
-            "edges": [
-                [e.source, e.target, e.kmer, e.count] for e in graph.edges()
-            ],
+            "nodes": graph.node_keys.tolist(),
+            "edges": [list(edge) for edge in graph_edges(graph)],
         }
         record["degrees"] = None if state.degrees is None else [
-            [[int(k), int(v)] for k, v in degree.items()]
+            [[k, v] for k, v in zip(graph.node_keys.tolist(), degree.tolist())]
             for degree in state.degrees
         ]
         record["contigs"] = None if state.contigs is None else [

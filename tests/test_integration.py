@@ -119,33 +119,30 @@ class TestMultiChipMapping:
         # contributions of its own edge blocks
         from repro.assembly.debruijn import DeBruijnGraph
 
-        in_total: dict[int, int] = {}
-        out_total: dict[int, int] = {}
+        in_total = np.zeros(graph.num_nodes, dtype=np.int64)
+        out_total = np.zeros(graph.num_nodes, dtype=np.int64)
         for chip in range(chips):
-            chip_counts = {
-                edge.kmer: edge.count
+            owned = [
+                partition.block_edges(block)
                 for block, owner in assignment.items()
                 if owner == chip
-                for edge in partition.block_edges(block)
-            }
-            kmers = sorted(chip_counts)
+            ]
+            edges = np.concatenate(owned) if owned else np.empty(0, int)
+            edges = edges[np.argsort(graph.kmers[edges])]
             chip_graph = DeBruijnGraph.from_counts(
-                np.array(kmers, dtype=np.uint64),
-                np.array([chip_counts[kmer] for kmer in kmers]),
-                k=9,
+                graph.kmers[edges], graph.counts[edges], k=9
             )
             if chip_graph.num_edges == 0:
                 continue
             device = PimAssembler.small(subarrays=1, rows=512, cols=64)
             in_deg, out_deg = degree_vectors_pim(device, chip_graph)
-            for node, value in in_deg.items():
-                in_total[node] = in_total.get(node, 0) + value
-            for node, value in out_deg.items():
-                out_total[node] = out_total.get(node, 0) + value
+            ids = graph.node_ids(chip_graph.node_keys)
+            assert (ids >= 0).all()
+            in_total[ids] += in_deg
+            out_total[ids] += out_deg
 
-        for node in graph.nodes():
-            assert in_total.get(node, 0) == graph.in_degree(node)
-            assert out_total.get(node, 0) == graph.out_degree(node)
+        assert np.array_equal(in_total, graph.in_degrees)
+        assert np.array_equal(out_total, graph.out_degrees)
 
     def test_every_block_lands_on_its_destination_chip(self):
         from repro.assembly import build_graph_from_sequences
