@@ -17,8 +17,15 @@ Run it once per execution engine::
     python examples/crash_resume_smoke.py --engine scalar
     python examples/crash_resume_smoke.py --engine bulk
 
-Also exercised by CI (`crash-resume-smoke` job) on both engines.  Exit
-code 0 on success; any divergence raises.
+``--ecc secded`` protects the job with SECDED ECC and a short retention
+window (:data:`RETENTION_S`), so windows close — and the integrity
+engine syncs — mid-hashmap; the integrity counters join the diff::
+
+    python examples/crash_resume_smoke.py --engine bulk --ecc secded
+
+Also exercised by CI (`crash-resume-smoke` job) on both engines, and on
+the bulk engine with ECC.  Exit code 0 on success; any divergence
+raises.
 """
 
 from __future__ import annotations
@@ -46,6 +53,9 @@ COVERAGE = 20
 #: victim seconds per watchdog tick: the bulk hashmap takes ~800 ticks,
 #: so 5 ms each keeps it running for seconds past the kill below
 TICK_S = 0.005
+#: simulated retention window under ``--ecc``: about a dozen windows
+#: close during the bulk hashmap's ~13 ms of simulated time
+RETENTION_S = 1e-3
 
 # The victim subprocess: run the job, touching a sentinel once the
 # hashmap stage has started so the parent knows when to shoot it.
@@ -65,7 +75,7 @@ def slow_tick(ticks):
     time.sleep(%(tick_s)r)  # stretch the stage so SIGKILL lands inside it
 
 reads = make_reads()
-config = JobConfig(k=%(k)d, engine=%(engine)r)
+config = JobConfig(**%(config)r)
 runner = JobRunner(job_dir, config, watchdog=Watchdog(on_tick=slow_tick))
 runner.run(reads)
 """
@@ -85,6 +95,7 @@ def fingerprint(result) -> dict:
         "hashmap": dict(result.hashmap.commands),
         "debruijn": dict(result.debruijn.commands),
         "traverse": dict(result.traverse.commands),
+        "integrity": repr(result.integrity),
     }
 
 
@@ -93,8 +104,13 @@ def main() -> int:
     parser.add_argument(
         "--engine", choices=("scalar", "bulk"), default="scalar"
     )
-    engine = parser.parse_args().engine
-    config = JobConfig(k=K, engine=engine)
+    parser.add_argument("--ecc", choices=("secded",), default=None)
+    args = parser.parse_args()
+    engine = args.engine
+    options = {"k": K, "engine": engine}
+    if args.ecc is not None:
+        options.update(ecc=args.ecc, retention_interval_s=RETENTION_S)
+    config = JobConfig(**options)
     reads = make_reads()
     with tempfile.TemporaryDirectory(prefix="crash-resume-") as tmp:
         tmp = Path(tmp)
@@ -106,6 +122,11 @@ def main() -> int:
             f"golden: {len(golden_fp['contigs'])} contigs, "
             f"{sum(golden_fp['hashmap'].values())} hashmap commands"
         )
+        if args.ecc is not None:
+            windows = golden.result.integrity.windows
+            if not windows:
+                raise AssertionError("no retention window closed")
+            print(f"golden: {windows} retention windows closed")
 
         # 2. start the victim and SIGKILL it mid-hashmap
         workload = tmp / "example_workload.py"
@@ -126,7 +147,7 @@ def main() -> int:
             [
                 sys.executable,
                 "-c",
-                VICTIM % {"k": K, "engine": engine, "tick_s": TICK_S},
+                VICTIM % {"config": options, "tick_s": TICK_S},
                 str(SRC),
                 str(tmp / "job"),
                 str(sentinel),

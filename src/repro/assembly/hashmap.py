@@ -38,6 +38,7 @@ replay the scalar per-op path so the fault RNG stream stays exact.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ import numpy as np
 from repro.core.bitplane import scan_end_rows
 from repro.core.isa import RowAddress
 from repro.core.platform import PimAssembler
+from repro.core.scheduler import PricedSegments
 from repro.core.storage import pack_rows
 from repro.errors import JournalError, TableFullError
 from repro.genome.kmer import (
@@ -98,6 +100,43 @@ class SoftwareKmerCounter:
         return len(self._counts)
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """A bulk batch planned by :meth:`PimKmerCounter._plan_batch`.
+
+    Per arrival: ``slots`` (k-mer slot), ``kparts`` (partition),
+    ``scanned`` (rows its scan read) and ``pair_of`` (its (read,
+    partition) pair).  Per distinct key (``uniq``): partition, slot,
+    counter row, bit offset and final value; ``new_u`` are the new keys
+    and ``nu`` the same partition-major.  Per pair: partition, read,
+    arrivals and misses; ``read_starts`` opens each read's pairs.
+    """
+
+    packed: np.ndarray
+    uniq: np.ndarray
+    uparts: np.ndarray
+    uniq_slot: np.ndarray
+    new_u: np.ndarray
+    nu: np.ndarray
+    new_per_part: np.ndarray
+    seg_starts: np.ndarray
+    slots: np.ndarray
+    kparts: np.ndarray
+    scanned: np.ndarray
+    pair_of: np.ndarray
+    pair_parts: np.ndarray
+    pair_reads: np.ndarray
+    read_starts: np.ndarray
+    arr_p: np.ndarray
+    miss_p: np.ndarray
+    vrows: np.ndarray
+    vbits: np.ndarray
+    final_vals: np.ndarray
+    #: :meth:`~repro.core.scheduler.BatchedAapScheduler.flush_segments`
+    #: arguments: keys, pair partitions, pair reads, charges, verify
+    flush_args: tuple
+
+
 class PimKmerCounter:
     """The Hashmap procedure on the PIM-Assembler functional simulator.
 
@@ -110,6 +149,10 @@ class PimKmerCounter:
         engine: ``"scalar"`` (per-op golden model) or ``"bulk"``
             (batched bit-plane execution; identical tables, end state
             and command counts, gang-scheduled time).
+        rot_checkpoints: put a rot checkpoint
+            (:meth:`~repro.core.platform.PimAssembler.integrity_sync`)
+            after every sequence :meth:`add_sequences` inserts, as the
+            pipeline's hashmap stage does.
     """
 
     def __init__(
@@ -118,6 +161,7 @@ class PimKmerCounter:
         k: int,
         subarray_keys: Sequence[tuple[int, int, int]] | None = None,
         engine: str = "scalar",
+        rot_checkpoints: bool = False,
     ) -> None:
         if k <= 0:
             raise ValueError("k must be positive")
@@ -132,6 +176,7 @@ class PimKmerCounter:
         self.pim = pim
         self.k = k
         self.engine = engine
+        self.rot_checkpoints = rot_checkpoints
         # default to the *usable* sub-arrays: partitions never land on
         # storage the resilience engine already quarantined
         keys = (
@@ -229,19 +274,26 @@ class PimKmerCounter:
         per item.  The bulk engine does the host work of the whole
         batch in one pass and still charges each sequence its own gang
         schedule.
+
+        With :attr:`rot_checkpoints` the outcome is that of
+        ``add_sequences([s]); pim.integrity_sync()`` per sequence on a
+        counter without them, bit for bit.  The bulk engine still
+        stores a run of reads in one pass, and cuts it only after a
+        read at which a retention window closes.
         """
         if self.engine != "bulk":
             for sequence in sequences:
                 for kmer in iter_kmers(sequence, self.k):
                     self.add_kmer(kmer)
+                if self.rot_checkpoints:
+                    self.pim.integrity_sync()
             return
         packed, owner = packed_kmers_batch(sequences, self.k)
-        if not packed.size:
-            return
-        # one cancellation point per sequence that has k-mers
-        for _ in range(int(np.count_nonzero(np.diff(owner))) + 1):
-            checkpoint()
-        self._add_packed_bulk(packed, owner)
+        if packed.size:
+            # one cancellation point per sequence that has k-mers
+            for _ in range(int(np.count_nonzero(np.diff(owner))) + 1):
+                checkpoint()
+        self._add_packed_bulk(packed, owner, len(sequences))
 
     def add_reads(self, reads: Iterable[Read]) -> None:
         self.add_sequences([read.sequence for read in reads])
@@ -252,6 +304,14 @@ class PimKmerCounter:
         """Run a batch k-mer by k-mer through the scalar golden path."""
         for value in packed.tolist():
             self._add_packed_scalar(int(value))
+
+    def _scan_faults_live(self) -> bool:
+        faults = self.pim.controller.faults
+        return (
+            faults is not None
+            and faults.enabled
+            and (faults.compute2_rate > 0.0 or faults.copy_rate > 0.0)
+        )
 
     def _merge_index(self, keys: np.ndarray, slots: np.ndarray) -> None:
         """Insert sorted keys into the index.
@@ -264,36 +324,157 @@ class PimKmerCounter:
         self._idx_keys = np.insert(self._idx_keys, pos, keys)
         self._idx_slot = np.insert(self._idx_slot, pos, slots)
 
-    def _add_packed_bulk(self, packed: np.ndarray, owner: np.ndarray) -> None:
-        """Batch-insert packed k-mers of several reads across ALL sub-arrays.
+    def _add_packed_bulk(
+        self, packed: np.ndarray, owner: np.ndarray, n_seqs: int
+    ) -> None:
+        """Batch-insert packed k-mers of ``n_seqs`` sequences across ALL
+        sub-arrays.
 
-        ``owner`` (non-decreasing) names each arrival's read.  The
+        ``owner`` (non-decreasing) names each arrival's sequence.  The
         scalar loop's observable behaviour is reproduced exactly: slot
         assignment follows first arrival, scan lengths follow the
         stop-at-first-match protocol, counters saturate per hit, and
         the ledger receives the identical command counts — charged as
         one gang schedule per read instead of op by op.
 
+        Under rot checkpoints (with an integrity engine attached) each
+        read's ledger cells are its verify and schedule cells; then, if
+        a retention window has closed, the sync's ``REF`` / ``ECC_CHK``
+        / ``ECC_FIX``; then the ``ECC_ENC`` of the rows that read wrote.
+        So the remaining reads are priced before anything is stored;
+        the reads up to the first checkpoint that closes a window are
+        stored as one batch (planned again when reads follow it), in
+        one stream carrying each earlier read's ``ECC_ENC`` cell; the
+        engine syncs, and the rest goes round again.  Rot thus sees
+        exactly the store the closing read left.
+        """
+        pim = self.pim
+        integrity = pim.integrity if self.rot_checkpoints else None
+        bounds = np.searchsorted(owner, np.arange(n_seqs + 1)).tolist()
+        if self._scan_faults_live():
+            # live scan/copy fault rates: the per-op RNG draw order is
+            # part of the contract, so replay the exact scalar path
+            for lo, hi in zip(bounds, bounds[1:]):
+                self._replay_scalar(packed[lo:hi])
+                if integrity is not None:
+                    pim.integrity_sync()
+            return
+        store = pim.device.store
+        scheduler = pim.controller.scheduler
+        # sequences per plan: all that remain at first, then twice the
+        # last stored run, so a plan stays near one retention window's
+        # reads; one at a time once a partition fills up
+        seq, span, by_read = 0, n_seqs, False
+        while seq < n_seqs:
+            lo, hi = bounds[seq], bounds[seq + 1]
+            if lo == hi:  # a sequence shorter than k: a bare checkpoint
+                if integrity is not None:
+                    pim.integrity_sync()
+                seq += 1
+                continue
+            stop = hi if by_read else bounds[min(seq + span, n_seqs)]
+            batch = self._plan_batch(packed[lo:stop], owner[lo:stop])
+            if batch is None:
+                # some partition would raise TableFullError mid-stream
+                # and nothing has been applied yet: go read by read, and
+                # replay a single read through the scalar path, so the
+                # error fires at the exact arrival — with the exact
+                # partial table state and ledger — the golden model
+                # produces
+                if not by_read:
+                    by_read = True
+                    continue
+                self._replay_scalar(packed[lo:hi])
+                if integrity is not None:
+                    pim.integrity_sync()
+                seq += 1
+                continue
+            reads = batch.pair_reads[batch.read_starts].tolist()
+            if integrity is None:
+                self._store_batch(batch)
+                seq = reads[-1] + 1
+                continue
+            encoded = (
+                self._encoded_rows(batch)
+                if store.ecc_enabled
+                else np.zeros(len(reads), dtype=np.int64)
+            )
+            # rows written before this call drain at the first checkpoint
+            encoded[0] += store.drain_encoded_rows()
+            priced = scheduler.price_segments(*batch.flush_args)
+            last, closes = self._rot_cut(
+                priced.with_column(
+                    "ECC_ENC", encoded, *integrity.encode_cost(encoded)
+                ),
+                reads,
+                n_seqs,
+            )
+            if last < len(reads) - 1:
+                stop = bounds[reads[last] + 1]
+                batch = self._plan_batch(packed[lo:stop], owner[lo:stop])
+                priced = priced.head(last + 1)
+                encoded = encoded[: last + 1]
+            # the closing read's rows drain in its sync, after the rot
+            deferred = int(encoded[-1]) if closes else 0
+            encoded[-1] -= deferred
+            self._store_batch(
+                batch,
+                priced.with_column(
+                    "ECC_ENC", encoded, *integrity.encode_cost(encoded)
+                ),
+            )
+            # the batch's own tally of distinct rows: booked per read
+            store.drain_encoded_rows()
+            integrity.note_encoded(int(encoded.sum()))
+            span = 2 * (reads[last] + 1 - seq)
+            seq = reads[last] + 1
+            if closes:
+                store.defer_encoded_rows(deferred)
+                pim.integrity_sync()
+
+    def _rot_cut(
+        self, priced: PricedSegments, reads: list, n_seqs: int
+    ) -> "tuple[int, bool]":
+        """Where a priced batch meets its first window-closing checkpoint.
+
+        ``priced`` has one segment per read (sequence ``reads[i]``), its
+        last column that read's ``ECC_ENC``.  A read's checkpoint comes
+        before that cell; the bare checkpoint of a sequence without
+        k-mers after it, after the cell.  Returns the last read to
+        store and whether its own checkpoint closes the window (else a
+        bare one does, or none in the batch does).  The comparison is
+        the engine's own, on the ledger's own left-to-right sums.
+        """
+        integrity = self.pim.integrity
+        elapsed = priced.elapsed(self.pim.stats.elapsed_ns())
+        for i, (read, check, done, following) in enumerate(
+            zip(
+                reads,
+                elapsed[:, -2].tolist(),
+                elapsed[:, -1].tolist(),
+                reads[1:] + [n_seqs],
+            )
+        ):
+            if integrity.closes_window(check):
+                return i, True
+            if following > read + 1 and integrity.closes_window(done):
+                return i, False
+        return len(reads) - 1, False
+
+    def _plan_batch(
+        self, packed: np.ndarray, owner: np.ndarray
+    ) -> "_Batch | None":
+        """Plan a batch without touching the device: its slots, counter
+        values and charges.  ``None`` when some partition would fill.
+
         A batch is a fixed number of device-wide NumPy calls however
         many partitions it touches: one ``np.unique`` over the batch,
         one sorted-index lookup for known keys, one lexsort for
-        first-arrival slot assignment, packed bit-field gather/scatter
-        for every counter, one row-bits pack for every new key and
-        every partition's last query, one ``(slot, row)`` scatter for
-        the k-mer and compute rows, and one segmented charge over the
-        (read, partition) pairs.
+        first-arrival slot assignment, packed bit-field gather for
+        every known counter, and the (read, partition) pair counts of
+        one segmented charge.
         """
         ctrl = self.pim.controller
-        faults = ctrl.faults
-        if (
-            faults is not None
-            and faults.enabled
-            and (faults.compute2_rate > 0.0 or faults.copy_rate > 0.0)
-        ):
-            # live scan/copy fault rates: the per-op RNG draw order is
-            # part of the contract, so replay the exact scalar path
-            self._replay_scalar(packed)
-            return
         n_parts = self.partitions
         layout = self.layout
         uniq, first_idx, inv = np.unique(
@@ -318,20 +499,7 @@ class PimKmerCounter:
         occ0 = self._occupied
         new_per_part = np.bincount(uparts[new_u], minlength=n_parts)
         if (occ0 + new_per_part > layout.kmer_rows).any():
-            # some partition would raise TableFullError mid-stream and
-            # nothing has been applied yet: re-run a batch read by read,
-            # and replay a single read through the scalar path, so the
-            # error fires at the exact arrival — with the exact partial
-            # table state and ledger — the golden model produces
-            if owner[0] != owner[-1]:
-                cuts = np.flatnonzero(np.diff(owner)) + 1
-                for part, part_owner in zip(
-                    np.split(packed, cuts), np.split(owner, cuts)
-                ):
-                    self._add_packed_bulk(part, part_owner)
-                return
-            self._replay_scalar(packed)
-            return
+            return None
         order = np.lexsort((first_idx[new_u], uparts[new_u]))
         nu = new_u[order]  # partition-major, arrival-ordered
         nu_parts = uparts[nu]
@@ -354,19 +522,6 @@ class PimKmerCounter:
         )
         pair_parts = pairs % n_parts
 
-        # resolve each touched partition's store slot on first touch, in
-        # per-read touch order (it fixes the store's slot numbering),
-        # BEFORE taking any packed view: store growth reallocates the
-        # tensor
-        touched = np.flatnonzero(np.bincount(kparts, minlength=n_parts))
-        sslot = self._store_slot
-        unresolved = pair_parts[sslot[pair_parts] < 0]
-        if unresolved.size:
-            firsts = np.sort(np.unique(unresolved, return_index=True)[1])
-            for p in unresolved[firsts].tolist():
-                sslot[p] = self.pim.device.subarray_at(self._keys[p]).slot
-        store = self.pim.device.store
-
         # counter evolution: value(key) ends at min(start + hits, max),
         # incrementing (1 DPU add + 1 MEM_WR) only below saturation and
         # reading (1 MEM_RD) on every hit
@@ -378,63 +533,16 @@ class PimKmerCounter:
         start_vals = np.ones(uniq.size, dtype=np.int64)  # inserts write 1
         kn = np.flatnonzero(known)
         if kn.size:
-            start_vals[kn] = store.read_fields(
-                sslot[uparts[kn]], vrows[kn], vbits[kn], cbits
+            sslot = self._store_slot
+            kn_parts = uparts[kn]
+            for p in np.unique(kn_parts[sslot[kn_parts] < 0]).tolist():
+                # stored by the scalar path or restored: it exists
+                sslot[p] = self.pim.device.subarray_at(self._keys[p]).slot
+            start_vals[kn] = self.pim.device.store.read_fields(
+                sslot[kn_parts], vrows[kn], vbits[kn], cbits
             )
         hits_per_key = occurrences - (~known).astype(np.int64)
         final_vals = np.minimum(start_vals + hits_per_key, layout.counter_max)
-
-        # ---- functional end state -------------------------------------
-        if uniq.size:
-            store.write_fields(
-                sslot[uparts], vrows, vbits, cbits, final_vals
-            )
-        # one scatter writes the new k-mer rows and leaves every
-        # touched sub-array's compute rows as its last arriving k-mer's
-        # scan would
-        last_arrival = np.full(n_parts, -1, dtype=np.int64)
-        np.maximum.at(
-            last_arrival, kparts, np.arange(packed.size, dtype=np.int64)
-        )
-        last_arrival = last_arrival[touched]
-        words = pack_rows(
-            packed_to_row_bits(
-                np.concatenate((uniq[nu], packed[last_arrival])),
-                self.k,
-                self.pim.row_bits,
-            )
-        )
-        new_words, q_words = words[: nu.size], words[nu.size :]
-        last_scanned = scanned[last_arrival]
-        read_any = last_scanned > 0
-        read_parts = touched[read_any]
-        last_slot = last_scanned[read_any] - 1
-        last_words = store.tensor[
-            sslot[read_parts], layout.kmer_row(0) + last_slot
-        ]
-        # the last scanned row may be one this batch inserts
-        fresh = np.flatnonzero(last_slot >= occ0[read_parts])
-        fresh_parts = read_parts[fresh]
-        last_words[fresh] = new_words[
-            seg_starts[fresh_parts] + last_slot[fresh] - occ0[fresh_parts]
-        ]
-        end_slots, end_rows, end_words = scan_end_rows(
-            sslot[touched],
-            layout.temp_row(0),
-            self._x_rows,
-            q_words,
-            read_any,
-            last_words,
-            store.col_mask_words,
-        )
-        store.scatter_rows(
-            np.concatenate((sslot[nu_parts], end_slots)),
-            np.concatenate((layout.kmer_row(0) + uniq_slot[nu], end_rows)),
-            np.concatenate((new_words, end_words)),
-        )
-        if nu.size:
-            self._occupied += new_per_part
-            self._merge_index(uniq[new_u], uniq_slot[new_u])
 
         # ---- charging: identical command counts per (read, partition)
         # pair, one gang schedule per read ----
@@ -457,35 +565,150 @@ class PimKmerCounter:
         ).astype(np.int64)
         inc_p = np.bincount(pair_of[incs], minlength=n_pairs)
         pair_reads = pairs // n_parts
+        read_starts = np.flatnonzero(
+            np.concatenate(([True], pair_reads[1:] != pair_reads[:-1]))
+        )
         # under a detect policy each read charges one parity check per
         # scanned row, ahead of its schedule
         eng = ctrl._verifying()
-        verify = None
-        if eng is not None:
-            read_starts = np.flatnonzero(
-                np.concatenate(([True], pair_reads[1:] != pair_reads[:-1]))
-            )
-            verify = np.add.reduceat(scan_p, read_starts)
-
+        verify = (
+            None if eng is None else np.add.reduceat(scan_p, read_starts)
+        )
         # per arrival: temp insert + x1 staging; per miss: the insert
         # RowClone and its counter write; per hit: a counter read; per
         # increment: a DPU add and its write-back; per scanned row: AAP
         # copy + XNOR on the sub-array, AND-reduce on the MAT's DPU
-        ctrl.scheduler.flush_segments(
-            self._keys,
-            pair_parts,
-            pair_reads,
-            [
-                ("MEM_WR", arr_p + miss_p + inc_p),
-                ("MEM_RD", arr_p - miss_p),
-                ("AAP1", arr_p + miss_p + scan_p),
-                ("AAP2", scan_p),
-                ("DPU", scan_p + inc_p),
-            ],
-            verify,
+        charges = [
+            ("MEM_WR", arr_p + miss_p + inc_p),
+            ("MEM_RD", arr_p - miss_p),
+            ("AAP1", arr_p + miss_p + scan_p),
+            ("AAP2", scan_p),
+            ("DPU", scan_p + inc_p),
+        ]
+        return _Batch(
+            packed=packed,
+            uniq=uniq,
+            uparts=uparts,
+            uniq_slot=uniq_slot,
+            new_u=new_u,
+            nu=nu,
+            new_per_part=new_per_part,
+            seg_starts=seg_starts,
+            slots=slots,
+            kparts=kparts,
+            scanned=scanned,
+            pair_of=pair_of,
+            pair_parts=pair_parts,
+            pair_reads=pair_reads,
+            read_starts=read_starts,
+            arr_p=arr_p,
+            miss_p=miss_p,
+            vrows=vrows,
+            vbits=vbits,
+            final_vals=final_vals,
+            flush_args=(self._keys, pair_parts, pair_reads, charges, verify),
         )
+
+    def _store_batch(
+        self, b: "_Batch", priced: "PricedSegments | None" = None
+    ) -> None:
+        """Apply a planned batch: the device end state, the host index
+        and the ledger stream (``priced``, else the batch's own charges).
+
+        One packed bit-field scatter writes every counter, one row-bits
+        pack covers every new key and every partition's last query, and
+        one ``(slot, row)`` scatter writes the k-mer and compute rows.
+        """
+        ctrl = self.pim.controller
+        n_parts = self.partitions
+        layout = self.layout
+        # resolve each touched partition's store slot on first touch, in
+        # per-read touch order (it fixes the store's slot numbering),
+        # BEFORE taking any packed view: store growth reallocates the
+        # tensor
+        touched = np.flatnonzero(np.bincount(b.kparts, minlength=n_parts))
+        sslot = self._store_slot
+        unresolved = b.pair_parts[sslot[b.pair_parts] < 0]
+        if unresolved.size:
+            firsts = np.sort(np.unique(unresolved, return_index=True)[1])
+            for p in unresolved[firsts].tolist():
+                sslot[p] = self.pim.device.subarray_at(self._keys[p]).slot
+        store = self.pim.device.store
+        store.write_fields(
+            sslot[b.uparts], b.vrows, b.vbits, layout.counter_bits, b.final_vals
+        )
+        # one scatter writes the new k-mer rows and leaves every
+        # touched sub-array's compute rows as its last arriving k-mer's
+        # scan would
+        last_arrival = np.full(n_parts, -1, dtype=np.int64)
+        np.maximum.at(
+            last_arrival, b.kparts, np.arange(b.packed.size, dtype=np.int64)
+        )
+        last_arrival = last_arrival[touched]
+        nu = b.nu
+        words = pack_rows(
+            packed_to_row_bits(
+                np.concatenate((b.uniq[nu], b.packed[last_arrival])),
+                self.k,
+                self.pim.row_bits,
+            )
+        )
+        new_words, q_words = words[: nu.size], words[nu.size :]
+        last_scanned = b.scanned[last_arrival]
+        read_any = last_scanned > 0
+        read_parts = touched[read_any]
+        last_slot = last_scanned[read_any] - 1
+        last_words = store.tensor[
+            sslot[read_parts], layout.kmer_row(0) + last_slot
+        ]
+        # the last scanned row may be one this batch inserts
+        occ0 = self._occupied
+        fresh = np.flatnonzero(last_slot >= occ0[read_parts])
+        fresh_parts = read_parts[fresh]
+        last_words[fresh] = new_words[
+            b.seg_starts[fresh_parts] + last_slot[fresh] - occ0[fresh_parts]
+        ]
+        end_slots, end_rows, end_words = scan_end_rows(
+            sslot[touched],
+            layout.temp_row(0),
+            self._x_rows,
+            q_words,
+            read_any,
+            last_words,
+            store.col_mask_words,
+        )
+        store.scatter_rows(
+            np.concatenate((sslot[b.uparts[nu]], end_slots)),
+            np.concatenate((layout.kmer_row(0) + b.uniq_slot[nu], end_rows)),
+            np.concatenate((new_words, end_words)),
+        )
+        if nu.size:
+            self._occupied += b.new_per_part
+            self._merge_index(b.uniq[b.new_u], b.uniq_slot[b.new_u])
+        if priced is None:
+            ctrl.scheduler.flush_segments(*b.flush_args)
+        else:
+            ctrl.scheduler.record(priced)
+        verify = b.flush_args[-1]
         if verify is not None:
-            ctrl._note_verify(eng, verify)
+            ctrl._note_verify(ctrl._verifying(), verify)
+
+    def _encoded_rows(self, b: "_Batch") -> np.ndarray:
+        """Rows each read of a batch re-encodes, as a batch of that read
+        alone tallies them: its distinct counter rows, its new k-mer
+        rows and, per touched partition, temp and x1, plus x2 and x3
+        after a scan that read a row."""
+        cpr = self.layout.counters_per_row
+        span = self.layout.kmer_rows // cpr + 1
+        counter_rows = np.unique(b.pair_of * span + b.slots // cpr)
+        rows = np.bincount(counter_rows // span, minlength=b.arr_p.size)
+        # a pair's last scan read no row only if it is the pair's one
+        # arrival and the first key its partition ever stored (a miss
+        # at slot 0; every later arrival there scans that row)
+        first_key = np.zeros(b.arr_p.size, dtype=bool)
+        first_key[b.pair_of[b.scanned == 0]] = True
+        rows += b.miss_p + 4 - 2 * (first_key & (b.arr_p == 1))
+        return np.add.reduceat(rows, b.read_starts)
 
     # ----- table updates ---------------------------------------------------------------
 

@@ -166,33 +166,31 @@ class PimPipeline:
             # window marker: the k-mer-table layout rules are in force
             # from here until hashmap:end (trace verifier scoping)
             pim.controller.mark("hashmap:begin")
-            counter = PimKmerCounter(pim, self.k, engine=self.engine)
+            counter = PimKmerCounter(
+                pim, self.k, engine=self.engine, rot_checkpoints=True
+            )
             sequences = (
                 item.sequence if isinstance(item, Read) else item
                 for item in reads
             )
-            # rot checkpoints: retention windows elapse in *simulated*
-            # time as reads are inserted, so the integrity engine must
-            # get control between inserts — an end-of-stage-only sync
-            # could never corrupt (or protect) the table mid-build.
-            # Without one, reads go in batches of up to BATCH_KMERS
-            # k-mer arrivals, each read still its own gang schedule.
-            limit = 1 if pim.integrity is not None else BATCH_KMERS
+            # reads go in batches of up to BATCH_KMERS k-mer arrivals,
+            # each read still its own gang schedule.  Rot checkpoints:
+            # retention windows elapse in *simulated* time as reads are
+            # inserted, so the integrity engine gets control after every
+            # read — an end-of-stage-only sync could never corrupt (or
+            # protect) the table mid-build.  The bulk engine cuts a
+            # batch only after a read at which a window closes.
             batch: list[DnaSequence] = []
             arrivals = 0
             for sequence in sequences:
                 checkpoint()
                 batch.append(sequence)
-                # at least one, so under an integrity engine even a
-                # read shorter than k closes its own batch
-                arrivals += max(1, len(sequence) - self.k + 1)
-                if arrivals >= limit:
+                arrivals += max(0, len(sequence) - self.k + 1)
+                if arrivals >= BATCH_KMERS:
                     counter.add_sequences(batch)
-                    pim.integrity_sync()
                     batch, arrivals = [], 0
             if batch:
                 counter.add_sequences(batch)
-                pim.integrity_sync()
             if self._scrub_active():
                 # bound how long a corrupted slot can poison queries
                 with span("scrub.table"):

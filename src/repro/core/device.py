@@ -85,6 +85,15 @@ class Device:
                     yield (b, m, s)
                     count += 1
 
+    def slot_keys(self) -> dict[int, tuple[int, int, int]]:
+        """Store slot -> sub-array key over the instantiated hierarchy."""
+        return {
+            sub.slot: (bank_idx, mat_idx, sub_idx)
+            for bank_idx, bank in self._banks.items()
+            for mat_idx, mat in bank._mats.items()
+            for sub_idx, sub in mat._subarrays.items()
+        }
+
     @property
     def num_subarrays(self) -> int:
         return self.geometry.num_subarrays

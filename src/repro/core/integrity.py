@@ -20,7 +20,9 @@ the loop:
   corrected in place; double-bit upsets are detected and escalate into
   the resilience quarantine path (scrub).
 * **refresh/scrub scheduler** — :meth:`IntegrityEngine.sync`, called
-  between pipeline stages and inside the read loop, charges the covered
+  between pipeline stages and at the hashmap's per-read rot
+  checkpoints (the bulk engine cuts its batches where a window
+  closes, :meth:`IntegrityEngine.closes_window`), charges the covered
   refresh stream (``REF`` at tREFI cadence) and every ECC check/encode/
   fix through the ledger (no free repairs), and escalates repeatedly
   upset rows to the PR 1 resilience engine (weak-row retirement, then
@@ -361,14 +363,28 @@ class IntegrityEngine:
             mnemonic, latency * count, energy_nj * count, count=count
         )
 
-    def _subarray_key(self, slot: int) -> "tuple[int, int, int]":
-        if self._slot_keys is not None:
-            key = self._slot_keys().get(slot)
-            if key is not None:
-                return key
-        return (0, 0, slot)
+    def encode_cost(self, rows: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """``(time_ns, energy_nj)`` of ``rows[i]`` re-encoded rows, as
+        the ``ECC_ENC`` charge of a :meth:`sync` draining them."""
+        latency, energy_nj = command_cost_table(self._timing, self._energy)[
+            "ECC_ENC"
+        ]
+        return rows * latency, rows * energy_nj
+
+    def note_encoded(self, rows: int) -> None:
+        """Count re-encoded rows whose ``ECC_ENC`` cells a batch stream
+        already recorded, as the drains of per-read syncs would."""
+        self._tallies["rows_encoded"] += rows
 
     # ----- the rot / refresh / scrub checkpoint ----------------------------
+
+    def _pending(self, elapsed_ns: float) -> int:
+        return int(elapsed_ns // self.window_ns) - self._windows_done
+
+    def closes_window(self, elapsed_ns: float) -> bool:
+        """Whether a :meth:`sync` with the ledger at ``elapsed_ns``
+        simulated ns would close a retention window."""
+        return self._pending(elapsed_ns) > 0
 
     def sync(self) -> IntegrityCounts:
         """Advance rot to the current simulated time, refresh, scrub.
@@ -378,9 +394,7 @@ class IntegrityEngine:
         interval the workload spent — on either execution engine, at
         whatever call cadence the pipeline chooses.
         """
-        pending = int(self._stats.elapsed_ns() // self.window_ns) - (
-            self._windows_done
-        )
+        pending = self._pending(self._stats.elapsed_ns())
         if pending > 0:
             with span(
                 "integrity.scrub", lane="integrity", windows=pending
@@ -475,13 +489,19 @@ class IntegrityEngine:
         # row buffer — repairs are charged, never free
         self._charge("ECC_FIX", n_corrected + n_uncorrectable)
         engine = self._resilience() if self._resilience is not None else None
+        # store slot -> sub-array key, resolved once per pass
+        slot_keys = self._slot_keys() if self._slot_keys is not None else {}
+
+        def subarray_key(slot: int) -> "tuple[int, int, int]":
+            return slot_keys.get(slot, (0, 0, slot))
+
         if n_corrected:
             for slot, row in np.argwhere(corrected.any(axis=2)):
                 cell = (int(slot), int(row))
                 hits = self._row_upsets.get(cell, 0) + 1
                 self._row_upsets[cell] = hits
                 if hits >= self.config.weak_row_threshold and engine is not None:
-                    engine.mark_weak_row(self._subarray_key(cell[0]), cell[1])
+                    engine.mark_weak_row(subarray_key(cell[0]), cell[1])
         if n_uncorrectable:
             event(
                 "integrity.uncorrectable",
@@ -490,9 +510,7 @@ class IntegrityEngine:
             )
             if engine is not None:
                 for slot, row in np.argwhere(uncorrectable.any(axis=2)):
-                    engine.note_uncorrected(
-                        self._subarray_key(int(slot)), int(row)
-                    )
+                    engine.note_uncorrected(subarray_key(int(slot)), int(row))
 
     # ----- table-scrub reporting (assembly/hashmap satellite) ---------------
 

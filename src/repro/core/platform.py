@@ -149,14 +149,17 @@ class PimAssembler:
         asks for it) and returns the engine (also ``pim.integrity``).
         The pipeline drives it through :meth:`integrity_sync`.
         """
+        controller = self.controller
         engine = IntegrityEngine(
             config,
             store=self.device.store,
             stats=self.stats,
-            timing=self.controller.timing,
-            energy=self.controller.energy,
-            slot_keys=self._slot_key_map,
-            resilience=lambda: self.controller.resilience,
+            timing=controller.timing,
+            energy=controller.energy,
+            # resolvers that hold the device and the controller, not
+            # the platform: a finished job frees itself by refcount
+            slot_keys=self.device.slot_keys,
+            resilience=lambda: controller.resilience,
         )
         self._integrity = engine
         return engine
@@ -169,15 +172,6 @@ class PimAssembler:
         """
         if self._integrity is not None:
             self._integrity.sync()
-
-    def _slot_key_map(self) -> dict[int, tuple[int, int, int]]:
-        """Store slot -> sub-array key over the instantiated hierarchy."""
-        mapping: dict[int, tuple[int, int, int]] = {}
-        for bank_idx, bank in self.device._banks.items():
-            for mat_idx, mat in bank._mats.items():
-                for sub_idx, sub in mat._subarrays.items():
-                    mapping[sub.slot] = (bank_idx, mat_idx, sub_idx)
-        return mapping
 
     # ----- allocation ----------------------------------------------------------
 

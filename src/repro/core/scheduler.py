@@ -23,7 +23,7 @@ resource's serial time.  The bulk engine charges through it, and
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -51,6 +51,61 @@ class BatchReport:
         return self.serial_ns / self.makespan_ns
 
 
+@dataclass(frozen=True)
+class PricedSegments:
+    """Segments priced by :meth:`BatchedAapScheduler.price_segments`,
+    not yet recorded: ``(segments x columns)`` ledger cells, one column
+    per command name, and one report per segment."""
+
+    names: list
+    counts: np.ndarray
+    time_ns: np.ndarray
+    energy_nj: np.ndarray
+    reports: list
+    #: what :meth:`BatchedAapScheduler._trace_segments` needs
+    schedule: tuple = ()
+
+    def with_column(
+        self,
+        name: str,
+        counts: np.ndarray,
+        time_ns: np.ndarray,
+        energy_nj: np.ndarray,
+    ) -> "PricedSegments":
+        """Append a per-segment cell outside the schedule: the ledger
+        records it after the segment's other cells, and no resource,
+        trace or report sees it."""
+        return replace(
+            self,
+            names=self.names + [name],
+            counts=np.column_stack((self.counts, counts)),
+            time_ns=np.column_stack((self.time_ns, time_ns)),
+            energy_nj=np.column_stack((self.energy_nj, energy_nj)),
+        )
+
+    def head(self, n: int) -> "PricedSegments":
+        """The first ``n`` segments, priced as they would be alone."""
+        keys, key_index, starts, names, t, entries = self.schedule
+        stop = int(starts[n]) if n < len(starts) else len(key_index)
+        return replace(
+            self,
+            counts=self.counts[:n],
+            time_ns=self.time_ns[:n],
+            energy_nj=self.energy_nj[:n],
+            reports=self.reports[:n],
+            schedule=(
+                keys, key_index[:stop], starts[:n], names, t, entries[:, :stop]
+            ),
+        )
+
+    def elapsed(self, start_ns: float) -> np.ndarray:
+        """``(segments x columns)`` simulated time after each cell, for a
+        ledger at ``start_ns``: the ledger's own left-to-right sum,
+        since a zero-count cell adds exactly 0.0."""
+        flat = np.concatenate(([start_ns], self.time_ns.ravel()))
+        return np.add.accumulate(flat)[1:].reshape(self.time_ns.shape)
+
+
 class BatchedAapScheduler:
     """Coalesces independent per-sub-array op streams into gang issues.
 
@@ -73,14 +128,15 @@ class BatchedAapScheduler:
     Which of them a mnemonic busies is its ``resources`` entry in the
     instruction table :data:`repro.core.isa.ISA`.
 
-    Pricing: :meth:`flush_segments` is the one makespan computation.
+    Pricing: :meth:`price_segments` is the one makespan computation.
     It prices many independent gang schedules in one host pass — the
-    bulk hashmap prices one per read of a batch — and records each
-    mnemonic with its full energy and command count but with its
-    serial time scaled by ``makespan / serial``, so the phase totals
-    add up to the gang-scheduled wall-clock (documented in
-    ``docs/CALIBRATION.md``).  Per-command costs come from the cached
-    :func:`repro.core.timing.command_cost_table`.
+    bulk hashmap prices one per read of a batch — and gives each
+    mnemonic its full energy and command count but its serial time
+    scaled by ``makespan / serial``, so the phase totals add up to the
+    gang-scheduled wall-clock (documented in ``docs/CALIBRATION.md``).
+    :meth:`record` sends priced segments to the ledger;
+    :meth:`flush_segments` is the two in one call.  Per-command costs
+    come from the cached :func:`repro.core.timing.command_cost_table`.
 
     :meth:`charge` and :meth:`flush` are a queue in front of it: one
     :meth:`charge` call is one mnemonic fanned out over a vector of
@@ -202,30 +258,43 @@ class BatchedAapScheduler:
     ) -> list[BatchReport]:
         """Price and record one gang schedule per segment, in one pass.
 
+        :meth:`price_segments` then :meth:`record`; see there.  Returns
+        one :class:`BatchReport` per segment.
+        """
+        return self.record(
+            self.price_segments(keys, key_index, segments, charges, verify)
+        )
+
+    def price_segments(
+        self,
+        keys: list,
+        key_index: np.ndarray,
+        segments: np.ndarray,
+        charges: "list[tuple[str, np.ndarray]]",
+        verify: "np.ndarray | None" = None,
+    ) -> "PricedSegments":
+        """Price one gang schedule per segment, recording nothing.
+
         Entry ``j`` puts ``counts[j]`` commands of each ``(mnemonic,
         counts)`` in ``charges`` on ``keys[key_index[j]]``; consecutive
         entries with equal ``segments`` labels form one schedule.
         ``verify[i]``, when given, is the number of parity checks
         segment ``i`` charges (:func:`~repro.core.resilience.verify_cells`).
 
-        The whole call reaches the ledger as one ordered stream
-        (:meth:`~repro.core.stats.StatsLedger.record_batch`): per
-        segment, its ``VRF_AAP`` and ``VRF_DPU`` cells, then each
-        mnemonic's total in charge order with its serial time scaled by
-        ``makespan / serial``, zero-count cells dropped.  Verify cycles
-        stay outside the schedule: no resource, trace charge or
-        ``pim.batch.*`` metric sees them.  Each mnemonic's nonzero
-        per-entry shares and each segment's flush go to the trace.  A
-        resource's busy time sums its entries in entry order.
-        Mnemonics must be distinct.  Returns one :class:`BatchReport`
-        per segment.
+        Per segment, the cells are its ``VRF_AAP`` and ``VRF_DPU``
+        cells, then each mnemonic's total in charge order with its
+        serial time scaled by ``makespan / serial``.  Verify cycles stay
+        outside the schedule: no resource, trace charge or
+        ``pim.batch.*`` metric sees them.  A resource's busy time sums
+        its entries in entry order.  Mnemonics must be distinct.
         """
         names = [mnemonic for mnemonic, _ in charges]
         if len(set(names)) != len(names):
             raise ValueError(f"mnemonics charged more than once: {names}")
         segments = np.asarray(segments)
         if not segments.size:
-            return []
+            empty = np.zeros((0, 0))
+            return PricedSegments([], empty, empty, empty, [])
         change = np.concatenate(([False], segments[1:] != segments[:-1]))
         starts = np.concatenate(([0], np.flatnonzero(change)))
         t, e = np.array([self._cost(mnemonic) for mnemonic in names]).T
@@ -253,28 +322,48 @@ class BatchedAapScheduler:
         scale = np.divide(
             makespans, serial, out=np.zeros_like(serial), where=serial > 0
         )
-        commands = totals.sum(axis=1)
-        self._record_cells(
-            names, totals, time_ns * scale[:, None], totals * e, verify
-        )
         reports = [
             BatchReport(serial_ns=s, makespan_ns=m, commands=n)
             for s, m, n in zip(
-                serial.tolist(), makespans.tolist(), commands.tolist()
+                serial.tolist(), makespans.tolist(), totals.sum(axis=1).tolist()
             )
         ]
-        if self.trace is not None:
-            self._trace_segments(
-                keys, key_index, starts, names, t, entries, reports
-            )
+        schedule = (keys, key_index, starts, names, t, entries)
+        time_ns = time_ns * scale[:, None]
+        energy_nj = totals * e
+        if verify is not None:
+            checks = np.asarray(verify, dtype=np.int64)[:, None]
+            cells, n, vt, ve = self._verify_columns
+            names = cells + names
+            totals = np.concatenate((checks * n, totals), axis=1)
+            time_ns = np.concatenate((checks * vt, time_ns), axis=1)
+            energy_nj = np.concatenate((checks * ve, energy_nj), axis=1)
+        return PricedSegments(
+            names, totals, time_ns, energy_nj, reports, schedule
+        )
+
+    def record(self, priced: "PricedSegments") -> list[BatchReport]:
+        """Record priced segments: the ledger, the trace, the metrics.
+
+        The whole call reaches the ledger as one ordered stream
+        (:meth:`~repro.core.stats.StatsLedger.record_batch`): each
+        segment's cells in column order, segment by segment, zero-count
+        cells dropped.  Each mnemonic's nonzero per-entry shares and
+        each segment's flush go to the trace.
+        """
+        self._record_cells(
+            priced.names, priced.counts, priced.time_ns, priced.energy_nj
+        )
+        if self.trace is not None and priced.reports:
+            self._trace_segments(*priced.schedule, priced.reports)
         if active_registry() is not None:
-            for report in reports:
+            for report in priced.reports:
                 if report.commands:
                     inc("pim.batch.flushes")
                     observe("pim.batch.commands", report.commands)
                     observe("pim.batch.makespan_ns", report.makespan_ns)
                     observe("pim.batch.speedup", report.coalescing_speedup)
-        return reports
+        return priced.reports
 
     def _record_cells(
         self,
@@ -282,21 +371,9 @@ class BatchedAapScheduler:
         counts: np.ndarray,
         time_ns: np.ndarray,
         energy_nj: np.ndarray,
-        verify: "np.ndarray | None",
     ) -> None:
-        """Send (segments x mnemonics) cells to the ledger as one stream.
-
-        Row-major with zero-count cells dropped; ``verify[i]`` parity
-        checks put their ``VRF_AAP`` and ``VRF_DPU`` cells ahead of
-        segment ``i``'s.
-        """
-        if verify is not None:
-            checks = np.asarray(verify, dtype=np.int64)[:, None]
-            cells, n, t, e = self._verify_columns
-            names = cells + names
-            counts = np.concatenate((checks * n, counts), axis=1)
-            time_ns = np.concatenate((checks * t, time_ns), axis=1)
-            energy_nj = np.concatenate((checks * e, energy_nj), axis=1)
+        """Send (segments x columns) cells to the ledger as one stream,
+        row-major with zero-count cells dropped."""
         nonzero = counts > 0
         # number the commands in order of first appearance
         used = np.flatnonzero(nonzero.any(axis=0))

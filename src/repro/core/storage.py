@@ -300,6 +300,12 @@ class BitPlaneStore:
         self._ecc_rows_encoded = 0
         return n
 
+    def defer_encoded_rows(self, rows: int) -> None:
+        """Add ``rows`` to what the next drain reports: a writer that
+        books its re-encodes itself leaves the rows of one read for a
+        later drain."""
+        self._ecc_rows_encoded += rows
+
     def _reencode_row(self, slot: int, row: int) -> None:
         if self._ecc is not None:
             self._ecc[slot, row] = self._ecc_encoder(self._tensor[slot, row])

@@ -61,7 +61,10 @@ class ObservabilitySession:
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.power = PowerTimeline()
-        self.tracer = Tracer(sim_clock=lambda: self.power.cursor_ns)
+        power = self.power
+        # the clock holds the timeline, not the session, so a finished
+        # session frees itself by refcount
+        self.tracer = Tracer(sim_clock=lambda: power.cursor_ns)
         self.flight = FlightRecorder()
         self.tracer.listener = self.flight
         self._lock = threading.Lock()
