@@ -313,6 +313,15 @@ class PimKmerCounter:
             and (faults.compute2_rate > 0.0 or faults.copy_rate > 0.0)
         )
 
+    def _resolve_slots(self, parts: np.ndarray) -> None:
+        """Cache the store slots of partitions ``parts``, claiming
+        untouched sub-arrays in the order given (it fixes the store's
+        slot numbering)."""
+        if parts.size:
+            self._store_slot[parts] = self.pim.device.slots(
+                [self._keys[p] for p in parts.tolist()]
+            )
+
     def _merge_index(self, keys: np.ndarray, slots: np.ndarray) -> None:
         """Insert sorted keys into the index.
 
@@ -535,9 +544,8 @@ class PimKmerCounter:
         if kn.size:
             sslot = self._store_slot
             kn_parts = uparts[kn]
-            for p in np.unique(kn_parts[sslot[kn_parts] < 0]).tolist():
-                # stored by the scalar path or restored: it exists
-                sslot[p] = self.pim.device.subarray_at(self._keys[p]).slot
+            # stored by the scalar path or restored: these exist
+            self._resolve_slots(np.unique(kn_parts[sslot[kn_parts] < 0]))
             start_vals[kn] = self.pim.device.store.read_fields(
                 sslot[kn_parts], vrows[kn], vbits[kn], cbits
             )
@@ -631,8 +639,7 @@ class PimKmerCounter:
         unresolved = b.pair_parts[sslot[b.pair_parts] < 0]
         if unresolved.size:
             firsts = np.sort(np.unique(unresolved, return_index=True)[1])
-            for p in unresolved[firsts].tolist():
-                sslot[p] = self.pim.device.subarray_at(self._keys[p]).slot
+            self._resolve_slots(unresolved[firsts])
         store = self.pim.device.store
         store.write_fields(
             sslot[b.uparts], b.vrows, b.vbits, layout.counter_bits, b.final_vals

@@ -4,9 +4,10 @@ Layers, bottom-up:
 
 * :mod:`~repro.core.sense_amplifier` — logic view of the reconfigurable
   SA (Fig. 2), vectorised over a 256-bit stripe.
-* :mod:`~repro.core.subarray` / :mod:`~repro.core.mat` /
-  :mod:`~repro.core.bank` / :mod:`~repro.core.device` — functional state
-  of the memory hierarchy (Fig. 1).
+* :mod:`~repro.core.subarray` / :mod:`~repro.core.device` — functional
+  state of the memory hierarchy (Fig. 1): a lazy directory of
+  sub-arrays in store-slot order (banks and MATs hold no state; their
+  GRB and DPU are timing resources of :mod:`~repro.core.scheduler`).
 * :mod:`~repro.core.isa` — the three AAP instruction types.
 * :mod:`~repro.core.controller` — executes AAP streams, charges the
   :mod:`~repro.core.stats` ledger using :mod:`~repro.core.timing` and

@@ -62,6 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.device import Device
+from repro.core.dpu import Dpu
 from repro.core.energy import EnergyParameters, DEFAULT_ENERGY
 from repro.core.isa import ISA, AapCompute2, AapCompute3, AapCopy, RowAddress, SAOp
 from repro.core.faults import FaultModel
@@ -90,6 +91,9 @@ class Controller:
 
     def __post_init__(self) -> None:
         self._trace: CommandTrace | None = None
+        #: the DPU's reduce/add logic; it holds no state, so one unit
+        #: serves every MAT (the scheduler times each MAT's DPU apart)
+        self.dpu = Dpu(width=self.device.geometry.bank.mat.subarray.cols)
         #: the one gang scheduler every bulk kernel charges through
         self.scheduler = BatchedAapScheduler(
             self.ledger, timing=self.timing, energy=self.energy
@@ -374,33 +378,29 @@ class Controller:
         self._issue("LATCH_CLR", subarray_key, ())
 
     def write_row(self, des: RowAddress, bits: np.ndarray) -> None:
-        """Host write through the global row buffer."""
+        """Host write (through the MAT's global row buffer)."""
         self.device.validate_address(des)
-        mat = self.device.mat_at(des.bank, des.mat)
         arr = np.asarray(bits, dtype=np.uint8)
-        mat.grb.load(arr)
-        self.device.subarray_at(des).write_row(des.row, mat.grb.read())
+        self.device.subarray_at(des).write_row(des.row, arr)
         self._issue("MEM_WR", des.subarray_key, (des.row,), payload=arr)
 
     def read_row(self, src: RowAddress) -> np.ndarray:
-        """Host read through the global row buffer."""
+        """Host read (through the MAT's global row buffer)."""
         self.device.validate_address(src)
-        mat = self.device.mat_at(src.bank, src.mat)
-        mat.grb.load(self.device.subarray_at(src).read_row(src.row))
+        bits = self.device.subarray_at(src).read_row(src.row)
         self._issue("MEM_RD", src.subarray_key, (src.row,))
-        return mat.grb.read()
+        return bits
 
     def _slots(self, keys: list, key_index: np.ndarray) -> np.ndarray:
         """Store slot of each entry's sub-array ``keys[key_index[i]]``.
 
-        Sub-arrays are validated and resolved in first-use order, the
-        order a row-by-row loop would touch (and lazily claim) them.
+        Sub-arrays are resolved in first-use order, the order a
+        row-by-row loop would touch (and lazily claim) them.
         """
         used, first = np.unique(key_index, return_index=True)
+        order = used[np.argsort(first)]
         slot_of = np.zeros(len(keys), dtype=np.intp)
-        for j in used[np.argsort(first)].tolist():
-            self.device.validate_address(RowAddress(*keys[j], row=0))
-            slot_of[j] = self.device.subarray_at(keys[j]).slot
+        slot_of[order] = self.device.slots([keys[j] for j in order.tolist()])
         return slot_of[key_index]
 
     def read_fields(
@@ -416,10 +416,9 @@ class Controller:
         Entry ``i`` reads row ``rows[i]`` of sub-array
         ``keys[key_index[i]]``.  The accounting is that of one
         :meth:`read_row` per entry, in order: one ``MEM_RD`` trace
-        entry each, one ledger stream of one ``MEM_RD`` record per
-        entry, and every MAT's GRB left holding the last row read
-        through it.  The fields come from one vectorised gather;
-        returns them as int64.
+        entry each and one ledger stream of one ``MEM_RD`` record per
+        entry.  The fields come from one vectorised gather; returns
+        them as int64.
         """
         key_index = np.asarray(key_index, dtype=np.intp)
         rows = np.asarray(rows, dtype=np.intp)
@@ -437,18 +436,6 @@ class Controller:
                 np.full(n, energy_nj),
             )
         slots = self._slots(keys, key_index)
-        # each MAT's GRB ends holding the last row read through it
-        mat_ids: dict = {}
-        mats = np.array(
-            [mat_ids.setdefault(key[:2], len(mat_ids)) for key in keys],
-            dtype=np.intp,
-        )
-        _, last = np.unique(mats[key_index][::-1], return_index=True)
-        for i in (n - 1 - last).tolist():
-            key = keys[key_index[i]]
-            self.device.mat_at(*key[:2]).grb.load(
-                self.device.subarray_at(key).read_row(int(rows[i]))
-            )
         return self.device.store.read_fields(slots, rows, bit_offsets, width)
 
     def scrub_rows(
@@ -526,13 +513,12 @@ class Controller:
                 redundant re-read of ``result_row``.
         """
         self.device.validate_address(result_row)
-        mat = self.device.mat_at(result_row.bank, result_row.mat)
         if bits is None:
             bits = self.device.subarray_at(result_row).read_row(result_row.row)
         if mask is None:
-            outcome = mat.dpu.and_reduce(bits)
+            outcome = self.dpu.and_reduce(bits)
         else:
-            outcome = mat.dpu.masked_and_reduce(bits, mask)
+            outcome = self.dpu.masked_and_reduce(bits, mask)
         self._issue("DPU", result_row.subarray_key, (result_row.row,))
         return bool(outcome)
 
@@ -544,9 +530,8 @@ class Controller:
         bits: int = 8,
     ) -> int:
         """Non-bulk add on the MAT's DPU (counter increments etc.)."""
-        bank, mat_index, _ = subarray_key
-        mat = self.device.mat_at(bank, mat_index)
-        result = mat.dpu.scalar_add(a, b, bits=bits)
+        self.device.validate_address(RowAddress(*subarray_key, row=0))
+        result = self.dpu.scalar_add(a, b, bits=bits)
         self._issue("DPU", subarray_key, ())
         return result
 

@@ -1,12 +1,21 @@
-"""The full PIM-Assembler device: banks of MATs of sub-arrays."""
+"""The full PIM-Assembler device: a lazy directory of sub-arrays.
+
+A full default device holds 32 768 sub-arrays (~1 GB packed), but any
+realistic functional run touches only a handful.  Untouched sub-arrays
+hold all-zero bits by definition, so the device instantiates a
+sub-array on its first touch and laziness is observationally
+equivalent.  Banks and MATs hold no functional state: the MAT's global
+row buffer and DPU are shared timing resources, modelled by the
+scheduler (:mod:`repro.core.isa` names them per command).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from repro.core.bank import Bank
-from repro.core.mat import Mat
+import numpy as np
+
 from repro.core.storage import BitPlaneStore
 from repro.core.subarray import SubArray
 from repro.core.isa import RowAddress
@@ -15,45 +24,70 @@ from repro.dram.geometry import DeviceGeometry, default_geometry
 
 @dataclass
 class Device:
-    """Top-level memory device with hierarchical, lazy storage.
+    """Top-level memory device with one lazy sub-array directory.
 
     All sub-array bits live in one device-wide
-    :class:`~repro.core.storage.BitPlaneStore` (packed uint64 words);
-    banks/MATs/sub-arrays are navigation handles into it.  The store
-    grows slot-by-slot as sub-arrays are first touched, so laziness is
-    preserved (a default device would otherwise be ~1 GB packed).
+    :class:`~repro.core.storage.BitPlaneStore` (packed uint64 words).
+    The directory lists the instantiated sub-arrays in store-slot order
+    (the order of first touch) plus a key -> slot map; the store grows
+    slot-by-slot as sub-arrays are claimed.  Every walk over
+    instantiated sub-arrays (snapshots, scrubs, utilisation) uses that
+    one order, so a restored device keeps its slot numbering.
     """
 
     geometry: DeviceGeometry = field(default_factory=default_geometry)
 
     def __post_init__(self) -> None:
-        self._banks: dict[int, Bank] = {}
         sub = self.geometry.bank.mat.subarray
         self.store = BitPlaneStore(sub.rows, sub.cols)
+        #: instantiated sub-arrays, indexed by store slot
+        self._subarrays: list[SubArray] = []
+        #: sub-array key -> store slot, in slot (insertion) order
+        self._slot_of: dict[tuple[int, int, int], int] = {}
 
     # ----- navigation ------------------------------------------------------
 
-    def bank(self, index: int) -> Bank:
-        if not 0 <= index < self.geometry.num_banks:
-            raise IndexError(
-                f"bank index {index} out of range 0..{self.geometry.num_banks - 1}"
-            )
-        if index not in self._banks:
-            self._banks[index] = Bank(
-                self.geometry.bank, store=self.store, label=f"bank{index}"
-            )
-        return self._banks[index]
-
-    def mat_at(self, bank: int, mat: int) -> Mat:
-        return self.bank(bank).mat(mat)
-
     def subarray_at(self, address: RowAddress | tuple[int, int, int]) -> SubArray:
-        """Resolve a :class:`RowAddress` (or a subarray key) to state."""
-        if isinstance(address, RowAddress):
-            bank, mat, sub = address.bank, address.mat, address.subarray
-        else:
-            bank, mat, sub = address
-        return self.bank(bank).mat(mat).subarray(sub)
+        """Resolve a :class:`RowAddress` (or a sub-array key) to state,
+        claiming the next store slot on a key's first touch."""
+        key = (
+            address.subarray_key
+            if isinstance(address, RowAddress)
+            else tuple(address)
+        )
+        slot = self._slot_of.get(key)
+        if slot is not None:
+            return self._subarrays[slot]
+        return self._claim(key)
+
+    def _claim(self, key: tuple) -> SubArray:
+        g = self.geometry
+        bank, mat, sub = (int(part) for part in key)
+        for name, index, bound in (
+            ("bank", bank, g.num_banks),
+            ("MAT", mat, g.bank.num_mats),
+            ("sub-array", sub, g.bank.mat.num_subarrays),
+        ):
+            if not 0 <= index < bound:
+                raise IndexError(
+                    f"{name} index {index} out of range 0..{bound - 1}"
+                )
+        subarray = SubArray(
+            g.bank.mat.subarray, store=self.store, label=f"bank{bank}"
+        )
+        self._slot_of[(bank, mat, sub)] = subarray.slot
+        self._subarrays.append(subarray)
+        return subarray
+
+    def slots(self, keys: Iterable) -> np.ndarray:
+        """Store slot of each sub-array key, claiming unseen sub-arrays
+        in the order given (pass keys in first-use order)."""
+        slot_of = self._slot_of
+        out = []
+        for key in keys:
+            slot = slot_of.get(tuple(key))
+            out.append(slot if slot is not None else self._claim(key).slot)
+        return np.array(out, dtype=np.intp)
 
     def validate_address(self, address: RowAddress) -> RowAddress:
         g = self.geometry
@@ -85,14 +119,14 @@ class Device:
                     yield (b, m, s)
                     count += 1
 
-    def slot_keys(self) -> dict[int, tuple[int, int, int]]:
-        """Store slot -> sub-array key over the instantiated hierarchy."""
-        return {
-            sub.slot: (bank_idx, mat_idx, sub_idx)
-            for bank_idx, bank in self._banks.items()
-            for mat_idx, mat in bank._mats.items()
-            for sub_idx, sub in mat._subarrays.items()
-        }
+    def slot_keys(self) -> list[tuple[int, int, int]]:
+        """Key of every instantiated sub-array, indexed by store slot."""
+        return list(self._slot_of)
+
+    def instantiated(self) -> Iterator[tuple[tuple[int, int, int], SubArray]]:
+        """``(key, sub-array)`` of every instantiated sub-array, in
+        store-slot order."""
+        return zip(self._slot_of, self._subarrays)
 
     @property
     def num_subarrays(self) -> int:

@@ -33,7 +33,11 @@ def _as_bits(bits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dpu:
-    """Combinational reduce/compare unit attached to one MAT."""
+    """Combinational reduce/compare logic of the MAT-level DPU.
+
+    It holds no state, so one instance (the controller's) serves every
+    MAT; the scheduler times each MAT's DPU as its own resource.
+    """
 
     width: int = 256
 

@@ -318,7 +318,7 @@ class IntegrityEngine:
         stats: StatsLedger,
         timing: TimingParameters,
         energy,
-        slot_keys: "Callable[[], dict] | None" = None,
+        slot_keys: "Callable[[], list[tuple[int, int, int]]]",
         resilience: "Callable[[], object | None] | None" = None,
     ) -> None:
         self.config = config
@@ -490,18 +490,14 @@ class IntegrityEngine:
         self._charge("ECC_FIX", n_corrected + n_uncorrectable)
         engine = self._resilience() if self._resilience is not None else None
         # store slot -> sub-array key, resolved once per pass
-        slot_keys = self._slot_keys() if self._slot_keys is not None else {}
-
-        def subarray_key(slot: int) -> "tuple[int, int, int]":
-            return slot_keys.get(slot, (0, 0, slot))
-
+        slot_keys = self._slot_keys()
         if n_corrected:
             for slot, row in np.argwhere(corrected.any(axis=2)):
                 cell = (int(slot), int(row))
                 hits = self._row_upsets.get(cell, 0) + 1
                 self._row_upsets[cell] = hits
                 if hits >= self.config.weak_row_threshold and engine is not None:
-                    engine.mark_weak_row(subarray_key(cell[0]), cell[1])
+                    engine.mark_weak_row(slot_keys[cell[0]], cell[1])
         if n_uncorrectable:
             event(
                 "integrity.uncorrectable",
@@ -510,7 +506,7 @@ class IntegrityEngine:
             )
             if engine is not None:
                 for slot, row in np.argwhere(uncorrectable.any(axis=2)):
-                    engine.note_uncorrected(subarray_key(int(slot)), int(row))
+                    engine.note_uncorrected(slot_keys[slot], int(row))
 
     # ----- table-scrub reporting (assembly/hashmap satellite) ---------------
 

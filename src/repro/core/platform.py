@@ -405,11 +405,14 @@ class PimAssembler:
 
         Captures everything a bit-identical resume needs: geometry and
         timing/energy parameters, every *instantiated* sub-array's bits
-        and sense-amplifier latch (untouched sub-arrays are all-zero by
-        construction, so laziness survives the round trip), each MAT's
-        global row buffer, the bump-allocator cursors, the stats
-        ledger, and — when attached — the fault model's exact RNG
-        stream and the resilience engine's event/degradation state.
+        and sense-amplifier latch in store-slot order (untouched
+        sub-arrays are all-zero by construction, so laziness survives
+        the round trip, and restoring claims the slots in the same
+        order, so slot-keyed state — rot positions, the integrity
+        engine's ``row_upsets`` — resumes in place), the bump-allocator
+        cursors, the stats ledger, and — when attached — the fault
+        model's exact RNG stream and the resilience engine's
+        event/degradation state.
 
         Format 2 (columnar storage): sub-array bits travel as their
         stored packed uint64 words (little-endian bytes, key
@@ -428,34 +431,20 @@ class PimAssembler:
         import hashlib
 
         subarrays = []
-        grbs = []
-        for bank_idx, bank in self.device._banks.items():
-            for mat_idx, mat in bank._mats.items():
-                if mat.grb.valid:
-                    grbs.append(
-                        {
-                            "key": [bank_idx, mat_idx],
-                            "data": base64.b64encode(
-                                np.packbits(mat.grb._data)
-                            ).decode("ascii"),
-                        }
-                    )
-                for sub_idx, sub in mat._subarrays.items():
-                    word_bytes = np.ascontiguousarray(
-                        sub.store.tensor[sub.slot], dtype="<u8"
-                    ).tobytes()
-                    subarrays.append(
-                        {
-                            "key": [bank_idx, mat_idx, sub_idx],
-                            "words": base64.b64encode(word_bytes).decode(
-                                "ascii"
-                            ),
-                            "sha256": hashlib.sha256(word_bytes).hexdigest(),
-                            "latch": base64.b64encode(
-                                np.packbits(sub.sa._latch)
-                            ).decode("ascii"),
-                        }
-                    )
+        for key, sub in self.device.instantiated():
+            word_bytes = np.ascontiguousarray(
+                sub.store.tensor[sub.slot], dtype="<u8"
+            ).tobytes()
+            subarrays.append(
+                {
+                    "key": list(key),
+                    "words": base64.b64encode(word_bytes).decode("ascii"),
+                    "sha256": hashlib.sha256(word_bytes).hexdigest(),
+                    "latch": base64.b64encode(
+                        np.packbits(sub.sa._latch)
+                    ).decode("ascii"),
+                }
+            )
         state = {
             "format": 2,
             "geometry": {
@@ -475,7 +464,6 @@ class PimAssembler:
                 for key, row in self._next_row.items()
             },
             "subarrays": subarrays,
-            "grbs": grbs,
             "stats": self.stats.state_dict(),
             "faults": (
                 None
@@ -512,8 +500,8 @@ class PimAssembler:
         require_keys(
             state,
             (
-                "geometry", "timing", "energy", "subarrays", "grbs",
-                "next_row", "stats", "faults", "resilience",
+                "geometry", "timing", "energy", "subarrays", "next_row",
+                "stats", "faults", "resilience",
             ),
             "platform state",
         )
@@ -570,11 +558,6 @@ class PimAssembler:
                 )
             stored[...] = raw.reshape(stored.shape)
             sub.sa._latch[:] = unpack(entry["latch"], cols)
-        for entry in state["grbs"]:
-            bank_idx, mat_idx = entry["key"]
-            pim.device.mat_at(bank_idx, mat_idx).grb.load(
-                unpack(entry["data"], cols)
-            )
         pim._next_row = {
             tuple(int(p) for p in key.split(",")): int(row)
             for key, row in state["next_row"].items()

@@ -22,8 +22,8 @@ Pack boundary rule
 Packed words are an internal representation with one invariant: **tail
 bits (column indices >= cols in the last word) are always zero.**  Only
 this module, :mod:`repro.core.bitplane` and the hashmap bulk path may
-touch words; everything else (controller, sense amplifier, GRB, DPU,
-tests) sees unpacked 0/1 ``uint8`` rows through the pack/unpack
+touch words; everything else (controller, sense amplifier, DPU, tests)
+sees unpacked 0/1 ``uint8`` rows through the pack/unpack
 adapters below.  Any operation that can set tail bits (``~`` in
 particular) must mask with :meth:`BitPlaneStore.col_mask` before
 storing, so ``pack(unpack(x)) == x`` holds for every stored word.

@@ -13,7 +13,6 @@ Hierarchy::
     ├── FaultConfigError(ValueError)      — bad fault/policy parameters
     ├── CapacityError(ValueError)         — device/sub-array capacity exceeded
     ├── PhaseActiveError(RuntimeError)    — ledger op that needs no open phase
-    ├── BufferStateError(RuntimeError)    — GRB read before load
     ├── AllocationError(MemoryError)      — row allocator exhausted
     ├── TableFullError(MemoryError)       — k-mer table region full
     ├── SubarrayQuarantinedError          — touched a quarantined sub-array
@@ -50,15 +49,6 @@ class PhaseActiveError(ReproError, RuntimeError):
     phase's events across two records (or mix partial totals into the
     target), so both refuse instead.  Inherits ``RuntimeError`` because
     the snapshot path historically raised that builtin.
-    """
-
-
-class BufferStateError(ReproError, RuntimeError):
-    """A shared buffer (the MAT's global row buffer) was read before it
-    was loaded.
-
-    Inherits ``RuntimeError`` because the GRB read path historically
-    raised that builtin.
     """
 
 

@@ -15,7 +15,6 @@
 from repro.mapping.adjacency import (
     adjacency_rows_for_chunk,
     degree_vectors_pim,
-    planes_needed,
     wallace_column_sum,
 )
 from repro.mapping.allocation import (
@@ -37,7 +36,6 @@ from repro.mapping.parallelism import PAPER_PD_VALUES, ParallelismModel
 __all__ = [
     "adjacency_rows_for_chunk",
     "degree_vectors_pim",
-    "planes_needed",
     "wallace_column_sum",
     "AllocationPlan",
     "chips_needed",

@@ -30,7 +30,6 @@ Either way the degrees come back as int64 arrays by node id.
 from __future__ import annotations
 
 import functools
-import math
 from collections import defaultdict
 from typing import Sequence
 
@@ -389,10 +388,3 @@ def degree_vectors_pim(
                 sums = wallace_column_sum(pim, rows, subarray_key)
                 out[ids] = sums[: ids.size]
     return in_deg, out_deg
-
-
-def planes_needed(row_count: int) -> int:
-    """Bit planes needed to hold a column sum of ``row_count`` rows."""
-    if row_count <= 0:
-        raise ValueError("row_count must be positive")
-    return max(1, math.ceil(math.log2(row_count + 1)))

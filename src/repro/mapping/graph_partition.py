@@ -99,9 +99,6 @@ class IntervalBlockPartition:
         """Vertices per interval (load-balance check)."""
         return list(self._vertex_counts) or [0] * self.intervals
 
-    def edge_block_sizes(self) -> dict[BlockId, int]:
-        return {block: int(edges.size) for block, edges in self._edges.items()}
-
     # ----- allocation (stage 2 of Fig. 8) --------------------------------------------
 
     def chip_assignment(self, chips: int | None = None) -> dict[BlockId, int]:

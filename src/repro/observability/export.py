@@ -367,30 +367,24 @@ def subarray_utilization(pim) -> list[dict]:
     """
     data_rows = pim.geometry.bank.mat.subarray.data_rows
     records = []
-    for bank_idx, bank in pim.device._banks.items():
-        for mat_idx, mat in bank._mats.items():
-            for sub_idx, sub in mat._subarrays.items():
-                key = (bank_idx, mat_idx, sub_idx)
-                # packed occupancy: a row is used iff any stored word
-                # is non-zero (tail bits are zero by invariant)
-                used = int(
-                    sub.store.tensor[sub.slot, :data_rows]
-                    .any(axis=1)
-                    .sum()
-                )
-                used = max(used, int(pim._next_row.get(key, 0)))
-                if used <= 0:
-                    continue
-                records.append(
-                    {
-                        "bank": bank_idx,
-                        "mat": mat_idx,
-                        "subarray": sub_idx,
-                        "rows_used": used,
-                        "data_rows": int(data_rows),
-                        "utilization": used / data_rows,
-                    }
-                )
+    for key, sub in pim.device.instantiated():
+        # packed occupancy: a row is used iff any stored word is
+        # non-zero (tail bits are zero by invariant)
+        used = int(sub.store.tensor[sub.slot, :data_rows].any(axis=1).sum())
+        used = max(used, int(pim._next_row.get(key, 0)))
+        if used <= 0:
+            continue
+        bank_idx, mat_idx, sub_idx = key
+        records.append(
+            {
+                "bank": bank_idx,
+                "mat": mat_idx,
+                "subarray": sub_idx,
+                "rows_used": used,
+                "data_rows": int(data_rows),
+                "utilization": used / data_rows,
+            }
+        )
     records.sort(
         key=lambda r: (-r["utilization"], r["bank"], r["mat"], r["subarray"])
     )

@@ -1,4 +1,4 @@
-"""Device hierarchy: navigation, validation, DPU and GRB plumbing."""
+"""Device directory: navigation, validation and the DPU."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core.device import Device
 from repro.core.dpu import Dpu
 from repro.core.isa import RowAddress
-from repro.core.mat import GlobalRowBuffer
 from repro.dram.geometry import (
     BankGeometry,
     DeviceGeometry,
@@ -52,7 +51,7 @@ class TestNavigation:
 
     def test_bank_bounds(self):
         with pytest.raises(IndexError):
-            tiny_device().bank(2)
+            tiny_device().subarray_at((2, 0, 0))
 
     def test_validate_address(self):
         device = tiny_device()
@@ -67,29 +66,6 @@ class TestNavigation:
         assert len(keys) == device.num_subarrays == 8
         assert keys[0] == (0, 0, 0)
         assert len(list(device.subarray_keys(limit=3))) == 3
-
-
-class TestGlobalRowBuffer:
-    def test_load_read(self):
-        grb = GlobalRowBuffer(width=8)
-        data = np.ones(8, dtype=np.uint8)
-        grb.load(data)
-        assert (grb.read() == data).all()
-        assert grb.valid
-
-    def test_read_before_load(self):
-        with pytest.raises(RuntimeError):
-            GlobalRowBuffer(width=4).read()
-
-    def test_invalidate(self):
-        grb = GlobalRowBuffer(width=4)
-        grb.load(np.zeros(4, dtype=np.uint8))
-        grb.invalidate()
-        assert not grb.valid
-
-    def test_rejects_wrong_width(self):
-        with pytest.raises(ValueError):
-            GlobalRowBuffer(width=4).load(np.zeros(5, dtype=np.uint8))
 
 
 class TestDpu:

@@ -175,6 +175,7 @@ def _bench(
         stats,
         TimingParameters(),
         EnergyParameters(),
+        slot_keys=lambda: [(0, 0, slot) for slot in range(store.n_slots)],
         resilience=(lambda: resilience) if resilience is not None else None,
     )
     return store, stats, engine

@@ -140,13 +140,12 @@ class TestLazyInstantiation:
         """Constructing the full 1-GiB device must not allocate it."""
         pim = PimAssembler()
         assert pim.geometry.num_subarrays == 32768
-        bank = pim.device.bank(0)
-        assert bank.instantiated_mats == 0
+        assert pim.device.slot_keys() == []
 
     def test_touching_one_subarray_instantiates_one(self):
         pim = PimAssembler()
         pim.allocate_row((3, 17, 5))
-        assert pim.device.bank(3).instantiated_mats == 0  # allocator only
+        assert pim.device.slot_keys() == []  # allocator only
         pim.store_row(np.zeros(256, dtype=np.uint8), (3, 17, 5))
-        assert pim.device.bank(3).instantiated_mats == 1
-        assert pim.device.bank(3).mat(17).instantiated_subarrays == 1
+        assert pim.device.slot_keys() == [(3, 17, 5)]
+        assert pim.device.store.n_slots == 1

@@ -10,7 +10,6 @@ from repro.genome.sequence import DnaSequence
 from repro.mapping.adjacency import (
     adjacency_rows_for_chunk,
     degree_vectors_pim,
-    planes_needed,
     wallace_column_sum,
 )
 
@@ -124,15 +123,3 @@ class TestDegreeVectorsPim:
         with pytest.raises(ValueError, match="engine"):
             degree_vectors_pim(pim, g, engine=engine)
         assert not pim.stats.totals().commands
-
-
-class TestPlanesNeeded:
-    def test_values(self):
-        assert planes_needed(1) == 1
-        assert planes_needed(3) == 2
-        assert planes_needed(7) == 3
-        assert planes_needed(8) == 4
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            planes_needed(0)

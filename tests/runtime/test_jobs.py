@@ -24,6 +24,7 @@ from repro.errors import (
     VerificationError,
 )
 from repro.genome.sequence import DnaSequence
+from repro.runtime.checkpoint import JobJournal
 from repro.runtime.jobs import (
     MAX_ATTEMPTS,
     JobConfig,
@@ -286,6 +287,64 @@ class TestKillAndResume:
             assert run_fingerprint(out.result) == golden_fp, (
                 f"kill at tick {kill_at}/{total_ticks} diverged"
             )
+
+    @pytest.mark.parametrize("ecc", ["secded", "off"])
+    def test_two_mat_resume_rots_the_same_subarrays(
+        self, tmp_path, monkeypatch, ecc
+    ):
+        """A 2-MAT device touches its sub-arrays across MATs, so store
+        slot order is not nested key order: a job killed right after
+        its hashmap record must resume with every sub-array in the slot
+        it held, or seeded rot lands on different sub-arrays."""
+        reads = make_reads(genome_bp=200)
+        policy = ResiliencePolicy.named("detect-retry-remap")
+        config = rot_config("bulk", policy, ecc)
+        # windows short enough to close between the hashmap record and
+        # the next stage's rot checkpoint
+        rot = IntegrityConfig(
+            ecc=ecc, retention_interval_s=1e-6, upset_probability=1e-6
+        )
+
+        def factory(reads):
+            # 16 sub-arrays per MAT: the first read touches only some
+            # partitions, so later reads claim slots across both MATs
+            sub = _sized_device(reads, K).geometry.bank.mat.subarray
+            pim = PimAssembler.small(
+                subarrays=16, rows=sub.rows, cols=sub.cols, mats=2
+            )
+            pim.controller.faults = FaultModel(
+                seed=FAULT_SEED, compute2_rate=2e-4, tra_rate=1e-4
+            )
+            pim.protect(policy)
+            pim.attach_integrity(rot)
+            return pim
+
+        def final_words(job_dir) -> dict:
+            _, record = JobJournal(job_dir).latest()
+            return {
+                tuple(entry["key"]): entry["words"]
+                for entry in record["platform"]["subarrays"]
+            }
+
+        golden = JobRunner(tmp_path / "golden", config, pim_factory=factory)
+        golden_fp = run_fingerprint(golden.run(reads).result)
+        assert golden_fp[-1].flips_injected > 0
+
+        def kill(self, state):
+            raise SimulatedKill()
+
+        job_dir = tmp_path / "victim"
+        with monkeypatch.context() as patch:
+            patch.setattr(PimPipeline, "run_debruijn", kill)
+            with pytest.raises(SimulatedKill):
+                JobRunner(job_dir, config, pim_factory=factory).run(reads)
+        assert [ref.stage for ref in JobJournal(job_dir).records()] == [
+            "hashmap"
+        ]
+        out = JobRunner(job_dir, config, pim_factory=factory).resume(reads)
+        assert out.report.resumed
+        assert run_fingerprint(out.result) == golden_fp
+        assert final_words(job_dir) == final_words(tmp_path / "golden")
 
     def test_resume_from_each_stage_boundary(self, reads, tmp_path):
         """Truncate the journal to each boundary and resume from it."""

@@ -252,8 +252,8 @@ class TestMalformedRecords:
         + [
             ("platform", key)
             for key in (
-                "geometry", "timing", "energy", "subarrays", "grbs",
-                "next_row", "stats", "faults", "resilience",
+                "geometry", "timing", "energy", "subarrays", "next_row",
+                "stats", "faults", "resilience",
             )
         ],
         ids="/".join,
