@@ -52,7 +52,6 @@ optimiser pass); the other rules keep their numbers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -134,7 +133,6 @@ class SubSummary:
     rows: dict[int, int] = field(default_factory=dict)
     latch: int = -1
     observations: list[Observation] = field(default_factory=list)
-    counts: Counter = field(default_factory=Counter)
 
 
 class SymbolicInterpreter:
@@ -172,45 +170,68 @@ class SymbolicInterpreter:
         mnemonic = entry.mnemonic
         rows = entry.rows
         key = entry.subarray
-        sub.counts[mnemonic] += 1
-
-        def val(row: int) -> int:
-            found = sub.rows.get(row)
-            if found is None:
-                found = sub.rows[row] = intern(("init", key, row))
-            return found
+        state = sub.rows
 
         if mnemonic == "AAP1":
-            sub.rows[rows[1]] = val(rows[0])
+            state[rows[1]] = _value(state, key, rows[0], intern)
         elif mnemonic == "AAP2":
-            operands = sorted((val(rows[0]), val(rows[1])))
-            sub.rows[rows[2]] = intern(("xnor", *operands))
+            operands = sorted(
+                (
+                    _value(state, key, rows[0], intern),
+                    _value(state, key, rows[1], intern),
+                )
+            )
+            state[rows[2]] = intern(("xnor", *operands))
         elif mnemonic == "AAP3":
-            operands = sorted((val(rows[0]), val(rows[1]), val(rows[2])))
+            operands = sorted(
+                (
+                    _value(state, key, rows[0], intern),
+                    _value(state, key, rows[1], intern),
+                    _value(state, key, rows[2], intern),
+                )
+            )
             majority = intern(("maj", *operands))
-            sub.rows[rows[3]] = majority
+            state[rows[3]] = majority
             sub.latch = majority
         elif mnemonic == "SUM":
-            operands = sorted((val(rows[0]), val(rows[1]), sub.latch))
-            sub.rows[rows[2]] = intern(("xor3", *operands))
+            operands = sorted(
+                (
+                    _value(state, key, rows[0], intern),
+                    _value(state, key, rows[1], intern),
+                    sub.latch,
+                )
+            )
+            state[rows[2]] = intern(("xor3", *operands))
         elif mnemonic == "LATCH_LD":
-            sub.latch = val(rows[0])
+            sub.latch = _value(state, key, rows[0], intern)
         elif mnemonic == "LATCH_CLR":
             sub.latch = intern(("const", 0))
         elif mnemonic == "ROW_INIT":
             fill = int(entry.payload[0]) if entry.payload else 0
-            sub.rows[rows[0]] = intern(("const", fill))
+            state[rows[0]] = intern(("const", fill))
         elif mnemonic == "MEM_WR":
-            sub.rows[rows[0]] = intern(("data", entry.payload))
+            state[rows[0]] = intern(("data", entry.payload))
         elif mnemonic == "MEM_RD":
-            sub.observations.append(("MEM_RD", rows[0], val(rows[0])))
+            sub.observations.append(
+                ("MEM_RD", rows[0], _value(state, key, rows[0], intern))
+            )
         elif mnemonic == "DPU":
             if rows:
-                sub.observations.append(("DPU", rows[0], val(rows[0])))
+                sub.observations.append(
+                    ("DPU", rows[0], _value(state, key, rows[0], intern))
+                )
             else:
                 sub.observations.append(("DPU", None, None))
         else:
             raise UnmodelledMnemonicError(mnemonic, entry.index)
+
+
+def _value(state: dict[int, int], key: SubKey, row: int, intern: Any) -> int:
+    """The value id ``row`` holds; an untouched row holds its init term."""
+    found = state.get(row)
+    if found is None:
+        found = state[row] = intern(("init", key, row))
+    return found
 
 
 def interpret_trace(

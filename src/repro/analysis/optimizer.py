@@ -49,17 +49,14 @@ O003   stream carries unmodelled mnemonics (``REF``/``ECC_*``) —
 
 from __future__ import annotations
 
-import dataclasses
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
 
 from repro.analysis.equiv import MODELLED_MNEMONICS, check_equivalence, stream_cost
 from repro.analysis.findings import FindingReport, Severity
 from repro.analysis.tracefile import TraceDocument
-from repro.analysis.verifier import _iter_with_marks, verify_document
+from repro.analysis.verifier import _runs, verify_document
 from repro.core.isa import ISA, ledger_counts
 from repro.core.timing import command_cost_table
 from repro.core.trace import CommandTrace, TraceEntry
@@ -130,7 +127,7 @@ def dead_write_pass(tokens: list[Token]) -> tuple[list[Token], PassStats]:
     — the equivalence obligations make every final row and latch an
     observable, so a trailing write is never removable.
     """
-    dead_rows: defaultdict[tuple, set[int]] = defaultdict(set)
+    dead_rows: dict[tuple, set[int]] = {}
     dead_latch: dict[tuple, bool] = {}
     kept_reversed: list[Token] = []
     justifications: list[dict] = []
@@ -141,12 +138,15 @@ def dead_write_pass(tokens: list[Token]) -> tuple[list[Token], PassStats]:
             continue
         entry: TraceEntry = token[1]
         sig = ISA[entry.mnemonic]
-        writes = entry.rows[sig.writes]
+        rows = entry.rows
+        writes = rows[sig.writes]
         wlatch = sig.writes_latch
         sub = entry.subarray
-        dead = dead_rows[sub]
+        dead = dead_rows.get(sub)
+        if dead is None:
+            dead = dead_rows[sub] = set()
         if not sig.observation and (writes or wlatch):
-            removable = all(w in dead for w in writes) and (
+            removable = dead.issuperset(writes) and (
                 not wlatch or dead_latch.get(sub, False)
             )
             if removable:
@@ -156,18 +156,16 @@ def dead_write_pass(tokens: list[Token]) -> tuple[list[Token], PassStats]:
                         "action": "remove",
                         "op": entry.mnemonic,
                         "sub": list(sub),
-                        "rows": list(entry.rows),
+                        "rows": list(rows),
                         "reason": "every written row/latch value is "
                         "overwritten before any read",
                     }
                 )
                 continue
-        for w in writes:
-            dead.add(w)
+        dead.update(writes)
         if wlatch:
             dead_latch[sub] = True
-        for r in entry.rows[sig.reads]:
-            dead.discard(r)
+        dead.difference_update(rows[sig.reads])
         if sig.reads_latch:
             dead_latch[sub] = False
         kept_reversed.append(token)
@@ -193,10 +191,8 @@ def copy_propagation_pass(
     sources, destination not an activated source) and skipped when the
     substitution would violate them.
     """
-    version: defaultdict[tuple, Counter] = defaultdict(Counter)
-    copies: defaultdict[tuple, dict[int, tuple[int, int, int]]] = defaultdict(
-        dict
-    )
+    #: per sub-array: (row -> version, des -> (src, src ver, des ver))
+    state: dict[tuple, tuple[dict[int, int], dict[int, tuple[int, int, int]]]] = {}
     out: list[Token] = []
     justifications: list[dict] = []
     rewritten = 0
@@ -207,56 +203,56 @@ def copy_propagation_pass(
             continue
         entry: TraceEntry = token[1]
         sub = entry.subarray
-        ver = version[sub]
-        alias = copies[sub]
-
-        def resolve(row: int) -> int:
-            seen = {row}
-            while row in alias:
-                src, src_ver, des_ver = alias[row]
-                if ver[row] != des_ver or ver[src] != src_ver or src in seen:
-                    break
-                row = src
-                seen.add(row)
-            return row
-
+        sub_state = state.get(sub)
+        if sub_state is None:
+            sub_state = state[sub] = ({}, {})
+        ver, alias = sub_state
         sig = ISA[entry.mnemonic]
-        # an observed row is part of the observation: never rewritten
-        positions = () if sig.observation else sig.sources
-        new_rows = list(entry.rows)
-        for pos in positions:
-            candidate = resolve(new_rows[pos])
-            if candidate == new_rows[pos]:
-                continue
-            tentative = list(new_rows)
-            tentative[pos] = candidate
-            if not sig.operands_valid(tentative):
-                continue
-            justifications.append(
-                {
-                    "action": "rewrite",
-                    "op": entry.mnemonic,
-                    "sub": list(sub),
-                    "operand": pos,
-                    "from": new_rows[pos],
-                    "to": candidate,
-                    "reason": "row holds an AAP1 copy of the substituted "
-                    "row (both versions unchanged since the copy)",
-                }
-            )
-            new_rows = tentative
-            rewritten += 1
-        if new_rows != list(entry.rows):
-            entry = dataclasses.replace(entry, rows=tuple(new_rows))
+        rows = entry.rows
+        # an observed row is part of the observation: never rewritten;
+        # only an operand with a live alias can resolve anywhere else
+        if alias and not sig.observation:
+            new_rows = None
+            for pos in sig.sources:
+                row = rows[pos] if new_rows is None else new_rows[pos]
+                if row not in alias:
+                    continue
+                candidate = _resolve(row, alias, ver)
+                if candidate == row:
+                    continue
+                tentative = list(rows if new_rows is None else new_rows)
+                tentative[pos] = candidate
+                if not sig.operands_valid(tentative):
+                    continue
+                justifications.append(
+                    {
+                        "action": "rewrite",
+                        "op": entry.mnemonic,
+                        "sub": list(sub),
+                        "operand": pos,
+                        "from": row,
+                        "to": candidate,
+                        "reason": "row holds an AAP1 copy of the substituted "
+                        "row (both versions unchanged since the copy)",
+                    }
+                )
+                new_rows = tentative
+                rewritten += 1
+            if new_rows is not None:
+                rows = tuple(new_rows)
+                entry = TraceEntry(
+                    entry.index, entry.mnemonic, sub, rows, entry.payload
+                )
+                token = ("entry", entry)
 
-        writes = entry.rows[sig.writes]
+        writes = rows[sig.writes]
         for w in writes:
-            ver[w] += 1
+            ver[w] = ver.get(w, 0) + 1
             alias.pop(w, None)
         if sig.copies:
-            (src,), (des,) = entry.rows[sig.reads], writes
-            alias[des] = (src, ver[src], ver[des])
-        out.append(("entry", entry))
+            (src,), (des,) = rows[sig.reads], writes
+            alias[des] = (src, ver.get(src, 0), ver[des])
+        out.append(token)
 
     return out, PassStats(
         name="copy_propagation",
@@ -276,7 +272,7 @@ def redundant_init_pass(
     other write to the row (or latch load/TRA) invalidates the
     known-state fact.
     """
-    known_const: defaultdict[tuple, dict[int, int]] = defaultdict(dict)
+    known_const: dict[tuple, dict[int, int]] = {}
     latch_clear: dict[tuple, bool] = {}
     out: list[Token] = []
     justifications: list[dict] = []
@@ -287,7 +283,9 @@ def redundant_init_pass(
             continue
         entry: TraceEntry = token[1]
         sub = entry.subarray
-        consts = known_const[sub]
+        consts = known_const.get(sub)
+        if consts is None:
+            consts = known_const[sub] = {}
         sig = ISA[entry.mnemonic]
         writes = entry.rows[sig.writes]
         if sig.payload == "fill":
@@ -338,6 +336,20 @@ def redundant_init_pass(
     )
 
 
+def _resolve(
+    row: int, alias: dict[int, tuple[int, int, int]], ver: dict[int, int]
+) -> int:
+    """The row ``row`` is a still-valid copy of, following the chain."""
+    seen = {row}
+    while row in alias:
+        src, src_ver, des_ver = alias[row]
+        if ver.get(row, 0) != des_ver or ver.get(src, 0) != src_ver or src in seen:
+            break
+        row = src
+        seen.add(row)
+    return row
+
+
 DEFAULT_PASSES: tuple[Callable[[list[Token]], tuple[list[Token], PassStats]], ...] = (
     copy_propagation_pass,
     dead_write_pass,
@@ -351,21 +363,17 @@ DEFAULT_PASSES: tuple[Callable[[list[Token]], tuple[list[Token], PassStats]], ..
 
 
 def _rebuild_trace(tokens: Iterable[Token], source: CommandTrace) -> CommandTrace:
-    """The rewritten stream; the source's scheduler charges carry over."""
+    """The rewritten stream; the source's scheduler charges carry over.
+
+    Kept entries are appended renumbered, their payload tuples reused.
+    """
     trace = source.charges_only()
+    mark, append = trace.mark, trace.append
     for kind, item in tokens:
         if kind == "mark":
-            trace.mark(item)
+            mark(item)
         else:
-            entry: TraceEntry = item
-            trace.record(
-                entry.mnemonic,
-                entry.subarray,
-                entry.rows,
-                np.asarray(entry.payload, dtype=np.uint8)
-                if entry.payload is not None
-                else None,
-            )
+            append(item)
     return trace
 
 
@@ -483,7 +491,11 @@ class TraceOptimizer:
                     ok=False, document=doc, report=report, identity=True
                 )
 
-        tokens: list[Token] = list(_iter_with_marks(doc))
+        tokens: list[Token] = []
+        for run, label in _runs(doc.trace):
+            tokens += [("entry", entry) for entry in run]
+            if label is not None:
+                tokens.append(("mark", label))
         pass_stats: list[PassStats] = []
         iterations = 0
         for _ in range(self.max_iterations):

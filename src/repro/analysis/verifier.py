@@ -69,11 +69,11 @@ from __future__ import annotations
 import math
 import reprlib
 from collections import Counter
-from typing import Iterable
+from typing import Iterator
 
 from repro.analysis.findings import FindingReport
 from repro.analysis.tracefile import TraceDocument
-from repro.core.isa import ISA, Signature, ledger_counts, resource_key
+from repro.core.isa import ISA, ledger_counts, resource_key
 from repro.core.timing import TimingParameters, command_latency_table
 from repro.core.trace import CommandTrace, TraceEntry
 
@@ -89,6 +89,25 @@ _ABS_TOL = 1e-6
 
 def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+
+
+#: the :data:`~repro.core.isa.ISA` facts the per-command rules read, one
+#: tuple per mnemonic so a command unpacks them in one step
+_FACTS = {
+    mnemonic: (
+        sig.arity,
+        sig.reads,
+        sig.dest,
+        sig.payload,
+        sig.distinct_sources,
+        sig.in_place,
+        sig.copies,
+        bool(sig.sources),
+        sig.reads_latch,
+        sig.writes_latch,
+    )
+    for mnemonic, sig in ISA.items()
+}
 
 
 class StreamVerifier:
@@ -138,6 +157,16 @@ class StreamVerifier:
         self._inserted: dict[tuple[int, ...], set[int]] = {}
         self._in_hashmap = False
         self._in_scrub = False
+        #: the layout's region ends (k-mer, value, temp rows), or None
+        self._regions: tuple[int, int, int] | None = None
+        if layout is not None:
+            kmer_end = int(layout["kmer_rows"])
+            value_end = kmer_end + int(layout["value_rows"])
+            self._regions = (
+                kmer_end,
+                value_end,
+                value_end + int(layout["temp_rows"]),
+            )
 
     # ----- helpers ---------------------------------------------------------
 
@@ -148,23 +177,6 @@ class StreamVerifier:
             source=self.source,
             location=self._index if index is None else index,
         )
-
-    def _check_read(self, sub: tuple[int, ...], row: int, what: str) -> None:
-        if not self.check_dataflow:
-            return
-        # data rows hold pre-existing content unless the stream starts
-        # cold; compute rows behind the modified decoder always start
-        # undefined
-        preloaded = not self.cold_start and row < self.data_rows
-        if not preloaded and row not in self._written.get(sub, ()):
-            self._flag(
-                "V003",
-                f"{what} reads uninitialised row {row} of sub-array {sub}",
-            )
-
-    def _define(self, sub: tuple[int, ...], row: int) -> None:
-        if self.check_dataflow:
-            self._written.setdefault(sub, set()).add(row)
 
     # ----- window marks ----------------------------------------------------
 
@@ -183,20 +195,19 @@ class StreamVerifier:
 
     def _layout_rules(
         self,
+        regions: tuple[int, int, int],
         mnemonic: str,
         sub: tuple[int, ...],
-        signature: Signature,
+        copies: bool,
+        computes: bool,
         des: int,
     ) -> None:
-        if self.layout is None or not self._in_hashmap or self._in_scrub:
-            return
-        kmer_rows = int(self.layout["kmer_rows"])
-        value_end = kmer_rows + int(self.layout["value_rows"])
-        temp_end = value_end + int(self.layout["temp_rows"])
-
-        if signature.copies:
+        kmer_rows, value_end, temp_end = regions
+        if copies:
             if des < kmer_rows:
-                slots = self._inserted.setdefault(tuple(sub), set())
+                slots = self._inserted.get(sub)
+                if slots is None:
+                    slots = self._inserted[sub] = set()
                 if des in slots:
                     self._flag(
                         "V006",
@@ -211,7 +222,7 @@ class StreamVerifier:
                     f"{mnemonic} copy into the {region} region (row {des}) "
                     f"of sub-array {sub} during the hashmap window",
                 )
-        elif signature.sources:
+        elif computes:
             if des < self.data_rows:
                 self._flag(
                     "V007",
@@ -238,10 +249,11 @@ class StreamVerifier:
         payload: tuple[int, ...] | None = None,
     ) -> int:
         """Check one command; returns the number of new findings."""
-        before = len(self.report)
+        findings = self.report.findings
+        before = len(findings)
         self._check(mnemonic, tuple(subarray), rows, payload)
         self._index += 1
-        return len(self.report) - before
+        return len(findings) - before
 
     def _check(
         self,
@@ -250,41 +262,61 @@ class StreamVerifier:
         rows: tuple[int, ...],
         payload: tuple[int, ...] | None,
     ) -> None:
-        signature = ISA.get(mnemonic)
-        if signature is None:
+        facts = _FACTS.get(mnemonic)
+        if facts is None:
             self._flag("V001", f"unknown mnemonic {mnemonic!r}")
             return
-        if len(rows) not in signature.arity:
-            arity = " or ".join(map(str, signature.arity))
-            self._flag(
-                "V002", f"{mnemonic} takes {arity} row operand(s), got {len(rows)}"
-            )
-            return
-        if rows and not (min(rows) >= 0 and max(rows) < self.rows):
-            row = next(row for row in rows if not 0 <= row < self.rows)
+        (
+            arity,
+            reads,
+            dest,
+            payload_kind,
+            distinct,
+            in_place,
+            copies,
+            computes,
+            reads_latch,
+            writes_latch,
+        ) = facts
+        if len(rows) not in arity:
             self._flag(
                 "V002",
-                f"{mnemonic} row {row} outside sub-array [0, {self.rows}) at {sub}",
+                f"{mnemonic} takes {' or '.join(map(str, arity))} row "
+                f"operand(s), got {len(rows)}",
             )
             return
-        if signature.payload != "none":
-            fill = signature.payload == "fill"
+        nrows = self.rows
+        for row in rows:
+            if not 0 <= row < nrows:
+                self._flag(
+                    "V002",
+                    f"{mnemonic} row {row} outside sub-array [0, {nrows}) at {sub}",
+                )
+                return
+        if payload_kind != "none":
+            fill = payload_kind == "fill"
             size = 1 if fill else self.cols
-            if payload is None or len(payload) != size or not set(payload) <= {0, 1}:
+            # a count, not a set: no per-command set of the row's bits
+            if (
+                payload is None
+                or len(payload) != size
+                or payload.count(0) + payload.count(1) != size
+            ):
                 wanted = "one 0/1 fill value" if fill else f"{size} 0/1 bits"
                 self._flag(
                     "V002",
                     f"{mnemonic} payload must be {wanted}, "
                     f"got {reprlib.repr(payload)}",
                 )
-        sources = rows[signature.reads]
-        des = None if signature.dest is None else rows[signature.dest]
-        if signature.distinct_sources and len(set(sources)) != len(sources):
+        sources = rows[reads]
+        des = None if dest is None else rows[dest]
+        repeated = distinct and len(set(sources)) != len(sources)
+        if repeated:
             self._flag(
                 "V002", f"{mnemonic} requires distinct source rows, got {sources}"
             )
-        clobbered = des in sources and not signature.in_place
-        if clobbered and signature.copies:
+        clobbered = des in sources and not in_place
+        if clobbered and copies:
             self._flag(
                 "V002",
                 f"{mnemonic} with src == des (row {des}) is a dead command "
@@ -296,45 +328,69 @@ class StreamVerifier:
                 f"{mnemonic} destination row {des} is an activated source — "
                 "missing precharge between activations",
             )
-        if (
-            signature.reads_latch
-            and self.check_dataflow
-            and not self._latch_known.get(sub, False)
-        ):
-            self._flag(
-                "V004",
-                f"{mnemonic} on sub-array {sub} consumes the carry latch "
-                "before any LATCH_LD/TRA/LATCH_CLR set it",
-            )
-        if not (clobbered and signature.copies):
-            for row in dict.fromkeys(sources):
-                self._check_read(sub, row, mnemonic)
-        if signature.writes_latch:
+        if self.check_dataflow:
+            if reads_latch and not self._latch_known.get(sub, False):
+                self._flag(
+                    "V004",
+                    f"{mnemonic} on sub-array {sub} consumes the carry latch "
+                    "before any LATCH_LD/TRA/LATCH_CLR set it",
+                )
+            written = self._written.get(sub)
+            if written is None:
+                written = self._written[sub] = set()
+            if sources and not (clobbered and copies):
+                # data rows hold pre-existing content unless the stream
+                # starts cold; compute rows behind the modified decoder
+                # always start undefined
+                preloaded = 0 if self.cold_start else self.data_rows
+                for row in dict.fromkeys(sources) if repeated else sources:
+                    if row >= preloaded and row not in written:
+                        self._flag(
+                            "V003",
+                            f"{mnemonic} reads uninitialised row {row} of "
+                            f"sub-array {sub}",
+                        )
+            if des is not None and not clobbered:
+                written.add(des)
+        if writes_latch:
             self._latch_known[sub] = True
-        if des is not None:
-            if not clobbered:
-                self._define(sub, des)
-            self._layout_rules(mnemonic, sub, signature, des)
+        regions = self._regions
+        if (
+            des is not None
+            and regions is not None
+            and self._in_hashmap
+            and not self._in_scrub
+        ):
+            self._layout_rules(regions, mnemonic, sub, copies, computes, des)
 
     def feed_entry(self, entry: TraceEntry) -> int:
         return self.feed(entry.mnemonic, entry.subarray, entry.rows, entry.payload)
+
+    def _feed_trace(self, trace: CommandTrace) -> None:
+        """Feed a recorded trace, each window mark at its position."""
+        check = self._check
+        for run, label in _runs(trace):
+            for entry in run:
+                check(entry.mnemonic, entry.subarray, entry.rows, entry.payload)
+                self._index += 1
+            if label is not None:
+                self.feed_mark(label)
 
     def finish(self) -> FindingReport:
         return self.report
 
 
-def _iter_with_marks(doc: TraceDocument) -> Iterable[tuple[str, object]]:
-    """Merge entries and marks into one ordered stream."""
-    marks = sorted(doc.trace.marks, key=lambda m: m[0])
-    mi = 0
-    for entry in doc.trace:
-        while mi < len(marks) and marks[mi][0] <= entry.index:
-            yield "mark", marks[mi][1]
-            mi += 1
-        yield "entry", entry
-    while mi < len(marks):
-        yield "mark", marks[mi][1]
-        mi += 1
+def _runs(trace: CommandTrace) -> Iterator[tuple[list[TraceEntry], str | None]]:
+    """The entries between window marks, each run with the mark that
+    closes it (``None`` after the last run).  A mark at position ``p``
+    comes before entry ``p``; equal positions keep their recorded order."""
+    entries = trace.entries()
+    start = 0
+    for position, label in sorted(trace.marks, key=lambda m: m[0]):
+        stop = max(start, position)
+        yield entries[start:stop], label
+        start = stop
+    yield entries[start:], None
 
 
 def verify_charges(
@@ -508,11 +564,7 @@ def verify_document(doc: TraceDocument, source: str = "<trace>") -> FindingRepor
         source=source,
         report=report,
     )
-    for kind, item in _iter_with_marks(doc):
-        if kind == "mark":
-            verifier.feed_mark(item)  # type: ignore[arg-type]
-        else:
-            verifier.feed_entry(item)  # type: ignore[arg-type]
+    verifier._feed_trace(doc.trace)
     verifier.finish()
     verify_charges(
         doc.trace, doc.timing_parameters(), report, source=f"{source}#charges"

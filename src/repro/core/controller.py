@@ -720,12 +720,14 @@ class Controller:
         sub.compute2(x1, x2, x3, SAOp.XNOR2)
 
         if self._trace is not None:
+            record = self._trace.record
             key = temp.subarray_key
-            for offset in range(scanned):
-                row = start_row + offset
-                self._record_trace("AAP1", key, (row, x2))
-                self._record_trace("AAP2", key, (x1, x2, x3))
-                self._record_trace("DPU", key, (x3,))
+            # every scanned row issues the same XNOR and DPU operands
+            xnor, observe = (x1, x2, x3), (x3,)
+            for row in range(start_row, start_row + scanned):
+                record("AAP1", key, (row, x2))
+                record("AAP2", key, xnor)
+                record("DPU", key, observe)
 
         self._charge_scan(scanned)
         return hit

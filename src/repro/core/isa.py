@@ -184,6 +184,8 @@ class Signature:
     writes: slice = field(init=False, repr=False, compare=False)
     #: :attr:`resources` as column indices into :data:`RESOURCES`
     columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: the destination receives its one source's value (type-1 AAP)
+    copies: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.sources)
@@ -193,11 +195,7 @@ class Signature:
         object.__setattr__(self, "writes", slice(n, n + (self.dest is not None)))
         columns = tuple(RESOURCES.index(name) for name in self.resources)
         object.__setattr__(self, "columns", columns)
-
-    @property
-    def copies(self) -> bool:
-        """The destination receives its one source's value (type-1 AAP)."""
-        return self.dest is not None and len(self.sources) == 1
+        object.__setattr__(self, "copies", self.dest is not None and n == 1)
 
     def operands_valid(self, rows: Sequence[int]) -> bool:
         """Distinct sources, and no destination among them unless in place."""

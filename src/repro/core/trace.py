@@ -38,9 +38,13 @@ if TYPE_CHECKING:
     from repro.core.controller import Controller
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEntry:
     """One recorded command.
+
+    Slotted and built positionally, so recording costs one small
+    allocation per command.  Entries are never mutated after recording:
+    a rewrite builds a new entry.
 
     Attributes:
         index: issue order.
@@ -80,13 +84,29 @@ class CommandTrace:
         rows: tuple[int, ...],
         payload: np.ndarray | None = None,
     ) -> None:
-        self._entries.append(
+        """Append one issued command.
+
+        ``payload`` is a ``uint8`` array, converted once here to a tuple
+        of Python ints (what JSON, replay and the analysis layer read).
+        """
+        entries = self._entries
+        entries.append(
             TraceEntry(
-                index=len(self._entries),
-                mnemonic=mnemonic,
-                subarray=subarray,
-                rows=rows,
-                payload=tuple(int(b) for b in payload) if payload is not None else None,
+                len(entries),
+                mnemonic,
+                subarray,
+                rows,
+                None if payload is None else tuple(payload.tolist()),
+            )
+        )
+
+    def append(self, entry: TraceEntry) -> None:
+        """Append an already-recorded entry, renumbered to this trace's
+        next index; its converted payload is reused as is."""
+        entries = self._entries
+        entries.append(
+            TraceEntry(
+                len(entries), entry.mnemonic, entry.subarray, entry.rows, entry.payload
             )
         )
 

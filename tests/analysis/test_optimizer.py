@@ -112,10 +112,54 @@ def test_ledger_recomputed_for_rewritten_stream(corpus_doc, corpus_result):
 
 
 def test_optimization_is_idempotent(corpus_result):
+    """An optimised document is a fixpoint: every pass removes and
+    rewrites nothing and the judge accepts the identity rewrite.  The
+    rebuild renumbers the kept entries, keeps each mark between the
+    right neighbours and carries every charge and flush over."""
     again = optimize_document(corpus_result.document, source="<again>")
-    assert again.ok
+    assert again.ok and not again.identity
+    assert again.report.render() == ""
     assert signature(again.document) == signature(corpus_result.document)
     assert again.savings["commands"]["reduction"] == 0.0
+    assert again.iterations == 1
+    assert [(p.removed, p.rewritten) for p in again.passes] == [(0, 0)] * len(
+        DEFAULT_PASSES
+    )
+    assert check_equivalence(corpus_result.document, again.document).ok
+
+    # marks between removed entries: each keeps its place among the kept
+    row = np.ones(GEOMETRY["cols"], dtype=np.uint8)
+
+    def build(trace):
+        trace.mark("hashmap:begin")
+        trace.record("MEM_WR", SUB, (5,), row)  # dead: overwritten unread
+        trace.mark("between")
+        trace.record("MEM_WR", SUB, (5,), 1 - row)  # dead as well
+        trace.mark("also-between")
+        trace.record("MEM_WR", SUB, (5,), row)
+        trace.record("MEM_RD", SUB, (5,))
+        trace.mark("hashmap:end")
+        trace.charge("AAP1", SUB, 2, 90.0)
+        trace.flush(90.0, 90.0, 2)
+        trace.charge("MEM_RD", SUB, 1, 45.0)
+
+    doc = make_doc(build)
+    result = TraceOptimizer(verify_input=False).optimize(doc, source="<marks>")
+    assert result.ok
+    assert [p.removed for p in result.passes] == [0, 2, 0, 0, 0, 0]
+    rebuilt = result.document.trace
+    assert [(e.index, e.mnemonic, e.rows, e.payload) for e in rebuilt] == [
+        (0, "MEM_WR", (5,), tuple(row.tolist())),
+        (1, "MEM_RD", (5,), None),
+    ]
+    assert rebuilt.marks == [
+        (0, "hashmap:begin"),
+        (0, "between"),
+        (0, "also-between"),
+        (2, "hashmap:end"),
+    ]
+    assert rebuilt.charges == doc.trace.charges
+    assert rebuilt.flushes == doc.trace.flushes
 
 
 def test_pass_ordering_does_not_change_the_result(corpus_doc, corpus_result):
