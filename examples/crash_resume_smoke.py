@@ -23,9 +23,15 @@ engine syncs — mid-hashmap; the integrity counters join the diff::
 
     python examples/crash_resume_smoke.py --engine bulk --ecc secded
 
+``--resilience <policy>`` attaches a resilience policy too; its report
+(events, verification cost, weak rows, quarantines) joins the diff::
+
+    python examples/crash_resume_smoke.py --engine bulk --ecc secded \
+        --resilience detect-retry-remap
+
 Also exercised by CI (`crash-resume-smoke` job) on both engines, and on
-the bulk engine with ECC.  Exit code 0 on success; any divergence
-raises.
+the bulk engine with ECC, with and without detect-retry-remap.  Exit
+code 0 on success; any divergence raises.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from repro.core.resilience import PolicyLevel  # noqa: E402
 from repro.genome.reads import ReadSimulator  # noqa: E402
 from repro.genome.reference import synthetic_chromosome  # noqa: E402
 from repro.runtime.jobs import JobConfig, JobRunner  # noqa: E402
@@ -96,6 +103,7 @@ def fingerprint(result) -> dict:
         "debruijn": dict(result.debruijn.commands),
         "traverse": dict(result.traverse.commands),
         "integrity": repr(result.integrity),
+        "resilience": repr(result.resilience),
     }
 
 
@@ -105,11 +113,16 @@ def main() -> int:
         "--engine", choices=("scalar", "bulk"), default="scalar"
     )
     parser.add_argument("--ecc", choices=("secded",), default=None)
+    parser.add_argument(
+        "--resilience", choices=[p.value for p in PolicyLevel], default=None
+    )
     args = parser.parse_args()
     engine = args.engine
     options = {"k": K, "engine": engine}
     if args.ecc is not None:
         options.update(ecc=args.ecc, retention_interval_s=RETENTION_S)
+    if args.resilience is not None:
+        options.update(resilience=args.resilience)
     config = JobConfig(**options)
     reads = make_reads()
     with tempfile.TemporaryDirectory(prefix="crash-resume-") as tmp:

@@ -363,9 +363,6 @@ class StreamVerifier:
         ):
             self._layout_rules(regions, mnemonic, sub, copies, computes, des)
 
-    def feed_entry(self, entry: TraceEntry) -> int:
-        return self.feed(entry.mnemonic, entry.subarray, entry.rows, entry.payload)
-
     def _feed_trace(self, trace: CommandTrace) -> None:
         """Feed a recorded trace, each window mark at its position."""
         check = self._check

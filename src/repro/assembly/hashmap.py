@@ -434,7 +434,6 @@ class PimKmerCounter:
             )
             # the batch's own tally of distinct rows: booked per read
             store.drain_encoded_rows()
-            integrity.note_encoded(int(encoded.sum()))
             span = 2 * (reads[last] + 1 - seq)
             seq = reads[last] + 1
             if closes:
@@ -696,9 +695,6 @@ class PimKmerCounter:
             ctrl.scheduler.flush_segments(*b.flush_args)
         else:
             ctrl.scheduler.record(priced)
-        verify = b.flush_args[-1]
-        if verify is not None:
-            ctrl._note_verify(ctrl._verifying(), verify)
 
     def _encoded_rows(self, b: "_Batch") -> np.ndarray:
         """Rows each read of a batch re-encodes, as a batch of that read
@@ -819,11 +815,6 @@ class PimKmerCounter:
         checked = int(rows.size)
         if engine is not None:
             engine.note_scrub(checked, repaired)
-        # one repair stream: table-scrub repairs feed the integrity
-        # counters too, so `inspect` and the ECC metrics agree
-        integrity = self.pim.integrity
-        if integrity is not None:
-            integrity.note_table_scrub(checked, repaired)
         return checked, repaired
 
     # ----- readback --------------------------------------------------------------------------

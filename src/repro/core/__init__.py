@@ -21,7 +21,7 @@ Layers, bottom-up:
 from repro.core.area import AreaModel, AreaParameters, AreaReport
 from repro.core.controller import Controller
 from repro.core.device import Device
-from repro.core.faults import FaultModel, FaultReport
+from repro.core.faults import FaultModel
 from repro.core.resilience import (
     PolicyLevel,
     ResilienceCounts,
@@ -64,7 +64,6 @@ __all__ = [
     "Controller",
     "Device",
     "FaultModel",
-    "FaultReport",
     "PolicyLevel",
     "ResilienceCounts",
     "ResilienceEngine",

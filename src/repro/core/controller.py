@@ -115,7 +115,7 @@ class Controller:
         eng = self.resilience
         return eng if eng is not None and eng.policy.detect else None
 
-    def _charge_verify(self, eng: ResilienceEngine | None, count: int = 1) -> None:
+    def _charge_verify(self, count: int = 1) -> None:
         """Charge ``count`` parity checks (extra AAP + DPU cycles)."""
         (aap, n_aap, t_aap, e_aap), (dpu, n_dpu, t_dpu, e_dpu) = (
             self.scheduler.verify
@@ -131,24 +131,6 @@ class Controller:
             time_ns=count * t_dpu,
             energy_nj=count * e_dpu,
             count=count * n_dpu,
-        )
-        if eng is not None:
-            eng.note_verify(
-                count * (t_aap + t_dpu), count * (e_aap + e_dpu), ops=count
-            )
-
-    def _note_verify(
-        self, eng: ResilienceEngine | None, checks: np.ndarray
-    ) -> None:
-        """Tell ``eng`` about groups of ``checks[i]`` parity checks whose
-        ``VRF`` cells a batch stream already recorded, as one
-        :meth:`_charge_verify` per nonzero group would."""
-        checks = checks[checks > 0]
-        if eng is None or not checks.size:
-            return
-        (_, _, t_aap, e_aap), (_, _, t_dpu, e_dpu) = self.scheduler.verify
-        eng.note_verify_batch(
-            checks * (t_aap + t_dpu), checks * (e_aap + e_dpu), checks
         )
 
     def _commit_result(
@@ -188,7 +170,7 @@ class Controller:
         result = faults.corrupt(clean, mechanism) if inject else clean
         attempt = 0
         while True:
-            self._charge_verify(eng)
+            self._charge_verify()
             if np.array_equal(result, clean):
                 if attempt:
                     eng.note_corrected()
@@ -471,7 +453,6 @@ class Controller:
         drifted = (
             np.flatnonzero(~intact).tolist() if on_drift is not None else []
         )
-        eng = self.resilience
         (aap, n_aap, t_aap, e_aap), (dpu, n_dpu, t_dpu, e_dpu) = (
             self.scheduler.verify
         )
@@ -488,7 +469,6 @@ class Controller:
                     np.tile([t_aap, t_dpu], m),
                     np.tile([e_aap, e_dpu], m),
                 )
-                self._note_verify(eng, np.ones(m, dtype=np.int64))
             if i is not None and on_drift is not None:
                 on_drift(i)
             lo = hi
@@ -711,7 +691,7 @@ class Controller:
 
         if eng is not None:
             # the in-memory parity check rides every scanned comparison
-            self._charge_verify(eng, count=scanned)
+            self._charge_verify(scanned)
 
         # Leave the machine state as the sequential scan would: the
         # last candidate in x2 and its XNOR result in x3.
@@ -766,7 +746,7 @@ class Controller:
                 break
             eng.note_retry(int(idx.size))
             self._charge_scan(int(idx.size))
-            self._charge_verify(eng, count=int(idx.size))
+            self._charge_verify(int(idx.size))
             derated = rate * policy.restage_derate**attempt
             p_retry = np.where(
                 matches[idx],

@@ -51,7 +51,7 @@ for same-mechanism row batches; the property tests in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,14 +223,3 @@ class FaultModel:
             return block
         self._injected += int(flips.sum())
         return (block ^ flips.astype(block.dtype)).astype(np.uint8)
-
-
-@dataclass(frozen=True)
-class FaultReport:
-    """Outcome summary of a fault-injection run (used by studies)."""
-
-    variation_percent: float
-    mechanism_rates: dict[str, float] = field(default_factory=dict)
-    injected_faults: int = 0
-    table_errors: int = 0
-    assembly_correct: bool = True

@@ -287,7 +287,11 @@ class IntegrityConfig:
 
 @dataclass(frozen=True)
 class IntegrityCounts:
-    """What the integrity subsystem saw and did (one engine lifetime)."""
+    """What the integrity subsystem saw and did (one engine lifetime).
+
+    ``rows_scrubbed`` and ``rows_encoded`` are the stats ledger's
+    ``ECC_CHK`` and ``ECC_ENC`` counts.
+    """
 
     windows: int = 0
     flips_injected: int = 0
@@ -295,8 +299,6 @@ class IntegrityCounts:
     words_uncorrectable: int = 0
     rows_scrubbed: int = 0
     rows_encoded: int = 0
-    table_rows_scrubbed: int = 0
-    table_repairs: int = 0
 
 
 class IntegrityEngine:
@@ -334,10 +336,6 @@ class IntegrityEngine:
             "flips_injected": 0,
             "words_corrected": 0,
             "words_uncorrectable": 0,
-            "rows_scrubbed": 0,
-            "rows_encoded": 0,
-            "table_rows_scrubbed": 0,
-            "table_repairs": 0,
         }
         #: correctable upsets per (slot, row) — weak-row escalation
         self._row_upsets: dict[tuple[int, int], int] = {}
@@ -351,7 +349,11 @@ class IntegrityEngine:
         return self.config.retention_interval_s * 1e9
 
     def counts(self) -> IntegrityCounts:
-        return IntegrityCounts(**self._tallies)
+        return IntegrityCounts(
+            **self._tallies,
+            rows_scrubbed=self._stats.command_count("ECC_CHK"),
+            rows_encoded=self._stats.command_count("ECC_ENC"),
+        )
 
     def _charge(self, mnemonic: str, count: int) -> None:
         if count <= 0:
@@ -370,11 +372,6 @@ class IntegrityEngine:
             "ECC_ENC"
         ]
         return rows * latency, rows * energy_nj
-
-    def note_encoded(self, rows: int) -> None:
-        """Count re-encoded rows whose ``ECC_ENC`` cells a batch stream
-        already recorded, as the drains of per-read syncs would."""
-        self._tallies["rows_encoded"] += rows
 
     # ----- the rot / refresh / scrub checkpoint ----------------------------
 
@@ -420,12 +417,8 @@ class IntegrityEngine:
         return self.counts()
 
     def _drain_encodes(self) -> None:
-        if not self._store.ecc_enabled:
-            return
-        encoded = self._store.drain_encoded_rows()
-        if encoded:
-            self._tallies["rows_encoded"] += encoded
-            self._charge("ECC_ENC", encoded)
+        if self._store.ecc_enabled:
+            self._charge("ECC_ENC", self._store.drain_encoded_rows())
 
     def _inject_window(self, index: int) -> None:
         """Draw and apply one window's seeded upsets to the word planes."""
@@ -463,7 +456,6 @@ class IntegrityEngine:
         code = store.ecc_plane[:n]
         corrected, uncorrectable = scrub_planes(words, code)
         rows_checked = n * store.rows
-        self._tallies["rows_scrubbed"] += rows_checked
         inc("integrity.scrub.rows", rows_checked)
         # every sub-array checks its own rows behind its own sense amps,
         # so the pass is gang-parallel across slots: latency is one
@@ -508,18 +500,6 @@ class IntegrityEngine:
                 for slot, row in np.argwhere(uncorrectable.any(axis=2)):
                     engine.note_uncorrected(slot_keys[slot], int(row))
 
-    # ----- table-scrub reporting (assembly/hashmap satellite) ---------------
-
-    def note_table_scrub(self, checked: int, repaired: int) -> None:
-        """Fold a hash-table scrub pass into the integrity counters, so
-        the table scrubber and the ECC scrubber report one repair
-        stream."""
-        self._tallies["table_rows_scrubbed"] += checked
-        self._tallies["table_repairs"] += repaired
-        inc("integrity.scrub.table_rows", checked)
-        if repaired:
-            inc("integrity.scrub.table_repairs", repaired)
-
     # ----- checkpointing ----------------------------------------------------
 
     def state_dict(self) -> dict:
@@ -534,7 +514,11 @@ class IntegrityEngine:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore window progress and counters (config stays as built)."""
+        """Restore window progress and counters (config stays as built).
+
+        Tallies this engine no longer keeps (the row counts the stats
+        ledger holds, in records of earlier versions) are ignored.
+        """
         self._windows_done = int(state["windows_done"])
         for name, value in state["tallies"].items():
             if name in self._tallies:

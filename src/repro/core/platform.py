@@ -132,7 +132,7 @@ class PimAssembler:
         Returns the engine (also reachable as ``pim.resilience``); pass
         ``"off"`` to keep an engine attached but verification disabled.
         """
-        engine = ResilienceEngine(policy, stats=self.stats)
+        engine = ResilienceEngine(policy, self.controller)
         self.controller.resilience = engine
         return engine
 
@@ -567,7 +567,7 @@ class PimAssembler:
             pim.controller.faults = FaultModel.from_state(state["faults"])
         if state["resilience"] is not None:
             pim.controller.resilience = ResilienceEngine.from_state(
-                state["resilience"], stats=pim.stats
+                state["resilience"], pim.controller
             )
         if state.get("integrity") is not None:
             # reattaching re-enables the SECDED sidecar, which re-encodes

@@ -35,14 +35,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.stats import StatsLedger
 from repro.errors import FaultConfigError
 from repro.dram.retention import RetentionModel
-from repro.observability.metrics import inc, running_sums
+from repro.observability.metrics import inc
 from repro.observability.spans import event
+
+if TYPE_CHECKING:
+    from repro.core.controller import Controller
 
 #: extra AAP row cycles one verification costs: recompute the parity of
 #: the result through the latch-assisted XOR path (latch load + sum).
@@ -286,16 +288,21 @@ class ResilienceReport:
 class ResilienceLedger:
     """Counts resilience events and attributes them to ledger phases.
 
-    Mirrors :class:`StatsLedger`'s phase mechanism: events recorded
-    while a stats phase is open are attributed to that phase too, so
-    the pipeline can report per-stage resilience next to per-stage
-    :class:`~repro.core.stats.PhaseTotals`.
+    Mirrors the phase mechanism of the ``controller``'s
+    :class:`StatsLedger`: events recorded while a stats phase is open
+    are attributed to that phase too, so the pipeline can report
+    per-stage resilience next to per-stage
+    :class:`~repro.core.stats.PhaseTotals`.  Parity checks are not
+    counted here: they are read off the stats ledger's ``VRF_AAP``
+    cells and priced by the controller's :func:`verify_cells`
+    (``controller.scheduler.verify``).  Only the ledger and the cells
+    are kept, so the controller holding the engine forms no cycle.
     """
 
-    def __init__(self, stats: StatsLedger | None = None) -> None:
-        self._stats = stats
+    def __init__(self, controller: "Controller | None" = None) -> None:
+        self._stats = None if controller is None else controller.ledger
+        self._verify = () if controller is None else controller.scheduler.verify
         self._events: dict[str, Counter] = {StatsLedger.ROOT_PHASE: Counter()}
-        self._floats: dict[str, Counter] = {StatsLedger.ROOT_PHASE: Counter()}
 
     def _targets(self) -> list[str]:
         targets = [StatsLedger.ROOT_PHASE]
@@ -307,42 +314,39 @@ class ResilienceLedger:
         for target in self._targets():
             self._events.setdefault(target, Counter())[name] += count
 
-    def bump_float(self, name: str, amount: float) -> None:
-        for target in self._targets():
-            self._floats.setdefault(target, Counter())[name] += amount
-
-    def bump_floats(self, amounts: "dict[str, np.ndarray]") -> None:
-        """:meth:`bump_float` per name and amount, in order, bit for bit."""
-        cells = [
-            (self._floats.setdefault(target, Counter()), name, values)
-            for target in self._targets()
-            for name, values in amounts.items()
-        ]
-        sums = running_sums(
-            [floats[name] for floats, name, _ in cells],
-            [(i, values) for i, (_, _, values) in enumerate(cells)],
-        )
-        for (floats, name, _), total in zip(cells, sums):
-            floats[name] = total
+    def _checks(self, phase: str | None) -> int:
+        """Parity checks the stats ledger recorded in ``phase``."""
+        if self._stats is None:
+            return 0
+        aap, n_aap, _, _ = self._verify[0]
+        return self._stats.command_count(aap, phase) // n_aap
 
     def counts(self, phase: str | None = None) -> ResilienceCounts:
-        name = phase or StatsLedger.ROOT_PHASE
-        events = self._events.get(name, Counter())
-        floats = self._floats.get(name, Counter())
+        events = self._events.get(phase or StatsLedger.ROOT_PHASE, Counter())
+        checks = self._checks(phase)
+        time_ns = energy_nj = 0.0
+        if checks:
+            (_, _, t_aap, e_aap), (_, _, t_dpu, e_dpu) = self._verify
+            time_ns = checks * (t_aap + t_dpu)
+            energy_nj = checks * (e_aap + e_dpu)
         return ResilienceCounts(
             detected=events["detected"],
             corrected=events["corrected"],
             uncorrected=events["uncorrected"],
             retries=events["retries"],
-            verified_ops=events["verified_ops"],
-            verify_time_ns=floats["verify_time_ns"],
-            verify_energy_nj=floats["verify_energy_nj"],
+            verified_ops=checks,
+            verify_time_ns=time_ns,
+            verify_energy_nj=energy_nj,
             scrubbed_rows=events["scrubbed_rows"],
             scrub_repairs=events["scrub_repairs"],
         )
 
     def phases(self) -> list[str]:
-        return sorted(n for n in self._events if n != StatsLedger.ROOT_PHASE)
+        """Phases with an event or a parity check."""
+        names = set(self._events) - {StatsLedger.ROOT_PHASE}
+        if self._stats is not None:
+            names.update(p for p in self._stats.phases() if self._checks(p))
+        return sorted(names)
 
 
 class ResilienceEngine:
@@ -353,36 +357,22 @@ class ResilienceEngine:
     every protected operation.  The engine owns the event ledger, the
     weak-row set and the quarantine set; allocation layers consult
     :meth:`is_quarantined` / :meth:`is_weak_row` to steer around
-    retired storage.
+    retired storage.  Its :class:`ResilienceLedger` reads phases and
+    parity checks off ``controller``, the one it is attached to.
     """
 
     def __init__(
         self,
         policy: "ResiliencePolicy | str | PolicyLevel" = PolicyLevel.OFF,
-        stats: StatsLedger | None = None,
+        controller: "Controller | None" = None,
     ) -> None:
         self.policy = ResiliencePolicy.named(policy)
-        self.ledger = ResilienceLedger(stats)
+        self.ledger = ResilienceLedger(controller)
         self._failures: Counter = Counter()  # uncorrectable events per sub-array
         self._weak_rows: set[tuple[tuple[int, int, int], int]] = set()
         self._quarantined: set[tuple[int, int, int]] = set()
 
     # ----- event recording (called by the controller) ----------------------
-
-    def note_verify(self, time_ns: float, energy_nj: float, ops: int = 1) -> None:
-        """Account the cost of ``ops`` verification checks."""
-        self.ledger.bump("verified_ops", ops)
-        self.ledger.bump_float("verify_time_ns", time_ns)
-        self.ledger.bump_float("verify_energy_nj", energy_nj)
-
-    def note_verify_batch(
-        self, time_ns: np.ndarray, energy_nj: np.ndarray, ops: np.ndarray
-    ) -> None:
-        """:meth:`note_verify` per entry, in order, bit for bit."""
-        self.ledger.bump("verified_ops", int(ops.sum()))
-        self.ledger.bump_floats(
-            {"verify_time_ns": time_ns, "verify_energy_nj": energy_nj}
-        )
 
     def note_detected(self, count: int = 1) -> None:
         self.ledger.bump("detected", count)
@@ -506,10 +496,6 @@ class ResilienceEngine:
                 name: dict(counter)
                 for name, counter in self.ledger._events.items()
             },
-            "floats": {
-                name: dict(counter)
-                for name, counter in self.ledger._floats.items()
-            },
             "failures": {
                 ",".join(map(str, key)): count
                 for key, count in self._failures.items()
@@ -522,17 +508,20 @@ class ResilienceEngine:
 
     @classmethod
     def from_state(
-        cls, state: dict, stats: StatsLedger | None = None
+        cls, state: dict, controller: "Controller | None" = None
     ) -> "ResilienceEngine":
-        """Rebuild an engine mid-run from :meth:`state_dict`."""
-        engine = cls(ResiliencePolicy.from_state(state["policy"]), stats=stats)
+        """Rebuild an engine mid-run from :meth:`state_dict`.
+
+        Parity checks are read off the controller's ledger; their
+        ``verified_ops`` events and ``"floats"`` (running time and energy
+        sums), in records of earlier versions, are ignored.
+        """
+        engine = cls(ResiliencePolicy.from_state(state["policy"]), controller)
         engine.ledger._events = {
-            name: Counter({k: int(v) for k, v in counts.items()})
+            name: Counter(
+                {k: int(v) for k, v in counts.items() if k != "verified_ops"}
+            )
             for name, counts in state["events"].items()
-        }
-        engine.ledger._floats = {
-            name: Counter({k: float(v) for k, v in amounts.items()})
-            for name, amounts in state["floats"].items()
         }
         engine._failures = Counter(
             {

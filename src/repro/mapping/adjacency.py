@@ -204,8 +204,7 @@ def _charge_wallace(
     )
     pairs = compressions + bits_needed  # one SUM + TRA pair each
     n = pairs.size
-    eng = ctrl._verifying()
-    verify = 2 * pairs if eng is not None else None
+    verify = 2 * pairs if ctrl._verifying() is not None else None
     ctrl.scheduler.flush_segments(
         [subarray_key],
         np.zeros(n, dtype=np.intp),
@@ -222,8 +221,6 @@ def _charge_wallace(
         ],
         verify,
     )
-    if verify is not None:
-        ctrl._note_verify(eng, verify)
 
 
 def _adjacency_pairs(

@@ -7,7 +7,7 @@ after its check.  :func:`reference_scrub` is the row-by-row loop it
 replaced; both run on identical tables and must be indistinguishable:
 the ``(checked, repaired)`` return, per-phase ledger (``float.hex`` of
 time and energy) and per-mnemonic counts, ``ResilienceCounts``, the
-integrity table tallies, the ``CommandTrace`` entries between the
+``IntegrityCounts``, the ``CommandTrace`` entries between the
 scrub marks, and the platform snapshot (store words, GRBs, resilience
 state).
 """
@@ -47,7 +47,7 @@ def reference_scrub(counter):
             )
             checked += 1
             stored = pim.device.subarray_at(key).read_row(row)
-            ctrl._charge_verify(engine)
+            ctrl._charge_verify()
             if np.array_equal(stored, expected):
                 continue
             if engine is not None:
@@ -62,8 +62,6 @@ def reference_scrub(counter):
     ctrl.mark("scrub:end")
     if engine is not None:
         engine.note_scrub(checked, repaired)
-    if pim.integrity is not None:
-        pim.integrity.note_table_scrub(checked, repaired)
     return checked, repaired
 
 
@@ -120,7 +118,6 @@ def observe(scrub, **scenario):
     with pim.phase("scrub"):
         result = scrub(counter)
     (begin, _), (end, _) = trace.marks
-    integrity = None if pim.integrity is None else pim.integrity.counts()
     return {
         "result": result,
         "occupied": sum(counter.occupancy),
@@ -128,10 +125,8 @@ def observe(scrub, **scenario):
         "resilience": (
             None if pim.resilience is None else pim.resilience.counts()
         ),
-        "table": (
-            None
-            if integrity is None
-            else (integrity.table_rows_scrubbed, integrity.table_repairs)
+        "integrity": (
+            None if pim.integrity is None else pim.integrity.counts()
         ),
         "marks": [label for _, label in trace.marks],
         "entries": [
@@ -186,7 +181,9 @@ def test_k_widths(k):
     assert out["result"][1] == 2
 
 
-def test_integrity_engine_tallies_table_repairs():
+def test_drift_under_ecc_is_tallied_once():
+    """Under SECDED the table scrub is tallied by the resilience engine
+    alone; the integrity counts carry only ECC work."""
     out = assert_same(
         engine="bulk",
         policy="detect-retry-remap",
@@ -195,8 +192,10 @@ def test_integrity_engine_tallies_table_repairs():
         drift=DRIFT,
         ecc=True,
     )
-    assert out["table"] == out["result"]
+    counts = out["resilience"]
+    assert (counts.scrubbed_rows, counts.scrub_repairs) == out["result"]
     assert out["result"][1] == len(DRIFT)
+    assert out["integrity"].rows_scrubbed == 0  # no ECC_CHK of its own
 
 
 def test_clean_table_with_empty_partitions():

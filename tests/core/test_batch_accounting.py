@@ -52,7 +52,7 @@ def per_row_scrub_rows(self, keys, key_index, rows, words, on_drift=None):
     for i, (j, row) in enumerate(zip(key_index.tolist(), rows.tolist())):
         slot = self.device.subarray_at(keys[j]).slot
         ok = bool((self.device.store.tensor[slot, row] == words[i]).all())
-        self._charge_verify(self.resilience)
+        self._charge_verify()
         if not ok and on_drift is not None:
             on_drift(i)
         intact.append(ok)

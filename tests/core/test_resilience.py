@@ -16,7 +16,6 @@ from repro.core.resilience import (
     recommended_policy,
     spare_rows_needed,
 )
-from repro.core.stats import StatsLedger
 from repro.core.storage import pack_rows
 from repro.errors import (
     AllocationError,
@@ -88,16 +87,32 @@ class TestPolicy:
 
 class TestLedger:
     def test_phase_attribution_mirrors_stats(self):
-        stats = StatsLedger()
-        ledger = ResilienceLedger(stats)
+        pim = PimAssembler.small(subarrays=1, rows=64, cols=32)
+        ledger = ResilienceLedger(pim.controller)
         ledger.bump("detected")
-        with stats.phase("hashmap"):
+        with pim.phase("hashmap"):
             ledger.bump("detected", 2)
-            ledger.bump_float("verify_time_ns", 5.0)
         assert ledger.counts().detected == 3
         assert ledger.counts("hashmap").detected == 2
-        assert ledger.counts("hashmap").verify_time_ns == 5.0
         assert ledger.phases() == ["hashmap"]
+
+    def test_verification_is_read_off_the_stats_ledger(self):
+        pim = PimAssembler.small(subarrays=1, rows=64, cols=32)
+        engine = pim.protect("detect")
+        (_, _, t_aap, e_aap), (_, _, t_dpu, e_dpu) = (
+            pim.controller.scheduler.verify
+        )
+        with pim.phase("scrub"):
+            pim.controller._charge_verify(3)
+        pim.controller._charge_verify()
+        assert pim.stats.command_count("VRF_AAP") == 4 * VERIFY_AAP_CYCLES
+        scrub = engine.counts("scrub")
+        assert scrub.verified_ops == 3
+        assert scrub.verify_time_ns == 3 * (t_aap + t_dpu)
+        assert scrub.verify_energy_nj == 3 * (e_aap + e_dpu)
+        assert engine.counts().verified_ops == 4
+        # a phase with checks but no event is still reported
+        assert engine.ledger.phases() == ["scrub"]
 
     def test_counts_subtraction(self):
         ledger = ResilienceLedger()

@@ -87,9 +87,8 @@ def _charged_sum(pim, rows, subarray_key):
     sched.charge("SUM", key, (pairs,))
     sched.charge("AAP3", key, (pairs,))
     sched.charge("MEM_RD", key, (bits_needed + 1,))
-    eng = ctrl._verifying()
-    if eng is not None:
-        ctrl._charge_verify(eng, count=2 * pairs)
+    if ctrl._verifying() is not None:
+        ctrl._charge_verify(2 * pairs)
     sched.flush()
     return total
 

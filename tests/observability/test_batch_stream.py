@@ -2,20 +2,17 @@
 loop it replaces.
 
 ``StatsLedger.record_batch``, ``PowerTimeline.on_batch``,
-``FlightRecorder.on_batch``, ``ObservabilitySession.on_batch`` and
-``ResilienceEngine.note_verify_batch`` must leave every accumulator
-bit-identical (compared through ``float.hex``) to calling the scalar
-entry point once per record, in order.
+``FlightRecorder.on_batch`` and ``ObservabilitySession.on_batch`` must
+leave every accumulator bit-identical (compared through ``float.hex``)
+to calling the scalar entry point once per record, in order.
 """
 
-from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.resilience import ResilienceEngine
 from repro.core.stats import StatsLedger
 from repro.observability import metrics
 from repro.observability.flightrec import FlightRecorder
@@ -275,38 +272,3 @@ class TestRecorders:
         assert batched._bins == {0: 0.48750000000000004, 1: 0.9125}
 
 
-class TestResilience:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.0, 1e4, allow_nan=False),
-                st.floats(0.0, 1e3, allow_nan=False),
-                st.integers(1, 9),
-            ),
-            min_size=1,
-            max_size=40,
-        ),
-        st.sampled_from([None, "scrub"]),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_note_verify_batch_is_a_note_verify_loop(self, checks, phase):
-        runs = []
-        for batched in (True, False):
-            stats = StatsLedger()
-            engine = ResilienceEngine("detect", stats=stats)
-            engine.note_verify(3.25, 1.5, ops=2)  # a running total to extend
-            with stats.phase(phase) if phase else nullcontext():
-                if batched:
-                    time_ns, energy_nj, ops = map(np.array, zip(*checks))
-                    engine.note_verify_batch(time_ns, energy_nj, ops)
-                else:
-                    for time_ns, energy_nj, ops in checks:
-                        engine.note_verify(time_ns, energy_nj, ops=ops)
-            ledger = engine.ledger
-            runs.append(
-                (
-                    {k: list(v.items()) for k, v in ledger._events.items()},
-                    {k: hexed(dict(v)) for k, v in ledger._floats.items()},
-                )
-            )
-        assert runs[0] == runs[1]

@@ -12,11 +12,19 @@ import copy
 import pytest
 
 from repro.core.platform import PimAssembler
+from repro.core.resilience import ResiliencePolicy
 from repro.errors import UncorrectableFaultError
 from repro.assembly.pipeline import PimPipeline
 from repro.runtime.jobs import JobConfig, JobRunner
 
-from .test_jobs import K, make_reads, run_fingerprint
+from .test_jobs import (
+    K,
+    ROT,
+    faulty_pim_factory,
+    make_reads,
+    rot_config,
+    run_fingerprint,
+)
 
 RECORD_KEYS = {"stage", "platform", "counter", "counts"}
 
@@ -139,6 +147,94 @@ def test_parent_format_records_resume_identically(
         assert run_fingerprint(out.result) == run_fingerprint(golden)
         assert out.result.kmer_table_size == golden.kmer_table_size
         assert graph_orders(out.result.graph) == graph_orders(golden.graph)
+
+
+def ledger_hex(pim) -> dict:
+    """Per-phase ``float.hex`` of time and energy, and command counts."""
+    stats = pim.stats
+    return {
+        phase: (
+            stats.totals(phase).time_ns.hex(),
+            stats.totals(phase).energy_nj.hex(),
+            stats.totals(phase).commands,
+        )
+        for phase in [None, *stats.phases()]
+    }
+
+
+def test_records_with_protection_tallies_resume_identically(
+    reads, tmp_path, monkeypatch
+):
+    """Records that also carry the resilience engine's ``verified_ops``
+    events and running sums of verification time and energy, and the
+    integrity engine's row and table-scrub tallies (the format older
+    versions wrote, before the stats ledger became their only record),
+    resume from every cut to the fresh job's contigs, ledger, reports
+    and resilience state."""
+    policy = ResiliencePolicy.named("detect-retry-remap")
+    config = rot_config("bulk", policy, "secded")
+    factory = faulty_pim_factory(policy, integrity=ROT)
+    fresh = JobRunner(tmp_path / "fresh", config, pim_factory=factory)
+    golden = fresh.run(reads).result
+    assert golden.resilience.totals.verified_ops > 0
+    assert golden.integrity.rows_scrubbed > 0
+    written = fresh.journal.load(fresh.journal.records()[0])["platform"]
+    assert "floats" not in written["resilience"]
+    assert set(written["integrity"]["tallies"]) == {
+        "windows",
+        "flips_injected",
+        "words_corrected",
+        "words_uncorrectable",
+    }
+    payload = JobRunner._payload
+
+    def parent_format(runner, stage):
+        record = payload(runner, stage)
+        pim = runner._pim
+        engine = pim.resilience
+        resilience = record["platform"]["resilience"]
+        resilience["floats"] = {}
+        for phase in ["total", *engine.ledger.phases()]:
+            counts = engine.counts(None if phase == "total" else phase)
+            resilience["events"].setdefault(phase, {})[
+                "verified_ops"
+            ] = counts.verified_ops
+            resilience["floats"][phase] = {
+                "verify_time_ns": counts.verify_time_ns,
+                "verify_energy_nj": counts.verify_energy_nj,
+            }
+        integrity = pim.integrity.counts()
+        record["platform"]["integrity"]["tallies"].update(
+            rows_scrubbed=integrity.rows_scrubbed,
+            rows_encoded=integrity.rows_encoded,
+            table_rows_scrubbed=engine.counts().scrubbed_rows,
+            table_repairs=engine.counts().scrub_repairs,
+        )
+        return record
+
+    stages = ("hashmap", "debruijn", "traverse", "result")
+    for keep, stage in enumerate(stages, start=1):
+        job_dir = tmp_path / f"cut{keep}"
+        with monkeypatch.context() as patch:
+            patch.setattr(JobRunner, "_payload", parent_format)
+            source = JobRunner(job_dir, config, pim_factory=factory)
+            source.run(reads)
+        cut_journal(source, keep)
+
+        revived = JobRunner(job_dir, config, pim_factory=factory)
+        legacy = revived.journal.latest()[1]["platform"]
+        assert "floats" in legacy["resilience"]
+        assert "verified_ops" in legacy["resilience"]["events"]["total"]
+        assert "table_repairs" in legacy["integrity"]["tallies"]
+        out = revived.resume(reads)
+        assert out.report.resumed_from == stage
+        assert run_fingerprint(out.result) == run_fingerprint(golden)
+        assert ledger_hex(revived._pim) == ledger_hex(fresh._pim)
+        assert out.result.resilience == golden.resilience
+        assert out.result.integrity == golden.integrity
+        assert revived._pim.resilience.state_dict() == (
+            fresh._pim.resilience.state_dict()
+        )
 
 
 def test_repeated_rollbacks_reuse_one_record_unchanged(
