@@ -4,7 +4,8 @@ Assembles one synthetic genome per rung with the bulk engine and
 writes ``BENCH_e2e.json`` (``BENCH_e2e_quick.json`` with ``--quick``,
 so a smoke run never replaces the committed full ladder): per-stage
 host seconds (hashmap / debruijn / traverse), the software reference
-assembler's seconds, peak RSS, modelled (simulated) nanoseconds per
+assembler's seconds, peak RSS, hashmap host microseconds per read,
+peak RSS bytes per distinct k-mer, modelled (simulated) nanoseconds per
 stage, and the exponent of a log-log fit of total host seconds against
 genome length.  Every rung's contigs are compared with
 ``assembly/reference_impl.py``.
@@ -112,6 +113,7 @@ def run_rung(length: int) -> dict:
         host_s[stage] = time.perf_counter() - start
     result = pipeline.result(state)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    distinct_kmers = int(state.counts[0].size)
 
     start = time.perf_counter()
     reference = reference_impl.assemble(reads, K).contigs
@@ -125,6 +127,9 @@ def run_rung(length: int) -> dict:
         "calibration_s": calibration,
         "reference_s": reference_s,
         "peak_rss_mb": peak_rss_mb,
+        "distinct_kmers": distinct_kmers,
+        "hashmap_us_per_read": host_s["hashmap"] / len(reads) * 1e6,
+        "peak_rss_bytes_per_kmer": peak_rss_mb * 2**20 / distinct_kmers,
         "modelled_ns": {
             stage: getattr(result, stage).time_ns for stage in STAGES
         },
@@ -193,7 +198,9 @@ def main(argv: list[str] | None = None) -> int:
             + f" | total {rung['total_s']:6.2f}s"
             f" = {rung['total_s'] / rung['calibration_s']:5.1f} cal"
             f" | reference {rung['reference_s']:6.2f}s"
+            f" | hashmap {rung['hashmap_us_per_read']:5.1f} us/read"
             f" | {rung['peak_rss_mb']:6.0f} MB"
+            f" = {rung['peak_rss_bytes_per_kmer']:5.0f} B/k-mer"
             f" | contigs {'ok' if rung['contigs_match_reference'] else 'DIFFER'}"
         )
     exponent = scaling_exponent(

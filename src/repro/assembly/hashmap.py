@@ -44,6 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.bitplane import scan_end_rows
+from repro.core.grouping import Groups, group
 from repro.core.isa import RowAddress
 from repro.core.platform import PimAssembler
 from repro.core.scheduler import PricedSegments
@@ -55,11 +56,16 @@ from repro.genome.kmer import (
     pack_kmer,
     packed_kmers_batch,
     packed_to_row_bits,
+    packed_to_row_words,
     unpack_kmer,
 )
 from repro.genome.reads import Read
 from repro.genome.sequence import DnaSequence
-from repro.mapping.hashing import kmer_partition, kmer_partition_array
+from repro.mapping.hashing import (
+    KeySlotTable,
+    kmer_partition,
+    kmer_partition_array,
+)
 from repro.mapping.kmer_layout import scaled_layout
 from repro.runtime.checkpoint import decode_words, encode_words, require_keys
 from repro.runtime.watchdog import checkpoint
@@ -101,37 +107,60 @@ class SoftwareKmerCounter:
 
 
 @dataclass(frozen=True)
-class _Batch:
-    """A bulk batch planned by :meth:`PimKmerCounter._plan_batch`.
+class _Keys:
+    """The distinct keys of a bulk batch, resolved against the table
+    before it: their arrival ``groups``, partitions, stored slots (-1
+    for a new key) and counter values (0 for a new key)."""
 
-    Per arrival: ``slots`` (k-mer slot), ``kparts`` (partition),
-    ``scanned`` (rows its scan read) and ``pair_of`` (its (read,
-    partition) pair).  Per distinct key (``uniq``): partition, slot,
-    counter row, bit offset and final value; ``new_u`` are the new keys
-    and ``nu`` the same partition-major.  Per pair: partition, read,
-    arrivals and misses; ``read_starts`` opens each read's pairs.
+    groups: Groups
+    parts: np.ndarray
+    slot: np.ndarray
+    start: np.ndarray
+
+    def head(self, m: int) -> "_Keys":
+        """The keys of the batch's first ``m`` arrivals."""
+        keep = self.groups.first < m
+        return _Keys(
+            self.groups.head(m),
+            self.parts[keep],
+            self.slot[keep],
+            self.start[keep],
+        )
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """A bulk batch planned by :meth:`PimKmerCounter._plan`.
+
+    Per arrival: ``packed`` (key), ``slots`` (k-mer slot), ``scanned``
+    (rows its scan read) and ``pair_of`` (its (read, partition) pair).
+    Per distinct key (``keys``): ``key_slot``, counter row, bit offset
+    and final value; ``nu`` are the new keys, partition-major and in
+    arrival order.  Per touched partition (``touched``, increasing):
+    new keys and where they start in ``nu``, its last arrival and the
+    read of its first.  Per pair: read, arrivals and misses;
+    ``read_starts`` opens each read's pairs.
     """
 
+    keys: _Keys
     packed: np.ndarray
-    uniq: np.ndarray
-    uparts: np.ndarray
-    uniq_slot: np.ndarray
-    new_u: np.ndarray
-    nu: np.ndarray
-    new_per_part: np.ndarray
-    seg_starts: np.ndarray
     slots: np.ndarray
-    kparts: np.ndarray
     scanned: np.ndarray
     pair_of: np.ndarray
-    pair_parts: np.ndarray
+    key_slot: np.ndarray
+    vrows: np.ndarray
+    vbits: np.ndarray
+    final_vals: np.ndarray
+    nu: np.ndarray
+    touched: np.ndarray
+    new_per_part: np.ndarray
+    seg_starts: np.ndarray
+    last_arrival: np.ndarray
+    first_read: np.ndarray
     pair_reads: np.ndarray
     read_starts: np.ndarray
     arr_p: np.ndarray
     miss_p: np.ndarray
-    vrows: np.ndarray
-    vbits: np.ndarray
-    final_vals: np.ndarray
     #: :meth:`~repro.core.scheduler.BatchedAapScheduler.flush_segments`
     #: arguments: keys, pair partitions, pair reads, charges, verify
     flush_args: tuple
@@ -198,15 +227,16 @@ class PimKmerCounter:
         #: compute rows x1..x3 (``SubArray.compute_row``)
         self._x_rows = tuple(geometry.data_rows + i for i in range(3))
         self._valid_bits = 2 * k
-        # the host shadow of the stored k-mers: a sorted key index over
-        # all partitions with each key's slot.  The partition is a pure
-        # function of the key, so this one array resolves a key to its
-        # slot (the bulk path's lookup) and, lexsorted by (partition,
-        # slot), gives the table's row order (scrub, readback, journal).
-        # Keys are strictly increasing unless a faulted scan missed a
-        # match and stored a k-mer twice; the copies sit in slot order.
-        self._idx_keys = np.empty(0, dtype=np.uint64)
-        self._idx_slot = np.empty(0, dtype=np.int64)
+        # the host shadow of the stored k-mers: a key -> slot hash
+        # table over all partitions (the partition is a pure function
+        # of the key), which the bulk path's lookup reads; sorted by
+        # (partition, slot) at use, it gives the table's row order
+        # (scrub, readback, journal).  A k-mer a faulted scan missed
+        # and stored again keeps its first slot in the table; the later
+        # copies are listed apart.
+        self._index = KeySlotTable()
+        self._copy_keys = np.empty(0, dtype=np.uint64)
+        self._copy_slots = np.empty(0, dtype=np.int64)
 
     # ----- addressing helpers ---------------------------------------------------
 
@@ -218,11 +248,14 @@ class PimKmerCounter:
         return len(self._keys)
 
     def _slot_order(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Index positions in partition/slot order, with their
-        partitions and slots."""
-        parts = kmer_partition_array(self._idx_keys, self.partitions)
-        order = np.lexsort((self._idx_slot, parts))
-        return order, parts[order], self._idx_slot[order]
+        """Every stored k-mer row in partition/slot order: its key,
+        partition and slot."""
+        keys, slots = self._index.items()
+        keys = np.concatenate((keys, self._copy_keys))
+        slots = np.concatenate((slots, self._copy_slots))
+        parts = kmer_partition_array(keys, self.partitions)
+        order = np.argsort(parts * self.layout.kmer_rows + slots)
+        return keys[order], parts[order], slots[order]
 
     # ----- the Hashmap procedure ---------------------------------------------------
 
@@ -322,17 +355,6 @@ class PimKmerCounter:
                 [self._keys[p] for p in parts.tolist()]
             )
 
-    def _merge_index(self, keys: np.ndarray, slots: np.ndarray) -> None:
-        """Insert sorted keys into the index.
-
-        A key already present (a scalar insert after a faulted scan)
-        lands after its copies: they hold lower slots of the same
-        partition, and the first copy is the one a scan matches.
-        """
-        pos = np.searchsorted(self._idx_keys, keys, side="right")
-        self._idx_keys = np.insert(self._idx_keys, pos, keys)
-        self._idx_slot = np.insert(self._idx_slot, pos, slots)
-
     def _add_packed_bulk(
         self, packed: np.ndarray, owner: np.ndarray, n_seqs: int
     ) -> None:
@@ -352,7 +374,7 @@ class PimKmerCounter:
         / ``ECC_FIX``; then the ``ECC_ENC`` of the rows that read wrote.
         So the remaining reads are priced before anything is stored;
         the reads up to the first checkpoint that closes a window are
-        stored as one batch (planned again when reads follow it), in
+        stored as one batch (the plan's head when reads follow it), in
         one stream carrying each earlier read's ``ECC_ENC`` cell; the
         engine syncs, and the rest goes round again.  Rot thus sees
         exactly the store the closing read left.
@@ -420,7 +442,9 @@ class PimKmerCounter:
             )
             if last < len(reads) - 1:
                 stop = bounds[reads[last] + 1]
-                batch = self._plan_batch(packed[lo:stop], owner[lo:stop])
+                batch = self._plan(
+                    packed[lo:stop], owner[lo:stop], batch.keys.head(stop - lo)
+                )
                 priced = priced.head(last + 1)
                 encoded = encoded[: last + 1]
             # the closing read's rows drain in its sync, after the rot
@@ -476,102 +500,103 @@ class PimKmerCounter:
         values and charges.  ``None`` when some partition would fill.
 
         A batch is a fixed number of device-wide NumPy calls however
-        many partitions it touches: one ``np.unique`` over the batch,
-        one sorted-index lookup for known keys, one lexsort for
-        first-arrival slot assignment, packed bit-field gather for
-        every known counter, and the (read, partition) pair counts of
-        one segmented charge.
+        many partitions it touches, each over the batch alone: one
+        grouping of the arrivals by key, one hash-table lookup for known
+        keys and one packed bit-field gather of their counters, then
+        :meth:`_plan`.
         """
-        ctrl = self.pim.controller
-        n_parts = self.partitions
         layout = self.layout
-        uniq, first_idx, inv = np.unique(
-            packed, return_index=True, return_inverse=True
-        )
-        uparts = kmer_partition_array(uniq, n_parts).astype(np.int64)
-
-        # resolve known keys against the global sorted index
-        if self._idx_keys.size:
-            pos = np.minimum(
-                np.searchsorted(self._idx_keys, uniq),
-                self._idx_keys.size - 1,
+        keys = group(packed)
+        parts = kmer_partition_array(keys.values, self.partitions)
+        slot = self._index.lookup(keys.values)
+        start = np.zeros(slot.size, dtype=np.int64)
+        kn = np.flatnonzero(slot >= 0)
+        if kn.size:
+            sslot = self._store_slot
+            kn_parts = parts[kn]
+            # stored by the scalar path or restored: these exist
+            self._resolve_slots(np.unique(kn_parts[sslot[kn_parts] < 0]))
+            cpr = layout.counters_per_row
+            start[kn] = self.pim.device.store.read_fields(
+                sslot[kn_parts],
+                layout.value_base + slot[kn] // cpr,
+                (slot[kn] % cpr) * layout.counter_bits,
+                layout.counter_bits,
             )
-            known = self._idx_keys[pos] == uniq
-            uniq_slot = np.where(known, self._idx_slot[pos], -1)
-        else:
-            known = np.zeros(uniq.size, dtype=bool)
-            uniq_slot = np.full(uniq.size, -1, dtype=np.int64)
+        return self._plan(packed, owner, _Keys(keys, parts, slot, start))
+
+    def _plan(
+        self, packed: np.ndarray, owner: np.ndarray, keys: _Keys
+    ) -> "_Batch | None":
+        """The rest of :meth:`_plan_batch`, given the batch's resolved
+        keys: first-arrival slot assignment, counter evolution and the
+        (read, partition) pair counts of one segmented charge.  Every
+        array is sized by the batch or the partitions it touches."""
+        ctrl = self.pim.controller
+        layout = self.layout
+        n = packed.size
+        g = keys.groups
+        inv = g.inverse
+        first = g.first
+
+        # the touched partitions, increasing, and each key's among them
+        by_part = group(keys.parts)
+        touched = by_part.values
+        t_key = by_part.inverse
+        n_touched = touched.size
 
         # new keys claim slots in first-arrival order per partition
-        new_u = np.flatnonzero(~known)
-        occ0 = self._occupied
-        new_per_part = np.bincount(uparts[new_u], minlength=n_parts)
+        new_u = np.flatnonzero(keys.slot < 0)
+        occ0 = self._occupied[touched]
+        new_per_part = np.bincount(t_key[new_u], minlength=n_touched)
         if (occ0 + new_per_part > layout.kmer_rows).any():
             return None
-        order = np.lexsort((first_idx[new_u], uparts[new_u]))
-        nu = new_u[order]  # partition-major, arrival-ordered
-        nu_parts = uparts[nu]
-        seg_starts = np.concatenate(([0], np.cumsum(new_per_part)[:-1]))
-        uniq_slot[nu] = occ0[nu_parts] + (
-            np.arange(nu.size, dtype=np.int64) - seg_starts[nu_parts]
+        # partition-major, arrival-ordered: a key's first arrival is
+        # unique, so this sort needs no stability
+        nu = inv[np.sort(t_key[new_u] * n + first[new_u]) % n]
+        nu_t = t_key[nu]
+        seg_starts = np.cumsum(new_per_part) - new_per_part
+        key_slot = keys.slot.copy()
+        key_slot[nu] = occ0[nu_t] + (
+            np.arange(nu.size, dtype=np.int64) - seg_starts[nu_t]
         )
 
         # per-arrival scan lengths: a miss at insertion slot s scanned
         # all s occupied rows; a hit at slot s stopped after s + 1 rows
-        slots = uniq_slot[inv]
-        kparts = uparts[inv]
-        is_miss = np.zeros(packed.size, dtype=bool)
-        is_miss[first_idx[new_u]] = True
+        slots = key_slot[inv]
+        is_miss = np.zeros(n, dtype=bool)
+        is_miss[first[new_u]] = True
         scanned = np.where(is_miss, slots, slots + 1)
 
         # the (read, partition) pairs, read-major: the charging unit
-        pairs, pair_of = np.unique(
-            owner * n_parts + kparts, return_inverse=True
-        )
-        pair_parts = pairs % n_parts
+        pairs = group(owner * n_touched + t_key[inv])
+        pair_of = pairs.inverse
+        pair_parts = touched[pairs.values % n_touched]
+        pair_reads = pairs.values // n_touched
 
-        # counter evolution: value(key) ends at min(start + hits, max),
-        # incrementing (1 DPU add + 1 MEM_WR) only below saturation and
-        # reading (1 MEM_RD) on every hit
+        # counter evolution: value(key) ends at min(start + arrivals,
+        # max) (a new key's first arrival inserts a 1), incrementing
+        # (1 DPU add + 1 MEM_WR) only below saturation and reading
+        # (1 MEM_RD) on every hit
         cpr = layout.counters_per_row
-        cbits = layout.counter_bits
-        vrows = layout.value_base + uniq_slot // cpr
-        vbits = (uniq_slot % cpr) * cbits
-        occurrences = np.bincount(inv, minlength=uniq.size).astype(np.int64)
-        start_vals = np.ones(uniq.size, dtype=np.int64)  # inserts write 1
-        kn = np.flatnonzero(known)
-        if kn.size:
-            sslot = self._store_slot
-            kn_parts = uparts[kn]
-            # stored by the scalar path or restored: these exist
-            self._resolve_slots(np.unique(kn_parts[sslot[kn_parts] < 0]))
-            start_vals[kn] = self.pim.device.store.read_fields(
-                sslot[kn_parts], vrows[kn], vbits[kn], cbits
-            )
-        hits_per_key = occurrences - (~known).astype(np.int64)
-        final_vals = np.minimum(start_vals + hits_per_key, layout.counter_max)
+        vrows = layout.value_base + key_slot // cpr
+        vbits = (key_slot % cpr) * layout.counter_bits
+        final_vals = np.minimum(keys.start + g.counts, layout.counter_max)
 
         # ---- charging: identical command counts per (read, partition)
         # pair, one gang schedule per read ----
         # a hit increments iff the value before it is below the
-        # maximum: start + rank for a known key, rank for a new one
-        # (its first arrival inserted a 1), rank counting the key's
-        # earlier arrivals in this batch
-        by_key = np.argsort(inv, kind="stable")
-        rank = np.empty(packed.size, dtype=np.int64)
-        rank[by_key] = np.arange(packed.size) - np.repeat(
-            np.cumsum(occurrences) - occurrences, occurrences
-        )
-        before = np.where(known[inv], start_vals[inv] + rank, rank)
+        # maximum: start + rank, rank counting the key's earlier
+        # arrivals in this batch
+        before = keys.start[inv] + g.rank()
         incs = ~is_miss & (before < layout.counter_max)
-        n_pairs = pairs.size
+        n_pairs = pairs.values.size
         arr_p = np.bincount(pair_of, minlength=n_pairs)
         miss_p = np.bincount(pair_of[is_miss], minlength=n_pairs)
         scan_p = np.bincount(
             pair_of, weights=scanned.astype(np.float64), minlength=n_pairs
         ).astype(np.int64)
         inc_p = np.bincount(pair_of[incs], minlength=n_pairs)
-        pair_reads = pairs // n_parts
         read_starts = np.flatnonzero(
             np.concatenate(([True], pair_reads[1:] != pair_reads[:-1]))
         )
@@ -593,26 +618,29 @@ class PimKmerCounter:
             ("DPU", scan_p + inc_p),
         ]
         return _Batch(
+            keys=keys,
             packed=packed,
-            uniq=uniq,
-            uparts=uparts,
-            uniq_slot=uniq_slot,
-            new_u=new_u,
-            nu=nu,
-            new_per_part=new_per_part,
-            seg_starts=seg_starts,
             slots=slots,
-            kparts=kparts,
             scanned=scanned,
             pair_of=pair_of,
-            pair_parts=pair_parts,
+            key_slot=key_slot,
+            vrows=vrows,
+            vbits=vbits,
+            final_vals=final_vals,
+            nu=nu,
+            touched=touched,
+            new_per_part=new_per_part,
+            seg_starts=seg_starts,
+            last_arrival=np.maximum.reduceat(
+                g.last[by_part.order], by_part.starts
+            ),
+            first_read=owner[
+                np.minimum.reduceat(first[by_part.order], by_part.starts)
+            ],
             pair_reads=pair_reads,
             read_starts=read_starts,
             arr_p=arr_p,
             miss_p=miss_p,
-            vrows=vrows,
-            vbits=vbits,
-            final_vals=final_vals,
             flush_args=(self._keys, pair_parts, pair_reads, charges, verify),
         )
 
@@ -622,57 +650,56 @@ class PimKmerCounter:
         """Apply a planned batch: the device end state, the host index
         and the ledger stream (``priced``, else the batch's own charges).
 
-        One packed bit-field scatter writes every counter, one row-bits
-        pack covers every new key and every partition's last query, and
-        one ``(slot, row)`` scatter writes the k-mer and compute rows.
+        One packed bit-field scatter writes every counter, one row-word
+        conversion covers every new key and every partition's last
+        query, and one ``(slot, row)`` scatter writes the k-mer and
+        compute rows.
         """
         ctrl = self.pim.controller
-        n_parts = self.partitions
         layout = self.layout
-        # resolve each touched partition's store slot on first touch, in
-        # per-read touch order (it fixes the store's slot numbering),
-        # BEFORE taking any packed view: store growth reallocates the
-        # tensor
-        touched = np.flatnonzero(np.bincount(b.kparts, minlength=n_parts))
+        touched = b.touched
+        # resolve the store slots not cached yet in first-use order (the
+        # read that first touches a partition, then the partition: a
+        # claim on first touch fixes the store's slot numbering), BEFORE
+        # taking any packed view: store growth reallocates the tensor
         sslot = self._store_slot
-        unresolved = b.pair_parts[sslot[b.pair_parts] < 0]
+        unresolved = np.flatnonzero(sslot[touched] < 0)
         if unresolved.size:
-            firsts = np.sort(np.unique(unresolved, return_index=True)[1])
-            self._resolve_slots(unresolved[firsts])
+            n_touched = touched.size
+            self._resolve_slots(
+                touched[
+                    np.sort(b.first_read[unresolved] * n_touched + unresolved)
+                    % n_touched
+                ]
+            )
         store = self.pim.device.store
+        uniq, parts = b.keys.groups.values, b.keys.parts
         store.write_fields(
-            sslot[b.uparts], b.vrows, b.vbits, layout.counter_bits, b.final_vals
+            sslot[parts], b.vrows, b.vbits, layout.counter_bits, b.final_vals
         )
         # one scatter writes the new k-mer rows and leaves every
         # touched sub-array's compute rows as its last arriving k-mer's
         # scan would
-        last_arrival = np.full(n_parts, -1, dtype=np.int64)
-        np.maximum.at(
-            last_arrival, b.kparts, np.arange(b.packed.size, dtype=np.int64)
-        )
-        last_arrival = last_arrival[touched]
         nu = b.nu
-        words = pack_rows(
-            packed_to_row_bits(
-                np.concatenate((b.uniq[nu], b.packed[last_arrival])),
-                self.k,
-                self.pim.row_bits,
-            )
+        words = packed_to_row_words(
+            np.concatenate((uniq[nu], b.packed[b.last_arrival])),
+            self.k,
+            self.pim.row_bits,
         )
         new_words, q_words = words[: nu.size], words[nu.size :]
-        last_scanned = b.scanned[last_arrival]
+        last_scanned = b.scanned[b.last_arrival]
         read_any = last_scanned > 0
-        read_parts = touched[read_any]
-        last_slot = last_scanned[read_any] - 1
+        read_t = np.flatnonzero(read_any)
+        read_parts = touched[read_t]
+        last_slot = last_scanned[read_t] - 1
         last_words = store.tensor[
             sslot[read_parts], layout.kmer_row(0) + last_slot
         ]
         # the last scanned row may be one this batch inserts
-        occ0 = self._occupied
-        fresh = np.flatnonzero(last_slot >= occ0[read_parts])
-        fresh_parts = read_parts[fresh]
+        occ0 = self._occupied[read_parts]
+        fresh = np.flatnonzero(last_slot >= occ0)
         last_words[fresh] = new_words[
-            b.seg_starts[fresh_parts] + last_slot[fresh] - occ0[fresh_parts]
+            b.seg_starts[read_t[fresh]] + last_slot[fresh] - occ0[fresh]
         ]
         end_slots, end_rows, end_words = scan_end_rows(
             sslot[touched],
@@ -684,13 +711,13 @@ class PimKmerCounter:
             store.col_mask_words,
         )
         store.scatter_rows(
-            np.concatenate((sslot[b.uparts[nu]], end_slots)),
-            np.concatenate((layout.kmer_row(0) + b.uniq_slot[nu], end_rows)),
+            np.concatenate((sslot[parts[nu]], end_slots)),
+            np.concatenate((layout.kmer_row(0) + b.key_slot[nu], end_rows)),
             np.concatenate((new_words, end_words)),
         )
         if nu.size:
-            self._occupied += b.new_per_part
-            self._merge_index(b.uniq[b.new_u], b.uniq_slot[b.new_u])
+            self._occupied[touched] += b.new_per_part
+            self._index.insert(uniq[nu], b.key_slot[nu])
         if priced is None:
             ctrl.scheduler.flush_segments(*b.flush_args)
         else:
@@ -703,7 +730,7 @@ class PimKmerCounter:
         after a scan that read a row."""
         cpr = self.layout.counters_per_row
         span = self.layout.kmer_rows // cpr + 1
-        counter_rows = np.unique(b.pair_of * span + b.slots // cpr)
+        counter_rows = group(b.pair_of * span + b.slots // cpr).values
         rows = np.bincount(counter_rows // span, minlength=b.arr_p.size)
         # a pair's last scan read no row only if it is the pair's one
         # arrival and the first key its partition ever stored (a miss
@@ -728,7 +755,10 @@ class PimKmerCounter:
         ctrl.copy(temp, self._addr(index, layout.kmer_row(slot)))
         self._write_counter(index, slot, 1)
         self._occupied[index] += 1
-        self._merge_index(np.uint64(packed), slot)
+        if not self._index.add(packed, slot):
+            # a faulted scan missed the stored copy
+            self._copy_keys = np.append(self._copy_keys, np.uint64(packed))
+            self._copy_slots = np.append(self._copy_slots, slot)
 
     def _increment(self, index: int, slot: int) -> None:
         """New_freq = PIM_Add(k_mer, 1); MEM_insert(k_mer, New_freq).
@@ -786,11 +816,9 @@ class PimKmerCounter:
         """
         ctrl = self.pim.controller
         engine = ctrl.resilience
-        order, parts, slots = self._slot_order()
+        keys, parts, slots = self._slot_order()
         rows = self.layout.kmer_row(0) + slots
-        expected = packed_to_row_bits(
-            self._idx_keys[order], self.k, self.pim.row_bits
-        )
+        expected = packed_to_row_bits(keys, self.k, self.pim.row_bits)
         repaired = 0
 
         def repair(i: int) -> None:
@@ -819,38 +847,31 @@ class PimKmerCounter:
 
     # ----- readback --------------------------------------------------------------------------
 
-    def _distinct(self) -> np.ndarray:
-        """Mask over the index keeping each stored k-mer once: the last
-        (highest-slot) copy of a k-mer a faulted scan stored twice."""
-        last = np.ones(self._idx_keys.size, dtype=bool)
-        last[:-1] = self._idx_keys[1:] != self._idx_keys[:-1]
-        return last
-
     @property
     def kmers(self) -> np.ndarray:
         """The stored k-mers, strictly increasing (no device access)."""
-        return self._idx_keys[self._distinct()]
+        return np.sort(self._index.items()[0])
 
     def counts(self) -> "tuple[np.ndarray, np.ndarray]":
         """Read the full table back as ``(kmers, counts)``.
 
         ``kmers`` is :attr:`kmers`; ``counts`` their frequencies, in the
-        same order.  One :meth:`Controller.read_fields` call reads every
-        counter and accounts as one host row read per stored k-mer, in
+        same order (a k-mer stored twice reads its last copy).  One
+        :meth:`Controller.read_fields` call reads every counter and
+        accounts as one host row read per stored row, in
         partition/slot order.
         """
-        order, parts, slots = self._slot_order()
+        keys, parts, slots = self._slot_order()
         layout = self.layout
-        values = np.empty(order.size, dtype=np.int64)
-        values[order] = self.pim.controller.read_fields(
+        values = self.pim.controller.read_fields(
             self._keys,
             parts,
             layout.value_base + slots // layout.counters_per_row,
             (slots % layout.counters_per_row) * layout.counter_bits,
             layout.counter_bits,
         )
-        last = self._distinct()
-        return self._idx_keys[last], values[last]
+        by_key = group(keys)
+        return by_key.values, values[by_key.last]
 
     def stored_kmer(self, partition: int, slot: int) -> DnaSequence:
         """Decode a stored k-mer row straight from memory (for tests)."""
@@ -879,11 +900,10 @@ class PimKmerCounter:
         fault left corrupt, which a rebuild from the shadow alone would
         silently repair.
         """
-        order = self._slot_order()[0]
         return {
             "k": self.k,
             "keys": [list(key) for key in self._keys],
-            "kmers": encode_words(self._idx_keys[order]),
+            "kmers": encode_words(self._slot_order()[0]),
         }
 
     @classmethod
@@ -915,7 +935,11 @@ class PimKmerCounter:
         slots = np.arange(kmers.size) - np.repeat(
             np.cumsum(occupied) - occupied, occupied
         )
-        order = np.argsort(kmers, kind="stable")
-        counter._idx_keys = kmers[order].astype(np.uint64)
-        counter._idx_slot = slots[order]
+        # the first copy of a k-mer holds its lowest slot
+        by_key = group(kmers.astype(np.uint64))
+        counter._index.insert(by_key.values, slots[by_key.first])
+        copy = np.ones(kmers.size, dtype=bool)
+        copy[by_key.first] = False
+        counter._copy_keys = kmers[copy].astype(np.uint64)
+        counter._copy_slots = slots[copy]
         return counter

@@ -56,38 +56,45 @@ class Device:
             else tuple(address)
         )
         slot = self._slot_of.get(key)
-        if slot is not None:
-            return self._subarrays[slot]
-        return self._claim(key)
+        if slot is None:
+            self._claim([key])
+            return self._subarrays[-1]
+        return self._subarrays[slot]
 
-    def _claim(self, key: tuple) -> SubArray:
+    def _claim(self, keys: list) -> None:
+        """Instantiate unseen sub-arrays ``keys`` in the order given,
+        with one store growth."""
         g = self.geometry
-        bank, mat, sub = (int(part) for part in key)
-        for name, index, bound in (
-            ("bank", bank, g.num_banks),
-            ("MAT", mat, g.bank.num_mats),
-            ("sub-array", sub, g.bank.mat.num_subarrays),
-        ):
-            if not 0 <= index < bound:
-                raise IndexError(
-                    f"{name} index {index} out of range 0..{bound - 1}"
-                )
-        subarray = SubArray(
-            g.bank.mat.subarray, store=self.store, label=f"bank{bank}"
-        )
-        self._slot_of[(bank, mat, sub)] = subarray.slot
-        self._subarrays.append(subarray)
-        return subarray
+        keys = [tuple(int(part) for part in key) for key in keys]
+        for bank, mat, sub in keys:
+            for name, index, bound in (
+                ("bank", bank, g.num_banks),
+                ("MAT", mat, g.bank.num_mats),
+                ("sub-array", sub, g.bank.mat.num_subarrays),
+            ):
+                if not 0 <= index < bound:
+                    raise IndexError(
+                        f"{name} index {index} out of range 0..{bound - 1}"
+                    )
+        labels = [f"bank{bank}" for bank, _, _ in keys]
+        slot = self.store.new_slots(labels)
+        geometry = g.bank.mat.subarray
+        for key, label in zip(keys, labels):
+            self._slot_of[key] = slot
+            self._subarrays.append(
+                SubArray(geometry, store=self.store, label=label, claimed=slot)
+            )
+            slot += 1
 
     def slots(self, keys: Iterable) -> np.ndarray:
         """Store slot of each sub-array key, claiming unseen sub-arrays
         in the order given (pass keys in first-use order)."""
+        keys = [tuple(key) for key in keys]
         slot_of = self._slot_of
-        out = []
-        for key in keys:
-            slot = slot_of.get(tuple(key))
-            out.append(slot if slot is not None else self._claim(key).slot)
-        return np.array(out, dtype=np.intp)
+        unseen = [key for key in dict.fromkeys(keys) if key not in slot_of]
+        if unseen:
+            self._claim(unseen)
+        return np.array([slot_of[key] for key in keys], dtype=np.intp)
 
     def validate_address(self, address: RowAddress) -> RowAddress:
         g = self.geometry

@@ -28,6 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.core.grouping import group
 from repro.core.isa import ISA, RESOURCES, resource_key
 from repro.core.resilience import verify_cells
 from repro.core.timing import DEFAULT_TIMING, command_cost_table
@@ -184,7 +185,9 @@ class BatchedAapScheduler:
 
     def _ids(self, keys: list) -> np.ndarray:
         """``(len(keys), 3)`` sub-array, MAT GRB and MAT DPU ids."""
-        if keys != self._last_keys:
+        # one list object is reused call after call: spare the
+        # element-wise compare, which grows with the key list
+        if keys is not self._last_keys and keys != self._last_keys:
             key_ids = self._key_ids
             resources = self._resource_ids
             for key in set(keys).difference(key_ids):
@@ -307,11 +310,10 @@ class BatchedAapScheduler:
         ids = self._ids(keys)[key_index]  # may grow the resource table
         # busy ns per (segment, resource), then each segment's maximum
         n_res = len(self._resource_ids)
-        bins = (np.cumsum(change) * n_res + ids.T).ravel()
-        ubins, inverse = np.unique(bins, return_inverse=True)
-        per_resource = np.bincount(inverse, weights=busy.ravel())
+        bins = group((np.cumsum(change) * n_res + ids.T).ravel())
+        per_resource = np.bincount(bins.inverse, weights=busy.ravel())
         first = np.flatnonzero(
-            np.concatenate(([True], np.diff(ubins // n_res) != 0))
+            np.concatenate(([True], np.diff(bins.values // n_res) != 0))
         )
         makespans = np.maximum.reduceat(per_resource, first)
 

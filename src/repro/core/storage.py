@@ -232,27 +232,36 @@ class BitPlaneStore:
 
     def new_slot(self, label: str = "unbound") -> int:
         """Claim the next slot (growing the tensor by doubling)."""
-        slot = self._n_slots
-        if slot >= self._tensor.shape[0]:
-            capacity = max(1, self._tensor.shape[0] * 2)
+        return self.new_slots([label])
+
+    def new_slots(self, labels: "list[str]") -> int:
+        """Claim one slot per label, growing the tensor at most once to
+        the capacity that claiming them one by one would reach; returns
+        the first slot."""
+        first = self._n_slots
+        needed = first + len(labels)
+        capacity = self._tensor.shape[0]
+        if needed > capacity:
+            while needed > capacity:
+                capacity = max(1, capacity * 2)
             grown = np.zeros(
                 (capacity, self.rows, self.words), dtype=np.uint64
             )
-            if slot:
-                grown[:slot] = self._tensor
+            if first:
+                grown[:first] = self._tensor[:first]
             self._tensor = grown
             if self._ecc is not None:
                 grown_ecc = np.zeros(
                     (capacity, self.rows, self.words), dtype=np.uint8
                 )
-                if slot:
-                    grown_ecc[:slot] = self._ecc
+                if first:
+                    grown_ecc[:first] = self._ecc[:first]
                 self._ecc = grown_ecc
-        self._n_slots += 1
-        self._labels.append(label)
+        self._n_slots = needed
+        self._labels.extend(labels)
         set_gauge(STORAGE_BYTES, float(self._tensor.nbytes))
         set_gauge(STORAGE_SLOTS, float(self._n_slots))
-        return slot
+        return first
 
     def _check_slot(self, slot: int) -> int:
         if not 0 <= slot < self._n_slots:

@@ -25,7 +25,7 @@ single-slot store, so the API is unchanged either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -44,8 +44,11 @@ class SubArray:
     store: "BitPlaneStore | None" = None
     #: conversion-counter label (the owning bank's name on a device)
     label: str = "unbound"
+    #: its slot in ``store`` when the device claimed it beforehand;
+    #: ``None`` claims the next one
+    claimed: InitVar["int | None"] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, claimed: "int | None") -> None:
         if self.store is None:
             self.store = BitPlaneStore(self.geometry.rows, self.geometry.cols)
         elif (
@@ -56,7 +59,9 @@ class SubArray:
                 f"store geometry ({self.store.rows}x{self.store.cols}) does "
                 f"not match sub-array ({self.geometry.rows}x{self.geometry.cols})"
             )
-        self._slot = self.store.new_slot(self.label)
+        self._slot = (
+            self.store.new_slot(self.label) if claimed is None else claimed
+        )
         self.sa = SenseAmplifierArray(columns=self.geometry.cols)
 
     @property

@@ -151,6 +151,35 @@ def packed_to_row_bits(packed: np.ndarray, k: int, row_bits: int) -> np.ndarray:
     return out
 
 
+#: each byte value with its 8 bits reversed
+_REVERSED_BYTES = np.array(
+    [int(f"{byte:08b}"[::-1], 2) for byte in range(256)], dtype=np.uint8
+)
+
+
+def packed_to_row_words(
+    packed: np.ndarray, k: int, row_bits: int
+) -> np.ndarray:
+    """:func:`packed_to_row_bits` packed 64 bit lines per ``uint64``
+    word, LSB first (the store's row layout), as ``(len(packed),
+    ceil(row_bits / 64))`` words — without the unpacked bit matrix.
+
+    Bit line ``j`` holds packed bit ``2k - 1 - j``, so a row's first
+    word is the key's low ``2k`` bits reversed and the rest are zero.
+    """
+    if k <= 0 or k > MAX_PACKED_K:
+        raise ValueError(f"k must be in 1..{MAX_PACKED_K}")
+    if 2 * k > row_bits:
+        raise ValueError(f"k-mer needs {2 * k} bit lines, row only has {row_bits}")
+    values = np.ascontiguousarray(packed, dtype="<u8").reshape(-1)
+    # reverse all 64 bits: the byte order, then each byte's bits
+    octets = values.view(np.uint8).reshape(-1, 8)[:, ::-1]
+    reversed_ = np.ascontiguousarray(_REVERSED_BYTES[octets]).view("<u8")
+    words = np.zeros((values.size, -(-row_bits // 64)), dtype=np.uint64)
+    words[:, 0] = reversed_.reshape(-1) >> np.uint64(64 - 2 * k)
+    return words
+
+
 def count_kmers(
     sequences: "Iterable[DnaSequence] | DnaSequence", k: int
 ) -> Counter:

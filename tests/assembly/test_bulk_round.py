@@ -14,7 +14,10 @@ from repro.assembly.hashmap import PimKmerCounter
 from repro.core import PimAssembler
 from repro.core.device import Device
 from repro.core.integrity import IntegrityConfig
+from repro.core.storage import BitPlaneStore
+from repro.genome.kmer import iter_kmers, pack_kmer
 from repro.genome.sequence import DnaSequence
+from repro.mapping.hashing import kmer_partition
 
 
 def random_reads(seed, n_reads, length):
@@ -107,31 +110,50 @@ def counting(monkeypatch, owner, name):
 
 
 class TestWorkPerRound:
-    def test_packed_to_row_bits_at_most_twice_per_round(self, monkeypatch):
+    def test_one_row_word_conversion_per_round(self, monkeypatch):
         pim = PimAssembler.small(subarrays=16)
         counter = PimKmerCounter(pim, 9, engine="bulk")
-        calls = counting(monkeypatch, hashmap, "packed_to_row_bits")
+        words = counting(monkeypatch, hashmap, "packed_to_row_words")
+        bits = counting(monkeypatch, hashmap, "packed_to_row_bits")
         for batch in ROUNDS:
-            before = len(calls)
+            before = len(words)
             counter.add_sequences(batch)
-            assert len(calls) - before <= 2
+            assert len(words) - before == 1
+        assert not bits
         assert sum(1 for n in counter.occupancy if n) >= 8
 
     def test_subarray_lookup_only_on_first_touch(self, monkeypatch):
         pim = PimAssembler.small(subarrays=16)
         counter = PimKmerCounter(pim, 9, engine="bulk")
-        calls = counting(monkeypatch, Device, "slots")
+        claims = counting(monkeypatch, Device, "_claim")
+        growths = counting(monkeypatch, BitPlaneStore, "new_slots")
 
-        def lookups():
-            return [key for _, keys in calls for key in keys]
+        def claimed():
+            return [key for _, keys in claims for key in keys]
 
         counter.add_sequences(ROUNDS[0])
+        # first use: read by read, each read's partitions increasing
+        first_use = []
+        for read in ROUNDS[0]:
+            for part in sorted(
+                {
+                    kmer_partition(pack_kmer(kmer), counter.partitions)
+                    for kmer in iter_kmers(read, 9)
+                }
+            ):
+                if counter._keys[part] not in first_use:
+                    first_use.append(counter._keys[part])
         touched = sum(1 for n in counter.occupancy if n)
         assert touched >= 8
-        assert len(lookups()) == touched
+        # each partition claimed once, in first-use order, by one claim
+        # and one store growth
+        assert claimed() == first_use
+        assert len(first_use) == touched
+        assert len(claims) == len(growths) == 1
+        assert pim.device.slot_keys() == first_use
         # the same k-mers again touch only known partitions
         counter.add_sequences(ROUNDS[0])
-        assert len(lookups()) == touched
+        assert len(claims) == len(growths) == 1
 
 
 @pytest.mark.parametrize("engine", ["scalar", "bulk"])

@@ -21,7 +21,6 @@ from repro.core.trace import CommandTrace
 from repro.errors import TableFullError
 from repro.genome import ReadSimulator, synthetic_chromosome
 from repro.genome.sequence import DnaSequence
-from repro.mapping.hashing import kmer_partition_array
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime.watchdog import Watchdog
 
@@ -94,11 +93,10 @@ def run_counter(reads, k, batched, setup=None, subarrays=32):
 
 
 def slot_shadow(counter):
-    """(partition, slot) -> packed k-mer, read off the sorted index."""
-    parts = kmer_partition_array(counter._idx_keys, counter.partitions)
+    """(partition, slot) -> packed k-mer, read off the host index."""
+    keys, parts, slots = counter._slot_order()
     return {
-        (int(p), int(s)): int(key)
-        for p, s, key in zip(parts, counter._idx_slot, counter._idx_keys)
+        (int(p), int(s)): int(key) for key, p, s in zip(keys, parts, slots)
     }
 
 

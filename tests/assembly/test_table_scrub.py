@@ -22,7 +22,6 @@ from repro.core.isa import RowAddress
 from repro.core.trace import CommandTrace
 from repro.genome.kmer import kmer_to_row_bits, unpack_kmer
 from repro.genome.sequence import DnaSequence
-from repro.mapping.hashing import kmer_partition_array
 
 
 def reference_scrub(counter):
@@ -31,10 +30,9 @@ def reference_scrub(counter):
     ctrl = pim.controller
     engine = ctrl.resilience
     checked = repaired = 0
-    parts = kmer_partition_array(counter._idx_keys, counter.partitions)
+    keys, parts, slots = counter._slot_order()
     shadow = {
-        (int(p), int(s)): int(packed)
-        for p, s, packed in zip(parts, counter._idx_slot, counter._idx_keys)
+        (int(p), int(s)): int(packed) for packed, p, s in zip(keys, parts, slots)
     }
     ctrl.mark("scrub:begin")
     for index, key in enumerate(counter._keys):

@@ -96,6 +96,16 @@ class TestStoreBasics:
         for slot, bits in written:
             np.testing.assert_array_equal(store.read_row(slot, 3), bits)
 
+    def test_batched_claim_grows_as_one_by_one(self):
+        one_by_one, batched = BitPlaneStore(4, 64), BitPlaneStore(4, 64)
+        for n in (1, 2, 3, 7, 1):
+            first = batched.new_slots([f"s{i}" for i in range(n)])
+            assert first == one_by_one.n_slots
+            for i in range(n):
+                one_by_one.new_slot(f"s{i}")
+            assert batched.n_slots == one_by_one.n_slots
+            assert batched.nbytes == one_by_one.nbytes
+
     def test_footprint_is_one_eighth_for_aligned_cols(self):
         store = BitPlaneStore(rows=64, cols=256)
         assert store.slot_nbytes * 8 == store.unpacked_slot_nbytes

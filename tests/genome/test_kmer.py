@@ -13,8 +13,10 @@ from repro.genome.kmer import (
     pack_kmer,
     packed_kmers_array,
     packed_kmers_batch,
+    packed_to_row_words,
     unpack_kmer,
 )
+from repro.core.storage import pack_rows
 from repro.genome.sequence import DnaSequence
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=80)
@@ -123,3 +125,17 @@ class TestRowLayout:
     def test_rejects_overflow(self):
         with pytest.raises(ValueError):
             kmer_to_row_bits(DnaSequence("A" * 20), row_bits=16)
+
+    @given(kmer_text, st.sampled_from([64, 65, 130, 256]))
+    def test_row_words_pack_the_row_bits(self, text, row_bits):
+        kmer = DnaSequence(text)
+        words = packed_to_row_words(
+            np.array([pack_kmer(kmer)], dtype=np.uint64), len(kmer), row_bits
+        )
+        np.testing.assert_array_equal(
+            words, pack_rows(kmer_to_row_bits(kmer, row_bits))[None, :]
+        )
+
+    def test_row_words_of_no_kmers(self):
+        words = packed_to_row_words(np.zeros(0, dtype=np.uint64), 22, 64)
+        assert words.shape == (0, 1)
